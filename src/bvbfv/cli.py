@@ -216,7 +216,7 @@ def cmd_moduli(args):
     rep.check("im_chi_equals_ker_psi", mr["vacua_checks"]["im_chi_equals_ker_psi"])
     rep.check("beta_diagram_commutes", mr["beta_diagram_commutes"])
     if t.kind == "electrodynamics":
-        fc = ed_formula_check(t)
+        fc = ed_formula_check(t, mr["_model"])
         rep.table("sector_formulas", {
             k: v for k, v in fc.items() if isinstance(v, dict)
         })

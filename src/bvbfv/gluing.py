@@ -17,7 +17,7 @@ from .linalg import (
     quotient,
     solve,
 )
-from .moduli import ReducedModel, _GradedPiece, _restrict, symp_moduli
+from .moduli import _GradedPiece, _restrict, symp_moduli
 from .simplicial import IncoherentOrientation, OrientedComplex, _perm_sign
 from .theories import LinearTheory
 
@@ -289,34 +289,6 @@ def fiber_product_check(t_glued, t_left, t_right, spec: GluingSpec, glued_cx=Non
             "match": el_n == fp_dim}
 
 
-def _msymp_with_vertical(t: LinearTheory, vertical_pred):
-    """M^symp-type quotients per ghost with a custom vertical condition:
-    ker Q / Q(ker of the chosen restriction).  vertical_pred is a flat
-    matrix whose kernel is the vertical subspace."""
-    model = ReducedModel(t)
-    vert = kernel_basis(vertical_pred)
-    reps = {}
-    data = {}
-    for g in model.ghosts:
-        idx = t.bulk.ghost_indices(g)
-        idx_up = t.bulk.ghost_indices(g + 1)
-        ker = kernel_basis(_restrict(t.Q, t.bulk.ghost_indices(g - 1), idx))
-        cols = []
-        for b in vert.basis:
-            loc = {i: v for i, v in b.items()}
-            # split by ghost: vertical basis vectors are ghost-pure
-            if all(i in set(idx_up) for i in loc):
-                local = {idx_up.index(i): v for i, v in loc.items()}
-                img = _restrict(t.Q, idx, idx_up).matvec(local)
-                if img:
-                    cols.append(img)
-        qv = column_span(cols, len(idx))
-        comp, _ = quotient(ker, qv)
-        reps[g] = comp.basis
-        data[g] = (ker, qv, comp)
-    return model, reps, data
-
-
 def glue_moduli(t_left, t_right, spec: GluingSpec, t_glued, epsilon=None):
     """Intrinsic reconstruction of the symplectic moduli of the glued theory:
 
@@ -360,6 +332,8 @@ def glue_moduli(t_left, t_right, spec: GluingSpec, t_glued, epsilon=None):
         mt = kernel_basis(cond)
         mt_basis[g] = (mt, na, nb)
     # beta-tilde images of interface fields span the distribution to divide by
+    rho_l_rows = rho_l.sparse_rows()
+    rho_r_rows = rho_r.sparse_rows()
     beta_cols = {g: [] for g in ghosts}
     for g in ghosts:
         # interface fields of ghost g map into m-tilde at ghost g-1
@@ -370,8 +344,8 @@ def glue_moduli(t_left, t_right, spec: GluingSpec, t_glued, epsilon=None):
         if mt.dim == 0:
             continue
         for row in _interface_rows_of_ghost(t_left, iface, g):
-            bl = _beta_value(t_left, sm_l, rho_l, row, g)
-            br = _beta_value(t_right, sm_r, rho_r, row, g)
+            bl = _beta_value(t_left, sm_l, rho_l_rows[row], g)
+            br = _beta_value(t_right, sm_r, rho_r_rows[row], g)
             vec = {}
             for i, v in bl.items():
                 vec[i] = v
@@ -387,10 +361,10 @@ def glue_moduli(t_left, t_right, spec: GluingSpec, t_glued, epsilon=None):
     for g in ghosts:
         mt, na, nb = mt_basis[g]
         dist = column_span(beta_cols.get(g, []), mt.dim)
-        amb = Subspace.full(mt.dim) if mt.dim else Subspace.zero(0)
-        comp, proj = quotient(amb, dist) if mt.dim else (Subspace.zero(0), None)
+        comp, coords = quotient(Subspace.full(mt.dim), dist) if mt.dim \
+            else (Subspace.zero(0), None)
         intrinsic_dims[g] = comp.dim
-        quotients[g] = (mt, dist, comp, na, nb)
+        quotients[g] = (mt, comp, coords, na, nb)
     # direct computation on the glued complex
     sm_n = symp_moduli(t_glued)
     direct_dims = {g: d for g, d in sm_n["dims"].items()}
@@ -408,7 +382,7 @@ def glue_moduli(t_left, t_right, spec: GluingSpec, t_glued, epsilon=None):
     eps_l = _orientation_factor(t_glued, t_left, {v: lmap[v] for v in t_left.cx.vertex_ids})
     eps_r = _orientation_factor(t_glued, t_right, {v: rmap[v] for v in t_right.cx.vertex_ids})
     for g in ghosts:
-        mt, dist, comp, na, nb = quotients[g]
+        mt, comp, coords, na, nb = quotients[g]
         reps_n = sm_n["reps"].get(g, [])
         if len(reps_n) != comp.dim:
             iso_ok = False
@@ -430,8 +404,7 @@ def glue_moduli(t_left, t_right, spec: GluingSpec, t_glued, epsilon=None):
                 break
             # quotient coordinates along the distribution
             if comp.dim:
-                xq = _coords_in_complement(comp, dist, x)
-                cols.append(xq)
+                cols.append(coords.matvec(x))
         if len(cols) == len(reps_n) and comp.dim:
             if column_span(cols, comp.dim).dim != comp.dim:
                 iso_ok = False
@@ -470,11 +443,11 @@ def _interface_rows_of_ghost(t: LinearTheory, iface: OrientedComplex, g):
     return rows
 
 
-def _beta_value(t, sm, rho, row, g):
+def _beta_value(t, sm, entries, g):
     """[Q eta-lift] in M^symp coordinates, where eta is the interface field
-    indicator of the given stacked row (ghost g), extended by zero into the
-    bulk.  rho rows carry exactly one +-1 entry, so lifting is direct."""
-    entries = rho.row(row)
+    indicator of a stacked interface row (ghost g) with the given entries,
+    extended by zero into the bulk.  Interface restriction rows carry
+    exactly one +-1 entry, so lifting is direct."""
     if len(entries) != 1:
         raise GluingError("interface restriction row is not a single face")
     (col, val), = entries.items()
@@ -492,30 +465,13 @@ def _msymp_coords(t, sm, g, flat):
         if i not in pos:
             raise GluingError("vector is not ghost homogeneous")
         local[pos[i]] = v
-    ker, qv, comp = sm["spaces"][g]
-    cols = list(comp.basis) + list(qv.basis)
-    mat = RatMatrix.from_columns(cols, len(idx))
-    x = solve(mat, local)
-    if x is None:
+    if sm["model"].bulk.q(g).matvec(local):
         raise GluingError("vector is not a symplectic-moduli class")
-    return {i: v for i, v in x.items() if i < comp.dim}
-
-
-def _coords_in_complement(comp: Subspace, dist: Subspace, vec):
-    cols = list(comp.basis) + list(dist.basis)
-    mat = RatMatrix.from_columns(cols, comp.ambient_dim)
-    x = solve(mat, vec)
-    if x is None:
-        raise GluingError("vector is not in complement + distribution")
-    return {i: v for i, v in x.items() if i < comp.dim}
+    return sm["coords"][g].matvec(local)
 
 
 # ---------------------------------------------------------------------------
 # Mayer-Vietoris sequences
-
-
-def _sector_slots(t: LinearTheory):
-    return [(s["sector"], s["degree"], s["ghost"]) for s in t.bulk.slots]
 
 
 def mayer_vietoris(t_glued, t_left, t_right, spec: GluingSpec):
@@ -536,6 +492,7 @@ def mayer_vietoris(t_glued, t_left, t_right, spec: GluingSpec):
     rmapv = {v: r_of_l[v] for v in iface.vertex_ids}
     rho_l, ioffs, wdim = _interface_restriction(t_left, iface, lmapv)
     rho_r, _, _ = _interface_restriction(t_right, iface, rmapv)
+    rho_l_rows = rho_l.sparse_rows()
 
     ghosts = sorted(set(t_glued.bulk.ghosts()) | {0})
     gmax, gmin = max(ghosts), min(ghosts)
@@ -563,9 +520,9 @@ def mayer_vietoris(t_glued, t_left, t_right, spec: GluingSpec):
 
     def build_sequence(vert_n, vert_l, vert_r):
         """Generic MV with chosen vertical subspaces for the three moduli."""
-        piece_n = _quot_piece(t_glued, vert_n)
-        piece_l = _quot_piece(t_left, vert_l)
-        piece_r = _quot_piece(t_right, vert_r)
+        piece_n = _QuotPiece(t_glued, vert_n)
+        piece_l = _QuotPiece(t_left, vert_l)
+        piece_r = _QuotPiece(t_right, vert_r)
         piece_w = _GradedPiece(
             "iface",
             {g: iface_ghost_rows(g) for g in ghosts},
@@ -582,8 +539,8 @@ def mayer_vietoris(t_glued, t_left, t_right, spec: GluingSpec):
             idx_n = t_glued.bulk.ghost_indices(g)
             for j, rep in enumerate(piece_n.reps(g)):
                 flat = {idx_n[i]: v for i, v in rep.items()}
-                cl = piece_l.coords(g, res_l.matvec(flat), t_left)
-                cr = piece_r.coords(g, res_r.matvec(flat), t_right)
+                cl = piece_l.coords(g, res_l.matvec(flat))
+                cr = piece_r.coords(g, res_r.matvec(flat))
                 for i, v in cl.items():
                     m[i, j] = v
                 for i, v in cr.items():
@@ -620,12 +577,11 @@ def mayer_vietoris(t_glued, t_left, t_right, spec: GluingSpec):
             for j, rep in enumerate(piece_w.reps(g)):
                 a = {}
                 for i, v in rep.items():
-                    row = rho_l.row(wrows_g[i])
-                    (col, s), = row.items()
+                    (col, s), = rho_l_rows[wrows_g[i]].items()
                     a[col] = a.get(col, Fraction(0)) + v / s
                 qa = t_left.Q.matvec({i: v for i, v in a.items() if v})
                 z = emb_l.matvec(qa)
-                coords = piece_n.coords(g - 1, z, t_glued)
+                coords = piece_n.coords(g - 1, z)
                 for i, v in coords.items():
                     m3[i, j] = v
             maps.append(m3)
@@ -654,42 +610,38 @@ class _QuotPiece:
         self.data = {}
         for g in t.bulk.ghosts():
             idx = t.bulk.ghost_indices(g)
-            idx_dn = t.bulk.ghost_indices(g - 1)
             idx_up = t.bulk.ghost_indices(g + 1)
-            ker = kernel_basis(_restrict(t.Q, idx_dn, idx))
+            q = _restrict(t.Q, t.bulk.ghost_indices(g - 1), idx)
+            q_up = _restrict(t.Q, idx, idx_up)
+            pos_up = {f: i for i, f in enumerate(idx_up)}
             cols = []
-            up = set(idx_up)
             for b in vert_flat.basis:
-                if b and set(b) <= up:
-                    local = {idx_up.index(i): v for i, v in b.items()}
-                    img = _restrict(t.Q, idx, idx_up).matvec(local)
+                if b and all(i in pos_up for i in b):
+                    img = q_up.matvec({pos_up[i]: v for i, v in b.items()})
                     if img:
                         cols.append(img)
-            qv = column_span(cols, len(idx))
-            comp, _ = quotient(ker, qv)
-            self.data[g] = (ker, qv, comp)
+            comp, coords = quotient(kernel_basis(q), column_span(cols, len(idx)))
+            self.data[g] = (q, comp, coords)
 
     def reps(self, g):
         if g not in self.data:
             return []
-        return self.data[g][2].basis
+        return self.data[g][1].basis
 
-    def coords(self, g, flat, t):
-        idx = t.bulk.ghost_indices(g)
+    def coords(self, g, flat):
+        """Coordinates of the class of a Q-closed flat vector of ghost g.
+        ker q = span(reps + Q(vertical)), so the cocycle check is the exact
+        membership check, and the quotient's coordinate map gives the
+        coordinates."""
+        idx = self.t.bulk.ghost_indices(g)
         pos = {f: i for i, f in enumerate(idx)}
         local = {pos[i]: v for i, v in flat.items() if i in pos}
         if len(local) != len([i for i in flat if flat[i]]):
             raise GluingError("vector not ghost homogeneous")
-        ker, qv, comp = self.data[g]
-        cols = list(comp.basis) + list(qv.basis)
-        mat = RatMatrix.from_columns(cols, len(idx))
-        x = solve(mat, local)
-        if x is None:
+        q, _, coords = self.data[g]
+        if q.matvec(local):
             raise GluingError("vector is not a class of the quotient piece")
-        return {i: v for i, v in x.items() if i < comp.dim}
-
-def _quot_piece(t, vert):
-    return _QuotPiece(t, vert)
+        return coords.matvec(local)
 
 
 def _full_vertical(t: LinearTheory) -> Subspace:

@@ -139,12 +139,6 @@ class RatMatrix:
                     m.entries[(i, j)] = Fraction(v)
         return m
 
-    def row(self, i):
-        return {j: v for (r, j), v in self.entries.items() if r == i}
-
-    def column(self, j):
-        return {i: v for (i, c), v in self.entries.items() if c == j}
-
     def sparse_rows(self):
         rows = [dict() for _ in range(self.rows)]
         for (i, j), v in self.entries.items():
@@ -482,9 +476,10 @@ def kernel_basis(m: RatMatrix) -> Subspace:
 
 def image_basis(m: RatMatrix) -> Subspace:
     """Basis of the column space of m (original columns at pivot positions)."""
-    piv, _ = _echelon(_int_rows(m.transpose().sparse_rows()))
+    cols = m.transpose().sparse_rows()
+    piv, _ = _echelon(_int_rows(cols))
     keep = sorted(r for r, _ in piv)
-    return Subspace(m.rows, [_primitive(m.column(j)) for j in keep], check=False)
+    return Subspace(m.rows, [_primitive(cols[j]) for j in keep], check=False)
 
 
 def solve(m: RatMatrix, b) -> dict | None:
@@ -525,8 +520,12 @@ def coordinates_in(basis_matrix: RatMatrix, v):
 
 
 def quotient(ambient: Subspace, sub: Subspace):
-    """Complement C with sub + C = ambient, plus the projection (as a matrix
-    on the ambient coordinate space) that kills sub and fixes C pointwise.
+    """Complement C with sub + C = ambient, plus its coordinate map: the
+    C.dim x ambient_dim matrix (the leading rows of one left inverse of
+    [C | sub]) sending each vector of ambient to the coordinates of its
+    class modulo sub in the basis of C.  On vectors outside ambient it
+    means nothing, so callers check membership first.  The projection
+    that kills sub and fixes C pointwise is C.matrix() * coords.
 
     Containment of sub in ambient is decided by solving, not by comparing
     bases.
@@ -538,29 +537,21 @@ def quotient(ambient: Subspace, sub: Subspace):
     ech = Echelonizer()
     for b in sub.basis:
         ech.add(b)
-    chosen = list(sub.basis)
-    complement = []
-    for cand in ambient.basis:
-        if ech.add(cand):
-            chosen.append(cand)
-            complement.append(cand)
+    complement = [cand for cand in ambient.basis if ech.add(cand)]
     comp = Subspace(ambient.ambient_dim, complement, check=False)
     n = ambient.ambient_dim
-    k = len(chosen)
-    proj = RatMatrix(n, n)
+    coords = RatMatrix(0, n)
     if complement:
-        bmat = RatMatrix.from_columns(chosen, n)
-        e = _left_inverse(bmat)
-        cmat = RatMatrix.from_columns(complement, n)
-        sel = RatMatrix(len(complement), k)
-        for i in range(len(complement)):
-            sel[i, sub.dim + i] = 1
-        proj = cmat * sel * e
-    return comp, proj
+        bmat = RatMatrix.from_columns(complement + list(sub.basis), n)
+        coords = _left_inverse(bmat, keep=len(complement))
+    return comp, coords
 
 
-def _left_inverse(m: RatMatrix) -> RatMatrix:
-    """E with E m = I for a full-column-rank m (deterministic)."""
+def _left_inverse(m: RatMatrix, keep=None) -> RatMatrix:
+    """E with E m = I for a full-column-rank m (deterministic).  With
+    `keep`, only the first `keep` rows of E are returned (a keep x m.rows
+    matrix): on a vector in the column span of m they give the first
+    `keep` coordinates, and the caller checks that membership."""
     rows = m.sparse_rows()
     aug = []
     for i, r in enumerate(rows):
@@ -570,17 +561,15 @@ def _left_inverse(m: RatMatrix) -> RatMatrix:
     pivots, red = _echelon(_int_rows(aug), col_order=list(range(m.cols)))
     if len(pivots) != m.cols:
         raise LinalgError("matrix does not have full column rank")
-    piv_cols = [c for _, c in pivots]
-    frac_rows = [{j: Fraction(v) for j, v in red[r].items()} for r, _ in pivots]
-    for a in range(len(frac_rows)):
-        pv = frac_rows[a][piv_cols[a]]
-        frac_rows[a] = {j: v / pv for j, v in frac_rows[a].items()}
+    keep = m.cols if keep is None else keep
     # pivot columns are already exclusive after full elimination
-    e = RatMatrix(m.cols, m.rows)
-    for a, c in enumerate(piv_cols):
-        for j, v in frac_rows[a].items():
-            if j >= m.cols and v:
-                e[c, j - m.cols] = v
+    e = RatMatrix(keep, m.rows)
+    for r, c in pivots:
+        if c < keep:
+            pv = red[r][c]
+            for j, v in red[r].items():
+                if j >= m.cols:
+                    e.entries[(c, j - m.cols)] = Fraction(v, pv)
     return e
 
 
@@ -675,18 +664,14 @@ def presymplectic_reduce(p: PairingForm, sub: Subspace):
     if sub.ambient_dim != n:
         raise DimensionMismatch("subspace does not live in the paired space")
     kernel = two_sided_complement(p, Subspace.full(n))
-    comp, proj = quotient(Subspace.full(n), kernel)
+    comp, coords = quotient(Subspace.full(n), kernel)
     k = comp.dim
     red = RatMatrix(k, k)
     for i in range(k):
         for j in range(k):
             red[i, j] = p.value(comp.basis[i], comp.basis[j])
     red_pairing = PairingForm(k, k, red, p.symmetry_tag, p.ghost)
-    imgs = []
-    if k:
-        e = _left_inverse(comp.matrix())
-        for b in sub.basis:
-            imgs.append(e.matvec(proj.matvec(b)))
+    imgs = [coords.matvec(b) for b in sub.basis] if k else []
     red_sub = column_span(imgs, k)
     before = classify_subspace(p, sub)
     after = (
@@ -707,7 +692,7 @@ def presymplectic_reduce(p: PairingForm, sub: Subspace):
         "reduced_dim": k,
         "reduced_pairing": red_pairing,
         "reduced_sub": red_sub,
-        "projection": proj,
+        "projection": comp.matrix() * coords,
         "complement": comp,
         "facts": facts,
     }

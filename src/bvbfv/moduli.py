@@ -10,6 +10,7 @@ from fractions import Fraction
 
 from .complexes import ExactSequenceReport, verify_exactness
 from .linalg import (
+    LinalgError,
     NotLagrangian,
     NotTransversal,
     PairingForm,
@@ -40,7 +41,10 @@ class _GradedPiece:
         self.name = name
         self.indices = indices_by_ghost          # ghost -> flat index list
         self.q_blocks = q_blocks                 # ghost -> RatMatrix F^g -> F^{g-1}
+        self._ker = {}
+        self._im = {}
         self._coh = {}
+        self._coords = {}
 
     def dim(self, g):
         return len(self.indices.get(g, []))
@@ -54,14 +58,26 @@ class _GradedPiece:
             return RatMatrix.zero(self.dim(g - 1), self.dim(g))
         return m
 
+    def kernel(self, g):
+        """ker q(g), the cocycles at ghost g."""
+        if g not in self._ker:
+            self._ker[g] = kernel_basis(self.q(g))
+        return self._ker[g]
+
+    def image(self, g):
+        """Im q(g+1), the exact vectors at ghost g."""
+        if g not in self._im:
+            self._im[g] = image_basis(self.q(g + 1))
+        return self._im[g]
+
     def cohomology(self, g):
         if g not in self._coh:
-            ker = kernel_basis(self.q(g))
+            ker = self.kernel(g)
             if self.dim(g) == 0:
                 self._coh[g] = (Subspace.zero(0), [])
+                self._coords[g] = RatMatrix(0, 0)
             else:
-                im = image_basis(self.q(g + 1))
-                comp, _ = quotient(ker, im)
+                comp, self._coords[g] = quotient(ker, self.image(g))
                 self._coh[g] = (ker, comp.basis)
         return self._coh[g]
 
@@ -72,14 +88,14 @@ class _GradedPiece:
         return len(self.reps(g))
 
     def class_coords(self, g, vec):
-        reps = self.reps(g)
-        im = image_basis(self.q(g + 1))
-        cols = list(reps) + list(im.basis)
-        mat = RatMatrix.from_columns(cols, self.dim(g))
-        x = solve(mat, vec)
-        if x is None:
+        """Coordinates of the class of the cocycle vec against reps(g).
+        span(reps + image) = ker q(g), so the cocycle check is the exact
+        membership check, and the coordinate map that the quotient
+        factored once per ghost gives the coordinates."""
+        if self.q(g).matvec(vec):
             raise ModuliError(f"vector is not a {self.name} cocycle class at gh {g}")
-        return {j: v for j, v in x.items() if j < len(reps)}
+        self.cohomology(g)
+        return self._coords[g].matvec(vec)
 
     def class_matrix(self, g, vectors, rows=None):
         reps = self.reps(g)
@@ -142,15 +158,16 @@ class ReducedModel:
             ker = kernel_basis(self.pi_blocks[g])
             self.K[g] = ker.matrix()
             vert_idx[g] = list(range(ker.dim))
+        self._kinv = {}
+        self._lift = {}
         for g in ghosts:
             kg = self.K[g]
             target = self.K.get(g - 1)
             rows = target.cols if target is not None else 0
             m = RatMatrix(rows, kg.cols)
             if kg.cols and rows:
-                e = _left_inverse(target)
                 qk = self.bulk.q(g) * kg
-                m = e * qk
+                m = self.k_inv(g - 1) * qk
                 if target * m != qk:
                     raise ModuliError("vertical complex is not Q-invariant")
             vq[g] = m
@@ -159,6 +176,28 @@ class ReducedModel:
         self._psi = {}
         self._beta = {}
         self._pair = {}
+
+    # --- factored once per ghost ------------------------------------------
+
+    def k_inv(self, g):
+        """Left inverse of K[g], the basis of ker pi at ghost g."""
+        if g not in self._kinv:
+            self._kinv[g] = _left_inverse(self.K[g])
+        return self._kinv[g]
+
+    def lift(self, g):
+        """R with pi_blocks[g] R = I: column j lifts the j-th boundary unit
+        vector into the bulk."""
+        if g not in self._lift:
+            pi = self.pi_blocks[g]
+            try:
+                r = _left_inverse(pi.transpose()).transpose()
+            except LinalgError:
+                r = None
+            if r is None or pi * r != RatMatrix.identity(pi.rows):
+                raise ModuliError("restriction map is not surjective")
+            self._lift[g] = r
+        return self._lift[g]
 
     # --- induced maps on cohomology ---------------------------------------
 
@@ -181,14 +220,10 @@ class ReducedModel:
         if g not in self._beta:
             out = RatMatrix(self.vert.h_dim(g - 1), self.bdry.h_dim(g))
             for j, y in enumerate(self.bdry.reps(g)):
-                x = solve(self.pi_blocks[g], y)
-                if x is None:
-                    raise ModuliError("restriction is not surjective on a cocycle")
-                qx = self.bulk.q(g).matvec(x)
-                v = solve(self.K[g - 1], qx) if self.K[g - 1].cols else {}
-                if self.K[g - 1].cols and self.K[g - 1].matvec(v) != qx:
-                    raise ModuliError("zig-zag image is not vertical")
-                if qx and not self.K[g - 1].cols:
+                qx = self.bulk.q(g).matvec(self.lift(g).matvec(y))
+                kv = self.K[g - 1]
+                v = self.k_inv(g - 1).matvec(qx) if kv.cols else {}
+                if kv.matvec(v) != qx:
                     raise ModuliError("zig-zag image is not vertical")
                 for i, val in self.vert.class_coords(g - 1, v).items():
                     out[i, j] = val
@@ -266,13 +301,10 @@ def _as_flat(kmat: RatMatrix, local):
 # operations
 
 
-def el_space(t: LinearTheory):
+def el_space(t: LinearTheory, model: ReducedModel | None = None):
     """ker Q per ghost number (the Euler-Lagrange space)."""
-    model = ReducedModel(t)
-    out = {}
-    for g in model.ghosts:
-        ker = kernel_basis(model.bulk.q(g))
-        out[g] = ker
+    model = model or ReducedModel(t)
+    out = {g: model.bulk.kernel(g) for g in model.ghosts}
     return {
         "dims": {g: s.dim for g, s in out.items() if model.bulk.dim(g)},
         "spaces": out,
@@ -307,27 +339,30 @@ def q_reduce(t: LinearTheory, model: ReducedModel | None = None):
 def symp_moduli(t: LinearTheory, model: ReducedModel | None = None):
     """M_symp = ker Q / Q(ker d-pi), its projection to EL of the boundary,
     and the degree-one map beta(eta) = [Q eta-lift], which is checked to
-    vanish on Im Q_bdry and to fit the commuting square with Q_bdry."""
+    vanish on Im Q_bdry and to fit the commuting square with Q_bdry.
+
+    coords[g] is the coordinate map of the quotient at ghost g; on a
+    vector of ker q(g) = span(reps + Q(V)) it gives the M_symp
+    coordinates, so callers check q(g) v = 0 and take one matvec."""
     model = model or ReducedModel(t)
     t = model.t
-    spaces = {}
     reps = {}
+    coords = {}
     for g in model.ghosts:
-        ker = kernel_basis(model.bulk.q(g))
+        ker = model.bulk.kernel(g)
         qv_cols = []
         kg1 = model.K.get(g + 1)
         if kg1 is not None and kg1.cols:
             qk = model.bulk.q(g + 1) * kg1
-            qv_cols = [qk.column(j) for j in range(qk.cols)]
+            qv_cols = qk.transpose().sparse_rows()
         qv = column_span(qv_cols, model.bulk.dim(g))
-        comp, _ = quotient(ker, qv)
-        spaces[g] = (ker, qv, comp)
+        comp, coords[g] = quotient(ker, qv)
         reps[g] = comp.basis
     dims = {g: len(r) for g, r in reps.items() if model.bulk.dim(g)}
     # pi_*: M_symp -> EL of the boundary, on representatives
     pi_star = {}
     for g in model.ghosts:
-        el_b = kernel_basis(model.bdry.q(g))
+        el_b = model.bdry.kernel(g)
         mat = el_b.matrix()
         out = RatMatrix(el_b.dim, len(reps[g]))
         for j, rep in enumerate(reps[g]):
@@ -345,25 +380,20 @@ def symp_moduli(t: LinearTheory, model: ReducedModel | None = None):
     beta_square = True
     for g in model.ghosts:
         nb = model.bdry.dim(g)
-        ker, qv, comp = spaces.get(g - 1, (None, None, None))
         rows = len(reps.get(g - 1, []))
         out = RatMatrix(rows, nb)
-        if nb and comp is not None:
-            basis_mat = RatMatrix.from_columns(
-                list(comp.basis) + list(qv.basis), model.bulk.dim(g - 1)
-            )
-            for j in range(nb):
-                eta = {j: Fraction(1)}
-                lift = solve(model.pi_blocks[g], eta)
-                if lift is None:
-                    raise ModuliError("restriction map is not surjective")
+        if nb and g - 1 in coords:
+            lifts = model.lift(g).transpose().sparse_rows()
+            qb_cols = model.bdry.q(g).transpose().sparse_rows()
+            for j, lift in enumerate(lifts):
                 qlift = model.bulk.q(g).matvec(lift)
-                x = solve(basis_mat, qlift)
-                if x is None:
+                if model.bulk.q(g - 1).matvec(qlift):
                     raise ModuliError("beta image does not lie in M_symp")
-                for i, v in x.items():
-                    if i < rows:
-                        out[i, j] = v
+                for i, v in coords[g - 1].matvec(qlift).items():
+                    out[i, j] = v
+                # commuting square: pi_*(beta(eta)) = Q_bdry eta in EL_bdry
+                if rows and model.pi_blocks[g - 1].matvec(qlift) != qb_cols[j]:
+                    beta_square = False
         beta_blocks[g] = out
         # beta vanishes on Im Q_bdry
         if nb:
@@ -371,20 +401,10 @@ def symp_moduli(t: LinearTheory, model: ReducedModel | None = None):
             prod = out * img if img.cols else None
             if prod is not None and not prod.is_zero():
                 beta_kills_exact = False
-        # commuting square: pi_*(beta(eta)) = Q_bdry eta in EL_bdry
-        if nb and rows:
-            for j in range(nb):
-                eta = {j: Fraction(1)}
-                lift = solve(model.pi_blocks[g], eta)
-                qlift = model.bulk.q(g).matvec(lift)
-                lhs = model.pi_blocks[g - 1].matvec(qlift)
-                rhs = model.bdry.q(g).matvec(eta)
-                if lhs != rhs:
-                    beta_square = False
     return {
         "dims": dims,
         "reps": reps,
-        "spaces": spaces,
+        "coords": coords,
         "pi_star": pi_star,
         "beta": beta_blocks,
         "beta_vanishes_on_exact": beta_kills_exact,
@@ -557,17 +577,17 @@ def vacua(t: LinearTheory, model: ReducedModel | None = None):
     pmat = RatMatrix(total, total)
     for g in model.ghosts:
         gp = c - g
-        if gp not in offsets:
+        if gp not in offsets or not vac_reps[g].dim:
             continue
         a_basis = vac_reps[g].basis
         b_basis = vac_reps[gp].basis
-        for i, a in enumerate(a_basis):
-            for j, b in enumerate(b_basis):
-                v = solve(model.chi(gp), b)
-                if v is None:
-                    raise ModuliError("vacua class has no vertical preimage")
-                val = vec_dot(a, model.pair_bulk_vert(g).matvec(v))
-                pmat[offsets[g] + i, offsets[gp] + j] = val
+        for j, b in enumerate(b_basis):
+            v = solve(model.chi(gp), b)
+            if v is None:
+                raise ModuliError("vacua class has no vertical preimage")
+            pv = model.pair_bulk_vert(g).matvec(v)
+            for i, a in enumerate(a_basis):
+                pmat[offsets[g] + i, offsets[gp] + j] = vec_dot(a, pv)
     pairing = PairingForm(total, total, pmat, ghost=c)
     couples_ok = all(
         _ghost_of_offset(offsets, model, vac_reps, i)
@@ -632,7 +652,8 @@ def vacua_via_transversal(t: LinearTheory, lam: Subspace,
                 col[offsets[g] + i] = v
         return col
     el = kernel_basis(t.Q)
-    comp_lam, proj_off_lam = quotient(Subspace.full(total), lam)
+    comp_lam, lam_coords = quotient(Subspace.full(total), lam)
+    proj_off_lam = comp_lam.matrix() * lam_coords
     cond_rows = []
     for b in el.basis:
         cond_rows.append(proj_off_lam.matvec(total_class(t.pi.matvec(b))))
@@ -701,7 +722,8 @@ def vacua_via_transversal(t: LinearTheory, lam: Subspace,
     }
 
 
-def regularity(t: LinearTheory, model: ReducedModel | None = None):
+def regularity(t: LinearTheory, model: ReducedModel | None = None,
+               lf=None, vac=None):
     """Regularity verdicts.
 
     Cotangent models: the literal orthogonality identities
@@ -709,7 +731,9 @@ def regularity(t: LinearTheory, model: ReducedModel | None = None):
       ker(Q_bdry)^perp = Im(Q_bdry)
     against the nondegenerate field-level pairings.  Cup models: the
     reduced-level surrogate (Lefschetz-pairing nondegeneracy plus
-    ker(vertical form) = ker chi); the report labels which mode ran."""
+    ker(vertical form) = ker chi); the report labels which mode ran.
+    lf and vac are the lefschetz and vacua results of the same model, when
+    the caller already has them."""
     model = model or ReducedModel(t)
     if t.model == "cotangent":
         p = PairingForm(t.bulk.total, t.bulk.total, t.omega)
@@ -721,16 +745,16 @@ def regularity(t: LinearTheory, model: ReducedModel | None = None):
             kg = model.K.get(g)
             if kg is not None and kg.cols:
                 qk = t.Q * RatMatrix.from_columns(
-                    [_embed(kg.column(j), t.bulk.ghost_indices(g))
-                     for j in range(kg.cols)], t.bulk.total)
-                vert_cols.extend(qk.column(j) for j in range(qk.cols))
+                    [_embed(col, t.bulk.ghost_indices(g))
+                     for col in kg.transpose().sparse_rows()], t.bulk.total)
+                vert_cols.extend(qk.transpose().sparse_rows())
         im_qv = column_span(vert_cols, t.bulk.total)
         ker_qv_cols = []
         for g in model.ghosts:
             kg = model.K.get(g)
             if kg is None or not kg.cols:
                 continue
-            kv = kernel_basis(model.vert.q(g))
+            kv = model.vert.kernel(g)
             for b in kv.basis:
                 ker_qv_cols.append(
                     _embed(kg.matvec(b), t.bulk.ghost_indices(g)))
@@ -753,8 +777,8 @@ def regularity(t: LinearTheory, model: ReducedModel | None = None):
             witness = _witness(kerqv_perp, im_q, t)
         return {"mode": "literal", "checks": checks,
                 "regular": all(checks.values()), "witness": witness}
-    lf = lefschetz(t, model)
-    vac = vacua(t, model)
+    lf = lf or lefschetz(t, model)
+    vac = vac or vacua(t, model)
     checks = {
         "lefschetz_nondegenerate": lf["verdicts"]["nondegenerate"],
         "vert_form_kernel_is_ker_chi": vac["vert_form_kernel_is_ker_chi"],
@@ -794,7 +818,7 @@ def q_self_adjoint_defect(t: LinearTheory) -> RatMatrix:
     ).scale(sgn)
 
 
-def ed_formula_check(t: LinearTheory):
+def ed_formula_check(t: LinearTheory, model: ReducedModel | None = None):
     """Cross-check of the electrodynamics moduli against the stored
     topological formulas: ghost/antifield sectors (c, A+, c+) must equal
     H^0(N), H^{n-1}(N), H^n(N) on every complex; the gauge-field sector is
@@ -803,7 +827,7 @@ def ed_formula_check(t: LinearTheory):
     space to cohomology)."""
     if t.kind != "electrodynamics":
         raise ModuliError("formula check applies to electrodynamics")
-    model = ReducedModel(t)
+    model = model or ReducedModel(t)
     cc = t.cx.cochain_complex()
     betti = cc.betti()
     n = t.n
@@ -852,14 +876,14 @@ def moduli_report(t: LinearTheory):
     """The full report: dimensions of every reduced space per ghost number,
     map matrices, pairing verdicts."""
     model = ReducedModel(t)
-    el = el_space(t)
+    el = el_space(t, model)
     qr = q_reduce(t, model)
     sm = symp_moduli(t, model)
     les = tangent_les(t, model)
     lf = lefschetz(t, model)
     ev = evolution_relation(t, model)
     vac = vacua(t, model)
-    reg = regularity(t, model)
+    reg = regularity(t, model, lf, vac)
     bdry_dims = {g: model.bdry.h_dim(g) for g in model.ghosts if model.bdry.dim(g)}
     return {
         "theory": t.name,

@@ -266,12 +266,11 @@ class OrientedComplex:
             incl_blocks[k] = m
         diffs = {}
         for k in range(self.dimension):
-            d = self.coboundary_matrix(k)
+            d_cols = self.coboundary_matrix(k).transpose().sparse_rows()
             m = RatMatrix(comps.get(k + 1, 0), comps.get(k, 0))
             idx_next = {self.face_index(k + 1, f): i for i, f in enumerate(rel_faces[k + 1])}
             for j, f in enumerate(rel_faces[k]):
-                col = d.column(self.face_index(k, f))
-                for i, v in col.items():
+                for i, v in d_cols[self.face_index(k, f)].items():
                     if i in idx_next:
                         m[idx_next[i], j] = v
             diffs[k] = m

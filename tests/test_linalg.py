@@ -124,17 +124,19 @@ def test_solve_rational_entries():
 
 def test_quotient_trivial_sub():
     amb = Subspace.full(2)
-    comp, proj = quotient(amb, Subspace.zero(2))
+    comp, coords = quotient(amb, Subspace.zero(2))
     assert comp.dim == 2
+    proj = comp.matrix() * coords
     for b in amb.basis:
         assert proj.matvec(b) == b
 
 
 def test_quotient_everything():
     amb = Subspace.full(3)
-    comp, proj = quotient(amb, amb)
+    comp, coords = quotient(amb, amb)
     assert comp.dim == 0
-    assert proj.is_zero()
+    assert coords.shape == (0, 3)
+    assert (comp.matrix() * coords).is_zero()
 
 
 def test_quotient_not_contained():
@@ -147,11 +149,14 @@ def test_quotient_not_contained():
 def test_quotient_kills_sub_fixes_complement():
     amb = Subspace.full(4)
     sub = Subspace(4, [{0: Fraction(1), 1: Fraction(1)}, {2: Fraction(1)}])
-    comp, proj = quotient(amb, sub)
+    comp, coords = quotient(amb, sub)
     assert comp.dim == 2
+    proj = comp.matrix() * coords
     for b in sub.basis:
+        assert coords.matvec(b) == {}
         assert proj.matvec(b) == {}
-    for b in comp.basis:
+    for i, b in enumerate(comp.basis):
+        assert coords.matvec(b) == {i: 1}
         assert proj.matvec(b) == b
     assert sub.sum(comp).dim == 4
 

@@ -378,3 +378,86 @@ def test_cs_solid_torus_triangulation_independence():
         assert rep["vacua_dims"] == base["vacua_dims"]
         assert rep["les_exact"] and all(rep["lefschetz"].values())
         assert rep["evolution_relation"] == base["evolution_relation"]
+
+
+# --- factored solvers of the reduced model -------------------------------------
+
+
+THEORIES = {
+    "bf": build_abelian_bf,
+    "cs": build_abelian_cs,
+    "scalar": build_scalar,
+    "ed": build_electrodynamics,
+}
+
+
+@pytest.fixture(scope="module", params=[
+    (theory, name) for name in ("disk", "solid_torus") for theory in THEORIES
+])
+def reduced_model(request):
+    theory, name = request.param
+    return ReducedModel(THEORIES[theory](getattr(corpus, name)()))
+
+
+def test_class_coords_match_a_fresh_solve(reduced_model):
+    # the cached leading rows of one left inverse per ghost against the
+    # direct route: solve [reps | image] x = v and keep the rep coordinates
+    from bvbfv.linalg import RatMatrix, solve, vec_add, vec_scale
+
+    for piece in (reduced_model.bulk, reduced_model.bdry, reduced_model.vert):
+        for g in reduced_model.ghosts:
+            reps = piece.reps(g)
+            im = piece.image(g).basis if piece.dim(g) else []
+            mat = RatMatrix.from_columns(list(reps) + list(im), piece.dim(g))
+            mixed = {}
+            for k, b in enumerate(list(reps) + list(im)):
+                mixed = vec_add(mixed, vec_scale(b, k + 1))
+            for v in list(reps) + [mixed]:
+                x = solve(mat, v)
+                assert x is not None
+                expect = {j: c for j, c in x.items() if j < len(reps)}
+                assert piece.class_coords(g, v) == expect
+
+
+def test_class_coords_rejects_non_cocycle(reduced_model):
+    from bvbfv.moduli import ModuliError
+
+    piece = reduced_model.bulk
+    for g in reduced_model.ghosts:
+        q = piece.q(g)
+        if q.is_zero():
+            continue
+        (_, j), _ = next(iter(q.entries.items()))
+        with pytest.raises(ModuliError):
+            piece.class_coords(g, {j: Fraction(1)})
+        return
+    pytest.fail("no ghost with a nonzero differential")
+
+
+def test_lift_is_a_right_inverse_of_pi(reduced_model):
+    from bvbfv.linalg import RatMatrix
+
+    for g in reduced_model.ghosts:
+        pi = reduced_model.pi_blocks[g]
+        assert pi * reduced_model.lift(g) == RatMatrix.identity(pi.rows)
+
+
+def test_cmd_moduli_builds_one_reduced_model(monkeypatch, tmp_path):
+    import os
+
+    from bvbfv import cli, moduli
+
+    built = []
+    init = moduli.ReducedModel.__init__
+
+    def counting_init(self, t):
+        built.append(t.kind)
+        init(self, t)
+
+    monkeypatch.setattr(moduli.ReducedModel, "__init__", counting_init)
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    code = cli.main(["moduli", os.path.join(root, "corpus", "torus.json"),
+                     "--theory", "ed", "--format", "structured",
+                     "--out", str(tmp_path / "out.json")])
+    assert code == 0
+    assert built == ["electrodynamics"]
