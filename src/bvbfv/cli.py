@@ -20,7 +20,14 @@ from fractions import Fraction
 
 from . import __version__
 from .complexes import GhostMismatch
-from .gluing import GluingSpec, fiber_product_check, glue, glue_moduli, mayer_vietoris
+from .gluing import (
+    GluingError,
+    GluingSpec,
+    fiber_product_check,
+    glue,
+    glue_moduli,
+    mayer_vietoris,
+)
 from .moduli import ed_formula_check, moduli_report
 from .simplicial import SimplicialError, load_complex
 from .symbolic import SymbolicError, target_from_dict
@@ -256,12 +263,18 @@ def cmd_glue(args):
     base = os.path.dirname(_resolve(args.path))
     lpath = data["left"] if os.path.isabs(data["left"]) else os.path.join(base, data["left"])
     rpath = data["right"] if os.path.isabs(data["right"]) else os.path.join(base, data["right"])
+    pairs = data["interface_map"]
+    if not isinstance(pairs, list) or not all(
+            isinstance(p, list) and len(p) == 2
+            and all(isinstance(v, (int, str)) for v in p) for p in pairs):
+        raise InputError("gluing spec: interface_map must be a list of "
+                         "[left, right] vertex pairs")
     left, lpath = _load_complex(lpath)
     right, rpath = _load_complex(rpath)
     try:
-        spec = GluingSpec(left, right, [tuple(p) for p in data["interface_map"]])
+        spec = GluingSpec(left, right, [tuple(p) for p in pairs])
         cx = glue(spec)
-    except Exception as e:
+    except (GluingError, SimplicialError) as e:
         raise InputError(f"gluing failed: {e}")
     rep = RunReport("glue", [_resolve(args.path), lpath, rpath])
     rep.table("glued_betti", cx.cochain_complex().betti())
@@ -276,7 +289,7 @@ def cmd_glue(args):
     rep.check("glued_moduli_dims_match", gm["dims_match"])
     rep.check("glued_moduli_isomorphism", gm["isomorphism"])
     rep.check("glued_pairings_intertwined", gm["pairings_intertwined"])
-    mv = mayer_vietoris(t, tl, tr, spec)
+    mv = mayer_vietoris(t, tl, tr, spec, gm["models"])
     rep.check("mayer_vietoris_absolute_exact", mv["absolute"].exact)
     rep.check("mayer_vietoris_partially_reduced_exact",
               mv["partially_reduced"].exact)
@@ -380,7 +393,8 @@ def main(argv=None):
     except InputError as e:
         sys.stderr.write(f"error: {e}\n")
         return 1
-    except (SimplicialError, TheoryError, SymbolicError, GhostMismatch) as e:
+    except (SimplicialError, TheoryError, SymbolicError, GhostMismatch,
+            GluingError) as e:
         sys.stderr.write(f"error: {type(e).__name__}: {e}\n")
         return 1
     blob = emit_report(report, args.format)

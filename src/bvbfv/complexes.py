@@ -1,5 +1,6 @@
-"""Cochain complexes, chain maps, cohomology with stored representatives,
-long exact sequences of pairs, and ghost-number bookkeeping for shifted sums.
+"""The graded quotient -- cocycles of one map modulo the image of another,
+with representatives and cached class coordinates -- and on it cochain
+complexes, chain maps, cohomology and long exact sequences of pairs.
 """
 
 from __future__ import annotations
@@ -26,6 +27,96 @@ class GhostMismatch(ComplexError):
     pass
 
 
+class _GradedPiece:
+    """ker out(g) / Im in(g) per ghost or degree g, with representatives of
+    the classes and a coordinate map factored once per degree.
+
+    dims[g] is the dimension of the space at g, outs[g] the map out of it
+    (its kernel holds the cocycles) and ins[g] the map into it (its image
+    is divided out).  A missing map is the map to or from the zero space.
+    The bulk, boundary and vertical cohomology, the symplectic moduli
+    ker Q / Q(ker pi), the Mayer-Vietoris pieces and the cohomology of a
+    CochainComplex are all pieces of this kind.  `error` is the exception
+    class_coords raises on a vector that is not a cocycle."""
+
+    def __init__(self, name, dims, outs, ins, error=ComplexError):
+        self.name = name
+        self.dims = dims
+        self.outs = outs
+        self.ins = ins
+        self.error = error
+        self._ker = {}
+        self._im = {}
+        self._reps = {}
+        self._coords = {}
+
+    @classmethod
+    def of_differential(cls, name, dims, diffs, step, error=ComplexError):
+        """The cohomology of one differential: diffs[g] maps degree g to
+        degree g + step."""
+        return cls(name, dims, diffs, {g + step: m for g, m in diffs.items()}, error)
+
+    def modulo(self, name, ins):
+        """The same cocycles modulo the images of other maps into them.
+        The kernels are shared, so each is eliminated once for both."""
+        piece = _GradedPiece(name, self.dims, self.outs, ins, self.error)
+        piece._ker = self._ker
+        return piece
+
+    def dim(self, g):
+        return self.dims.get(g, 0)
+
+    def q(self, g):
+        """The map out of degree g."""
+        m = self.outs.get(g)
+        return RatMatrix.zero(0, self.dim(g)) if m is None else m
+
+    def kernel(self, g):
+        """ker q(g), the cocycles at g."""
+        if g not in self._ker:
+            self._ker[g] = kernel_basis(self.q(g))
+        return self._ker[g]
+
+    def image(self, g):
+        """Im ins[g], the vectors divided out at g."""
+        if g not in self._im:
+            m = self.ins.get(g)
+            self._im[g] = Subspace.zero(self.dim(g)) if m is None or not m.cols \
+                else image_basis(m)
+        return self._im[g]
+
+    def reps(self, g):
+        """Representatives of the classes at g: a complement of the image
+        in the kernel."""
+        if g not in self._reps:
+            if self.dim(g) == 0:
+                self._reps[g], self._coords[g] = [], RatMatrix(0, 0)
+            else:
+                comp, self._coords[g] = quotient(self.kernel(g), self.image(g))
+                self._reps[g] = comp.basis
+        return self._reps[g]
+
+    def h_dim(self, g):
+        return len(self.reps(g))
+
+    def class_coords(self, g, vec):
+        """Coordinates of the class of the cocycle vec against reps(g).
+        span(reps + image) = ker q(g), so the cocycle check is the exact
+        membership check, and the coordinate map that the quotient
+        factored once per degree gives the coordinates."""
+        if self.q(g).matvec(vec):
+            raise self.error(f"vector is not a {self.name} cocycle class in degree {g}")
+        self.reps(g)
+        return self._coords[g].matvec(vec)
+
+    def class_matrix(self, g, vectors):
+        m = RatMatrix(self.h_dim(g), len(vectors))
+        for j, v in enumerate(vectors):
+            for i, val in self.class_coords(g, v).items():
+                m[i, j] = val
+        return m
+
+
 class CochainComplex:
     """Finite cochain complex: components k -> dimension, differentials
     d_k : C^k -> C^{k+1}.  d.d = 0 is checked exactly on construction."""
@@ -39,6 +130,8 @@ class CochainComplex:
         self.labels = labels or {}
         if check:
             self._validate()
+        self.piece = _GradedPiece.of_differential(
+            "cochain", self.components, self.differentials, 1)
 
     def _validate(self):
         for k, m in self.differentials.items():
@@ -66,34 +159,26 @@ class CochainComplex:
         return sum((-1) ** k * d for k, d in self.components.items())
 
     def cohomology(self, k, variant="default"):
-        """(dimension, representative cocycles) of H^k.
+        """(dimension, representative cocycles) of H^k, cached per degree.
 
         `variant='alt'` sweeps the kernel basis in the opposite order when
         picking representatives; used to certify representative-independence
         of induced maps.
         """
-        ker = kernel_basis(self.d(k))
-        if self.dim(k) == 0:
-            return 0, []
-        im = image_basis(self.d(k - 1)) if self.dim(k - 1) else Subspace.zero(self.dim(k))
-        if variant == "alt":
-            ker = Subspace(ker.ambient_dim, list(reversed(ker.basis)), check=False)
-        comp, _ = quotient(ker, im)
-        return comp.dim, comp.basis
+        reps = self.piece.reps(k)
+        if variant == "alt" and reps:
+            ker = self.piece.kernel(k)
+            alt = Subspace(ker.ambient_dim, ker.basis[::-1], check=False)
+            reps = quotient(alt, self.piece.image(k))[0].basis
+        return len(reps), reps
 
     def betti(self):
         return {k: self.cohomology(k)[0] for k in self.degrees()}
 
-    def class_coordinates(self, k, cocycle, reps):
-        """Coordinates of a cocycle's class in the representative basis."""
-        nreps = len(reps)
-        im = image_basis(self.d(k - 1)) if self.dim(k - 1) else Subspace.zero(self.dim(k))
-        cols = list(reps) + list(im.basis)
-        mat = RatMatrix.from_columns(cols, self.dim(k))
-        x = solve(mat, cocycle)
-        if x is None:
-            raise ComplexError("vector is not a cocycle class in the given basis")
-        return {j: v for j, v in x.items() if j < nreps}
+    def class_coordinates(self, k, cocycle):
+        """Coordinates of a cocycle's class against cohomology(k)'s
+        representatives."""
+        return self.piece.class_coords(k, cocycle)
 
     def __repr__(self):
         dims = {k: self.dim(k) for k in self.degrees()}
@@ -191,12 +276,10 @@ def _check_pair(rel_inclusion: ChainMap, restriction: ChainMap):
     return rel, absc, bdry, degrees
 
 
-def _connecting_block(rel, absc, bdry, rel_inclusion, restriction, k,
-                      bdry_reps, rel_reps_next, variant="default"):
-    """Matrix of the zig-zag H^k(bdry) -> H^{k+1}(rel) in the given bases."""
-    rows = len(rel_reps_next)
-    cols = len(bdry_reps)
-    out = RatMatrix(rows, cols)
+def _connecting_block(rel, absc, rel_inclusion, restriction, k, bdry_reps):
+    """Matrix of the zig-zag H^k(bdry) -> H^{k+1}(rel) against the given
+    boundary representatives."""
+    out = RatMatrix(rel.cohomology(k + 1)[0], len(bdry_reps))
     for j, y in enumerate(bdry_reps):
         x = solve(restriction.block(k).copy(), y)
         if x is None:
@@ -205,47 +288,36 @@ def _connecting_block(rel, absc, bdry, rel_inclusion, restriction, k,
         z = solve(rel_inclusion.block(k + 1).copy(), dx)
         if z is None:
             raise ComplexError("zig-zag failed: dx is not a relative cochain")
-        coords = rel.class_coordinates(k + 1, z, rel_reps_next)
-        for i, v in coords.items():
+        for i, v in rel.class_coordinates(k + 1, z).items():
             out[i, j] = v
     return out
 
 
-def _induced_block(source_cx, target_cx, cmap, k, source_reps, target_reps):
-    rows = len(target_reps)
-    out = RatMatrix(rows, len(source_reps))
+def _induced_block(target_cx, cmap, k, source_reps):
+    out = RatMatrix(target_cx.cohomology(k)[0], len(source_reps))
     for j, r in enumerate(source_reps):
-        img = cmap.apply(k, r)
-        coords = target_cx.class_coordinates(k, img, target_reps)
-        for i, v in coords.items():
+        for i, v in target_cx.class_coordinates(k, cmap.apply(k, r)).items():
             out[i, j] = v
     return out
 
 
-def les_of_pair(rel_inclusion: ChainMap, restriction: ChainMap, variant="default"):
+def les_of_pair(rel_inclusion: ChainMap, restriction: ChainMap):
     """Long exact sequence of the pair from the per-degree short exact
     sequence rel -> abs -> bdry, with the connecting map built by zig-zag.
     Exactness is verified at every node."""
     rel, absc, bdry, degrees = _check_pair(rel_inclusion, restriction)
     kmin, kmax = degrees[0], degrees[-1]
-    reps = {}
-    for k in range(kmin, kmax + 2):
-        reps[("rel", k)] = rel.cohomology(k, variant)[1]
-        reps[("abs", k)] = absc.cohomology(k, variant)[1]
-        reps[("bdry", k)] = bdry.cohomology(k, variant)[1]
     nodes = []
     maps = []
     for k in range(kmin, kmax + 1):
-        nodes.append((f"H^{k}(rel)", len(reps[("rel", k)])))
-        maps.append(_induced_block(rel, absc, rel_inclusion, k,
-                                   reps[("rel", k)], reps[("abs", k)]))
-        nodes.append((f"H^{k}(abs)", len(reps[("abs", k)])))
-        maps.append(_induced_block(absc, bdry, restriction, k,
-                                   reps[("abs", k)], reps[("bdry", k)]))
-        nodes.append((f"H^{k}(bdry)", len(reps[("bdry", k)])))
-        maps.append(_connecting_block(rel, absc, bdry, rel_inclusion, restriction,
-                                      k, reps[("bdry", k)], reps[("rel", k + 1)]))
-    nodes.append((f"H^{kmax+1}(rel)", len(reps[("rel", kmax + 1)])))
+        nodes.append((f"H^{k}(rel)", rel.cohomology(k)[0]))
+        maps.append(_induced_block(absc, rel_inclusion, k, rel.cohomology(k)[1]))
+        nodes.append((f"H^{k}(abs)", absc.cohomology(k)[0]))
+        maps.append(_induced_block(bdry, restriction, k, absc.cohomology(k)[1]))
+        nodes.append((f"H^{k}(bdry)", bdry.cohomology(k)[0]))
+        maps.append(_connecting_block(rel, absc, rel_inclusion, restriction, k,
+                                      bdry.cohomology(k)[1]))
+    nodes.append((f"H^{kmax+1}(rel)", rel.cohomology(kmax + 1)[0]))
     verdicts = verify_exactness(nodes, maps)
     return ExactSequenceReport(nodes, maps, verdicts)
 
@@ -257,75 +329,15 @@ def connecting_map(rel_inclusion: ChainMap, restriction: ChainMap, k):
     agree after change of basis, certifying independence of choices.
     """
     rel, absc, bdry, _ = _check_pair(rel_inclusion, restriction)
-    b_reps = bdry.cohomology(k)[1]
-    r_reps = rel.cohomology(k + 1)[1]
-    beta = _connecting_block(rel, absc, bdry, rel_inclusion, restriction, k,
-                             b_reps, r_reps)
+    beta = _connecting_block(rel, absc, rel_inclusion, restriction, k,
+                             bdry.cohomology(k)[1])
     b_alt = bdry.cohomology(k, "alt")[1]
-    beta_alt = _connecting_block(rel, absc, bdry, rel_inclusion, restriction, k,
-                                 b_alt, r_reps)
+    beta_alt = _connecting_block(rel, absc, rel_inclusion, restriction, k, b_alt)
     # express alt basis in the default basis and compare
-    change = RatMatrix(len(b_reps), len(b_alt))
+    change = RatMatrix(bdry.cohomology(k)[0], len(b_alt))
     for j, y in enumerate(b_alt):
-        for i, v in bdry.class_coordinates(k, y, b_reps).items():
+        for i, v in bdry.class_coordinates(k, y).items():
             change[i, j] = v
     if beta * change != beta_alt:
         raise ComplexError("connecting map depends on representative choice")
     return beta
-
-
-class ShiftedSum:
-    """Bigraded field space: named sectors with integer shifts; a component
-    of form degree k in a shift-s sector has ghost number s - k.
-
-    Differential blocks map slot (sector, k) -> slot (sector', k'); the total
-    differential acts with ghost number +1 on coordinate functions, i.e. it
-    lowers the field ghost number by exactly one.
-    """
-
-    def __init__(self, slots, diff_blocks=None):
-        # slots: dict (sector, k) -> dim; sector shifts: dict sector -> shift
-        self.slots = {}
-        self.shifts = {}
-        for (sector, shift, k), dim in slots.items():
-            if sector in self.shifts and self.shifts[sector] != shift:
-                raise GhostMismatch(f"sector {sector} declared with two shifts")
-            self.shifts[sector] = shift
-            if dim:
-                self.slots[(sector, k)] = dim
-        self.diff_blocks = dict(diff_blocks or {})
-
-    def ghost(self, sector, k):
-        return self.shifts[sector] - k
-
-    def slot_dims(self):
-        return dict(self.slots)
-
-
-def verify_ghost_grading(s: ShiftedSum, pairing_blocks=None, pairing_ghost=None):
-    """Check the ghost bookkeeping of a shifted sum.
-
-    Every differential block must lower the field ghost number by one (the
-    convention in which the differential has ghost number +1 as a derivation
-    of the coordinate functions).  Optional pairing blocks
-    [((sector,k),(sector',k')), ...] must couple ghosts summing to
-    `pairing_ghost`.  Raises GhostMismatch naming the offending pair.
-    """
-    for (src, dst), block in s.diff_blocks.items():
-        if block.is_zero():
-            continue
-        g_src = s.ghost(*src)
-        g_dst = s.ghost(*dst)
-        if g_dst != g_src - 1:
-            raise GhostMismatch(
-                f"differential block {src} -> {dst} shifts ghost {g_src} -> {g_dst}"
-            )
-    if pairing_blocks:
-        for a, b in pairing_blocks:
-            g = s.ghost(*a) + s.ghost(*b)
-            if g != pairing_ghost:
-                raise GhostMismatch(
-                    f"pairing couples {a} (gh {s.ghost(*a)}) with {b} "
-                    f"(gh {s.ghost(*b)}), total {g} != {pairing_ghost}"
-                )
-    return True

@@ -17,7 +17,7 @@ from .linalg import (
     quotient,
     solve,
 )
-from .moduli import _GradedPiece, _restrict, symp_moduli
+from .moduli import ReducedModel, _ghost_piece, symp_moduli
 from .simplicial import IncoherentOrientation, OrientedComplex, _perm_sign
 from .theories import LinearTheory
 
@@ -237,8 +237,7 @@ def _cotangent_interface(t: LinearTheory, spec: GluingSpec, side):
 def _gh0_kernel(t: LinearTheory):
     idx0 = t.bulk.ghost_indices(0)
     idxm1 = t.bulk.ghost_indices(-1)
-    block = _restrict(t.Q, idxm1, idx0)
-    ker = kernel_basis(block)
+    ker = kernel_basis(t.Q.submatrix(idxm1, idx0))
     return Subspace(
         t.bulk.total,
         [{idx0[i]: v for i, v in b.items()} for b in ker.basis],
@@ -289,6 +288,16 @@ def fiber_product_check(t_glued, t_left, t_right, spec: GluingSpec, glued_cx=Non
             "match": el_n == fp_dim}
 
 
+def _require_cup(*theories):
+    """Intrinsic gluing restricts bulk fields face by face, which needs
+    pure cochain sectors: the cup model of bf and cs."""
+    for t in theories:
+        if t.model != "cup":
+            raise GluingError(
+                f"intrinsic gluing and Mayer-Vietoris need a cup-model theory "
+                f"(bf or cs); {t.kind} is a {t.model} model")
+
+
 def glue_moduli(t_left, t_right, spec: GluingSpec, t_glued, epsilon=None):
     """Intrinsic reconstruction of the symplectic moduli of the glued theory:
 
@@ -299,7 +308,10 @@ def glue_moduli(t_left, t_right, spec: GluingSpec, t_glued, epsilon=None):
 
     compared with the direct computation on the glued complex through an
     explicit isomorphism that also intertwines the bulk pairings with the
-    fundamental-cycle decomposition sign epsilon."""
+    fundamental-cycle decomposition sign epsilon.  The reduced models of
+    the glued theory and the two pieces are returned as `models`, in that
+    order, for mayer_vietoris to reuse."""
+    _require_cup(t_left, t_right, t_glued)
     iface = spec.interface_complex()
     sm_l = symp_moduli(t_left)
     sm_r = symp_moduli(t_right)
@@ -344,8 +356,8 @@ def glue_moduli(t_left, t_right, spec: GluingSpec, t_glued, epsilon=None):
         if mt.dim == 0:
             continue
         for row in _interface_rows_of_ghost(t_left, iface, g):
-            bl = _beta_value(t_left, sm_l, rho_l_rows[row], g)
-            br = _beta_value(t_right, sm_r, rho_r_rows[row], g)
+            bl = _beta_value(t_left, model_l.msymp, rho_l_rows[row], g)
+            br = _beta_value(t_right, model_r.msymp, rho_r_rows[row], g)
             vec = {}
             for i, v in bl.items():
                 vec[i] = v
@@ -393,8 +405,8 @@ def glue_moduli(t_left, t_right, spec: GluingSpec, t_glued, epsilon=None):
             flat = {idx_n[i]: v for i, v in rep.items()}
             xl = res_l.matvec(flat)
             xr = res_r.matvec(flat)
-            cl = _msymp_coords(t_left, sm_l, g, xl)
-            cr = _msymp_coords(t_right, sm_r, g, xr)
+            cl = _piece_coords(t_left, model_l.msymp, g, xl)
+            cr = _piece_coords(t_right, model_r.msymp, g, xr)
             vec = dict(cl)
             for i, v in cr.items():
                 vec[na + i] = v
@@ -425,6 +437,7 @@ def glue_moduli(t_left, t_right, spec: GluingSpec, t_glued, epsilon=None):
         "dims_match": dims_match,
         "isomorphism": iso_ok,
         "pairings_intertwined": pair_ok,
+        "models": (sm_n["model"], model_l, model_r),
     }
 
 
@@ -443,7 +456,7 @@ def _interface_rows_of_ghost(t: LinearTheory, iface: OrientedComplex, g):
     return rows
 
 
-def _beta_value(t, sm, entries, g):
+def _beta_value(t, msymp, entries, g):
     """[Q eta-lift] in M^symp coordinates, where eta is the interface field
     indicator of a stacked interface row (ghost g) with the given entries,
     extended by zero into the bulk.  Interface restriction rows carry
@@ -453,35 +466,35 @@ def _beta_value(t, sm, entries, g):
     (col, val), = entries.items()
     lift = {col: Fraction(1) / val}
     qlift = t.Q.matvec(lift)
-    return _msymp_coords(t, sm, g - 1, qlift)
+    return _piece_coords(t, msymp, g - 1, qlift)
 
 
-def _msymp_coords(t, sm, g, flat):
-    """Coordinates of a closed flat vector's class in the M^symp basis."""
-    idx = t.bulk.ghost_indices(g)
-    pos = {f: i for i, f in enumerate(idx)}
-    local = {}
-    for i, v in flat.items():
-        if i not in pos:
-            raise GluingError("vector is not ghost homogeneous")
-        local[pos[i]] = v
-    if sm["model"].bulk.q(g).matvec(local):
-        raise GluingError("vector is not a symplectic-moduli class")
-    return sm["coords"][g].matvec(local)
+def _piece_coords(t, piece, g, flat):
+    """Class coordinates in a piece over t's bulk ghost-g fields of a
+    closed flat bulk vector."""
+    pos = {f: i for i, f in enumerate(t.bulk.ghost_indices(g))}
+    if not pos.keys() >= flat.keys():
+        raise GluingError("vector is not ghost homogeneous")
+    return piece.class_coords(g, {pos[i]: v for i, v in flat.items()})
 
 
 # ---------------------------------------------------------------------------
 # Mayer-Vietoris sequences
 
 
-def mayer_vietoris(t_glued, t_left, t_right, spec: GluingSpec):
+def mayer_vietoris(t_glued, t_left, t_right, spec: GluingSpec, models=None):
     """Both Mayer-Vietoris long exact sequences at the theory level.
 
     Absolute: ... -> M_iface^{g+1} -> M_N^g -> M_L^g + M_R^g -> M_iface^g -> ...
     Partially reduced: the same shape with M replaced by the symplectic
     moduli relative to the outer boundary (interface-free verticals).
-    Exactness is verified at every node of both.
+    Exactness is verified at every node of both; `pieces` holds the
+    (glued, left, right) quotient pieces of each.  `models` are the reduced
+    models of (t_glued, t_left, t_right), as glue_moduli returns them.
     """
+    _require_cup(t_glued, t_left, t_right)
+    model_n, model_l, model_r = models or (
+        ReducedModel(t_glued), ReducedModel(t_left), ReducedModel(t_right))
     iface = spec.interface_complex()
     lmap = t_glued.cx.meta["left_map"]
     rmap = t_glued.cx.meta["right_map"]
@@ -517,41 +530,31 @@ def mayer_vietoris(t_glued, t_left, t_right, spec: GluingSpec):
         c0 = ioffs[(sec, k)]
         for (i, j), v in d.entries.items():
             qw[r0 + i, c0 + j] = v
+    piece_w = _ghost_piece("iface", qw, {g: iface_ghost_rows(g) for g in ghosts})
 
-    def build_sequence(vert_n, vert_l, vert_r):
-        """Generic MV with chosen vertical subspaces for the three moduli."""
-        piece_n = _QuotPiece(t_glued, vert_n)
-        piece_l = _QuotPiece(t_left, vert_l)
-        piece_r = _QuotPiece(t_right, vert_r)
-        piece_w = _GradedPiece(
-            "iface",
-            {g: iface_ghost_rows(g) for g in ghosts},
-            {g: _restrict(qw, iface_ghost_rows(g - 1), iface_ghost_rows(g))
-             for g in ghosts},
-        )
+    def build_sequence(piece_n, piece_l, piece_r):
+        """Generic MV over the given quotient pieces of the three theories."""
         nodes = []
         maps = []
         for g in range(gmax, gmin - 1, -1):
-            nodes.append((f"glued@gh{g}", len(piece_n.reps(g))))
+            nl, nr = piece_l.h_dim(g), piece_r.h_dim(g)
+            nodes.append((f"glued@gh{g}", piece_n.h_dim(g)))
             # restriction map to the pieces
-            m = RatMatrix(len(piece_l.reps(g)) + len(piece_r.reps(g)),
-                          len(piece_n.reps(g)))
+            m = RatMatrix(nl + nr, piece_n.h_dim(g))
             idx_n = t_glued.bulk.ghost_indices(g)
             for j, rep in enumerate(piece_n.reps(g)):
                 flat = {idx_n[i]: v for i, v in rep.items()}
-                cl = piece_l.coords(g, res_l.matvec(flat))
-                cr = piece_r.coords(g, res_r.matvec(flat))
+                cl = _piece_coords(t_left, piece_l, g, res_l.matvec(flat))
+                cr = _piece_coords(t_right, piece_r, g, res_r.matvec(flat))
                 for i, v in cl.items():
                     m[i, j] = v
                 for i, v in cr.items():
-                    m[len(piece_l.reps(g)) + i, j] = v
+                    m[nl + i, j] = v
             maps.append(m)
-            nodes.append((f"pieces@gh{g}",
-                          len(piece_l.reps(g)) + len(piece_r.reps(g))))
+            nodes.append((f"pieces@gh{g}", nl + nr))
             # difference of interface restrictions
             wrows = iface_ghost_rows(g)
-            m2 = RatMatrix(len(piece_w.reps(g)),
-                           len(piece_l.reps(g)) + len(piece_r.reps(g)))
+            m2 = RatMatrix(piece_w.h_dim(g), nl + nr)
             idx_l = t_left.bulk.ghost_indices(g)
             for j, rep in enumerate(piece_l.reps(g)):
                 flat = {idx_l[i]: v for i, v in rep.items()}
@@ -565,115 +568,60 @@ def mayer_vietoris(t_glued, t_left, t_right, spec: GluingSpec):
                 w = rho_r.matvec(flat)
                 local = {wrows.index(i): v for i, v in w.items()}
                 for i, v in piece_w.class_coords(g, local).items():
-                    m2[i, len(piece_l.reps(g)) + j] = \
-                        m2[i, len(piece_l.reps(g)) + j] - v
+                    m2[i, nl + j] = m2[i, nl + j] - v
             maps.append(m2)
-            nodes.append((f"iface@gh{g}", len(piece_w.reps(g))))
+            nodes.append((f"iface@gh{g}", piece_w.h_dim(g)))
             # connecting map: one-sided section (extend into the left piece,
             # take its coboundary, embed into the glued complex)
-            m3 = RatMatrix(len(piece_n.reps(g - 1)), len(piece_w.reps(g)))
-            wrows_g = iface_ghost_rows(g)
+            m3 = RatMatrix(piece_n.h_dim(g - 1), piece_w.h_dim(g))
             emb_l = res_l.transpose()
             for j, rep in enumerate(piece_w.reps(g)):
                 a = {}
                 for i, v in rep.items():
-                    (col, s), = rho_l_rows[wrows_g[i]].items()
+                    (col, s), = rho_l_rows[wrows[i]].items()
                     a[col] = a.get(col, Fraction(0)) + v / s
                 qa = t_left.Q.matvec({i: v for i, v in a.items() if v})
                 z = emb_l.matvec(qa)
-                coords = piece_n.coords(g - 1, z)
-                for i, v in coords.items():
+                for i, v in _piece_coords(t_glued, piece_n, g - 1, z).items():
                     m3[i, j] = v
             maps.append(m3)
-        nodes.append((f"glued@gh{gmin-1}", len(piece_n.reps(gmin - 1))))
+        nodes.append((f"glued@gh{gmin-1}", piece_n.h_dim(gmin - 1)))
         verdicts = verify_exactness(nodes, maps)
         return ExactSequenceReport(nodes, maps, verdicts)
 
-    # absolute: vertical = everything (plain Q-moduli)
-    absolute = build_sequence(
-        _full_vertical(t_glued), _full_vertical(t_left), _full_vertical(t_right)
-    )
-    # partially reduced: verticals vanish on the outer boundary only
-    part = build_sequence(
-        _outer_vertical(t_glued, t_glued.pi),
-        _outer_vertical(t_left, _outer_pi(t_left, spec, side="left")),
-        _outer_vertical(t_right, _outer_pi(t_right, spec, side="right")),
-    )
-    return {"absolute": absolute, "partially_reduced": part}
+    pieces = {
+        # absolute: vertical = everything (plain Q-moduli)
+        "absolute": (model_n.bulk, model_l.bulk, model_r.bulk),
+        # partially reduced: verticals vanish on the outer boundary only;
+        # all of the glued boundary is outer, so its piece is the glued M_symp
+        "partially_reduced": (model_n.msymp, _outer_piece(model_l, spec, "left"),
+                              _outer_piece(model_r, spec, "right")),
+    }
+    out = {kind: build_sequence(*p) for kind, p in pieces.items()}
+    out["pieces"] = pieces
+    return out
 
 
-class _QuotPiece:
-    """ker Q / Q(vertical) per ghost with class coordinates."""
-
-    def __init__(self, t: LinearTheory, vert_flat: Subspace):
-        self.t = t
-        self.data = {}
-        for g in t.bulk.ghosts():
-            idx = t.bulk.ghost_indices(g)
-            idx_up = t.bulk.ghost_indices(g + 1)
-            q = _restrict(t.Q, t.bulk.ghost_indices(g - 1), idx)
-            q_up = _restrict(t.Q, idx, idx_up)
-            pos_up = {f: i for i, f in enumerate(idx_up)}
-            cols = []
-            for b in vert_flat.basis:
-                if b and all(i in pos_up for i in b):
-                    img = q_up.matvec({pos_up[i]: v for i, v in b.items()})
-                    if img:
-                        cols.append(img)
-            comp, coords = quotient(kernel_basis(q), column_span(cols, len(idx)))
-            self.data[g] = (q, comp, coords)
-
-    def reps(self, g):
-        if g not in self.data:
-            return []
-        return self.data[g][1].basis
-
-    def coords(self, g, flat):
-        """Coordinates of the class of a Q-closed flat vector of ghost g.
-        ker q = span(reps + Q(vertical)), so the cocycle check is the exact
-        membership check, and the quotient's coordinate map gives the
-        coordinates."""
-        idx = self.t.bulk.ghost_indices(g)
-        pos = {f: i for i, f in enumerate(idx)}
-        local = {pos[i]: v for i, v in flat.items() if i in pos}
-        if len(local) != len([i for i in flat if flat[i]]):
-            raise GluingError("vector not ghost homogeneous")
-        q, _, coords = self.data[g]
-        if q.matvec(local):
-            raise GluingError("vector is not a class of the quotient piece")
-        return coords.matvec(local)
-
-
-def _full_vertical(t: LinearTheory) -> Subspace:
-    return Subspace.full(t.bulk.total)
-
-
-def _outer_vertical(t: LinearTheory, pi_outer: RatMatrix) -> Subspace:
-    return kernel_basis(pi_outer)
-
-
-def _outer_pi(t: LinearTheory, spec: GluingSpec, side):
-    """Restriction of a piece's boundary map to the outer (non-interface)
-    part of its boundary."""
+def _outer_piece(model: ReducedModel, spec: GluingSpec, side):
+    """ker Q / Q(V) of a piece, with V the bulk fields that vanish on the
+    outer (non-interface) part of its boundary."""
+    t = model.t
     iface_verts = {l for l, _ in spec.pairs} if side == "left" else \
         {r for _, r in spec.pairs}
-    cx = t.cx
-    bc = cx.boundary_complex()
-    keep_rows = []
+    bc = t.cx.boundary_complex()
+    outer_rows = []
     off = 0
     for slot in t.bdry.slots:
-        sec, k = slot["sector"], slot["degree"]
-        for i, f in enumerate(bc.faces(k)):
-            verts = set(bc.face_vertices(f))
-            if not verts <= iface_verts:
-                keep_rows.append(off + i)
+        for i, f in enumerate(bc.faces(slot["degree"])):
+            if not set(bc.face_vertices(f)) <= iface_verts:
+                outer_rows.append(off + i)
         off += slot["dim"]
-    m = RatMatrix(len(keep_rows), t.bulk.total)
-    for r, row in enumerate(keep_rows):
-        for (i, j), v in t.pi.entries.items():
-            if i == row:
-                m[r, j] = v
-    return m
+    vert = {}
+    for g in model.ghosts:
+        idx = t.bulk.ghost_indices(g)
+        if idx:
+            vert[g] = kernel_basis(t.pi.submatrix(outer_rows, idx)).matrix()
+    return model.modulo_q("partially reduced", vert)
 
 
 # ---------------------------------------------------------------------------

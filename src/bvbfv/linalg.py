@@ -145,6 +145,15 @@ class RatMatrix:
             rows[i][j] = v
         return rows
 
+    def submatrix(self, rows, cols):
+        """The block on the given row and column indices, in their order."""
+        rpos = {r: i for i, r in enumerate(rows)}
+        cpos = {c: j for j, c in enumerate(cols)}
+        m = RatMatrix(len(rows), len(cols))
+        m.entries = {(rpos[i], cpos[j]): v for (i, j), v in self.entries.items()
+                     if i in rpos and j in cpos}
+        return m
+
     def transpose(self):
         m = RatMatrix(self.cols, self.rows)
         m.entries = {(j, i): v for (i, j), v in self.entries.items()}
@@ -508,14 +517,6 @@ def solve(m: RatMatrix, b) -> dict | None:
     x = {j: v for j, v in x.items() if v}
     if not vec_eq(m.matvec(x), {i: Fraction(v) for i, v in b.items() if v}):
         return None
-    return x
-
-
-def coordinates_in(basis_matrix: RatMatrix, v):
-    """Coordinates of v in the columns of basis_matrix (raises if absent)."""
-    x = solve(basis_matrix, v)
-    if x is None:
-        raise SubspaceNotContained("vector not in span")
     return x
 
 

@@ -7,8 +7,9 @@ LinearTheory, as exact rational linear algebra.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
-from .complexes import ExactSequenceReport, verify_exactness
+from .complexes import ExactSequenceReport, _GradedPiece, verify_exactness
 from .linalg import (
     LinalgError,
     NotLagrangian,
@@ -33,87 +34,12 @@ class ModuliError(Exception):
     pass
 
 
-class _GradedPiece:
-    """Cohomology bookkeeping for one ghost-graded complex given by
-    per-ghost index lists into a flat space and a flat differential."""
-
-    def __init__(self, name, indices_by_ghost, q_blocks):
-        self.name = name
-        self.indices = indices_by_ghost          # ghost -> flat index list
-        self.q_blocks = q_blocks                 # ghost -> RatMatrix F^g -> F^{g-1}
-        self._ker = {}
-        self._im = {}
-        self._coh = {}
-        self._coords = {}
-
-    def dim(self, g):
-        return len(self.indices.get(g, []))
-
-    def ghosts(self):
-        return sorted(self.indices)
-
-    def q(self, g):
-        m = self.q_blocks.get(g)
-        if m is None:
-            return RatMatrix.zero(self.dim(g - 1), self.dim(g))
-        return m
-
-    def kernel(self, g):
-        """ker q(g), the cocycles at ghost g."""
-        if g not in self._ker:
-            self._ker[g] = kernel_basis(self.q(g))
-        return self._ker[g]
-
-    def image(self, g):
-        """Im q(g+1), the exact vectors at ghost g."""
-        if g not in self._im:
-            self._im[g] = image_basis(self.q(g + 1))
-        return self._im[g]
-
-    def cohomology(self, g):
-        if g not in self._coh:
-            ker = self.kernel(g)
-            if self.dim(g) == 0:
-                self._coh[g] = (Subspace.zero(0), [])
-                self._coords[g] = RatMatrix(0, 0)
-            else:
-                comp, self._coords[g] = quotient(ker, self.image(g))
-                self._coh[g] = (ker, comp.basis)
-        return self._coh[g]
-
-    def reps(self, g):
-        return self.cohomology(g)[1]
-
-    def h_dim(self, g):
-        return len(self.reps(g))
-
-    def class_coords(self, g, vec):
-        """Coordinates of the class of the cocycle vec against reps(g).
-        span(reps + image) = ker q(g), so the cocycle check is the exact
-        membership check, and the coordinate map that the quotient
-        factored once per ghost gives the coordinates."""
-        if self.q(g).matvec(vec):
-            raise ModuliError(f"vector is not a {self.name} cocycle class at gh {g}")
-        self.cohomology(g)
-        return self._coords[g].matvec(vec)
-
-    def class_matrix(self, g, vectors, rows=None):
-        reps = self.reps(g)
-        m = RatMatrix(rows if rows is not None else len(reps), len(vectors))
-        for j, v in enumerate(vectors):
-            for i, val in self.class_coords(g, v).items():
-                m[i, j] = val
-        return m
-
-
-def _restrict(m: RatMatrix, rows, cols):
-    out = RatMatrix(len(rows), len(cols))
-    rpos = {r: i for i, r in enumerate(rows)}
-    cpos = {c: j for j, c in enumerate(cols)}
-    for (i, j), v in m.entries.items():
-        if i in rpos and j in cpos:
-            out[rpos[i], cpos[j]] = v
-    return out
+def _ghost_piece(name, m, idx):
+    """The cohomology of a flat differential m that lowers the ghost number
+    by one, on the flat indices idx[g] of each ghost g."""
+    blocks = {g: m.submatrix(idx.get(g - 1, []), rows) for g, rows in idx.items()}
+    dims = {g: len(rows) for g, rows in idx.items()}
+    return _GradedPiece.of_differential(name, dims, blocks, -1, ModuliError)
 
 
 def _embed(vec, indices):
@@ -136,28 +62,12 @@ class ReducedModel:
         self.ghosts = ghosts
         bulk_idx = {g: t.bulk.ghost_indices(g) for g in ghosts}
         bdry_idx = {g: t.bdry.ghost_indices(g) for g in ghosts}
-        q_blocks = {
-            g: _restrict(t.Q, bulk_idx.get(g - 1, []), bulk_idx.get(g, []))
-            for g in ghosts
-        }
-        qb_blocks = {
-            g: _restrict(t.Q_bdry, bdry_idx.get(g - 1, []), bdry_idx.get(g, []))
-            for g in ghosts
-        }
-        self.bulk = _GradedPiece("bulk", bulk_idx, q_blocks)
-        self.bdry = _GradedPiece("boundary", bdry_idx, qb_blocks)
-        self.pi_blocks = {
-            g: _restrict(t.pi, bdry_idx.get(g, []), bulk_idx.get(g, []))
-            for g in ghosts
-        }
+        self.bulk = _ghost_piece("bulk", t.Q, bulk_idx)
+        self.bdry = _ghost_piece("boundary", t.Q_bdry, bdry_idx)
+        self.pi_blocks = {g: t.pi.submatrix(bdry_idx[g], bulk_idx[g]) for g in ghosts}
         # vertical complex: per-ghost kernel of pi with Q expressed in it
-        self.K = {}
-        vert_idx = {}
+        self.K = {g: kernel_basis(self.pi_blocks[g]).matrix() for g in ghosts}
         vq = {}
-        for g in ghosts:
-            ker = kernel_basis(self.pi_blocks[g])
-            self.K[g] = ker.matrix()
-            vert_idx[g] = list(range(ker.dim))
         self._kinv = {}
         self._lift = {}
         for g in ghosts:
@@ -171,11 +81,35 @@ class ReducedModel:
                 if target * m != qk:
                     raise ModuliError("vertical complex is not Q-invariant")
             vq[g] = m
-        self.vert = _GradedPiece("vertical", vert_idx, vq)
+        vert_dims = {g: k.cols for g, k in self.K.items()}
+        self.vert = _GradedPiece.of_differential("vertical", vert_dims, vq, -1, ModuliError)
         self._chi = {}
         self._psi = {}
         self._beta = {}
         self._pair = {}
+
+    @cached_property
+    def msymp(self):
+        """M_symp = ker Q / Q(ker pi), sharing the bulk kernels."""
+        return self.modulo_q("symplectic moduli", self.K)
+
+    def modulo_q(self, name, K):
+        """ker Q / Q(V): the bulk cocycles modulo the Q-images of a space V
+        of bulk fields given per ghost g by the columns of K[g]."""
+        return self.bulk.modulo(
+            name, {g - 1: self.bulk.q(g) * k for g, k in K.items() if k.cols})
+
+    # --- eliminated once per model ------------------------------------------
+
+    @cached_property
+    def ker_q(self):
+        """ker Q on the flat bulk space (the Euler-Lagrange space)."""
+        return kernel_basis(self.t.Q)
+
+    @cached_property
+    def im_q(self):
+        """Im Q on the flat bulk space."""
+        return image_basis(self.t.Q)
 
     # --- factored once per ghost ------------------------------------------
 
@@ -248,7 +182,7 @@ class ReducedModel:
             cols = self.bulk.h_dim(gp)
             m = RatMatrix(rows, cols)
             for i, u in enumerate(self.vert.reps(g)):
-                uf = self._emb_bulk(g, _as_flat(self.K[g], u))
+                uf = self._emb_bulk(g, self.K[g].matvec(u))
                 for j, x in enumerate(self.bulk.reps(gp)):
                     xf = self._emb_bulk(gp, x)
                     m[i, j] = self.t.pair_bulk(uf, xf)
@@ -266,7 +200,7 @@ class ReducedModel:
             for i, x in enumerate(self.bulk.reps(g)):
                 xf = self._emb_bulk(g, x)
                 for j, u in enumerate(self.vert.reps(gp)):
-                    uf = self._emb_bulk(gp, _as_flat(self.K[gp], u))
+                    uf = self._emb_bulk(gp, self.K[gp].matvec(u))
                     m[i, j] = self.t.pair_bulk(xf, uf)
             self._pair[key] = m
         return self._pair[key]
@@ -291,10 +225,6 @@ class ReducedModel:
     def pair_ghost(self):
         # bulk pairing couples ghosts summing to -1 shifted by the codimension
         return -1 + (self.t.n - self.t.D)
-
-
-def _as_flat(kmat: RatMatrix, local):
-    return kmat.matvec(local)
 
 
 # ---------------------------------------------------------------------------
@@ -325,39 +255,25 @@ def q_reduce(t: LinearTheory, model: ReducedModel | None = None):
     if t.cx.is_closed() and t.omega is not None:
         p = PairingForm(t.bulk.total, t.bulk.total, t.omega)
         if p.nondegenerate():
-            el = kernel_basis(t.Q)
+            el = model.ker_q
             perp_l = kernel_basis(
                 RatMatrix.from_rows(
                     [t.omega.matvec(b) for b in el.basis], ncols=t.bulk.total
                 )
             ) if el.dim else Subspace.full(t.bulk.total)
             char = el.intersect(perp_l)
-            report["symp_reduction_agrees"] = char == image_basis(t.Q)
+            report["symp_reduction_agrees"] = char == model.im_q
     return report
 
 
 def symp_moduli(t: LinearTheory, model: ReducedModel | None = None):
-    """M_symp = ker Q / Q(ker d-pi), its projection to EL of the boundary,
-    and the degree-one map beta(eta) = [Q eta-lift], which is checked to
-    vanish on Im Q_bdry and to fit the commuting square with Q_bdry.
-
-    coords[g] is the coordinate map of the quotient at ghost g; on a
-    vector of ker q(g) = span(reps + Q(V)) it gives the M_symp
-    coordinates, so callers check q(g) v = 0 and take one matvec."""
+    """M_symp = ker Q / Q(ker d-pi) (the piece model.msymp), its projection
+    to EL of the boundary, and the degree-one map beta(eta) = [Q eta-lift],
+    which is checked to vanish on Im Q_bdry and to fit the commuting square
+    with Q_bdry."""
     model = model or ReducedModel(t)
-    t = model.t
-    reps = {}
-    coords = {}
-    for g in model.ghosts:
-        ker = model.bulk.kernel(g)
-        qv_cols = []
-        kg1 = model.K.get(g + 1)
-        if kg1 is not None and kg1.cols:
-            qk = model.bulk.q(g + 1) * kg1
-            qv_cols = qk.transpose().sparse_rows()
-        qv = column_span(qv_cols, model.bulk.dim(g))
-        comp, coords[g] = quotient(ker, qv)
-        reps[g] = comp.basis
+    msymp = model.msymp
+    reps = {g: msymp.reps(g) for g in model.ghosts}
     dims = {g: len(r) for g, r in reps.items() if model.bulk.dim(g)}
     # pi_*: M_symp -> EL of the boundary, on representatives
     pi_star = {}
@@ -382,14 +298,12 @@ def symp_moduli(t: LinearTheory, model: ReducedModel | None = None):
         nb = model.bdry.dim(g)
         rows = len(reps.get(g - 1, []))
         out = RatMatrix(rows, nb)
-        if nb and g - 1 in coords:
+        if nb and g - 1 in reps:
             lifts = model.lift(g).transpose().sparse_rows()
             qb_cols = model.bdry.q(g).transpose().sparse_rows()
             for j, lift in enumerate(lifts):
                 qlift = model.bulk.q(g).matvec(lift)
-                if model.bulk.q(g - 1).matvec(qlift):
-                    raise ModuliError("beta image does not lie in M_symp")
-                for i, v in coords[g - 1].matvec(qlift).items():
+                for i, v in msymp.class_coords(g - 1, qlift).items():
                     out[i, j] = v
                 # commuting square: pi_*(beta(eta)) = Q_bdry eta in EL_bdry
                 if rows and model.pi_blocks[g - 1].matvec(qlift) != qb_cols[j]:
@@ -404,7 +318,6 @@ def symp_moduli(t: LinearTheory, model: ReducedModel | None = None):
     return {
         "dims": dims,
         "reps": reps,
-        "coords": coords,
         "pi_star": pi_star,
         "beta": beta_blocks,
         "beta_vanishes_on_exact": beta_kills_exact,
@@ -497,8 +410,7 @@ def evolution_relation(t: LinearTheory, model: ReducedModel | None = None):
     """L = pi(ker Q), its image in the reduced boundary moduli, and the
     exact isotropic/coisotropic/lagrangian classification there."""
     model = model or ReducedModel(t)
-    el = kernel_basis(t.Q)
-    l_cols = [t.pi.matvec(b) for b in el.basis]
+    l_cols = [t.pi.matvec(b) for b in model.ker_q.basis]
     L = column_span(l_cols, t.bdry.total)
     # classes of L in the total reduced boundary space
     offsets = {}
@@ -590,8 +502,7 @@ def vacua(t: LinearTheory, model: ReducedModel | None = None):
                 pmat[offsets[g] + i, offsets[gp] + j] = vec_dot(a, pv)
     pairing = PairingForm(total, total, pmat, ghost=c)
     couples_ok = all(
-        _ghost_of_offset(offsets, model, vac_reps, i)
-        + _ghost_of_offset(offsets, model, vac_reps, j) == c
+        _ghost_of_offset(offsets, i) + _ghost_of_offset(offsets, j) == c
         for (i, j) in pmat.entries
     )
     red = presymplectic_reduce(pairing, Subspace.zero(total)) if total else None
@@ -619,7 +530,7 @@ def vacua(t: LinearTheory, model: ReducedModel | None = None):
     }
 
 
-def _ghost_of_offset(offsets, model, vac_reps, i):
+def _ghost_of_offset(offsets, i):
     for g in sorted(offsets, key=lambda g: offsets[g], reverse=True):
         if i >= offsets[g]:
             return g
@@ -651,7 +562,7 @@ def vacua_via_transversal(t: LinearTheory, lam: Subspace,
             for i, v in model.bdry.class_coords(g, local).items():
                 col[offsets[g] + i] = v
         return col
-    el = kernel_basis(t.Q)
+    el = model.ker_q
     comp_lam, lam_coords = quotient(Subspace.full(total), lam)
     proj_off_lam = comp_lam.matrix() * lam_coords
     cond_rows = []
@@ -674,10 +585,9 @@ def vacua_via_transversal(t: LinearTheory, lam: Subspace,
     S = column_span(s_basis, t.bulk.total)
     # the gauge directions inside S: image vectors have exact boundary
     # classes, hence lie in S whenever the class condition is lam-closed
-    imq = image_basis(t.Q)
-    if not S.contains_subspace(imq):
+    I = model.im_q
+    if not S.contains_subspace(I):
         raise ModuliError("image of Q leaves the constrained space")
-    I = imq
     # dimension agreement with the vacua
     vac = vacua(t, model)
     dim_s_mod_i = S.dim - I.dim
@@ -737,8 +647,8 @@ def regularity(t: LinearTheory, model: ReducedModel | None = None,
     model = model or ReducedModel(t)
     if t.model == "cotangent":
         p = PairingForm(t.bulk.total, t.bulk.total, t.omega)
-        ker_q = kernel_basis(t.Q)
-        im_q = image_basis(t.Q)
+        ker_q = model.ker_q
+        im_q = model.im_q
         kerq_perp = _perp(p, ker_q)
         vert_cols = []
         for g in model.ghosts:
@@ -843,8 +753,8 @@ def ed_formula_check(t: LinearTheory, model: ReducedModel | None = None):
     b_idx = slot_indices({"B", "B1"})
     ap_idx = slot_indices({"A+", "A0+"})
     cp_idx = slot_indices({"c+"})
-    d2 = t.submatrix(t.Q, ap_idx, b_idx)
-    d1 = t.submatrix(t.Q, cp_idx, ap_idx)
+    d2 = t.Q.submatrix(ap_idx, b_idx)
+    d1 = t.Q.submatrix(cp_idx, ap_idx)
     h1_cone = kernel_basis(d1).dim
     im2 = image_basis(d2).dim
     a_dag_model = h1_cone - im2

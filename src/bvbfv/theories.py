@@ -120,12 +120,6 @@ class FieldSpace:
             off += s["dim"]
         return m
 
-    def describe(self):
-        return [
-            {k: s[k] for k in ("sector", "degree", "dim", "ghost")}
-            for s in self.slots
-        ]
-
 
 def set_block(m, row_space, row_slot, col_space, col_slot, block, scale=1):
     """Add block (scaled) into the flat matrix at the given slot positions."""
@@ -219,15 +213,6 @@ class LinearTheory:
 
     def pair_bdry(self, u, v):
         return vec_dot(u, self.pair_bdry_mat.matvec(v))
-
-    def submatrix(self, m, rows, cols):
-        out = RatMatrix(len(rows), len(cols))
-        rpos = {r: i for i, r in enumerate(rows)}
-        cpos = {c: j for j, c in enumerate(cols)}
-        for (i, j), v in m.entries.items():
-            if i in rpos and j in cpos:
-                out[rpos[i], cpos[j]] = v
-        return out
 
     def __repr__(self):
         return (f"LinearTheory({self.name}, n={self.n}, D={self.D}, "
@@ -935,8 +920,8 @@ def ghost_zero_slice(theory: LinearTheory):
     idx0 = t.bulk.ghost_indices(0)
     idx1 = t.bulk.ghost_indices(1)
     idxm1 = t.bulk.ghost_indices(-1)
-    q0 = t.submatrix(t.Q, idxm1, idx0)   # EL conditions on gh-0 fields
-    q1 = t.submatrix(t.Q, idx0, idx1)    # gauge transformations into gh 0
+    q0 = t.Q.submatrix(idxm1, idx0)   # EL conditions on gh-0 fields
+    q1 = t.Q.submatrix(idx0, idx1)    # gauge transformations into gh 0
     el = kernel_basis(q0)
     gauge = image_basis(q1)
     comp, _ = quotient(el, gauge)
@@ -947,7 +932,7 @@ def ghost_zero_slice(theory: LinearTheory):
     }
     bidx0 = t.bdry.ghost_indices(0)
     bidxm1 = t.bdry.ghost_indices(-1)
-    qb0 = t.submatrix(t.Q_bdry, bidxm1, bidx0)
+    qb0 = t.Q_bdry.submatrix(bidxm1, bidx0)
     c_bdry = kernel_basis(qb0)
     return {
         "field_dims": fields,

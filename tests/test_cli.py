@@ -118,6 +118,32 @@ def test_glue_subcommand_meridian_longitude():
     assert b"mayer_vietoris_absolute_exact" in out.stdout
 
 
+@pytest.mark.parametrize("theory", ["scalar", "ed"])
+def test_glue_cotangent_theory_exits_one(theory):
+    # intrinsic gluing needs the cup model; a cotangent theory is refused
+    # up front with one error line instead of crashing midway
+    out = run_cli("glue", "glue_solid_tori_meridian_to_meridian.json",
+                  "--theory", theory)
+    assert out.returncode == 1
+    lines = out.stderr.decode().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), lines
+    assert b"Traceback" not in out.stderr
+
+
+def test_glue_malformed_interface_map_exits_one(tmp_path):
+    with open(os.path.join(CORPUS, "glue_solid_tori_meridian_to_meridian.json")) as fh:
+        spec = json.load(fh)
+    for side in ("left", "right"):
+        spec[side] = os.path.join(CORPUS, spec[side])
+    spec["interface_map"][0].append(0)
+    p = tmp_path / "bad_spec.json"
+    p.write_text(json.dumps(spec))
+    out = run_cli("glue", str(p), "--theory", "cs")
+    assert out.returncode == 1
+    assert out.stderr.decode().startswith("error:")
+    assert b"Traceback" not in out.stderr
+
+
 def test_slice_gh0():
     out = run_cli("slice-gh0", "solid_torus", "--theory", "cs")
     assert out.returncode == 0

@@ -5,11 +5,8 @@ from bvbfv.complexes import (
     ChainMap,
     CochainComplex,
     ComplexError,
-    GhostMismatch,
     NotShortExact,
-    ShiftedSum,
     les_of_pair,
-    verify_ghost_grading,
 )
 from bvbfv.linalg import RatMatrix
 
@@ -43,60 +40,6 @@ def test_les_requires_short_exactness():
     bad = ChainMap(relc, cx.cochain_complex(), broken, check=False)
     with pytest.raises(NotShortExact):
         les_of_pair(bad, restr)
-
-
-def test_shifted_sum_ghosts():
-    s = ShiftedSum(
-        {("A", 1, 0): 3, ("A", 1, 1): 3, ("B", 0, 0): 3, ("B", 0, 1): 3},
-        diff_blocks={},
-    )
-    assert s.ghost("A", 0) == 1
-    assert s.ghost("B", 1) == -1
-
-
-def test_verify_ghost_grading_bf_pairing():
-    # abelian BF with n = 3 on a 3-complex: A-sector degree 1 (gh 0) pairs
-    # with B-sector degree 2 (gh -1); the total is the bulk pairing ghost -1
-    cx = corpus.solid_torus()
-    dims = {k: cx.n_faces(k) for k in range(4)}
-    slots = {}
-    for k, d in dims.items():
-        slots[("A", 1, k)] = d
-        slots[("B", 1, k)] = d  # n - 2 = 1 for n = 3
-    diff = {}
-    for k in range(3):
-        m = cx.coboundary_matrix(k)
-        diff[(("A", k), ("A", k + 1))] = m
-        diff[(("B", k), ("B", k + 1))] = m
-    s = ShiftedSum(slots, diff)
-    pairs = [(("A", 1), ("B", 2)), (("A", 0), ("B", 3))]
-    assert verify_ghost_grading(s, pairing_blocks=pairs, pairing_ghost=-1)
-
-
-def test_verify_ghost_grading_boundary_pairing():
-    # on the boundary the same shifts couple to total ghost 0
-    bc = corpus.solid_torus().boundary_complex()
-    slots = {}
-    for k in range(3):
-        slots[("A", 1, k)] = bc.n_faces(k)
-        slots[("B", 1, k)] = bc.n_faces(k)
-    s = ShiftedSum(slots, {})
-    assert verify_ghost_grading(
-        s, pairing_blocks=[(("A", 1), ("B", 1)), (("A", 0), ("B", 2))],
-        pairing_ghost=0,
-    )
-
-
-def test_misshifted_sum_raises():
-    cx = corpus.circle()
-    slots = {("A", 1, 0): 3, ("A", 0, 1): 3}  # second slot declared shift 0
-    with pytest.raises(GhostMismatch):
-        ShiftedSum(slots, {})
-    slots = {("A", 1, 0): 3, ("B", 3, 1): 3}
-    diff = {(("A", 0), ("B", 1)): cx.coboundary_matrix(0)}
-    s = ShiftedSum(slots, diff)
-    with pytest.raises(GhostMismatch):
-        verify_ghost_grading(s)
 
 
 def test_euler_characteristic_every_corpus_complex():

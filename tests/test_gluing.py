@@ -188,6 +188,44 @@ def test_mayer_vietoris_solid_tori(make):
     assert mv["partially_reduced"].exact
 
 
+def _flat_quotient(t, vert):
+    """Representatives of ker Q / Q(V) per ghost, from a flat basis of V:
+    the homogeneous vectors of V at ghost g+1 pushed through Q."""
+    from bvbfv.linalg import column_span, kernel_basis, quotient
+
+    reps = {}
+    for g in t.bulk.ghosts():
+        idx, up = t.bulk.ghost_indices(g), t.bulk.ghost_indices(g + 1)
+        q = t.Q.submatrix(t.bulk.ghost_indices(g - 1), idx)
+        q_up = t.Q.submatrix(idx, up)
+        pos = {f: i for i, f in enumerate(up)}
+        cols = [q_up.matvec({pos[i]: v for i, v in b.items()})
+                for b in vert.basis if b and b.keys() <= pos.keys()]
+        reps[g] = quotient(kernel_basis(q), column_span(cols, len(idx)))[0].basis
+    return reps
+
+
+@pytest.mark.parametrize("make", [spec_s3, spec_s2xs1])
+def test_mayer_vietoris_pieces_are_the_engine_quotients(make):
+    # absolute pieces: ker Q / Q(everything) = the bulk cohomology; the
+    # glued partially reduced piece: ker Q / Q(ker pi) = M_symp
+    from bvbfv.linalg import Subspace, kernel_basis
+    from bvbfv.moduli import ReducedModel, symp_moduli
+
+    spec, left, right = make()
+    tl, tr, tn = (build_abelian_cs(c) for c in (left, right, glue(spec)))
+    pieces = mayer_vietoris(tn, tl, tr, spec)["pieces"]
+    for t, piece in zip((tn, tl, tr), pieces["absolute"]):
+        flat = _flat_quotient(t, Subspace.full(t.bulk.total))
+        model = ReducedModel(t)
+        for g, reps in flat.items():
+            assert piece.reps(g) == reps == model.bulk.reps(g)
+    flat = _flat_quotient(tn, kernel_basis(tn.pi))
+    sm = symp_moduli(tn)
+    for g, reps in flat.items():
+        assert pieces["partially_reduced"][0].reps(g) == reps == sm["reps"][g]
+
+
 def test_mayer_vietoris_cylinders_to_torus_bf():
     cyl = corpus.cylinder(3, 2)
     g = cyl.meta["grid"]

@@ -391,21 +391,40 @@ THEORIES = {
 }
 
 
-@pytest.fixture(scope="module", params=[
-    (theory, name) for name in ("disk", "solid_torus") for theory in THEORIES
-])
+MODEL_CASES = [(theory, name) for name in ("disk", "solid_torus") for theory in THEORIES]
+COCHAIN_CASES = ["disk", "cylinder", "solid_torus"]
+
+
+@pytest.fixture(scope="module", params=MODEL_CASES)
 def reduced_model(request):
     theory, name = request.param
     return ReducedModel(THEORIES[theory](getattr(corpus, name)()))
 
 
-def test_class_coords_match_a_fresh_solve(reduced_model):
-    # the cached leading rows of one left inverse per ghost against the
+# the model cases keep the ids they had when the test took reduced_model
+@pytest.fixture(scope="module", params=MODEL_CASES + COCHAIN_CASES, ids=[
+    f"reduced_model{i}" for i in range(len(MODEL_CASES))
+] + [f"cochain_{name}" for name in COCHAIN_CASES])
+def graded_pieces(request):
+    """(piece, degrees) for the bulk, boundary, vertical and M_symp pieces
+    of a reduced model, or for the relative, absolute and boundary cochain
+    complexes of a corpus complex."""
+    if isinstance(request.param, tuple):
+        theory, name = request.param
+        model = ReducedModel(THEORIES[theory](getattr(corpus, name)()))
+        return [(p, model.ghosts)
+                for p in (model.bulk, model.bdry, model.vert, model.msymp)]
+    relc, incl, restr = getattr(corpus, request.param)().relative_complex()
+    return [(c.piece, c.degrees()) for c in (relc, incl.target, restr.target)]
+
+
+def test_class_coords_match_a_fresh_solve(graded_pieces):
+    # the cached leading rows of one left inverse per degree against the
     # direct route: solve [reps | image] x = v and keep the rep coordinates
     from bvbfv.linalg import RatMatrix, solve, vec_add, vec_scale
 
-    for piece in (reduced_model.bulk, reduced_model.bdry, reduced_model.vert):
-        for g in reduced_model.ghosts:
+    for piece, degrees in graded_pieces:
+        for g in degrees:
             reps = piece.reps(g)
             im = piece.image(g).basis if piece.dim(g) else []
             mat = RatMatrix.from_columns(list(reps) + list(im), piece.dim(g))

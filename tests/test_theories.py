@@ -100,6 +100,20 @@ def test_misshifted_differential_raises_ghost_mismatch():
         check_ghost_grading(t)
 
 
+@pytest.mark.parametrize("form", ["omega", "omega_bdry"])
+def test_pairing_of_wrong_ghosts_raises_ghost_mismatch(form):
+    # bf on the solid torus pairs A^k with B^(3-k) in the bulk (ghost sum
+    # -1) and A^k with B^(2-k) on the boundary (ghost sum 0); an entry
+    # coupling A^0 with B^0 sums to ghost 2 in both
+    t = build_abelian_bf(corpus.solid_torus())
+    space = t.bulk if form == "omega" else t.bdry
+    bad = getattr(t, form).copy()
+    bad[space.offset("A", 0), space.offset("B", 0)] = 1
+    setattr(t, form, bad)
+    with pytest.raises(GhostMismatch):
+        check_ghost_grading(t)
+
+
 def test_strict_mode_names_offending_block():
     from bvbfv.theories import SignConventionMismatch
 
