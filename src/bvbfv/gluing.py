@@ -15,7 +15,6 @@ from .linalg import (
     column_span,
     kernel_basis,
     quotient,
-    solve,
 )
 from .moduli import ReducedModel, _ghost_piece, symp_moduli
 from .simplicial import IncoherentOrientation, OrientedComplex, _perm_sign
@@ -364,7 +363,7 @@ def glue_moduli(t_left, t_right, spec: GluingSpec, t_glued, epsilon=None):
             for i, v in br.items():
                 vec[na + i] = v
             if vec:
-                x = solve(mt.matrix(), vec)
+                x = mt.coords(vec)
                 if x is None:
                     raise GluingError("beta-tilde image leaves the fiber product")
                 beta_cols[g - 1].append(x)
@@ -410,7 +409,7 @@ def glue_moduli(t_left, t_right, spec: GluingSpec, t_glued, epsilon=None):
             vec = dict(cl)
             for i, v in cr.items():
                 vec[na + i] = v
-            x = solve(mt.matrix(), vec)
+            x = mt.coords(vec)
             if x is None:
                 iso_ok = False
                 break

@@ -2,9 +2,12 @@
 
 Everything downstream (cohomology, moduli spaces, pairings) reduces to the
 kernel/image/quotient/orthogonality operations in this module.  Matrices are
-sparse maps (row, col) -> Fraction; the elimination core is fraction-free
-(integer row combinations after clearing denominators) with a fixed pivot
-rule, so all bases are deterministic across runs.
+sparse maps (row, col) -> Fraction.  There is one elimination core,
+`_echelon`: fraction-free (integer row combinations after clearing
+denominators) Gauss-Jordan with a fixed pivot rule, so all bases are
+deterministic across runs.  Kernels, images, solutions, spanning subsets,
+quotients and left inverses all read its output, and a `Subspace` caches
+one left inverse of its basis for membership and coordinates.
 """
 
 from __future__ import annotations
@@ -305,7 +308,11 @@ def _echelon(rows, col_order=None):
 
 
 def _kernel_int(rows, ncols, col_order=None):
-    """Kernel basis of the integer row system, one vector per free column."""
+    """Kernel basis of the integer row system, one vector per free column.
+
+    After Gauss-Jordan elimination each pivot row holds its pivot and free
+    columns only, so a free column's vector is read off without
+    back-substitution."""
     pivots, red = _echelon(rows, col_order)
     pivot_cols = {c for _, c in pivots}
     free = [j for j in range(ncols) if j not in pivot_cols]
@@ -313,15 +320,25 @@ def _kernel_int(rows, ncols, col_order=None):
     for f in free:
         v = {f: Fraction(1)}
         for r, c in pivots:
-            row = red[r]
-            s = sum(
-                (Fraction(val) * v[j] for j, val in row.items() if j in v and j != c),
-                Fraction(0),
-            )
-            if s:
-                v[c] = -s / row[c]
-        basis.append({j: x for j, x in v.items() if x})
+            x = red[r].get(f)
+            if x:
+                v[c] = Fraction(-x, red[r][c])
+        basis.append(v)
     return basis
+
+
+def _pivot_columns(columns):
+    """Indices of the sparse columns that are independent of the columns
+    before them: the pivot columns of one elimination in column order.
+    This set does not depend on the row-pivot rule."""
+    rows = {}
+    for j, col in enumerate(columns):
+        for i, v in col.items():
+            if v:
+                rows.setdefault(i, {})[j] = v
+    pivots, _ = _echelon(_int_rows(rows.values()),
+                         col_order=list(range(len(columns))))
+    return sorted(c for _, c in pivots)
 
 
 def _primitive(v):
@@ -343,60 +360,29 @@ def _primitive(v):
     return {j: Fraction(x) for j, x in ints.items()}
 
 
-class Echelonizer:
-    """Incremental row-echelon structure over Q for membership testing.
-
-    Rows are kept pivot-normalized; `residue` reduces a vector against the
-    current rows, `add` inserts its residue if nonzero.
-    """
-
-    def __init__(self):
-        self.rows = {}  # pivot col -> normalized row
-
-    def residue(self, v):
-        v = {j: Fraction(x) for j, x in v.items() if x}
-        while v:
-            c = min(v)
-            row = self.rows.get(c)
-            if row is None:
-                return v, c
-            v = vec_add(v, vec_scale(row, -v[c]))
-        return {}, None
-
-    def add(self, v):
-        r, c = self.residue(v)
-        if not r:
-            return False
-        self.rows[c] = vec_scale(r, Fraction(1) / r[c])
-        return True
-
-    def contains(self, v):
-        r, _ = self.residue(v)
-        return not r
-
-
 class Subspace:
     """A subspace of Q^ambient_dim given by an independent list of sparse
     column vectors."""
 
-    __slots__ = ("ambient_dim", "basis", "_ech")
+    __slots__ = ("ambient_dim", "basis", "_inv")
 
     def __init__(self, ambient_dim, basis, check=True):
         self.ambient_dim = ambient_dim
         self.basis = [{i: Fraction(x) for i, x in b.items() if x} for b in basis]
-        self._ech = None
+        self._inv = None
         if check and self.basis:
-            ech = self._echelonizer()
-            if len(ech.rows) != len(self.basis):
-                raise LinalgError("basis vectors are linearly dependent")
+            try:
+                self._left_inv()
+            except LinalgError:
+                raise LinalgError("basis vectors are linearly dependent") from None
 
-    def _echelonizer(self):
-        if self._ech is None:
-            ech = Echelonizer()
-            for b in self.basis:
-                ech.add(b)
-            self._ech = ech
-        return self._ech
+    def _left_inv(self):
+        """The cached left inverse of the basis matrix; the one
+        factorization behind the independence check, `coords`,
+        `contains`, `contains_subspace` and `==`."""
+        if self._inv is None:
+            self._inv = _left_inverse(self.matrix())
+        return self._inv
 
     @property
     def dim(self):
@@ -415,14 +401,19 @@ class Subspace:
     def matrix(self):
         return RatMatrix.from_columns(self.basis, self.ambient_dim)
 
+    def coords(self, v):
+        """Coordinates of v in the basis, or None when v is off the span
+        (exact: the candidate x is kept only when basis * x == v)."""
+        x = self._left_inv().matvec(v)
+        return x if vec_eq(self.matrix().matvec(x), v) else None
+
     def contains(self, v):
-        return self._echelonizer().contains(v)
+        return self.coords(v) is not None
 
     def contains_subspace(self, other):
         if other.ambient_dim != self.ambient_dim:
             raise DimensionMismatch("ambient dimensions differ")
-        ech = self._echelonizer()
-        return all(ech.contains(b) for b in other.basis)
+        return all(self.contains(b) for b in other.basis)
 
     def sum(self, other):
         if other.ambient_dim != self.ambient_dim:
@@ -469,12 +460,9 @@ class Subspace:
 
 def column_span(columns, ambient_dim):
     """Deterministic independent subset spanning the given columns."""
-    out = []
-    ech = Echelonizer()
-    for c in columns:
-        if c and ech.add(c):
-            out.append(_primitive(c))
-    return Subspace(ambient_dim, out, check=False)
+    keep = _pivot_columns(columns)
+    return Subspace(ambient_dim, [_primitive(columns[j]) for j in keep],
+                    check=False)
 
 
 def kernel_basis(m: RatMatrix) -> Subspace:
@@ -502,19 +490,10 @@ def solve(m: RatMatrix, b) -> dict | None:
             rr[m.cols] = v
         aug.append(rr)
     pivots, red = _echelon(_int_rows(aug), col_order=list(range(m.cols)))
-    x = {}
-    for r, c in pivots:
-        row = red[r]
-        s = sum(
-            (
-                Fraction(val) * x[j]
-                for j, val in row.items()
-                if j in x and j != c and j != m.cols
-            ),
-            Fraction(0),
-        )
-        x[c] = (Fraction(row.get(m.cols, 0)) - s) / Fraction(row[c])
-    x = {j: v for j, v in x.items() if v}
+    # free unknowns are 0, and Gauss-Jordan leaves no other pivot column
+    # in a pivot row, so each pivot unknown is read off its own row
+    x = {c: Fraction(red[r][m.cols], red[r][c])
+         for r, c in pivots if red[r].get(m.cols)}
     if not vec_eq(m.matvec(x), {i: Fraction(v) for i, v in b.items() if v}):
         return None
     return x
@@ -528,17 +507,17 @@ def quotient(ambient: Subspace, sub: Subspace):
     means nothing, so callers check membership first.  The projection
     that kills sub and fixes C pointwise is C.matrix() * coords.
 
-    Containment of sub in ambient is decided by solving, not by comparing
-    bases.
+    One elimination of [sub | ambient] in column order decides both
+    questions: sub lies in ambient exactly when the pivot count is
+    ambient.dim, and C is the ambient columns among the pivots (the greedy
+    extension of sub's basis).
     """
     if sub.ambient_dim != ambient.ambient_dim:
         raise DimensionMismatch("ambient dimensions differ")
-    if not ambient.contains_subspace(sub):
+    pivots = _pivot_columns(sub.basis + ambient.basis)
+    if len(pivots) != ambient.dim:
         raise SubspaceNotContained("sub is not inside ambient")
-    ech = Echelonizer()
-    for b in sub.basis:
-        ech.add(b)
-    complement = [cand for cand in ambient.basis if ech.add(cand)]
+    complement = [ambient.basis[j - sub.dim] for j in pivots if j >= sub.dim]
     comp = Subspace(ambient.ambient_dim, complement, check=False)
     n = ambient.ambient_dim
     coords = RatMatrix(0, n)

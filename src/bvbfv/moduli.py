@@ -604,11 +604,7 @@ def vacua_via_transversal(t: LinearTheory, lam: Subspace,
             for g in model.ghosts:
                 local = _localize(s, t.bulk.ghost_indices(g))
                 coords = model.bulk.class_coords(g, local)
-                basis_mat = RatMatrix.from_columns(
-                    vac["vac_reps"][g].basis, model.bulk.h_dim(g)
-                )
-                coord_vec = {i: v for i, v in coords.items()}
-                inv = solve(basis_mat, coord_vec)
+                inv = vac["vac_reps"][g].coords(coords)
                 if inv is None:
                     agree_pairing = False
                     inv = {}

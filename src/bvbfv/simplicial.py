@@ -430,6 +430,10 @@ def load_complex(source) -> OrientedComplex:
     for key in ("dimension", "vertices", "top_simplices"):
         if key not in data:
             raise SimplicialError(f"missing field {key!r} in complex description")
+    if not isinstance(data["dimension"], int):
+        raise SimplicialError("dimension must be an integer")
+    if not all(isinstance(v, (int, str)) for v in data["vertices"]):
+        raise SimplicialError("vertex ids must be integers or strings")
     tops = [tuple(t) for t in data["top_simplices"]]
     return OrientedComplex(
         data["dimension"],

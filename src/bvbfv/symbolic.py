@@ -283,26 +283,13 @@ class TargetSpec:
             )
         from .linalg import RatMatrix
 
-        mat = RatMatrix(self.n_base, self.n_base)
-        for a in range(self.n_base):
-            for b in range(self.n_base):
-                if self.omega[a][b]:
-                    mat[a, b] = self.omega[a][b]
-        if mat.rank() != self.n_base:
+        if RatMatrix.from_rows(self.omega, self.n_base).rank() != self.n_base:
             raise DegreeInconsistency("omega matrix is degenerate")
-        self._omega_mat = mat
 
     def bracket_matrix(self):
         """omega^{ab}: the inverse pairing used by the bracket."""
         if self._winv is None:
-            from .linalg import RatMatrix, solve
-
-            inv = [[Fraction(0)] * self.n_base for _ in range(self.n_base)]
-            for b in range(self.n_base):
-                col = solve(self._omega_mat, {b: Fraction(1)})
-                for a, v in col.items():
-                    inv[a][b] = v
-            self._winv = inv
+            self._winv = _inverse(self.omega)
         return self._winv
 
     # -- structural operations ----------------------------------------------
@@ -454,6 +441,17 @@ class TargetSpec:
         return out
 
 
+def _inverse(rows):
+    """The inverse of a nonsingular square matrix given as dense rows."""
+    from .linalg import RatMatrix, _left_inverse
+
+    n = len(rows)
+    inv = [[Fraction(0)] * n for _ in range(n)]
+    for (a, b), v in _left_inverse(RatMatrix.from_rows(rows, n)).entries.items():
+        inv[a][b] = v
+    return inv
+
+
 # ---------------------------------------------------------------------------
 # Lie data and builtin targets
 
@@ -525,18 +523,8 @@ class LieData:
 
     def raised(self):
         """f^{abc} with all indices raised by the inverse metric."""
-        from .linalg import RatMatrix, solve
-
         n = self.dim
-        mat = RatMatrix(n, n)
-        for i in range(n):
-            for j in range(n):
-                mat[i, j] = self.metric[i][j]
-        inv = [[Fraction(0)] * n for _ in range(n)]
-        for b in range(n):
-            col = solve(mat, {b: Fraction(1)})
-            for a, v in col.items():
-                inv[a][b] = v
+        inv = _inverse(self.metric)
         out = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
         for a in range(n):
             for b in range(n):
@@ -691,17 +679,13 @@ def example5_target(lie: LieData) -> TargetSpec:
                 if v:
                     key = (n + a, b, c)
                     theta[key] = theta.get(key, Fraction(0)) + v / 2
-    from .linalg import RatMatrix, solve
-
-    mat = RatMatrix(n, n)
-    for i in range(n):
-        for j in range(n):
-            mat[i, j] = lie.metric[i][j]
+    inv = _inverse(lie.metric)
     for b in range(n):
-        col = solve(mat, {b: Fraction(1)})
-        for a, v in col.items():
-            key = tuple(sorted((n + a, n + b)))
-            theta[key] = theta.get(key, Fraction(0)) + v / 2
+        for a in range(n):
+            v = inv[a][b]
+            if v:
+                key = tuple(sorted((n + a, n + b)))
+                theta[key] = theta.get(key, Fraction(0)) + v / 2
     return TargetSpec(vars_, omega, 3, theta)
 
 
@@ -785,12 +769,19 @@ def jacobi_check(pi_entries, dim):
 # file format
 
 
+def _rational(x):
+    try:
+        return Fraction(x)
+    except (ValueError, ZeroDivisionError, TypeError) as e:
+        raise SymbolicError(f"bad rational {x!r}: {e}") from None
+
+
 def target_from_dict(data) -> TargetSpec:
     vars_ = [GradedVar(v["name"], v["degree"]) for v in data["vars"]]
-    omega = [[Fraction(x) for x in row] for row in data["omega"]]
+    omega = [[_rational(x) for x in row] for row in data["omega"]]
     name_to_idx = {v.name: i for i, v in enumerate(vars_)}
     theta = {}
     for term in data.get("theta", []):
         mono = tuple(name_to_idx[n] for n in term["monomial"])
-        theta[mono] = theta.get(mono, Fraction(0)) + Fraction(term["coeff"])
+        theta[mono] = theta.get(mono, Fraction(0)) + _rational(term["coeff"])
     return TargetSpec(vars_, omega, data["omega_degree"], theta)

@@ -144,6 +144,25 @@ def test_glue_malformed_interface_map_exits_one(tmp_path):
     assert b"Traceback" not in out.stderr
 
 
+@pytest.mark.parametrize("kind, field, value", [
+    ("complex", "dimension", "x"),
+    ("complex", "vertices", [[0], [1]]),
+    ("target", "theta", [{"coeff": "1/0", "monomial": ["x0", "x1", "x2"]}]),
+], ids=["dimension_not_int", "vertex_id_list", "coeff_zero_denominator"])
+def test_malformed_input_exits_one(tmp_path, kind, field, value):
+    source = {"complex": "interval.json", "target": "targets/cs_so3.json"}[kind]
+    with open(os.path.join(CORPUS, source)) as fh:
+        data = json.load(fh)
+    data[field] = value
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(data))
+    out = run_cli(kind, "check", str(p))
+    assert out.returncode == 1
+    lines = out.stderr.decode().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), lines
+    assert b"Traceback" not in out.stderr
+
+
 def test_slice_gh0():
     out = run_cli("slice-gh0", "solid_torus", "--theory", "cs")
     assert out.returncode == 0

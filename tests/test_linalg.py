@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from bvbfv.linalg import (
     DimensionMismatch,
+    LinalgError,
     PairingForm,
     RatMatrix,
     Subspace,
@@ -369,3 +370,55 @@ def test_solve_agrees_with_matvec(m, coeffs):
     got = solve(m, b)
     assert got is not None
     assert m.matvec(got) == b
+
+
+def sparse_vector(entries):
+    return {i: Fraction(x) for i, x in enumerate(entries) if x}
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_matrix(), st.data())
+def test_selection_rules_match_dense_rank(m, data):
+    n = m.rows
+    cols = [{i: m[i, j] for i in range(n) if m[i, j]} for j in range(m.cols)]
+
+    def rank(vecs):
+        return dense_rank([[v.get(i, 0) for v in vecs] for i in range(n)])
+
+    # column_span keeps column j exactly when the rank rises
+    span = column_span(cols, n)
+    rises = [c for j, c in enumerate(cols) if rank(cols[:j + 1]) > rank(cols[:j])]
+    assert len(span.basis) == len(rises)
+    assert all(rank([a, b]) == 1 for a, b in zip(span.basis, rises))
+    # the independence check
+    if rank(cols) < len(cols):
+        with pytest.raises(LinalgError):
+            Subspace(n, cols)
+    else:
+        assert Subspace(n, cols).dim == len(cols)
+    # vectors in the span of m, plus at most one drawn freely
+    row = st.lists(small_entries, min_size=m.cols, max_size=m.cols)
+    vecs = [m.matvec(sparse_vector(x)) for x in data.draw(st.lists(row, max_size=3))]
+    free = st.lists(small_entries, min_size=n, max_size=n).map(sparse_vector)
+    vecs += data.draw(st.lists(free, max_size=1))
+    sub = column_span(vecs, n)
+    contained = rank(span.basis + sub.basis) == span.dim
+    assert span.contains_subspace(sub) == contained
+    if contained:
+        # the complement is the greedy extension of sub's basis
+        comp, _ = quotient(span, sub)
+        ext, greedy = list(sub.basis), []
+        for b in span.basis:
+            if rank(ext + [b]) > rank(ext):
+                ext.append(b)
+                greedy.append(b)
+        assert comp.basis == greedy
+    else:
+        with pytest.raises(SubspaceNotContained):
+            quotient(span, sub)
+    for v in vecs:
+        x = span.coords(v)
+        if rank(span.basis + [v]) == span.dim:
+            assert x is not None and span.matrix().matvec(x) == v
+        else:
+            assert x is None
