@@ -12,8 +12,9 @@ one left inverse of its basis for membership and coordinates.
 
 from __future__ import annotations
 
+from array import array
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 class LinalgError(Exception):
@@ -69,14 +70,22 @@ def vec_eq(u, v):
 
 
 class RatMatrix:
-    """Sparse rational matrix.  Entries with value zero are never stored."""
+    """Sparse rational matrix.  Entries with value zero are never stored.
 
-    __slots__ = ("rows", "cols", "entries")
+    `matvec` reads a column view (column -> positions of its entries in
+    storage order) built on first use and kept until `__setitem__`
+    changes an entry.  Every other write to `entries`, here and in the
+    other modules, fills a freshly built matrix before anything has read
+    it, so the view is never stale.
+    """
+
+    __slots__ = ("rows", "cols", "entries", "_by_col")
 
     def __init__(self, rows, cols, entries=None):
         self.rows = rows
         self.cols = cols
         self.entries = {}
+        self._by_col = None
         if entries:
             for (i, j), v in entries.items():
                 self[i, j] = v
@@ -89,6 +98,7 @@ class RatMatrix:
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise DimensionMismatch(f"index {ij} out of shape {self.shape}")
         v = Fraction(v)
+        self._by_col = None
         if v:
             self.entries[ij] = v
         else:
@@ -162,16 +172,37 @@ class RatMatrix:
         m.entries = {(j, i): v for (i, j), v in self.entries.items()}
         return m
 
+    def _columns(self):
+        """The keys and the values in storage order, and per column the
+        positions of its entries there (a compact array per column)."""
+        if self._by_col is None:
+            by_col = {}
+            for p, (_, j) in enumerate(self.entries):
+                col = by_col.get(j)
+                if col is None:
+                    by_col[j] = col = array("l")
+                col.append(p)
+            self._by_col = (list(self.entries), list(self.entries.values()), by_col)
+        return self._by_col
+
     def matvec(self, v):
+        """M v, visiting only the entries in the columns of v's support.
+        They are visited in storage order, so the result, down to the
+        order of its keys, is the one a scan of every entry gives."""
+        keys, vals, by_col = self._columns()
+        touched = []
+        for j, x in v.items():
+            if x and j in by_col:
+                touched.extend(by_col[j])
+        touched.sort()
         out = {}
-        for (i, j), a in self.entries.items():
-            x = v.get(j)
-            if x:
-                s = out.get(i, 0) + a * x
-                if s:
-                    out[i] = s
-                else:
-                    out.pop(i, None)
+        for p in touched:
+            i, j = keys[p]
+            s = out.get(i, 0) + vals[p] * v[j]
+            if s:
+                out[i] = s
+            else:
+                out.pop(i, None)
         return out
 
     def __mul__(self, other):
@@ -240,13 +271,9 @@ def _int_rows(rows):
         if not r:
             out.append({})
             continue
-        den = 1
-        for v in r.values():
-            den = den * v.denominator // gcd(den, v.denominator)
-        ints = {j: int(v * den) for j, v in r.items()}
-        g = 0
-        for v in ints.values():
-            g = gcd(g, v)
+        den = lcm(*(v.denominator for v in r.values()))
+        ints = {j: v.numerator * (den // v.denominator) for j, v in r.items()}
+        g = gcd(*ints.values())
         if g > 1:
             ints = {j: v // g for j, v in ints.items()}
         out.append(ints)
@@ -261,46 +288,55 @@ def _echelon(rows, col_order=None):
     column pick the one with the smallest absolute value there, ties broken
     by row index.  Returns (pivots, rows); pivots is a list of (row, col)
     in elimination order, and each pivot column is zero in every other row.
+
+    A column -> rows index, updated where a row update fills in or cancels
+    an entry, lets the pivot search and the elimination visit only the
+    rows that hold the current column.
     """
     rows = [dict(r) for r in rows]
-    ncols = 0
-    for r in rows:
-        if r:
-            ncols = max(ncols, max(r) + 1)
-    order = list(col_order) if col_order is not None else list(range(ncols))
+    holders = {}
+    for i, r in enumerate(rows):
+        for j in r:
+            holders.setdefault(j, set()).add(i)
+    if col_order is not None:
+        order = list(col_order)
+    else:
+        order = range(max(holders) + 1 if holders else 0)
     used = set()
     pivots = []
     for col in order:
+        at = holders.get(col)
+        if not at:
+            continue
         best = None
-        for i, r in enumerate(rows):
-            if i in used:
-                continue
-            v = r.get(col)
-            if v:
+        for i in at:
+            v = rows[i][col]
+            if v and i not in used:
                 key = (abs(v), i)
-                if best is None or key < best[0]:
-                    best = (key, i)
+                if best is None or key < best:
+                    best = key
         if best is None:
             continue
         p = best[1]
         used.add(p)
         pivots.append((p, col))
-        pv = rows[p][col]
         prow = rows[p]
-        for i, r in enumerate(rows):
-            if i == p or col not in r:
-                continue
+        pv = prow[col]
+        for i in [i for i in at if i != p]:
+            r = rows[i]
             rv = r[col]
-            new = {j: v * pv for j, v in r.items()}
+            new = dict(r) if pv == 1 else {j: v * pv for j, v in r.items()}
             for j, v in prow.items():
-                s = new.get(j, 0) - rv * v
+                old = new.get(j)
+                s = (old or 0) - rv * v
                 if s:
+                    if old is None:
+                        holders.setdefault(j, set()).add(i)
                     new[j] = s
                 else:
                     new.pop(j, None)
-            g = 0
-            for v in new.values():
-                g = gcd(g, v)
+                    holders[j].discard(i)
+            g = gcd(*new.values())
             if g > 1:
                 new = {j: v // g for j, v in new.items()}
             rows[i] = new
@@ -345,13 +381,9 @@ def _primitive(v):
     """Scale a rational vector to primitive integer form (first nonzero > 0)."""
     if not v:
         return {}
-    den = 1
-    for x in v.values():
-        den = den * x.denominator // gcd(den, x.denominator)
-    ints = {j: int(x * den) for j, x in v.items()}
-    g = 0
-    for x in ints.values():
-        g = gcd(g, x)
+    den = lcm(*(x.denominator for x in v.values()))
+    ints = {j: x.numerator * (den // x.denominator) for j, x in v.items()}
+    g = gcd(*ints.values())
     if g > 1:
         ints = {j: x // g for j, x in ints.items()}
     lead = min(ints)
@@ -364,12 +396,13 @@ class Subspace:
     """A subspace of Q^ambient_dim given by an independent list of sparse
     column vectors."""
 
-    __slots__ = ("ambient_dim", "basis", "_inv")
+    __slots__ = ("ambient_dim", "basis", "_inv", "_mat")
 
     def __init__(self, ambient_dim, basis, check=True):
         self.ambient_dim = ambient_dim
         self.basis = [{i: Fraction(x) for i, x in b.items() if x} for b in basis]
         self._inv = None
+        self._mat = None
         if check and self.basis:
             try:
                 self._left_inv()
@@ -381,8 +414,14 @@ class Subspace:
         factorization behind the independence check, `coords`,
         `contains`, `contains_subspace` and `==`."""
         if self._inv is None:
-            self._inv = _left_inverse(self.matrix())
+            self._inv = _left_inverse(self._basis_matrix())
         return self._inv
+
+    def _basis_matrix(self):
+        """The cached basis matrix that `coords` checks against."""
+        if self._mat is None:
+            self._mat = self.matrix()
+        return self._mat
 
     @property
     def dim(self):
@@ -405,7 +444,7 @@ class Subspace:
         """Coordinates of v in the basis, or None when v is off the span
         (exact: the candidate x is kept only when basis * x == v)."""
         x = self._left_inv().matvec(v)
-        return x if vec_eq(self.matrix().matvec(x), v) else None
+        return x if vec_eq(self._basis_matrix().matvec(x), v) else None
 
     def contains(self, v):
         return self.coords(v) is not None
@@ -597,13 +636,12 @@ def orthogonal_complement(p: PairingForm, side: str, s: Subspace) -> Subspace:
         raise DimensionMismatch("subspace does not live in the paired space")
     if s.dim == 0:
         return Subspace.full(dim)
-    rows = []
-    for b in s.basis:
-        if side == "left":
-            rows.append(p.matrix.matvec(b))  # condition v . (M b) = 0
-        else:
-            rows.append(p.matrix.transpose().matvec(b))  # condition (M^T b) . v = 0
-    cond = RatMatrix.from_rows(rows, ncols=dim)
+    # one condition row per basis vector b: (M b)^T for v . (M b) = 0 on
+    # the left, b^T M for (M^T b) . v = 0 on the right
+    if side == "left":
+        cond = (p.matrix * s.matrix()).transpose()
+    else:
+        cond = s.matrix().transpose() * p.matrix
     return kernel_basis(cond)
 
 

@@ -46,6 +46,16 @@ def _embed(vec, indices):
     return {indices[i]: v for i, v in vec.items()}
 
 
+def _pairing_block(form, left, right):
+    """[left_i . form right_j], with one matvec per column j."""
+    ws = [form.matvec(y) for y in right]
+    m = RatMatrix(len(left), len(right))
+    for i, x in enumerate(left):
+        for j, w in enumerate(ws):
+            m[i, j] = vec_dot(x, w)
+    return m
+
+
 def _localize(vec, indices):
     pos = {f: i for i, f in enumerate(indices)}
     return {pos[i]: v for i, v in vec.items() if i in pos}
@@ -166,60 +176,48 @@ class ReducedModel:
 
     # --- pairings -----------------------------------------------------------
 
-    def _emb_bulk(self, g, vec):
-        return _embed(vec, self.t.bulk.ghost_indices(g))
+    def _bulk_flat(self, g):
+        """The bulk representatives at ghost g as flat bulk vectors."""
+        idx = self.t.bulk.ghost_indices(g)
+        return [_embed(x, idx) for x in self.bulk.reps(g)]
 
-    def _emb_bdry(self, g, vec):
-        return _embed(vec, self.t.bdry.ghost_indices(g))
+    def _vert_flat(self, g):
+        """The vertical representatives at ghost g as flat bulk vectors."""
+        idx = self.t.bulk.ghost_indices(g)
+        return [_embed(self.K[g].matvec(u), idx) for u in self.vert.reps(g)]
+
+    def _bdry_flat(self, g):
+        """The boundary representatives at ghost g as flat boundary vectors."""
+        idx = self.t.bdry.ghost_indices(g)
+        return [_embed(y, idx) for y in self.bdry.reps(g)]
 
     def pair_vert_bulk(self, g):
         """P1: H^g(vert) x H^{-c-g}(bulk) via the bulk pairing, where c is
         the pairing ghost (1 plus codimension shift)."""
-        gp = self.pair_ghost() - g
         key = ("P1", g)
         if key not in self._pair:
-            rows = self.vert.h_dim(g)
-            cols = self.bulk.h_dim(gp)
-            m = RatMatrix(rows, cols)
-            for i, u in enumerate(self.vert.reps(g)):
-                uf = self._emb_bulk(g, self.K[g].matvec(u))
-                for j, x in enumerate(self.bulk.reps(gp)):
-                    xf = self._emb_bulk(gp, x)
-                    m[i, j] = self.t.pair_bulk(uf, xf)
-            self._pair[key] = m
+            gp = self.pair_ghost() - g
+            self._pair[key] = _pairing_block(self.t.pair_bulk_mat, self._vert_flat(g),
+                                              self._bulk_flat(gp))
         return self._pair[key]
 
     def pair_bulk_vert(self, g):
         """P2: H^g(bulk) x H^{-c-g}(vert)."""
-        gp = self.pair_ghost() - g
         key = ("P2", g)
         if key not in self._pair:
-            rows = self.bulk.h_dim(g)
-            cols = self.vert.h_dim(gp)
-            m = RatMatrix(rows, cols)
-            for i, x in enumerate(self.bulk.reps(g)):
-                xf = self._emb_bulk(g, x)
-                for j, u in enumerate(self.vert.reps(gp)):
-                    uf = self._emb_bulk(gp, self.K[gp].matvec(u))
-                    m[i, j] = self.t.pair_bulk(xf, uf)
-            self._pair[key] = m
+            gp = self.pair_ghost() - g
+            self._pair[key] = _pairing_block(self.t.pair_bulk_mat, self._bulk_flat(g),
+                                              self._vert_flat(gp))
         return self._pair[key]
 
     def pair_bdry_bdry(self, g):
         """P_d: H^g(boundary) x H^{-c-1-g... the boundary pairing couples
         ghosts summing to one more than the bulk pairing ghost."""
-        gp = self.pair_ghost() + 1 - g
         key = ("Pd", g)
         if key not in self._pair:
-            rows = self.bdry.h_dim(g)
-            cols = self.bdry.h_dim(gp)
-            m = RatMatrix(rows, cols)
-            for i, y in enumerate(self.bdry.reps(g)):
-                yf = self._emb_bdry(g, y)
-                for j, z in enumerate(self.bdry.reps(gp)):
-                    zf = self._emb_bdry(gp, z)
-                    m[i, j] = self.t.pair_bdry(yf, zf)
-            self._pair[key] = m
+            gp = self.pair_ghost() + 1 - g
+            self._pair[key] = _pairing_block(self.t.pair_bdry_mat, self._bdry_flat(g),
+                                              self._bdry_flat(gp))
         return self._pair[key]
 
     def pair_ghost(self):
@@ -394,13 +392,10 @@ def lefschetz(t: LinearTheory, model: ReducedModel | None = None):
         # remaining square: P2 . beta = sign * [pair_bdry(P_bdry pi x, y)]
         bb = model.beta(c + 1 - g)
         lhs = p2 * bb
-        w = RatMatrix(model.bulk.h_dim(g), model.bdry.h_dim(c + 1 - g))
-        for i, x in enumerate(model.bulk.reps(g)):
-            xf = _embed(x, t.bulk.ghost_indices(g))
-            pxf = t.P_bdry.matvec(t.pi.matvec(xf)) if t.P_bdry is not None else t.pi.matvec(xf)
-            for j, y in enumerate(model.bdry.reps(c + 1 - g)):
-                yf = _embed(y, t.bdry.ghost_indices(c + 1 - g))
-                w[i, j] = t.pair_bdry(pxf, yf)
+        pxs = [t.pi.matvec(xf) for xf in model._bulk_flat(g)]
+        if t.P_bdry is not None:
+            pxs = [t.P_bdry.matvec(px) for px in pxs]
+        w = _pairing_block(t.pair_bdry_mat, pxs, model._bdry_flat(c + 1 - g))
         if lhs != w.scale(t.adj_psi_sign):
             verdicts["dual_square_commutes"] = False
     return {"verdicts": verdicts, "blocks": blocks, "model": model}

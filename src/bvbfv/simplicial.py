@@ -432,12 +432,16 @@ def load_complex(source) -> OrientedComplex:
             raise SimplicialError(f"missing field {key!r} in complex description")
     if not isinstance(data["dimension"], int):
         raise SimplicialError("dimension must be an integer")
+    if not isinstance(data["vertices"], list):
+        raise SimplicialError("vertices must be a list")
     if not all(isinstance(v, (int, str)) for v in data["vertices"]):
         raise SimplicialError("vertex ids must be integers or strings")
+    if not (isinstance(data["top_simplices"], list)
+            and all(isinstance(t, list) and all(isinstance(v, (int, str)) for v in t)
+                    for t in data["top_simplices"])):
+        raise SimplicialError("top_simplices must be a list of lists of vertex ids")
+    signs = data.get("orientation_signs")
+    if signs is not None and not isinstance(signs, list):
+        raise SimplicialError("orientation_signs must be a list")
     tops = [tuple(t) for t in data["top_simplices"]]
-    return OrientedComplex(
-        data["dimension"],
-        list(data["vertices"]),
-        tops,
-        data.get("orientation_signs"),
-    )
+    return OrientedComplex(data["dimension"], list(data["vertices"]), tops, signs)

@@ -147,8 +147,14 @@ def test_glue_malformed_interface_map_exits_one(tmp_path):
 @pytest.mark.parametrize("kind, field, value", [
     ("complex", "dimension", "x"),
     ("complex", "vertices", [[0], [1]]),
+    ("complex", "vertices", 3),
+    ("complex", "top_simplices", [[[0], 1]]),
+    ("complex", "top_simplices", [1]),
+    ("complex", "orientation_signs", 3),
     ("target", "theta", [{"coeff": "1/0", "monomial": ["x0", "x1", "x2"]}]),
-], ids=["dimension_not_int", "vertex_id_list", "coeff_zero_denominator"])
+], ids=["dimension_not_int", "vertex_id_list", "vertices_not_list",
+        "top_simplex_vertex_list", "top_simplex_not_list", "orientation_signs_not_list",
+        "coeff_zero_denominator"])
 def test_malformed_input_exits_one(tmp_path, kind, field, value):
     source = {"complex": "interval.json", "target": "targets/cs_so3.json"}[kind]
     with open(os.path.join(CORPUS, source)) as fh:

@@ -1,10 +1,13 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bvbfv.linalg import (
+    _echelon,
+    _int_rows,
     DimensionMismatch,
     LinalgError,
     PairingForm,
@@ -422,3 +425,169 @@ def test_selection_rules_match_dense_rank(m, data):
             assert x is not None and span.matrix().matvec(x) == v
         else:
             assert x is None
+
+
+# --- the sparse kernels against dense-scan reference implementations -------
+
+
+def _int_rows_reference(rows):
+    out = []
+    for r in rows:
+        if not r:
+            out.append({})
+            continue
+        den = 1
+        for v in r.values():
+            den = den * v.denominator // gcd(den, v.denominator)
+        ints = {j: int(v * den) for j, v in r.items()}
+        g = 0
+        for v in ints.values():
+            g = gcd(g, v)
+        if g > 1:
+            ints = {j: v // g for j, v in ints.items()}
+        out.append(ints)
+    return out
+
+
+def _echelon_reference(rows, col_order=None):
+    """Scans every row for every pivot column; same pivot rule."""
+    rows = [dict(r) for r in rows]
+    ncols = 0
+    for r in rows:
+        if r:
+            ncols = max(ncols, max(r) + 1)
+    order = list(col_order) if col_order is not None else list(range(ncols))
+    used = set()
+    pivots = []
+    for col in order:
+        best = None
+        for i, r in enumerate(rows):
+            if i in used:
+                continue
+            v = r.get(col)
+            if v:
+                key = (abs(v), i)
+                if best is None or key < best[0]:
+                    best = (key, i)
+        if best is None:
+            continue
+        p = best[1]
+        used.add(p)
+        pivots.append((p, col))
+        pv = rows[p][col]
+        prow = rows[p]
+        for i, r in enumerate(rows):
+            if i == p or col not in r:
+                continue
+            rv = r[col]
+            new = {j: v * pv for j, v in r.items()}
+            for j, v in prow.items():
+                s = new.get(j, 0) - rv * v
+                if s:
+                    new[j] = s
+                else:
+                    new.pop(j, None)
+            g = 0
+            for v in new.values():
+                g = gcd(g, v)
+            if g > 1:
+                new = {j: v // g for j, v in new.items()}
+            rows[i] = new
+    return pivots, rows
+
+
+@st.composite
+def sparse_int_rows(draw):
+    """Up to 8 sparse integer rows over at most 8 columns (zero rows
+    included), and a column order: None or a permuted subset."""
+    ncols = draw(st.integers(min_value=1, max_value=8))
+    entry = st.one_of(st.just(0), st.just(0), st.integers(min_value=-4, max_value=4))
+    rows = [{j: v for j, v in enumerate(draw(st.lists(entry, min_size=ncols,
+                                                     max_size=ncols))) if v}
+            for _ in range(draw(st.integers(min_value=0, max_value=8)))]
+    order = draw(st.one_of(st.none(), st.permutations(range(ncols)).flatmap(
+        lambda p: st.integers(min_value=0, max_value=ncols).map(lambda k: p[:k]))))
+    return rows, order
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_int_rows())
+def test_echelon_matches_dense_scan(case):
+    rows, order = case
+    assert _echelon(rows, order) == _echelon_reference(rows, order)
+
+
+fractions = st.builds(Fraction, st.integers(min_value=-6, max_value=6),
+                      st.integers(min_value=1, max_value=6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.dictionaries(st.integers(min_value=0, max_value=6),
+                                fractions.filter(bool), max_size=6), max_size=5))
+def test_int_rows_match_reference(rows):
+    assert _int_rows(rows) == _int_rows_reference(rows)
+
+
+def _matvec_reference(m, v):
+    """Scans every stored entry, in storage order."""
+    out = {}
+    for (i, j), a in m.entries.items():
+        x = v.get(j)
+        if x:
+            s = out.get(i, 0) + a * x
+            if s:
+                out[i] = s
+            else:
+                out.pop(i, None)
+    return out
+
+
+def dense_product(m, v):
+    out = {}
+    for i in range(m.rows):
+        s = sum((m[i, j] * v.get(j, 0) for j in range(m.cols)), Fraction(0))
+        if s:
+            out[i] = s
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_matrix(), st.data())
+def test_matvec_matches_dense_and_follows_writes(m, data):
+    # any storage order and any key order of the vector
+    shuffled = RatMatrix(m.rows, m.cols)
+    for ij in data.draw(st.permutations(sorted(m.entries))):
+        shuffled[ij] = m[ij]
+    vec = st.lists(small_entries, min_size=m.cols, max_size=m.cols).map(sparse_vector)
+    v = data.draw(vec)
+    v = {j: v[j] for j in data.draw(st.permutations(sorted(v)))}
+
+    def check():
+        got = shuffled.matvec(v)
+        assert got == dense_product(shuffled, v)
+        assert list(got.items()) == list(_matvec_reference(shuffled, v).items())
+
+    check()
+    # writes after a first matvec: set one entry, then zero one
+    i = data.draw(st.integers(min_value=0, max_value=m.rows - 1))
+    j = data.draw(st.integers(min_value=0, max_value=m.cols - 1))
+    shuffled[i, j] = data.draw(small_entries.filter(bool))
+    check()
+    shuffled[data.draw(st.sampled_from(sorted(shuffled.entries)))] = 0
+    check()
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_matrix(), st.data())
+def test_orthogonal_complement_matches_per_vector_conditions(m, data):
+    p = PairingForm(m.rows, m.cols, m)
+    for side, sdim, dim, form in (("left", m.cols, m.rows, m),
+                                  ("right", m.rows, m.cols, m.transpose())):
+        vec = st.lists(small_entries, min_size=sdim, max_size=sdim).map(sparse_vector)
+        s = column_span(data.draw(st.lists(vec, max_size=3)), sdim)
+        got = orthogonal_complement(p, side, s)
+        if not s.dim:
+            assert got.dim == dim
+            continue
+        cond = RatMatrix.from_rows([form.matvec(b) for b in s.basis], ncols=dim)
+        assert got.basis == kernel_basis(cond).basis

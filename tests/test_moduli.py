@@ -461,6 +461,38 @@ def test_lift_is_a_right_inverse_of_pi(reduced_model):
         assert pi * reduced_model.lift(g) == RatMatrix.identity(pi.rows)
 
 
+def test_pairing_blocks_match_per_cell_evaluation(reduced_model):
+    from bvbfv.linalg import RatMatrix
+
+    m, t = reduced_model, reduced_model.t
+    c = m.pair_ghost()
+
+    def flat(space, g, vecs):
+        idx = space.ghost_indices(g)
+        return [{idx[i]: v for i, v in vec.items()} for vec in vecs]
+
+    def vert(g):
+        return flat(t.bulk, g, [m.K[g].matvec(u) for u in m.vert.reps(g)])
+
+    def bulk(g):
+        return flat(t.bulk, g, m.bulk.reps(g))
+
+    def bdry(g):
+        return flat(t.bdry, g, m.bdry.reps(g))
+
+    def cells(pair, left, right):
+        out = RatMatrix(len(left), len(right))
+        for i, x in enumerate(left):
+            for j, y in enumerate(right):
+                out[i, j] = pair(x, y)
+        return out
+
+    for g in m.ghosts:
+        assert m.pair_vert_bulk(g) == cells(t.pair_bulk, vert(g), bulk(c - g))
+        assert m.pair_bulk_vert(g) == cells(t.pair_bulk, bulk(g), vert(c - g))
+        assert m.pair_bdry_bdry(g) == cells(t.pair_bdry, bdry(g), bdry(c + 1 - g))
+
+
 def test_cmd_moduli_builds_one_reduced_model(monkeypatch, tmp_path):
     import os
 
