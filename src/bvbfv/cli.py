@@ -206,7 +206,12 @@ def cmd_moduli(args):
     cx, path = _load_complex(args.path)
     t, config = _build_theory(cx, args)
     rep = RunReport(f"moduli {os.path.basename(path)} kind={t.kind}", [path])
-    check_ghost_grading(t)
+    try:
+        check_ghost_grading(t)
+    except GhostMismatch as e:
+        rep.check("ghost_grading", False)
+        rep.table("ghost_mismatch", str(e))
+        return rep
     mr = moduli_report(t)
     for key, src in (("el", "el_dims"), ("moduli", "moduli_dims"),
                      ("moduli_symp", "moduli_symp_dims"),

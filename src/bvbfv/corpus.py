@@ -9,6 +9,8 @@ builder output is certified by the OrientedComplex validator.
 
 from __future__ import annotations
 
+import random
+
 from .simplicial import OrientedComplex
 
 
@@ -108,11 +110,13 @@ def torus_times_interval(m=3, edges=1):
     return product_with_segment_complex(torus(m), interval(edges))
 
 
-def relabeled(cx: OrientedComplex, rename):
-    """Same complex with vertex ids renamed by the mapping (or callable)."""
-    f = rename if callable(rename) else (lambda v: rename[v])
-    verts = [f(v) for v in cx.vertex_ids]
-    tops = [[f(v) for v in cx.face_vertices(t)] for t in cx.top]
+def relabeled(cx: OrientedComplex, seed):
+    """The same complex with its vertex list shuffled by `seed`.  Ids, top
+    simplices and orientation are kept; the global vertex order, and with
+    it the order of the faces and of every cochain basis, is permuted."""
+    verts = list(cx.vertex_ids)
+    random.Random(seed).shuffle(verts)
+    tops = [list(cx.face_vertices(t)) for t in cx.top]
     signs = [int(s) for s in cx.top.values()]
     out = OrientedComplex(cx.dimension, verts, tops, signs)
     if hasattr(cx, "meta"):

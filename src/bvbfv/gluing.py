@@ -125,23 +125,6 @@ def glue(spec: GluingSpec):
     return cx
 
 
-def face_map_matrix(src: OrientedComplex, dst: OrientedComplex, k, vmap):
-    """Pullback of k-cochains along a vertex map dst <- src... precisely:
-    the matrix of the map C^k(src) -> C^k(dst) sending the indicator of a
-    face to +-1 times the indicator of its image, with the permutation sign
-    of the image ordering."""
-    m = RatMatrix(dst.n_faces(k), src.n_faces(k))
-    for f in src.faces(k):
-        verts = src.face_vertices(f)
-        imgs = [vmap[v] for v in verts]
-        pos = [dst.vertex_position(v) for v in imgs]
-        sgn = _perm_sign(pos)
-        if sgn is None:
-            raise GluingError("vertex map collapses a face")
-        m[dst.face_index(k, tuple(sorted(pos))), src.face_index(k, f)] = sgn
-    return m
-
-
 def restriction_to_subcomplex(big: OrientedComplex, small: OrientedComplex, k, vmap):
     """C^k(big) -> C^k(small) along the embedding small -> big given by vmap
     (small vertex -> big vertex)."""

@@ -8,6 +8,14 @@ denominators) Gauss-Jordan with a fixed pivot rule, so all bases are
 deterministic across runs.  Kernels, images, solutions, spanning subsets,
 quotients and left inverses all read its output, and a `Subspace` caches
 one left inverse of its basis for membership and coordinates.
+
+Kernels and images eliminate in a static sparse-first order (the columns
+of the system by ascending nonzero count, ties by index), which keeps
+fill-in down; spanning subsets, solutions and left inverses keep index
+order, which defines what they return.  A kernel sets its left inverse
+from its free columns and `Subspace.full` from the identity, so neither
+is ever eliminated again.  A quotient is one elimination in the
+coordinates of its ambient subspace.
 """
 
 from __future__ import annotations
@@ -66,7 +74,8 @@ def vec_dot(u, v):
 
 
 def vec_eq(u, v):
-    return vec_add(u, vec_scale(v, -1)) == {}
+    """u == v as vectors; explicit zero entries count as absent."""
+    return {i: x for i, x in u.items() if x} == {i: x for i, x in v.items() if x}
 
 
 class RatMatrix:
@@ -344,11 +353,13 @@ def _echelon(rows, col_order=None):
 
 
 def _kernel_int(rows, ncols, col_order=None):
-    """Kernel basis of the integer row system, one vector per free column.
+    """Kernel basis of the integer row system, one vector per free column,
+    and those free columns (in increasing order).
 
     After Gauss-Jordan elimination each pivot row holds its pivot and free
     columns only, so a free column's vector is read off without
-    back-substitution."""
+    back-substitution, and it is the only vector nonzero at its free
+    column."""
     pivots, red = _echelon(rows, col_order)
     pivot_cols = {c for _, c in pivots}
     free = [j for j in range(ncols) if j not in pivot_cols]
@@ -360,7 +371,14 @@ def _kernel_int(rows, ncols, col_order=None):
             if x:
                 v[c] = Fraction(-x, red[r][c])
         basis.append(v)
-    return basis
+    return basis, free
+
+
+def _sparse_first(counts):
+    """The indices of `counts` by ascending count, ties by index: the static
+    fill-reducing column order (Markowitz's rule with the row counts left
+    out, fixed before the elimination starts)."""
+    return sorted(range(len(counts)), key=counts.__getitem__)
 
 
 def _pivot_columns(columns):
@@ -412,7 +430,8 @@ class Subspace:
     def _left_inv(self):
         """The cached left inverse of the basis matrix; the one
         factorization behind the independence check, `coords`,
-        `contains`, `contains_subspace` and `==`."""
+        `contains`, `contains_subspace`, `==` and `quotient`.
+        `kernel_basis` and `full` set it without an elimination."""
         if self._inv is None:
             self._inv = _left_inverse(self._basis_matrix())
         return self._inv
@@ -433,9 +452,12 @@ class Subspace:
 
     @staticmethod
     def full(ambient_dim):
-        return Subspace(
+        """Q^ambient_dim in its unit basis, which is its own left inverse."""
+        s = Subspace(
             ambient_dim, [{i: Fraction(1)} for i in range(ambient_dim)], check=False
         )
+        s._inv = RatMatrix.identity(ambient_dim)
+        return s
 
     def matrix(self):
         return RatMatrix.from_columns(self.basis, self.ambient_dim)
@@ -473,7 +495,7 @@ class Subspace:
         for j, b in enumerate(other.basis):
             for i, v in b.items():
                 rows[i][na + j] = -v
-        ker = _kernel_int(_int_rows(rows), na + nb)
+        ker, _ = _kernel_int(_int_rows(rows), na + nb)
         out = []
         for k in ker:
             v = {}
@@ -504,16 +526,37 @@ def column_span(columns, ambient_dim):
                     check=False)
 
 
+def _counts(m: RatMatrix, axis):
+    """The number of nonzeros in each row (axis 0) or column (axis 1)."""
+    counts = [0] * m.shape[axis]
+    for ij in m.entries:
+        counts[ij[axis]] += 1
+    return counts
+
+
 def kernel_basis(m: RatMatrix) -> Subspace:
-    """Basis of {v : m v = 0}."""
-    ker = _kernel_int(_int_rows(m.sparse_rows()), m.cols)
-    return Subspace(m.cols, [_primitive(v) for v in ker], check=False)
+    """Basis of {v : m v = 0}, one vector per free column in increasing
+    order, and its left inverse.
+
+    The elimination visits the columns of m sparse-first (see
+    `_sparse_first`), which keeps fill-in down.  Each basis vector is the
+    only one nonzero at its free column f_k, so row k of the left inverse
+    is the single entry 1 / basis[k][f_k] at f_k; it is set here, and
+    `coords`, `contains` and `==` on a kernel need no elimination."""
+    ker, free = _kernel_int(_int_rows(m.sparse_rows()), m.cols,
+                            _sparse_first(_counts(m, 1)))
+    s = Subspace(m.cols, [_primitive(v) for v in ker], check=False)
+    s._inv = RatMatrix(s.dim, m.cols)
+    s._inv.entries = {(k, f): 1 / b[f] for k, (f, b) in enumerate(zip(free, s.basis))}
+    return s
 
 
 def image_basis(m: RatMatrix) -> Subspace:
-    """Basis of the column space of m (original columns at pivot positions)."""
+    """Basis of the column space of m: the columns of m that are pivot rows
+    of one elimination of m's transpose.  That elimination visits the rows
+    of m sparse-first (see `_sparse_first`)."""
     cols = m.transpose().sparse_rows()
-    piv, _ = _echelon(_int_rows(cols))
+    piv, _ = _echelon(_int_rows(cols), _sparse_first(_counts(m, 0)))
     keep = sorted(r for r, _ in piv)
     return Subspace(m.rows, [_primitive(cols[j]) for j in keep], check=False)
 
@@ -540,37 +583,53 @@ def solve(m: RatMatrix, b) -> dict | None:
 
 def quotient(ambient: Subspace, sub: Subspace):
     """Complement C with sub + C = ambient, plus its coordinate map: the
-    C.dim x ambient_dim matrix (the leading rows of one left inverse of
-    [C | sub]) sending each vector of ambient to the coordinates of its
-    class modulo sub in the basis of C.  On vectors outside ambient it
-    means nothing, so callers check membership first.  The projection
-    that kills sub and fixes C pointwise is C.matrix() * coords.
+    C.dim x ambient_dim matrix sending each vector of ambient to the
+    coordinates of its class modulo sub in the basis of C.  On vectors
+    outside ambient it means nothing, so callers check membership first.
+    The projection that kills sub and fixes C pointwise is
+    C.matrix() * coords.
 
-    One elimination of [sub | ambient] in column order decides both
-    questions: sub lies in ambient exactly when the pivot count is
-    ambient.dim, and C is the ambient columns among the pivots (the greedy
-    extension of sub's basis).
+    Everything is solved in the coordinates of ambient's basis, with its
+    cached left inverse E.  Each sub vector s maps to x = E s, and
+    sub lies in ambient exactly when ambient.basis * x == s for each.  Then
+    one elimination of the m x (ns + 2m) system [x columns | I_m | I_m]
+    (m = ambient.dim, ns = sub.dim) visits the x columns sparse-first and
+    then the unit columns in index order; the last block is the
+    augmentation.  C is the ambient basis vectors at the unit columns
+    among the pivots: the greedy extension of sub's basis, since the map
+    into coordinates is an isomorphism.  The augmentation in C's pivot
+    rows, divided by their pivots, is the coordinate map in ambient's
+    coordinates, and times E it is the coordinate map on Q^ambient_dim.
     """
     if sub.ambient_dim != ambient.ambient_dim:
         raise DimensionMismatch("ambient dimensions differ")
-    pivots = _pivot_columns(sub.basis + ambient.basis)
-    if len(pivots) != ambient.dim:
-        raise SubspaceNotContained("sub is not inside ambient")
-    complement = [ambient.basis[j - sub.dim] for j in pivots if j >= sub.dim]
-    comp = Subspace(ambient.ambient_dim, complement, check=False)
-    n = ambient.ambient_dim
-    coords = RatMatrix(0, n)
-    if complement:
-        bmat = RatMatrix.from_columns(complement + list(sub.basis), n)
-        coords = _left_inverse(bmat, keep=len(complement))
-    return comp, coords
+    xs = []
+    for s in sub.basis:
+        x = ambient.coords(s)
+        if x is None:
+            raise SubspaceNotContained("sub is not inside ambient")
+        xs.append(x)
+    m, ns = ambient.dim, sub.dim
+    rows = [{ns + i: 1, ns + m + i: 1} for i in range(m)]
+    for j, x in enumerate(xs):
+        for i, v in x.items():
+            rows[i][j] = v
+    order = _sparse_first([len(x) for x in xs]) + list(range(ns, ns + m))
+    pivots, red = _echelon(_int_rows(rows), order)
+    comp_rows = sorted((c - ns, r) for r, c in pivots if c >= ns)
+    local = RatMatrix(len(comp_rows), m)
+    for k, (j, r) in enumerate(comp_rows):
+        pv = red[r][ns + j]
+        for c, v in red[r].items():
+            if c >= ns + m:
+                local.entries[(k, c - ns - m)] = Fraction(v, pv)
+    comp = Subspace(ambient.ambient_dim,
+                    [ambient.basis[j] for j, _ in comp_rows], check=False)
+    return comp, local * ambient._left_inv()
 
 
-def _left_inverse(m: RatMatrix, keep=None) -> RatMatrix:
-    """E with E m = I for a full-column-rank m (deterministic).  With
-    `keep`, only the first `keep` rows of E are returned (a keep x m.rows
-    matrix): on a vector in the column span of m they give the first
-    `keep` coordinates, and the caller checks that membership."""
+def _left_inverse(m: RatMatrix) -> RatMatrix:
+    """E with E m = I for a full-column-rank m (deterministic)."""
     rows = m.sparse_rows()
     aug = []
     for i, r in enumerate(rows):
@@ -580,15 +639,13 @@ def _left_inverse(m: RatMatrix, keep=None) -> RatMatrix:
     pivots, red = _echelon(_int_rows(aug), col_order=list(range(m.cols)))
     if len(pivots) != m.cols:
         raise LinalgError("matrix does not have full column rank")
-    keep = m.cols if keep is None else keep
     # pivot columns are already exclusive after full elimination
-    e = RatMatrix(keep, m.rows)
+    e = RatMatrix(m.cols, m.rows)
     for r, c in pivots:
-        if c < keep:
-            pv = red[r][c]
-            for j, v in red[r].items():
-                if j >= m.cols:
-                    e.entries[(c, j - m.cols)] = Fraction(v, pv)
+        pv = red[r][c]
+        for j, v in red[r].items():
+            if j >= m.cols:
+                e.entries[(c, j - m.cols)] = Fraction(v, pv)
     return e
 
 

@@ -58,17 +58,11 @@ class GradedAlgebra:
         if len(self.index) != len(self.vars):
             raise SymbolicError("variable names must be unique")
 
-    def var(self, name):
-        return self.vars[self.index[name]]
-
     def parity(self, i):
         return self.vars[i].parity
 
     def degree_of_monomial(self, mono):
         return sum(self.vars[i].degree for i in mono)
-
-    def form_degree_of_monomial(self, mono):
-        return sum(self.vars[i].form_degree for i in mono)
 
     # -- normal form --------------------------------------------------------
 

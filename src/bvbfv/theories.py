@@ -104,10 +104,6 @@ class FieldSpace:
         d = self.dim(sector, degree)
         return {i - off: x for i, x in v.items() if off <= i < off + d}
 
-    def inject(self, local, sector, degree):
-        off = self.offset(sector, degree)
-        return {off + i: x for i, x in local.items() if x}
-
     def diag_sign(self, rule):
         """Diagonal matrix from a rule (sector, degree, ghost) -> value."""
         m = RatMatrix(self.total, self.total)

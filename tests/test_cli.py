@@ -183,3 +183,23 @@ def test_empty_report_is_valid():
     parsed = parse_report(blob)
     assert parsed["checks"] == {}
     assert rep.ok
+
+
+@pytest.mark.parametrize("command", ["moduli", "cme"])
+def test_ghost_mismatch_is_a_failed_verdict(monkeypatch, tmp_path, command):
+    # no corpus file mismatches and the CLI cannot corrupt a pairing, so the
+    # grading check the CLI calls is made to raise
+    from bvbfv import cli
+    from bvbfv.complexes import GhostMismatch
+
+    def mismatch(t):
+        raise GhostMismatch("pairing of ghosts 0 and 0 is not -1")
+
+    monkeypatch.setattr(cli, "check_ghost_grading", mismatch)
+    out = tmp_path / "out.json"
+    code = cli.main([command, os.path.join(CORPUS, "disk.json"), "--theory", "bf",
+                     "--format", "structured", "--out", str(out)])
+    assert code == 2
+    report = cli.parse_report(out.read_bytes())
+    assert report["checks"]["ghost_grading"] is False
+    assert "ghost_mismatch" in report["tables"]

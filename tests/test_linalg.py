@@ -8,6 +8,9 @@ from hypothesis import given, settings, strategies as st
 from bvbfv.linalg import (
     _echelon,
     _int_rows,
+    _kernel_int,
+    _pivot_columns,
+    _primitive,
     DimensionMismatch,
     LinalgError,
     PairingForm,
@@ -591,3 +594,119 @@ def test_orthogonal_complement_matches_per_vector_conditions(m, data):
             continue
         cond = RatMatrix.from_rows([form.matvec(b) for b in s.basis], ncols=dim)
         assert got.basis == kernel_basis(cond).basis
+
+
+# --- the one-pass quotient and the kernel's own coordinates -----------------
+
+
+def _left_inverse_reference(m, keep):
+    """The first `keep` rows of the left inverse of a full-column-rank m:
+    one elimination of [m | I] in column order."""
+    aug = []
+    for i, r in enumerate(m.sparse_rows()):
+        rr = dict(r)
+        rr[m.cols + i] = Fraction(1)
+        aug.append(rr)
+    pivots, red = _echelon(_int_rows(aug), col_order=list(range(m.cols)))
+    assert len(pivots) == m.cols
+    e = RatMatrix(keep, m.rows)
+    for r, c in pivots:
+        if c < keep:
+            for j, v in red[r].items():
+                if j >= m.cols:
+                    e.entries[(c, j - m.cols)] = Fraction(v, red[r][c])
+    return e
+
+
+def _quotient_reference(ambient, sub):
+    """The two-elimination quotient: the pivot columns of [sub | ambient]
+    decide containment and pick the complement, then the leading rows of a
+    left inverse of [complement | sub] are the coordinate map."""
+    pivots = _pivot_columns(sub.basis + ambient.basis)
+    if len(pivots) != ambient.dim:
+        raise SubspaceNotContained("sub is not inside ambient")
+    complement = [ambient.basis[j - sub.dim] for j in pivots if j >= sub.dim]
+    n = ambient.ambient_dim
+    coords = RatMatrix(0, n)
+    if complement:
+        bmat = RatMatrix.from_columns(complement + list(sub.basis), n)
+        coords = _left_inverse_reference(bmat, len(complement))
+    return Subspace(n, complement, check=False), coords
+
+
+def _vectors(n):
+    return st.lists(small_entries, min_size=n, max_size=n).map(sparse_vector)
+
+
+def _combination(basis, coeffs):
+    v = {}
+    for b, c in zip(basis, coeffs):
+        v = vec_add(v, vec_scale(b, c))
+    return v
+
+
+@st.composite
+def ambient_and_sub(draw):
+    """An ambient subspace of Q^n from `kernel_basis`, `column_span` or
+    `Subspace.full`; a sub spanned by combinations of its basis plus at
+    most one vector drawn freely; and some vectors of the ambient."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    kind = draw(st.sampled_from(["kernel", "span", "full"]))
+    if kind == "kernel":
+        rows = draw(st.lists(_vectors(n), min_size=1, max_size=4))
+        ambient = kernel_basis(RatMatrix.from_rows(rows, ncols=n))
+    elif kind == "span":
+        ambient = column_span(draw(st.lists(_vectors(n), max_size=5)), n)
+    else:
+        ambient = Subspace.full(n)
+    coeffs = st.lists(small_entries, min_size=ambient.dim, max_size=ambient.dim)
+
+    def inside(k):
+        return [_combination(ambient.basis, c) for c in draw(st.lists(coeffs, max_size=k))]
+
+    sub = column_span(inside(3) + draw(st.lists(_vectors(n), max_size=1)), n)
+    return ambient, sub, inside(3) + ambient.basis
+
+
+@settings(max_examples=300, deadline=None)
+@given(ambient_and_sub())
+def test_quotient_matches_the_two_elimination_reference(case):
+    ambient, sub, vectors = case
+    try:
+        ref_comp, ref_coords = _quotient_reference(ambient, sub)
+    except SubspaceNotContained:
+        with pytest.raises(SubspaceNotContained):
+            quotient(ambient, sub)
+        return
+    comp, coords = quotient(ambient, sub)
+    assert comp.basis == ref_comp.basis
+    assert coords.shape == ref_coords.shape
+    for v in vectors + sub.basis:
+        assert coords.matvec(v) == ref_coords.matvec(v)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_matrix(), st.data())
+def test_kernel_coords_match_a_fresh_left_inverse(m, data):
+    ker = kernel_basis(m)
+    fresh = Subspace(m.cols, ker.basis)  # factors its own left inverse
+    coeffs = st.lists(small_entries, min_size=ker.dim, max_size=ker.dim)
+    vectors = [_combination(ker.basis, c) for c in data.draw(st.lists(coeffs, max_size=3))]
+    vectors += data.draw(st.lists(_vectors(m.cols), max_size=2))
+    for v in vectors + ker.basis:
+        x = ker.coords(v)
+        assert x == fresh.coords(v)
+        assert (x is None) == bool(m.matvec(v))
+    assert ker == fresh and fresh == ker
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_matrix())
+def test_sparse_first_bases_span_the_index_order_ones(m):
+    ker, _ = _kernel_int(_int_rows(m.sparse_rows()), m.cols)
+    assert kernel_basis(m) == Subspace(m.cols, [_primitive(v) for v in ker])
+    cols = m.transpose().sparse_rows()
+    piv, _ = _echelon(_int_rows(cols))
+    index_order = Subspace(m.rows, [cols[r] for r, _ in piv])
+    assert image_basis(m) == index_order
+    assert image_basis(m).dim == dense_rank(dense(m))
