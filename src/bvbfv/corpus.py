@@ -10,8 +10,9 @@ builder output is certified by the OrientedComplex validator.
 from __future__ import annotations
 
 import random
+from itertools import permutations
 
-from .simplicial import OrientedComplex
+from .simplicial import OrientedComplex, _perm_sign
 
 
 def point():
@@ -122,6 +123,25 @@ def relabeled(cx: OrientedComplex, seed):
     if hasattr(cx, "meta"):
         out.meta = dict(cx.meta)
     return out
+
+
+def subdivide(cx: OrientedComplex):
+    """The barycentric subdivision: one vertex per face of cx (ids count the
+    faces by dimension, then in face order) and one top simplex per full
+    flag of faces of a top simplex, listed from its vertex up and signed by
+    the permutation of the top simplex that builds the flag times the top
+    simplex's sign."""
+    ids = {}
+    for k in range(cx.dimension + 1):
+        for f in cx.faces(k):
+            ids[f] = len(ids)
+    tops = []
+    signs = []
+    for t, sgn in cx.top.items():
+        for perm in permutations(t):
+            tops.append([ids[tuple(sorted(perm[: k + 1]))] for k in range(len(t))])
+            signs.append(_perm_sign(perm) * sgn)
+    return OrientedComplex(cx.dimension, list(range(len(ids))), tops, signs)
 
 
 def with_reversed_orientation(cx: OrientedComplex):

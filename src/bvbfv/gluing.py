@@ -156,8 +156,8 @@ def _bulk_restriction(t_big: LinearTheory, t_small: LinearTheory, vmap):
 
 def _interface_restriction(t: LinearTheory, iface: OrientedComplex, vmap):
     """Flat restriction of cup-model bulk fields to interface cochains,
-    stacked per sector and degree (vmap: interface vertex -> bulk vertex)."""
-    blocks = []
+    stacked per sector and degree (vmap: interface vertex -> bulk vertex),
+    and the row offset of each (sector, degree)."""
     total = 0
     offsets = {}
     for slot in t.bulk.slots:
@@ -176,7 +176,28 @@ def _interface_restriction(t: LinearTheory, iface: OrientedComplex, vmap):
         c0 = t.bulk.offset(sec, k)
         for (i, j), v in block.entries.items():
             m[r0 + i, c0 + j] = v
-    return m, offsets, total
+    return m, offsets
+
+
+def _interface_restrictions(t_left, t_right, spec: GluingSpec, iface):
+    """The interface restrictions of the two pieces' bulk fields, the
+    interface named by its left vertices, and the stacked offsets of the
+    left one."""
+    r_of_l = dict(spec.pairs)
+    rho_l, offsets = _interface_restriction(
+        t_left, iface, {v: v for v in iface.vertex_ids})
+    rho_r, _ = _interface_restriction(
+        t_right, iface, {v: r_of_l[v] for v in iface.vertex_ids})
+    return rho_l, rho_r, offsets
+
+
+def _piece_restrictions(t_glued, t_left, t_right):
+    """The restrictions of the glued theory's bulk fields to the two
+    pieces it was glued from."""
+    meta = t_glued.cx.meta
+    return tuple(
+        _bulk_restriction(t_glued, t, {v: meta[key][v] for v in t.cx.vertex_ids})
+        for t, key in ((t_left, "left_map"), (t_right, "right_map")))
 
 
 def _cotangent_interface(t: LinearTheory, spec: GluingSpec, side):
@@ -213,7 +234,7 @@ def _cotangent_interface(t: LinearTheory, spec: GluingSpec, side):
         for (i, j), v in t.pi.entries.items():
             if i == src_row:
                 m[r, j] = sgn * v
-    return m, len(keys)
+    return m
 
 
 def _gh0_kernel(t: LinearTheory):
@@ -227,7 +248,7 @@ def _gh0_kernel(t: LinearTheory):
     )
 
 
-def fiber_product_check(t_glued, t_left, t_right, spec: GluingSpec, glued_cx=None):
+def fiber_product_check(t_glued, t_left, t_right, spec: GluingSpec):
     """dim EL of the glued theory equals the dimension of the fiber product
     of the pieces' EL spaces over the interface fields.
 
@@ -238,27 +259,22 @@ def fiber_product_check(t_glued, t_left, t_right, spec: GluingSpec, glued_cx=Non
     rather than a matching condition, so only the classical sector has a
     discrete fiber-product statement.
     """
-    glued_cx = glued_cx or t_glued.cx
-    iface = spec.interface_complex()
     if t_left.model == "cotangent":
         el_n = _gh0_kernel(t_glued).dim
         el_l = _gh0_kernel(t_left)
         el_r = _gh0_kernel(t_right)
-        rho_l, wdim = _cotangent_interface(t_left, spec, "left")
-        rho_r, wdim2 = _cotangent_interface(t_right, spec, "right")
+        rho_l = _cotangent_interface(t_left, spec, "left")
+        rho_r = _cotangent_interface(t_right, spec, "right")
     else:
         el_n = kernel_basis(t_glued.Q).dim
         el_l = kernel_basis(t_left.Q)
         el_r = kernel_basis(t_right.Q)
-        lmapv = {v: v for v in iface.vertex_ids}
-        r_of_l = {l: r for l, r in spec.pairs}
-        rmapv = {v: r_of_l[v] for v in iface.vertex_ids}
-        rho_l, _, wdim = _interface_restriction(t_left, iface, lmapv)
-        rho_r, _, wdim2 = _interface_restriction(t_right, iface, rmapv)
-    if wdim != wdim2:
+        rho_l, rho_r, _ = _interface_restrictions(
+            t_left, t_right, spec, spec.interface_complex())
+    if rho_l.rows != rho_r.rows:
         raise GluingError("interface field spaces disagree")
     na, nb = el_l.dim, el_r.dim
-    cond = RatMatrix(wdim, na + nb)
+    cond = RatMatrix(rho_l.rows, na + nb)
     for j, b in enumerate(el_l.basis):
         for i, v in rho_l.matvec(b).items():
             cond[i, j] = v
@@ -280,7 +296,7 @@ def _require_cup(*theories):
                 f"(bf or cs); {t.kind} is a {t.model} model")
 
 
-def glue_moduli(t_left, t_right, spec: GluingSpec, t_glued, epsilon=None):
+def glue_moduli(t_left, t_right, spec: GluingSpec, t_glued):
     """Intrinsic reconstruction of the symplectic moduli of the glued theory:
 
       (i)  the fiber product of the pieces' symplectic moduli over the
@@ -299,22 +315,16 @@ def glue_moduli(t_left, t_right, spec: GluingSpec, t_glued, epsilon=None):
     sm_r = symp_moduli(t_right)
     model_l = sm_l["model"]
     model_r = sm_r["model"]
-    lmapv = {v: v for v in iface.vertex_ids}
-    r_of_l = {l: r for l, r in spec.pairs}
-    rmapv = {v: r_of_l[v] for v in iface.vertex_ids}
-    rho_l, _, wdim = _interface_restriction(t_left, iface, lmapv)
-    rho_r, _, _ = _interface_restriction(t_right, iface, rmapv)
+    rho_l, rho_r, _ = _interface_restrictions(t_left, t_right, spec, iface)
     ghosts = sorted(set(model_l.ghosts) | set(model_r.ghosts))
     mt_basis = {}      # ghost -> basis of M-tilde in (left reps + right reps) coords
-    quotient_dims = {}
-    intrinsic_reps = {}
     for g in ghosts:
         reps_l = sm_l["reps"].get(g, [])
         reps_r = sm_r["reps"].get(g, [])
         na, nb = len(reps_l), len(reps_r)
         idx_l = t_left.bulk.ghost_indices(g)
         idx_r = t_right.bulk.ghost_indices(g)
-        cond = RatMatrix(wdim, na + nb)
+        cond = RatMatrix(rho_l.rows, na + nb)
         for j, rep in enumerate(reps_l):
             flat = {idx_l[i]: v for i, v in rep.items()}
             for i, v in rho_l.matvec(flat).items():
@@ -367,14 +377,11 @@ def glue_moduli(t_left, t_right, spec: GluingSpec, t_glued, epsilon=None):
         for g in set(intrinsic_dims) | set(direct_dims)
     )
     # explicit isomorphism: restrict glued representatives to the pieces
-    lmap = t_glued.cx.meta["left_map"]
-    rmap = t_glued.cx.meta["right_map"]
-    res_l = _bulk_restriction(t_glued, t_left, {v: lmap[v] for v in t_left.cx.vertex_ids})
-    res_r = _bulk_restriction(t_glued, t_right, {v: rmap[v] for v in t_right.cx.vertex_ids})
+    res_l, res_r = _piece_restrictions(t_glued, t_left, t_right)
     iso_ok = dims_match
     pair_ok = True
-    eps_l = _orientation_factor(t_glued, t_left, {v: lmap[v] for v in t_left.cx.vertex_ids})
-    eps_r = _orientation_factor(t_glued, t_right, {v: rmap[v] for v in t_right.cx.vertex_ids})
+    eps_l = _orientation_factor(t_glued, t_left, t_glued.cx.meta["left_map"])
+    eps_r = _orientation_factor(t_glued, t_right, t_glued.cx.meta["right_map"])
     for g in ghosts:
         mt, comp, coords, na, nb = quotients[g]
         reps_n = sm_n["reps"].get(g, [])
@@ -478,31 +485,15 @@ def mayer_vietoris(t_glued, t_left, t_right, spec: GluingSpec, models=None):
     model_n, model_l, model_r = models or (
         ReducedModel(t_glued), ReducedModel(t_left), ReducedModel(t_right))
     iface = spec.interface_complex()
-    lmap = t_glued.cx.meta["left_map"]
-    rmap = t_glued.cx.meta["right_map"]
-    res_l = _bulk_restriction(t_glued, t_left, {v: lmap[v] for v in t_left.cx.vertex_ids})
-    res_r = _bulk_restriction(t_glued, t_right, {v: rmap[v] for v in t_right.cx.vertex_ids})
-    lmapv = {v: v for v in iface.vertex_ids}
-    r_of_l = {l: r for l, r in spec.pairs}
-    rmapv = {v: r_of_l[v] for v in iface.vertex_ids}
-    rho_l, ioffs, wdim = _interface_restriction(t_left, iface, lmapv)
-    rho_r, _, _ = _interface_restriction(t_right, iface, rmapv)
+    res_l, res_r = _piece_restrictions(t_glued, t_left, t_right)
+    rho_l, rho_r, ioffs = _interface_restrictions(t_left, t_right, spec, iface)
     rho_l_rows = rho_l.sparse_rows()
 
     ghosts = sorted(set(t_glued.bulk.ghosts()) | {0})
     gmax, gmin = max(ghosts), min(ghosts)
 
-    def iface_ghost_rows(g):
-        rows = []
-        for slot in t_left.bulk.slots:
-            sec, k = slot["sector"], slot["degree"]
-            if (sec, k) in ioffs and slot["ghost"] == g:
-                off = ioffs[(sec, k)]
-                rows.extend(range(off, off + iface.n_faces(k)))
-        return rows
-
     # interface differential on stacked interface fields
-    qw = RatMatrix(wdim, wdim)
+    qw = RatMatrix(rho_l.rows, rho_l.rows)
     for slot in t_left.bulk.slots:
         sec, k = slot["sector"], slot["degree"]
         if (sec, k) not in ioffs or (sec, k + 1) not in ioffs:
@@ -512,7 +503,8 @@ def mayer_vietoris(t_glued, t_left, t_right, spec: GluingSpec, models=None):
         c0 = ioffs[(sec, k)]
         for (i, j), v in d.entries.items():
             qw[r0 + i, c0 + j] = v
-    piece_w = _ghost_piece("iface", qw, {g: iface_ghost_rows(g) for g in ghosts})
+    piece_w = _ghost_piece(
+        "iface", qw, {g: _interface_rows_of_ghost(t_left, iface, g) for g in ghosts})
 
     def build_sequence(piece_n, piece_l, piece_r):
         """Generic MV over the given quotient pieces of the three theories."""
@@ -535,7 +527,7 @@ def mayer_vietoris(t_glued, t_left, t_right, spec: GluingSpec, models=None):
             maps.append(m)
             nodes.append((f"pieces@gh{g}", nl + nr))
             # difference of interface restrictions
-            wrows = iface_ghost_rows(g)
+            wrows = _interface_rows_of_ghost(t_left, iface, g)
             m2 = RatMatrix(piece_w.h_dim(g), nl + nr)
             idx_l = t_left.bulk.ghost_indices(g)
             for j, rep in enumerate(piece_l.reps(g)):
@@ -619,12 +611,9 @@ def compose_morphisms(t1, t2, spec: GluingSpec, build):
 
     cx = glue(spec)
     t = build(cx)
-    lmap = cx.meta["left_map"]
-    rmap = cx.meta["right_map"]
-    res_l = _bulk_restriction(t, t1, {v: lmap[v] for v in t1.cx.vertex_ids})
-    res_r = _bulk_restriction(t, t2, {v: rmap[v] for v in t2.cx.vertex_ids})
-    eps = _orientation_factor(t, t1, lmap)
-    eps_r = _orientation_factor(t, t2, rmap)
+    res_l, res_r = _piece_restrictions(t, t1, t2)
+    eps = _orientation_factor(t, t1, cx.meta["left_map"])
+    eps_r = _orientation_factor(t, t2, cx.meta["right_map"])
     s_sum = (res_l.transpose() * t1.S_mat * res_l).scale(eps) + \
         (res_r.transpose() * t2.S_mat * res_r).scale(eps_r)
     diff = t.S_mat - s_sum

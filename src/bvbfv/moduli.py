@@ -76,9 +76,9 @@ class ReducedModel:
         self.bdry = _ghost_piece("boundary", t.Q_bdry, bdry_idx)
         self.pi_blocks = {g: t.pi.submatrix(bdry_idx[g], bulk_idx[g]) for g in ghosts}
         # vertical complex: per-ghost kernel of pi with Q expressed in it
-        self.K = {g: kernel_basis(self.pi_blocks[g]).matrix() for g in ghosts}
+        self._ker_pi = {g: kernel_basis(self.pi_blocks[g]) for g in ghosts}
+        self.K = {g: k._basis_matrix() for g, k in self._ker_pi.items()}
         vq = {}
-        self._kinv = {}
         self._lift = {}
         for g in ghosts:
             kg = self.K[g]
@@ -124,10 +124,9 @@ class ReducedModel:
     # --- factored once per ghost ------------------------------------------
 
     def k_inv(self, g):
-        """Left inverse of K[g], the basis of ker pi at ghost g."""
-        if g not in self._kinv:
-            self._kinv[g] = _left_inverse(self.K[g])
-        return self._kinv[g]
+        """Left inverse of K[g], the basis of ker pi at ghost g: the one its
+        kernel elimination presets, so no factorization is repeated."""
+        return self._ker_pi[g]._left_inv()
 
     def lift(self, g):
         """R with pi_blocks[g] R = I: column j lifts the j-th boundary unit
@@ -216,7 +215,7 @@ class ReducedModel:
         key = ("Pd", g)
         if key not in self._pair:
             gp = self.pair_ghost() + 1 - g
-            self._pair[key] = _pairing_block(self.t.pair_bdry_mat, self._bdry_flat(g),
+            self._pair[key] = _pairing_block(self.t.omega_bdry, self._bdry_flat(g),
                                               self._bdry_flat(gp))
         return self._pair[key]
 
@@ -392,10 +391,8 @@ def lefschetz(t: LinearTheory, model: ReducedModel | None = None):
         # remaining square: P2 . beta = sign * [pair_bdry(P_bdry pi x, y)]
         bb = model.beta(c + 1 - g)
         lhs = p2 * bb
-        pxs = [t.pi.matvec(xf) for xf in model._bulk_flat(g)]
-        if t.P_bdry is not None:
-            pxs = [t.P_bdry.matvec(px) for px in pxs]
-        w = _pairing_block(t.pair_bdry_mat, pxs, model._bdry_flat(c + 1 - g))
+        pxs = [t.P_bdry.matvec(t.pi.matvec(xf)) for xf in model._bulk_flat(g)]
+        w = _pairing_block(t.omega_bdry, pxs, model._bdry_flat(c + 1 - g))
         if lhs != w.scale(t.adj_psi_sign):
             verdicts["dual_square_commutes"] = False
     return {"verdicts": verdicts, "blocks": blocks, "model": model}

@@ -11,9 +11,11 @@ calibrated once so that, with the differential acting sector-wise and
 Stokes/Leibniz holding exactly, all master-equation identities are exact
 matrix identities; the frozen signs appear below as explicit degree rules.
 
-Cotangent model (scalar field, electrodynamics): positions are cochains,
-momenta live in mapping-cone chain spaces carrying explicit boundary-flux
-components, antifields in the dual spaces.  The Hodge star is the identity
+Cotangent model (scalar field p = 0, electrodynamics p = 1): one builder
+for the free p-form field.  The ghost lives in C^{p-1}, the position in the
+relative cochain cone C^p(N) + C^{p-1}(dN), the momentum in the relative
+chain cone C_{p+1}(N) + C_p(dN) whose extra summand is the explicit boundary
+flux, and the antifields in the dual spaces.  The Hodge star is the identity
 Gram matrix; the adjoint differential is the transpose, and the cone
 components produce the exact discrete Green formula that feeds the boundary
 one-form.
@@ -190,9 +192,8 @@ class LinearTheory:
         self.S_mat = kw["S_mat"]
         self.S_bdry_mat = kw["S_bdry_mat"]
         self.P = kw.get("P")                  # second-slot rule for L_Q omega
-        self.P_bdry = kw.get("P_bdry")
+        self.P_bdry = kw["P_bdry"]
         self.pair_bulk_mat = kw["pair_bulk_mat"]
-        self.pair_bdry_mat = kw["pair_bdry_mat"]
         self.adj_beta_sign = kw["adj_beta_sign"]
         self.adj_psi_sign = kw["adj_psi_sign"]
         self.model = kw["model"]              # 'cup' | 'cotangent'
@@ -207,17 +208,9 @@ class LinearTheory:
     def pair_bulk(self, u, v):
         return vec_dot(u, self.pair_bulk_mat.matvec(v))
 
-    def pair_bdry(self, u, v):
-        return vec_dot(u, self.pair_bdry_mat.matvec(v))
-
     def __repr__(self):
         return (f"LinearTheory({self.name}, n={self.n}, D={self.D}, "
                 f"bulk dim {self.bulk.total}, boundary dim {self.bdry.total})")
-
-
-def _restriction_blocks(cx: OrientedComplex):
-    _, _, restr = cx.relative_complex()
-    return restr
 
 
 # ---------------------------------------------------------------------------
@@ -259,12 +252,11 @@ def build_abelian_bf(cx: OrientedComplex, ambient_n=None) -> LinearTheory:
             for k in range(D - 1):
                 set_block(Qb, bdry, (sec, k + 1), bdry, (sec, k), bc.coboundary_matrix(k))
 
-    restr = _restriction_blocks(cx)
     pi = RatMatrix(bdry.total, bulk.total)
     if has_bdry:
         for sec in ("A", "B"):
             for k in range(D):
-                set_block(pi, bdry, (sec, k), bulk, (sec, k), restr.block(k))
+                set_block(pi, bdry, (sec, k), bulk, (sec, k), cx.restriction_matrix(k))
 
     sgn_n = (-1) ** D
     # omega(xi, eta) = sum_k (-1)^D <eta_B^(D-k) cup xi_A^(k)>
@@ -329,7 +321,6 @@ def build_abelian_bf(cx: OrientedComplex, ambient_n=None) -> LinearTheory:
         P=P,
         P_bdry=P_bdry,
         pair_bulk_mat=omega,
-        pair_bdry_mat=omega_bdry,
         adj_beta_sign=Fraction(sgn_n),
         adj_psi_sign=Fraction(sgn_n),
         model="cup",
@@ -370,11 +361,10 @@ def build_abelian_cs(cx: OrientedComplex, ambient_n=3) -> LinearTheory:
     if has_bdry:
         for k in range(D - 1):
             set_block(Qb, bdry, ("A", k + 1), bdry, ("A", k), bc.coboundary_matrix(k))
-    restr = _restriction_blocks(cx)
     pi = RatMatrix(bdry.total, bulk.total)
     if has_bdry:
         for k in range(D):
-            set_block(pi, bdry, ("A", k), bulk, ("A", k), restr.block(k))
+            set_block(pi, bdry, ("A", k), bulk, ("A", k), cx.restriction_matrix(k))
     pair = RatMatrix(bulk.total, bulk.total)
     for k in range(D + 1):
         set_block(pair, bulk, ("A", k), bulk, ("A", D - k), cup_block(cx, k, D - k))
@@ -409,7 +399,6 @@ def build_abelian_cs(cx: OrientedComplex, ambient_n=3) -> LinearTheory:
         P=None,
         P_bdry=P_bdry,
         pair_bulk_mat=pair,
-        pair_bdry_mat=pair_b,
         adj_beta_sign=Fraction(1),
         adj_psi_sign=Fraction(1),
         model="cup",
@@ -417,248 +406,107 @@ def build_abelian_cs(cx: OrientedComplex, ambient_n=3) -> LinearTheory:
 
 
 # ---------------------------------------------------------------------------
-# scalar field (cotangent cone model)
+# free p-form fields (cotangent cone model): scalar p = 0, electrodynamics p = 1
+
+# (ghost, position, partner, momentum, flux) sectors of the free p-form
+# field; a sector of negative degree is None.  The antifield of sector s
+# is s + "+".
+_CONE_SECTORS = {0: (None, "phi", None, "p", "p_flux"),
+                 1: ("c", "A", "A0", "B", "B1")}
 
 
-def build_scalar(cx: OrientedComplex, mass=0) -> LinearTheory:
-    """Free scalar: position in C^0, momentum in the relative 1-chain cone
-    C_1(N) + C_0(dN) (the extra summand is the explicit boundary flux),
-    antifields in the duals.  The mass enters as a rational diagonal block.
-    """
-    mass = Fraction(mass)
-    if mass < 0:
-        raise TheoryError("mass must be >= 0")
+def _cone_theory(cx: OrientedComplex, p, mass, *, name, kind) -> LinearTheory:
+    """The free p-form field as a cotangent cone model (see the module
+    docstring).  Its boundary fields are the ghost, the position, the flux
+    (named after the momentum) and the position antifield; the mass enters
+    as a rational diagonal block."""
     n = cx.dimension
-    D = n
     bc = cx.boundary_complex()
-    has_bdry = bc.n_faces(0) > 0
-    nb0 = bc.n_faces(0) if has_bdry else 0
     c = Fraction((-1) ** n)
+    gh, x, y, m, f = zip(_CONE_SECTORS[p], (p - 1, p, p - 1, p + 1, p))
+
+    def plus(slot):
+        return (slot[0] and slot[0] + "+", slot[1])
+
+    def eye(space, slot):
+        return RatMatrix.identity(space.dim(*slot))
+
+    def cob(space, k):                      # C^k -> C^{k+1}
+        return space.coboundary_matrix(k) if k >= 0 else None
+
+    def bdy(space, k):                      # C_k -> C_{k-1}
+        return chain_boundary(space, k) if k >= 1 else None
+
+    def incl(k):                            # C_k(dN) -> C_k(N)
+        return boundary_vertex_inclusion(cx, k) if k >= 0 else None
 
     bulk = FieldSpace()
-    bulk.add("phi", 0, cx.n_faces(0), 0)
-    bulk.add("p", 1, cx.n_faces(1), 0)          # 1-chain part of the momentum
-    bulk.add("p_flux", 0, nb0, 0)               # boundary flux part
-    bulk.add("phi+", 0, cx.n_faces(0), -1)
-    bulk.add("p+", 1, cx.n_faces(1), -1)
-    bulk.add("p_flux+", 0, nb0, -1)
+    for slot, dim, ghost in ((gh, cx.n_faces(p - 1), 1), (x, cx.n_faces(p), 0),
+                             (y, bc.n_faces(p - 1), 0), (m, cx.n_faces(p + 1), 0),
+                             (f, bc.n_faces(p), 0)):
+        bulk.add(*slot, dim, ghost)
+    for slot, ghost in ((x, -1), (y, -1), (m, -1), (f, -1), (gh, -2)):
+        bulk.add(*plus(slot), bulk.dim(*slot), ghost)
+    xp, yp, mp, fp, ghp = plus(x), plus(y), plus(m), plus(f), plus(gh)
+    mb = (m[0], p)                          # the flux, on the boundary
+    xpb = (xp[0], p - 1)                    # the boundary home of y+
     bdry = FieldSpace()
-    if has_bdry:
-        bdry.add("phi", 0, nb0, 0)
-        bdry.add("p", 0, nb0, 0)
-
-    d0 = cx.coboundary_matrix(0)
-    bdy1 = chain_boundary(cx, 1)                 # C_1 -> C_0
-    iota0 = boundary_vertex_inclusion(cx, 0)     # C_0(dN) -> C_0(N)
-    ident_e = RatMatrix.identity(cx.n_faces(1))
-    ident_v = RatMatrix.identity(cx.n_faces(0))
+    bdry.add(*gh, bc.n_faces(p - 1), 1)
+    bdry.add(*x, bc.n_faces(p), 0)
+    bdry.add(*mb, bc.n_faces(p), 0)
+    bdry.add(*xpb, bc.n_faces(p - 1), -1)
+    mass2 = mass * mass
 
     Q = RatMatrix(bulk.total, bulk.total)
-    set_block(Q, bulk, ("phi+", 0), bulk, ("p", 1), bdy1, c)
-    if has_bdry:
-        set_block(Q, bulk, ("phi+", 0), bulk, ("p_flux", 0), iota0, -c)
-    if mass:
-        set_block(Q, bulk, ("phi+", 0), bulk, ("phi", 0), ident_v, -c * mass * mass)
-    set_block(Q, bulk, ("p+", 1), bulk, ("phi", 0), d0, c)
-    set_block(Q, bulk, ("p+", 1), bulk, ("p", 1), ident_e, c)
-    Qb = RatMatrix(bdry.total, bdry.total)
-
-    restr0 = _restriction_blocks(cx).block(0)
-    pi = RatMatrix(bdry.total, bulk.total)
-    if has_bdry:
-        set_block(pi, bdry, ("phi", 0), bulk, ("phi", 0), restr0)
-        set_block(pi, bdry, ("p", 0), bulk, ("p_flux", 0), RatMatrix.identity(nb0))
-
-    omega = RatMatrix(bulk.total, bulk.total)
-    for a, b, dim in (("phi", "phi+", cx.n_faces(0)), ("p", "p+", cx.n_faces(1))):
-        ident = RatMatrix.identity(dim)
-        da = 0 if a == "phi" else 1
-        set_block(omega, bulk, (a, da), bulk, (b, da), ident)
-        set_block(omega, bulk, (b, da), bulk, (a, da), ident)
-    if has_bdry:
-        ib = RatMatrix.identity(nb0)
-        set_block(omega, bulk, ("p_flux", 0), bulk, ("p_flux+", 0), ib)
-        set_block(omega, bulk, ("p_flux+", 0), bulk, ("p_flux", 0), ib)
-
-    omega_bdry = RatMatrix(bdry.total, bdry.total)
-    alpha = RatMatrix(bdry.total, bdry.total)
-    if has_bdry:
-        ib = RatMatrix.identity(nb0)
-        set_block(omega_bdry, bdry, ("phi", 0), bdry, ("p", 0), ib)
-        set_block(omega_bdry, bdry, ("p", 0), bdry, ("phi", 0), ib, -1)
-        set_block(alpha, bdry, ("p", 0), bdry, ("phi", 0), ib, -c)
-
-    S_mat = RatMatrix(bulk.total, bulk.total)
-    set_block(S_mat, bulk, ("p", 1), bulk, ("phi", 0), d0)
-    set_block(S_mat, bulk, ("p", 1), bulk, ("p", 1), ident_e, Fraction(1, 2))
-    if mass:
-        set_block(S_mat, bulk, ("phi", 0), bulk, ("phi", 0), ident_v,
-                  -mass * mass / 2)
-
-    P = bulk.diag_sign(lambda sec, k, g: -1)
-    P_bdry = bdry.diag_sign(lambda sec, k, g: 1)
-
-    return LinearTheory(
-        name=f"scalar(m={mass})",
-        kind="scalar",
-        n=n,
-        D=D,
-        cx=cx,
-        bulk=bulk,
-        bdry=bdry,
-        Q=Q,
-        Q_bdry=Qb,
-        pi=pi,
-        omega=omega,
-        omega_bdry=omega_bdry,
-        alpha_bdry=alpha,
-        S_mat=S_mat,
-        S_bdry_mat=RatMatrix(bdry.total, bdry.total),
-        P=P,
-        P_bdry=P_bdry,
-        pair_bulk_mat=omega,
-        pair_bdry_mat=omega_bdry,
-        adj_beta_sign=Fraction((-1) ** n),
-        adj_psi_sign=Fraction(-((-1) ** n)),
-        model="cotangent",
-        mass=mass,
-        meta={"bdry_flux_sectors": {"p"}},
-    )
-
-
-# ---------------------------------------------------------------------------
-# electrodynamics (cotangent cone model)
-
-
-def build_electrodynamics(cx: OrientedComplex, ambient_n=None) -> LinearTheory:
-    """BV-extended electrodynamics.
-
-    Positions: ghost c in C^0, potential A in the relative cochain cone
-    C^1(N) + C^0(dN), field strength momentum B in the relative 2-chain
-    cone C_2(N) + C_1(dN); antifields in the dual spaces.  The chain-cone
-    homes make the antifield sector moduli agree with the topological
-    formulas (relative homology = Lefschetz duals) also when the boundary
-    is nonempty.
-    """
-    n = cx.dimension if ambient_n is None else int(ambient_n)
-    if n < 2:
-        raise WrongDimension("electrodynamics needs dimension >= 2")
-    if cx.dimension != n:
-        raise WrongDimension("electrodynamics is built on the full-dimensional complex")
-    D = n
-    bc = cx.boundary_complex()
-    has_bdry = bc.n_faces(0) > 0
-    nb0 = bc.n_faces(0) if has_bdry else 0
-    nb1 = bc.n_faces(1) if has_bdry else 0
-    c = Fraction((-1) ** n)
-
-    bulk = FieldSpace()
-    bulk.add("c", 0, cx.n_faces(0), 1)
-    bulk.add("A", 1, cx.n_faces(1), 0)
-    bulk.add("A0", 0, nb0, 0)                # cone partner of A (boundary ghost of the pair)
-    bulk.add("B", 2, cx.n_faces(2), 0)       # 2-chain part of B
-    bulk.add("B1", 1, nb1, 0)                # boundary 1-chain part of B (flux)
-    bulk.add("A+", 1, cx.n_faces(1), -1)     # 1-chains
-    bulk.add("A0+", 0, nb0, -1)
-    bulk.add("B+", 2, cx.n_faces(2), -1)     # 2-cochains
-    bulk.add("B1+", 1, nb1, -1)
-    bulk.add("c+", 0, cx.n_faces(0), -2)     # 0-chains
-
-    bdry = FieldSpace()
-    if has_bdry:
-        bdry.add("c", 0, nb0, 1)
-        bdry.add("A", 1, nb1, 0)
-        bdry.add("B", 1, nb1, 0)             # 1-chains on the boundary
-        bdry.add("A+", 0, nb0, -1)           # 0-chains on the boundary
-
-    d0 = cx.coboundary_matrix(0)
-    d1 = cx.coboundary_matrix(1)
-    bdy1 = chain_boundary(cx, 1)
-    bdy2 = chain_boundary(cx, 2)
-    iota0 = boundary_vertex_inclusion(cx, 0)
-    iota1 = boundary_vertex_inclusion(cx, 1)
-    d0b = bc.coboundary_matrix(0) if has_bdry else RatMatrix.zero(0, 0)
-    bdy1b = chain_boundary(bc, 1) if has_bdry else RatMatrix.zero(0, 0)
-
-    Q = RatMatrix(bulk.total, bulk.total)
-    set_block(Q, bulk, ("A", 1), bulk, ("c", 0), d0, c)
-    set_block(Q, bulk, ("A+", 1), bulk, ("B", 2), bdy2, c)
-    if has_bdry:
-        set_block(Q, bulk, ("A+", 1), bulk, ("B1", 1), iota1, -c)
-        set_block(Q, bulk, ("A0+", 0), bulk, ("B1", 1), bdy1b, -c)
-        set_block(Q, bulk, ("B1+", 1), bulk, ("A0", 0), d0b, -c)
-        set_block(Q, bulk, ("c+", 0), bulk, ("A0+", 0), iota0, -c)
-    set_block(Q, bulk, ("B+", 2), bulk, ("A", 1), d1, c)
-    set_block(Q, bulk, ("B+", 2), bulk, ("B", 2), RatMatrix.identity(cx.n_faces(2)), c)
-    set_block(Q, bulk, ("c+", 0), bulk, ("A+", 1), bdy1, c)
+    set_block(Q, bulk, x, bulk, gh, cob(cx, p - 1), c)
+    set_block(Q, bulk, xp, bulk, m, bdy(cx, p + 1), c)
+    set_block(Q, bulk, xp, bulk, f, incl(p), -c)
+    set_block(Q, bulk, yp, bulk, f, bdy(bc, p), -c)
+    set_block(Q, bulk, fp, bulk, y, cob(bc, p - 1), -c)
+    set_block(Q, bulk, ghp, bulk, yp, incl(p - 1), -c)
+    set_block(Q, bulk, xp, bulk, x, eye(bulk, x), -c * mass2)
+    set_block(Q, bulk, mp, bulk, x, cob(cx, p), c)
+    set_block(Q, bulk, mp, bulk, m, eye(bulk, m), c)
+    set_block(Q, bulk, ghp, bulk, xp, bdy(cx, p), c)
 
     Qb = RatMatrix(bdry.total, bdry.total)
-    if has_bdry:
-        set_block(Qb, bdry, ("A", 1), bdry, ("c", 0), d0b, c)
-        set_block(Qb, bdry, ("A+", 0), bdry, ("B", 1), bdy1b, -c)
+    set_block(Qb, bdry, x, bdry, gh, cob(bc, p - 1), c)
+    set_block(Qb, bdry, xpb, bdry, mb, bdy(bc, p), -c)
 
-    restr = _restriction_blocks(cx)
     pi = RatMatrix(bdry.total, bulk.total)
-    if has_bdry:
-        set_block(pi, bdry, ("c", 0), bulk, ("c", 0), restr.block(0))
-        set_block(pi, bdry, ("A", 1), bulk, ("A", 1), restr.block(1))
-        set_block(pi, bdry, ("B", 1), bulk, ("B1", 1), RatMatrix.identity(nb1))
-        set_block(pi, bdry, ("A+", 0), bulk, ("A0+", 0), RatMatrix.identity(nb0))
+    set_block(pi, bdry, gh, bulk, gh, cx.restriction_matrix(p - 1) if p else None)
+    set_block(pi, bdry, x, bulk, x, cx.restriction_matrix(p))
+    set_block(pi, bdry, mb, bulk, f, eye(bulk, f))
+    set_block(pi, bdry, xpb, bulk, yp, eye(bulk, yp))
 
     omega = RatMatrix(bulk.total, bulk.total)
-    dual_pairs = [
-        (("c", 0), ("c+", 0), cx.n_faces(0)),
-        (("A", 1), ("A+", 1), cx.n_faces(1)),
-        (("B", 2), ("B+", 2), cx.n_faces(2)),
-    ]
-    if has_bdry:
-        dual_pairs += [
-            (("A0", 0), ("A0+", 0), nb0),
-            (("B1", 1), ("B1+", 1), nb1),
-        ]
-    for a, b, dim in dual_pairs:
-        ident = RatMatrix.identity(dim)
-        set_block(omega, bulk, a, bulk, b, ident)
-        set_block(omega, bulk, b, bulk, a, ident)
+    for slot in (gh, x, m, y, f):
+        set_block(omega, bulk, slot, bulk, plus(slot), eye(bulk, slot))
+        set_block(omega, bulk, plus(slot), bulk, slot, eye(bulk, slot))
 
     omega_bdry = RatMatrix(bdry.total, bdry.total)
+    set_block(omega_bdry, bdry, x, bdry, mb, eye(bdry, mb))
+    set_block(omega_bdry, bdry, mb, bdry, x, eye(bdry, mb), -1)
+    set_block(omega_bdry, bdry, gh, bdry, xpb, eye(bdry, xpb))
+    set_block(omega_bdry, bdry, xpb, bdry, gh, eye(bdry, xpb), -1)
     alpha = RatMatrix(bdry.total, bdry.total)
-    if has_bdry:
-        iv = RatMatrix.identity(nb0)
-        ie = RatMatrix.identity(nb1)
-        set_block(omega_bdry, bdry, ("A", 1), bdry, ("B", 1), ie)
-        set_block(omega_bdry, bdry, ("B", 1), bdry, ("A", 1), ie, -1)
-        set_block(omega_bdry, bdry, ("c", 0), bdry, ("A+", 0), iv)
-        set_block(omega_bdry, bdry, ("A+", 0), bdry, ("c", 0), iv, -1)
-        set_block(alpha, bdry, ("B", 1), bdry, ("A", 1), ie, -c)
-        set_block(alpha, bdry, ("A+", 0), bdry, ("c", 0), iv, -c)
+    set_block(alpha, bdry, mb, bdry, x, eye(bdry, mb), -c)
+    set_block(alpha, bdry, xpb, bdry, gh, eye(bdry, xpb), -c)
 
     S_mat = RatMatrix(bulk.total, bulk.total)
-    set_block(S_mat, bulk, ("B", 2), bulk, ("A", 1), d1)
-    set_block(S_mat, bulk, ("B", 2), bulk, ("B", 2),
-              RatMatrix.identity(cx.n_faces(2)), Fraction(1, 2))
-    set_block(S_mat, bulk, ("A+", 1), bulk, ("c", 0), d0)
-    if has_bdry:
-        set_block(S_mat, bulk, ("B1", 1), bulk, ("A0", 0), d0b, -1)
-
+    set_block(S_mat, bulk, m, bulk, x, cob(cx, p))
+    set_block(S_mat, bulk, m, bulk, m, eye(bulk, m), Fraction(1, 2))
+    set_block(S_mat, bulk, xp, bulk, gh, cob(cx, p - 1))
+    set_block(S_mat, bulk, f, bulk, y, cob(bc, p - 1), -1)
+    set_block(S_mat, bulk, x, bulk, x, eye(bulk, x), -mass2 / 2)
     S_bdry = RatMatrix(bdry.total, bdry.total)
-    if has_bdry:
-        set_block(S_bdry, bdry, ("B", 1), bdry, ("c", 0), d0b, -1)
+    set_block(S_bdry, bdry, mb, bdry, gh, cob(bc, p - 1), -1)
 
-    P = bulk.diag_sign(lambda sec, k, g: -1)
-    P_bdry = bdry.diag_sign(lambda sec, k, g: 1)
-
-    formulas = {
-        "c": ("H^0(N)", 0),
-        "A": ("H^1(N)", 1),
-        "A+": (f"H^{n-1}(N)", n - 1),
-        "c+": (f"H^{n}(N)", n),
-    }
     return LinearTheory(
-        name="electrodynamics",
-        kind="electrodynamics",
+        name=name,
+        kind=kind,
         n=n,
-        D=D,
+        D=n,
         cx=cx,
         bulk=bulk,
         bdry=bdry,
@@ -670,15 +518,37 @@ def build_electrodynamics(cx: OrientedComplex, ambient_n=None) -> LinearTheory:
         alpha_bdry=alpha,
         S_mat=S_mat,
         S_bdry_mat=S_bdry,
-        P=P,
-        P_bdry=P_bdry,
+        P=bulk.diag_sign(lambda sec, k, g: -1),
+        P_bdry=bdry.diag_sign(lambda sec, k, g: 1),
         pair_bulk_mat=omega,
-        pair_bdry_mat=omega_bdry,
-        adj_beta_sign=Fraction((-1) ** n),
-        adj_psi_sign=Fraction(-((-1) ** n)),
+        adj_beta_sign=c,
+        adj_psi_sign=-c,
         model="cotangent",
-        meta={"sector_formulas": formulas, "bdry_flux_sectors": {"B", "A+"}},
+        mass=mass,
+        meta={"bdry_flux_sectors": {mb[0], xpb[0]}},
     )
+
+
+def build_scalar(cx: OrientedComplex, mass=0) -> LinearTheory:
+    """Free scalar: the p = 0 cone model, position phi in C^0, momentum in
+    C_1(N) + C_0(dN) (the extra summand is the boundary flux p_flux)."""
+    mass = Fraction(mass)
+    if mass < 0:
+        raise TheoryError("mass must be >= 0")
+    return _cone_theory(cx, 0, mass, name=f"scalar(m={mass})", kind="scalar")
+
+
+def build_electrodynamics(cx: OrientedComplex, ambient_n=None) -> LinearTheory:
+    """BV-extended electrodynamics: the p = 1 cone model, ghost c in C^0,
+    potential A in C^1(N) + C^0(dN) (partner A0), field strength momentum
+    B in C_2(N) + C_1(dN) (flux B1)."""
+    n = cx.dimension if ambient_n is None else int(ambient_n)
+    if n < 2:
+        raise WrongDimension("electrodynamics needs dimension >= 2")
+    if cx.dimension != n:
+        raise WrongDimension("electrodynamics is built on the full-dimensional complex")
+    return _cone_theory(cx, 1, Fraction(0), name="electrodynamics",
+                        kind="electrodynamics")
 
 
 # ---------------------------------------------------------------------------
@@ -717,11 +587,10 @@ def build_ed_stratum(cx: OrientedComplex, ambient_n) -> LinearTheory:
     set_block(Q, bulk, ("A+", n - 1), bulk, ("B", n - 2), cx.coboundary_matrix(n - 2))
     Qb = RatMatrix(bdry.total, bdry.total)
 
-    restr = _restriction_blocks(cx)
     pi = RatMatrix(bdry.total, bulk.total)
     if has_bdry:
-        set_block(pi, bdry, ("c", 0), bulk, ("c", 0), restr.block(0))
-        set_block(pi, bdry, ("B", n - 2), bulk, ("B", n - 2), restr.block(n - 2))
+        set_block(pi, bdry, ("c", 0), bulk, ("c", 0), cx.restriction_matrix(0))
+        set_block(pi, bdry, ("B", n - 2), bulk, ("B", n - 2), cx.restriction_matrix(n - 2))
 
     omega = RatMatrix(bulk.total, bulk.total)
     set_block(omega, bulk, ("A+", n - 1), bulk, ("c", 0),
@@ -767,7 +636,6 @@ def build_ed_stratum(cx: OrientedComplex, ambient_n) -> LinearTheory:
         P=P,
         P_bdry=P_bdry,
         pair_bulk_mat=omega,
-        pair_bdry_mat=omega_bdry,
         adj_beta_sign=sgn,
         adj_psi_sign=sgn,
         model="cup",

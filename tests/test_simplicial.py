@@ -67,6 +67,22 @@ def test_builders_validate_and_betti(name):
     assert cc.betti() == KNOWN_BETTI[name]
 
 
+@pytest.mark.parametrize("name", [n for n in ALL if build(n).dimension <= 2])
+def test_subdivision_keeps_betti_numbers(name):
+    # one vertex per face, (D+1)! top simplices per top simplex, coherently
+    # oriented (the constructor validates), the same (boundary) cohomology
+    cx = build(name)
+    sd = corpus.subdivide(cx)
+    dim = cx.dimension
+    assert sd.n_faces(0) == sum(cx.n_faces(k) for k in range(dim + 1))
+    assert len(sd.top) == len(cx.top) * [1, 2, 6][dim]
+    assert sd.cochain_complex().betti() == KNOWN_BETTI[name]
+    bc, sbc = cx.boundary_complex(), sd.boundary_complex()
+    assert sbc.n_faces(0) == sum(bc.n_faces(k) for k in range(dim))
+    if bc.n_faces(0):
+        assert sbc.cochain_complex().betti() == bc.cochain_complex().betti()
+
+
 @pytest.mark.parametrize("name", ALL)
 def test_euler_characteristic_identity(name):
     cc = build(name).cochain_complex()

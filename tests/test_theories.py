@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -197,3 +198,82 @@ def test_theory_from_config_variants():
     assert t.mass == Fraction(1, 2)
     t = theory_from_config(corpus.torus(), {"kind": "abelian_bf", "codim": 1, "n": 3})
     assert t.n == 3 and t.D == 2
+
+
+# --- the cone-model builder, pinned ---------------------------------------------
+
+# sha256 of every slot and every matrix, entries in storage order, of the
+# scalar (mass 0 and 1/2) and electrodynamics on each corpus complex they
+# build on, as the separate scalar and electrodynamics builders produced them
+PINNED_CONE_MODELS = {
+    ('scalar', 'point'): "c5b3534567f505becf94af901cbaf5ed0a128ac4bf28608c1e8183fe9bc63098",
+    ('scalar_half', 'point'): "b2bd31e62f18d4f8fa0ca55d75937832b5235f3abbe87723a061f9590914e65d",
+    ('scalar', 'two_points'): "5f36564fbd715cc676a7af09d90f151d8d235502c584195df3afc8ce23a49c8c",
+    ('scalar_half', 'two_points'): "ea645e5364cb399ac09aba9c89b405186d9077c0b12ab0ef92e1c39a3269ec17",
+    ('scalar', 'interval'): "a95e9f2d23386580b1ccfe51eb12b7129c457ae26072d54fe62116b891a9a3fd",
+    ('scalar_half', 'interval'): "f6238ce9c7adbde14523eac6ea33227ca34df756e584468fe53c2fceaecfaf99",
+    ('scalar', 'interval3'): "c84fea8a8ef62e3653f645f9475cbb4184e4f77e75d24cdb3468111f08b4feda",
+    ('scalar_half', 'interval3'): "c009c07493aaccc990abb1421a2b2e2a6a56c4d3fb57c15773698652c444a016",
+    ('scalar', 'circle'): "d35b076d91f4c78793a51354d115c2ea4f26efd4231e408ec63966fba029d345",
+    ('scalar_half', 'circle'): "d985895d03084cf291712c3890275dcc389606d33545ed105c5a08e72c5c6c25",
+    ('scalar', 'disk'): "371e99fba24f1abf034345d30a9ab3edc570249407b32a1389f2c27f9c3d5358",
+    ('scalar_half', 'disk'): "dc2a662599d1842fe67d76f930d80a9e8735ed742b5be481042f981e8462704f",
+    ('ed', 'disk'): "6559752ead184420adafaf9b05567db102b01c792b55d5c2400090e57a1d7fdc",
+    ('scalar', 'disk_fan'): "f4e37208d9d32c92f1a74c50bde16f5f9c77c25639ac5de305a7dadbe694e030",
+    ('scalar_half', 'disk_fan'): "11b96295fd33ac57cb157a5abd0f9699cdda4827d11980c27d917d8aca15df74",
+    ('ed', 'disk_fan'): "0d8a03a40d482993ee33987a2aff55d01dbb14b226837611b2bb869f0d20878a",
+    ('scalar', 'sphere'): "a03bdb9b2b5bc5bb9691351f64b0c2b79a142339d702b72981c2bebc61af4ff8",
+    ('scalar_half', 'sphere'): "5ced287547efa8337065b8bf2cb7a88ee3cf2c9de0e54afa067b53dc6d6a3e4d",
+    ('ed', 'sphere'): "6c9a8fdb6d9bc1e6ba76370c614d1a2d933a2543fd7c7431a8f83f0209a56fef",
+    ('scalar', 'cylinder'): "53780510e310620ae9e17dd688a9e8b272959246956ae2c646ac684e02fab25b",
+    ('scalar_half', 'cylinder'): "acf831e31f77d4a2c06f03403cba3ee7174cb49d1cad5e653f23026f5d67cde4",
+    ('ed', 'cylinder'): "e9e706be28e2a1accf274a55340ae5ff51b0f52fe900ff29a4454eba63008933",
+    ('scalar', 'annulus'): "2ee8e2aafe98dabc3863d112a77792cf1800de6db4788d630d2ae2b31d161151",
+    ('scalar_half', 'annulus'): "ea50cc3645b954176bdc195258879e7eda04b926fcd5df71014caa1c7b4618c9",
+    ('ed', 'annulus'): "fcd273b295854e7ac0cf60361b615566e3456af20853108f07b0a1ece806ee9d",
+    ('scalar', 'torus'): "20455eb81e1effa09b1f0c2d6b2408c4937ccccbb4b52fca4e5b95ba77881578",
+    ('scalar_half', 'torus'): "b0e64000fd72a669474394087db444dd9bf6f0b5f6db9242836e93913d8d7954",
+    ('ed', 'torus'): "dc6b1915eafc56f8e004bd6ad592e3d28550117eb16e87edf0e9efa5bf8f157a",
+    ('scalar', 'solid_torus'): "430537e2ec8bbbd8bc6030f45ac48fb30ca920474c4a519e3ca28dbc561a5319",
+    ('scalar_half', 'solid_torus'): "1c4b382ba82f83be4debc6c6c642f6ad8d892dfaac093f52b4d0ddd0ba888fdf",
+    ('ed', 'solid_torus'): "a994a37ae2c056b5939e7f212b79b20ae705dd0a89c1272e35c96ab11ccaffa9",
+    ('scalar', 'torus_times_interval'): "259953b78d95f1ee5a22fabeca75eb8b58d6ead95d1e5a1cb78a98a30d942219",
+    ('scalar_half', 'torus_times_interval'): "451d3c32211a44b2cb1db4c5c6a0abe8c6a4bdd4d1e38cb58f2da22c8203903b",
+    ('ed', 'torus_times_interval'): "512acff40d2ac6d32ea97262f9b71c33e30671575fd95edd80838850b6329648",
+}
+
+CONE_MATRICES = ("Q", "Q_bdry", "pi", "omega", "omega_bdry", "alpha_bdry", "S_mat",
+                 "S_bdry_mat", "P", "P_bdry", "pair_bulk_mat")
+
+CONE_BUILDERS = {
+    "scalar": build_scalar,
+    "scalar_half": lambda cx: build_scalar(cx, "1/2"),
+    "ed": build_electrodynamics,
+}
+
+
+def _fingerprint(t):
+    data = [t.name, t.kind, t.n, t.D, t.model, t.mass, t.adj_beta_sign,
+            t.adj_psi_sign, t.bulk.slots, t.bdry.slots]
+    for key in CONE_MATRICES:
+        m = getattr(t, key)
+        data.append((key, m.rows, m.cols, list(m.entries.items())))
+    return hashlib.sha256(repr(data).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("theory,name", sorted(PINNED_CONE_MODELS))
+def test_cone_model_pinned(theory, name):
+    t = CONE_BUILDERS[theory](corpus.BUILDERS[name]())
+    assert _fingerprint(t) == PINNED_CONE_MODELS[(theory, name)]
+
+
+def test_cone_model_pins_every_buildable_pair():
+    built = set()
+    for name, make in corpus.BUILDERS.items():
+        for theory, build in CONE_BUILDERS.items():
+            try:
+                build(make())
+            except WrongDimension:
+                continue
+            built.add((theory, name))
+    assert built == set(PINNED_CONE_MODELS)
