@@ -11,6 +11,10 @@ through `bvbfv.cli.main` with `--format structured`.  With `--against`,
 the ops whose exit code or sha256 differ from OLD.json are listed and the
 script exits 2.  A refactor that must not change any output is checked by
 snapshotting the parent commit and the change and comparing the two.
+
+Each op's line on stdout gives its exit code and wall time, and the last
+line before the comparison gives the sweep's total wall time.  Times are
+printed only; the JSON holds no timing, so snapshots stay comparable.
 """
 
 import argparse
@@ -21,6 +25,7 @@ import json
 import os
 import sys
 import tempfile
+import time
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 sys.path.insert(0, os.path.join(ROOT, "src"))
@@ -74,12 +79,17 @@ def main():
     args = ap.parse_args()
     os.chdir(ROOT)
     snap = {}
+    total = 0.0
     with tempfile.TemporaryDirectory() as tmp:
         report = os.path.join(tmp, "report.json")
         for argv in ops():
             op = " ".join(argv)
+            t0 = time.perf_counter()
             snap[op] = run(argv, report)
-            print(f"{snap[op]['exit']!s:>20} {op}", flush=True)
+            wall = time.perf_counter() - t0
+            total += wall
+            print(f"{snap[op]['exit']!s:>20} {wall:8.3f}s {op}", flush=True)
+    print(f"sweep: {len(snap)} ops in {total:.2f}s wall", flush=True)
     with open(args.out, "w") as fh:
         json.dump(snap, fh, indent=1, sort_keys=True)
         fh.write("\n")

@@ -169,10 +169,7 @@ class CochainComplex:
         if variant == "alt" and reps:
             ker = self.piece.kernel(k)
             alt = Subspace(ker.ambient_dim, ker.basis[::-1], check=False)
-            inv = ker._left_inv()       # its rows, reversed, invert alt
-            alt._inv = RatMatrix(inv.rows, inv.cols)
-            alt._inv.entries = {(inv.rows - 1 - i, j): v
-                                for (i, j), v in inv.entries.items()}
+            alt._inv = ker._left_inv().reversed()
             reps = quotient(alt, self.piece.image(k))[0].basis
         return len(reps), reps
 

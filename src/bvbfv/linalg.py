@@ -6,16 +6,26 @@ sparse maps (row, col) -> Fraction.  There is one elimination core,
 `_echelon`: fraction-free (integer row combinations after clearing
 denominators) Gauss-Jordan with a fixed pivot rule, so all bases are
 deterministic across runs.  Kernels, images, solutions, spanning subsets,
-quotients and left inverses all read its output, and a `Subspace` caches
-one left inverse of its basis for membership and coordinates.
+quotients and left inverses all read its output.
 
 Kernels and images eliminate in a static sparse-first order (the columns
 of the system by ascending nonzero count, ties by index), which keeps
 fill-in down; spanning subsets, solutions and left inverses keep index
-order, which defines what they return.  A kernel sets its left inverse
-from its free columns and `Subspace.full` from the identity, so neither
-is ever eliminated again.  A quotient is one elimination in the
-coordinates of its ambient subspace.
+order, which defines what they return.
+
+Each question about spans costs at most one elimination, in integers:
+- A `Subspace` caches one left inverse of its basis, kept as integer rows
+  over one denominator each.  A kernel sets it from its free columns and
+  `Subspace.full` from the identity, so neither is ever eliminated.
+  `coords` and `contains` apply it to the vector cleared to integers and
+  check the candidate as an integer identity; only the coordinates that
+  `coords` returns become Fractions.
+- Containment of a subspace in one without a left inverse is a rank
+  count: one `_pivot_columns` of both bases.  `==` asks the side that
+  already holds a left inverse.
+- A quotient is one elimination in the coordinates of its ambient space.
+- The complement under a symmetric or antisymmetric pairing is one
+  kernel, since its left and right complements coincide.
 """
 
 from __future__ import annotations
@@ -395,6 +405,24 @@ def _pivot_columns(columns):
     return sorted(c for _, c in pivots)
 
 
+def _clear(v):
+    """(n, d): an integer vector n and a positive integer d with v = n / d,
+    zero entries dropped."""
+    v = {j: x for j, x in v.items() if x}
+    d = lcm(*(x.denominator for x in v.values()))
+    return {j: x.numerator * (d // x.denominator) for j, x in v.items()}, d
+
+
+def _int_combination(terms):
+    """The sum of c * v over pairs (c, v) of an integer and a sparse integer
+    vector, zero entries dropped."""
+    acc = {}
+    for c, v in terms:
+        for j, x in v.items():
+            acc[j] = acc.get(j, 0) + c * x
+    return {j: x for j, x in acc.items() if x}
+
+
 def _primitive(v):
     """Scale a rational vector to primitive integer form (first nonzero > 0)."""
     if not v:
@@ -410,17 +438,58 @@ def _primitive(v):
     return {j: Fraction(x) for j, x in ints.items()}
 
 
+class _LeftInverse:
+    """A left inverse E of a basis matrix B (E B = I), kept in integers:
+    row k of E is nums[k] / dens[k], an integer sparse row over one
+    positive denominator.  `apply` reads a column view (column -> (row,
+    entry) pairs) built on first use."""
+
+    __slots__ = ("nums", "dens", "ambient_dim", "_by_col")
+
+    def __init__(self, nums, dens, ambient_dim):
+        self.nums = nums
+        self.dens = dens
+        self.ambient_dim = ambient_dim
+        self._by_col = None
+
+    def apply(self, n):
+        """The numerators of E n for an integer vector n: row k of E n is
+        apply(n)[k] / dens[k].  Zero rows are dropped."""
+        if self._by_col is None:
+            self._by_col = {}
+            for k, row in enumerate(self.nums):
+                for j, e in row.items():
+                    self._by_col.setdefault(j, []).append((k, e))
+        acc = {}
+        for j, x in n.items():
+            for k, e in self._by_col.get(j, ()):
+                acc[k] = acc.get(k, 0) + e * x
+        return {k: y for k, y in acc.items() if y}
+
+    def matrix(self):
+        """E as a rational matrix."""
+        m = RatMatrix(len(self.nums), self.ambient_dim)
+        m.entries = {(k, j): Fraction(e, d)
+                     for k, (row, d) in enumerate(zip(self.nums, self.dens))
+                     for j, e in row.items()}
+        return m
+
+    def reversed(self):
+        """The left inverse of the basis in the opposite order."""
+        return _LeftInverse(self.nums[::-1], self.dens[::-1], self.ambient_dim)
+
+
 class Subspace:
     """A subspace of Q^ambient_dim given by an independent list of sparse
     column vectors."""
 
-    __slots__ = ("ambient_dim", "basis", "_inv", "_mat")
+    __slots__ = ("ambient_dim", "basis", "_inv", "_ints")
 
     def __init__(self, ambient_dim, basis, check=True):
         self.ambient_dim = ambient_dim
         self.basis = [{i: Fraction(x) for i, x in b.items() if x} for b in basis]
         self._inv = None
-        self._mat = None
+        self._ints = None
         if check and self.basis:
             try:
                 self._left_inv()
@@ -428,19 +497,40 @@ class Subspace:
                 raise LinalgError("basis vectors are linearly dependent") from None
 
     def _left_inv(self):
-        """The cached left inverse of the basis matrix; the one
-        factorization behind the independence check, `coords`,
-        `contains`, `contains_subspace`, `==` and `quotient`.
-        `kernel_basis` and `full` set it without an elimination."""
+        """The cached left inverse of the basis matrix (a `_LeftInverse`);
+        the one factorization behind the independence check, `coords`,
+        `contains` and `quotient`, and behind `contains_subspace` and `==`
+        once it exists.  `kernel_basis` and `full` set it without an
+        elimination."""
         if self._inv is None:
-            self._inv = _left_inverse(self._basis_matrix())
+            self._inv = _left_inverse(self.matrix())
         return self._inv
 
-    def _basis_matrix(self):
-        """The cached basis matrix that `coords` checks against."""
-        if self._mat is None:
-            self._mat = self.matrix()
-        return self._mat
+    def _int_basis(self):
+        """The basis vectors as pairs (n, d) of an integer vector and a
+        positive integer, vector = n / d (cached)."""
+        if self._ints is None:
+            self._ints = [_clear(b) for b in self.basis]
+        return self._ints
+
+    def _solve(self, v):
+        """(y, d) with y[k] / (dens[k] * d) the k-th coordinate of v, where
+        dens are the left inverse's row denominators; y is None when v is
+        off the span.
+
+        With v = n / d in integers, y = E n (in numerators) is the only
+        candidate, and it is kept when basis * x == v.  Basis vector k is
+        b_k / c_k, so that is the integer identity
+        sum_k b_k * y[k] * (s / (c_k dens[k])) == n * s,
+        with s the lcm of c_k dens[k] over the support of y."""
+        n, d = _clear(v)
+        inv = self._left_inv()
+        y = inv.apply(n)
+        ints = self._int_basis()
+        s = lcm(*(ints[k][1] * inv.dens[k] for k in y))
+        back = _int_combination((yk * (s // (ints[k][1] * inv.dens[k])), ints[k][0])
+                                for k, yk in y.items())
+        return (y if back == {j: x * s for j, x in n.items()} else None), d
 
     @property
     def dim(self):
@@ -456,24 +546,37 @@ class Subspace:
         s = Subspace(
             ambient_dim, [{i: Fraction(1)} for i in range(ambient_dim)], check=False
         )
-        s._inv = RatMatrix.identity(ambient_dim)
+        s._inv = _LeftInverse([{i: 1} for i in range(ambient_dim)], [1] * ambient_dim,
+                              ambient_dim)
         return s
 
     def matrix(self):
         return RatMatrix.from_columns(self.basis, self.ambient_dim)
 
     def coords(self, v):
-        """Coordinates of v in the basis, or None when v is off the span
-        (exact: the candidate x is kept only when basis * x == v)."""
-        x = self._left_inv().matvec(v)
-        return x if vec_eq(self._basis_matrix().matvec(x), v) else None
+        """Coordinates of v in the basis, or None when v is off the span.
+        Exact: the integer check in `_solve` comes first, and only the
+        coordinates returned are built as Fractions."""
+        y, d = self._solve(v)
+        if y is None:
+            return None
+        dens = self._inv.dens
+        return {k: Fraction(y[k], dens[k] * d) for k in sorted(y)}
 
     def contains(self, v):
-        return self.coords(v) is not None
+        return self._solve(v)[0] is not None
 
     def contains_subspace(self, other):
+        """other inside self.  With a left inverse at hand, each basis
+        vector of other is checked against it; without one, by rank: other
+        lies in self exactly when no column of other is a pivot column of
+        [self.basis | other.basis], i.e. when there are self.dim pivots."""
         if other.ambient_dim != self.ambient_dim:
             raise DimensionMismatch("ambient dimensions differ")
+        if not other.dim:
+            return True
+        if self._inv is None:
+            return len(_pivot_columns(self.basis + other.basis)) == self.dim
         return all(self.contains(b) for b in other.basis)
 
     def sum(self, other):
@@ -508,12 +611,14 @@ class Subspace:
         return column_span(out, self.ambient_dim)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Subspace)
-            and self.ambient_dim == other.ambient_dim
-            and self.dim == other.dim
-            and self.contains_subspace(other)
-        )
+        """Equal spans: equal dimensions and one containment, asked of the
+        side that already holds a left inverse, if either does."""
+        if not (isinstance(other, Subspace) and self.ambient_dim == other.ambient_dim
+                and self.dim == other.dim):
+            return False
+        if self._inv is None and other._inv is not None:
+            return other.contains_subspace(self)
+        return self.contains_subspace(other)
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
@@ -542,12 +647,35 @@ def kernel_basis(m: RatMatrix) -> Subspace:
     `_sparse_first`), which keeps fill-in down.  Each basis vector is the
     only one nonzero at its free column f_k, so row k of the left inverse
     is the single entry 1 / basis[k][f_k] at f_k; it is set here, and
-    `coords`, `contains` and `==` on a kernel need no elimination."""
+    `coords`, `contains`, `contains_subspace` and `==` on a kernel need no
+    elimination."""
     ker, free = _kernel_int(_int_rows(m.sparse_rows()), m.cols,
                             _sparse_first(_counts(m, 1)))
     s = Subspace(m.cols, [_primitive(v) for v in ker], check=False)
-    s._inv = RatMatrix(s.dim, m.cols)
-    s._inv.entries = {(k, f): 1 / b[f] for k, (f, b) in enumerate(zip(free, s.basis))}
+    lead = [b[f].numerator for f, b in zip(free, s.basis)]
+    s._inv = _LeftInverse([{f: 1 if x > 0 else -1} for f, x in zip(free, lead)],
+                          [abs(x) for x in lead], m.cols)
+    return s
+
+
+def block_kernel(ambient_dim, parts) -> Subspace:
+    """kernel_basis of a map whose column blocks meet disjoint row blocks,
+    from the kernels of the blocks, with no elimination.  parts holds pairs
+    (kernel_basis(block), the block's columns in Q^ambient_dim), with the
+    columns, and the rows each block keeps, in increasing order.  The whole
+    elimination then restricts to each block's, so the embedded kernel
+    vectors, sorted by free column, are kernel_basis of the map, and the
+    preset left inverses carry over."""
+    vecs = []
+    for ker, cols in parts:
+        inv = ker._left_inv()
+        for b, num, d in zip(ker.basis, inv.nums, inv.dens):
+            ((f, e),) = num.items()
+            vecs.append((cols[f], e, d, {cols[i]: x for i, x in b.items()}))
+    vecs.sort(key=lambda t: t[0])
+    s = Subspace(ambient_dim, [b for *_, b in vecs], check=False)
+    s._inv = _LeftInverse([{f: e} for f, e, _, _ in vecs], [d for _, _, d, _ in vecs],
+                          ambient_dim)
     return s
 
 
@@ -590,46 +718,57 @@ def quotient(ambient: Subspace, sub: Subspace):
     C.matrix() * coords.
 
     Everything is solved in the coordinates of ambient's basis, with its
-    cached left inverse E.  Each sub vector s maps to x = E s, and
-    sub lies in ambient exactly when ambient.basis * x == s for each.  Then
-    one elimination of the m x (ns + 2m) system [x columns | I_m | I_m]
+    cached left inverse E (row k is nums[k] / dens[k]).  Each sub vector s
+    maps to its coordinates x = E s, computed and checked in integers by
+    `Subspace._solve`, which also decides that sub lies in ambient.  Then
+    one elimination of the m x (ns + m) system [x columns | I_m]
     (m = ambient.dim, ns = sub.dim) visits the x columns sparse-first and
-    then the unit columns in index order; the last block is the
-    augmentation.  C is the ambient basis vectors at the unit columns
-    among the pivots: the greedy extension of sub's basis, since the map
-    into coordinates is an isomorphism.  The augmentation in C's pivot
-    rows, divided by their pivots, is the coordinate map in ambient's
-    coordinates, and times E it is the coordinate map on Q^ambient_dim.
+    then the unit columns in index order.  It runs in integers: row k is
+    scaled by dens[k] and each x column by a positive factor, which leaves
+    row k as (the numerators y of `_solve` at k | dens[k] at unit column
+    k).  Row operations act on the unit block as on the rows themselves,
+    so a row's unit block holds the combination of the unscaled rows it
+    is, and no second copy of I_m is needed to record it.  C is the
+    ambient basis vectors at the unit columns among the pivots: the greedy
+    extension of sub's basis, since the map into coordinates is an
+    isomorphism.  The unit block of C's pivot rows, divided by their
+    pivots, is the coordinate map in ambient's coordinates, and times E it
+    is the coordinate map on Q^ambient_dim.
     """
     if sub.ambient_dim != ambient.ambient_dim:
         raise DimensionMismatch("ambient dimensions differ")
-    xs = []
+    ys = []
     for s in sub.basis:
-        x = ambient.coords(s)
-        if x is None:
+        y, _ = ambient._solve(s)
+        if y is None:
             raise SubspaceNotContained("sub is not inside ambient")
-        xs.append(x)
+        ys.append(y)
+    inv = ambient._left_inv()
     m, ns = ambient.dim, sub.dim
-    rows = [{ns + i: 1, ns + m + i: 1} for i in range(m)]
-    for j, x in enumerate(xs):
-        for i, v in x.items():
-            rows[i][j] = v
-    order = _sparse_first([len(x) for x in xs]) + list(range(ns, ns + m))
-    pivots, red = _echelon(_int_rows(rows), order)
+    rows = [{ns + k: d} for k, d in enumerate(inv.dens)]
+    for j, y in enumerate(ys):
+        for k, v in y.items():
+            rows[k][j] = v
+    order = _sparse_first([len(y) for y in ys]) + list(range(ns, ns + m))
+    pivots, red = _echelon(rows, order)
     comp_rows = sorted((c - ns, r) for r, c in pivots if c >= ns)
-    local = RatMatrix(len(comp_rows), m)
+    coords = RatMatrix(len(comp_rows), ambient.ambient_dim)
     for k, (j, r) in enumerate(comp_rows):
+        unit = {c - ns: u for c, u in red[r].items() if c >= ns}
+        scale = lcm(*(inv.dens[c] for c in unit))
+        row = _int_combination((u * (scale // inv.dens[c]), inv.nums[c])
+                               for c, u in unit.items())
         pv = red[r][ns + j]
-        for c, v in red[r].items():
-            if c >= ns + m:
-                local.entries[(k, c - ns - m)] = Fraction(v, pv)
+        for i in sorted(row):
+            coords.entries[(k, i)] = Fraction(row[i], pv * scale)
     comp = Subspace(ambient.ambient_dim,
                     [ambient.basis[j] for j, _ in comp_rows], check=False)
-    return comp, local * ambient._left_inv()
+    return comp, coords
 
 
-def _left_inverse(m: RatMatrix) -> RatMatrix:
-    """E with E m = I for a full-column-rank m (deterministic)."""
+def _left_inverse(m: RatMatrix) -> _LeftInverse:
+    """E with E m = I for a full-column-rank m (deterministic), in
+    integer rows over positive denominators."""
     rows = m.sparse_rows()
     aug = []
     for i, r in enumerate(rows):
@@ -640,13 +779,12 @@ def _left_inverse(m: RatMatrix) -> RatMatrix:
     if len(pivots) != m.cols:
         raise LinalgError("matrix does not have full column rank")
     # pivot columns are already exclusive after full elimination
-    e = RatMatrix(m.cols, m.rows)
+    nums, dens = [None] * m.cols, [None] * m.cols
     for r, c in pivots:
-        pv = red[r][c]
-        for j, v in red[r].items():
-            if j >= m.cols:
-                e.entries[(c, j - m.cols)] = Fraction(v, pv)
-    return e
+        sign = 1 if red[r][c] > 0 else -1
+        dens[c] = sign * red[r][c]
+        nums[c] = {j - m.cols: sign * v for j, v in red[r].items() if j >= m.cols}
+    return _LeftInverse(nums, dens, m.rows)
 
 
 class PairingForm:
@@ -702,12 +840,23 @@ def orthogonal_complement(p: PairingForm, side: str, s: Subspace) -> Subspace:
     return kernel_basis(cond)
 
 
+def _plus_minus_symmetric(m: RatMatrix) -> bool:
+    """m^T == m or m^T == -m."""
+    e = m.entries
+    return (all(e.get((j, i)) == v for (i, j), v in e.items())
+            or all(e.get((j, i)) == -v for (i, j), v in e.items()))
+
+
 def two_sided_complement(p: PairingForm, s: Subspace) -> Subspace:
-    """{v : p(v,s)=0 and p(s,v)=0}; coincides with the one-sided complement
-    for (anti)symmetric pairings but is also meaningful without symmetry."""
+    """{v : p(v,s)=0 and p(s,v)=0}, also meaningful without symmetry.  When
+    the matrix M of p is symmetric or antisymmetric, p(s, v) = +-p(v, s),
+    so the left and right complements are the same subspace and the left
+    one (one kernel) is returned; otherwise their intersection."""
     if not p.is_square():
         raise DimensionMismatch("two-sided complement needs a square pairing")
     left = orthogonal_complement(p, "left", s)
+    if _plus_minus_symmetric(p.matrix):
+        return left
     right = orthogonal_complement(p, "right", s)
     return left.intersect(right)
 

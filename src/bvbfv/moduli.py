@@ -18,6 +18,7 @@ from .linalg import (
     RatMatrix,
     Subspace,
     _left_inverse,
+    block_kernel,
     column_span,
     image_basis,
     kernel_basis,
@@ -77,7 +78,7 @@ class ReducedModel:
         self.pi_blocks = {g: t.pi.submatrix(bdry_idx[g], bulk_idx[g]) for g in ghosts}
         # vertical complex: per-ghost kernel of pi with Q expressed in it
         self._ker_pi = {g: kernel_basis(self.pi_blocks[g]) for g in ghosts}
-        self.K = {g: k._basis_matrix() for g, k in self._ker_pi.items()}
+        self.K = {g: k.matrix() for g, k in self._ker_pi.items()}
         vq = {}
         self._lift = {}
         for g in ghosts:
@@ -87,9 +88,10 @@ class ReducedModel:
             m = RatMatrix(rows, kg.cols)
             if kg.cols and rows:
                 qk = self.bulk.q(g) * kg
-                m = self.k_inv(g - 1) * qk
-                if target * m != qk:
+                cols = [self._ker_pi[g - 1].coords(c) for c in qk.transpose().sparse_rows()]
+                if None in cols:
                     raise ModuliError("vertical complex is not Q-invariant")
+                m = RatMatrix.from_columns(cols, rows)
             vq[g] = m
         vert_dims = {g: k.cols for g, k in self.K.items()}
         self.vert = _GradedPiece.of_differential("vertical", vert_dims, vq, -1, ModuliError)
@@ -109,24 +111,24 @@ class ReducedModel:
         return self.bulk.modulo(
             name, {g - 1: self.bulk.q(g) * k for g, k in K.items() if k.cols})
 
-    # --- eliminated once per model ------------------------------------------
+    # --- flat, from the per-ghost pieces ------------------------------------
 
     @cached_property
     def ker_q(self):
-        """ker Q on the flat bulk space (the Euler-Lagrange space)."""
-        return kernel_basis(self.t.Q)
+        """ker Q on the flat bulk space (the Euler-Lagrange space): Q lowers
+        the ghost by one, so this is kernel_basis(Q), put together from the
+        per-ghost kernels."""
+        return block_kernel(self.t.Q.cols, [
+            (self.bulk.kernel(g), self.t.bulk.ghost_indices(g)) for g in self.ghosts])
 
     @cached_property
     def im_q(self):
-        """Im Q on the flat bulk space."""
-        return image_basis(self.t.Q)
+        """Im Q on the flat bulk space: the per-ghost images, embedded."""
+        return Subspace(self.t.Q.rows, [
+            _embed(b, self.t.bulk.ghost_indices(g))
+            for g in self.ghosts for b in self.bulk.image(g).basis], check=False)
 
     # --- factored once per ghost ------------------------------------------
-
-    def k_inv(self, g):
-        """Left inverse of K[g], the basis of ker pi at ghost g: the one its
-        kernel elimination presets, so no factorization is repeated."""
-        return self._ker_pi[g]._left_inv()
 
     def lift(self, g):
         """R with pi_blocks[g] R = I: column j lifts the j-th boundary unit
@@ -134,7 +136,7 @@ class ReducedModel:
         if g not in self._lift:
             pi = self.pi_blocks[g]
             try:
-                r = _left_inverse(pi.transpose()).transpose()
+                r = _left_inverse(pi.transpose()).matrix().transpose()
             except LinalgError:
                 r = None
             if r is None or pi * r != RatMatrix.identity(pi.rows):
@@ -164,9 +166,8 @@ class ReducedModel:
             out = RatMatrix(self.vert.h_dim(g - 1), self.bdry.h_dim(g))
             for j, y in enumerate(self.bdry.reps(g)):
                 qx = self.bulk.q(g).matvec(self.lift(g).matvec(y))
-                kv = self.K[g - 1]
-                v = self.k_inv(g - 1).matvec(qx) if kv.cols else {}
-                if kv.matvec(v) != qx:
+                v = self._ker_pi[g - 1].coords(qx)
+                if v is None:
                     raise ModuliError("zig-zag image is not vertical")
                 for i, val in self.vert.class_coords(g - 1, v).items():
                     out[i, j] = val

@@ -441,7 +441,8 @@ def _inverse(rows):
 
     n = len(rows)
     inv = [[Fraction(0)] * n for _ in range(n)]
-    for (a, b), v in _left_inverse(RatMatrix.from_rows(rows, n)).entries.items():
+    e = _left_inverse(RatMatrix.from_rows(rows, n))
+    for (a, b), v in e.matrix().entries.items():
         inv[a][b] = v
     return inv
 

@@ -25,8 +25,10 @@ from bvbfv.linalg import (
     presymplectic_reduce,
     quotient,
     solve,
+    two_sided_complement,
     vec_add,
     vec_dot,
+    vec_eq,
     vec_scale,
 )
 
@@ -645,18 +647,29 @@ def _combination(basis, coeffs):
     return v
 
 
+small_fractions = st.builds(Fraction, small_entries, st.integers(min_value=1, max_value=4))
+
+
+def _rational_vectors(n):
+    return st.lists(small_fractions, min_size=n, max_size=n).map(sparse_vector)
+
+
 @st.composite
 def ambient_and_sub(draw):
-    """An ambient subspace of Q^n from `kernel_basis`, `column_span` or
-    `Subspace.full`; a sub spanned by combinations of its basis plus at
-    most one vector drawn freely; and some vectors of the ambient."""
+    """An ambient subspace of Q^n from `kernel_basis`, `column_span`,
+    `Subspace.full` or a checked basis of rational vectors; a sub spanned
+    by combinations of its basis plus at most one vector drawn freely; and
+    some vectors of the ambient."""
     n = draw(st.integers(min_value=1, max_value=6))
-    kind = draw(st.sampled_from(["kernel", "span", "full"]))
+    kind = draw(st.sampled_from(["kernel", "span", "full", "rational"]))
     if kind == "kernel":
         rows = draw(st.lists(_vectors(n), min_size=1, max_size=4))
         ambient = kernel_basis(RatMatrix.from_rows(rows, ncols=n))
     elif kind == "span":
         ambient = column_span(draw(st.lists(_vectors(n), max_size=5)), n)
+    elif kind == "rational":
+        vecs = draw(st.lists(_rational_vectors(n), max_size=4))
+        ambient = Subspace(n, [vecs[j] for j in _pivot_columns(vecs)])
     else:
         ambient = Subspace.full(n)
     coeffs = st.lists(small_entries, min_size=ambient.dim, max_size=ambient.dim)
@@ -710,3 +723,99 @@ def test_sparse_first_bases_span_the_index_order_ones(m):
     index_order = Subspace(m.rows, [cols[r] for r, _ in piv])
     assert image_basis(m) == index_order
     assert image_basis(m).dim == dense_rank(dense(m))
+
+
+# --- each span question against its per-vector or Fraction reference ------
+
+
+def _coords_reference(space, v):
+    """Coordinates by the Fraction route: x = E v with a left inverse E
+    of the basis matrix, kept when basis * x == v."""
+    if not space.dim:
+        return {} if vec_eq(v, {}) else None
+    bmat = space.matrix()
+    x = _left_inverse_reference(bmat, space.dim).matvec(v)
+    return x if vec_eq(bmat.matvec(x), v) else None
+
+
+def _with_zeros(v, n, data):
+    """v with explicit zero entries at some of the indices it misses."""
+    out = dict(v)
+    for i in data.draw(st.lists(st.integers(min_value=0, max_value=n - 1), max_size=2)):
+        out.setdefault(i, data.draw(st.sampled_from([0, Fraction(0)])))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(ambient_and_sub(), st.data())
+def test_integer_coords_match_the_fraction_reference(case, data):
+    ambient, _, vectors = case
+    n = ambient.ambient_dim
+    coeffs = st.lists(small_fractions, min_size=ambient.dim, max_size=ambient.dim)
+    vectors += [_combination(ambient.basis, c) for c in data.draw(st.lists(coeffs, max_size=2))]
+    vectors += data.draw(st.lists(_rational_vectors(n), max_size=2))
+    for v in vectors:
+        v = _with_zeros(v, n, data)
+        ref = _coords_reference(ambient, v)
+        got = ambient.coords(v)
+        assert got == ref
+        assert ambient.contains(v) == (ref is not None)
+        if got is not None:
+            assert all(type(x) is Fraction for x in got.values())
+
+
+def _bare(space):
+    """The same basis with no left inverse yet."""
+    return Subspace(space.ambient_dim, space.basis, check=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ambient_and_sub())
+def test_rank_containment_matches_per_vector_coords(case):
+    ambient, sub, _ = case
+    expect = all(_coords_reference(ambient, b) is not None for b in sub.basis)
+    bare = _bare(ambient)
+    assert bare.contains_subspace(sub) == expect
+    assert bare._inv is None  # answered by rank, without factoring
+    assert ambient.contains_subspace(sub) == expect
+    assert Subspace(ambient.ambient_dim, ambient.basis).contains_subspace(sub) == expect
+
+
+@settings(max_examples=300, deadline=None)
+@given(ambient_and_sub(), st.data())
+def test_equality_in_both_orders_matches_rank(case, data):
+    ambient, sub, vectors = case
+    n = ambient.ambient_dim
+    other = column_span(data.draw(st.sampled_from(
+        [vectors, sub.basis + ambient.basis, vectors[::-1], ambient.basis[:-1]])), n)
+    rank = dense_rank([[v.get(i, 0) for v in ambient.basis + other.basis]
+                       for i in range(n)])
+    expect = ambient.dim == other.dim == rank
+    # each side with no left inverse, a factored one or a preset one
+    for a in (ambient, _bare(ambient), Subspace(n, ambient.basis)):
+        for b in (other, Subspace(n, other.basis)):
+            assert (a == b) == expect
+            assert (b == a) == expect
+
+
+@st.composite
+def pairing_and_subspace(draw):
+    """A square pairing that is symmetric, antisymmetric or neither, and a
+    subspace of the paired space."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    a = RatMatrix.from_rows(draw(st.lists(
+        st.lists(small_entries, min_size=n, max_size=n), min_size=n, max_size=n)), ncols=n)
+    kind = draw(st.sampled_from(["symmetric", "antisymmetric", "neither"]))
+    m = {"symmetric": a + a.transpose(), "antisymmetric": a - a.transpose(),
+         "neither": a}[kind]
+    s = column_span(draw(st.lists(_vectors(n), max_size=3)), n)
+    return PairingForm(n, n, m), s
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairing_and_subspace())
+def test_two_sided_complement_matches_the_intersection(case):
+    p, s = case
+    left = orthogonal_complement(p, "left", s)
+    right = orthogonal_complement(p, "right", s)
+    assert two_sided_complement(p, s) == left.intersect(right)

@@ -4,7 +4,13 @@ import pytest
 
 from bvbfv import corpus
 from bvbfv.complexes import les_of_pair
-from bvbfv.linalg import NotLagrangian, NotTransversal, Subspace, kernel_basis
+from bvbfv.linalg import (
+    NotLagrangian,
+    NotTransversal,
+    Subspace,
+    image_basis,
+    kernel_basis,
+)
 from bvbfv.moduli import (
     ReducedModel,
     ed_formula_check,
@@ -568,3 +574,92 @@ def test_cmd_moduli_builds_one_reduced_model(monkeypatch, tmp_path):
                      "--out", str(tmp_path / "out.json")])
     assert code == 0
     assert built == ["electrodynamics"]
+
+
+# --- the flat kernel and image, the vacua core, exactness of coordinates ----
+
+
+def corpus_pairs():
+    """Every (theory, complex) pair of the corpus that builds, as in
+    scripts/corpus_report.py."""
+    out = []
+    for name, build in corpus.BUILDERS.items():
+        dim = build().dimension
+        out.append(("bf", name))
+        if dim <= 3:
+            out.append(("cs", name))
+        if dim >= 1:
+            out.append(("scalar", name))
+        if dim >= 2:
+            out.append(("ed", name))
+    return out
+
+
+def build_pair(theory, name):
+    cx = corpus.BUILDERS[name]()
+    if theory == "bf":
+        return build_abelian_bf(cx, max(cx.dimension, 1))
+    return THEORY_BUILDERS[theory](cx)
+
+
+@pytest.mark.parametrize("theory,name", corpus_pairs())
+def test_flat_ker_q_and_im_q_match_flat_eliminations(theory, name):
+    # ker_q and im_q are put together from the per-ghost pieces; they must
+    # be what one elimination of the flat Q gives
+    t = build_pair(theory, name)
+    model = ReducedModel(t)
+    flat = kernel_basis(t.Q)
+    assert model.ker_q.basis == flat.basis
+    got, want = model.ker_q._left_inv(), flat._left_inv()
+    assert (got.nums, got.dens) == (want.nums, want.dens)
+    assert model.im_q == image_basis(t.Q)
+
+
+@pytest.mark.parametrize("theory,name", corpus_pairs())
+def test_vacua_core_dims_do_not_depend_on_the_kernel_basis(theory, name):
+    # core_dims counts the kernel basis vectors inside each ghost block;
+    # the count must be dim(kernel cap block), here from the two one-sided
+    # kernels and intersect
+    vac = vacua(build_pair(theory, name))
+    pmat = vac["pairing"].matrix
+    total = pmat.rows
+    kern = kernel_basis(pmat.transpose()).intersect(kernel_basis(pmat)) \
+        if total else Subspace.zero(0)
+    for g, core in vac["core_dims"].items():
+        off, dim = vac["offsets"][g], vac["vac_reps"][g].dim
+        block = Subspace(total, [{i: 1} for i in range(off, off + dim)])
+        assert core == vac["dims"][g] - kern.intersect(block).dim, g
+
+
+@pytest.mark.parametrize("theory,name", [
+    ("ed", "solid_torus"), ("scalar", "disk"), ("bf", "torus_times_interval")])
+def test_coordinates_stay_exact(theory, name, monkeypatch):
+    # integer arithmetic inside linalg must hand out Fractions, never the
+    # floats that a / b on two ints gives
+    from bvbfv import complexes, linalg, moduli
+
+    seen = []
+    coords = linalg.Subspace.coords
+
+    def recording_coords(self, v):
+        x = coords(self, v)
+        seen.extend((x or {}).values())
+        return x
+
+    def recording_quotient(ambient, sub):
+        comp, cmap = linalg.quotient(ambient, sub)
+        seen.extend(cmap.entries.values())
+        return comp, cmap
+
+    monkeypatch.setattr(linalg.Subspace, "coords", recording_coords)
+    for mod in (complexes, moduli):
+        monkeypatch.setattr(mod, "quotient", recording_quotient)
+    model = moduli_report(build_pair(theory, name))["_model"]
+    for piece in (model.bulk, model.bdry, model.vert, model.msymp):
+        for cmap in piece._coords.values():
+            seen.extend(cmap.entries.values())
+    for maps in (model._chi, model._psi, model._beta):
+        for m in maps.values():
+            seen.extend(m.entries.values())
+    assert seen
+    assert all(type(x) is Fraction for x in seen)
