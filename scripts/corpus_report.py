@@ -14,7 +14,7 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from bvbfv import corpus  # noqa: E402
-from bvbfv.moduli import moduli_report  # noqa: E402
+from bvbfv.moduli import ReducedModel, moduli_report  # noqa: E402
 from bvbfv.theories import (  # noqa: E402
     build_abelian_bf,
     build_abelian_cs,
@@ -52,7 +52,7 @@ def main():
     for label, t in pairs(args.quick):
         t0 = time.time()
         cme = verify_cme(t).ok
-        rep = moduli_report(t)
+        rep = moduli_report(ReducedModel(t))
         lf = all(rep["lefschetz"].values())
         row = (
             f"{label:26s} {'ok' if cme else 'FAIL':4s} "

@@ -28,7 +28,7 @@ from .gluing import (
     glue_moduli,
     mayer_vietoris,
 )
-from .moduli import ed_formula_check, moduli_report
+from .moduli import ReducedModel, ed_formula_check, moduli_report
 from .simplicial import SimplicialError, load_complex
 from .symbolic import SymbolicError, target_from_dict
 from .theories import (
@@ -92,6 +92,8 @@ def _theory_config(args):
                 config = json.load(fh)
         except (json.JSONDecodeError, OSError) as e:
             raise InputError(f"theory config: {e}")
+        if not isinstance(config, dict):
+            raise InputError("theory config: not a JSON object")
     else:
         config = {"kind": KIND_ALIASES.get(spec, spec)}
     if args.mass is not None:
@@ -103,10 +105,6 @@ def _theory_config(args):
 
 def _build_theory(cx, args):
     config = _theory_config(args)
-    try:
-        Fraction(config.get("mass", 0))
-    except (ValueError, ZeroDivisionError) as e:
-        raise InputError(f"bad mass: {e}")
     try:
         return theory_from_config(cx, config), config
     except (TheoryError, ValueError) as e:
@@ -212,7 +210,8 @@ def cmd_moduli(args):
         rep.check("ghost_grading", False)
         rep.table("ghost_mismatch", str(e))
         return rep
-    mr = moduli_report(t)
+    model = ReducedModel(t)
+    mr = moduli_report(model)
     for key, src in (("el", "el_dims"), ("moduli", "moduli_dims"),
                      ("moduli_symp", "moduli_symp_dims"),
                      ("boundary_moduli", "boundary_moduli_dims"),
@@ -228,7 +227,7 @@ def cmd_moduli(args):
     rep.check("im_chi_equals_ker_psi", mr["vacua_checks"]["im_chi_equals_ker_psi"])
     rep.check("beta_diagram_commutes", mr["beta_diagram_commutes"])
     if t.kind == "electrodynamics":
-        fc = ed_formula_check(t, mr["_model"])
+        fc = ed_formula_check(model)
         rep.table("sector_formulas", {
             k: v for k, v in fc.items() if isinstance(v, dict)
         })
@@ -262,9 +261,13 @@ def cmd_glue(args):
             data = json.load(fh)
     except (json.JSONDecodeError, OSError) as e:
         raise InputError(f"gluing spec: {e}")
+    if not isinstance(data, dict):
+        raise InputError("gluing spec: not a JSON object")
     for key in ("left", "right", "interface_map"):
         if key not in data:
             raise InputError(f"gluing spec misses field {key!r}")
+    if not (isinstance(data["left"], str) and isinstance(data["right"], str)):
+        raise InputError("gluing spec: 'left' and 'right' must be paths")
     base = os.path.dirname(_resolve(args.path))
     lpath = data["left"] if os.path.isabs(data["left"]) else os.path.join(base, data["left"])
     rpath = data["right"] if os.path.isabs(data["right"]) else os.path.join(base, data["right"])
@@ -284,17 +287,18 @@ def cmd_glue(args):
     rep = RunReport("glue", [_resolve(args.path), lpath, rpath])
     rep.table("glued_betti", cx.cochain_complex().betti())
     t, config = _build_theory(cx, args)
-    tl = theory_from_config(left, config)
-    tr = theory_from_config(right, config)
-    fp = fiber_product_check(t, tl, tr, spec)
+    model = ReducedModel(t)
+    model_l = ReducedModel(theory_from_config(left, config))
+    model_r = ReducedModel(theory_from_config(right, config))
+    fp = fiber_product_check(model, model_l, model_r, spec)
     rep.check("el_fiber_product", fp["match"])
-    gm = glue_moduli(tl, tr, spec, t)
+    gm = glue_moduli(model_l, model_r, spec, model)
     rep.table("intrinsic_dims", gm["intrinsic_dims"])
     rep.table("direct_dims", gm["direct_dims"])
     rep.check("glued_moduli_dims_match", gm["dims_match"])
     rep.check("glued_moduli_isomorphism", gm["isomorphism"])
     rep.check("glued_pairings_intertwined", gm["pairings_intertwined"])
-    mv = mayer_vietoris(t, tl, tr, spec, gm["models"])
+    mv = mayer_vietoris(model, model_l, model_r, spec)
     rep.check("mayer_vietoris_absolute_exact", mv["absolute"].exact)
     rep.check("mayer_vietoris_partially_reduced_exact",
               mv["partially_reduced"].exact)

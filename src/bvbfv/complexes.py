@@ -8,6 +8,7 @@ from __future__ import annotations
 from .linalg import (
     RatMatrix,
     Subspace,
+    block_kernel,
     image_basis,
     kernel_basis,
     quotient,
@@ -37,7 +38,12 @@ class _GradedPiece:
     The bulk, boundary and vertical cohomology, the symplectic moduli
     ker Q / Q(ker pi), the Mayer-Vietoris pieces and the cohomology of a
     CochainComplex are all pieces of this kind.  `error` is the exception
-    class_coords raises on a vector that is not a cocycle."""
+    class_coords raises on a vector that is not a cocycle.
+
+    A piece cut out of one flat space by ghost number (the bulk, boundary
+    and Mayer-Vietoris interface pieces, and the pieces taken modulo other
+    images of them) holds `index`: index[g] lists the flat coordinates of
+    ghost g, in order.  Other pieces have no index."""
 
     def __init__(self, name, dims, outs, ins, error=ComplexError):
         self.name = name
@@ -45,6 +51,8 @@ class _GradedPiece:
         self.outs = outs
         self.ins = ins
         self.error = error
+        self.index = None
+        self._pos = {}
         self._ker = {}
         self._im = {}
         self._reps = {}
@@ -60,7 +68,7 @@ class _GradedPiece:
         """The same cocycles modulo the images of other maps into them.
         The kernels are shared, so each is eliminated once for both."""
         piece = _GradedPiece(name, self.dims, self.outs, ins, self.error)
-        piece._ker = self._ker
+        piece.index, piece._pos, piece._ker = self.index, self._pos, self._ker
         return piece
 
     def dim(self, g):
@@ -108,6 +116,30 @@ class _GradedPiece:
             raise self.error(f"vector is not a {self.name} cocycle class in degree {g}")
         self.reps(g)
         return self._coords[g].matvec(vec)
+
+    def flat(self, g, v):
+        """A vector at ghost g in the flat coordinates."""
+        idx = self.index[g]
+        return {idx[i]: x for i, x in v.items()}
+
+    def local(self, g, v):
+        """The ghost-g entries of a flat vector, in the coordinates at g."""
+        if g not in self._pos:
+            self._pos[g] = {f: i for i, f in enumerate(self.index.get(g, ()))}
+        pos = self._pos[g]
+        return {pos[i]: x for i, x in v.items() if i in pos}
+
+    def flat_kernel(self):
+        """The kernel of the flat map, from the kernels at each ghost: equal
+        to its kernel_basis vector for vector (see `block_kernel`)."""
+        return block_kernel(sum(self.dims.values()), [
+            (self.kernel(g), idx) for g, idx in self.index.items()])
+
+    def flat_image(self):
+        """The images divided out at each ghost, as flat vectors."""
+        return Subspace(sum(self.dims.values()), [
+            self.flat(g, b) for g in self.index if self.dim(g)
+            for b in self.image(g).basis], check=False)
 
     def class_matrix(self, g, vectors):
         m = RatMatrix(self.h_dim(g), len(vectors))

@@ -2,6 +2,10 @@
 boundary subcomplexes, fiber products of Euler-Lagrange spaces, intrinsic
 reconstruction of the symplectic moduli of the glued theory, and both
 Mayer-Vietoris long exact sequences.
+
+The theory-level operations take the ReducedModels of the glued theory and
+of its two pieces, built once by the caller; the models' pieces map each
+ghost block to flat coordinates.
 """
 
 from __future__ import annotations
@@ -59,7 +63,6 @@ class GluingSpec:
             raise InterfaceMismatch("right interface vertices are not boundary vertices")
         self.left_faces = {}
         self.right_faces = {}
-        n1 = self.left.dimension - 1
         lfaces = {
             self.left.face_vertices(f)
             for f in self.left.boundary_faces()
@@ -77,9 +80,6 @@ class GluingSpec:
             raise InterfaceMismatch(
                 "identified boundary subcomplexes are not simplicially isomorphic"
             )
-        if not lcanon:
-            # empty interface is allowed (disjoint union)
-            pass
 
     def _lkey(self, v):
         return self.left.vertex_position(v)
@@ -237,18 +237,13 @@ def _cotangent_interface(t: LinearTheory, spec: GluingSpec, side):
     return m
 
 
-def _gh0_kernel(t: LinearTheory):
-    idx0 = t.bulk.ghost_indices(0)
-    idxm1 = t.bulk.ghost_indices(-1)
-    ker = kernel_basis(t.Q.submatrix(idxm1, idx0))
-    return Subspace(
-        t.bulk.total,
-        [{idx0[i]: v for i, v in b.items()} for b in ker.basis],
-        check=False,
-    )
+def _gh0_kernel(model: ReducedModel):
+    """The ghost-zero Euler-Lagrange fields as flat bulk vectors."""
+    return Subspace(model.t.bulk.total, [
+        model.bulk.flat(0, b) for b in model.bulk.kernel(0).basis], check=False)
 
 
-def fiber_product_check(t_glued, t_left, t_right, spec: GluingSpec):
+def fiber_product_check(model_glued, model_left, model_right, spec: GluingSpec):
     """dim EL of the glued theory equals the dimension of the fiber product
     of the pieces' EL spaces over the interface fields.
 
@@ -259,16 +254,17 @@ def fiber_product_check(t_glued, t_left, t_right, spec: GluingSpec):
     rather than a matching condition, so only the classical sector has a
     discrete fiber-product statement.
     """
+    t_left, t_right = model_left.t, model_right.t
     if t_left.model == "cotangent":
-        el_n = _gh0_kernel(t_glued).dim
-        el_l = _gh0_kernel(t_left)
-        el_r = _gh0_kernel(t_right)
+        el_n = _gh0_kernel(model_glued).dim
+        el_l = _gh0_kernel(model_left)
+        el_r = _gh0_kernel(model_right)
         rho_l = _cotangent_interface(t_left, spec, "left")
         rho_r = _cotangent_interface(t_right, spec, "right")
     else:
-        el_n = kernel_basis(t_glued.Q).dim
-        el_l = kernel_basis(t_left.Q)
-        el_r = kernel_basis(t_right.Q)
+        el_n = model_glued.ker_q.dim
+        el_l = model_left.ker_q
+        el_r = model_right.ker_q
         rho_l, rho_r, _ = _interface_restrictions(
             t_left, t_right, spec, spec.interface_complex())
     if rho_l.rows != rho_r.rows:
@@ -296,7 +292,7 @@ def _require_cup(*theories):
                 f"(bf or cs); {t.kind} is a {t.model} model")
 
 
-def glue_moduli(t_left, t_right, spec: GluingSpec, t_glued):
+def glue_moduli(model_left, model_right, spec: GluingSpec, model_glued):
     """Intrinsic reconstruction of the symplectic moduli of the glued theory:
 
       (i)  the fiber product of the pieces' symplectic moduli over the
@@ -306,32 +302,26 @@ def glue_moduli(t_left, t_right, spec: GluingSpec, t_glued):
 
     compared with the direct computation on the glued complex through an
     explicit isomorphism that also intertwines the bulk pairings with the
-    fundamental-cycle decomposition sign epsilon.  The reduced models of
-    the glued theory and the two pieces are returned as `models`, in that
-    order, for mayer_vietoris to reuse."""
+    fundamental-cycle decomposition sign epsilon."""
+    t_left, t_right, t_glued = model_left.t, model_right.t, model_glued.t
     _require_cup(t_left, t_right, t_glued)
     iface = spec.interface_complex()
-    sm_l = symp_moduli(t_left)
-    sm_r = symp_moduli(t_right)
-    model_l = sm_l["model"]
-    model_r = sm_r["model"]
+    msymp_l, msymp_r, msymp_n = model_left.msymp, model_right.msymp, model_glued.msymp
+    sm_l = symp_moduli(model_left)
+    sm_r = symp_moduli(model_right)
     rho_l, rho_r, _ = _interface_restrictions(t_left, t_right, spec, iface)
-    ghosts = sorted(set(model_l.ghosts) | set(model_r.ghosts))
+    ghosts = sorted(set(model_left.ghosts) | set(model_right.ghosts))
     mt_basis = {}      # ghost -> basis of M-tilde in (left reps + right reps) coords
     for g in ghosts:
         reps_l = sm_l["reps"].get(g, [])
         reps_r = sm_r["reps"].get(g, [])
         na, nb = len(reps_l), len(reps_r)
-        idx_l = t_left.bulk.ghost_indices(g)
-        idx_r = t_right.bulk.ghost_indices(g)
         cond = RatMatrix(rho_l.rows, na + nb)
         for j, rep in enumerate(reps_l):
-            flat = {idx_l[i]: v for i, v in rep.items()}
-            for i, v in rho_l.matvec(flat).items():
+            for i, v in rho_l.matvec(msymp_l.flat(g, rep)).items():
                 cond[i, j] = v
         for j, rep in enumerate(reps_r):
-            flat = {idx_r[i]: v for i, v in rep.items()}
-            for i, v in rho_r.matvec(flat).items():
+            for i, v in rho_r.matvec(msymp_r.flat(g, rep)).items():
                 cond[i, na + j] = cond[i, na + j] - v
         mt = kernel_basis(cond)
         mt_basis[g] = (mt, na, nb)
@@ -348,13 +338,9 @@ def glue_moduli(t_left, t_right, spec: GluingSpec, t_glued):
         if mt.dim == 0:
             continue
         for row in _interface_rows_of_ghost(t_left, iface, g):
-            bl = _beta_value(t_left, model_l.msymp, rho_l_rows[row], g)
-            br = _beta_value(t_right, model_r.msymp, rho_r_rows[row], g)
-            vec = {}
-            for i, v in bl.items():
-                vec[i] = v
-            for i, v in br.items():
-                vec[na + i] = v
+            bl = _beta_value(model_left, rho_l_rows[row], g)
+            br = _beta_value(model_right, rho_r_rows[row], g)
+            vec = {**bl, **{na + i: v for i, v in br.items()}}
             if vec:
                 x = mt.coords(vec)
                 if x is None:
@@ -370,7 +356,7 @@ def glue_moduli(t_left, t_right, spec: GluingSpec, t_glued):
         intrinsic_dims[g] = comp.dim
         quotients[g] = (mt, comp, coords, na, nb)
     # direct computation on the glued complex
-    sm_n = symp_moduli(t_glued)
+    sm_n = symp_moduli(model_glued)
     direct_dims = {g: d for g, d in sm_n["dims"].items()}
     dims_match = all(
         intrinsic_dims.get(g, 0) == direct_dims.get(g, 0)
@@ -389,17 +375,11 @@ def glue_moduli(t_left, t_right, spec: GluingSpec, t_glued):
             iso_ok = False
             continue
         cols = []
-        idx_n = t_glued.bulk.ghost_indices(g)
         for rep in reps_n:
-            flat = {idx_n[i]: v for i, v in rep.items()}
-            xl = res_l.matvec(flat)
-            xr = res_r.matvec(flat)
-            cl = _piece_coords(t_left, model_l.msymp, g, xl)
-            cr = _piece_coords(t_right, model_r.msymp, g, xr)
-            vec = dict(cl)
-            for i, v in cr.items():
-                vec[na + i] = v
-            x = mt.coords(vec)
+            flat = msymp_n.flat(g, rep)
+            cl = _piece_coords(msymp_l, g, res_l.matvec(flat))
+            cr = _piece_coords(msymp_r, g, res_r.matvec(flat))
+            x = mt.coords({**cl, **{na + i: v for i, v in cr.items()}})
             if x is None:
                 iso_ok = False
                 break
@@ -410,11 +390,11 @@ def glue_moduli(t_left, t_right, spec: GluingSpec, t_glued):
             if column_span(cols, comp.dim).dim != comp.dim:
                 iso_ok = False
         # pairing intertwined on representatives (cochain-level identity)
-        for i, x in enumerate(sm_n["reps"].get(g, [])):
-            xf = {idx_n[a]: v for a, v in x.items()}
-            gp = -1 + (t_glued.n - t_glued.D) - g
+        gp = model_glued.pair_ghost() - g
+        for x in reps_n:
+            xf = msymp_n.flat(g, x)
             for y in sm_n["reps"].get(gp, []):
-                yf = {t_glued.bulk.ghost_indices(gp)[a]: v for a, v in y.items()}
+                yf = msymp_n.flat(gp, y)
                 lhs = t_glued.pair_bulk(xf, yf)
                 rhs = eps_l * t_left.pair_bulk(res_l.matvec(xf), res_l.matvec(yf)) + \
                     eps_r * t_right.pair_bulk(res_r.matvec(xf), res_r.matvec(yf))
@@ -426,7 +406,6 @@ def glue_moduli(t_left, t_right, spec: GluingSpec, t_glued):
         "dims_match": dims_match,
         "isomorphism": iso_ok,
         "pairings_intertwined": pair_ok,
-        "models": (sm_n["model"], model_l, model_r),
     }
 
 
@@ -445,7 +424,7 @@ def _interface_rows_of_ghost(t: LinearTheory, iface: OrientedComplex, g):
     return rows
 
 
-def _beta_value(t, msymp, entries, g):
+def _beta_value(model, entries, g):
     """[Q eta-lift] in M^symp coordinates, where eta is the interface field
     indicator of a stacked interface row (ghost g) with the given entries,
     extended by zero into the bulk.  Interface restriction rows carry
@@ -454,36 +433,33 @@ def _beta_value(t, msymp, entries, g):
         raise GluingError("interface restriction row is not a single face")
     (col, val), = entries.items()
     lift = {col: Fraction(1) / val}
-    qlift = t.Q.matvec(lift)
-    return _piece_coords(t, msymp, g - 1, qlift)
+    qlift = model.t.Q.matvec(lift)
+    return _piece_coords(model.msymp, g - 1, qlift)
 
 
-def _piece_coords(t, piece, g, flat):
-    """Class coordinates in a piece over t's bulk ghost-g fields of a
-    closed flat bulk vector."""
-    pos = {f: i for i, f in enumerate(t.bulk.ghost_indices(g))}
-    if not pos.keys() >= flat.keys():
+def _piece_coords(piece, g, flat):
+    """Class coordinates in a piece of a closed flat vector of ghost g."""
+    local = piece.local(g, flat)
+    if len(local) != len(flat):
         raise GluingError("vector is not ghost homogeneous")
-    return piece.class_coords(g, {pos[i]: v for i, v in flat.items()})
+    return piece.class_coords(g, local)
 
 
 # ---------------------------------------------------------------------------
 # Mayer-Vietoris sequences
 
 
-def mayer_vietoris(t_glued, t_left, t_right, spec: GluingSpec, models=None):
+def mayer_vietoris(model_glued, model_left, model_right, spec: GluingSpec):
     """Both Mayer-Vietoris long exact sequences at the theory level.
 
     Absolute: ... -> M_iface^{g+1} -> M_N^g -> M_L^g + M_R^g -> M_iface^g -> ...
     Partially reduced: the same shape with M replaced by the symplectic
     moduli relative to the outer boundary (interface-free verticals).
     Exactness is verified at every node of both; `pieces` holds the
-    (glued, left, right) quotient pieces of each.  `models` are the reduced
-    models of (t_glued, t_left, t_right), as glue_moduli returns them.
+    (glued, left, right) quotient pieces of each.
     """
+    t_glued, t_left, t_right = model_glued.t, model_left.t, model_right.t
     _require_cup(t_glued, t_left, t_right)
-    model_n, model_l, model_r = models or (
-        ReducedModel(t_glued), ReducedModel(t_left), ReducedModel(t_right))
     iface = spec.interface_complex()
     res_l, res_r = _piece_restrictions(t_glued, t_left, t_right)
     rho_l, rho_r, ioffs = _interface_restrictions(t_left, t_right, spec, iface)
@@ -515,11 +491,10 @@ def mayer_vietoris(t_glued, t_left, t_right, spec: GluingSpec, models=None):
             nodes.append((f"glued@gh{g}", piece_n.h_dim(g)))
             # restriction map to the pieces
             m = RatMatrix(nl + nr, piece_n.h_dim(g))
-            idx_n = t_glued.bulk.ghost_indices(g)
             for j, rep in enumerate(piece_n.reps(g)):
-                flat = {idx_n[i]: v for i, v in rep.items()}
-                cl = _piece_coords(t_left, piece_l, g, res_l.matvec(flat))
-                cr = _piece_coords(t_right, piece_r, g, res_r.matvec(flat))
+                flat = piece_n.flat(g, rep)
+                cl = _piece_coords(piece_l, g, res_l.matvec(flat))
+                cr = _piece_coords(piece_r, g, res_r.matvec(flat))
                 for i, v in cl.items():
                     m[i, j] = v
                 for i, v in cr.items():
@@ -527,21 +502,14 @@ def mayer_vietoris(t_glued, t_left, t_right, spec: GluingSpec, models=None):
             maps.append(m)
             nodes.append((f"pieces@gh{g}", nl + nr))
             # difference of interface restrictions
-            wrows = _interface_rows_of_ghost(t_left, iface, g)
             m2 = RatMatrix(piece_w.h_dim(g), nl + nr)
-            idx_l = t_left.bulk.ghost_indices(g)
             for j, rep in enumerate(piece_l.reps(g)):
-                flat = {idx_l[i]: v for i, v in rep.items()}
-                w = rho_l.matvec(flat)
-                local = {wrows.index(i): v for i, v in w.items()}
-                for i, v in piece_w.class_coords(g, local).items():
+                w = rho_l.matvec(piece_l.flat(g, rep))
+                for i, v in _piece_coords(piece_w, g, w).items():
                     m2[i, j] = v
-            idx_r = t_right.bulk.ghost_indices(g)
             for j, rep in enumerate(piece_r.reps(g)):
-                flat = {idx_r[i]: v for i, v in rep.items()}
-                w = rho_r.matvec(flat)
-                local = {wrows.index(i): v for i, v in w.items()}
-                for i, v in piece_w.class_coords(g, local).items():
+                w = rho_r.matvec(piece_r.flat(g, rep))
+                for i, v in _piece_coords(piece_w, g, w).items():
                     m2[i, nl + j] = m2[i, nl + j] - v
             maps.append(m2)
             nodes.append((f"iface@gh{g}", piece_w.h_dim(g)))
@@ -551,12 +519,12 @@ def mayer_vietoris(t_glued, t_left, t_right, spec: GluingSpec, models=None):
             emb_l = res_l.transpose()
             for j, rep in enumerate(piece_w.reps(g)):
                 a = {}
-                for i, v in rep.items():
-                    (col, s), = rho_l_rows[wrows[i]].items()
+                for i, v in piece_w.flat(g, rep).items():
+                    (col, s), = rho_l_rows[i].items()
                     a[col] = a.get(col, Fraction(0)) + v / s
                 qa = t_left.Q.matvec({i: v for i, v in a.items() if v})
                 z = emb_l.matvec(qa)
-                for i, v in _piece_coords(t_glued, piece_n, g - 1, z).items():
+                for i, v in _piece_coords(piece_n, g - 1, z).items():
                     m3[i, j] = v
             maps.append(m3)
         nodes.append((f"glued@gh{gmin-1}", piece_n.h_dim(gmin - 1)))
@@ -565,11 +533,11 @@ def mayer_vietoris(t_glued, t_left, t_right, spec: GluingSpec, models=None):
 
     pieces = {
         # absolute: vertical = everything (plain Q-moduli)
-        "absolute": (model_n.bulk, model_l.bulk, model_r.bulk),
+        "absolute": (model_glued.bulk, model_left.bulk, model_right.bulk),
         # partially reduced: verticals vanish on the outer boundary only;
         # all of the glued boundary is outer, so its piece is the glued M_symp
-        "partially_reduced": (model_n.msymp, _outer_piece(model_l, spec, "left"),
-                              _outer_piece(model_r, spec, "right")),
+        "partially_reduced": (model_glued.msymp, _outer_piece(model_left, spec, "left"),
+                              _outer_piece(model_right, spec, "right")),
     }
     out = {kind: build_sequence(*p) for kind, p in pieces.items()}
     out["pieces"] = pieces
@@ -591,8 +559,7 @@ def _outer_piece(model: ReducedModel, spec: GluingSpec, side):
                 outer_rows.append(off + i)
         off += slot["dim"]
     vert = {}
-    for g in model.ghosts:
-        idx = t.bulk.ghost_indices(g)
+    for g, idx in model.bulk.index.items():
         if idx:
             vert[g] = kernel_basis(t.pi.submatrix(outer_rows, idx)).matrix()
     return model.modulo_q("partially reduced", vert)
@@ -611,6 +578,7 @@ def compose_morphisms(t1, t2, spec: GluingSpec, build):
 
     cx = glue(spec)
     t = build(cx)
+    model, model_1, model_2 = ReducedModel(t), ReducedModel(t1), ReducedModel(t2)
     res_l, res_r = _piece_restrictions(t, t1, t2)
     eps = _orientation_factor(t, t1, cx.meta["left_map"])
     eps_r = _orientation_factor(t, t2, cx.meta["right_map"])
@@ -618,8 +586,8 @@ def compose_morphisms(t1, t2, spec: GluingSpec, build):
         (res_r.transpose() * t2.S_mat * res_r).scale(eps_r)
     diff = t.S_mat - s_sum
     additive = (diff + diff.transpose()).is_zero()
-    ev = evolution_relation(t)
-    gm = glue_moduli(t1, t2, spec, t)
+    ev = evolution_relation(model)
+    gm = glue_moduli(model_1, model_2, spec, model)
     return {
         "glued_complex": cx,
         "glued_theory": t,

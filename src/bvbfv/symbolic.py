@@ -239,7 +239,6 @@ class TargetSpec:
 
     def __init__(self, variables, omega, m, theta):
         self.base_vars = [GradedVar(v.name, v.degree) for v in variables]
-        names = [v.name for v in self.base_vars]
         all_vars = list(self.base_vars) + [
             GradedVar("d" + v.name, v.degree, form_degree=1) for v in self.base_vars
         ]
@@ -547,7 +546,6 @@ def so3():
 def gl2():
     # basis E11, E12, E21, E22; [E_ij, E_kl] = d_jk E_il - d_li E_kj
     idx = {(1, 1): 0, (1, 2): 1, (2, 1): 2, (2, 2): 3}
-    pairs = list(idx)
     structure = [[{} for _ in range(4)] for _ in range(4)]
     for (i, j), a in idx.items():
         for (k, l), b in idx.items():
@@ -771,7 +769,27 @@ def _rational(x):
         raise SymbolicError(f"bad rational {x!r}: {e}") from None
 
 
+def _check_target(data):
+    """The schema of a target file: vars [{name: str, degree: int}], omega
+    [[entry]], omega_degree: int and theta [{coeff, monomial: [str]}]."""
+    def each(key, test):
+        xs = data.get(key, [])
+        return isinstance(xs, list) and all(test(x) for x in xs)
+
+    if not (isinstance(data, dict)
+            and each("vars", lambda v: isinstance(v, dict) and isinstance(v.get("name"), str)
+                     and type(v.get("degree")) is int)
+            and each("omega", lambda row: isinstance(row, list))
+            and type(data.get("omega_degree")) is int
+            and each("theta", lambda t: isinstance(t, dict)
+                     and isinstance(t.get("monomial"), list)
+                     and all(isinstance(n, str) for n in t["monomial"]))):
+        raise SymbolicError("target file: expected vars [{name, degree}], omega [rows], "
+                            "an integer omega_degree and theta [{coeff, monomial}]")
+
+
 def target_from_dict(data) -> TargetSpec:
+    _check_target(data)
     vars_ = [GradedVar(v["name"], v["degree"]) for v in data["vars"]]
     omega = [[_rational(x) for x in row] for row in data["omega"]]
     name_to_idx = {v.name: i for i, v in enumerate(vars_)}

@@ -865,12 +865,17 @@ def _reindex_like(target_space: FieldSpace, source_space: FieldSpace, m: RatMatr
 
 
 def theory_from_config(cx: OrientedComplex, config: dict) -> LinearTheory:
-    """Build a theory from the config mapping: kind, optional mass (rational
-    string), optional ambient dimension `n`, optional codim."""
-    kind = config["kind"]
-    mass = Fraction(config.get("mass", 0))
-    ambient = config.get("n")
-    codim = config.get("codim", 0)
+    """Build a theory from the config mapping: a string kind, an optional
+    rational mass, and optional integers `n` (ambient dimension) and codim."""
+    kind, ambient, codim = config.get("kind"), config.get("n"), config.get("codim")
+    if not isinstance(kind, str):
+        raise TheoryError("theory config needs a string 'kind'")
+    if not all(x is None or type(x) is int for x in (ambient, codim)):
+        raise TheoryError("theory config: 'n' and 'codim' must be integers")
+    try:
+        mass = Fraction(config.get("mass", 0))
+    except (TypeError, ValueError, ZeroDivisionError) as e:
+        raise TheoryError(f"bad mass: {e}") from None
     if codim:
         n = ambient if ambient is not None else cx.dimension + codim
         return extend_to_stratum(kind, cx, n)
@@ -882,4 +887,4 @@ def theory_from_config(cx: OrientedComplex, config: dict) -> LinearTheory:
         return build_scalar(cx, mass)
     if kind == "electrodynamics":
         return build_electrodynamics(cx, ambient)
-    raise TheoryError(f"unknown theory kind {config['kind']!r}")
+    raise TheoryError(f"unknown theory kind {kind!r}")

@@ -86,7 +86,7 @@ def test_criterion_2_cs_solid_torus():
     assert st.n_faces(3) <= 100
     t = build_abelian_cs(st)
     model = ReducedModel(t)
-    rep = moduli_report(t)
+    rep = moduli_report(model)
     checks = {
         "moduli": rep["moduli_dims"] == {1: 1, 0: 1, -1: 0, -2: 0},
         "boundary": rep["boundary_moduli_dims"] == {1: 1, 0: 2, -1: 1},
@@ -135,9 +135,9 @@ def test_criterion_3_gluing_solid_tori():
     for label, (right, pairs, expect) in cases.items():
         spec = GluingSpec(st, right, pairs)
         cx = glue(spec)
-        tl = build_abelian_cs(st)
-        tr = build_abelian_cs(right)
-        tn = build_abelian_cs(cx)
+        tl = ReducedModel(build_abelian_cs(st))
+        tr = ReducedModel(build_abelian_cs(right))
+        tn = ReducedModel(build_abelian_cs(cx))
         gm = glue_moduli(tl, tr, spec, tn)
         got = {g: gm["direct_dims"].get(g, 0) for g in (1, 0, -1, -2)}
         mv = mayer_vietoris(tn, tl, tr, spec)
@@ -178,7 +178,7 @@ def test_criterion_4_lefschetz_duality():
     t0 = time.time()
     bad = []
     for name, build in LEFSCHETZ_CASES:
-        verdicts = lefschetz(build())["verdicts"]
+        verdicts = lefschetz(ReducedModel(build()))["verdicts"]
         if not all(verdicts.values()):
             bad.append((name, {k: v for k, v in verdicts.items() if not v}))
     report("4 Lefschetz duality package on the corpus", not bad,
@@ -189,9 +189,9 @@ def test_criterion_5_scalar_field():
     """Scalar field: circle vacua are the odd cotangent point, interval
     vacua trivial, massive circle has no classical solutions."""
     t0 = time.time()
-    rep_circle = moduli_report(build_scalar(corpus.circle()))
-    rep_interval = moduli_report(build_scalar(corpus.interval(2)))
-    rep_massive = moduli_report(build_scalar(corpus.circle(), 1))
+    rep_circle = moduli_report(ReducedModel(build_scalar(corpus.circle())))
+    rep_interval = moduli_report(ReducedModel(build_scalar(corpus.interval(2))))
+    rep_massive = moduli_report(ReducedModel(build_scalar(corpus.circle(), 1)))
     checks = {
         "circle_vacua_T*[-1]R": rep_circle["vacua_core_dims"] == {0: 1, -1: 1}
         and rep_circle["vacua_dims"] == {0: 1, -1: 1},
@@ -210,10 +210,10 @@ def test_criterion_6_electrodynamics_regularity():
     hold exactly and the ghost/antifield sector dimensions match the stored
     topological formulas."""
     t0 = time.time()
-    t = build_electrodynamics(corpus.torus())
-    reg = regularity(t)
-    fc = ed_formula_check(t)
-    rep = moduli_report(t)
+    model = ReducedModel(build_electrodynamics(corpus.torus()))
+    reg = regularity(model)
+    fc = ed_formula_check(model)
+    rep = moduli_report(model)
     checks = {
         "literal_mode": reg["mode"] == "literal",
         "orthogonality": reg["regular"],

@@ -169,6 +169,62 @@ def test_malformed_input_exits_one(tmp_path, kind, field, value):
     assert b"Traceback" not in out.stderr
 
 
+def _assert_one_error_line(out):
+    assert out.returncode == 1
+    lines = out.stderr.decode().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), lines
+    assert b"Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("config", [
+    ["abelian_bf"],
+    {"mass": "1"},
+    {"kind": 3},
+    {"kind": "scalar", "mass": [1]},
+    {"kind": "abelian_bf", "n": "3"},
+    {"kind": "abelian_bf", "codim": "1"},
+], ids=["not_object", "no_kind", "kind_not_string", "mass_list", "n_not_int",
+        "codim_not_int"])
+def test_malformed_theory_config_exits_one(tmp_path, config):
+    p = tmp_path / "theory.json"
+    p.write_text(json.dumps(config))
+    _assert_one_error_line(run_cli("moduli", "interval", "--theory", str(p)))
+
+
+@pytest.mark.parametrize("field, value", [("left", 3), ("right", ["disk.json"])])
+def test_malformed_gluing_spec_exits_one(tmp_path, field, value):
+    with open(os.path.join(CORPUS, "glue_solid_tori_meridian_to_meridian.json")) as fh:
+        spec = json.load(fh)
+    spec[field] = value
+    p = tmp_path / "bad_spec.json"
+    p.write_text(json.dumps(spec))
+    _assert_one_error_line(run_cli("glue", str(p), "--theory", "cs"))
+
+
+def _target_with(**fields):
+    with open(os.path.join(CORPUS, "targets", "cs_so3.json")) as fh:
+        data = json.load(fh)
+    data.update(fields)
+    return data
+
+
+@pytest.mark.parametrize("data", [
+    [1, 2],
+    _target_with(vars=3),
+    _target_with(omega=3),
+    _target_with(theta={"coeff": "1"}),
+    _target_with(vars=["x0", "x1", "x2"]),
+    _target_with(vars=[{"name": f"x{i}", "degree": "one"} for i in range(3)]),
+    _target_with(omega_degree="2"),
+    _target_with(theta=[{"coeff": "1", "monomial": 3}]),
+], ids=["not_object", "vars_not_list", "omega_not_list", "theta_not_list",
+        "var_not_object", "degree_not_int", "omega_degree_not_int", "monomial_not_list"])
+def test_malformed_target_exits_one(tmp_path, data):
+    p = tmp_path / "bad_target.json"
+    p.write_text(json.dumps(data))
+    _assert_one_error_line(run_cli("target", "check", str(p)))
+
+
 def test_slice_gh0():
     out = run_cli("slice-gh0", "solid_torus", "--theory", "cs")
     assert out.returncode == 0

@@ -11,6 +11,7 @@ from bvbfv.gluing import (
     glue_moduli,
     mayer_vietoris,
 )
+from bvbfv.moduli import ReducedModel
 from bvbfv.theories import build_abelian_bf, build_abelian_cs, build_scalar
 
 
@@ -107,9 +108,9 @@ def test_fiber_product_intervals_scalar():
     i1 = corpus.interval(2)
     spec = GluingSpec(i1, i1, [(2, 0)])
     cx = glue(spec)
-    tl = build_scalar(i1)
-    tr = build_scalar(i1)
-    tn = build_scalar(cx)
+    tl = ReducedModel(build_scalar(i1))
+    tr = ReducedModel(build_scalar(i1))
+    tn = ReducedModel(build_scalar(cx))
     out = fiber_product_check(tn, tl, tr, spec)
     assert out["match"]
 
@@ -119,8 +120,9 @@ def test_fiber_product_cylinders_bf():
     g = cyl.meta["grid"]
     spec = GluingSpec(cyl, cyl, [(g[(i, 1)], g[(i, 0)]) for i in range(3)])
     cx = glue(spec)
-    out = fiber_product_check(build_abelian_bf(cx), build_abelian_bf(cyl),
-                              build_abelian_bf(cyl), spec)
+    out = fiber_product_check(ReducedModel(build_abelian_bf(cx)),
+                              ReducedModel(build_abelian_bf(cyl)),
+                              ReducedModel(build_abelian_bf(cyl)), spec)
     assert out["match"]
 
 
@@ -128,8 +130,8 @@ def test_fiber_product_empty_interface_is_direct_sum():
     c1 = corpus.circle()
     spec = GluingSpec(c1, c1, [])
     cx = glue(spec)
-    tl = build_abelian_bf(c1)
-    tn = build_abelian_bf(cx)
+    tl = ReducedModel(build_abelian_bf(c1))
+    tn = ReducedModel(build_abelian_bf(cx))
     out = fiber_product_check(tn, tl, tl, spec)
     assert out["match"]
     assert out["el_glued_dim"] == 2 * len(
@@ -142,9 +144,9 @@ def test_fiber_product_empty_interface_is_direct_sum():
 def test_glue_moduli_s3():
     spec, left, right = spec_s3()
     cx = glue(spec)
-    tl = build_abelian_cs(left)
-    tr = build_abelian_cs(right)
-    tn = build_abelian_cs(cx)
+    tl = ReducedModel(build_abelian_cs(left))
+    tr = ReducedModel(build_abelian_cs(right))
+    tn = ReducedModel(build_abelian_cs(cx))
     out = glue_moduli(tl, tr, spec, tn)
     assert out["dims_match"] and out["isomorphism"] and out["pairings_intertwined"]
     assert out["direct_dims"] == {1: 1, -2: 1}
@@ -153,9 +155,9 @@ def test_glue_moduli_s3():
 def test_glue_moduli_s2xs1():
     spec, left, right = spec_s2xs1()
     cx = glue(spec)
-    tl = build_abelian_cs(left)
-    tr = build_abelian_cs(right)
-    tn = build_abelian_cs(cx)
+    tl = ReducedModel(build_abelian_cs(left))
+    tr = ReducedModel(build_abelian_cs(right))
+    tn = ReducedModel(build_abelian_cs(cx))
     out = glue_moduli(tl, tr, spec, tn)
     assert out["dims_match"] and out["isomorphism"] and out["pairings_intertwined"]
     assert out["direct_dims"] == {1: 1, 0: 1, -1: 1, -2: 1}
@@ -165,8 +167,8 @@ def test_glue_moduli_empty_interface_product():
     c1 = corpus.circle()
     spec = GluingSpec(c1, c1, [])
     cx = glue(spec)
-    tl = build_abelian_bf(c1)
-    tn = build_abelian_bf(cx)
+    tl = ReducedModel(build_abelian_bf(c1))
+    tn = ReducedModel(build_abelian_bf(cx))
     out = glue_moduli(tl, tl, spec, tn)
     assert out["dims_match"] and out["isomorphism"]
     # product of the two pieces: dims add
@@ -180,9 +182,9 @@ def test_glue_moduli_empty_interface_product():
 def test_mayer_vietoris_solid_tori(make):
     spec, left, right = make()
     cx = glue(spec)
-    tl = build_abelian_cs(left)
-    tr = build_abelian_cs(right)
-    tn = build_abelian_cs(cx)
+    tl = ReducedModel(build_abelian_cs(left))
+    tr = ReducedModel(build_abelian_cs(right))
+    tn = ReducedModel(build_abelian_cs(cx))
     mv = mayer_vietoris(tn, tl, tr, spec)
     assert mv["absolute"].exact
     assert mv["partially_reduced"].exact
@@ -210,18 +212,18 @@ def test_mayer_vietoris_pieces_are_the_engine_quotients(make):
     # absolute pieces: ker Q / Q(everything) = the bulk cohomology; the
     # glued partially reduced piece: ker Q / Q(ker pi) = M_symp
     from bvbfv.linalg import Subspace, kernel_basis
-    from bvbfv.moduli import ReducedModel, symp_moduli
+    from bvbfv.moduli import symp_moduli
 
     spec, left, right = make()
     tl, tr, tn = (build_abelian_cs(c) for c in (left, right, glue(spec)))
-    pieces = mayer_vietoris(tn, tl, tr, spec)["pieces"]
+    pieces = mayer_vietoris(*(ReducedModel(t) for t in (tn, tl, tr)), spec)["pieces"]
     for t, piece in zip((tn, tl, tr), pieces["absolute"]):
         flat = _flat_quotient(t, Subspace.full(t.bulk.total))
         model = ReducedModel(t)
         for g, reps in flat.items():
             assert piece.reps(g) == reps == model.bulk.reps(g)
     flat = _flat_quotient(tn, kernel_basis(tn.pi))
-    sm = symp_moduli(tn)
+    sm = symp_moduli(ReducedModel(tn))
     for g, reps in flat.items():
         assert pieces["partially_reduced"][0].reps(g) == reps == sm["reps"][g]
 
@@ -233,8 +235,8 @@ def test_mayer_vietoris_cylinders_to_torus_bf():
         [(g[(i, 0)], g[(i, 2)]) for i in range(3)]
     spec = GluingSpec(cyl, cyl, pairs)
     cx = glue(spec)
-    tl = build_abelian_bf(cyl)
-    tn = build_abelian_bf(cx)
+    tl = ReducedModel(build_abelian_bf(cyl))
+    tn = ReducedModel(build_abelian_bf(cx))
     mv = mayer_vietoris(tn, tl, tl, spec)
     assert mv["absolute"].exact and mv["partially_reduced"].exact
 
@@ -243,8 +245,8 @@ def test_mayer_vietoris_empty_interface_degenerates():
     c1 = corpus.circle()
     spec = GluingSpec(c1, c1, [])
     cx = glue(spec)
-    tl = build_abelian_bf(c1)
-    tn = build_abelian_bf(cx)
+    tl = ReducedModel(build_abelian_bf(c1))
+    tn = ReducedModel(build_abelian_bf(cx))
     mv = mayer_vietoris(tn, tl, tl, spec)
     assert mv["absolute"].exact and mv["partially_reduced"].exact
 
@@ -302,7 +304,7 @@ def test_triple_gluing_associative_dims():
     t2 = build_abelian_bf(right_first)
     from bvbfv.moduli import q_reduce
 
-    assert q_reduce(t1)["dims"] == q_reduce(t2)["dims"]
+    assert q_reduce(ReducedModel(t1))["dims"] == q_reduce(ReducedModel(t2))["dims"]
     assert left_first.cochain_complex().betti() == right_first.cochain_complex().betti()
 
 
@@ -314,6 +316,6 @@ def test_composed_cylinder_keeps_evolution_relation_dims():
     spec = GluingSpec(cyl, cyl, [(g[(i, 1)], g[(i, 0)]) for i in range(3)])
     t1 = build_abelian_bf(cyl)
     out = compose_morphisms(t1, build_abelian_bf(cyl), spec, build_abelian_bf)
-    ev_single = evolution_relation(t1)
-    ev_comp = evolution_relation(out["glued_theory"])
+    ev_single = evolution_relation(ReducedModel(t1))
+    ev_comp = evolution_relation(ReducedModel(out["glued_theory"]))
     assert ev_comp["reduced_dims_total"] == ev_single["reduced_dims_total"]

@@ -370,6 +370,37 @@ def test_kernel_vectors_annihilated(m):
         assert m.matvec(b) == {}
 
 
+rational_entries = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-3, max_value=3, max_denominator=6))
+
+
+@st.composite
+def rational_low_rank_matrix(draw):
+    """A product (rows x k)(k x cols) of rational matrices, so that ranks
+    below min(rows, cols) come up as often as full ones."""
+    rows, k, cols = (draw(st.integers(min_value=1, max_value=5)) for _ in range(3))
+    a, b = RatMatrix(rows, k), RatMatrix(k, cols)
+    for m in (a, b):
+        for i in range(m.rows):
+            for j in range(m.cols):
+                m[i, j] = draw(rational_entries)
+    return a * b
+
+
+@settings(max_examples=80, deadline=None)
+@given(rational_low_rank_matrix())
+def test_ranks_match_sympy(m):
+    # an independent oracle: sympy's exact rank over Q
+    import sympy
+
+    want = sympy.Matrix(m.rows, m.cols, lambda i, j: sympy.Rational(
+        m[i, j].numerator, m[i, j].denominator)).rank()
+    assert m.rank() == want
+    assert image_basis(m).dim == want
+    assert m.cols - kernel_basis(m).dim == want
+
+
 @settings(max_examples=40, deadline=None)
 @given(small_matrix(), st.lists(small_entries, min_size=5, max_size=5))
 def test_solve_agrees_with_matvec(m, coeffs):

@@ -8,6 +8,7 @@ from bvbfv.linalg import (
     NotLagrangian,
     NotTransversal,
     Subspace,
+    column_span,
     image_basis,
     kernel_basis,
 )
@@ -42,14 +43,14 @@ def cs_solid_torus():
 
 
 def test_cs_solid_torus_moduli_dims():
-    rep = moduli_report(cs_solid_torus())
+    rep = moduli_report(ReducedModel(cs_solid_torus()))
     assert rep["moduli_dims"] == {1: 1, 0: 1, -1: 0, -2: 0}
     assert rep["boundary_moduli_dims"] == {1: 1, 0: 2, -1: 1}
 
 
 def test_cs_solid_torus_el_is_closed_cochains():
     t = cs_solid_torus()
-    el = el_space(t)
+    el = el_space(ReducedModel(t))
     cc = t.cx.cochain_complex()
     for g, space in el["spaces"].items():
         k = 1 - g
@@ -60,7 +61,7 @@ def test_cs_solid_torus_el_is_closed_cochains():
 def test_cs_solid_torus_les_exact_and_equals_pair_les():
     t = cs_solid_torus()
     model = ReducedModel(t)
-    les = tangent_les(t, model)
+    les = tangent_les(model)
     assert les.exact
     relc, incl, restr = t.cx.relative_complex()
     pair = les_of_pair(incl, restr)
@@ -88,7 +89,7 @@ def test_cs_solid_torus_les_exact_and_equals_pair_les():
 
 def test_cs_solid_torus_pi_star_fibers_are_relative_cohomology():
     t = cs_solid_torus()
-    sm = symp_moduli(t)
+    sm = symp_moduli(ReducedModel(t))
     relc, _, _ = t.cx.relative_complex()
     for g, mat in sm["pi_star"].items():
         if not sm["reps"].get(g):
@@ -99,7 +100,7 @@ def test_cs_solid_torus_pi_star_fibers_are_relative_cohomology():
 
 def test_bf_cylinder_pi_star_fibers_from_relative_cohomology():
     t = build_abelian_bf(corpus.cylinder())
-    sm = symp_moduli(t)
+    sm = symp_moduli(ReducedModel(t))
     relc, _, _ = t.cx.relative_complex()
     for g, mat in sm["pi_star"].items():
         if not sm["reps"].get(g):
@@ -112,18 +113,18 @@ def test_bf_cylinder_pi_star_fibers_from_relative_cohomology():
 
 
 def test_cs_solid_torus_lefschetz_package():
-    rep = lefschetz(cs_solid_torus())
+    rep = lefschetz(ReducedModel(cs_solid_torus()))
     assert all(rep["verdicts"].values())
 
 
 def test_cs_solid_torus_evolution_relation():
-    ev = evolution_relation(cs_solid_torus())
+    ev = evolution_relation(ReducedModel(cs_solid_torus()))
     assert ev["verdict"]["lagrangian"]
     assert ev["reduced_dims_total"] == 2  # full H^0 plus one line in H^1
 
 
 def test_cs_solid_torus_vacua_trivial():
-    v = vacua(cs_solid_torus())
+    v = vacua(ReducedModel(cs_solid_torus()))
     assert all(d == 0 for d in v["dims"].values())
     assert v["im_chi_equals_ker_psi"] and v["vert_form_kernel_is_ker_chi"]
 
@@ -132,17 +133,16 @@ def test_cs_torus_times_interval_vacua_from_les():
     # vacua = ker(H^k(N) -> H^k(dN)) for N = T^2 x I: restriction to the two
     # torus ends is injective, so the vacua vanish
     t = build_abelian_cs(corpus.torus_times_interval())
-    v = vacua(t)
+    v = vacua(ReducedModel(t))
     assert all(d == 0 for d in v["dims"].values())
 
 
 def test_cs_solid_torus_transversal_lambda_agreement():
-    t = cs_solid_torus()
-    ev = evolution_relation(t)
+    model = ReducedModel(cs_solid_torus())
+    ev = evolution_relation(model)
     total = ev["pairing"].left_dim
     lred = ev["reduced_L"]
     # construct a Lagrangian complement: H^2 class plus the H^1 line not in L
-    model = ev["model"]
     offsets = ev["offsets"]
     cand = []
     for g in model.ghosts:
@@ -160,27 +160,27 @@ def test_cs_solid_torus_transversal_lambda_agreement():
         if len(lam_basis) == total - lred.dim:
             break
     lam = Subspace(total, lam_basis)
-    out = vacua_via_transversal(t, lam)
+    out = vacua_via_transversal(model, lam)
     assert out["agrees_with_vacua_dim"]
     assert out["agrees_with_vacua_pairing"]
     assert out["reduced_dim"] == 0
 
 
 def test_transversal_lambda_negative():
-    t = cs_solid_torus()
-    ev = evolution_relation(t)
+    model = ReducedModel(cs_solid_torus())
+    ev = evolution_relation(model)
     with pytest.raises(NotTransversal):
-        vacua_via_transversal(t, ev["reduced_L"])
+        vacua_via_transversal(model, ev["reduced_L"])
     total = ev["pairing"].left_dim
     with pytest.raises(NotLagrangian):
-        vacua_via_transversal(t, Subspace.full(total))
+        vacua_via_transversal(model, Subspace.full(total))
 
 
 # --- scalar -------------------------------------------------------------------
 
 
 def test_scalar_circle_massless_vacua_cotangent_point():
-    rep = moduli_report(build_scalar(corpus.circle()))
+    rep = moduli_report(ReducedModel(build_scalar(corpus.circle())))
     assert rep["moduli_dims"] == {0: 1, -1: 1}
     assert rep["vacua_dims"] == {0: 1, -1: 1}
     assert rep["vacua_core_dims"] == {0: 1, -1: 1}
@@ -189,7 +189,7 @@ def test_scalar_circle_massless_vacua_cotangent_point():
 
 
 def test_scalar_interval_vacua_trivial_core():
-    rep = moduli_report(build_scalar(corpus.interval(2)))
+    rep = moduli_report(ReducedModel(build_scalar(corpus.interval(2))))
     assert rep["les_exact"]
     assert rep["vacua_core_dims"] == {0: 0, -1: 0}
     assert rep["vacua_dims"][0] == 0
@@ -206,7 +206,7 @@ def test_scalar_interval_relative_groups_vanish():
 
 
 def test_scalar_massive_circle_el_trivial():
-    rep = moduli_report(build_scalar(corpus.circle(), 1))
+    rep = moduli_report(ReducedModel(build_scalar(corpus.circle(), 1)))
     assert rep["el_dims"].get(0, 0) == 0
     assert rep["moduli_dims"] == {0: 0, -1: 0}
     assert rep["vacua_dims"] == {0: 0, -1: 0}
@@ -214,7 +214,7 @@ def test_scalar_massive_circle_el_trivial():
 
 def test_scalar_interval_transversal_momentum_leaf():
     t = build_scalar(corpus.circle())
-    out = vacua_via_transversal(t, Subspace.zero(0))
+    out = vacua_via_transversal(ReducedModel(t), Subspace.zero(0))
     assert out["agrees_with_vacua_dim"] and out["agrees_with_vacua_pairing"]
 
 
@@ -222,20 +222,20 @@ def test_scalar_interval_transversal_momentum_leaf():
 
 
 def test_ed_torus_regular_and_dims():
-    t = build_electrodynamics(corpus.torus())
-    rep = moduli_report(t)
+    model = ReducedModel(build_electrodynamics(corpus.torus()))
+    rep = moduli_report(model)
     assert rep["moduli_dims"] == {1: 1, 0: 2, -1: 2, -2: 1}
     assert rep["regularity"]["mode"] == "literal"
     assert rep["regularity"]["regular"]
     assert rep["les_exact"]
-    fc = ed_formula_check(t)
+    fc = ed_formula_check(model)
     assert fc["all_required_match"] and fc["A_sector"]["match"]
 
 
 @pytest.mark.parametrize("name", ["cylinder", "disk_fan", "annulus", "sphere"])
 def test_ed_sector_formulas_on_corpus(name, ):
     t = build_electrodynamics(corpus.BUILDERS[name]())
-    fc = ed_formula_check(t)
+    fc = ed_formula_check(ReducedModel(t))
     assert fc["c_sector"]["match"]
     assert fc["A_dagger_sector"]["match"]
     assert fc["c_dagger_sector"]["match"]
@@ -257,7 +257,7 @@ def test_regularity_negative_witness():
             bad[i, j] = 0
     t.Q = bad
     assert (t.Q * t.Q).is_zero()
-    rep = regularity(t)
+    rep = regularity(ReducedModel(t))
     assert not rep["regular"]
     assert rep["witness"] is not None
 
@@ -292,8 +292,9 @@ def test_report_invariant_under_vertex_permutation(name, theory):
     shuffled = corpus.relabeled(cx, seed=2012)
     assert shuffled.vertex_ids != cx.vertex_ids
     build = THEORY_BUILDERS[theory]
-    before, after = moduli_report(build(cx)), moduli_report(build(shuffled))
-    skip = {"_model", "les_nodes"}
+    before = moduli_report(ReducedModel(build(cx)))
+    after = moduli_report(ReducedModel(build(shuffled)))
+    skip = {"les_nodes"}
     assert before.keys() == after.keys()
     for key in before.keys() - skip:
         assert after[key] == before[key], key
@@ -315,8 +316,9 @@ def test_report_invariant_under_subdivision(theory, name):
     cx = getattr(corpus, name)()
     fine = corpus.subdivide(cx)
     build = THEORY_BUILDERS[theory]
-    before, after = moduli_report(build(cx)), moduli_report(build(fine))
-    skip = {"_model", "el_dims", "moduli_symp_dims"}
+    before = moduli_report(ReducedModel(build(cx)))
+    after = moduli_report(ReducedModel(build(fine)))
+    skip = {"el_dims", "moduli_symp_dims"}
     if theory == "scalar" and not cx.is_closed():
         # the scalar's moduli grow with the number of boundary vertices (the
         # open Lefschetz/regularity failure of the cotangent models), so
@@ -332,27 +334,27 @@ def test_report_invariant_under_subdivision(theory, name):
 
 @pytest.mark.parametrize("build", CASES)
 def test_les_exact_everywhere(build):
-    assert tangent_les(build()).exact
+    assert tangent_les(ReducedModel(build())).exact
 
 
 @pytest.mark.parametrize("build", CASES[:6])
 def test_lefschetz_verdicts_cup_theories(build):
-    assert all(lefschetz(build())["verdicts"].values())
+    assert all(lefschetz(ReducedModel(build()))["verdicts"].values())
 
 
 @pytest.mark.parametrize("build", CASES)
 def test_beta_diagram_and_exact_vanishing(build):
-    sm = symp_moduli(build())
+    sm = symp_moduli(ReducedModel(build()))
     assert sm["beta_diagram_commutes"]
     assert sm["beta_vanishes_on_exact"]
 
 
 @pytest.mark.parametrize("build", CASES)
 def test_vacua_pairing_couples_dual_ghosts(build):
-    v = vacua(build())
+    model = ReducedModel(build())
+    v = vacua(model)
     p = v["pairing"]
     offsets = v["offsets"]
-    model = v["model"]
     c = model.pair_ghost()
     for (i, j) in p.matrix.entries:
         gi = [g for g in offsets if offsets[g] <= i][-1]
@@ -376,12 +378,12 @@ def test_evolution_relation_lagrangian_for_regular_theories():
                   lambda: build_abelian_cs(corpus.solid_torus()),
                   lambda: build_electrodynamics(corpus.torus())):
         t = build()
-        ev = evolution_relation(t)
+        ev = evolution_relation(ReducedModel(t))
         assert ev["verdict"]["lagrangian"]
 
 
 def test_closed_complex_evolution_relation_vacuous():
-    ev = evolution_relation(build_abelian_bf(corpus.torus()))
+    ev = evolution_relation(ReducedModel(build_abelian_bf(corpus.torus())))
     assert ev["L_dim"] == 0 and ev["verdict"]["lagrangian"]
 
 
@@ -390,7 +392,7 @@ def test_zero_differential_theory_moduli_is_everything():
     t = build_scalar(corpus.two_points())
     # two isolated points: d^0 has no target, the differential blocks vanish
     assert t.Q.is_zero()
-    rep = q_reduce(t)
+    rep = q_reduce(ReducedModel(t))
     total = sum(rep["dims"].values())
     assert total == t.bulk.total
 
@@ -398,7 +400,7 @@ def test_zero_differential_theory_moduli_is_everything():
 def test_cs_t2xi_vacua_match_pair_les_oracle():
     cx = corpus.torus_times_interval()
     t = build_abelian_cs(cx)
-    v = vacua(t)
+    v = vacua(ReducedModel(t))
     relc, incl, restr = cx.relative_complex()
     pair = les_of_pair(incl, restr)
     # vacua at ghost g = ker(psi) = ker(H^k(N) -> H^k(dN)) with k = 1 - g
@@ -425,12 +427,12 @@ def test_cs_solid_torus_triangulation_independence():
     # time bound for up to one hundred tetrahedra
     import time
 
-    base = moduli_report(build_abelian_cs(corpus.solid_torus(3)))
+    base = moduli_report(ReducedModel(build_abelian_cs(corpus.solid_torus(3))))
     for m in (4, 7):
         cx = corpus.solid_torus(m)
         assert cx.n_faces(3) <= 100
         t0 = time.time()
-        rep = moduli_report(build_abelian_cs(cx))
+        rep = moduli_report(ReducedModel(build_abelian_cs(cx)))
         assert time.time() - t0 < 5.0
         assert rep["moduli_dims"] == base["moduli_dims"]
         assert rep["boundary_moduli_dims"] == base["boundary_moduli_dims"]
@@ -613,6 +615,17 @@ def test_flat_ker_q_and_im_q_match_flat_eliminations(theory, name):
     got, want = model.ker_q._left_inv(), flat._left_inv()
     assert (got.nums, got.dens) == (want.nums, want.dens)
     assert model.im_q == image_basis(t.Q)
+    # the same for the boundary piece against Q_bdry
+    ker_b, flat_b = model.bdry.flat_kernel(), kernel_basis(t.Q_bdry)
+    assert ker_b.ambient_dim == flat_b.ambient_dim
+    assert ker_b.basis == flat_b.basis
+    got, want = ker_b._left_inv(), flat_b._left_inv()
+    assert (got.nums, got.dens) == (want.nums, want.dens)
+    assert model.bdry.flat_image() == image_basis(t.Q_bdry)
+    # M_symp divides out Q(ker pi): the flat Q of the embedded K columns
+    qk = [t.Q.matvec(model.bulk.flat(g, k))
+          for g in model.ghosts for k in model.K[g].transpose().sparse_rows()]
+    assert model.msymp.flat_image() == column_span(qk, t.bulk.total)
 
 
 @pytest.mark.parametrize("theory,name", corpus_pairs())
@@ -620,7 +633,7 @@ def test_vacua_core_dims_do_not_depend_on_the_kernel_basis(theory, name):
     # core_dims counts the kernel basis vectors inside each ghost block;
     # the count must be dim(kernel cap block), here from the two one-sided
     # kernels and intersect
-    vac = vacua(build_pair(theory, name))
+    vac = vacua(ReducedModel(build_pair(theory, name)))
     pmat = vac["pairing"].matrix
     total = pmat.rows
     kern = kernel_basis(pmat.transpose()).intersect(kernel_basis(pmat)) \
@@ -629,6 +642,27 @@ def test_vacua_core_dims_do_not_depend_on_the_kernel_basis(theory, name):
         off, dim = vac["offsets"][g], vac["vac_reps"][g].dim
         block = Subspace(total, [{i: 1} for i in range(off, off + dim)])
         assert core == vac["dims"][g] - kern.intersect(block).dim, g
+
+
+def test_vacua_core_dims_ignore_a_block_mixing_kernel_basis(monkeypatch):
+    # the same kernel span in the basis (b0 + b1, b1, ...): a count of basis
+    # vectors inside each ghost block changes with it, dim(kernel cap block)
+    # does not
+    from bvbfv import moduli
+    from bvbfv.linalg import vec_add
+
+    want = vacua(ReducedModel(build_pair("ed", "disk")))["core_dims"]
+    reduce = moduli.presymplectic_reduce
+
+    def mixing_reduce(pairing, sub):
+        red = reduce(pairing, sub)
+        b = red["kernel"].basis
+        assert len(b) >= 2
+        red["kernel"] = Subspace(red["kernel"].ambient_dim, [vec_add(b[0], b[1])] + b[1:])
+        return red
+
+    monkeypatch.setattr(moduli, "presymplectic_reduce", mixing_reduce)
+    assert vacua(ReducedModel(build_pair("ed", "disk")))["core_dims"] == want
 
 
 @pytest.mark.parametrize("theory,name", [
@@ -654,7 +688,8 @@ def test_coordinates_stay_exact(theory, name, monkeypatch):
     monkeypatch.setattr(linalg.Subspace, "coords", recording_coords)
     for mod in (complexes, moduli):
         monkeypatch.setattr(mod, "quotient", recording_quotient)
-    model = moduli_report(build_pair(theory, name))["_model"]
+    model = ReducedModel(build_pair(theory, name))
+    moduli_report(model)
     for piece in (model.bulk, model.bdry, model.vert, model.msymp):
         for cmap in piece._coords.values():
             seen.extend(cmap.entries.values())
