@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
 """Sweep the corpus: build every (theory, complex) pair that makes sense,
 run the master-equation checks and the full reduction report, and print a
-dimension/verdict table.
+dimension/verdict table.  Then glue bf and cs along every corpus gluing
+spec and print the gluing verdicts.
 
 Usage:  python3 scripts/corpus_report.py [--quick]
 """
 
 import argparse
+import json
 import os
 import sys
 import time
@@ -14,7 +16,16 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from bvbfv import corpus  # noqa: E402
+from bvbfv.gluing import (  # noqa: E402
+    Gluing,
+    GluingSpec,
+    fiber_product_check,
+    glue,
+    glue_moduli,
+    mayer_vietoris,
+)
 from bvbfv.moduli import ReducedModel, moduli_report  # noqa: E402
+from bvbfv.simplicial import load_complex  # noqa: E402
 from bvbfv.theories import (  # noqa: E402
     build_abelian_bf,
     build_abelian_cs,
@@ -36,6 +47,20 @@ def pairs(quick=False):
         if cx.dimension >= 2 and not quick:
             out.append((f"ed/{name}", build_electrodynamics(cx)))
     return out
+
+
+CORPUS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "corpus")
+
+
+def gluing_specs():
+    """(name, GluingSpec) of every corpus gluing spec file."""
+    for name in sorted(os.listdir(CORPUS)):
+        if name.startswith("glue_") and name.endswith(".json"):
+            with open(os.path.join(CORPUS, name)) as fh:
+                data = json.load(fh)
+            left, right = (load_complex(os.path.join(CORPUS, data[side]))
+                           for side in ("left", "right"))
+            yield name[:-5], GluingSpec(left, right, [tuple(p) for p in data["interface_map"]])
 
 
 def fmt_dims(d):
@@ -64,6 +89,28 @@ def main():
             f"{time.time() - t0:5.2f}s"
         )
         print(row)
+    print()
+    header = f"{'theory/gluing':42s} {'fiber':6s} {'intrinsic=direct':17s} {'iso':4s} {'mv abs':7s} {'mv part':7s} {'time':>6s}"
+    print(header)
+    print("-" * len(header))
+    for name, spec in gluing_specs():
+        for theory, build in (("bf", build_abelian_bf), ("cs", build_abelian_cs)):
+            t0 = time.time()
+            gl = Gluing(spec, *(ReducedModel(build(cx))
+                                for cx in (glue(spec), spec.left, spec.right)))
+            fp = fiber_product_check(gl)["match"]
+            gm = glue_moduli(gl)
+            mv = mayer_vietoris(gl)
+            dims = fmt_dims(gm["direct_dims"]) if gm["dims_match"] else \
+                f"{fmt_dims(gm['intrinsic_dims'])}!={fmt_dims(gm['direct_dims'])}"
+            row = (
+                f"{theory + '/' + name:42s} {'ok' if fp else 'FAIL':6s} {dims:17s} "
+                f"{'ok' if gm['isomorphism'] else 'FAIL':4s} "
+                f"{'ok' if mv['absolute'].exact else 'FAIL':7s} "
+                f"{'ok' if mv['partially_reduced'].exact else 'FAIL':7s} "
+                f"{time.time() - t0:5.2f}s"
+            )
+            print(row)
 
 
 if __name__ == "__main__":

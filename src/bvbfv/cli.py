@@ -21,6 +21,7 @@ from fractions import Fraction
 from . import __version__
 from .complexes import GhostMismatch
 from .gluing import (
+    Gluing,
     GluingError,
     GluingSpec,
     fiber_product_check,
@@ -287,18 +288,17 @@ def cmd_glue(args):
     rep = RunReport("glue", [_resolve(args.path), lpath, rpath])
     rep.table("glued_betti", cx.cochain_complex().betti())
     t, config = _build_theory(cx, args)
-    model = ReducedModel(t)
-    model_l = ReducedModel(theory_from_config(left, config))
-    model_r = ReducedModel(theory_from_config(right, config))
-    fp = fiber_product_check(model, model_l, model_r, spec)
+    gl = Gluing(spec, ReducedModel(t), ReducedModel(theory_from_config(left, config)),
+                ReducedModel(theory_from_config(right, config)))
+    fp = fiber_product_check(gl)
     rep.check("el_fiber_product", fp["match"])
-    gm = glue_moduli(model_l, model_r, spec, model)
+    gm = glue_moduli(gl)
     rep.table("intrinsic_dims", gm["intrinsic_dims"])
     rep.table("direct_dims", gm["direct_dims"])
     rep.check("glued_moduli_dims_match", gm["dims_match"])
     rep.check("glued_moduli_isomorphism", gm["isomorphism"])
     rep.check("glued_pairings_intertwined", gm["pairings_intertwined"])
-    mv = mayer_vietoris(model, model_l, model_r, spec)
+    mv = mayer_vietoris(gl)
     rep.check("mayer_vietoris_absolute_exact", mv["absolute"].exact)
     rep.check("mayer_vietoris_partially_reduced_exact",
               mv["partially_reduced"].exact)

@@ -3,14 +3,18 @@ boundary subcomplexes, fiber products of Euler-Lagrange spaces, intrinsic
 reconstruction of the symplectic moduli of the glued theory, and both
 Mayer-Vietoris long exact sequences.
 
-The theory-level operations take the ReducedModels of the glued theory and
-of its two pieces, built once by the caller; the models' pieces map each
-ghost block to flat coordinates.
+One `Gluing` per glue op holds the spec and the ReducedModels of the glued
+theory and of its two pieces, built once by the caller, and builds on first
+use what the gluing phases share: the interface fields, the interface
+restrictions and their sections, and the restrictions to the pieces.  Each
+phase takes the `Gluing`; the models' pieces map each ghost block to flat
+coordinates.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 from .complexes import ExactSequenceReport, verify_exactness
 from .linalg import (
@@ -22,7 +26,7 @@ from .linalg import (
 )
 from .moduli import ReducedModel, _ghost_piece, symp_moduli
 from .simplicial import IncoherentOrientation, OrientedComplex, _perm_sign
-from .theories import LinearTheory
+from .theories import FieldSpace, LinearTheory, set_block
 
 
 class GluingError(Exception):
@@ -39,7 +43,11 @@ class OrientationClash(GluingError):
 
 class GluingSpec:
     """Two complexes and an orientation-reversing identification of a left
-    boundary subcomplex with a right one, given as vertex pairs."""
+    boundary subcomplex with a right one, given as vertex pairs.
+
+    `interface` is the identified subcomplex, named by its left vertices,
+    with the orientation induced from the left piece; `iface_vertices`
+    holds the identified vertices of each side."""
 
     def __init__(self, left: OrientedComplex, right: OrientedComplex, interface_map):
         self.left = left
@@ -61,43 +69,27 @@ class GluingSpec:
             raise InterfaceMismatch("left interface vertices are not boundary vertices")
         if not rset <= set(rb.vertex_ids):
             raise InterfaceMismatch("right interface vertices are not boundary vertices")
-        self.left_faces = {}
-        self.right_faces = {}
-        lfaces = {
-            self.left.face_vertices(f)
-            for f in self.left.boundary_faces()
-            if set(self.left.face_vertices(f)) <= lset
-        }
+        self.iface_vertices = {"left": lset, "right": rset}
+        # face vertices come in left vertex order, with the induced sign
+        lfaces = {}
+        for f, s in self.left.boundary_faces().items():
+            verts = self.left.face_vertices(f)
+            if set(verts) <= lset:
+                lfaces[verts] = int(s)
         rfaces = {
             self.right.face_vertices(f)
             for f in self.right.boundary_faces()
             if set(self.right.face_vertices(f)) <= rset
         }
-        mapped = {tuple(sorted((self.l_of_r[v] for v in f), key=self._lkey))
-                  for f in rfaces}
-        lcanon = {tuple(sorted(f, key=self._lkey)) for f in lfaces}
-        if mapped != lcanon:
+        lkey = self.left.vertex_position
+        mapped = {tuple(sorted((self.l_of_r[v] for v in f), key=lkey)) for f in rfaces}
+        if mapped != set(lfaces):
             raise InterfaceMismatch(
                 "identified boundary subcomplexes are not simplicially isomorphic"
             )
-
-    def _lkey(self, v):
-        return self.left.vertex_position(v)
-
-    def interface_complex(self):
-        """The interface as a complex with the orientation induced from the
-        left piece."""
-        lset = {l for l, _ in self.pairs}
-        faces = []
-        signs = []
-        for f, s in self.left.boundary_faces().items():
-            verts = self.left.face_vertices(f)
-            if set(verts) <= lset:
-                faces.append(list(verts))
-                signs.append(int(s))
-        verts = sorted({v for f in faces for v in f}, key=self._lkey)
-        dim = self.left.dimension - 1
-        return OrientedComplex(dim, verts, faces, signs)
+        self.interface = OrientedComplex(
+            self.left.dimension - 1, sorted({v for f in lfaces for v in f}, key=lkey),
+            [list(f) for f in lfaces], list(lfaces.values()))
 
 
 def glue(spec: GluingSpec):
@@ -138,103 +130,123 @@ def restriction_to_subcomplex(big: OrientedComplex, small: OrientedComplex, k, v
     return m
 
 
-def _bulk_restriction(t_big: LinearTheory, t_small: LinearTheory, vmap):
-    """Flat restriction of cup-model bulk fields of the glued theory to a
-    piece (both theories must have pure cochain sectors)."""
-    m = RatMatrix(t_small.bulk.total, t_big.bulk.total)
-    for slot in t_small.bulk.slots:
-        sec, k = slot["sector"], slot["degree"]
-        if not t_big.bulk.has(sec, k):
-            continue
-        block = restriction_to_subcomplex(t_big.cx, t_small.cx, k, vmap)
-        r0 = t_small.bulk.offset(sec, k)
-        c0 = t_big.bulk.offset(sec, k)
-        for (i, j), v in block.entries.items():
-            m[r0 + i, c0 + j] = v
+def _restriction(t: LinearTheory, fields: FieldSpace, small: OrientedComplex, vmap):
+    """Flat restriction of the cup-model bulk fields of t to the cochains of
+    small laid out by fields (vmap: small vertex -> vertex of t's complex)."""
+    m = RatMatrix(fields.total, t.bulk.total)
+    for slot in fields.slots:
+        sk = (slot["sector"], slot["degree"])
+        if t.bulk.has(*sk):
+            set_block(m, fields, sk, t.bulk, sk,
+                      restriction_to_subcomplex(t.cx, small, sk[1], vmap))
     return m
 
 
-def _interface_restriction(t: LinearTheory, iface: OrientedComplex, vmap):
-    """Flat restriction of cup-model bulk fields to interface cochains,
-    stacked per sector and degree (vmap: interface vertex -> bulk vertex),
-    and the row offset of each (sector, degree)."""
-    total = 0
-    offsets = {}
-    for slot in t.bulk.slots:
-        sec, k = slot["sector"], slot["degree"]
-        if k > iface.dimension:
-            continue
-        offsets[(sec, k)] = total
-        total += iface.n_faces(k)
-    m = RatMatrix(total, t.bulk.total)
-    for slot in t.bulk.slots:
-        sec, k = slot["sector"], slot["degree"]
-        if k > iface.dimension:
-            continue
-        block = restriction_to_subcomplex(t.cx, iface, k, vmap)
-        r0 = offsets[(sec, k)]
-        c0 = t.bulk.offset(sec, k)
-        for (i, j), v in block.entries.items():
-            m[r0 + i, c0 + j] = v
-    return m, offsets
-
-
-def _interface_restrictions(t_left, t_right, spec: GluingSpec, iface):
-    """The interface restrictions of the two pieces' bulk fields, the
-    interface named by its left vertices, and the stacked offsets of the
-    left one."""
-    r_of_l = dict(spec.pairs)
-    rho_l, offsets = _interface_restriction(
-        t_left, iface, {v: v for v in iface.vertex_ids})
-    rho_r, _ = _interface_restriction(
-        t_right, iface, {v: r_of_l[v] for v in iface.vertex_ids})
-    return rho_l, rho_r, offsets
-
-
-def _piece_restrictions(t_glued, t_left, t_right):
-    """The restrictions of the glued theory's bulk fields to the two
-    pieces it was glued from."""
-    meta = t_glued.cx.meta
-    return tuple(
-        _bulk_restriction(t_glued, t, {v: meta[key][v] for v in t.cx.vertex_ids})
-        for t, key in ((t_left, "left_map"), (t_right, "right_map")))
+def _boundary_faces(t: LinearTheory):
+    """(flat boundary row, slot, vertex ids) of every boundary field
+    coordinate of t."""
+    bc = t.cx.boundary_complex()
+    for slot in t.bdry.slots:
+        off = t.bdry.offset(slot["sector"], slot["degree"])
+        for i, f in enumerate(bc.faces(slot["degree"])):
+            yield off + i, slot, bc.face_vertices(f)
 
 
 def _cotangent_interface(t: LinearTheory, spec: GluingSpec, side):
     """Interface observables of a cotangent theory: boundary-field rows of
     pi supported on interface faces, in a left-labelled canonical order.
     Flux-type rows from the right piece carry the orientation-reversal sign."""
-    iface_verts = {l for l, _ in spec.pairs} if side == "left" else \
-        {r for _, r in spec.pairs}
-    to_left = (lambda v: v) if side == "left" else \
-        {r: l for l, r in spec.pairs}.__getitem__
+    to_left = (lambda v: v) if side == "left" else spec.l_of_r.__getitem__
     lkey = spec.left.vertex_position
-    bc = t.cx.boundary_complex()
     flux = t.meta.get("bdry_flux_sectors", set())
     rows = {}
-    off = 0
-    for slot in t.bdry.slots:
-        sec, k = slot["sector"], slot["degree"]
-        for i, f in enumerate(bc.faces(k)):
-            verts = bc.face_vertices(f)
-            if not set(verts) <= iface_verts:
-                continue
-            key_verts = [to_left(v) for v in verts]
-            pos = [lkey(v) for v in key_verts]
-            sgn = _perm_sign(pos)
-            if side == "right" and sec in flux:
-                sgn = -sgn
-            key = (sec, k, tuple(sorted(pos)))
-            rows[key] = (off + i, sgn)
-        off += slot["dim"]
-    keys = sorted(rows, key=str)
-    m = RatMatrix(len(keys), t.bulk.total)
-    for r, key in enumerate(keys):
-        src_row, sgn = rows[key]
-        for (i, j), v in t.pi.entries.items():
-            if i == src_row:
-                m[r, j] = sgn * v
-    return m
+    for row, slot, verts in _boundary_faces(t):
+        if not set(verts) <= spec.iface_vertices[side]:
+            continue
+        pos = [lkey(to_left(v)) for v in verts]
+        sgn = _perm_sign(pos)
+        if side == "right" and slot["sector"] in flux:
+            sgn = -sgn
+        rows[(slot["sector"], slot["degree"], tuple(sorted(pos)))] = (row, sgn)
+    pi_rows = t.pi.sparse_rows()
+    return RatMatrix.from_rows(
+        [{j: sgn * v for j, v in pi_rows[row].items()}
+         for row, sgn in (rows[key] for key in sorted(rows, key=str))],
+        t.bulk.total)
+
+
+class Gluing:
+    """One glue op: the spec and the ReducedModels of the glued theory and
+    of its left and right pieces.  What the gluing phases share is built
+    on first use and kept."""
+
+    def __init__(self, spec: GluingSpec, glued: ReducedModel, left: ReducedModel,
+                 right: ReducedModel):
+        self.spec = spec
+        self.glued = glued
+        self.left = left
+        self.right = right
+
+    @cached_property
+    def fields(self):
+        """The interface cochains: one slot per bulk slot of the left piece
+        whose degree is at most the interface dimension, with its ghost."""
+        iface = self.spec.interface
+        fs = FieldSpace()
+        for slot in self.left.t.bulk.slots:
+            k = slot["degree"]
+            if k <= iface.dimension:
+                fs.add(slot["sector"], k, iface.n_faces(k), slot["ghost"])
+        return fs
+
+    @cached_property
+    def rho(self):
+        """The (left, right) restrictions of the pieces' bulk fields to the
+        interface: onto `fields` for cup models, onto the interface rows
+        of pi for cotangent models."""
+        spec, t_left, t_right = self.spec, self.left.t, self.right.t
+        if t_left.model == "cotangent":
+            return (_cotangent_interface(t_left, spec, "left"),
+                    _cotangent_interface(t_right, spec, "right"))
+        iface = spec.interface
+        return (_restriction(t_left, self.fields, iface, {l: l for l, _ in spec.pairs}),
+                _restriction(t_right, self.fields, iface, dict(spec.pairs)))
+
+    @cached_property
+    def sections(self):
+        """rho^T for each side, a section of rho: each interface coordinate
+        extended by zero into the bulk.  Holds when every row of rho is a
+        single +-1 entry on its own column, checked as rho rho^T = I."""
+        out = []
+        for rho in self.rho:
+            sec = rho.transpose()
+            if rho * sec != RatMatrix.identity(rho.rows):
+                raise GluingError("interface restriction row is not a single face")
+            out.append(sec)
+        return tuple(out)
+
+    @cached_property
+    def res(self):
+        """(restriction, orientation factor) of the glued bulk fields to
+        the left and to the right piece."""
+        t = self.glued.t
+        return tuple(
+            (_restriction(t, m.t.bulk, m.t.cx, t.cx.meta[key]),
+             _orientation_factor(t, m.t, t.cx.meta[key]))
+            for m, key in ((self.left, "left_map"), (self.right, "right_map")))
+
+
+def _stack(a, b, n):
+    """The vector (a, b) with b shifted past the first n coordinates."""
+    return {**a, **{n + i: v for i, v in b.items()}}
+
+
+def _fiber_product(rho_l, left, rho_r, right):
+    """kernel_basis of [rho_l L | -rho_r R]: the pairs of combinations of
+    the vectors left and right that agree on the interface."""
+    cols = [rho_l.matvec(v) for v in left] + \
+        [{i: -x for i, x in rho_r.matvec(v).items()} for v in right]
+    return kernel_basis(RatMatrix.from_columns(cols, rho_l.rows))
 
 
 def _gh0_kernel(model: ReducedModel):
@@ -243,7 +255,7 @@ def _gh0_kernel(model: ReducedModel):
         model.bulk.flat(0, b) for b in model.bulk.kernel(0).basis], check=False)
 
 
-def fiber_product_check(model_glued, model_left, model_right, spec: GluingSpec):
+def fiber_product_check(gl: Gluing):
     """dim EL of the glued theory equals the dimension of the fiber product
     of the pieces' EL spaces over the interface fields.
 
@@ -254,30 +266,16 @@ def fiber_product_check(model_glued, model_left, model_right, spec: GluingSpec):
     rather than a matching condition, so only the classical sector has a
     discrete fiber-product statement.
     """
-    t_left, t_right = model_left.t, model_right.t
-    if t_left.model == "cotangent":
-        el_n = _gh0_kernel(model_glued).dim
-        el_l = _gh0_kernel(model_left)
-        el_r = _gh0_kernel(model_right)
-        rho_l = _cotangent_interface(t_left, spec, "left")
-        rho_r = _cotangent_interface(t_right, spec, "right")
+    if gl.left.t.model == "cotangent":
+        el_n = _gh0_kernel(gl.glued).dim
+        el_l, el_r = _gh0_kernel(gl.left), _gh0_kernel(gl.right)
     else:
-        el_n = model_glued.ker_q.dim
-        el_l = model_left.ker_q
-        el_r = model_right.ker_q
-        rho_l, rho_r, _ = _interface_restrictions(
-            t_left, t_right, spec, spec.interface_complex())
+        el_n = gl.glued.ker_q.dim
+        el_l, el_r = gl.left.ker_q, gl.right.ker_q
+    rho_l, rho_r = gl.rho
     if rho_l.rows != rho_r.rows:
         raise GluingError("interface field spaces disagree")
-    na, nb = el_l.dim, el_r.dim
-    cond = RatMatrix(rho_l.rows, na + nb)
-    for j, b in enumerate(el_l.basis):
-        for i, v in rho_l.matvec(b).items():
-            cond[i, j] = v
-    for j, b in enumerate(el_r.basis):
-        for i, v in rho_r.matvec(b).items():
-            cond[i, na + j] = cond[i, na + j] - v
-    fp_dim = kernel_basis(cond).dim
+    fp_dim = _fiber_product(rho_l, el_l.basis, rho_r, el_r.basis).dim
     return {"el_glued_dim": el_n, "fiber_product_dim": fp_dim,
             "match": el_n == fp_dim}
 
@@ -292,7 +290,7 @@ def _require_cup(*theories):
                 f"(bf or cs); {t.kind} is a {t.model} model")
 
 
-def glue_moduli(model_left, model_right, spec: GluingSpec, model_glued):
+def glue_moduli(gl: Gluing):
     """Intrinsic reconstruction of the symplectic moduli of the glued theory:
 
       (i)  the fiber product of the pieces' symplectic moduli over the
@@ -303,44 +301,34 @@ def glue_moduli(model_left, model_right, spec: GluingSpec, model_glued):
     compared with the direct computation on the glued complex through an
     explicit isomorphism that also intertwines the bulk pairings with the
     fundamental-cycle decomposition sign epsilon."""
+    model_left, model_right, model_glued = gl.left, gl.right, gl.glued
     t_left, t_right, t_glued = model_left.t, model_right.t, model_glued.t
     _require_cup(t_left, t_right, t_glued)
-    iface = spec.interface_complex()
     msymp_l, msymp_r, msymp_n = model_left.msymp, model_right.msymp, model_glued.msymp
     sm_l = symp_moduli(model_left)
     sm_r = symp_moduli(model_right)
-    rho_l, rho_r, _ = _interface_restrictions(t_left, t_right, spec, iface)
+    rho_l, rho_r = gl.rho
     ghosts = sorted(set(model_left.ghosts) | set(model_right.ghosts))
     mt_basis = {}      # ghost -> basis of M-tilde in (left reps + right reps) coords
     for g in ghosts:
         reps_l = sm_l["reps"].get(g, [])
-        reps_r = sm_r["reps"].get(g, [])
-        na, nb = len(reps_l), len(reps_r)
-        cond = RatMatrix(rho_l.rows, na + nb)
-        for j, rep in enumerate(reps_l):
-            for i, v in rho_l.matvec(msymp_l.flat(g, rep)).items():
-                cond[i, j] = v
-        for j, rep in enumerate(reps_r):
-            for i, v in rho_r.matvec(msymp_r.flat(g, rep)).items():
-                cond[i, na + j] = cond[i, na + j] - v
-        mt = kernel_basis(cond)
-        mt_basis[g] = (mt, na, nb)
+        mt = _fiber_product(rho_l, [msymp_l.flat(g, rep) for rep in reps_l],
+                            rho_r, [msymp_r.flat(g, rep) for rep in sm_r["reps"].get(g, [])])
+        mt_basis[g] = (mt, len(reps_l))
     # beta-tilde images of interface fields span the distribution to divide by
-    rho_l_rows = rho_l.sparse_rows()
-    rho_r_rows = rho_r.sparse_rows()
+    sec_l, sec_r = gl.sections
     beta_cols = {g: [] for g in ghosts}
     for g in ghosts:
         # interface fields of ghost g map into m-tilde at ghost g-1
         target = mt_basis.get(g - 1)
         if target is None:
             continue
-        mt, na, nb = target
+        mt, na = target
         if mt.dim == 0:
             continue
-        for row in _interface_rows_of_ghost(t_left, iface, g):
-            bl = _beta_value(model_left, rho_l_rows[row], g)
-            br = _beta_value(model_right, rho_r_rows[row], g)
-            vec = {**bl, **{na + i: v for i, v in br.items()}}
+        for row in gl.fields.ghost_indices(g):
+            vec = _stack(_beta_value(model_left, sec_l, row, g),
+                         _beta_value(model_right, sec_r, row, g), na)
             if vec:
                 x = mt.coords(vec)
                 if x is None:
@@ -349,12 +337,12 @@ def glue_moduli(model_left, model_right, spec: GluingSpec, model_glued):
     intrinsic_dims = {}
     quotients = {}
     for g in ghosts:
-        mt, na, nb = mt_basis[g]
+        mt, na = mt_basis[g]
         dist = column_span(beta_cols.get(g, []), mt.dim)
         comp, coords = quotient(Subspace.full(mt.dim), dist) if mt.dim \
             else (Subspace.zero(0), None)
         intrinsic_dims[g] = comp.dim
-        quotients[g] = (mt, comp, coords, na, nb)
+        quotients[g] = (mt, comp, coords, na)
     # direct computation on the glued complex
     sm_n = symp_moduli(model_glued)
     direct_dims = {g: d for g, d in sm_n["dims"].items()}
@@ -363,13 +351,11 @@ def glue_moduli(model_left, model_right, spec: GluingSpec, model_glued):
         for g in set(intrinsic_dims) | set(direct_dims)
     )
     # explicit isomorphism: restrict glued representatives to the pieces
-    res_l, res_r = _piece_restrictions(t_glued, t_left, t_right)
+    (res_l, eps_l), (res_r, eps_r) = gl.res
     iso_ok = dims_match
     pair_ok = True
-    eps_l = _orientation_factor(t_glued, t_left, t_glued.cx.meta["left_map"])
-    eps_r = _orientation_factor(t_glued, t_right, t_glued.cx.meta["right_map"])
     for g in ghosts:
-        mt, comp, coords, na, nb = quotients[g]
+        mt, comp, coords, na = quotients[g]
         reps_n = sm_n["reps"].get(g, [])
         if len(reps_n) != comp.dim:
             iso_ok = False
@@ -377,9 +363,8 @@ def glue_moduli(model_left, model_right, spec: GluingSpec, model_glued):
         cols = []
         for rep in reps_n:
             flat = msymp_n.flat(g, rep)
-            cl = _piece_coords(msymp_l, g, res_l.matvec(flat))
-            cr = _piece_coords(msymp_r, g, res_r.matvec(flat))
-            x = mt.coords({**cl, **{na + i: v for i, v in cr.items()}})
+            x = mt.coords(_stack(_piece_coords(msymp_l, g, res_l.matvec(flat)),
+                                 _piece_coords(msymp_r, g, res_r.matvec(flat)), na))
             if x is None:
                 iso_ok = False
                 break
@@ -409,31 +394,11 @@ def glue_moduli(model_left, model_right, spec: GluingSpec, model_glued):
     }
 
 
-def _interface_rows_of_ghost(t: LinearTheory, iface: OrientedComplex, g):
-    """Stacked interface-coordinate rows whose slot has ghost g (layout as
-    produced by _interface_restriction)."""
-    rows = []
-    total = 0
-    for slot in t.bulk.slots:
-        sec, k = slot["sector"], slot["degree"]
-        if k > iface.dimension:
-            continue
-        if slot["ghost"] == g:
-            rows.extend(range(total, total + iface.n_faces(k)))
-        total += iface.n_faces(k)
-    return rows
-
-
-def _beta_value(model, entries, g):
+def _beta_value(model, section, row, g):
     """[Q eta-lift] in M^symp coordinates, where eta is the interface field
-    indicator of a stacked interface row (ghost g) with the given entries,
-    extended by zero into the bulk.  Interface restriction rows carry
-    exactly one +-1 entry, so lifting is direct."""
-    if len(entries) != 1:
-        raise GluingError("interface restriction row is not a single face")
-    (col, val), = entries.items()
-    lift = {col: Fraction(1) / val}
-    qlift = model.t.Q.matvec(lift)
+    indicator of interface coordinate row (ghost g), lifted into the bulk
+    by section."""
+    qlift = model.t.Q.matvec(section.matvec({row: Fraction(1)}))
     return _piece_coords(model.msymp, g - 1, qlift)
 
 
@@ -449,7 +414,7 @@ def _piece_coords(piece, g, flat):
 # Mayer-Vietoris sequences
 
 
-def mayer_vietoris(model_glued, model_left, model_right, spec: GluingSpec):
+def mayer_vietoris(gl: Gluing):
     """Both Mayer-Vietoris long exact sequences at the theory level.
 
     Absolute: ... -> M_iface^{g+1} -> M_N^g -> M_L^g + M_R^g -> M_iface^g -> ...
@@ -458,29 +423,25 @@ def mayer_vietoris(model_glued, model_left, model_right, spec: GluingSpec):
     Exactness is verified at every node of both; `pieces` holds the
     (glued, left, right) quotient pieces of each.
     """
-    t_glued, t_left, t_right = model_glued.t, model_left.t, model_right.t
-    _require_cup(t_glued, t_left, t_right)
-    iface = spec.interface_complex()
-    res_l, res_r = _piece_restrictions(t_glued, t_left, t_right)
-    rho_l, rho_r, ioffs = _interface_restrictions(t_left, t_right, spec, iface)
-    rho_l_rows = rho_l.sparse_rows()
+    model_glued, model_left, model_right = gl.glued, gl.left, gl.right
+    _require_cup(model_glued.t, model_left.t, model_right.t)
+    (res_l, _), (res_r, _) = gl.res
+    rho_l, rho_r = gl.rho
+    sec_l, _ = gl.sections
+    emb_l = res_l.transpose()
+    fields, iface = gl.fields, gl.spec.interface
 
-    ghosts = sorted(set(t_glued.bulk.ghosts()) | {0})
+    ghosts = sorted(set(model_glued.t.bulk.ghosts()) | {0})
     gmax, gmin = max(ghosts), min(ghosts)
 
-    # interface differential on stacked interface fields
-    qw = RatMatrix(rho_l.rows, rho_l.rows)
-    for slot in t_left.bulk.slots:
+    # interface differential on the interface fields
+    qw = RatMatrix(fields.total, fields.total)
+    for slot in fields.slots:
         sec, k = slot["sector"], slot["degree"]
-        if (sec, k) not in ioffs or (sec, k + 1) not in ioffs:
-            continue
-        d = iface.coboundary_matrix(k)
-        r0 = ioffs[(sec, k + 1)]
-        c0 = ioffs[(sec, k)]
-        for (i, j), v in d.entries.items():
-            qw[r0 + i, c0 + j] = v
-    piece_w = _ghost_piece(
-        "iface", qw, {g: _interface_rows_of_ghost(t_left, iface, g) for g in ghosts})
+        if fields.has(sec, k + 1):
+            set_block(qw, fields, (sec, k + 1), fields, (sec, k),
+                      iface.coboundary_matrix(k))
+    piece_w = _ghost_piece("iface", qw, {g: fields.ghost_indices(g) for g in ghosts})
 
     def build_sequence(piece_n, piece_l, piece_r):
         """Generic MV over the given quotient pieces of the three theories."""
@@ -490,43 +451,28 @@ def mayer_vietoris(model_glued, model_left, model_right, spec: GluingSpec):
             nl, nr = piece_l.h_dim(g), piece_r.h_dim(g)
             nodes.append((f"glued@gh{g}", piece_n.h_dim(g)))
             # restriction map to the pieces
-            m = RatMatrix(nl + nr, piece_n.h_dim(g))
-            for j, rep in enumerate(piece_n.reps(g)):
-                flat = piece_n.flat(g, rep)
-                cl = _piece_coords(piece_l, g, res_l.matvec(flat))
-                cr = _piece_coords(piece_r, g, res_r.matvec(flat))
-                for i, v in cl.items():
-                    m[i, j] = v
-                for i, v in cr.items():
-                    m[nl + i, j] = v
-            maps.append(m)
+            flats = [piece_n.flat(g, rep) for rep in piece_n.reps(g)]
+            maps.append(RatMatrix.from_columns(
+                [_stack(_piece_coords(piece_l, g, res_l.matvec(f)),
+                        _piece_coords(piece_r, g, res_r.matvec(f)), nl) for f in flats],
+                nl + nr))
             nodes.append((f"pieces@gh{g}", nl + nr))
             # difference of interface restrictions
-            m2 = RatMatrix(piece_w.h_dim(g), nl + nr)
-            for j, rep in enumerate(piece_l.reps(g)):
-                w = rho_l.matvec(piece_l.flat(g, rep))
-                for i, v in _piece_coords(piece_w, g, w).items():
-                    m2[i, j] = v
-            for j, rep in enumerate(piece_r.reps(g)):
-                w = rho_r.matvec(piece_r.flat(g, rep))
-                for i, v in _piece_coords(piece_w, g, w).items():
-                    m2[i, nl + j] = m2[i, nl + j] - v
-            maps.append(m2)
+            maps.append(RatMatrix.from_columns(
+                [_piece_coords(piece_w, g, rho_l.matvec(piece_l.flat(g, rep)))
+                 for rep in piece_l.reps(g)] +
+                [{i: -v for i, v in _piece_coords(
+                    piece_w, g, rho_r.matvec(piece_r.flat(g, rep))).items()}
+                 for rep in piece_r.reps(g)],
+                piece_w.h_dim(g)))
             nodes.append((f"iface@gh{g}", piece_w.h_dim(g)))
             # connecting map: one-sided section (extend into the left piece,
             # take its coboundary, embed into the glued complex)
-            m3 = RatMatrix(piece_n.h_dim(g - 1), piece_w.h_dim(g))
-            emb_l = res_l.transpose()
-            for j, rep in enumerate(piece_w.reps(g)):
-                a = {}
-                for i, v in piece_w.flat(g, rep).items():
-                    (col, s), = rho_l_rows[i].items()
-                    a[col] = a.get(col, Fraction(0)) + v / s
-                qa = t_left.Q.matvec({i: v for i, v in a.items() if v})
-                z = emb_l.matvec(qa)
-                for i, v in _piece_coords(piece_n, g - 1, z).items():
-                    m3[i, j] = v
-            maps.append(m3)
+            maps.append(RatMatrix.from_columns(
+                [_piece_coords(piece_n, g - 1, emb_l.matvec(
+                    model_left.t.Q.matvec(sec_l.matvec(piece_w.flat(g, rep)))))
+                 for rep in piece_w.reps(g)],
+                piece_n.h_dim(g - 1)))
         nodes.append((f"glued@gh{gmin-1}", piece_n.h_dim(gmin - 1)))
         verdicts = verify_exactness(nodes, maps)
         return ExactSequenceReport(nodes, maps, verdicts)
@@ -536,28 +482,21 @@ def mayer_vietoris(model_glued, model_left, model_right, spec: GluingSpec):
         "absolute": (model_glued.bulk, model_left.bulk, model_right.bulk),
         # partially reduced: verticals vanish on the outer boundary only;
         # all of the glued boundary is outer, so its piece is the glued M_symp
-        "partially_reduced": (model_glued.msymp, _outer_piece(model_left, spec, "left"),
-                              _outer_piece(model_right, spec, "right")),
+        "partially_reduced": (model_glued.msymp,
+                              _outer_piece(model_left, gl.spec.iface_vertices["left"]),
+                              _outer_piece(model_right, gl.spec.iface_vertices["right"])),
     }
     out = {kind: build_sequence(*p) for kind, p in pieces.items()}
     out["pieces"] = pieces
     return out
 
 
-def _outer_piece(model: ReducedModel, spec: GluingSpec, side):
+def _outer_piece(model: ReducedModel, iface_verts):
     """ker Q / Q(V) of a piece, with V the bulk fields that vanish on the
     outer (non-interface) part of its boundary."""
     t = model.t
-    iface_verts = {l for l, _ in spec.pairs} if side == "left" else \
-        {r for _, r in spec.pairs}
-    bc = t.cx.boundary_complex()
-    outer_rows = []
-    off = 0
-    for slot in t.bdry.slots:
-        for i, f in enumerate(bc.faces(slot["degree"])):
-            if not set(bc.face_vertices(f)) <= iface_verts:
-                outer_rows.append(off + i)
-        off += slot["dim"]
+    outer_rows = [row for row, _, verts in _boundary_faces(t)
+                  if not set(verts) <= iface_verts]
     vert = {}
     for g, idx in model.bulk.index.items():
         if idx:
@@ -578,16 +517,14 @@ def compose_morphisms(t1, t2, spec: GluingSpec, build):
 
     cx = glue(spec)
     t = build(cx)
-    model, model_1, model_2 = ReducedModel(t), ReducedModel(t1), ReducedModel(t2)
-    res_l, res_r = _piece_restrictions(t, t1, t2)
-    eps = _orientation_factor(t, t1, cx.meta["left_map"])
-    eps_r = _orientation_factor(t, t2, cx.meta["right_map"])
+    gl = Gluing(spec, ReducedModel(t), ReducedModel(t1), ReducedModel(t2))
+    (res_l, eps), (res_r, eps_r) = gl.res
     s_sum = (res_l.transpose() * t1.S_mat * res_l).scale(eps) + \
         (res_r.transpose() * t2.S_mat * res_r).scale(eps_r)
     diff = t.S_mat - s_sum
     additive = (diff + diff.transpose()).is_zero()
-    ev = evolution_relation(model)
-    gm = glue_moduli(model_1, model_2, spec, model)
+    ev = evolution_relation(gl.glued)
+    gm = glue_moduli(gl)
     return {
         "glued_complex": cx,
         "glued_theory": t,

@@ -12,7 +12,7 @@ import pytest
 
 from bvbfv import corpus
 from bvbfv.complexes import les_of_pair
-from bvbfv.gluing import GluingSpec, glue, glue_moduli, mayer_vietoris
+from bvbfv.gluing import Gluing, GluingSpec, glue, glue_moduli, mayer_vietoris
 from bvbfv.linalg import (
     PairingForm,
     RatMatrix,
@@ -138,9 +138,10 @@ def test_criterion_3_gluing_solid_tori():
         tl = ReducedModel(build_abelian_cs(st))
         tr = ReducedModel(build_abelian_cs(right))
         tn = ReducedModel(build_abelian_cs(cx))
-        gm = glue_moduli(tl, tr, spec, tn)
+        gl = Gluing(spec, tn, tl, tr)
+        gm = glue_moduli(gl)
         got = {g: gm["direct_dims"].get(g, 0) for g in (1, 0, -1, -2)}
-        mv = mayer_vietoris(tn, tl, tr, spec)
+        mv = mayer_vietoris(gl)
         this = (got == expect and gm["dims_match"] and gm["isomorphism"]
                 and gm["pairings_intertwined"] and mv["absolute"].exact
                 and mv["partially_reduced"].exact)

@@ -2,6 +2,8 @@ import pytest
 
 from bvbfv import corpus
 from bvbfv.gluing import (
+    Gluing,
+    GluingError,
     GluingSpec,
     InterfaceMismatch,
     OrientationClash,
@@ -36,6 +38,62 @@ def spec_s2xs1():
     right = corpus.with_reversed_orientation(corpus.solid_torus())
     pairs = [(bv(i, s), bv(i, s)) for i in range(3) for s in range(3)]
     return GluingSpec(st, right, pairs), st, right
+
+
+def spec_intervals():
+    i2 = corpus.interval(2)
+    return GluingSpec(i2, i2, [(2, 0)])
+
+
+def spec_cylinders():
+    cyl = corpus.cylinder(3, 1)
+    g = cyl.meta["grid"]
+    return GluingSpec(cyl, cyl, [(g[(i, 1)], g[(i, 0)]) for i in range(3)])
+
+
+def spec_cap():
+    cyl = corpus.cylinder(3, 1)
+    g = cyl.meta["grid"]
+    return GluingSpec(corpus.disk_fan(), cyl, [(i, g[(i, 0)]) for i in range(3)])
+
+
+def spec_circle():
+    i2 = corpus.interval(2)
+    return GluingSpec(i2, i2, [(2, 0), (0, 2)])
+
+
+def spec_torus():
+    cyl = corpus.cylinder(3, 2)
+    g = cyl.meta["grid"]
+    return GluingSpec(cyl, cyl, [(g[(i, 2)], g[(i, 0)]) for i in range(3)] +
+                      [(g[(i, 0)], g[(i, 2)]) for i in range(3)])
+
+
+def subdivided(spec):
+    """spec carried through corpus.subdivide: the barycentre of each face
+    of the interface is paired with the barycentre of its partner.  The
+    barycentre of a face has the face's number among all faces, counted by
+    dimension and then in face order."""
+    def face_ids(cx):
+        faces = [f for k in range(cx.dimension + 1) for f in cx.faces(k)]
+        return {f: i for i, f in enumerate(faces)}
+
+    left, right, iface = spec.left, spec.right, spec.interface
+    lid, rid = face_ids(left), face_ids(right)
+    r_of_l = dict(spec.pairs)
+    pairs = []
+    for k in range(iface.dimension + 1):
+        for f in iface.faces(k):
+            verts = iface.face_vertices(f)
+            pairs.append((lid[tuple(sorted(left.vertex_position(v) for v in verts))],
+                          rid[tuple(sorted(right.vertex_position(r_of_l[v])
+                                           for v in verts))]))
+    return GluingSpec(corpus.subdivide(left), corpus.subdivide(right), pairs)
+
+
+def gluing(spec, build):
+    return Gluing(spec, *(ReducedModel(build(cx))
+                          for cx in (glue(spec), spec.left, spec.right)))
 
 
 # --- simplicial gluing ---------------------------------------------------------
@@ -111,7 +169,7 @@ def test_fiber_product_intervals_scalar():
     tl = ReducedModel(build_scalar(i1))
     tr = ReducedModel(build_scalar(i1))
     tn = ReducedModel(build_scalar(cx))
-    out = fiber_product_check(tn, tl, tr, spec)
+    out = fiber_product_check(Gluing(spec, tn, tl, tr))
     assert out["match"]
 
 
@@ -120,9 +178,9 @@ def test_fiber_product_cylinders_bf():
     g = cyl.meta["grid"]
     spec = GluingSpec(cyl, cyl, [(g[(i, 1)], g[(i, 0)]) for i in range(3)])
     cx = glue(spec)
-    out = fiber_product_check(ReducedModel(build_abelian_bf(cx)),
-                              ReducedModel(build_abelian_bf(cyl)),
-                              ReducedModel(build_abelian_bf(cyl)), spec)
+    out = fiber_product_check(Gluing(spec, ReducedModel(build_abelian_bf(cx)),
+                                     ReducedModel(build_abelian_bf(cyl)),
+                                     ReducedModel(build_abelian_bf(cyl))))
     assert out["match"]
 
 
@@ -132,10 +190,9 @@ def test_fiber_product_empty_interface_is_direct_sum():
     cx = glue(spec)
     tl = ReducedModel(build_abelian_bf(c1))
     tn = ReducedModel(build_abelian_bf(cx))
-    out = fiber_product_check(tn, tl, tl, spec)
+    out = fiber_product_check(Gluing(spec, tn, tl, tl))
     assert out["match"]
-    assert out["el_glued_dim"] == 2 * len(
-        [1 for _ in range(1)]) * (out["fiber_product_dim"] // 2) or out["match"]
+    assert out["el_glued_dim"] == out["fiber_product_dim"] == 2 * tl.ker_q.dim
 
 
 # --- glued moduli -----------------------------------------------------------------
@@ -147,7 +204,7 @@ def test_glue_moduli_s3():
     tl = ReducedModel(build_abelian_cs(left))
     tr = ReducedModel(build_abelian_cs(right))
     tn = ReducedModel(build_abelian_cs(cx))
-    out = glue_moduli(tl, tr, spec, tn)
+    out = glue_moduli(Gluing(spec, tn, tl, tr))
     assert out["dims_match"] and out["isomorphism"] and out["pairings_intertwined"]
     assert out["direct_dims"] == {1: 1, -2: 1}
 
@@ -158,7 +215,7 @@ def test_glue_moduli_s2xs1():
     tl = ReducedModel(build_abelian_cs(left))
     tr = ReducedModel(build_abelian_cs(right))
     tn = ReducedModel(build_abelian_cs(cx))
-    out = glue_moduli(tl, tr, spec, tn)
+    out = glue_moduli(Gluing(spec, tn, tl, tr))
     assert out["dims_match"] and out["isomorphism"] and out["pairings_intertwined"]
     assert out["direct_dims"] == {1: 1, 0: 1, -1: 1, -2: 1}
 
@@ -169,7 +226,7 @@ def test_glue_moduli_empty_interface_product():
     cx = glue(spec)
     tl = ReducedModel(build_abelian_bf(c1))
     tn = ReducedModel(build_abelian_bf(cx))
-    out = glue_moduli(tl, tl, spec, tn)
+    out = glue_moduli(Gluing(spec, tn, tl, tl))
     assert out["dims_match"] and out["isomorphism"]
     # product of the two pieces: dims add
     assert all(v == 2 for v in out["direct_dims"].values())
@@ -185,7 +242,7 @@ def test_mayer_vietoris_solid_tori(make):
     tl = ReducedModel(build_abelian_cs(left))
     tr = ReducedModel(build_abelian_cs(right))
     tn = ReducedModel(build_abelian_cs(cx))
-    mv = mayer_vietoris(tn, tl, tr, spec)
+    mv = mayer_vietoris(Gluing(spec, tn, tl, tr))
     assert mv["absolute"].exact
     assert mv["partially_reduced"].exact
 
@@ -216,7 +273,7 @@ def test_mayer_vietoris_pieces_are_the_engine_quotients(make):
 
     spec, left, right = make()
     tl, tr, tn = (build_abelian_cs(c) for c in (left, right, glue(spec)))
-    pieces = mayer_vietoris(*(ReducedModel(t) for t in (tn, tl, tr)), spec)["pieces"]
+    pieces = mayer_vietoris(Gluing(spec, *(ReducedModel(t) for t in (tn, tl, tr))))["pieces"]
     for t, piece in zip((tn, tl, tr), pieces["absolute"]):
         flat = _flat_quotient(t, Subspace.full(t.bulk.total))
         model = ReducedModel(t)
@@ -237,7 +294,7 @@ def test_mayer_vietoris_cylinders_to_torus_bf():
     cx = glue(spec)
     tl = ReducedModel(build_abelian_bf(cyl))
     tn = ReducedModel(build_abelian_bf(cx))
-    mv = mayer_vietoris(tn, tl, tl, spec)
+    mv = mayer_vietoris(Gluing(spec, tn, tl, tl))
     assert mv["absolute"].exact and mv["partially_reduced"].exact
 
 
@@ -247,8 +304,58 @@ def test_mayer_vietoris_empty_interface_degenerates():
     cx = glue(spec)
     tl = ReducedModel(build_abelian_bf(c1))
     tn = ReducedModel(build_abelian_bf(cx))
-    mv = mayer_vietoris(tn, tl, tl, spec)
+    mv = mayer_vietoris(Gluing(spec, tn, tl, tl))
     assert mv["absolute"].exact and mv["partially_reduced"].exact
+
+
+@pytest.mark.parametrize("carry", [lambda spec: spec, subdivided],
+                         ids=["plain", "subdivided"])
+@pytest.mark.parametrize("build", [build_abelian_bf, build_abelian_cs], ids=["bf", "cs"])
+@pytest.mark.parametrize("make", [spec_intervals, spec_cylinders, spec_cap])
+def test_gluing_with_outer_boundary(make, build, carry):
+    # the partially reduced sequence is left out: it is not exact on these
+    # gluings (see ROADMAP item 6)
+    gl = gluing(carry(make()), build)
+    assert not gl.glued.t.cx.is_closed()
+    assert fiber_product_check(gl)["match"]
+    gm = glue_moduli(gl)
+    assert gm["dims_match"] and gm["isomorphism"] and gm["pairings_intertwined"]
+    assert mayer_vietoris(gl)["absolute"].exact
+
+
+def _glued_dims_and_verdicts(gl):
+    gm = glue_moduli(gl)
+    mv = mayer_vietoris(gl)
+    kinds = ("absolute", "partially_reduced")
+    dims = {"intrinsic": gm["intrinsic_dims"], "direct": gm["direct_dims"],
+            **{kind: mv[kind].nodes for kind in kinds}}
+    verdicts = [fiber_product_check(gl)["match"], gm["dims_match"], gm["isomorphism"],
+                gm["pairings_intertwined"], *(mv[kind].exact for kind in kinds)]
+    return dims, verdicts
+
+
+@pytest.mark.parametrize("build", [build_abelian_bf, build_abelian_cs], ids=["bf", "cs"])
+@pytest.mark.parametrize("make", [spec_circle, spec_torus])
+def test_closed_gluing_invariant_under_subdivision(make, build):
+    spec = make()
+    fine = subdivided(spec)
+    assert fine.left.n_faces(0) > spec.left.n_faces(0)
+    dims, verdicts = _glued_dims_and_verdicts(gluing(spec, build))
+    fine_dims, fine_verdicts = _glued_dims_and_verdicts(gluing(fine, build))
+    assert glue(fine).is_closed()
+    assert fine_dims == dims
+    assert all(verdicts) and all(fine_verdicts)
+
+
+def test_mayer_vietoris_rejects_an_interface_row_of_two_faces():
+    gl = gluing(spec_cylinders(), build_abelian_bf)
+    rho_l, rho_r = gl.rho
+    bad = rho_l.copy()
+    (_, j), = (key for key in bad.entries if key[0] == 0)
+    bad[0, (j + 1) % bad.cols] = 1
+    gl.rho = (bad, rho_r)
+    with pytest.raises(GluingError, match="not a single face"):
+        mayer_vietoris(gl)
 
 
 # --- morphism composition -----------------------------------------------------------
