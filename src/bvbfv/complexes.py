@@ -314,11 +314,11 @@ def _connecting_block(rel, absc, rel_inclusion, restriction, k, bdry_reps):
     boundary representatives."""
     out = RatMatrix(rel.cohomology(k + 1)[0], len(bdry_reps))
     for j, y in enumerate(bdry_reps):
-        x = solve(restriction.block(k).copy(), y)
+        x = solve(restriction.block(k), y)
         if x is None:
             raise NotShortExact("restriction not surjective on a cocycle")
         dx = absc.d(k).matvec(x)
-        z = solve(rel_inclusion.block(k + 1).copy(), dx)
+        z = solve(rel_inclusion.block(k + 1), dx)
         if z is None:
             raise ComplexError("zig-zag failed: dx is not a relative cochain")
         for i, v in rel.class_coordinates(k + 1, z).items():

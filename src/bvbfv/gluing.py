@@ -24,7 +24,7 @@ from .linalg import (
     kernel_basis,
     quotient,
 )
-from .moduli import ReducedModel, _ghost_piece, symp_moduli
+from .moduli import ReducedModel, _ghost_piece
 from .simplicial import IncoherentOrientation, OrientedComplex, _perm_sign
 from .theories import FieldSpace, LinearTheory, set_block
 
@@ -305,15 +305,13 @@ def glue_moduli(gl: Gluing):
     t_left, t_right, t_glued = model_left.t, model_right.t, model_glued.t
     _require_cup(t_left, t_right, t_glued)
     msymp_l, msymp_r, msymp_n = model_left.msymp, model_right.msymp, model_glued.msymp
-    sm_l = symp_moduli(model_left)
-    sm_r = symp_moduli(model_right)
     rho_l, rho_r = gl.rho
     ghosts = sorted(set(model_left.ghosts) | set(model_right.ghosts))
     mt_basis = {}      # ghost -> basis of M-tilde in (left reps + right reps) coords
     for g in ghosts:
-        reps_l = sm_l["reps"].get(g, [])
+        reps_l = msymp_l.reps(g)
         mt = _fiber_product(rho_l, [msymp_l.flat(g, rep) for rep in reps_l],
-                            rho_r, [msymp_r.flat(g, rep) for rep in sm_r["reps"].get(g, [])])
+                            rho_r, [msymp_r.flat(g, rep) for rep in msymp_r.reps(g)])
         mt_basis[g] = (mt, len(reps_l))
     # beta-tilde images of interface fields span the distribution to divide by
     sec_l, sec_r = gl.sections
@@ -344,8 +342,8 @@ def glue_moduli(gl: Gluing):
         intrinsic_dims[g] = comp.dim
         quotients[g] = (mt, comp, coords, na)
     # direct computation on the glued complex
-    sm_n = symp_moduli(model_glued)
-    direct_dims = {g: d for g, d in sm_n["dims"].items()}
+    direct_dims = {g: len(msymp_n.reps(g)) for g in model_glued.ghosts
+                   if model_glued.bulk.dim(g)}
     dims_match = all(
         intrinsic_dims.get(g, 0) == direct_dims.get(g, 0)
         for g in set(intrinsic_dims) | set(direct_dims)
@@ -356,7 +354,7 @@ def glue_moduli(gl: Gluing):
     pair_ok = True
     for g in ghosts:
         mt, comp, coords, na = quotients[g]
-        reps_n = sm_n["reps"].get(g, [])
+        reps_n = msymp_n.reps(g)
         if len(reps_n) != comp.dim:
             iso_ok = False
             continue
@@ -378,7 +376,7 @@ def glue_moduli(gl: Gluing):
         gp = model_glued.pair_ghost() - g
         for x in reps_n:
             xf = msymp_n.flat(g, x)
-            for y in sm_n["reps"].get(gp, []):
+            for y in msymp_n.reps(gp):
                 yf = msymp_n.flat(gp, y)
                 lhs = t_glued.pair_bulk(xf, yf)
                 rhs = eps_l * t_left.pair_bulk(res_l.matvec(xf), res_l.matvec(yf)) + \

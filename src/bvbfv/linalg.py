@@ -2,7 +2,11 @@
 
 Everything downstream (cohomology, moduli spaces, pairings) reduces to the
 kernel/image/quotient/orthogonality operations in this module.  Matrices are
-sparse maps (row, col) -> Fraction.  There is one elimination core,
+sparse maps (row, col) -> Fraction.  Each matrix caches one integer view of
+itself (its entries in storage order as integers over one matrix-wide
+denominator, and a column index); matrix-vector products and matrix
+products run over those integers and build a Fraction only for each entry
+they return.  There is one elimination core,
 `_echelon`: fraction-free (integer row combinations after clearing
 denominators) Gauss-Jordan with a fixed pivot rule, so all bases are
 deterministic across runs.  Kernels, images, solutions, spanning subsets,
@@ -91,20 +95,20 @@ def vec_eq(u, v):
 class RatMatrix:
     """Sparse rational matrix.  Entries with value zero are never stored.
 
-    `matvec` reads a column view (column -> positions of its entries in
-    storage order) built on first use and kept until `__setitem__`
-    changes an entry.  Every other write to `entries`, here and in the
-    other modules, fills a freshly built matrix before anything has read
-    it, so the view is never stale.
+    `matvec` and products read one integer view of the matrix (see
+    `_int_view`), built on first use and dropped when `__setitem__` or
+    `theories.set_block` changes an entry in place.  Every other write to
+    `entries`, here and in the other modules, fills a freshly built matrix
+    before anything has read it, so the view is never stale.
     """
 
-    __slots__ = ("rows", "cols", "entries", "_by_col")
+    __slots__ = ("rows", "cols", "entries", "_view")
 
     def __init__(self, rows, cols, entries=None):
         self.rows = rows
         self.cols = cols
         self.entries = {}
-        self._by_col = None
+        self._view = None
         if entries:
             for (i, j), v in entries.items():
                 self[i, j] = v
@@ -117,7 +121,7 @@ class RatMatrix:
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise DimensionMismatch(f"index {ij} out of shape {self.shape}")
         v = Fraction(v)
-        self._by_col = None
+        self._view = None
         if v:
             self.entries[ij] = v
         else:
@@ -191,51 +195,75 @@ class RatMatrix:
         m.entries = {(j, i): v for (i, j), v in self.entries.items()}
         return m
 
-    def _columns(self):
-        """The keys and the values in storage order, and per column the
-        positions of its entries there (a compact array per column)."""
-        if self._by_col is None:
+    def _int_view(self):
+        """The integer view of the matrix, built on first use: the keys in
+        storage order, the entries there as integers over one positive
+        denominator (entry p is nums[p] / den), and per column the
+        positions of its entries (a compact array per column)."""
+        if self._view is None:
+            keys = list(self.entries)
+            vals = self.entries.values()
+            den = lcm(*{v.denominator for v in vals})
+            if den == 1:
+                nums = [v.numerator for v in vals]
+            else:
+                nums = [v.numerator * (den // v.denominator) for v in vals]
             by_col = {}
-            for p, (_, j) in enumerate(self.entries):
+            for p, (_, j) in enumerate(keys):
                 col = by_col.get(j)
                 if col is None:
                     by_col[j] = col = array("l")
                 col.append(p)
-            self._by_col = (list(self.entries), list(self.entries.values()), by_col)
-        return self._by_col
+            self._view = (keys, nums, den, by_col)
+        return self._view
 
     def matvec(self, v):
         """M v, visiting only the entries in the columns of v's support.
         They are visited in storage order, so the result, down to the
-        order of its keys, is the one a scan of every entry gives."""
-        keys, vals, by_col = self._columns()
+        order of its keys, is the one a scan of every entry gives.  The
+        sums run in integers, with v cleared to n / d; each nonzero row
+        becomes one Fraction."""
+        keys, nums, den, by_col = self._int_view()
         touched = []
         for j, x in v.items():
             if x and j in by_col:
                 touched.extend(by_col[j])
+        if not touched:
+            return {}
         touched.sort()
+        n, d = _clear(v)
         out = {}
         for p in touched:
             i, j = keys[p]
-            s = out.get(i, 0) + vals[p] * v[j]
+            s = out.get(i, 0) + nums[p] * n[j]
             if s:
                 out[i] = s
             else:
                 out.pop(i, None)
-        return out
+        d *= den
+        return {i: Fraction(s, d) for i, s in out.items()}
 
     def __mul__(self, other):
+        """The product, scanning self's entries in storage order against
+        the rows of other, as a Fraction scan would, so the result keeps
+        that key order.  The sums run in integers over the two views'
+        denominators; each nonzero entry becomes one Fraction."""
         if isinstance(other, RatMatrix):
             if self.cols != other.rows:
                 raise DimensionMismatch(f"{self.shape} * {other.shape}")
-            by_row = other.sparse_rows()
-            m = RatMatrix(self.rows, other.cols)
+            keys, nums, den, _ = self._int_view()
+            okeys, onums, oden, _ = other._int_view()
+            by_row = [[] for _ in range(other.rows)]
+            for (k, j), b in zip(okeys, onums):
+                by_row[k].append((j, b))
             acc = {}
-            for (i, k), a in self.entries.items():
-                for j, b in by_row[k].items():
+            for (i, k), a in zip(keys, nums):
+                for j, b in by_row[k]:
                     key = (i, j)
                     acc[key] = acc.get(key, 0) + a * b
-            m.entries = {k: v for k, v in acc.items() if v}
+            den *= oden
+            m = RatMatrix(self.rows, other.cols)
+            m.entries = {key: Fraction(x, den) for key, x in acc.items() if x}
             return m
         return NotImplemented
 

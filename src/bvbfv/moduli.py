@@ -263,16 +263,16 @@ def symp_moduli(model: ReducedModel):
     msymp = model.msymp
     reps = {g: msymp.reps(g) for g in model.ghosts}
     dims = {g: len(r) for g, r in reps.items() if model.bulk.dim(g)}
-    # pi_*: M_symp -> EL of the boundary, on representatives
+    # pi_*: M_symp -> EL of the boundary, on representatives; the boundary
+    # kernel's preset left inverse gives the (unique) coordinates
     pi_star = {}
     for g in model.ghosts:
         el_b = model.bdry.kernel(g)
-        mat = el_b.matrix()
         out = RatMatrix(el_b.dim, len(reps[g]))
         for j, rep in enumerate(reps[g]):
             img = model.pi_blocks[g].matvec(rep)
             if img:
-                x = solve(mat, img)
+                x = el_b.coords(img)
                 if x is None:
                     raise ModuliError("pi_* image is not a boundary solution")
                 for i, v in x.items():

@@ -26,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .complexes import GhostMismatch
-from .linalg import RatMatrix, vec_dot
+from .linalg import DimensionMismatch, RatMatrix, vec_dot
 from .simplicial import OrientedComplex
 
 
@@ -120,16 +120,31 @@ class FieldSpace:
 
 
 def set_block(m, row_space, row_slot, col_space, col_slot, block, scale=1):
-    """Add block (scaled) into the flat matrix at the given slot positions."""
+    """Add block (scaled) into the flat matrix at the given slot positions,
+    in place in m.entries, so m's integer view is dropped."""
     if block is None or not row_space.has(*row_slot) or not col_space.has(*col_slot):
         return
     r0 = row_space.offset(*row_slot)
     c0 = col_space.offset(*col_slot)
     s = Fraction(scale)
-    if not s:
+    if not s or not block.entries:
         return
+    corner = (r0 + block.rows - 1, c0 + block.cols - 1)
+    if not (corner[0] < m.rows and corner[1] < m.cols):
+        raise DimensionMismatch(f"index {corner} out of shape {m.shape}")
+    ent = m.entries
+    m._view = None
+    unit = s == 1
     for (i, j), v in block.entries.items():
-        m[r0 + i, c0 + j] = m[r0 + i, c0 + j] + s * v
+        key = (r0 + i, c0 + j)
+        if not unit:
+            v = s * v
+        old = ent.get(key)
+        x = v if old is None else old + v
+        if x:
+            ent[key] = x
+        else:
+            ent.pop(key, None)
 
 
 def cup_block(cx: OrientedComplex, k, l):

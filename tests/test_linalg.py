@@ -31,6 +31,7 @@ from bvbfv.linalg import (
     vec_eq,
     vec_scale,
 )
+from bvbfv.theories import FieldSpace, set_block
 
 
 # --- independent dense oracle (used only in tests) -------------------------
@@ -587,30 +588,106 @@ def dense_product(m, v):
     return out
 
 
+@st.composite
+def rational_matrix(draw, rows=None, cols=None):
+    """A rational matrix from `rational_entries`, its entries stored in a
+    drawn order."""
+    rows = rows or draw(st.integers(min_value=1, max_value=5))
+    cols = cols or draw(st.integers(min_value=1, max_value=5))
+    vals = {(i, j): draw(rational_entries) for i in range(rows) for j in range(cols)}
+    m = RatMatrix(rows, cols)
+    for ij in draw(st.permutations(sorted(vals))):
+        m[ij] = vals[ij]
+    return m
+
+
+def _set_block_reference(m, r0, c0, block, scale):
+    """The block added entry by entry through __setitem__."""
+    for (i, j), v in block.entries.items():
+        m[r0 + i, c0 + j] = m[r0 + i, c0 + j] + Fraction(scale) * v
+
+
+def _block_spaces(m, r0, c0):
+    """Field spaces over m's rows and columns with a slot ('b', 0) that
+    starts at row r0 and column c0 and runs to the end."""
+    spaces = []
+    for n, start in ((m.rows, r0), (m.cols, c0)):
+        space = FieldSpace()
+        space.add("a", 0, start, 0)
+        space.add("b", 0, n - start, 0)
+        spaces.append(space)
+    return spaces
+
+
 @settings(max_examples=100, deadline=None)
-@given(small_matrix(), st.data())
+@given(rational_matrix(), st.data())
 def test_matvec_matches_dense_and_follows_writes(m, data):
-    # any storage order and any key order of the vector
-    shuffled = RatMatrix(m.rows, m.cols)
-    for ij in data.draw(st.permutations(sorted(m.entries))):
-        shuffled[ij] = m[ij]
-    vec = st.lists(small_entries, min_size=m.cols, max_size=m.cols).map(sparse_vector)
-    v = data.draw(vec)
+    # rational entries in any storage order, and any key order of the
+    # rational vector, so the matrix-wide denominator is exercised
+    v = data.draw(_rational_vectors(m.cols))
     v = {j: v[j] for j in data.draw(st.permutations(sorted(v)))}
 
     def check():
-        got = shuffled.matvec(v)
-        assert got == dense_product(shuffled, v)
-        assert list(got.items()) == list(_matvec_reference(shuffled, v).items())
+        got = m.matvec(v)
+        assert got == dense_product(m, v)
+        assert list(got.items()) == list(_matvec_reference(m, v).items())
+        assert all(type(x) is Fraction for x in got.values())
 
     check()
     # writes after a first matvec: set one entry, then zero one
     i = data.draw(st.integers(min_value=0, max_value=m.rows - 1))
     j = data.draw(st.integers(min_value=0, max_value=m.cols - 1))
-    shuffled[i, j] = data.draw(small_entries.filter(bool))
+    m[i, j] = data.draw(small_fractions.filter(bool))
     check()
-    shuffled[data.draw(st.sampled_from(sorted(shuffled.entries)))] = 0
+    m[data.draw(st.sampled_from(sorted(m.entries)))] = 0
     check()
+    # and a block added in place
+    r0 = data.draw(st.integers(min_value=0, max_value=m.rows - 1))
+    c0 = data.draw(st.integers(min_value=0, max_value=m.cols - 1))
+    block = data.draw(rational_matrix(m.rows - r0, m.cols - c0))
+    scale = data.draw(rational_entries)
+    want = m.copy()
+    _set_block_reference(want, r0, c0, block, scale)
+    rs, cs = _block_spaces(m, r0, c0)
+    set_block(m, rs, ("b", 0), cs, ("b", 0), block, scale)
+    assert list(m.entries.items()) == list(want.entries.items())
+    assert all(type(x) is Fraction for x in m.entries.values())
+    check()
+
+
+def _product_reference(a, b):
+    """The product by a Fraction scan of a's entries in storage order
+    against the rows of b."""
+    by_row = b.sparse_rows()
+    acc = {}
+    for (i, k), x in a.entries.items():
+        for j, y in by_row[k].items():
+            acc[(i, j)] = acc.get((i, j), 0) + x * y
+    return {key: x for key, x in acc.items() if x}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_product_matches_the_fraction_scan(data):
+    a = data.draw(rational_matrix())
+    b = data.draw(rational_matrix(rows=a.cols))
+    for _ in range(2):      # the second product reads the cached views
+        got = a * b
+        assert got.shape == (a.rows, b.cols)
+        assert list(got.entries.items()) == list(_product_reference(a, b).items())
+        assert all(type(x) is Fraction for x in got.entries.values())
+
+
+def test_set_block_overrun_raises():
+    m = RatMatrix(3, 3)
+    rows, cols = _block_spaces(m, 1, 1)
+    with pytest.raises(DimensionMismatch):
+        set_block(m, rows, ("b", 0), cols, ("b", 0), RatMatrix.identity(3))
+    with pytest.raises(DimensionMismatch):
+        set_block(m, rows, ("b", 0), cols, ("b", 0), RatMatrix.from_rows([[0, 0, 1]]))
+    assert m.is_zero()
+    set_block(m, rows, ("b", 0), cols, ("b", 0), RatMatrix.identity(2), 2)
+    assert m.entries == {(1, 1): 2, (2, 2): 2}
 
 
 @settings(max_examples=100, deadline=None)

@@ -7,6 +7,7 @@ from bvbfv.complexes import les_of_pair
 from bvbfv.linalg import (
     NotLagrangian,
     NotTransversal,
+    RatMatrix,
     Subspace,
     column_span,
     image_basis,
@@ -111,6 +112,19 @@ def test_bf_cylinder_pi_star_fibers_from_relative_cohomology():
         expect = relc.cohomology(1 - g)[0] + relc.cohomology(-g)[0]
         assert fiber == expect
 
+
+
+@pytest.mark.parametrize("cx", ["solid_torus", "torus_times_interval"])
+@pytest.mark.parametrize("build", [build_abelian_bf, build_abelian_cs], ids=["bf", "cs"])
+def test_pi_star_maps_reps_to_their_restrictions(build, cx):
+    # pi_* is the coordinates of pi(rep) on the boundary kernel basis:
+    # K pi_* reproduces pi(rep) column by column, with nothing solved here
+    model = ReducedModel(build(getattr(corpus, cx)()))
+    pi_star = symp_moduli(model)["pi_star"]
+    for g in model.ghosts:
+        images = [model.pi_blocks[g].matvec(rep) for rep in model.msymp.reps(g)]
+        want = RatMatrix.from_columns(images, model.bdry.dim(g))
+        assert model.bdry.kernel(g).matrix() * pi_star[g] == want
 
 def test_cs_solid_torus_lefschetz_package():
     rep = lefschetz(ReducedModel(cs_solid_torus()))
