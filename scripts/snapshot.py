@@ -5,11 +5,12 @@ Usage:  python3 scripts/snapshot.py OUT.json [--against OLD.json]
 
 The ops are `complex check` on every corpus complex, `target check` on
 every corpus target, `cme`, `moduli` and `slice-gh0` for every
-(theory, complex) pair that `corpus_report.pairs()` builds, and `glue`
-for all four theories on both gluing specs.  Each runs in this process
-through `bvbfv.cli.main` with `--format structured`.  With `--against`,
-the ops whose exit code or sha256 differ from OLD.json are listed and the
-script exits 2.  A refactor that must not change any output is checked by
+(theory, complex) pair that `corpus_report.pairs()` builds, `cme` and
+`moduli` with `--codim 1` for bf, cs and ed on every corpus complex where
+that stratum theory builds, and `glue` for all four theories on both
+gluing specs.  Each runs in this process through `bvbfv.cli.main` with
+`--format structured`.  With `--against`, the ops whose exit code or
+sha256 differ from OLD.json are listed and the script exits 2.  A refactor that must not change any output is checked by
 snapshotting the parent commit and the change and comparing the two.
 
 Each op's line on stdout gives its exit code and wall time, and the last
@@ -31,7 +32,9 @@ ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-from bvbfv import cli  # noqa: E402
+from bvbfv import cli, corpus  # noqa: E402
+from bvbfv.simplicial import load_complex  # noqa: E402
+from bvbfv.theories import TheoryError, theory_from_config  # noqa: E402
 from corpus_report import pairs  # noqa: E402
 
 CORPUS = os.path.join(ROOT, "corpus")
@@ -48,10 +51,25 @@ def ops():
         theory, name = label.split("/")
         for sub in ("cme", "moduli", "slice-gh0"):
             out.append([sub, f"corpus/{name}.json", "--theory", theory])
+    for name in corpus.BUILDERS:
+        for theory in ("bf", "cs", "ed"):
+            if builds_stratum(name, theory):
+                for sub in ("cme", "moduli"):
+                    out.append([sub, f"corpus/{name}.json", "--theory", theory,
+                                "--codim", "1"])
     for spec in sorted(n for n in names if n.startswith("glue_")):
         for theory in THEORIES:
             out.append(["glue", f"corpus/{spec}.json", "--theory", theory])
     return out
+
+
+def builds_stratum(name, theory):
+    cx = load_complex(os.path.join(CORPUS, f"{name}.json"))
+    try:
+        theory_from_config(cx, {"kind": cli.KIND_ALIASES[theory], "codim": 1})
+    except TheoryError:
+        return False
+    return True
 
 
 def run(argv, out_path):

@@ -3,13 +3,15 @@ exact verification of the boundary-corrected classical master equation.
 
 Two discrete pairing models coexist.
 
-Cup model (two-form-sector theories, single-sector Chern-Simons type):
-fields and antifields are cochains in shifted sectors; the symplectic data,
-the action and the boundary one-form are assembled from Alexander-Whitney
-cup products evaluated on the fundamental cycle.  Sign conventions are
-calibrated once so that, with the differential acting sector-wise and
-Stokes/Leibniz holding exactly, all master-equation identities are exact
-matrix identities; the frozen signs appear below as explicit degree rules.
+Cup model (abelian BF, abelian Chern-Simons and the electrodynamics
+stratum): fields and antifields are cochains in shifted sector families; the
+symplectic data, the action and the boundary one-form are Alexander-Whitney
+cup products evaluated on the fundamental cycle.  Each theory is one sector
+table (`_CupTable`) whose sign rules are calibrated once so that every
+master-equation identity is an exact matrix identity.  One builder reads all
+three tables and lays out the boundary half with the code of the bulk half,
+run on the boundary complex.  For bf and cs the boundary data of a stratum
+is the bulk data of the next one, up to fixed signs per degree.
 
 Cotangent model (scalar field p = 0, electrodynamics p = 1): one builder
 for the free p-form field.  The ghost lives in C^{p-1}, the position in the
@@ -24,6 +26,7 @@ one-form.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from .complexes import GhostMismatch
 from .linalg import DimensionMismatch, RatMatrix, vec_dot
@@ -98,14 +101,6 @@ class FieldSpace:
             off += s["dim"]
         raise IndexError(flat_index)
 
-    def component(self, v, sector, degree):
-        """Extract the slot component of a flat vector as a local vector."""
-        if not self.has(sector, degree):
-            return {}
-        off = self.offset(sector, degree)
-        d = self.dim(sector, degree)
-        return {i - off: x for i, x in v.items() if off <= i < off + d}
-
     def diag_sign(self, rule):
         """Diagonal matrix from a rule (sector, degree, ghost) -> value."""
         m = RatMatrix(self.total, self.total)
@@ -153,12 +148,9 @@ def cup_block(cx: OrientedComplex, k, l):
     m = RatMatrix(cx.n_faces(k), cx.n_faces(l))
     if k + l != n:
         return m
+    # a (front, back) face pair determines its top simplex: one write each
     for t, sgn in cx.top.items():
-        front = t[: k + 1]
-        back = t[k:]
-        i = cx.face_index(k, front)
-        j = cx.face_index(l, back)
-        m[i, j] = m[i, j] + sgn
+        m.entries[cx.face_index(k, t[: k + 1]), cx.face_index(l, t[k:])] = Fraction(sgn)
     return m
 
 
@@ -229,7 +221,163 @@ class LinearTheory:
 
 
 # ---------------------------------------------------------------------------
-# abelian BF (cup model), any ambient n >= 1, carrying complex of any dim <= n
+# cup models: abelian BF, abelian Chern-Simons and the electrodynamics
+# stratum, each one sector table read by one builder
+
+
+class _CupTable(NamedTuple):
+    """The sector table of a cup model on a complex of dimension D.
+
+    `families` maps a sector family to (shift, names, boundary): names(D)
+    maps each bulk degree k of the family to its slot name, the slot has
+    ghost shift(n) - k, and boundary(D) lists the degrees kept on the
+    boundary.  Each form is a tuple of cup terms (front, back, sign), the
+    block <x cup y> of a front field x in degree k and a back field y (dy
+    for the actions S and S_bdry) whose cup degree l completes k to the
+    dimension of the carrying complex.  sign(D, k, l) gives the signs of
+    the block in the front field's rows and of its transpose in the back
+    field's rows.  P and P_bdry give, per family, the sign of the second
+    slot of L_Q omega in degree k.
+    """
+
+    name: str
+    kind: str
+    families: dict
+    omega: tuple | None          # None: pairing declared at the reduced level
+    omega_bdry: tuple
+    S: tuple
+    P: tuple | None
+    P_bdry: tuple
+    adj: Callable                # D -> (adj_beta_sign, adj_psi_sign)
+    pair: tuple = ()             # bulk pairing when omega is None
+    alpha: tuple = ()
+    S_bdry: tuple = ()
+
+
+def _every(name):
+    return lambda D: dict.fromkeys(range(D + 1), name)
+
+
+def _alt(D, k):
+    return (-1) ** k
+
+
+_BF = _CupTable(
+    name="abelian_bf(n={n})",
+    kind="abelian_bf",
+    # on the boundary every degree but the top one: range(D)
+    families={"A": (lambda n: 1, _every("A"), range),
+              "B": (lambda n: n - 2, _every("B"), range)},
+    omega=(("B", "A", lambda D, k, l: ((-1) ** (D - k), (-1) ** D)),),
+    omega_bdry=(("B", "A", lambda D, k, l: ((-1) ** (k + 1), (-1) ** (D + l + 1))),),
+    alpha=(("B", "A", lambda D, k, l: ((-1) ** l, 0)),),
+    S=(("B", "A", lambda D, k, l: (1, 0)),),
+    # the boundary action in integrated-by-parts normal form, weights t_l
+    S_bdry=(("B", "A", lambda D, k, l: (Fraction((-1) ** D + (-1) ** l, 2), 0)),),
+    P=(lambda D, k: (-1) ** (D + k + 1), lambda D, k: (-1) ** (k + 1)),
+    P_bdry=(lambda D, k: (-1) ** (D + k + 1), lambda D, k: (-1) ** (k + 1)),
+    adj=lambda D: ((-1) ** D, (-1) ** D),
+)
+
+_CS = _CupTable(
+    name="abelian_cs",
+    kind="abelian_cs",
+    families={"A": (lambda n: 1, _every("A"), range)},
+    omega=None,
+    pair=(("A", "A", lambda D, k, l: (1, 0)),),
+    omega_bdry=(("A", "A", lambda D, k, l: (1, 0)),),
+    S=(("A", "A", lambda D, k, l: (Fraction(1, 2), 0)),),
+    P=None,
+    P_bdry=(_alt,),
+    adj=lambda D: (1, 1),
+)
+
+# the boundary theory of electrodynamics: (c, A) and (B, A+), with the
+# codimension-2 data (c, B) on its boundary
+_ED_STRATUM = _CupTable(
+    name="ed_stratum(n={n})",
+    kind="ed_stratum",
+    families={"c/A": (lambda n: 1, lambda D: {0: "c", 1: "A"}, lambda D: (0,)),
+              "B/A+": (lambda n: n - 2, lambda D: {D - 1: "B", D: "A+"},
+                       lambda D: (D - 1,))},
+    omega=(("c/A", "B/A+", lambda D, k, l: (-(-1) ** D, (-1) ** D)),),
+    omega_bdry=(("c/A", "B/A+", lambda D, k, l: (-1, 1)),),
+    alpha=(("c/A", "B/A+", lambda D, k, l: (-(-1) ** D, 0)),),
+    S=(("c/A", "B/A+", lambda D, k, l: (1, 0)),),
+    P=(lambda D, k: 1, lambda D, k: 1),
+    P_bdry=(_alt, _alt),
+    adj=lambda D: ((-1) ** D, (-1) ** D),
+)
+
+
+def _cup_half(K, table, n, D, degrees, forms, P):
+    """Lay out one half of a cup model on the complex K: the slots of each
+    family in `degrees` (family -> degrees), Q as d within each family, the
+    matrix of each form in `forms` (name -> cup terms, d on the back field
+    of an action) and the diagonal P (per-family rules, or None)."""
+    names = {f: spec[1](D) for f, spec in table.families.items()}
+    space = FieldSpace()
+    family_of = {}
+    for i, (f, (shift, _, _)) in enumerate(table.families.items()):
+        for k in degrees[f]:
+            space.add(names[f][k], k, K.n_faces(k), shift(n) - k)
+            family_of[names[f][k]] = i
+    Q = RatMatrix(space.total, space.total)
+    for f in table.families:
+        for k in degrees[f]:
+            if k + 1 in degrees[f]:
+                set_block(Q, space, (names[f][k + 1], k + 1), space, (names[f][k], k),
+                          K.coboundary_matrix(k))
+    cups = {}
+    out = {}
+    for form, (terms, d_back) in forms.items():
+        m = out[form] = RatMatrix(space.total, space.total)
+        for front, back, sign in terms:
+            for k in degrees[front]:
+                l = K.dimension - k
+                kb = l - 1 if d_back else l
+                signs = sign(D, k, l)
+                if kb not in degrees[back] or not any(signs):
+                    continue
+                if (k, l) not in cups:
+                    cups[k, l] = cup_block(K, k, l)
+                block = cups[k, l]
+                if kb != l:
+                    block = block * K.coboundary_matrix(kb)
+                x, y = (names[front][k], k), (names[back][kb], kb)
+                set_block(m, space, x, space, y, block, signs[0])
+                set_block(m, space, y, space, x, block.transpose(), signs[1])
+    if P is not None:
+        P = space.diag_sign(lambda sec, k, g: P[family_of[sec]](D, k))
+    return space, Q, out, P
+
+
+def _cup_theory(cx: OrientedComplex, table: _CupTable, n) -> LinearTheory:
+    """The cup model of `table` on cx in ambient dimension n.  The boundary
+    half is the bulk layout run on the boundary complex with the table's
+    boundary terms; pi restricts every boundary slot."""
+    D = cx.dimension
+    bc = cx.boundary_complex()
+    bulk_deg = {f: tuple(spec[1](D)) for f, spec in table.families.items()}
+    bdry_deg = {f: tuple(spec[2](D)) if bc.n_faces(0) else ()
+                for f, spec in table.families.items()}
+    bulk, Q, forms, P = _cup_half(cx, table, n, D, bulk_deg, {
+        "pair": (table.omega or table.pair, False), "S": (table.S, True)}, table.P)
+    bdry, Qb, bforms, Pb = _cup_half(bc, table, n, D, bdry_deg, {
+        "omega": (table.omega_bdry, False), "alpha": (table.alpha, False),
+        "S": (table.S_bdry, True)}, table.P_bdry)
+    pi = RatMatrix(bdry.total, bulk.total)
+    for s in bdry.slots:
+        slot = (s["sector"], s["degree"])
+        set_block(pi, bdry, slot, bulk, slot, cx.restriction_matrix(s["degree"]))
+    beta, psi = table.adj(D)
+    return LinearTheory(
+        name=table.name.format(n=n), kind=table.kind, n=n, D=D, cx=cx, model="cup",
+        bulk=bulk, bdry=bdry, Q=Q, Q_bdry=Qb, pi=pi, P=P, P_bdry=Pb,
+        omega=None if table.omega is None else forms["pair"],
+        pair_bulk_mat=forms["pair"], omega_bdry=bforms["omega"],
+        alpha_bdry=bforms["alpha"], S_mat=forms["S"], S_bdry_mat=bforms["S"],
+        adj_beta_sign=Fraction(beta), adj_psi_sign=Fraction(psi))
 
 
 def build_abelian_bf(cx: OrientedComplex, ambient_n=None) -> LinearTheory:
@@ -240,110 +388,9 @@ def build_abelian_bf(cx: OrientedComplex, ambient_n=None) -> LinearTheory:
     only the ghost bookkeeping shifts.
     """
     n = cx.dimension if ambient_n is None else int(ambient_n)
-    D = cx.dimension
     if n < 1:
         raise WrongDimension("abelian BF needs ambient dimension >= 1")
-    bc = cx.boundary_complex()
-    has_bdry = bc.n_faces(0) > 0
-    bulk = FieldSpace()
-    for k in range(D + 1):
-        bulk.add("A", k, cx.n_faces(k), 1 - k)
-    for k in range(D + 1):
-        bulk.add("B", k, cx.n_faces(k), n - 2 - k)
-    bdry = FieldSpace()
-    if has_bdry:
-        for k in range(D):
-            bdry.add("A", k, bc.n_faces(k), 1 - k)
-        for k in range(D):
-            bdry.add("B", k, bc.n_faces(k), n - 2 - k)
-
-    Q = RatMatrix(bulk.total, bulk.total)
-    for sec in ("A", "B"):
-        for k in range(D):
-            set_block(Q, bulk, (sec, k + 1), bulk, (sec, k), cx.coboundary_matrix(k))
-    Qb = RatMatrix(bdry.total, bdry.total)
-    if has_bdry:
-        for sec in ("A", "B"):
-            for k in range(D - 1):
-                set_block(Qb, bdry, (sec, k + 1), bdry, (sec, k), bc.coboundary_matrix(k))
-
-    pi = RatMatrix(bdry.total, bulk.total)
-    if has_bdry:
-        for sec in ("A", "B"):
-            for k in range(D):
-                set_block(pi, bdry, (sec, k), bulk, (sec, k), cx.restriction_matrix(k))
-
-    sgn_n = (-1) ** D
-    # omega(xi, eta) = sum_k (-1)^D <eta_B^(D-k) cup xi_A^(k)>
-    #                + sum_q (-1)^(D-q) <xi_B^(q) cup eta_A^(D-q)>
-    omega = RatMatrix(bulk.total, bulk.total)
-    for k in range(D + 1):
-        set_block(omega, bulk, ("A", k), bulk, ("B", D - k),
-                  cup_block(cx, D - k, k).transpose(), sgn_n)
-        set_block(omega, bulk, ("B", k), bulk, ("A", D - k),
-                  cup_block(cx, k, D - k), (-1) ** (D - k))
-    omega_bdry = RatMatrix(bdry.total, bdry.total)
-    if has_bdry:
-        for k in range(D):
-            set_block(omega_bdry, bdry, ("A", k), bdry, ("B", D - 1 - k),
-                      cup_block(bc, D - 1 - k, k).transpose(), (-1) ** (D + k + 1))
-            set_block(omega_bdry, bdry, ("B", k), bdry, ("A", D - 1 - k),
-                      cup_block(bc, k, D - 1 - k), (-1) ** (k + 1))
-
-    # S(z) = <B cup dA>; alpha(y)(eta) = sum_j (-1)^j <y_B^(D-1-j) cup eta_A^(j)>
-    S_mat = RatMatrix(bulk.total, bulk.total)
-    for j in range(D):
-        set_block(S_mat, bulk, ("B", D - 1 - j), bulk, ("A", j),
-                  cup_block(cx, D - 1 - j, j + 1) * cx.coboundary_matrix(j))
-    alpha = RatMatrix(bdry.total, bdry.total)
-    if has_bdry:
-        for j in range(D):
-            set_block(alpha, bdry, ("B", D - 1 - j), bdry, ("A", j),
-                      cup_block(bc, D - 1 - j, j), (-1) ** j)
-    # boundary action in integrated-by-parts normal form:
-    # S_d = sum_j t_j <y_B^(D-1-j) cup (d y_A)^(j)>, t_j = ((-1)^D + (-1)^j)/2
-    S_bdry = RatMatrix(bdry.total, bdry.total)
-    if has_bdry:
-        for j in range(1, D):
-            t = Fraction((-1) ** D + (-1) ** j, 2)
-            if t:
-                set_block(S_bdry, bdry, ("B", D - 1 - j), bdry, ("A", j - 1),
-                          cup_block(bc, D - 1 - j, j) * bc.coboundary_matrix(j - 1), t)
-
-    P = bulk.diag_sign(
-        lambda sec, k, g: (-1) ** (D + k + 1) if sec == "A" else (-1) ** (k + 1)
-    )
-    P_bdry = bdry.diag_sign(
-        lambda sec, k, g: (-1) ** (D + k + 1) if sec == "A" else (-1) ** (k + 1)
-    )
-
-    return LinearTheory(
-        name=f"abelian_bf(n={n})",
-        kind="abelian_bf",
-        n=n,
-        D=D,
-        cx=cx,
-        bulk=bulk,
-        bdry=bdry,
-        Q=Q,
-        Q_bdry=Qb,
-        pi=pi,
-        omega=omega,
-        omega_bdry=omega_bdry,
-        alpha_bdry=alpha,
-        S_mat=S_mat,
-        S_bdry_mat=S_bdry,
-        P=P,
-        P_bdry=P_bdry,
-        pair_bulk_mat=omega,
-        adj_beta_sign=Fraction(sgn_n),
-        adj_psi_sign=Fraction(sgn_n),
-        model="cup",
-    )
-
-
-# ---------------------------------------------------------------------------
-# abelian Chern-Simons (cup model, reduced-level pairings only)
+    return _cup_theory(cx, _BF, n)
 
 
 def build_abelian_cs(cx: OrientedComplex, ambient_n=3) -> LinearTheory:
@@ -356,68 +403,24 @@ def build_abelian_cs(cx: OrientedComplex, ambient_n=3) -> LinearTheory:
     """
     if ambient_n != 3:
         raise WrongDimension("abelian Chern-Simons requires ambient dimension 3")
-    n = 3
-    D = cx.dimension
-    if D > 3:
+    if cx.dimension > 3:
         raise WrongDimension("carrying complex of abelian CS has dimension <= 3")
-    bc = cx.boundary_complex()
-    has_bdry = bc.n_faces(0) > 0
-    bulk = FieldSpace()
-    for k in range(D + 1):
-        bulk.add("A", k, cx.n_faces(k), 1 - k)
-    bdry = FieldSpace()
-    if has_bdry:
-        for k in range(D):
-            bdry.add("A", k, bc.n_faces(k), 1 - k)
-    Q = RatMatrix(bulk.total, bulk.total)
-    for k in range(D):
-        set_block(Q, bulk, ("A", k + 1), bulk, ("A", k), cx.coboundary_matrix(k))
-    Qb = RatMatrix(bdry.total, bdry.total)
-    if has_bdry:
-        for k in range(D - 1):
-            set_block(Qb, bdry, ("A", k + 1), bdry, ("A", k), bc.coboundary_matrix(k))
-    pi = RatMatrix(bdry.total, bulk.total)
-    if has_bdry:
-        for k in range(D):
-            set_block(pi, bdry, ("A", k), bulk, ("A", k), cx.restriction_matrix(k))
-    pair = RatMatrix(bulk.total, bulk.total)
-    for k in range(D + 1):
-        set_block(pair, bulk, ("A", k), bulk, ("A", D - k), cup_block(cx, k, D - k))
-    pair_b = RatMatrix(bdry.total, bdry.total)
-    if has_bdry:
-        for k in range(D):
-            set_block(pair_b, bdry, ("A", k), bdry, ("A", D - 1 - k),
-                      cup_block(bc, k, D - 1 - k))
-    # second-slot degree rule for the Stokes/Leibniz adjointness bookkeeping
-    P_bdry = bdry.diag_sign(lambda sec, k, g: (-1) ** k)
-    S_mat = RatMatrix(bulk.total, bulk.total)
-    for j in range(D):
-        set_block(S_mat, bulk, ("A", D - 1 - j), bulk, ("A", j),
-                  cup_block(cx, D - 1 - j, j + 1) * cx.coboundary_matrix(j),
-                  Fraction(1, 2))
-    return LinearTheory(
-        name="abelian_cs",
-        kind="abelian_cs",
-        n=n,
-        D=D,
-        cx=cx,
-        bulk=bulk,
-        bdry=bdry,
-        Q=Q,
-        Q_bdry=Qb,
-        pi=pi,
-        omega=None,
-        omega_bdry=pair_b,
-        alpha_bdry=RatMatrix(bdry.total, bdry.total),
-        S_mat=S_mat,
-        S_bdry_mat=RatMatrix(bdry.total, bdry.total),
-        P=None,
-        P_bdry=P_bdry,
-        pair_bulk_mat=pair,
-        adj_beta_sign=Fraction(1),
-        adj_psi_sign=Fraction(1),
-        model="cup",
-    )
+    return _cup_theory(cx, _CS, 3)
+
+
+def build_ed_stratum(cx: OrientedComplex, ambient_n) -> LinearTheory:
+    """The boundary theory of electrodynamics carried by its own complex:
+    sectors (A, B, c, A+) with Q(A) = dc, Q(A+) = dB, S = <c cup dB>.
+
+    The boundary fields of this theory are the codimension-2 data (B, c)
+    with vanishing boundary action and differential.
+    """
+    n = int(ambient_n)
+    if cx.dimension != n - 1:
+        raise WrongDimension("stratum theory lives on an (n-1)-dimensional complex")
+    if n < 2:
+        raise WrongDimension("the stratum extension needs ambient dimension >= 2")
+    return _cup_theory(cx, _ED_STRATUM, n)
 
 
 # ---------------------------------------------------------------------------
@@ -567,97 +570,6 @@ def build_electrodynamics(cx: OrientedComplex, ambient_n=None) -> LinearTheory:
 
 
 # ---------------------------------------------------------------------------
-# electrodynamics on a codimension-1 stratum (cup model) and codim-2 data
-
-
-def build_ed_stratum(cx: OrientedComplex, ambient_n) -> LinearTheory:
-    """The boundary theory of electrodynamics carried by its own complex:
-    sectors (A, B, c, A+) with Q(A) = dc, Q(A+) = dB, S = <c cup dB>.
-
-    The boundary fields of this theory are the codimension-2 data (B, c)
-    with vanishing boundary action and differential.
-    """
-    n = int(ambient_n)
-    D = cx.dimension
-    if D != n - 1:
-        raise WrongDimension("stratum theory lives on an (n-1)-dimensional complex")
-    if n < 2:
-        raise WrongDimension("the stratum extension needs ambient dimension >= 2")
-    bc = cx.boundary_complex()
-    has_bdry = bc.n_faces(0) > 0
-    sgn = Fraction((-1) ** D)
-
-    bulk = FieldSpace()
-    bulk.add("c", 0, cx.n_faces(0), 1)
-    bulk.add("A", 1, cx.n_faces(1), 0)
-    bulk.add("B", n - 2, cx.n_faces(n - 2), 0)
-    bulk.add("A+", n - 1, cx.n_faces(n - 1), -1)
-    bdry = FieldSpace()
-    if has_bdry:
-        bdry.add("c", 0, bc.n_faces(0), 1)
-        bdry.add("B", n - 2, bc.n_faces(n - 2), 0)
-
-    Q = RatMatrix(bulk.total, bulk.total)
-    set_block(Q, bulk, ("A", 1), bulk, ("c", 0), cx.coboundary_matrix(0))
-    set_block(Q, bulk, ("A+", n - 1), bulk, ("B", n - 2), cx.coboundary_matrix(n - 2))
-    Qb = RatMatrix(bdry.total, bdry.total)
-
-    pi = RatMatrix(bdry.total, bulk.total)
-    if has_bdry:
-        set_block(pi, bdry, ("c", 0), bulk, ("c", 0), cx.restriction_matrix(0))
-        set_block(pi, bdry, ("B", n - 2), bulk, ("B", n - 2), cx.restriction_matrix(n - 2))
-
-    omega = RatMatrix(bulk.total, bulk.total)
-    set_block(omega, bulk, ("A+", n - 1), bulk, ("c", 0),
-              cup_block(cx, 0, n - 1).transpose(), sgn)
-    set_block(omega, bulk, ("c", 0), bulk, ("A+", n - 1),
-              cup_block(cx, 0, n - 1), -sgn)
-    set_block(omega, bulk, ("A", 1), bulk, ("B", n - 2),
-              cup_block(cx, 1, n - 2), -sgn)
-    set_block(omega, bulk, ("B", n - 2), bulk, ("A", 1),
-              cup_block(cx, 1, n - 2).transpose(), sgn)
-
-    omega_bdry = RatMatrix(bdry.total, bdry.total)
-    alpha = RatMatrix(bdry.total, bdry.total)
-    if has_bdry:
-        cupb = cup_block(bc, 0, n - 2)
-        set_block(omega_bdry, bdry, ("B", n - 2), bdry, ("c", 0), cupb.transpose())
-        set_block(omega_bdry, bdry, ("c", 0), bdry, ("B", n - 2), cupb, -1)
-        set_block(alpha, bdry, ("c", 0), bdry, ("B", n - 2), cupb, -sgn)
-
-    S_mat = RatMatrix(bulk.total, bulk.total)
-    set_block(S_mat, bulk, ("c", 0), bulk, ("B", n - 2),
-              cup_block(cx, 0, n - 1) * cx.coboundary_matrix(n - 2))
-
-    P = bulk.diag_sign(lambda sec, k, g: 1)
-    P_bdry = bdry.diag_sign(lambda sec, k, g: (-1) ** k)
-
-    return LinearTheory(
-        name=f"ed_stratum(n={n})",
-        kind="ed_stratum",
-        n=n,
-        D=D,
-        cx=cx,
-        bulk=bulk,
-        bdry=bdry,
-        Q=Q,
-        Q_bdry=Qb,
-        pi=pi,
-        omega=omega,
-        omega_bdry=omega_bdry,
-        alpha_bdry=alpha,
-        S_mat=S_mat,
-        S_bdry_mat=RatMatrix(bdry.total, bdry.total),
-        P=P,
-        P_bdry=P_bdry,
-        pair_bulk_mat=omega,
-        adj_beta_sign=sgn,
-        adj_psi_sign=sgn,
-        model="cup",
-    )
-
-
-# ---------------------------------------------------------------------------
 # master-equation verification
 
 
@@ -711,22 +623,17 @@ def verify_cme(theory: LinearTheory, strict=False) -> CMEReport:
     rep.residuals["projectability"] = t.pi * t.Q - t.Q_bdry * t.pi
 
     if t.omega is not None:
-        lhs = t.Q.transpose() * t.omega
-        rhs = t.S_deriv().scale(sgn) + t.pi.transpose() * t.alpha_bdry * t.pi
-        rep.residuals["cme"] = lhs - rhs
-        lo = t.Q.transpose() * t.omega + t.P.transpose() * t.omega * t.Q
-        rep.residuals["lo"] = lo - (t.pi.transpose() * t.omega_bdry * t.pi).scale(sgn)
+        pt = t.pi.transpose()
+        qw = t.Q.transpose() * t.omega
+        wq = t.omega * t.Q
+        dS = t.S_deriv()
+        pwp = (pt * t.omega_bdry * t.pi).scale(sgn)
+        rep.residuals["cme"] = qw - (dS.scale(sgn) + pt * t.alpha_bdry * t.pi)
+        rep.residuals["lo"] = qw + t.P.transpose() * wq - pwp
         if t.model == "cotangent":
-            defect = t.Q.transpose() * t.omega - t.omega * t.Q
-            rep.residuals["q_self_adjoint"] = defect - (
-                t.pi.transpose() * t.omega_bdry * t.pi
-            ).scale(sgn)
-        lqs = t.S_deriv() * t.Q
-        rhs_q = (
-            t.S_bdry_mat.scale(2) - t.alpha_bdry * t.Q_bdry
-        ).scale(sgn)
-        rhs_q = t.pi.transpose() * rhs_q * t.pi
-        diff = lqs - rhs_q
+            rep.residuals["q_self_adjoint"] = qw - wq - pwp
+        rhs = pt * (t.S_bdry_mat.scale(2) - t.alpha_bdry * t.Q_bdry).scale(sgn) * t.pi
+        diff = dS * t.Q - rhs
         rep.residuals["lqs"] = diff + diff.transpose()
 
     for name, m in rep.residuals.items():
@@ -747,17 +654,16 @@ def check_ghost_grading(theory: LinearTheory):
     t = theory
 
     def ghost_of(space, idx):
-        s, _ = space.slot_of(idx)
-        return s["ghost"]
+        return space.slot_of(idx)[0]["ghost"]
+
+    def label(space, idx):
+        s = space.slot_of(idx)[0]
+        return f"({s['sector']},{s['degree']})"
 
     for (i, j) in t.Q.entries:
         if ghost_of(t.bulk, i) != ghost_of(t.bulk, j) - 1:
-            si, _ = t.bulk.slot_of(i)
-            sj, _ = t.bulk.slot_of(j)
-            raise GhostMismatch(
-                f"Q block ({sj['sector']},{sj['degree']}) -> "
-                f"({si['sector']},{si['degree']}) does not lower ghost by 1"
-            )
+            raise GhostMismatch(f"Q block {label(t.bulk, j)} -> {label(t.bulk, i)} "
+                                "does not lower ghost by 1")
     for (i, j) in t.Q_bdry.entries:
         if ghost_of(t.bdry, i) != ghost_of(t.bdry, j) - 1:
             raise GhostMismatch("boundary Q block does not lower ghost by 1")
@@ -767,22 +673,15 @@ def check_ghost_grading(theory: LinearTheory):
     # pairing ghosts: -1 for the bulk theory, shifted up by the codimension
     gh_bulk = -1 + (t.n - t.D)
     gh_bdry = gh_bulk + 1
-    if t.omega is not None:
-        for (i, j) in t.omega.entries:
-            g = ghost_of(t.bulk, i) + ghost_of(t.bulk, j)
-            if g != gh_bulk:
-                si, _ = t.bulk.slot_of(i)
-                sj, _ = t.bulk.slot_of(j)
-                raise GhostMismatch(
-                    f"bulk pairing couples ({si['sector']},{si['degree']}) with "
-                    f"({sj['sector']},{sj['degree']}): ghost sum {g} != {gh_bulk}"
-                )
+    for (i, j) in (t.omega.entries if t.omega is not None else ()):
+        g = ghost_of(t.bulk, i) + ghost_of(t.bulk, j)
+        if g != gh_bulk:
+            raise GhostMismatch(f"bulk pairing couples {label(t.bulk, i)} with "
+                                f"{label(t.bulk, j)}: ghost sum {g} != {gh_bulk}")
     for (i, j) in t.omega_bdry.entries:
         g = ghost_of(t.bdry, i) + ghost_of(t.bdry, j)
         if g != gh_bdry:
-            raise GhostMismatch(
-                f"boundary pairing ghost sum {g} != {gh_bdry}"
-            )
+            raise GhostMismatch(f"boundary pairing ghost sum {g} != {gh_bdry}")
     return {"bulk_pairing_ghost": gh_bulk, "boundary_pairing_ghost": gh_bdry}
 
 
@@ -796,23 +695,13 @@ def ghost_zero_slice(theory: LinearTheory):
     from .linalg import image_basis, kernel_basis, quotient
 
     t = theory
-    idx0 = t.bulk.ghost_indices(0)
-    idx1 = t.bulk.ghost_indices(1)
-    idxm1 = t.bulk.ghost_indices(-1)
-    q0 = t.Q.submatrix(idxm1, idx0)   # EL conditions on gh-0 fields
-    q1 = t.Q.submatrix(idx0, idx1)    # gauge transformations into gh 0
-    el = kernel_basis(q0)
-    gauge = image_basis(q1)
+    idx = {g: t.bulk.ghost_indices(g) for g in (-1, 0, 1)}
+    el = kernel_basis(t.Q.submatrix(idx[-1], idx[0]))     # EL conditions on gh-0 fields
+    gauge = image_basis(t.Q.submatrix(idx[0], idx[1]))    # gauge transformations into gh 0
     comp, _ = quotient(el, gauge)
-    fields = {
-        (s["sector"], s["degree"]): s["dim"]
-        for s in t.bulk.slots
-        if s["ghost"] == 0
-    }
-    bidx0 = t.bdry.ghost_indices(0)
-    bidxm1 = t.bdry.ghost_indices(-1)
-    qb0 = t.Q_bdry.submatrix(bidxm1, bidx0)
-    c_bdry = kernel_basis(qb0)
+    fields = {(s["sector"], s["degree"]): s["dim"] for s in t.bulk.slots if s["ghost"] == 0}
+    c_bdry = kernel_basis(t.Q_bdry.submatrix(t.bdry.ghost_indices(-1),
+                                             t.bdry.ghost_indices(0)))
     return {
         "field_dims": fields,
         "el_dim": el.dim,
@@ -826,20 +715,12 @@ def extend_to_stratum(kind, cx: OrientedComplex, ambient_n) -> LinearTheory:
     """Build the codimension-k extension of a theory on a stratum complex of
     dimension ambient_n - k.  The formulas are those of the bulk builders;
     only the grading shifts, giving gh(omega) = k - 1 and gh(S) = k."""
-    k = ambient_n - cx.dimension
-    if k < 0 or cx.dimension > ambient_n:
+    if cx.dimension > ambient_n:
         raise WrongDimension("stratum dimension exceeds ambient dimension")
-    if kind == "abelian_bf":
-        return build_abelian_bf(cx, ambient_n)
-    if kind == "abelian_cs":
-        if ambient_n != 3:
-            raise WrongDimension("abelian CS extension keeps ambient dimension 3")
-        return build_abelian_cs(cx, 3)
-    if kind == "electrodynamics":
-        if k != 1:
-            raise WrongDimension("electrodynamics extends one stratum at a time")
-        return build_ed_stratum(cx, ambient_n)
-    raise TheoryError(f"no stratum extension for kind {kind!r}")
+    extend = _KINDS.get(kind, (None, None))[1]
+    if extend is None:
+        raise TheoryError(f"no stratum extension for kind {kind!r}")
+    return extend(cx, ambient_n)
 
 
 def verify_extension_chain(kind, cx: OrientedComplex, ambient_n):
@@ -848,35 +729,53 @@ def verify_extension_chain(kind, cx: OrientedComplex, ambient_n):
     boundary data of the former with the bulk data of the latter."""
     top = extend_to_stratum(kind, cx, ambient_n)
     bc = cx.boundary_complex()
-    if not bc.n_faces(0):
-        return {"projectable": (top.pi * top.Q - top.Q_bdry * top.pi).is_zero(),
-                "chain_checked": False}
+    out = {"projectable": (top.pi * top.Q - top.Q_bdry * top.pi).is_zero(),
+           "chain_checked": bool(bc.n_faces(0))}
+    if not out["chain_checked"]:
+        return out
     lower = extend_to_stratum(kind, bc, ambient_n)
     same_dims = lower.bulk.total == top.bdry.total
     dims_by_slot = all(
         lower.bulk.dim(s["sector"], s["degree"]) == s["dim"] for s in top.bdry.slots
     )
-    return {
-        "projectable": (top.pi * top.Q - top.Q_bdry * top.pi).is_zero(),
-        "chain_checked": True,
-        "boundary_matches_lower_bulk": same_dims and dims_by_slot,
-        "q_matches": lower.Q == _reindex_like(lower.bulk, top.bdry, top.Q_bdry),
-    }
+    out["boundary_matches_lower_bulk"] = same_dims and dims_by_slot
+    out["q_matches"] = lower.Q == _reindex_like(lower.bulk, top.bdry, top.Q_bdry)
+    return out
 
 
 def _reindex_like(target_space: FieldSpace, source_space: FieldSpace, m: RatMatrix):
     """Rewrite a matrix over source_space slots into target_space order."""
     out = RatMatrix(target_space.total, target_space.total)
     for (i, j), v in m.entries.items():
-        si, li = source_space.slot_of(i)
-        sj, lj = source_space.slot_of(j)
-        if not target_space.has(si["sector"], si["degree"]):
+        (si, li), (sj, lj) = source_space.slot_of(i), source_space.slot_of(j)
+        ri, rj = (si["sector"], si["degree"]), (sj["sector"], sj["degree"])
+        if not (target_space.has(*ri) and target_space.has(*rj)):
             return None
-        if not target_space.has(sj["sector"], sj["degree"]):
-            return None
-        out[target_space.offset(si["sector"], si["degree"]) + li,
-            target_space.offset(sj["sector"], sj["degree"]) + lj] = v
+        out[target_space.offset(*ri) + li, target_space.offset(*rj) + lj] = v
     return out
+
+
+def _cs_stratum(cx, ambient_n):
+    if ambient_n != 3:
+        raise WrongDimension("abelian CS extension keeps ambient dimension 3")
+    return build_abelian_cs(cx, 3)
+
+
+def _ed_stratum(cx, ambient_n):
+    if ambient_n - cx.dimension != 1:
+        raise WrongDimension("electrodynamics extends one stratum at a time")
+    return build_ed_stratum(cx, ambient_n)
+
+
+# kind -> (builder from (cx, ambient n or None, mass), stratum extension
+# from (cx, ambient n) or None)
+_KINDS = {
+    "abelian_bf": (lambda cx, n, mass: build_abelian_bf(cx, n), build_abelian_bf),
+    "abelian_cs": (lambda cx, n, mass: build_abelian_cs(cx, 3 if n is None else n),
+                   _cs_stratum),
+    "scalar": (lambda cx, n, mass: build_scalar(cx, mass), None),
+    "electrodynamics": (lambda cx, n, mass: build_electrodynamics(cx, n), _ed_stratum),
+}
 
 
 def theory_from_config(cx: OrientedComplex, config: dict) -> LinearTheory:
@@ -894,12 +793,6 @@ def theory_from_config(cx: OrientedComplex, config: dict) -> LinearTheory:
     if codim:
         n = ambient if ambient is not None else cx.dimension + codim
         return extend_to_stratum(kind, cx, n)
-    if kind == "abelian_bf":
-        return build_abelian_bf(cx, ambient)
-    if kind == "abelian_cs":
-        return build_abelian_cs(cx, 3 if ambient is None else ambient)
-    if kind == "scalar":
-        return build_scalar(cx, mass)
-    if kind == "electrodynamics":
-        return build_electrodynamics(cx, ambient)
-    raise TheoryError(f"unknown theory kind {kind!r}")
+    if kind not in _KINDS:
+        raise TheoryError(f"unknown theory kind {kind!r}")
+    return _KINDS[kind][0](cx, ambient, mass)

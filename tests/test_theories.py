@@ -7,6 +7,7 @@ from bvbfv import corpus
 from bvbfv.complexes import GhostMismatch
 from bvbfv.theories import (
     WrongDimension,
+    _reindex_like,
     build_abelian_bf,
     build_abelian_cs,
     build_ed_stratum,
@@ -142,11 +143,35 @@ def test_bf_maximal_extension_point():
     assert dims == {("A", 0): (1, 1), ("B", 0): (1, 2)}
 
 
-def test_extension_chain_axiom():
-    out = verify_extension_chain("abelian_bf", corpus.cylinder(), 3)
-    assert out["projectable"] and out["boundary_matches_lower_bulk"] and out["q_matches"]
-    out = verify_extension_chain("abelian_cs", corpus.solid_torus(), 3)
-    assert out["projectable"] and out["boundary_matches_lower_bulk"] and out["q_matches"]
+def _boundary_as_lower_bulk(top, lower, key):
+    return _reindex_like(lower.bulk, top.bdry, getattr(top, key))
+
+
+@pytest.mark.parametrize("name,n", [("cylinder", 3), ("disk_fan", 4), ("interval", 1),
+                                    ("solid_torus", 3), ("torus_times_interval", 3)])
+def test_extension_chain_axiom(name, n):
+    # the boundary half of a cup model is the bulk half of the same theory
+    # on the boundary complex, up to fixed signs per degree
+    cx = corpus.BUILDERS[name]()
+    for kind in ("abelian_bf", "abelian_cs"):
+        out = verify_extension_chain(kind, cx, n if kind == "abelian_bf" else 3)
+        assert out["projectable"] and out["boundary_matches_lower_bulk"] and out["q_matches"]
+    D = cx.dimension
+    top = extend_to_stratum("abelian_bf", cx, n)
+    low = extend_to_stratum("abelian_bf", cx.boundary_complex(), n)
+    sigma = low.bulk.diag_sign(lambda sec, k, g: (-1) ** k if sec == "A" else (-1) ** D)
+    b_rows = low.bulk.diag_sign(lambda sec, k, g: sec == "B")
+    a_neg = low.bulk.diag_sign(lambda sec, k, g: -1 if sec == "A" else 1)
+    # t_j = ((-1)^D + (-1)^j)/2 on the column A^(j-1)
+    t_j = low.bulk.diag_sign(lambda sec, k, g: Fraction((-1) ** D + (-1) ** (k + 1), 2))
+    assert _boundary_as_lower_bulk(top, low, "omega_bdry") == sigma * low.omega
+    assert _boundary_as_lower_bulk(top, low, "alpha_bdry") == b_rows * low.omega
+    assert _boundary_as_lower_bulk(top, low, "P_bdry") == a_neg * low.P
+    assert _boundary_as_lower_bulk(top, low, "S_bdry_mat") == low.S_mat * t_j
+    assert not low.omega.is_zero()
+    top = extend_to_stratum("abelian_cs", cx, 3)
+    low = extend_to_stratum("abelian_cs", cx.boundary_complex(), 3)
+    assert _boundary_as_lower_bulk(top, low, "omega_bdry") == low.pair_bulk_mat
 
 
 def test_ed_codim2_fields_and_trivial_boundary_data():
@@ -252,12 +277,13 @@ CONE_BUILDERS = {
 }
 
 
-def _fingerprint(t):
+def _fingerprint(t, order=list):
     data = [t.name, t.kind, t.n, t.D, t.model, t.mass, t.adj_beta_sign,
             t.adj_psi_sign, t.bulk.slots, t.bdry.slots]
     for key in CONE_MATRICES:
         m = getattr(t, key)
-        data.append((key, m.rows, m.cols, list(m.entries.items())))
+        data.append((key, None) if m is None
+                    else (key, m.rows, m.cols, order(m.entries.items())))
     return hashlib.sha256(repr(data).encode()).hexdigest()
 
 
@@ -277,3 +303,88 @@ def test_cone_model_pins_every_buildable_pair():
                 continue
             built.add((theory, name))
     assert built == set(PINNED_CONE_MODELS)
+
+
+# --- the cup-model builder, pinned ----------------------------------------------
+
+# sha256 of every slot and every matrix, entries in key order, of bf at n = D
+# and n = D + 1, cs and the electrodynamics stratum at n = D + 1 on each
+# corpus complex they build on, as the three separate cup builders produced
+# them.  Key order, not storage order: the order in which a builder writes
+# its blocks changes no result, because `_echelon` picks pivots by value and
+# row index.
+PINNED_CUP_MODELS = {
+    ('bf_codim1', 'point'): "6f893f1786bc2282a53cb5d60bca829aa654357818ae0ac9dc0d17a9274883a8",
+    ('cs', 'point'): "9933d95559efa120d7b4d52183467e73c1ca909083aebf144fff34dab268ed4d",
+    ('bf_codim1', 'two_points'): "1c090e9649f757c818879df0613c01c992bf21624487b84f514e83485526fd7c",
+    ('cs', 'two_points'): "d854e53a8101897c0994c9f338adc2bc4ef7b22a055c1c6ae42e874f870a3c97",
+    ('bf', 'interval'): "1209ada98240d1d491f1e149777d4a5128ed0c3b9a035800f0c5b2d59e021c4c",
+    ('bf_codim1', 'interval'): "2adf8969b1bba654cebd872eef15409286997d4a82a30b86e484dc2110f2b8a6",
+    ('cs', 'interval'): "640bd2dd7406accd8c34d688ec35112714ccaa518d7758d80ea99371eed3dc71",
+    ('ed_stratum', 'interval'): "c5c6e6ab51b48bbce0309af81b604804950f9751f0aa74786e71325428741f55",
+    ('bf', 'interval3'): "edf0e8b950b99881852e752d11df06d74f799bc7f8264182c027a3b1ecfa48e8",
+    ('bf_codim1', 'interval3'): "e5b42522d257c4579a59265443176fe5dbdda050010f5bdefaa8e9a8b14a61e8",
+    ('cs', 'interval3'): "873f19630ad9ed7d85d4cccd7a9ef702156df4ec3298f1406ad61b6fd758f335",
+    ('ed_stratum', 'interval3'): "965c5ccb396e665518687a416ec22392594eacf93f068fdbcf99744821f777da",
+    ('bf', 'circle'): "4bd1d1c3fed2b6f0f47420b2fc7a9fdb0e89eec7c776249366d8afd835e4dd54",
+    ('bf_codim1', 'circle'): "beac0daeb71f0c1b70d88af1b439080d9975df5f2fd5d0d9f1ea2d5ab9aa2513",
+    ('cs', 'circle'): "251306f5754a17721900ef7aea7a019a99f3a4bdc226f11d30946666f1de30a8",
+    ('ed_stratum', 'circle'): "85a63b8b16f207b1faf5ce1ef8fb283d5099d5f2358a69618dc0cc1bd221d858",
+    ('bf', 'disk'): "f008034768f1e8408cafdeb5372ffdef34547bd3c46fe182df91c29f1b0fd50b",
+    ('bf_codim1', 'disk'): "6edd13bb36b5734d9e1568364336b9aea9656eee0633c7eebb45343e059de712",
+    ('cs', 'disk'): "681650e9a435fab85f4c8abb99c1fa3b83364c1327ad875f4a50fcb44f6408ea",
+    ('ed_stratum', 'disk'): "070dc8f8048786bc7f76dcb444d205892a21a3ed159198740ee9e564dd497708",
+    ('bf', 'disk_fan'): "496fba96e3596983be05ddf509990d9551acbc37cca610dc58dd8465a660789f",
+    ('bf_codim1', 'disk_fan'): "71ad9096df63512e8714e99a53004055ca75a5f8bcaea351d1c467d8bcbbb695",
+    ('cs', 'disk_fan'): "0e88e81d1606a609b3c99675b322c77ca13cd8429833bcc5d8dcf1ffb14dc6f5",
+    ('ed_stratum', 'disk_fan'): "24d8ea76a2b00ed5bb7a9683cf30ba319bff84ff9c72349475100160fadfc81f",
+    ('bf', 'sphere'): "729737719cbe8382d5fa591b0c308e70794756f04973cda08c484961952a8bba",
+    ('bf_codim1', 'sphere'): "b5201af879579e2b9ea9cf8d40b72e800ee918f470c7f072bf06ed2f53d43c01",
+    ('cs', 'sphere'): "4fa8bfa87a56ae1cd8bca1bf9cc20027e53097c9a78f3182c257338890ee9ca3",
+    ('ed_stratum', 'sphere'): "6fe7f1b20c9cdcc108646494ebc3eb637e583e9b5012894acbba56dc04d0a719",
+    ('bf', 'cylinder'): "8358914c6f8465d89b9c7a471022273c044536711fb287982b0e51353498e281",
+    ('bf_codim1', 'cylinder'): "88b9123480d5378a0dd59007c023a7ae479dd4e1dea7463e1472a52d7d6913e4",
+    ('cs', 'cylinder'): "6111b65b460b3a8762f84d3bf1d6c0f28c03935a22cd716e6027ba721ac11b16",
+    ('ed_stratum', 'cylinder'): "297de0d6adb8338f11e108c15f4bd2c26849e84c1076f5c30787b56c347c18e8",
+    ('bf', 'annulus'): "20eda2f3381a15209840461d003d134fb47406a65d85361651cbc5a5d25b3f4a",
+    ('bf_codim1', 'annulus'): "4aad85956cb55f7f7c88d711a182d3ba900e3044f4fa72578691a2482d1bf17a",
+    ('cs', 'annulus'): "90a59b0f2d8ad80731055fc18a121bf53b11408a0f9301b8e787f9c8b4fef618",
+    ('ed_stratum', 'annulus'): "6af1fe2d14e2b8a2e2f3d7ce3c2510702ce77685e42805590f03b9363e8d8202",
+    ('bf', 'torus'): "336534b103ab8547ffbda844d22a41b0ed4fdfe070b7bf6b18c79cbe55794e0a",
+    ('bf_codim1', 'torus'): "e203b55410fb85ba1de79c9ff85865cc06c77c1ba86acd2f7cec549056e7c8fc",
+    ('cs', 'torus'): "b70948fa9f2b1eb5ee7525a3f9b18e0db232222dce6b31d88ae4327bfeb365c9",
+    ('ed_stratum', 'torus'): "8a2abd6cf3a6a9b0b754d8a7b85a4ecc4a37d2b74e8f61b2ec51fdb6d39143ef",
+    ('bf', 'solid_torus'): "864e71086fb723c041741b8f60e8d7d508b415ff143599e9e11fc15019aed2e9",
+    ('bf_codim1', 'solid_torus'): "647ea82b784c27643b09acaef4b2b3e315bbc4f0d129416a703948f3bed77009",
+    ('cs', 'solid_torus'): "d28c12e1e7e05a83c98177c781eb101654258597fc654322fd3d2f785c5df7de",
+    ('ed_stratum', 'solid_torus'): "404d10d13ff6168016778b20fa476c5b9fe9170b28634ec0a631870952024e37",
+    ('bf', 'torus_times_interval'): "367b76e88cf60065f13a70f3ee460f468a76651a0f29c4d29c3fe6a3acbf05e2",
+    ('bf_codim1', 'torus_times_interval'): "78492a9d7b74e52ec828e1d37d8837887c2b2421ad417c045db119749cd1d815",
+    ('cs', 'torus_times_interval'): "229282bb9aa31342c6c7467ef6af1b9369ead6aaf3bdf9b603d807969aaa34c7",
+    ('ed_stratum', 'torus_times_interval'): "4992400ae1b23b6bd03083e00e3882811552271e3e5325d46bf0c4585aee1f8b",
+}
+
+CUP_BUILDERS = {
+    "bf": build_abelian_bf,
+    "bf_codim1": lambda cx: build_abelian_bf(cx, cx.dimension + 1),
+    "cs": build_abelian_cs,
+    "ed_stratum": lambda cx: build_ed_stratum(cx, cx.dimension + 1),
+}
+
+
+@pytest.mark.parametrize("theory,name", sorted(PINNED_CUP_MODELS))
+def test_cup_model_pinned(theory, name):
+    t = CUP_BUILDERS[theory](corpus.BUILDERS[name]())
+    assert _fingerprint(t, sorted) == PINNED_CUP_MODELS[(theory, name)]
+
+
+def test_cup_model_pins_every_buildable_pair():
+    built = set()
+    for name, make in corpus.BUILDERS.items():
+        for theory, build in CUP_BUILDERS.items():
+            try:
+                build(make())
+            except WrongDimension:
+                continue
+            built.add((theory, name))
+    assert built == set(PINNED_CUP_MODELS)
