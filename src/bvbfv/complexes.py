@@ -145,7 +145,7 @@ class _GradedPiece:
         m = RatMatrix(self.h_dim(g), len(vectors))
         for j, v in enumerate(vectors):
             for i, val in self.class_coords(g, v).items():
-                m[i, j] = val
+                m.entries[(i, j)] = val
         return m
 
 
@@ -322,7 +322,7 @@ def _connecting_block(rel, absc, rel_inclusion, restriction, k, bdry_reps):
         if z is None:
             raise ComplexError("zig-zag failed: dx is not a relative cochain")
         for i, v in rel.class_coordinates(k + 1, z).items():
-            out[i, j] = v
+            out.entries[(i, j)] = v
     return out
 
 
@@ -330,7 +330,7 @@ def _induced_block(target_cx, cmap, k, source_reps):
     out = RatMatrix(target_cx.cohomology(k)[0], len(source_reps))
     for j, r in enumerate(source_reps):
         for i, v in target_cx.class_coordinates(k, cmap.apply(k, r)).items():
-            out[i, j] = v
+            out.entries[(i, j)] = v
     return out
 
 
@@ -370,7 +370,7 @@ def connecting_map(rel_inclusion: ChainMap, restriction: ChainMap, k):
     change = RatMatrix(bdry.cohomology(k)[0], len(b_alt))
     for j, y in enumerate(b_alt):
         for i, v in bdry.class_coordinates(k, y).items():
-            change[i, j] = v
+            change.entries[(i, j)] = v
     if beta * change != beta_alt:
         raise ComplexError("connecting map depends on representative choice")
     return beta

@@ -15,7 +15,14 @@ quotients and left inverses all read its output.
 Kernels and images eliminate in a static sparse-first order (the columns
 of the system by ascending nonzero count, ties by index), which keeps
 fill-in down; spanning subsets, solutions and left inverses keep index
-order, which defines what they return.
+order, which defines what they return.  Within a column the pivot row is
+chosen by Markowitz's rule: smallest |pivot|, then the shortest row.
+With the column order fixed, the pivot columns and each pivot column's
+reduced row (up to scale, on the visited columns) do not depend on that
+choice, so kernels, solutions, spanning subsets, quotients and square
+inverses do not either; only the columns an image keeps and non-square
+left inverses may.  A kernel vector is read off the reduced rows as a
+primitive integer vector, and each of its entries becomes one Fraction.
 
 Each question about spans costs at most one elimination, in integers:
 - A `Subspace` caches one left inverse of its basis, kept as integer rows
@@ -333,8 +340,11 @@ def _echelon(rows, col_order=None):
     Deterministic pivot rule: visit columns in `col_order` (default
     increasing); among unused rows with a nonzero entry in the current
     column pick the one with the smallest absolute value there, ties broken
-    by row index.  Returns (pivots, rows); pivots is a list of (row, col)
-    in elimination order, and each pivot column is zero in every other row.
+    by the fewest nonzeros in the row, then by row index.  The tie break is
+    Markowitz's min (r - 1)(c - 1) with the column fixed: the row whose
+    elimination fills in least.  Returns (pivots, rows); pivots is a
+    list of (row, col) in elimination order, and each pivot column is zero
+    in every other row.
 
     A column -> rows index, updated where a row update fills in or cancels
     an entry, lets the pivot search and the elimination visit only the
@@ -357,14 +367,15 @@ def _echelon(rows, col_order=None):
             continue
         best = None
         for i in at:
-            v = rows[i][col]
+            r = rows[i]
+            v = r[col]
             if v and i not in used:
-                key = (abs(v), i)
+                key = (abs(v), len(r), i)
                 if best is None or key < best:
                     best = key
         if best is None:
             continue
-        p = best[1]
+        p = best[2]
         used.add(p)
         pivots.append((p, col))
         prow = rows[p]
@@ -391,24 +402,41 @@ def _echelon(rows, col_order=None):
 
 
 def _kernel_int(rows, ncols, col_order=None):
-    """Kernel basis of the integer row system, one vector per free column,
-    and those free columns (in increasing order).
+    """Kernel basis of the integer row system, one primitive vector per
+    free column (see `_primitive`), and those free columns (in increasing
+    order).
 
     After Gauss-Jordan elimination each pivot row holds its pivot and free
     columns only, so a free column's vector is read off without
     back-substitution, and it is the only vector nonzero at its free
-    column."""
+    column.  With pivot pv_c and entry x_c at f in the row of pivot column
+    c, the vector is 1 at f and -x_c / pv_c at c; scaled by the lcm L of
+    the pv_c it touches, it is L at f and -x_c * (L / pv_c) at c, in
+    integers.  Each entry becomes one Fraction after the gcd and the sign
+    of the lowest index are divided out."""
     pivots, red = _echelon(rows, col_order)
     pivot_cols = {c for _, c in pivots}
     free = [j for j in range(ncols) if j not in pivot_cols]
+    hits = {f: [] for f in free}
+    for r, c in pivots:
+        row = red[r]
+        pv = row[c]
+        for j, x in row.items():
+            if j != c:
+                hits[j].append((c, x, pv))
     basis = []
     for f in free:
-        v = {f: Fraction(1)}
-        for r, c in pivots:
-            x = red[r].get(f)
-            if x:
-                v[c] = Fraction(-x, red[r][c])
-        basis.append(v)
+        at = hits[f]
+        scale = lcm(*(pv for _, _, pv in at))
+        ints = {f: scale}
+        for c, x, pv in at:
+            ints[c] = -x * (scale // pv)
+        g = gcd(*ints.values())
+        if ints[min(ints)] < 0:
+            g = -g
+        if g != 1:
+            ints = {j: x // g for j, x in ints.items()}
+        basis.append({j: Fraction(x) for j, x in ints.items()})
     return basis, free
 
 
@@ -524,6 +552,19 @@ class Subspace:
             except LinalgError:
                 raise LinalgError("basis vectors are linearly dependent") from None
 
+    @classmethod
+    def _of(cls, ambient_dim, basis):
+        """The subspace on an independent basis of sparse vectors whose
+        entries are nonzero Fractions, kept as given: the internal
+        constructors' path, with neither the per-entry copy of `__init__`
+        nor its independence check."""
+        s = cls.__new__(cls)
+        s.ambient_dim = ambient_dim
+        s.basis = basis
+        s._inv = None
+        s._ints = None
+        return s
+
     def _left_inv(self):
         """The cached left inverse of the basis matrix (a `_LeftInverse`);
         the one factorization behind the independence check, `coords`,
@@ -571,9 +612,7 @@ class Subspace:
     @staticmethod
     def full(ambient_dim):
         """Q^ambient_dim in its unit basis, which is its own left inverse."""
-        s = Subspace(
-            ambient_dim, [{i: Fraction(1)} for i in range(ambient_dim)], check=False
-        )
+        s = Subspace._of(ambient_dim, [{i: Fraction(1)} for i in range(ambient_dim)])
         s._inv = _LeftInverse([{i: 1} for i in range(ambient_dim)], [1] * ambient_dim,
                               ambient_dim)
         return s
@@ -655,8 +694,8 @@ class Subspace:
 def column_span(columns, ambient_dim):
     """Deterministic independent subset spanning the given columns."""
     keep = _pivot_columns(columns)
-    return Subspace(ambient_dim, [_primitive(columns[j]) for j in keep],
-                    check=False)
+    prims = (_primitive(columns[j]) for j in keep)
+    return Subspace._of(ambient_dim, [{i: x for i, x in p.items() if x} for p in prims])
 
 
 def _counts(m: RatMatrix, axis):
@@ -679,7 +718,7 @@ def kernel_basis(m: RatMatrix) -> Subspace:
     elimination."""
     ker, free = _kernel_int(_int_rows(m.sparse_rows()), m.cols,
                             _sparse_first(_counts(m, 1)))
-    s = Subspace(m.cols, [_primitive(v) for v in ker], check=False)
+    s = Subspace._of(m.cols, ker)
     lead = [b[f].numerator for f, b in zip(free, s.basis)]
     s._inv = _LeftInverse([{f: 1 if x > 0 else -1} for f, x in zip(free, lead)],
                           [abs(x) for x in lead], m.cols)
@@ -701,7 +740,7 @@ def block_kernel(ambient_dim, parts) -> Subspace:
             ((f, e),) = num.items()
             vecs.append((cols[f], e, d, {cols[i]: x for i, x in b.items()}))
     vecs.sort(key=lambda t: t[0])
-    s = Subspace(ambient_dim, [b for *_, b in vecs], check=False)
+    s = Subspace._of(ambient_dim, [b for *_, b in vecs])
     s._inv = _LeftInverse([{f: e} for f, e, _, _ in vecs], [d for _, _, d, _ in vecs],
                           ambient_dim)
     return s
@@ -714,7 +753,7 @@ def image_basis(m: RatMatrix) -> Subspace:
     cols = m.transpose().sparse_rows()
     piv, _ = _echelon(_int_rows(cols), _sparse_first(_counts(m, 0)))
     keep = sorted(r for r, _ in piv)
-    return Subspace(m.rows, [_primitive(cols[j]) for j in keep], check=False)
+    return Subspace._of(m.rows, [_primitive(cols[j]) for j in keep])
 
 
 def solve(m: RatMatrix, b) -> dict | None:
@@ -789,8 +828,7 @@ def quotient(ambient: Subspace, sub: Subspace):
         pv = red[r][ns + j]
         for i in sorted(row):
             coords.entries[(k, i)] = Fraction(row[i], pv * scale)
-    comp = Subspace(ambient.ambient_dim,
-                    [ambient.basis[j] for j, _ in comp_rows], check=False)
+    comp = Subspace._of(ambient.ambient_dim, [ambient.basis[j] for j, _ in comp_rows])
     return comp, coords
 
 

@@ -57,7 +57,9 @@ def _pairing_block(form, left, right):
     m = RatMatrix(len(left), len(right))
     for i, x in enumerate(left):
         for j, w in enumerate(ws):
-            m[i, j] = vec_dot(x, w)
+            v = vec_dot(x, w)
+            if v:
+                m.entries[(i, j)] = v
     return m
 
 
@@ -165,7 +167,7 @@ class ReducedModel:
                 if v is None:
                     raise ModuliError("zig-zag image is not vertical")
                 for i, val in self.vert.class_coords(g - 1, v).items():
-                    out[i, j] = val
+                    out.entries[(i, j)] = val
             self._beta[g] = out
         return self._beta[g]
 
@@ -276,7 +278,7 @@ def symp_moduli(model: ReducedModel):
                 if x is None:
                     raise ModuliError("pi_* image is not a boundary solution")
                 for i, v in x.items():
-                    out[i, j] = v
+                    out.entries[(i, j)] = v
         pi_star[g] = out
     # beta: boundary fields (not classes) -> M_symp, eta -> [Q eta-lift]
     beta_blocks = {}
@@ -292,7 +294,7 @@ def symp_moduli(model: ReducedModel):
             for j, lift in enumerate(lifts):
                 qlift = model.bulk.q(g).matvec(lift)
                 for i, v in msymp.class_coords(g - 1, qlift).items():
-                    out[i, j] = v
+                    out.entries[(i, j)] = v
                 # commuting square: pi_*(beta(eta)) = Q_bdry eta in EL_bdry
                 if rows and model.pi_blocks[g - 1].matvec(qlift) != qb_cols[j]:
                     beta_square = False

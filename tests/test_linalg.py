@@ -1,14 +1,17 @@
 import random
 from fractions import Fraction
 from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bvbfv import linalg
 from bvbfv.linalg import (
     _echelon,
     _int_rows,
     _kernel_int,
+    _left_inverse,
     _pivot_columns,
     _primitive,
     DimensionMismatch,
@@ -486,8 +489,20 @@ def _int_rows_reference(rows):
     return out
 
 
-def _echelon_reference(rows, col_order=None):
-    """Scans every row for every pivot column; same pivot rule."""
+def _markowitz_key(v, r, i):
+    """The pivot rule of `_echelon`: smallest |pivot|, then shortest row,
+    then lowest index."""
+    return (abs(v), len(r), i)
+
+
+def _index_key(v, r, i):
+    """The earlier pivot rule: smallest |pivot|, then lowest index."""
+    return (abs(v), i)
+
+
+def _echelon_reference(rows, col_order=None, pivot_key=_markowitz_key):
+    """Scans every row for every pivot column; the pivot row minimises
+    pivot_key(entry, row, index) (by default the rule of `_echelon`)."""
     rows = [dict(r) for r in rows]
     ncols = 0
     for r in rows:
@@ -503,7 +518,7 @@ def _echelon_reference(rows, col_order=None):
                 continue
             v = r.get(col)
             if v:
-                key = (abs(v), i)
+                key = pivot_key(v, r, i)
                 if best is None or key < best[0]:
                     best = (key, i)
         if best is None:
@@ -552,6 +567,95 @@ def sparse_int_rows(draw):
 def test_echelon_matches_dense_scan(case):
     rows, order = case
     assert _echelon(rows, order) == _echelon_reference(rows, order)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_int_rows())
+def test_row_rule_keeps_pivot_columns_and_visited_rows(case):
+    # With the column order fixed, the pivot columns and, on the visited
+    # columns, each pivot column's reduced row (up to scale) do not depend
+    # on which row is taken as pivot.
+    rows, order = case
+    ncols = 1 + max((j for r in rows for j in r), default=-1)
+    visited = set(range(ncols) if order is None else order)
+
+    def reduced(pivot_key):
+        pivots, red = _echelon_reference(rows, order, pivot_key)
+        return {c: _primitive({j: x for j, x in red[r].items() if j in visited})
+                for r, c in pivots}
+
+    new, old = reduced(_markowitz_key), reduced(_index_key)
+    assert new.keys() == old.keys()
+    assert new == old
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_matrix(), st.lists(small_entries, min_size=5, max_size=5))
+def test_row_rule_keeps_the_outputs_it_should(m, coeffs):
+    # kernels, solutions, quotients and spanning subsets equal their
+    # values under the earlier row rule, vector for vector and key for key
+    cols = [{i: m[i, j] for i in range(m.rows) if m[i, j]} for j in range(m.cols)]
+    b = {i: v for i, v in enumerate(coeffs[:m.rows]) if v}
+
+    def outputs():
+        ker = kernel_basis(m)
+        sub = column_span(ker.basis[1:], m.cols)
+        quotients = [quotient(Subspace.full(m.cols), ker), quotient(ker, sub)]
+        x = solve(m, b)
+        return ([list(v.items()) for v in ker.basis], ker._inv.nums, ker._inv.dens,
+                x and list(x.items()), _pivot_columns(cols),
+                [([list(v.items()) for v in comp.basis], list(c.entries.items()))
+                 for comp, c in quotients])
+
+    new = outputs()
+    with mock.patch.object(linalg, "_echelon", lambda rows, col_order=None:
+                           _echelon_reference(rows, col_order, _index_key)):
+        assert outputs() == new
+    # the lift may pick another left inverse, but it still is one
+    basis = column_span(cols, m.rows).matrix()
+    assert _left_inverse(basis).matrix() * basis == RatMatrix.identity(basis.cols)
+
+
+def _kernel_int_reference(rows, ncols, col_order=None):
+    """The Fraction read-off: 1 at each free column f, -x / pv at each pivot
+    column whose row holds x at f."""
+    pivots, red = _echelon(rows, col_order)
+    pivot_cols = {c for _, c in pivots}
+    basis = []
+    for f in (j for j in range(ncols) if j not in pivot_cols):
+        v = {f: Fraction(1)}
+        for r, c in pivots:
+            x = red[r].get(f)
+            if x:
+                v[c] = Fraction(-x, red[r][c])
+        basis.append(v)
+    return basis
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_int_rows())
+def test_integer_kernel_read_off_matches_the_fraction_one(case):
+    rows, order = case
+    ncols = 1 + max([j for r in rows for j in r] + list(order or []), default=-1)
+    got, free = _kernel_int(rows, ncols, order)
+    want = [_primitive(v) for v in _kernel_int_reference(rows, ncols, order)]
+    assert [list(v.items()) for v in got] == [list(v.items()) for v in want]
+    assert all(type(x) is Fraction for v in got for x in v.values())
+    assert len(free) == len(got) and all(f in v for f, v in zip(free, got))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_matrix())
+def test_internal_subspaces_match_the_public_constructor(m):
+    cols = [{i: m[i, j] for i in range(m.rows) if m[i, j]} for j in range(m.cols)]
+    ker = kernel_basis(m)
+    spaces = [ker, image_basis(m), column_span(cols, m.rows),
+              quotient(Subspace.full(m.cols), ker)[0]]
+    for s in spaces:
+        public = Subspace(s.ambient_dim, s.basis)
+        assert [list(v.items()) for v in s.basis] == \
+            [list(v.items()) for v in public.basis]
+        assert all(type(x) is Fraction and x for v in s.basis for x in v.values())
 
 
 fractions = st.builds(Fraction, st.integers(min_value=-6, max_value=6),
