@@ -329,7 +329,7 @@ def cmd_slice_gh0(args):
     cx, path = _load_complex(args.path)
     t, config = _build_theory(cx, args)
     rep = RunReport(f"slice-gh0 {os.path.basename(path)} kind={t.kind}", [path])
-    sl = ghost_zero_slice(t)
+    sl = ghost_zero_slice(ReducedModel(t))
     rep.table("field_dims", {f"{s}@deg{k}": d for (s, k), d in sl["field_dims"].items()})
     rep.table("el_dim", sl["el_dim"])
     rep.table("gauge_dim", sl["gauge_dim"])

@@ -208,11 +208,6 @@ class CochainComplex:
     def betti(self):
         return {k: self.cohomology(k)[0] for k in self.degrees()}
 
-    def class_coordinates(self, k, cocycle):
-        """Coordinates of a cocycle's class against cohomology(k)'s
-        representatives."""
-        return self.piece.class_coords(k, cocycle)
-
     def __repr__(self):
         dims = {k: self.dim(k) for k in self.degrees()}
         return f"CochainComplex({dims})"
@@ -249,12 +244,36 @@ class ChainMap:
 
 
 class ExactSequenceReport:
-    """A finite sequence of spaces and maps with per-node exactness verdicts."""
+    """A finite sequence of spaces and maps that verifies its own exactness.
 
-    def __init__(self, nodes, maps, verdicts):
-        self.nodes = nodes      # list of (name, dim)
-        self.maps = maps        # list of RatMatrix, maps[i]: nodes[i] -> nodes[i+1]
-        self.verdicts = verdicts  # exactness at nodes[1..-2]; verdicts[i] is node i+1
+    nodes: list of (name, dim); maps[i]: nodes[i] -> nodes[i+1].  The
+    sequence is treated as starting and ending at zero.  kernel(i) (of the
+    map out of node i) and image(i) (of the map into node i) are each
+    eliminated once and kept, so a phase that reads them off the sequence
+    eliminates nothing again; index maps a node's name to its position."""
+
+    def __init__(self, nodes, maps):
+        self.nodes = nodes
+        self.maps = maps
+        self.index = {name: i for i, (name, _) in enumerate(nodes)}
+        self._ker = {}
+        self._im = {}
+        self.verdicts = verify_exactness(self)  # verdicts[i] is node i+1
+
+    def kernel(self, i):
+        if i not in self._ker:
+            self._ker[i] = kernel_basis(self.maps[i]) if i < len(self.maps) \
+                else Subspace.full(self.nodes[i][1])
+        return self._ker[i]
+
+    def image(self, i):
+        if i not in self._im:
+            self._im[i] = image_basis(self.maps[i - 1]) if i \
+                else Subspace.zero(self.nodes[0][1])
+        return self._im[i]
+
+    def exact_at(self, name):
+        return self.verdicts[self.index[name] - 1]
 
     @property
     def exact(self):
@@ -272,20 +291,9 @@ class ExactSequenceReport:
         return f"ExactSequence[{chain}] exact={self.exact}"
 
 
-def verify_exactness(nodes, maps):
-    """Exactness (Im = ker) at every interior node of a sequence.
-
-    nodes: list of (name, dim); maps[i]: Q^{dim_i} -> Q^{dim_{i+1}}.  The
-    sequence is treated as starting and ending at zero.
-    """
-    verdicts = []
-    for i in range(1, len(nodes) - 1):
-        inc = maps[i - 1]
-        out = maps[i]
-        img = image_basis(inc)
-        ker = kernel_basis(out)
-        verdicts.append(img == ker)
-    return verdicts
+def verify_exactness(seq: ExactSequenceReport):
+    """Exactness (Im = ker) at every interior node of a sequence."""
+    return [seq.image(i) == seq.kernel(i) for i in range(1, len(seq.nodes) - 1)]
 
 
 def _check_pair(rel_inclusion: ChainMap, restriction: ChainMap):
@@ -312,8 +320,8 @@ def _check_pair(rel_inclusion: ChainMap, restriction: ChainMap):
 def _connecting_block(rel, absc, rel_inclusion, restriction, k, bdry_reps):
     """Matrix of the zig-zag H^k(bdry) -> H^{k+1}(rel) against the given
     boundary representatives."""
-    out = RatMatrix(rel.cohomology(k + 1)[0], len(bdry_reps))
-    for j, y in enumerate(bdry_reps):
+    zs = []
+    for y in bdry_reps:
         x = solve(restriction.block(k), y)
         if x is None:
             raise NotShortExact("restriction not surjective on a cocycle")
@@ -321,17 +329,8 @@ def _connecting_block(rel, absc, rel_inclusion, restriction, k, bdry_reps):
         z = solve(rel_inclusion.block(k + 1), dx)
         if z is None:
             raise ComplexError("zig-zag failed: dx is not a relative cochain")
-        for i, v in rel.class_coordinates(k + 1, z).items():
-            out.entries[(i, j)] = v
-    return out
-
-
-def _induced_block(target_cx, cmap, k, source_reps):
-    out = RatMatrix(target_cx.cohomology(k)[0], len(source_reps))
-    for j, r in enumerate(source_reps):
-        for i, v in target_cx.class_coordinates(k, cmap.apply(k, r)).items():
-            out.entries[(i, j)] = v
-    return out
+        zs.append(z)
+    return rel.piece.class_matrix(k + 1, zs)
 
 
 def les_of_pair(rel_inclusion: ChainMap, restriction: ChainMap):
@@ -344,15 +343,16 @@ def les_of_pair(rel_inclusion: ChainMap, restriction: ChainMap):
     maps = []
     for k in range(kmin, kmax + 1):
         nodes.append((f"H^{k}(rel)", rel.cohomology(k)[0]))
-        maps.append(_induced_block(absc, rel_inclusion, k, rel.cohomology(k)[1]))
+        maps.append(absc.piece.class_matrix(
+            k, [rel_inclusion.apply(k, r) for r in rel.cohomology(k)[1]]))
         nodes.append((f"H^{k}(abs)", absc.cohomology(k)[0]))
-        maps.append(_induced_block(bdry, restriction, k, absc.cohomology(k)[1]))
+        maps.append(bdry.piece.class_matrix(
+            k, [restriction.apply(k, r) for r in absc.cohomology(k)[1]]))
         nodes.append((f"H^{k}(bdry)", bdry.cohomology(k)[0]))
         maps.append(_connecting_block(rel, absc, rel_inclusion, restriction, k,
                                       bdry.cohomology(k)[1]))
     nodes.append((f"H^{kmax+1}(rel)", rel.cohomology(kmax + 1)[0]))
-    verdicts = verify_exactness(nodes, maps)
-    return ExactSequenceReport(nodes, maps, verdicts)
+    return ExactSequenceReport(nodes, maps)
 
 
 def connecting_map(rel_inclusion: ChainMap, restriction: ChainMap, k):
@@ -367,10 +367,6 @@ def connecting_map(rel_inclusion: ChainMap, restriction: ChainMap, k):
     b_alt = bdry.cohomology(k, "alt")[1]
     beta_alt = _connecting_block(rel, absc, rel_inclusion, restriction, k, b_alt)
     # express alt basis in the default basis and compare
-    change = RatMatrix(bdry.cohomology(k)[0], len(b_alt))
-    for j, y in enumerate(b_alt):
-        for i, v in bdry.class_coordinates(k, y).items():
-            change.entries[(i, j)] = v
-    if beta * change != beta_alt:
+    if beta * bdry.piece.class_matrix(k, b_alt) != beta_alt:
         raise ComplexError("connecting map depends on representative choice")
     return beta

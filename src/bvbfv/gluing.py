@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 
-from .complexes import ExactSequenceReport, verify_exactness
+from .complexes import ExactSequenceReport
 from .linalg import (
     RatMatrix,
     Subspace,
@@ -472,8 +472,7 @@ def mayer_vietoris(gl: Gluing):
                  for rep in piece_w.reps(g)],
                 piece_n.h_dim(g - 1)))
         nodes.append((f"glued@gh{gmin-1}", piece_n.h_dim(gmin - 1)))
-        verdicts = verify_exactness(nodes, maps)
-        return ExactSequenceReport(nodes, maps, verdicts)
+        return ExactSequenceReport(nodes, maps)
 
     pieces = {
         # absolute: vertical = everything (plain Q-moduli)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 
-from .complexes import ExactSequenceReport, _GradedPiece, verify_exactness
+from .complexes import ExactSequenceReport, _GradedPiece
 from .linalg import (
     LinalgError,
     NotLagrangian,
@@ -63,27 +63,77 @@ def _pairing_block(form, left, right):
     return m
 
 
+class _GhostSum:
+    """The direct sum over ghost numbers of spaces of dimension dims[g],
+    laid out in ghost order: ghost g starts at offsets[g]."""
+
+    def __init__(self, dims):
+        self.offsets = {}
+        self.total = 0
+        for g, d in dims.items():
+            self.offsets[g] = self.total
+            self.total += d
+
+    def classes(self, piece, vec):
+        """The classes of the flat cocycle vec of a piece at each ghost, in a
+        sum of the piece's cohomologies."""
+        return {self.offsets[g] + i: v for g in self.offsets
+                for i, v in piece.class_coords(g, piece.local(g, vec)).items()}
+
+    def pairing(self, block, partner):
+        """The matrix with block(g) from ghost partner(g) to ghost g."""
+        m = RatMatrix(self.total, self.total)
+        for g, r in self.offsets.items():
+            c = self.offsets.get(partner(g))
+            if c is not None:
+                for (i, j), v in block(g).entries.items():
+                    m.entries[(r + i, c + j)] = v
+        return m
+
+
 class ReducedModel:
     """Per-ghost reduction data for a LinearTheory: bulk, boundary and
     vertical complexes with representatives, the maps chi/psi/beta on
-    cohomology, and the three Lefschetz pairings."""
+    cohomology, and the three Lefschetz pairings.  The vertical half is
+    built on first use, so a phase that reads only the bulk and boundary
+    pieces (the ghost-zero slice) does not pay for it; the tangent LES is
+    built once (see `tangent_les`) and the phases read its kernels and
+    images."""
 
     def __init__(self, t: LinearTheory):
         self.t = t
         ghosts = sorted(set(t.bulk.ghosts()) | set(t.bdry.ghosts()))
         self.ghosts = ghosts
-        bulk_idx = {g: t.bulk.ghost_indices(g) for g in ghosts}
-        bdry_idx = {g: t.bdry.ghost_indices(g) for g in ghosts}
-        self.bulk = _ghost_piece("bulk", t.Q, bulk_idx)
-        self.bdry = _ghost_piece("boundary", t.Q_bdry, bdry_idx)
-        self.pi_blocks = {g: t.pi.submatrix(bdry_idx[g], bulk_idx[g]) for g in ghosts}
-        # vertical complex: per-ghost kernel of pi with Q expressed in it
-        self._ker_pi = {g: kernel_basis(self.pi_blocks[g]) for g in ghosts}
-        self.K = {g: k.matrix() for g, k in self._ker_pi.items()}
-        vq = {}
+        self.bulk = _ghost_piece("bulk", t.Q, {g: t.bulk.ghost_indices(g) for g in ghosts})
+        self.bdry = _ghost_piece("boundary", t.Q_bdry,
+                                 {g: t.bdry.ghost_indices(g) for g in ghosts})
         self._lift = {}
-        for g in ghosts:
-            kg = self.K[g]
+        self._chi = {}
+        self._psi = {}
+        self._beta = {}
+        self._pair = {}
+        self._les = None
+
+    # --- the vertical half, built on first use ------------------------------
+
+    @cached_property
+    def pi_blocks(self):
+        return {g: self.t.pi.submatrix(self.bdry.index[g], self.bulk.index[g])
+                for g in self.ghosts}
+
+    @cached_property
+    def _ker_pi(self):
+        return {g: kernel_basis(pi) for g, pi in self.pi_blocks.items()}
+
+    @cached_property
+    def K(self):
+        return {g: k.matrix() for g, k in self._ker_pi.items()}
+
+    @cached_property
+    def vert(self):
+        """The vertical complex: per-ghost kernel of pi with Q expressed in it."""
+        vq = {}
+        for g, kg in self.K.items():
             target = self.K.get(g - 1)
             rows = target.cols if target is not None else 0
             m = RatMatrix(rows, kg.cols)
@@ -95,11 +145,7 @@ class ReducedModel:
                 m = RatMatrix.from_columns(cols, rows)
             vq[g] = m
         vert_dims = {g: k.cols for g, k in self.K.items()}
-        self.vert = _GradedPiece.of_differential("vertical", vert_dims, vq, -1, ModuliError)
-        self._chi = {}
-        self._psi = {}
-        self._beta = {}
-        self._pair = {}
+        return _GradedPiece.of_differential("vertical", vert_dims, vq, -1, ModuliError)
 
     @cached_property
     def msymp(self):
@@ -318,22 +364,28 @@ def symp_moduli(model: ReducedModel):
 def tangent_les(model: ReducedModel):
     """The long exact sequence of tangent spaces
     ... -> H^{g+1}(bdry) -> H^g(vert) -> H^g(bulk) -> H^g(bdry) -> ...
-    with every node verified exact."""
-    ghosts = model.ghosts
-    gmax = max(ghosts)
-    gmin = min(ghosts)
-    nodes = []
-    maps = []
-    for g in range(gmax, gmin - 1, -1):
-        nodes.append((f"vert@gh{g}", model.vert.h_dim(g)))
-        maps.append(model.chi(g))
-        nodes.append((f"bulk@gh{g}", model.bulk.h_dim(g)))
-        maps.append(model.psi(g))
-        nodes.append((f"bdry@gh{g}", model.bdry.h_dim(g)))
-        maps.append(model.beta(g))
-    nodes.append((f"vert@gh{gmin-1}", model.vert.h_dim(gmin - 1)))
-    verdicts = verify_exactness(nodes, maps)
-    return ExactSequenceReport(nodes, maps, verdicts)
+    with every node verified exact, built once per model."""
+    if model._les is None:
+        ghosts = model.ghosts
+        gmax = max(ghosts)
+        gmin = min(ghosts)
+        nodes = []
+        maps = []
+        for g in range(gmax, gmin - 1, -1):
+            nodes.append((f"vert@gh{g}", model.vert.h_dim(g)))
+            maps.append(model.chi(g))
+            nodes.append((f"bulk@gh{g}", model.bulk.h_dim(g)))
+            maps.append(model.psi(g))
+            nodes.append((f"bdry@gh{g}", model.bdry.h_dim(g)))
+            maps.append(model.beta(g))
+        nodes.append((f"vert@gh{gmin-1}", model.vert.h_dim(gmin - 1)))
+        model._les = ExactSequenceReport(nodes, maps)
+    return model._les
+
+
+def _perfect(block):
+    """A pairing block is perfect when it is square and of full rank."""
+    return block.rows == block.cols and (not block.rows or block.rank() == block.rows)
 
 
 def lefschetz(model: ReducedModel):
@@ -353,20 +405,12 @@ def lefschetz(model: ReducedModel):
         gp = c - g
         p1 = model.pair_vert_bulk(g)
         p2 = model.pair_bulk_vert(g)
+        pd = model.pair_bdry_bdry(g)
         blocks[("vert x bulk", g)] = p1
         blocks[("bulk x vert", g)] = p2
-        if model.vert.h_dim(g) or model.bulk.h_dim(gp):
-            if p1.rows != p1.cols or (p1.rows and p1.rank() != p1.rows):
-                verdicts["nondegenerate"] = False
-        if model.bulk.h_dim(g) or model.vert.h_dim(gp):
-            if p2.rows != p2.cols or (p2.rows and p2.rank() != p2.rows):
-                verdicts["nondegenerate"] = False
-        gq = c + 1 - g
-        pd = model.pair_bdry_bdry(g)
         blocks[("bdry x bdry", g)] = pd
-        if model.bdry.h_dim(g) or model.bdry.h_dim(gq):
-            if pd.rows != pd.cols or (pd.rows and pd.rank() != pd.rows):
-                verdicts["nondegenerate"] = False
+        if not (_perfect(p1) and _perfect(p2) and _perfect(pd)):
+            verdicts["nondegenerate"] = False
         # chi self-adjointness: <chi u, w> = <u, chi w>
         x_g = model.chi(g)
         x_gp = model.chi(gp)
@@ -389,34 +433,21 @@ def lefschetz(model: ReducedModel):
     return {"verdicts": verdicts, "blocks": blocks}
 
 
+def _bdry_sum(model: ReducedModel):
+    """The total reduced boundary space: the sum of H^g(boundary)."""
+    return _GhostSum({g: model.bdry.h_dim(g) for g in model.ghosts})
+
+
 def evolution_relation(model: ReducedModel):
     """L = pi(ker Q), its image in the reduced boundary moduli, and the
     exact isotropic/coisotropic/lagrangian classification there."""
     t = model.t
     l_cols = [t.pi.matvec(b) for b in model.ker_q.basis]
     L = column_span(l_cols, t.bdry.total)
-    # classes of L in the total reduced boundary space
-    offsets = {}
-    total = 0
-    for g in model.ghosts:
-        offsets[g] = total
-        total += model.bdry.h_dim(g)
-    cols = []
-    for b in L.basis:
-        col = {}
-        for g in model.ghosts:
-            coords = model.bdry.class_coords(g, model.bdry.local(g, b))
-            for i, v in coords.items():
-                col[offsets[g] + i] = v
-        cols.append(col)
-    reduced = column_span(cols, total)
-    pmat = RatMatrix(total, total)
-    for g in model.ghosts:
-        blk = model.pair_bdry_bdry(g)
-        gq = model.pair_ghost() + 1 - g
-        if gq in offsets:
-            for (i, j), v in blk.entries.items():
-                pmat[offsets[g] + i, offsets[gq] + j] = v
+    layout = _bdry_sum(model)
+    total = layout.total
+    reduced = column_span([layout.classes(model.bdry, b) for b in L.basis], total)
+    pmat = layout.pairing(model.pair_bdry_bdry, lambda g: model.pair_ghost() + 1 - g)
     pairing = PairingForm(total, total, pmat, "graded-antisymmetric")
     verdict = classify_subspace(pairing, reduced) if total else {
         "isotropic": True, "coisotropic": True, "lagrangian": True,
@@ -426,7 +457,7 @@ def evolution_relation(model: ReducedModel):
         "reduced_L": reduced,
         "reduced_dims_total": reduced.dim,
         "pairing": pairing,
-        "offsets": offsets,
+        "offsets": layout.offsets,
         "verdict": verdict,
     }
 
@@ -436,56 +467,47 @@ def vacua(model: ReducedModel):
     vertical presymplectic form is checked to equal ker chi, and the
     nondegenerate core of the induced form is extracted by presymplectic
     reduction (boundary-flux artifacts of the finite model land in the
-    kernel and are quotiented away)."""
+    kernel and are quotiented away).  Im chi, ker chi and the verdict
+    Im chi = ker psi are read off the tangent LES."""
     c = model.pair_ghost()
-    im_eq_ker = True
-    vac_reps = {}
-    for g in model.ghosts:
-        x = model.chi(g)
-        im = image_basis(x)
-        ker_psi = kernel_basis(model.psi(g))
-        if not (im == ker_psi):
-            im_eq_ker = False
-        vac_reps[g] = im
-    # kernel of the vertical form equals kernel of chi (total check)
+    les = tangent_les(model)
+    vac_reps = {g: les.image(les.index[f"bulk@gh{g}"]) for g in model.ghosts}
+    im_eq_ker = all(les.exact_at(f"bulk@gh{g}") for g in model.ghosts)
+    # kernel of the vertical form equals kernel of chi (total check); a
+    # ghost c - g outside the sequence has no vertical classes
     ker_match = True
     for g in model.ghosts:
-        w = model.pair_vert_bulk(g) * model.chi(c - g)
-        ker_w = kernel_basis(w)
-        ker_chi = kernel_basis(model.chi(c - g))
-        if not (ker_w == ker_chi):
+        node = les.index.get(f"vert@gh{c - g}")
+        if node is not None and \
+                kernel_basis(model.pair_vert_bulk(g) * model.chi(c - g)) != les.kernel(node):
             ker_match = False
     # induced pairing on Im chi
-    offsets = {}
-    total = 0
-    for g in model.ghosts:
-        offsets[g] = total
-        total += vac_reps[g].dim
-    pmat = RatMatrix(total, total)
-    for g in model.ghosts:
+    layout = _GhostSum({g: vac_reps[g].dim for g in model.ghosts})
+    total = layout.total
+
+    def induced(g):
         gp = c - g
-        if gp not in offsets or not vac_reps[g].dim:
-            continue
-        a_basis = vac_reps[g].basis
-        b_basis = vac_reps[gp].basis
-        for j, b in enumerate(b_basis):
+        m = RatMatrix(vac_reps[g].dim, vac_reps[gp].dim)
+        if not m.rows:
+            return m
+        for j, b in enumerate(vac_reps[gp].basis):
             v = solve(model.chi(gp), b)
             if v is None:
                 raise ModuliError("vacua class has no vertical preimage")
             pv = model.pair_bulk_vert(g).matvec(v)
-            for i, a in enumerate(a_basis):
-                pmat[offsets[g] + i, offsets[gp] + j] = vec_dot(a, pv)
-    pairing = PairingForm(total, total, pmat, ghost=c)
-    couples_ok = all(
-        _ghost_of_offset(offsets, i) + _ghost_of_offset(offsets, j) == c
-        for (i, j) in pmat.entries
-    )
+            for i, a in enumerate(vac_reps[g].basis):
+                x = vec_dot(a, pv)
+                if x:
+                    m.entries[(i, j)] = x
+        return m
+
+    pairing = PairingForm(total, total, layout.pairing(induced, lambda g: c - g), ghost=c)
     core_dims = {g: 0 for g in model.ghosts}
     if total:
         kern = presymplectic_reduce(pairing, Subspace.zero(total))["kernel"]
-        for g in model.ghosts:
+        for g, off in layout.offsets.items():
             # dim(kern cap block g) = kern.dim - rank of kern off block g
-            block = range(offsets[g], offsets[g] + vac_reps[g].dim)
+            block = range(off, off + vac_reps[g].dim)
             off_block = [{i: v for i, v in b.items() if i not in block}
                          for b in kern.basis]
             in_ker = kern.dim - RatMatrix.from_rows(off_block, total).rank()
@@ -497,18 +519,10 @@ def vacua(model: ReducedModel):
         "im_chi_equals_ker_psi": im_eq_ker,
         "vert_form_kernel_is_ker_chi": ker_match,
         "pairing": pairing,
-        "couples_ghost_pairs": couples_ok,
         "nondegenerate": pairing.nondegenerate() if total else True,
         "vac_reps": vac_reps,
-        "offsets": offsets,
+        "offsets": layout.offsets,
     }
-
-
-def _ghost_of_offset(offsets, i):
-    for g in sorted(offsets, key=lambda g: offsets[g], reverse=True):
-        if i >= offsets[g]:
-            return g
-    raise ModuliError("offset out of range")
 
 
 def vacua_via_transversal(model: ReducedModel, lam: Subspace):
@@ -518,8 +532,8 @@ def vacua_via_transversal(model: ReducedModel, lam: Subspace):
     t = model.t
     ev = evolution_relation(model)
     pairing = ev["pairing"]
-    offsets = ev["offsets"]
-    total = pairing.left_dim
+    layout = _bdry_sum(model)
+    total = layout.total
     if lam.ambient_dim != total:
         raise ModuliError("lambda must live in the total reduced boundary space")
     cls = classify_subspace(pairing, lam)
@@ -527,23 +541,12 @@ def vacua_via_transversal(model: ReducedModel, lam: Subspace):
         raise NotLagrangian("lambda is not Lagrangian in the reduced boundary space")
     if lam.intersect(ev["reduced_L"]).dim != 0:
         raise NotTransversal("lambda meets the reduced evolution relation")
-    # class map: flat boundary vector -> total reduced coordinates
-    def total_class(ybdry):
-        col = {}
-        for g in model.ghosts:
-            for i, v in model.bdry.class_coords(g, model.bdry.local(g, ybdry)).items():
-                col[offsets[g] + i] = v
-        return col
     el = model.ker_q
     comp_lam, lam_coords = quotient(Subspace.full(total), lam)
     proj_off_lam = comp_lam.matrix() * lam_coords
-    cond_rows = []
-    for b in el.basis:
-        cond_rows.append(proj_off_lam.matvec(total_class(t.pi.matvec(b))))
-    cond = RatMatrix(total, el.dim)
-    for j, col in enumerate(cond_rows):
-        for i, v in col.items():
-            cond[i, j] = v
+    cond = RatMatrix.from_columns(
+        [proj_off_lam.matvec(layout.classes(model.bdry, t.pi.matvec(b))) for b in el.basis],
+        total)
     coeff_ker = kernel_basis(cond)
     s_basis = []
     for k in coeff_ker.basis:

@@ -211,11 +211,11 @@ class OrientedComplex:
         rows = self.n_faces(k + 1)
         cols = self.n_faces(k)
         m = RatMatrix(rows, cols)
+        sign = (Fraction(1), Fraction(-1))
         for t in self.faces(k + 1):
             i = self.face_index(k + 1, t)
             for a in range(len(t)):
-                f = t[:a] + t[a + 1:]
-                m[i, self.face_index(k, f)] = (-1) ** a
+                m.entries[(i, self.face_index(k, t[:a] + t[a + 1:]))] = sign[a % 2]
         return m
 
     def cochain_complex(self):
@@ -262,7 +262,7 @@ class OrientedComplex:
         for k in range(self.dimension + 1):
             m = RatMatrix(self.n_faces(k), comps.get(k, 0))
             for j, f in enumerate(rel_faces[k]):
-                m[self.face_index(k, f), j] = 1
+                m.entries[(self.face_index(k, f), j)] = Fraction(1)
             incl_blocks[k] = m
         diffs = {}
         for k in range(self.dimension):
@@ -272,7 +272,7 @@ class OrientedComplex:
             for j, f in enumerate(rel_faces[k]):
                 for i, v in d_cols[self.face_index(k, f)].items():
                     if i in idx_next:
-                        m[idx_next[i], j] = v
+                        m.entries[(idx_next[i], j)] = v
             diffs[k] = m
         relc = CochainComplex(comps, diffs)
         rest_blocks = {}
@@ -282,7 +282,7 @@ class OrientedComplex:
             if rows:
                 for f in bc.faces(k):
                     parent = tuple(self._vpos[v] for v in bc.face_vertices(f))
-                    m[bc.face_index(k, f), self.face_index(k, parent)] = 1
+                    m.entries[(bc.face_index(k, f), self.face_index(k, parent))] = Fraction(1)
             rest_blocks[k] = m
         inclusion = ChainMap(relc, absc, incl_blocks)
         restriction = ChainMap(absc, bcx, rest_blocks)

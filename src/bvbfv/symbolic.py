@@ -154,25 +154,14 @@ class GradedAlgebra:
     # -- derivatives ---------------------------------------------------------
 
     def left_derivative(self, p, i):
-        """d/dx_i acting from the left."""
-        out = {}
-        for mono, c in p.items():
-            for pos, v in enumerate(mono):
-                if v != i:
-                    continue
-                sign = 1
-                if self.parity(i):
-                    pref = sum(self.parity(u) for u in mono[:pos])
-                    sign = (-1) ** pref
-                rest = mono[:pos] + mono[pos + 1:]
-                val = out.get(rest, Fraction(0)) + sign * c
-                if val:
-                    out[rest] = val
-                else:
-                    out.pop(rest, None)
-        return out
+        """d/dx_i acting from the left: x_i passes the variables before it."""
+        return self._derivative(p, i, left=True)
 
     def right_derivative(self, p, i):
+        """d/dx_i acting from the right: x_i passes the variables after it."""
+        return self._derivative(p, i, left=False)
+
+    def _derivative(self, p, i, left):
         out = {}
         for mono, c in p.items():
             for pos, v in enumerate(mono):
@@ -180,8 +169,8 @@ class GradedAlgebra:
                     continue
                 sign = 1
                 if self.parity(i):
-                    suff = sum(self.parity(u) for u in mono[pos + 1:])
-                    sign = (-1) ** suff
+                    passed = mono[:pos] if left else mono[pos + 1:]
+                    sign = (-1) ** sum(self.parity(u) for u in passed)
                 rest = mono[:pos] + mono[pos + 1:]
                 val = out.get(rest, Fraction(0)) + sign * c
                 if val:

@@ -108,8 +108,8 @@ class FieldSpace:
         for s in self.slots:
             val = Fraction(rule(s["sector"], s["degree"], s["ghost"]))
             if val:
-                for i in range(s["dim"]):
-                    m[off + i, off + i] = val
+                for i in range(off, off + s["dim"]):
+                    m.entries[(i, i)] = val
             off += s["dim"]
         return m
 
@@ -157,18 +157,6 @@ def cup_block(cx: OrientedComplex, k, l):
 def chain_boundary(cx: OrientedComplex, k):
     """Boundary operator on chains C_k -> C_{k-1} (transpose of d_{k-1})."""
     return cx.coboundary_matrix(k - 1).transpose()
-
-
-def boundary_vertex_inclusion(cx: OrientedComplex, k):
-    """iota: C_k(dN) -> C_k(N), chains supported on boundary faces."""
-    bc = cx.boundary_complex()
-    m = RatMatrix(cx.n_faces(k), bc.n_faces(k) if bc.n_faces(0) else 0)
-    if m.cols == 0:
-        return m
-    for f in bc.faces(k):
-        parent = tuple(cx.vertex_position(v) for v in bc.face_vertices(f))
-        m[cx.face_index(k, parent), bc.face_index(k, f)] = 1
-    return m
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +444,7 @@ def _cone_theory(cx: OrientedComplex, p, mass, *, name, kind) -> LinearTheory:
         return chain_boundary(space, k) if k >= 1 else None
 
     def incl(k):                            # C_k(dN) -> C_k(N)
-        return boundary_vertex_inclusion(cx, k) if k >= 0 else None
+        return cx.restriction_matrix(k).transpose() if k >= 0 else None
 
     bulk = FieldSpace()
     for slot, dim, ghost in ((gh, cx.n_faces(p - 1), 1), (x, cx.n_faces(p), 0),
@@ -689,25 +677,18 @@ def check_ghost_grading(theory: LinearTheory):
 # ghost-zero slice and stratum extension
 
 
-def ghost_zero_slice(theory: LinearTheory):
-    """The gh = 0 sector: field dimensions, Euler-Lagrange conditions,
-    gauge distribution (images of ghost-one fields) and its moduli."""
-    from .linalg import image_basis, kernel_basis, quotient
-
-    t = theory
-    idx = {g: t.bulk.ghost_indices(g) for g in (-1, 0, 1)}
-    el = kernel_basis(t.Q.submatrix(idx[-1], idx[0]))     # EL conditions on gh-0 fields
-    gauge = image_basis(t.Q.submatrix(idx[0], idx[1]))    # gauge transformations into gh 0
-    comp, _ = quotient(el, gauge)
+def ghost_zero_slice(model):
+    """The gh = 0 sector of a theory, read off its ReducedModel: field
+    dimensions, Euler-Lagrange conditions, gauge distribution (images of
+    ghost-one fields) and its moduli."""
+    t = model.t
     fields = {(s["sector"], s["degree"]): s["dim"] for s in t.bulk.slots if s["ghost"] == 0}
-    c_bdry = kernel_basis(t.Q_bdry.submatrix(t.bdry.ghost_indices(-1),
-                                             t.bdry.ghost_indices(0)))
     return {
         "field_dims": fields,
-        "el_dim": el.dim,
-        "gauge_dim": gauge.dim,
-        "moduli_dim": comp.dim,
-        "boundary_constraint_dim": c_bdry.dim,
+        "el_dim": model.bulk.kernel(0).dim,
+        "gauge_dim": model.bulk.image(0).dim,
+        "moduli_dim": model.bulk.h_dim(0),
+        "boundary_constraint_dim": model.bdry.kernel(0).dim,
     }
 
 

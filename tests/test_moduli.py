@@ -712,3 +712,48 @@ def test_coordinates_stay_exact(theory, name, monkeypatch):
             seen.extend(m.entries.values())
     assert seen
     assert all(type(x) is Fraction for x in seen)
+
+
+@pytest.mark.parametrize("theory,name", [("ed", "solid_torus"), ("bf", "torus_times_interval")])
+def test_moduli_report_eliminates_each_map_once(theory, name, monkeypatch):
+    # the kernel and the image of chi, psi and beta are each eliminated once,
+    # by the tangent LES: vacua reads Im chi, ker chi and ker psi off it, and
+    # a ghost-zero slice of the same model reads the pieces' cached kernels
+    # and images
+    import sys
+
+    from bvbfv import linalg
+    from bvbfv.theories import ghost_zero_slice
+
+    calls = []
+    for fname in ("kernel_basis", "image_basis"):
+        orig = getattr(linalg, fname)
+
+        def recording(m, *args, _orig=orig, _name=fname, **kw):
+            calls.append((_name, m))  # the object, so no id is reused
+            return _orig(m, *args, **kw)
+
+        for mod in list(sys.modules.values()):
+            if mod.__name__.startswith("bvbfv") and getattr(mod, fname, None) is orig:
+                monkeypatch.setattr(mod, fname, recording)
+    model = ReducedModel(build_pair(theory, name))
+    moduli_report(model)
+    maps = [m for d in (model._chi, model._psi, model._beta) for m in d.values()]
+    assert maps
+    for m in maps:
+        for fname in ("kernel_basis", "image_basis"):
+            assert sum(f == fname and x is m for f, x in calls) <= 1, (fname, m.shape)
+    before = len(calls)
+    ghost_zero_slice(model)
+    assert len(calls) == before
+
+
+@pytest.mark.parametrize("theory,name", corpus_pairs())
+def test_gh0_slice_matches_moduli_report(theory, name):
+    from bvbfv.theories import ghost_zero_slice
+
+    t = build_pair(theory, name)
+    sl = ghost_zero_slice(ReducedModel(t))
+    rep = moduli_report(ReducedModel(t))
+    assert sl["el_dim"] == rep["el_dims"].get(0, 0)
+    assert sl["moduli_dim"] == rep["moduli_dims"].get(0, 0)

@@ -5,6 +5,7 @@ import pytest
 
 from bvbfv import corpus
 from bvbfv.complexes import GhostMismatch
+from bvbfv.moduli import ReducedModel
 from bvbfv.theories import (
     WrongDimension,
     _reindex_like,
@@ -201,18 +202,18 @@ def test_ed_codim2_ambient_two_on_interval():
 
 
 def test_gh0_slice_cs_solid_torus():
-    sl = ghost_zero_slice(build_abelian_cs(corpus.solid_torus()))
+    sl = ghost_zero_slice(ReducedModel(build_abelian_cs(corpus.solid_torus())))
     assert sl["moduli_dim"] == 1  # H^1 of the solid torus
 
 
 def test_gh0_slice_scalar_fields():
-    sl = ghost_zero_slice(build_scalar(corpus.interval(2)))
+    sl = ghost_zero_slice(ReducedModel(build_scalar(corpus.interval(2))))
     assert set(s for (s, _) in sl["field_dims"]) == {"phi", "p", "p_flux"}
     assert sl["gauge_dim"] == 0
 
 
 def test_gh0_slice_bf_torus():
-    sl = ghost_zero_slice(build_abelian_bf(corpus.torus()))
+    sl = ghost_zero_slice(ReducedModel(build_abelian_bf(corpus.torus())))
     # A-sector H^1 (dim 2) plus B-sector H^0 (dim 1)
     assert sl["moduli_dim"] == 3
 
