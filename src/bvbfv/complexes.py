@@ -86,7 +86,8 @@ class _GradedPiece:
         return self._ker[g]
 
     def image(self, g):
-        """Im ins[g], the vectors divided out at g."""
+        """Im ins[g], the vectors divided out at g, eliminated on first use
+        (the flat image and the alt cohomology read it; reps does not)."""
         if g not in self._im:
             m = self.ins.get(g)
             self._im[g] = Subspace.zero(self.dim(g)) if m is None or not m.cols \
@@ -95,12 +96,15 @@ class _GradedPiece:
 
     def reps(self, g):
         """Representatives of the classes at g: a complement of the image
-        in the kernel."""
+        in the kernel.  The quotient takes the columns of ins[g], which
+        span the image, so no image basis is eliminated here."""
         if g not in self._reps:
             if self.dim(g) == 0:
                 self._reps[g], self._coords[g] = [], RatMatrix(0, 0)
             else:
-                comp, self._coords[g] = quotient(self.kernel(g), self.image(g))
+                m = self.ins.get(g)
+                cols = [] if m is None else m.transpose().sparse_rows()
+                comp, self._coords[g] = quotient(self.kernel(g), cols)
                 self._reps[g] = comp.basis
         return self._reps[g]
 
@@ -137,9 +141,9 @@ class _GradedPiece:
 
     def flat_image(self):
         """The images divided out at each ghost, as flat vectors."""
-        return Subspace(sum(self.dims.values()), [
+        return Subspace._of(sum(self.dims.values()), [
             self.flat(g, b) for g in self.index if self.dim(g)
-            for b in self.image(g).basis], check=False)
+            for b in self.image(g).basis])
 
     def class_matrix(self, g, vectors):
         m = RatMatrix(self.h_dim(g), len(vectors))
@@ -200,7 +204,7 @@ class CochainComplex:
         reps = self.piece.reps(k)
         if variant == "alt" and reps:
             ker = self.piece.kernel(k)
-            alt = Subspace(ker.ambient_dim, ker.basis[::-1], check=False)
+            alt = Subspace._of(ker.ambient_dim, ker.basis[::-1])
             alt._inv = ker._left_inv().reversed()
             reps = quotient(alt, self.piece.image(k))[0].basis
         return len(reps), reps

@@ -251,8 +251,8 @@ def _fiber_product(rho_l, left, rho_r, right):
 
 def _gh0_kernel(model: ReducedModel):
     """The ghost-zero Euler-Lagrange fields as flat bulk vectors."""
-    return Subspace(model.t.bulk.total, [
-        model.bulk.flat(0, b) for b in model.bulk.kernel(0).basis], check=False)
+    return Subspace._of(model.t.bulk.total, [
+        model.bulk.flat(0, b) for b in model.bulk.kernel(0).basis])
 
 
 def fiber_product_check(gl: Gluing):

@@ -34,7 +34,11 @@ Each question about spans costs at most one elimination, in integers:
 - Containment of a subspace in one without a left inverse is a rank
   count: one `_pivot_columns` of both bases.  `==` asks the side that
   already holds a left inverse.
-- A quotient is one elimination in the coordinates of its ambient space.
+- A quotient is one elimination of the sub vectors' coordinates in its
+  ambient space, as rows, with the columns visited in reverse index order
+  and no identity block; the class map is read off the reduced rows as a
+  kernel is.  It accepts any spanning list of the sub, so a class space
+  ker/Im takes the columns of the map into it and no image basis.
 - The complement under a symmetric or antisymmetric pairing is one
   kernel, since its left and right complements coincide.
 """
@@ -401,42 +405,50 @@ def _echelon(rows, col_order=None):
     return pivots, rows
 
 
-def _kernel_int(rows, ncols, col_order=None):
-    """Kernel basis of the integer row system, one primitive vector per
-    free column (see `_primitive`), and those free columns (in increasing
-    order).
+def _free_vectors(pivots, red, ncols):
+    """Per free column f of a Gauss-Jordan reduction (pivots, red), in
+    increasing order, the vector of its row space's annihilator that is 1
+    at f and 0 at the other free columns, in integers: (f, ints).
 
     After Gauss-Jordan elimination each pivot row holds its pivot and free
-    columns only, so a free column's vector is read off without
-    back-substitution, and it is the only vector nonzero at its free
-    column.  With pivot pv_c and entry x_c at f in the row of pivot column
-    c, the vector is 1 at f and -x_c / pv_c at c; scaled by the lcm L of
-    the pv_c it touches, it is L at f and -x_c * (L / pv_c) at c, in
-    integers.  Each entry becomes one Fraction after the gcd and the sign
-    of the lowest index are divided out."""
-    pivots, red = _echelon(rows, col_order)
+    columns only, so the vector is read off without back-substitution.
+    With pivot pv_c and entry x_c at f in the row of pivot column c, it is
+    1 at f and -x_c / pv_c at c; scaled by the lcm L of the pv_c it
+    touches, ints is L at f and -x_c * (L / pv_c) at c."""
     pivot_cols = {c for _, c in pivots}
-    free = [j for j in range(ncols) if j not in pivot_cols]
-    hits = {f: [] for f in free}
+    hits = {j: [] for j in range(ncols) if j not in pivot_cols}
     for r, c in pivots:
         row = red[r]
         pv = row[c]
         for j, x in row.items():
             if j != c:
                 hits[j].append((c, x, pv))
-    basis = []
-    for f in free:
-        at = hits[f]
+    out = []
+    for f, at in hits.items():
         scale = lcm(*(pv for _, _, pv in at))
         ints = {f: scale}
         for c, x, pv in at:
             ints[c] = -x * (scale // pv)
+        out.append((f, ints))
+    return out
+
+
+def _kernel_int(rows, ncols, col_order=None):
+    """Kernel basis of the integer row system, one primitive vector per
+    free column (see `_primitive`), and those free columns (in increasing
+    order).  Each is the `_free_vectors` vector of its free column, so it
+    is the only one nonzero there; each entry becomes one Fraction after
+    the gcd and the sign of the lowest index are divided out."""
+    pivots, red = _echelon(rows, col_order)
+    basis, free = [], []
+    for f, ints in _free_vectors(pivots, red, ncols):
         g = gcd(*ints.values())
         if ints[min(ints)] < 0:
             g = -g
         if g != 1:
             ints = {j: x // g for j, x in ints.items()}
         basis.append({j: Fraction(x) for j, x in ints.items()})
+        free.append(f)
     return basis, free
 
 
@@ -756,79 +768,86 @@ def image_basis(m: RatMatrix) -> Subspace:
     return Subspace._of(m.rows, [_primitive(cols[j]) for j in keep])
 
 
-def solve(m: RatMatrix, b) -> dict | None:
-    """One solution of m x = b, or None.  b is a sparse vector."""
-    rows = m.sparse_rows()
+def solve(m: RatMatrix, b):
+    """One solution of m x = b, or None.  b is a sparse vector, or a list
+    of them, answered by a list from one elimination of m augmented by all
+    of them.  The elimination visits m's columns in index order and never
+    an augmented one, so the pivot columns are m's, and each solution is
+    the one with free unknowns 0: the one b alone would get."""
+    many = isinstance(b, list)
+    bs = b if many else [b]
     aug = []
-    for i, r in enumerate(rows):
-        rr = dict(r)
-        v = Fraction(b.get(i, 0))
-        if v:
-            rr[m.cols] = v
-        aug.append(rr)
+    for i, r in enumerate(m.sparse_rows()):
+        for t, v in enumerate(bs):
+            x = Fraction(v.get(i, 0))
+            if x:
+                r[m.cols + t] = x
+        aug.append(r)
     pivots, red = _echelon(_int_rows(aug), col_order=list(range(m.cols)))
-    # free unknowns are 0, and Gauss-Jordan leaves no other pivot column
-    # in a pivot row, so each pivot unknown is read off its own row
-    x = {c: Fraction(red[r][m.cols], red[r][c])
-         for r, c in pivots if red[r].get(m.cols)}
-    if not vec_eq(m.matvec(x), {i: Fraction(v) for i, v in b.items() if v}):
-        return None
-    return x
+    # Gauss-Jordan leaves no other pivot column in a pivot row, so each
+    # pivot unknown is read off its own row
+    xs = []
+    for t, v in enumerate(bs):
+        col = m.cols + t
+        x = {c: Fraction(red[r][col], red[r][c]) for r, c in pivots if red[r].get(col)}
+        xs.append(x if vec_eq(m.matvec(x), {i: Fraction(y) for i, y in v.items() if y})
+                  else None)
+    return xs if many else xs[0]
 
 
-def quotient(ambient: Subspace, sub: Subspace):
-    """Complement C with sub + C = ambient, plus its coordinate map: the
-    C.dim x ambient_dim matrix sending each vector of ambient to the
-    coordinates of its class modulo sub in the basis of C.  On vectors
-    outside ambient it means nothing, so callers check membership first.
-    The projection that kills sub and fixes C pointwise is
-    C.matrix() * coords.
+def quotient(ambient: Subspace, sub):
+    """Complement C with span(sub) + C = ambient, plus its coordinate map:
+    the C.dim x ambient_dim matrix sending each vector of ambient to the
+    coordinates of its class modulo span(sub) in the basis of C.  sub is a
+    Subspace or a list of vectors spanning it; dependent and zero vectors
+    are allowed.  On vectors outside ambient the map means nothing, so
+    callers check membership first.  The projection that kills sub and
+    fixes C pointwise is C.matrix() * coords.
 
     Everything is solved in the coordinates of ambient's basis, with its
     cached left inverse E (row k is nums[k] / dens[k]).  Each sub vector s
-    maps to its coordinates x = E s, computed and checked in integers by
-    `Subspace._solve`, which also decides that sub lies in ambient.  Then
-    one elimination of the m x (ns + m) system [x columns | I_m]
-    (m = ambient.dim, ns = sub.dim) visits the x columns sparse-first and
-    then the unit columns in index order.  It runs in integers: row k is
-    scaled by dens[k] and each x column by a positive factor, which leaves
-    row k as (the numerators y of `_solve` at k | dens[k] at unit column
-    k).  Row operations act on the unit block as on the rows themselves,
-    so a row's unit block holds the combination of the unscaled rows it
-    is, and no second copy of I_m is needed to record it.  C is the
-    ambient basis vectors at the unit columns among the pivots: the greedy
-    extension of sub's basis, since the map into coordinates is an
-    isomorphism.  The unit block of C's pivot rows, divided by their
-    pivots, is the coordinate map in ambient's coordinates, and times E it
-    is the coordinate map on Q^ambient_dim.
+    maps to its coordinates y = E s, computed and checked in integers by
+    `Subspace._solve`, which also decides that s lies in ambient.  One
+    elimination of the rows y (m = ambient.dim columns, cleared to
+    integers) visits the columns in reverse index order m-1, ..., 0.
+    Column k is a pivot exactly when the rows projected onto coordinates
+    >= k have larger rank than projected onto coordinates > k, that is when
+    e_k lies in span(y) + span(e_0 .. e_k-1); so C, the ambient basis
+    vectors at the other (free) columns, is the greedy extension of sub's
+    span by ambient's basis in index order.  The class map is 0 on span(y)
+    and fixes each free unit vector, so its row at free column f is the
+    `_free_vectors` vector of f read off the reduced rows; times E, in
+    integers, it is the coordinate map on Q^ambient_dim.  Both depend on
+    span(sub) only, not on the vectors that span it.
     """
-    if sub.ambient_dim != ambient.ambient_dim:
-        raise DimensionMismatch("ambient dimensions differ")
-    ys = []
-    for s in sub.basis:
+    vectors = sub
+    if isinstance(sub, Subspace):
+        if sub.ambient_dim != ambient.ambient_dim:
+            raise DimensionMismatch("ambient dimensions differ")
+        vectors = sub.basis
+    inv = ambient._left_inv()
+    rows = []
+    for s in vectors:
+        if not s:
+            continue
         y, _ = ambient._solve(s)
         if y is None:
             raise SubspaceNotContained("sub is not inside ambient")
-        ys.append(y)
-    inv = ambient._left_inv()
-    m, ns = ambient.dim, sub.dim
-    rows = [{ns + k: d} for k, d in enumerate(inv.dens)]
-    for j, y in enumerate(ys):
-        for k, v in y.items():
-            rows[k][j] = v
-    order = _sparse_first([len(y) for y in ys]) + list(range(ns, ns + m))
-    pivots, red = _echelon(rows, order)
-    comp_rows = sorted((c - ns, r) for r, c in pivots if c >= ns)
-    coords = RatMatrix(len(comp_rows), ambient.ambient_dim)
-    for k, (j, r) in enumerate(comp_rows):
-        unit = {c - ns: u for c, u in red[r].items() if c >= ns}
-        scale = lcm(*(inv.dens[c] for c in unit))
+        if y:
+            scale = lcm(*(inv.dens[k] for k in y))
+            rows.append({k: v * (scale // inv.dens[k]) for k, v in y.items()})
+    m = ambient.dim
+    pivots, red = _echelon(rows, range(m - 1, -1, -1))
+    free = _free_vectors(pivots, red, m)
+    coords = RatMatrix(len(free), ambient.ambient_dim)
+    for k, (f, ints) in enumerate(free):
+        scale = lcm(*(inv.dens[c] for c in ints))
         row = _int_combination((u * (scale // inv.dens[c]), inv.nums[c])
-                               for c, u in unit.items())
-        pv = red[r][ns + j]
+                               for c, u in ints.items())
+        scale *= ints[f]
         for i in sorted(row):
-            coords.entries[(k, i)] = Fraction(row[i], pv * scale)
-    comp = Subspace._of(ambient.ambient_dim, [ambient.basis[j] for j, _ in comp_rows])
+            coords.entries[(k, i)] = Fraction(row[i], scale)
+    comp = Subspace._of(ambient.ambient_dim, [ambient.basis[f] for f, _ in free])
     return comp, coords
 
 

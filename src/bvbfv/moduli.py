@@ -488,10 +488,10 @@ def vacua(model: ReducedModel):
     def induced(g):
         gp = c - g
         m = RatMatrix(vac_reps[g].dim, vac_reps[gp].dim)
-        if not m.rows:
+        if not (m.rows and m.cols):
             return m
-        for j, b in enumerate(vac_reps[gp].basis):
-            v = solve(model.chi(gp), b)
+        # the vertical preimages of all of Im chi(gp), from one elimination
+        for j, v in enumerate(solve(model.chi(gp), vac_reps[gp].basis)):
             if v is None:
                 raise ModuliError("vacua class has no vertical preimage")
             pv = model.pair_bulk_vert(g).matvec(v)
@@ -615,9 +615,9 @@ def regularity(model: ReducedModel):
     kerq_perp = two_sided_complement(p, model.ker_q)
     # Q^vert = Q on ker pi: its images q(g) K[g] are the ones M_symp divides out
     im_qv = model.msymp.flat_image()
-    ker_qv = Subspace(t.bulk.total, [
+    ker_qv = Subspace._of(t.bulk.total, [
         model.bulk.flat(g, model.K[g].matvec(b))
-        for g in model.ghosts for b in model.vert.kernel(g).basis], check=False)
+        for g in model.ghosts for b in model.vert.kernel(g).basis])
     kerqv_perp = two_sided_complement(p, ker_qv)
     checks = {
         "ker_q_perp_is_im_q_vert": kerq_perp == im_qv,

@@ -680,13 +680,15 @@ def check_ghost_grading(theory: LinearTheory):
 def ghost_zero_slice(model):
     """The gh = 0 sector of a theory, read off its ReducedModel: field
     dimensions, Euler-Lagrange conditions, gauge distribution (images of
-    ghost-one fields) and its moduli."""
+    ghost-one fields) and its moduli.  The quotient behind h_dim has checked
+    that the gauge directions lie in the EL kernel, so their dimension is
+    the kernel's less the moduli's, with no image basis eliminated."""
     t = model.t
     fields = {(s["sector"], s["degree"]): s["dim"] for s in t.bulk.slots if s["ghost"] == 0}
     return {
         "field_dims": fields,
         "el_dim": model.bulk.kernel(0).dim,
-        "gauge_dim": model.bulk.image(0).dim,
+        "gauge_dim": model.bulk.kernel(0).dim - model.bulk.h_dim(0),
         "moduli_dim": model.bulk.h_dim(0),
         "boundary_constraint_dim": model.bdry.kernel(0).dim,
     }

@@ -1,19 +1,21 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from bvbfv import linalg
 from bvbfv.linalg import (
     _echelon,
+    _int_combination,
     _int_rows,
     _kernel_int,
     _left_inverse,
     _pivot_columns,
     _primitive,
+    _sparse_first,
     DimensionMismatch,
     LinalgError,
     PairingForm,
@@ -908,6 +910,99 @@ def test_quotient_matches_the_two_elimination_reference(case):
     assert coords.shape == ref_coords.shape
     for v in vectors + sub.basis:
         assert coords.matvec(v) == ref_coords.matvec(v)
+
+
+def _identity_block_quotient_reference(ambient, sub):
+    """The one-elimination quotient with an identity block: with x = E s
+    for each basis vector s of the Subspace sub, eliminate the
+    m x (ns + m) system [x columns | I_m] (row k scaled by dens[k]), the x
+    columns sparse-first and then the unit columns in index order.  The
+    complement is the ambient basis at the unit pivot columns, and the unit
+    block of their rows, over their pivots and times E, is the coordinate
+    map."""
+    ys = []
+    for s in sub.basis:
+        y, _ = ambient._solve(s)
+        if y is None:
+            raise SubspaceNotContained("sub is not inside ambient")
+        ys.append(y)
+    inv = ambient._left_inv()
+    m, ns = ambient.dim, sub.dim
+    rows = [{ns + k: d} for k, d in enumerate(inv.dens)]
+    for j, y in enumerate(ys):
+        for k, v in y.items():
+            rows[k][j] = v
+    order = _sparse_first([len(y) for y in ys]) + list(range(ns, ns + m))
+    pivots, red = _echelon(rows, order)
+    comp_rows = sorted((c - ns, r) for r, c in pivots if c >= ns)
+    coords = RatMatrix(len(comp_rows), ambient.ambient_dim)
+    for k, (j, r) in enumerate(comp_rows):
+        unit = {c - ns: u for c, u in red[r].items() if c >= ns}
+        scale = lcm(*(inv.dens[c] for c in unit))
+        row = _int_combination((u * (scale // inv.dens[c]), inv.nums[c])
+                               for c, u in unit.items())
+        pv = red[r][ns + j]
+        for i in sorted(row):
+            coords.entries[(k, i)] = Fraction(row[i], pv * scale)
+    return Subspace(ambient.ambient_dim, [ambient.basis[j] for j, _ in comp_rows],
+                    check=False), coords
+
+
+def _quotient_items(comp, coords):
+    return ([list(v.items()) for v in comp.basis], coords.shape,
+            list(coords.entries.items()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(ambient_and_sub(), st.data())
+def test_quotient_matches_the_identity_block_reference(case, data):
+    # the same complement and coordinate map, key for key, from sub as a
+    # Subspace and from a dependent spanning list of it in any order
+    ambient, sub, _ = case
+    try:
+        want = _quotient_items(*_identity_block_quotient_reference(ambient, sub))
+    except SubspaceNotContained:
+        with pytest.raises(SubspaceNotContained):
+            quotient(ambient, sub)
+        return
+    coeffs = st.lists(small_entries, min_size=sub.dim, max_size=sub.dim)
+    combos = [_combination(sub.basis, c) for c in data.draw(st.lists(coeffs, max_size=3))]
+    spanning = data.draw(st.permutations(sub.basis + combos + [{}]))
+    for s in (sub, spanning):
+        comp, coords = quotient(ambient, s)
+        assert _quotient_items(comp, coords) == want
+        assert all(type(x) is Fraction for x in coords.entries.values())
+
+
+@settings(max_examples=150, deadline=None)
+@given(ambient_and_sub(), st.data())
+def test_quotient_rejects_a_spanning_list_with_one_outside_vector(case, data):
+    ambient, _, vectors = case
+    n = ambient.ambient_dim
+    outside = [{i: Fraction(1)} for i in range(n) if not ambient.contains({i: Fraction(1)})]
+    assume(outside)
+    spanning = data.draw(st.permutations(vectors + [data.draw(st.sampled_from(outside))]))
+    with pytest.raises(SubspaceNotContained):
+        quotient(ambient, spanning)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_matrix(), st.data())
+def test_solve_of_a_list_matches_one_solve_per_vector(m, data):
+    # free unknowns are 0 either way, so the solutions agree key for key;
+    # an inconsistent right-hand side gets None without spoiling the others
+    row = st.lists(small_entries, min_size=m.cols, max_size=m.cols)
+    reachable = [m.matvec(sparse_vector(x)) for x in data.draw(st.lists(row, max_size=3))]
+    free = st.lists(small_entries, min_size=m.rows, max_size=m.rows).map(sparse_vector)
+    bs = data.draw(st.permutations(reachable + data.draw(st.lists(free, max_size=2))))
+    got = solve(m, bs)
+    singles = [solve(m, b) for b in bs]
+    assert [x and list(x.items()) for x in got] == [x and list(x.items()) for x in singles]
+    for x, b in zip(got, bs):
+        if any(b is r for r in reachable):
+            assert x is not None
+        if x is not None:
+            assert m.matvec(x) == b
 
 
 @settings(max_examples=200, deadline=None)

@@ -748,6 +748,31 @@ def test_moduli_report_eliminates_each_map_once(theory, name, monkeypatch):
     assert len(calls) == before
 
 
+@pytest.mark.parametrize("theory,name", [("bf", "torus_times_interval"), ("ed", "solid_torus")])
+def test_class_spaces_eliminate_no_image_basis(theory, name, monkeypatch):
+    # reps hands the quotient the columns of the map into each ghost, so
+    # finding the classes of every piece eliminates no image basis
+    import sys
+
+    from bvbfv import linalg
+
+    model = ReducedModel(build_pair(theory, name))
+    pieces = (model.bulk, model.bdry, model.vert, model.msymp)
+    calls = []
+    orig = linalg.image_basis
+
+    def recording(m):
+        calls.append(m.shape)
+        return orig(m)
+
+    for mod in list(sys.modules.values()):
+        if mod.__name__.startswith("bvbfv") and getattr(mod, "image_basis", None) is orig:
+            monkeypatch.setattr(mod, "image_basis", recording)
+    dims = [piece.h_dim(g) for piece in pieces for g in model.ghosts]
+    assert any(dims)
+    assert calls == []
+
+
 @pytest.mark.parametrize("theory,name", corpus_pairs())
 def test_gh0_slice_matches_moduli_report(theory, name):
     from bvbfv.theories import ghost_zero_slice
