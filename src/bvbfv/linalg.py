@@ -873,23 +873,16 @@ def _left_inverse(m: RatMatrix) -> _LeftInverse:
 
 
 class PairingForm:
-    """Bilinear pairing between Q^left_dim and Q^right_dim.
+    """Bilinear pairing between Q^left_dim and Q^right_dim."""
 
-    symmetry_tag is bookkeeping ('none', 'graded-symmetric',
-    'graded-antisymmetric'); ghost is the declared total ghost number of the
-    pairing (-1 for bulk BV forms, 0 for boundary BFV forms).
-    """
+    __slots__ = ("left_dim", "right_dim", "matrix")
 
-    __slots__ = ("left_dim", "right_dim", "matrix", "symmetry_tag", "ghost")
-
-    def __init__(self, left_dim, right_dim, matrix, symmetry_tag="none", ghost=None):
+    def __init__(self, left_dim, right_dim, matrix):
         if matrix.shape != (left_dim, right_dim):
             raise DimensionMismatch("pairing matrix shape mismatch")
         self.left_dim = left_dim
         self.right_dim = right_dim
         self.matrix = matrix
-        self.symmetry_tag = symmetry_tag
-        self.ghost = ghost
 
     def value(self, u, v):
         return vec_dot(u, self.matrix.matvec(v))
@@ -903,7 +896,7 @@ class PairingForm:
         return self.matrix.rank() == self.left_dim
 
     def __repr__(self):
-        return f"PairingForm({self.left_dim}x{self.right_dim}, {self.symmetry_tag})"
+        return f"PairingForm({self.left_dim}x{self.right_dim})"
 
 
 def orthogonal_complement(p: PairingForm, side: str, s: Subspace) -> Subspace:
@@ -979,7 +972,7 @@ def presymplectic_reduce(p: PairingForm, sub: Subspace):
     for i in range(k):
         for j in range(k):
             red[i, j] = p.value(comp.basis[i], comp.basis[j])
-    red_pairing = PairingForm(k, k, red, p.symmetry_tag, p.ghost)
+    red_pairing = PairingForm(k, k, red)
     imgs = [coords.matvec(b) for b in sub.basis] if k else []
     red_sub = column_span(imgs, k)
     before = classify_subspace(p, sub)

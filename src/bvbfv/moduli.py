@@ -7,6 +7,14 @@ Every phase takes the theory's one ReducedModel: its bulk, boundary and
 vertical pieces are the BV-BFV data (Q, pi, Q_bdry) reduced once per ghost
 number, and each phase reads what it needs off them.  The bulk and boundary
 pieces own the layout of each ghost in the flat field spaces.
+
+The evolution relation and the vacua are computed on classes, off the
+pieces and the tangent LES, with no elimination in the flat spaces.  The
+vectors of ker Q that pi kills are the vertical cocycles, so
+dim pi(ker Q) = sum_g (dim ker q(g) - dim ker q_vert(g)); pi of a Q-exact
+vector is Q_bdry-exact, so the reduced L is the sum of the images of psi.
+The induced vacua form pairs ghost g only with ghost c - g, so its kernel
+splits by ghost and its core is counted one ghost at a time.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ from .linalg import (
     column_span,
     image_basis,
     kernel_basis,
-    presymplectic_reduce,
+    orthogonal_complement,
     quotient,
     solve,
     classify_subspace,
@@ -52,15 +60,10 @@ def _ghost_piece(name, m, idx):
 
 
 def _pairing_block(form, left, right):
-    """[left_i . form right_j], with one matvec per column j."""
-    ws = [form.matvec(y) for y in right]
-    m = RatMatrix(len(left), len(right))
-    for i, x in enumerate(left):
-        for j, w in enumerate(ws):
-            v = vec_dot(x, w)
-            if v:
-                m.entries[(i, j)] = v
-    return m
+    """[left_i . form right_j]: the product L^T form R, with the vectors of
+    left and right as the columns of L and R."""
+    return RatMatrix.from_rows(left, form.rows) * form \
+        * RatMatrix.from_columns(right, form.cols)
 
 
 class _GhostSum:
@@ -293,12 +296,7 @@ def q_reduce(model: ReducedModel):
         p = PairingForm(t.bulk.total, t.bulk.total, t.omega)
         if p.nondegenerate():
             el = model.ker_q
-            perp_l = kernel_basis(
-                RatMatrix.from_rows(
-                    [t.omega.matvec(b) for b in el.basis], ncols=t.bulk.total
-                )
-            ) if el.dim else Subspace.full(t.bulk.total)
-            char = el.intersect(perp_l)
+            char = el.intersect(orthogonal_complement(p, "left", el))
             report["symp_reduction_agrees"] = char == model.im_q
     return report
 
@@ -440,20 +438,28 @@ def _bdry_sum(model: ReducedModel):
 
 def evolution_relation(model: ReducedModel):
     """L = pi(ker Q), its image in the reduced boundary moduli, and the
-    exact isotropic/coisotropic/lagrangian classification there."""
-    t = model.t
-    l_cols = [t.pi.matvec(b) for b in model.ker_q.basis]
-    L = column_span(l_cols, t.bdry.total)
+    exact isotropic/coisotropic/lagrangian classification there.
+
+    Both are read off the model and its tangent LES, one ghost at a time.
+    The vectors of ker q(g) that pi kills are the vertical cocycles, so
+    dim L = sum_g (dim ker q(g) - dim ker q_vert(g)).  pi of a Q-exact
+    vector is Q_bdry-exact, so the class of pi x is psi of the class of x,
+    and the reduced L is the sum over g of Im psi(g): the LES's image at
+    node bdry@gh{g}, placed at ghost g's offset in the reduced space."""
+    les = tangent_les(model)
     layout = _bdry_sum(model)
     total = layout.total
-    reduced = column_span([layout.classes(model.bdry, b) for b in L.basis], total)
+    l_dim = sum(model.bulk.kernel(g).dim - model.vert.kernel(g).dim for g in model.ghosts)
+    reduced = Subspace._of(total, [
+        {layout.offsets[g] + i: v for i, v in b.items()} for g in model.ghosts
+        for b in les.image(les.index[f"bdry@gh{g}"]).basis])
     pmat = layout.pairing(model.pair_bdry_bdry, lambda g: model.pair_ghost() + 1 - g)
-    pairing = PairingForm(total, total, pmat, "graded-antisymmetric")
+    pairing = PairingForm(total, total, pmat)
     verdict = classify_subspace(pairing, reduced) if total else {
         "isotropic": True, "coisotropic": True, "lagrangian": True,
     }
     return {
-        "L_dim": L.dim,
+        "L_dim": l_dim,
         "reduced_L": reduced,
         "reduced_dims_total": reduced.dim,
         "pairing": pairing,
@@ -465,10 +471,16 @@ def evolution_relation(model: ReducedModel):
 def vacua(model: ReducedModel):
     """Im chi = ker psi with the induced ghost -1 pairing; the kernel of the
     vertical presymplectic form is checked to equal ker chi, and the
-    nondegenerate core of the induced form is extracted by presymplectic
-    reduction (boundary-flux artifacts of the finite model land in the
-    kernel and are quotiented away).  Im chi, ker chi and the verdict
-    Im chi = ker psi are read off the tangent LES."""
+    dimensions of the nondegenerate core of the induced form are counted
+    per ghost (boundary-flux artifacts of the finite model land in the
+    form's kernel and are not counted).  Im chi, ker chi and the verdict
+    Im chi = ker psi are read off the tangent LES.
+
+    The form pairs ghost g only with ghost c - g, in the block induced(g)
+    from ghost c - g to ghost g.  So a vector at ghost g lies in its
+    two-sided kernel exactly when induced(g)^T and induced(c - g) kill it,
+    the kernel is the sum of those per-ghost kernels, and the core at g
+    has the dimension rank [induced(g)^T; induced(c - g)]."""
     c = model.pair_ghost()
     les = tangent_les(model)
     vac_reps = {g: les.image(les.index[f"bulk@gh{g}"]) for g in model.ghosts}
@@ -487,31 +499,19 @@ def vacua(model: ReducedModel):
 
     def induced(g):
         gp = c - g
-        m = RatMatrix(vac_reps[g].dim, vac_reps[gp].dim)
-        if not (m.rows and m.cols):
-            return m
+        if not (vac_reps[g].dim and vac_reps[gp].dim):
+            return RatMatrix(vac_reps[g].dim, vac_reps[gp].dim)
         # the vertical preimages of all of Im chi(gp), from one elimination
-        for j, v in enumerate(solve(model.chi(gp), vac_reps[gp].basis)):
-            if v is None:
-                raise ModuliError("vacua class has no vertical preimage")
-            pv = model.pair_bulk_vert(g).matvec(v)
-            for i, a in enumerate(vac_reps[g].basis):
-                x = vec_dot(a, pv)
-                if x:
-                    m.entries[(i, j)] = x
-        return m
+        pre = solve(model.chi(gp), vac_reps[gp].basis)
+        if None in pre:
+            raise ModuliError("vacua class has no vertical preimage")
+        return _pairing_block(model.pair_bulk_vert(g), vac_reps[g].basis, pre)
 
-    pairing = PairingForm(total, total, layout.pairing(induced, lambda g: c - g), ghost=c)
-    core_dims = {g: 0 for g in model.ghosts}
-    if total:
-        kern = presymplectic_reduce(pairing, Subspace.zero(total))["kernel"]
-        for g, off in layout.offsets.items():
-            # dim(kern cap block g) = kern.dim - rank of kern off block g
-            block = range(off, off + vac_reps[g].dim)
-            off_block = [{i: v for i, v in b.items() if i not in block}
-                         for b in kern.basis]
-            in_ker = kern.dim - RatMatrix.from_rows(off_block, total).rank()
-            core_dims[g] = vac_reps[g].dim - in_ker
+    blocks = {g: induced(g) for g in model.ghosts if c - g in vac_reps}
+    pairing = PairingForm(total, total, layout.pairing(blocks.__getitem__, lambda g: c - g))
+    core_dims = {g: RatMatrix.from_rows(
+        blocks[g].transpose().sparse_rows() + blocks[c - g].sparse_rows(),
+        vac_reps[g].dim).rank() if g in blocks else 0 for g in model.ghosts}
     dims = {g: vac_reps[g].dim for g in model.ghosts}
     return {
         "dims": {g: d for g, d in dims.items() if model.bulk.dim(g)},
@@ -547,17 +547,8 @@ def vacua_via_transversal(model: ReducedModel, lam: Subspace):
     cond = RatMatrix.from_columns(
         [proj_off_lam.matvec(layout.classes(model.bdry, t.pi.matvec(b))) for b in el.basis],
         total)
-    coeff_ker = kernel_basis(cond)
-    s_basis = []
-    for k in coeff_ker.basis:
-        v = {}
-        for j, cval in k.items():
-            for i, bv in el.basis[j].items():
-                v[i] = v.get(i, Fraction(0)) + cval * bv
-        v = {i: x for i, x in v.items() if x}
-        if v:
-            s_basis.append(v)
-    S = column_span(s_basis, t.bulk.total)
+    el_mat = el.matrix()
+    S = column_span([el_mat.matvec(k) for k in kernel_basis(cond).basis], t.bulk.total)
     # the gauge directions inside S: image vectors have exact boundary
     # classes, hence lie in S whenever the class condition is lam-closed
     I = model.im_q

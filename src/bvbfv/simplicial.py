@@ -385,8 +385,7 @@ class OrientedComplex:
                 raise SimplicialError(
                     f"cohomology pairing in degree ({k},{n-k}) depends on representatives"
                 )
-        tag = "graded-antisymmetric" if (k % 2 == 1 and (n - k) % 2 == 1) else "graded-symmetric"
-        return PairingForm(rows, cols, mat, tag)
+        return PairingForm(rows, cols, mat)
 
     def _exact_perturbation(self, cx, k):
         if cx.dim(k - 1) == 0 or cx.dim(k) == 0:

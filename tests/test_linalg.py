@@ -190,7 +190,7 @@ def test_circle_cohomology_by_quotient():
 
 
 def symplectic_2d():
-    return PairingForm(2, 2, RatMatrix.from_rows([[0, 1], [-1, 0]]), "graded-antisymmetric")
+    return PairingForm(2, 2, RatMatrix.from_rows([[0, 1], [-1, 0]]))
 
 
 def test_orthogonal_complement_isotropic_line():

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bvbfv import corpus
 from bvbfv.complexes import les_of_pair
@@ -28,10 +29,12 @@ from bvbfv.moduli import (
     vacua_via_transversal,
 )
 from bvbfv.theories import (
+    TheoryError,
     build_abelian_bf,
     build_abelian_cs,
     build_electrodynamics,
     build_scalar,
+    theory_from_config,
     verify_cme,
 )
 
@@ -658,25 +661,126 @@ def test_vacua_core_dims_do_not_depend_on_the_kernel_basis(theory, name):
         assert core == vac["dims"][g] - kern.intersect(block).dim, g
 
 
-def test_vacua_core_dims_ignore_a_block_mixing_kernel_basis(monkeypatch):
-    # the same kernel span in the basis (b0 + b1, b1, ...): a count of basis
-    # vectors inside each ghost block changes with it, dim(kernel cap block)
-    # does not
-    from bvbfv import moduli
-    from bvbfv.linalg import vec_add
+def stratum_pairs():
+    """Every codimension-1 stratum theory of bf, cs and ed that builds on a
+    corpus complex, as the `--codim 1` ops of scripts/snapshot.py."""
+    out = []
+    for name, build in corpus.BUILDERS.items():
+        for kind in ("abelian_bf", "abelian_cs", "electrodynamics"):
+            try:
+                theory_from_config(build(), {"kind": kind, "codim": 1})
+            except TheoryError:
+                continue
+            out.append((f"{kind}@codim1", name))
+    return out
 
-    want = vacua(ReducedModel(build_pair("ed", "disk")))["core_dims"]
-    reduce = moduli.presymplectic_reduce
 
-    def mixing_reduce(pairing, sub):
-        red = reduce(pairing, sub)
-        b = red["kernel"].basis
-        assert len(b) >= 2
-        red["kernel"] = Subspace(red["kernel"].ambient_dim, [vec_add(b[0], b[1])] + b[1:])
-        return red
+def build_any(theory, name):
+    if theory.endswith("@codim1"):
+        kind = theory.removesuffix("@codim1")
+        return theory_from_config(corpus.BUILDERS[name](), {"kind": kind, "codim": 1})
+    return build_pair(theory, name)
 
-    monkeypatch.setattr(moduli, "presymplectic_reduce", mixing_reduce)
-    assert vacua(ReducedModel(build_pair("ed", "disk")))["core_dims"] == want
+
+@pytest.mark.parametrize("theory,name", corpus_pairs() + stratum_pairs())
+def test_evolution_relation_matches_the_flat_route(theory, name):
+    # the reference rebuilds L in the flat boundary space, pi of each ker Q
+    # vector, and maps a basis of it to its classes in the reduced space
+    from bvbfv.moduli import _bdry_sum
+    from bvbfv.linalg import classify_subspace
+
+    model = ReducedModel(build_any(theory, name))
+    t = model.t
+    flat_l = column_span([t.pi.matvec(b) for b in model.ker_q.basis], t.bdry.total)
+    layout = _bdry_sum(model)
+    flat_reduced = column_span([layout.classes(model.bdry, b) for b in flat_l.basis],
+                               layout.total)
+    ev = evolution_relation(model)
+    assert ev["L_dim"] == flat_l.dim
+    assert ev["reduced_L"] == flat_reduced
+    assert ev["reduced_dims_total"] == flat_reduced.dim
+    want = classify_subspace(ev["pairing"], flat_reduced) if layout.total else {
+        "isotropic": True, "coisotropic": True, "lagrangian": True}
+    assert ev["verdict"] == want
+
+
+@pytest.mark.parametrize("theory,name", corpus_pairs())
+def test_evolution_relation_and_vacua_eliminate_nothing_flat(theory, name, monkeypatch):
+    # once the tangent LES and the Lefschetz blocks exist, the evolution
+    # relation and the vacua read everything off them: no class coordinates
+    # of flat vectors, no presymplectic reduction and no span in the flat
+    # bulk or boundary space
+    import sys
+
+    from bvbfv import complexes, linalg
+
+    model = ReducedModel(build_pair(theory, name))
+    tangent_les(model)
+    lefschetz(model)
+    t = model.t
+    flat = {t.bulk.total, t.bdry.total}
+    calls = []
+    coords = complexes._GradedPiece.class_coords
+
+    def recording_coords(self, g, vec):
+        calls.append("class_coords")
+        return coords(self, g, vec)
+
+    def recording(fname, orig):
+        def wrapper(*args):
+            if fname != "column_span" or args[1] in flat:
+                calls.append(fname)
+            return orig(*args)
+        return wrapper
+
+    monkeypatch.setattr(complexes._GradedPiece, "class_coords", recording_coords)
+    for fname in ("presymplectic_reduce", "column_span"):
+        orig = getattr(linalg, fname)
+        for mod in list(sys.modules.values()):
+            if mod.__name__.startswith("bvbfv") and getattr(mod, fname, None) is orig:
+                monkeypatch.setattr(mod, fname, recording(fname, orig))
+    evolution_relation(model)
+    vacua(model)
+    assert calls == []
+
+
+@st.composite
+def pairing_case(draw):
+    """A small sparse rational form and lists of sparse vectors to pair by
+    it on the left and on the right, either list possibly empty."""
+    entries = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    rows = draw(st.integers(min_value=0, max_value=5))
+    cols = draw(st.integers(min_value=0, max_value=5))
+
+    def sparse(n):
+        return st.dictionaries(st.integers(0, n - 1), entries, max_size=n) if n \
+            else st.just({})
+
+    form = RatMatrix(rows, cols)
+    for (i, j), v in draw(st.dictionaries(st.tuples(st.integers(0, max(rows - 1, 0)),
+                                                    st.integers(0, max(cols - 1, 0))),
+                                          entries, max_size=rows * cols)).items():
+        if v:
+            form.entries[(i, j)] = v
+    left = draw(st.lists(sparse(rows), max_size=4))
+    right = draw(st.lists(sparse(cols), max_size=4))
+    return form, left, right
+
+
+@settings(max_examples=150, deadline=None)
+@given(pairing_case())
+def test_pairing_block_matches_per_entry_evaluation(case):
+    from bvbfv.linalg import vec_dot
+    from bvbfv.moduli import _pairing_block
+
+    form, left, right = case
+    want = RatMatrix(len(left), len(right))
+    for i, x in enumerate(left):
+        for j, y in enumerate(right):
+            want[i, j] = vec_dot(x, form.matvec(y))
+    got = _pairing_block(form, left, right)
+    assert got == want
+    assert all(type(v) is Fraction and v for v in got.entries.values())
 
 
 @pytest.mark.parametrize("theory,name", [
