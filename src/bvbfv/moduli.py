@@ -15,6 +15,12 @@ dim pi(ker Q) = sum_g (dim ker q(g) - dim ker q_vert(g)); pi of a Q-exact
 vector is Q_bdry-exact, so the reduced L is the sum of the images of psi.
 The induced vacua form pairs ghost g only with ghost c - g, so its kernel
 splits by ghost and its core is counted one ghost at a time.
+
+Literal regularity needs no complement either.  Under a nondegenerate
+symmetric or antisymmetric form on Q^n, X^perp is one space of dimension
+n - dim X, so X^perp = Y exactly when dim Y = n - dim X and omega(Y, X) = 0.
+dim Im at ghost g is dim ker - dim H, the quotient having checked Im inside
+ker, and the columns of the map into ghost g span Y for the product.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ from .linalg import (
     RatMatrix,
     Subspace,
     _left_inverse,
+    _plus_minus_symmetric,
     column_span,
     image_basis,
     kernel_basis,
@@ -38,7 +45,6 @@ from .linalg import (
     quotient,
     solve,
     classify_subspace,
-    two_sided_complement,
     vec_dot,
 )
 from .theories import LinearTheory
@@ -595,53 +601,47 @@ def regularity(model: ReducedModel):
     identities
       ker(Q)^perp = Im(Q^vert), ker(Q^vert)^perp = Im(Q),
       ker(Q_bdry)^perp = Im(Q_bdry)
-    against the nondegenerate field-level pairings, with every space read
-    off the model's pieces.  Cup models have no field-level pairing to
-    check; moduli_report gives them the reduced-level surrogate."""
+    against the field-level pairings, each decided by a dimension count and
+    one product (see the module docstring); a pairing that is degenerate or
+    not +-symmetric is refused.  The witness names the first identity that
+    fails and its gap (n - dim X) - dim Y, or at gap 0 the slot (sector,
+    degree, local index) of the first column of Y not orthogonal to X.  Cup
+    models have no field-level pairing to check; moduli_report gives them
+    the reduced-level surrogate."""
     t = model.t
     if t.model != "cotangent":
         raise ModuliError("literal regularity needs a cotangent model")
-    p = PairingForm(t.bulk.total, t.bulk.total, t.omega)
-    im_q = model.im_q
-    kerq_perp = two_sided_complement(p, model.ker_q)
+    for form, n in ((t.omega, t.bulk.total), (t.omega_bdry, t.bdry.total)):
+        if not (_plus_minus_symmetric(form) and PairingForm(n, n, form).nondegenerate()):
+            raise ModuliError("literal regularity needs nondegenerate +-symmetric pairings")
     # Q^vert = Q on ker pi: its images q(g) K[g] are the ones M_symp divides out
-    im_qv = model.msymp.flat_image()
-    ker_qv = Subspace._of(t.bulk.total, [
-        model.bulk.flat(g, model.K[g].matvec(b))
-        for g in model.ghosts for b in model.vert.kernel(g).basis])
-    kerqv_perp = two_sided_complement(p, ker_qv)
-    checks = {
-        "ker_q_perp_is_im_q_vert": kerq_perp == im_qv,
-        "ker_q_vert_perp_is_im_q": kerqv_perp == im_q,
-        "bdry_ker_perp_is_im": True,
-    }
-    if t.bdry.total:
-        pb = PairingForm(t.bdry.total, t.bdry.total, t.omega_bdry)
-        checks["bdry_ker_perp_is_im"] = \
-            two_sided_complement(pb, model.bdry.flat_kernel()) == model.bdry.flat_image()
-    witness = None
-    if not checks["ker_q_perp_is_im_q_vert"]:
-        witness = _witness(kerq_perp, im_qv, t)
-    elif not checks["ker_q_vert_perp_is_im_q"]:
-        witness = _witness(kerqv_perp, im_q, t)
+    ker_qv = [model.bulk.flat(g, model.K[g].matvec(b))
+              for g in model.ghosts for b in model.vert.kernel(g).basis]
+    ker_qb = model.bdry.flat_kernel().basis
+    defects = {name: _perp_defect(model.ghosts, *args) for name, args in (
+        ("ker_q_perp_is_im_q_vert", (t.omega, t.bulk, model.ker_q.basis, model.msymp)),
+        ("ker_q_vert_perp_is_im_q", (t.omega, t.bulk, ker_qv, model.bulk)),
+        ("bdry_ker_perp_is_im", (t.omega_bdry, t.bdry, ker_qb, model.bdry)))}
+    checks = {name: d is None for name, d in defects.items()}
+    witness = next(({"identity": name, **d} for name, d in defects.items() if d), None)
     return {"mode": "literal", "checks": checks,
             "regular": all(checks.values()), "witness": witness}
 
 
-def _witness(bigger: Subspace, smaller: Subspace, t: LinearTheory):
-    for b in bigger.basis:
-        if not smaller.contains(b):
-            i = min(b)
-            slot, local = t.bulk.slot_of(i)
-            return (f"vector supported on ({slot['sector']},{slot['degree']}) "
-                    f"local index {local} lies in the complement but not the image")
-    for b in smaller.basis:
-        if not bigger.contains(b):
-            i = min(b)
-            slot, local = t.bulk.slot_of(i)
-            return (f"image vector on ({slot['sector']},{slot['degree']}) "
-                    f"local index {local} is not orthogonal")
-    return None
+def _perp_defect(ghosts, form, space, ker, im):
+    """None when ker^perp (ker a flat basis, form on the field space `space`)
+    is the image that the piece im divides out; otherwise the gap, or the
+    slot of the first spanning column of that image not orthogonal to ker."""
+    gap = space.total - len(ker) - sum(im.kernel(g).dim - im.h_dim(g) for g in ghosts)
+    if gap:
+        return {"gap": gap}
+    cols = [im.flat(g, c) for g in ghosts if g in im.ins
+            for c in im.ins[g].transpose().sparse_rows()]
+    block = _pairing_block(form, cols, ker)
+    if block.is_zero():
+        return None
+    slot, local = space.slot_of(min(cols[min(i for i, _ in block.entries)]))
+    return {"slot": (slot["sector"], slot["degree"], local)}
 
 
 def q_self_adjoint_defect(t: LinearTheory) -> RatMatrix:

@@ -262,9 +262,10 @@ def test_ed_sector_formulas_on_corpus(name, ):
         assert fc["A_sector"]["model_dependent"]
 
 
-def test_regularity_negative_witness():
+def broken_q_torus():
+    """ed on the torus with the block c+ <- A+ (the chain boundary) of Q
+    dropped, which leaves Q^2 = 0."""
     t = build_electrodynamics(corpus.torus())
-    # drop the block c+ <- A+ (the chain boundary), leaving Q^2 = 0
     bad = t.Q.copy()
     off_r = t.bulk.offset("c+", 0)
     off_c = t.bulk.offset("A+", 1)
@@ -273,6 +274,11 @@ def test_regularity_negative_witness():
                 off_c <= j < off_c + t.bulk.dim("A+", 1):
             bad[i, j] = 0
     t.Q = bad
+    return t
+
+
+def test_regularity_negative_witness():
+    t = broken_q_torus()
     assert (t.Q * t.Q).is_zero()
     rep = regularity(ReducedModel(t))
     assert not rep["regular"]
@@ -886,3 +892,160 @@ def test_gh0_slice_matches_moduli_report(theory, name):
     rep = moduli_report(ReducedModel(t))
     assert sl["el_dim"] == rep["el_dims"].get(0, 0)
     assert sl["moduli_dim"] == rep["moduli_dims"].get(0, 0)
+
+
+# --- literal regularity against the complement route ---------------------------
+
+
+def complement_route_checks(model):
+    """The literal regularity checks decided in the flat field spaces: each
+    perp as a two-sided complement, compared with a basis of the image."""
+    from bvbfv.linalg import PairingForm, two_sided_complement
+
+    t = model.t
+    p = PairingForm(t.bulk.total, t.bulk.total, t.omega)
+    ker_qv = Subspace._of(t.bulk.total, [
+        model.bulk.flat(g, model.K[g].matvec(b))
+        for g in model.ghosts for b in model.vert.kernel(g).basis])
+    checks = {
+        "ker_q_perp_is_im_q_vert":
+            two_sided_complement(p, model.ker_q) == model.msymp.flat_image(),
+        "ker_q_vert_perp_is_im_q": two_sided_complement(p, ker_qv) == model.im_q,
+        "bdry_ker_perp_is_im": True,
+    }
+    if t.bdry.total:
+        pb = PairingForm(t.bdry.total, t.bdry.total, t.omega_bdry)
+        checks["bdry_ker_perp_is_im"] = \
+            two_sided_complement(pb, model.bdry.flat_kernel()) == model.bdry.flat_image()
+    return checks
+
+
+def with_changed_pair(t, form, change, pick=min):
+    """t with change(w, i, j) applied to a copy w of its pairing `form`, at
+    the first (pick=min) or last (pick=max) entry (i, j) with i < j."""
+    w = getattr(t, form).copy()
+    change(w, *pick(ij for ij in w.entries if ij[0] < ij[1]))
+    setattr(t, form, w)
+    return t
+
+
+def negate_pair(w, i, j):
+    # still nondegenerate and symmetric, so only the products can tell it
+    w[i, j], w[j, i] = -w[i, j], -w[j, i]
+
+
+def drop_pair(w, i, j):
+    w[i, j] = w[j, i] = 0
+
+
+def negate_one_entry(w, i, j):
+    w[i, j] = -w[i, j]
+
+
+def regularity_cases():
+    """Every scalar and ed corpus pair and the subdivided copies of those of
+    dimension <= 2, the massive scalar, the broken-Q torus, and the torus
+    and the sphere with one omega pair negated."""
+    out = {}
+    for theory, name in corpus_pairs():
+        if theory in ("scalar", "ed"):
+            build = THEORY_BUILDERS[theory]
+            cx = corpus.BUILDERS[name]()
+            out[f"{theory}-{name}"] = lambda b=build, n=name: b(corpus.BUILDERS[n]())
+            if cx.dimension <= 2:
+                out[f"{theory}-{name}-subdivided"] = \
+                    lambda b=build, n=name: b(corpus.subdivide(corpus.BUILDERS[n]()))
+    for name in ("circle", "disk"):
+        out[f"scalar-{name}-mass-3/2"] = \
+            lambda n=name: build_scalar(corpus.BUILDERS[n](), Fraction(3, 2))
+    out["ed-torus-broken-q"] = broken_q_torus
+    for theory in ("scalar", "ed"):
+        for name in ("torus", "sphere"):
+            for which, pick in (("first", min), ("last", max)):
+                out[f"{theory}-{name}-{which}-omega-pair-negated"] = \
+                    lambda b=THEORY_BUILDERS[theory], n=name, p=pick: \
+                    with_changed_pair(b(corpus.BUILDERS[n]()), "omega", negate_pair, p)
+    return out
+
+
+REGULARITY_CASES = regularity_cases()
+
+
+@pytest.mark.parametrize("case", REGULARITY_CASES)
+def test_regularity_matches_the_complement_route(case):
+    model = ReducedModel(REGULARITY_CASES[case]())
+    rep = regularity(model)
+    assert rep["checks"] == complement_route_checks(model)
+    assert rep["regular"] == all(rep["checks"].values())
+    assert (rep["witness"] is None) == rep["regular"]
+    if rep["witness"] is not None:
+        assert not rep["checks"][rep["witness"]["identity"]]
+
+
+def test_regularity_cases_reach_both_inclusion_verdicts():
+    # the negated pairs keep every dimension, so the products decide
+    verdicts = set()
+    for case, build in REGULARITY_CASES.items():
+        if case.endswith("omega-pair-negated"):
+            rep = regularity(ReducedModel(build()))
+            assert rep["regular"] or "slot" in rep["witness"]
+            verdicts.add(rep["regular"])
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("theory,name", [
+    ("scalar", "disk"), ("ed", "disk"), ("scalar", "solid_torus"), ("ed", "solid_torus")])
+def test_regularity_witness_gap_is_the_complement_gap(theory, name):
+    from bvbfv.linalg import PairingForm, two_sided_complement
+
+    model = ReducedModel(build_pair(theory, name))
+    t = model.t
+    p = PairingForm(t.bulk.total, t.bulk.total, t.omega)
+    gap = two_sided_complement(p, model.ker_q).dim - model.msymp.flat_image().dim
+    assert gap > 0
+    assert regularity(model)["witness"] == {"identity": "ker_q_perp_is_im_q_vert", "gap": gap}
+
+
+@pytest.mark.parametrize("theory,name", [
+    ("scalar", "disk"), ("ed", "solid_torus"), ("ed", "torus")])
+def test_regularity_eliminates_nothing_after_the_report(theory, name, monkeypatch):
+    # once moduli_report has built the pieces, regularity reads every
+    # dimension off them and decides each inclusion by one product
+    import sys
+
+    from bvbfv import linalg
+
+    model = ReducedModel(build_pair(theory, name))
+    moduli_report(model)
+    calls = []
+    for fname in ("kernel_basis", "image_basis", "quotient", "_left_inverse",
+                  "two_sided_complement"):
+        orig = getattr(linalg, fname)
+
+        def recording(*args, _orig=orig, _name=fname):
+            calls.append(_name)
+            return _orig(*args)
+
+        for mod in list(sys.modules.values()):
+            if mod.__name__.startswith("bvbfv") and getattr(mod, fname, None) is orig:
+                monkeypatch.setattr(mod, fname, recording)
+    regularity(model)
+    assert calls == []
+
+
+@pytest.mark.parametrize("theory,name,form,change", [
+    ("scalar", "torus", "omega", drop_pair),
+    ("ed", "disk", "omega", drop_pair),
+    ("scalar", "interval", "omega_bdry", drop_pair),
+    ("scalar", "torus", "omega", negate_one_entry),
+    ("ed", "solid_torus", "omega_bdry", negate_one_entry),
+], ids=["scalar-torus-degenerate", "ed-disk-degenerate", "scalar-interval-bdry-degenerate",
+        "scalar-torus-not-symmetric", "ed-solid_torus-bdry-not-antisymmetric"])
+def test_regularity_refuses_a_pairing_it_cannot_count_against(theory, name, form, change):
+    # the counts need a nondegenerate pairing, and the one-sided product a
+    # symmetric or antisymmetric one
+    from bvbfv.moduli import ModuliError
+
+    t = with_changed_pair(build_pair(theory, name), form, change)
+    with pytest.raises(ModuliError):
+        regularity(ReducedModel(t))
