@@ -8,7 +8,6 @@ from __future__ import annotations
 from .linalg import (
     RatMatrix,
     Subspace,
-    block_kernel,
     image_basis,
     kernel_basis,
     quotient,
@@ -54,7 +53,6 @@ class _GradedPiece:
         self.index = None
         self._pos = {}
         self._ker = {}
-        self._im = {}
         self._reps = {}
         self._coords = {}
 
@@ -84,15 +82,6 @@ class _GradedPiece:
         if g not in self._ker:
             self._ker[g] = kernel_basis(self.q(g))
         return self._ker[g]
-
-    def image(self, g):
-        """Im ins[g], the vectors divided out at g, eliminated on first use
-        (the flat image and the alt cohomology read it; reps does not)."""
-        if g not in self._im:
-            m = self.ins.get(g)
-            self._im[g] = Subspace.zero(self.dim(g)) if m is None or not m.cols \
-                else image_basis(m)
-        return self._im[g]
 
     def reps(self, g):
         """Representatives of the classes at g: a complement of the image
@@ -132,18 +121,6 @@ class _GradedPiece:
             self._pos[g] = {f: i for i, f in enumerate(self.index.get(g, ()))}
         pos = self._pos[g]
         return {pos[i]: x for i, x in v.items() if i in pos}
-
-    def flat_kernel(self):
-        """The kernel of the flat map, from the kernels at each ghost: equal
-        to its kernel_basis vector for vector (see `block_kernel`)."""
-        return block_kernel(sum(self.dims.values()), [
-            (self.kernel(g), idx) for g, idx in self.index.items()])
-
-    def flat_image(self):
-        """The images divided out at each ghost, as flat vectors."""
-        return Subspace._of(sum(self.dims.values()), [
-            self.flat(g, b) for g in self.index if self.dim(g)
-            for b in self.image(g).basis])
 
     def class_matrix(self, g, vectors):
         m = RatMatrix(self.h_dim(g), len(vectors))
@@ -206,7 +183,7 @@ class CochainComplex:
             ker = self.piece.kernel(k)
             alt = Subspace._of(ker.ambient_dim, ker.basis[::-1])
             alt._inv = ker._left_inv().reversed()
-            reps = quotient(alt, self.piece.image(k))[0].basis
+            reps = quotient(alt, self.d(k - 1).transpose().sparse_rows())[0].basis
         return len(reps), reps
 
     def betti(self):

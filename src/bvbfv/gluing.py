@@ -24,7 +24,7 @@ from .linalg import (
     kernel_basis,
     quotient,
 )
-from .moduli import ReducedModel, _ghost_piece
+from .moduli import ReducedModel, _cocycles, _ghost_piece
 from .simplicial import IncoherentOrientation, OrientedComplex, _perm_sign
 from .theories import FieldSpace, LinearTheory, set_block
 
@@ -249,12 +249,6 @@ def _fiber_product(rho_l, left, rho_r, right):
     return kernel_basis(RatMatrix.from_columns(cols, rho_l.rows))
 
 
-def _gh0_kernel(model: ReducedModel):
-    """The ghost-zero Euler-Lagrange fields as flat bulk vectors."""
-    return Subspace._of(model.t.bulk.total, [
-        model.bulk.flat(0, b) for b in model.bulk.kernel(0).basis])
-
-
 def fiber_product_check(gl: Gluing):
     """dim EL of the glued theory equals the dimension of the fiber product
     of the pieces' EL spaces over the interface fields.
@@ -264,18 +258,17 @@ def fiber_product_check(gl: Gluing):
     compared in the ghost-zero sector: their chain-model antifield homes
     carry interface-supported coordinates whose identification is a quotient
     rather than a matching condition, so only the classical sector has a
-    discrete fiber-product statement.
+    discrete fiber-product statement.  rho keeps the ghost number, so the
+    fiber product is counted one ghost at a time.
     """
-    if gl.left.t.model == "cotangent":
-        el_n = _gh0_kernel(gl.glued).dim
-        el_l, el_r = _gh0_kernel(gl.left), _gh0_kernel(gl.right)
-    else:
-        el_n = gl.glued.ker_q.dim
-        el_l, el_r = gl.left.ker_q, gl.right.ker_q
+    ghosts = [0] if gl.left.t.model == "cotangent" else \
+        sorted({g for m in (gl.glued, gl.left, gl.right) for g in m.ghosts})
     rho_l, rho_r = gl.rho
     if rho_l.rows != rho_r.rows:
         raise GluingError("interface field spaces disagree")
-    fp_dim = _fiber_product(rho_l, el_l.basis, rho_r, el_r.basis).dim
+    el_n = sum(gl.glued.bulk.kernel(g).dim for g in ghosts)
+    fp_dim = sum(_fiber_product(rho_l, _cocycles(gl.left.bulk, [g]),
+                                rho_r, _cocycles(gl.right.bulk, [g])).dim for g in ghosts)
     return {"el_glued_dim": el_n, "fiber_product_dim": fp_dim,
             "match": el_n == fp_dim}
 

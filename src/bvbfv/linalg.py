@@ -737,27 +737,6 @@ def kernel_basis(m: RatMatrix) -> Subspace:
     return s
 
 
-def block_kernel(ambient_dim, parts) -> Subspace:
-    """kernel_basis of a map whose column blocks meet disjoint row blocks,
-    from the kernels of the blocks, with no elimination.  parts holds pairs
-    (kernel_basis(block), the block's columns in Q^ambient_dim), with the
-    columns, and the rows each block keeps, in increasing order.  The whole
-    elimination then restricts to each block's, so the embedded kernel
-    vectors, sorted by free column, are kernel_basis of the map, and the
-    preset left inverses carry over."""
-    vecs = []
-    for ker, cols in parts:
-        inv = ker._left_inv()
-        for b, num, d in zip(ker.basis, inv.nums, inv.dens):
-            ((f, e),) = num.items()
-            vecs.append((cols[f], e, d, {cols[i]: x for i, x in b.items()}))
-    vecs.sort(key=lambda t: t[0])
-    s = Subspace._of(ambient_dim, [b for *_, b in vecs])
-    s._inv = _LeftInverse([{f: e} for f, e, _, _ in vecs], [d for _, _, d, _ in vecs],
-                          ambient_dim)
-    return s
-
-
 def image_basis(m: RatMatrix) -> Subspace:
     """Basis of the column space of m: the columns of m that are pivot rows
     of one elimination of m's transpose.  That elimination visits the rows

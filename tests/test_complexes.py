@@ -49,3 +49,22 @@ def test_euler_characteristic_every_corpus_complex():
         assert cc.euler_characteristic() == sum(
             (-1) ** k * b for k, b in betti.items()
         ), name
+
+
+@pytest.mark.parametrize("name", sorted(corpus.BUILDERS))
+def test_alt_cohomology_matches_the_image_basis_route(name):
+    # the alt representatives complement the columns of the differential
+    # into each degree; the complement depends only on their span, so it is
+    # the one against an eliminated image basis
+    from bvbfv.linalg import Subspace, image_basis, quotient
+
+    cx = corpus.BUILDERS[name]()
+    relc, _, _ = cx.relative_complex()
+    for cc in (cx.cochain_complex(), cx.boundary_complex().cochain_complex(), relc):
+        for k in cc.degrees():
+            ker = cc.piece.kernel(k)
+            alt = Subspace._of(ker.ambient_dim, ker.basis[::-1])
+            alt._inv = ker._left_inv().reversed()
+            want = quotient(alt, image_basis(cc.d(k - 1)))[0].basis if cc.piece.reps(k) \
+                else cc.piece.reps(k)
+            assert cc.cohomology(k, "alt")[1] == want

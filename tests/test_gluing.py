@@ -13,8 +13,14 @@ from bvbfv.gluing import (
     glue_moduli,
     mayer_vietoris,
 )
+from bvbfv.linalg import RatMatrix, kernel_basis
 from bvbfv.moduli import ReducedModel
-from bvbfv.theories import build_abelian_bf, build_abelian_cs, build_scalar
+from bvbfv.theories import (
+    build_abelian_bf,
+    build_abelian_cs,
+    build_electrodynamics,
+    build_scalar,
+)
 
 
 def solid_torus_boundary_vertex():
@@ -192,7 +198,65 @@ def test_fiber_product_empty_interface_is_direct_sum():
     tn = ReducedModel(build_abelian_bf(cx))
     out = fiber_product_check(Gluing(spec, tn, tl, tl))
     assert out["match"]
-    assert out["el_glued_dim"] == out["fiber_product_dim"] == 2 * tl.ker_q.dim
+    assert out["el_glued_dim"] == out["fiber_product_dim"] == 2 * kernel_basis(tl.t.Q).dim
+
+
+def flat_fiber_product_check(gl):
+    """fiber_product_check decided in the flat bulk spaces: the kernel of the
+    flat Q (of its ghost-zero columns on a cotangent model) of each piece,
+    and one kernel of [rho_l L | -rho_r R] over all of them."""
+    def el(model):
+        t = model.t
+        cols = t.bulk.ghost_indices(0) if t.model == "cotangent" \
+            else list(range(t.bulk.total))
+        ker = kernel_basis(t.Q.submatrix(list(range(t.Q.rows)), cols))
+        return [{cols[i]: v for i, v in b.items()} for b in ker.basis]
+
+    rho_l, rho_r = gl.rho
+    cols = [rho_l.matvec(v) for v in el(gl.left)] + \
+        [{i: -x for i, x in rho_r.matvec(v).items()} for v in el(gl.right)]
+    el_n = len(el(gl.glued))
+    fp_dim = kernel_basis(RatMatrix.from_columns(cols, rho_l.rows)).dim
+    return {"el_glued_dim": el_n, "fiber_product_dim": fp_dim, "match": el_n == fp_dim}
+
+
+def spec_empty_interface():
+    c1 = corpus.circle()
+    return GluingSpec(c1, c1, [])
+
+
+def fiber_product_cases():
+    """bf, cs, scalar and ed on both Heegaard splittings, bf and cs on the
+    gluings with an outer boundary and on the closed gluings, each as given
+    and subdivided, the scalar on two intervals, and bf and cs on two
+    circles glued along nothing."""
+    builds = {"bf": build_abelian_bf, "cs": build_abelian_cs, "scalar": build_scalar,
+              "ed": build_electrodynamics}
+    out = {}
+    for make in (spec_s3, spec_s2xs1):
+        for theory, build in builds.items():
+            out[f"{theory}-{make.__name__}"] = \
+                lambda m=make, b=build: gluing(m()[0], b)
+    for make in (spec_intervals, spec_cylinders, spec_cap, spec_circle, spec_torus):
+        for theory in ("bf", "cs"):
+            for carry in ("plain", "subdivided"):
+                out[f"{theory}-{make.__name__}-{carry}"] = \
+                    lambda m=make, b=builds[theory], c=carry: \
+                    gluing(subdivided(m()) if c == "subdivided" else m(), b)
+    out["scalar-spec_intervals"] = lambda: gluing(spec_intervals(), build_scalar)
+    for theory in ("bf", "cs"):
+        out[f"{theory}-spec_empty_interface"] = \
+            lambda b=builds[theory]: gluing(spec_empty_interface(), b)
+    return out
+
+
+FIBER_PRODUCT_CASES = fiber_product_cases()
+
+
+@pytest.mark.parametrize("case", FIBER_PRODUCT_CASES)
+def test_fiber_product_matches_the_flat_route(case):
+    gl = FIBER_PRODUCT_CASES[case]()
+    assert fiber_product_check(gl) == flat_fiber_product_check(gl)
 
 
 # --- glued moduli -----------------------------------------------------------------

@@ -510,7 +510,8 @@ def test_class_coords_match_a_fresh_solve(graded_pieces):
     for piece, degrees in graded_pieces:
         for g in degrees:
             reps = piece.reps(g)
-            im = piece.image(g).basis if piece.dim(g) else []
+            m = piece.ins.get(g)
+            im = image_basis(m).basis if m is not None and piece.dim(g) else []
             mat = RatMatrix.from_columns(list(reps) + list(im), piece.dim(g))
             mixed = {}
             for k, b in enumerate(list(reps) + list(im)):
@@ -601,7 +602,7 @@ def test_cmd_moduli_builds_one_reduced_model(monkeypatch, tmp_path):
     assert built == ["electrodynamics"]
 
 
-# --- the flat kernel and image, the vacua core, exactness of coordinates ----
+# --- the vacua core, the flat routes, exactness of coordinates ---------------
 
 
 def corpus_pairs():
@@ -620,35 +621,14 @@ def corpus_pairs():
     return out
 
 
-def build_pair(theory, name):
-    cx = corpus.BUILDERS[name]()
+def build_cx(theory, cx):
     if theory == "bf":
         return build_abelian_bf(cx, max(cx.dimension, 1))
     return THEORY_BUILDERS[theory](cx)
 
 
-@pytest.mark.parametrize("theory,name", corpus_pairs())
-def test_flat_ker_q_and_im_q_match_flat_eliminations(theory, name):
-    # ker_q and im_q are put together from the per-ghost pieces; they must
-    # be what one elimination of the flat Q gives
-    t = build_pair(theory, name)
-    model = ReducedModel(t)
-    flat = kernel_basis(t.Q)
-    assert model.ker_q.basis == flat.basis
-    got, want = model.ker_q._left_inv(), flat._left_inv()
-    assert (got.nums, got.dens) == (want.nums, want.dens)
-    assert model.im_q == image_basis(t.Q)
-    # the same for the boundary piece against Q_bdry
-    ker_b, flat_b = model.bdry.flat_kernel(), kernel_basis(t.Q_bdry)
-    assert ker_b.ambient_dim == flat_b.ambient_dim
-    assert ker_b.basis == flat_b.basis
-    got, want = ker_b._left_inv(), flat_b._left_inv()
-    assert (got.nums, got.dens) == (want.nums, want.dens)
-    assert model.bdry.flat_image() == image_basis(t.Q_bdry)
-    # M_symp divides out Q(ker pi): the flat Q of the embedded K columns
-    qk = [t.Q.matvec(model.bulk.flat(g, k))
-          for g in model.ghosts for k in model.K[g].transpose().sparse_rows()]
-    assert model.msymp.flat_image() == column_span(qk, t.bulk.total)
+def build_pair(theory, name):
+    return build_cx(theory, corpus.BUILDERS[name]())
 
 
 @pytest.mark.parametrize("theory,name", corpus_pairs())
@@ -697,7 +677,7 @@ def test_evolution_relation_matches_the_flat_route(theory, name):
 
     model = ReducedModel(build_any(theory, name))
     t = model.t
-    flat_l = column_span([t.pi.matvec(b) for b in model.ker_q.basis], t.bdry.total)
+    flat_l = column_span([t.pi.matvec(b) for b in kernel_basis(t.Q).basis], t.bdry.total)
     layout = _bdry_sum(model)
     flat_reduced = column_span([layout.classes(model.bdry, b) for b in flat_l.basis],
                                layout.total)
@@ -897,6 +877,14 @@ def test_gh0_slice_matches_moduli_report(theory, name):
 # --- literal regularity against the complement route ---------------------------
 
 
+def flat_im_q_vert(model):
+    """Im Q^vert in the flat bulk space: the column span of Q K, with the
+    columns of each K[g] embedded at ghost g."""
+    t = model.t
+    return column_span([t.Q.matvec(model.bulk.flat(g, k)) for g in model.ghosts
+                        for k in model.K[g].transpose().sparse_rows()], t.bulk.total)
+
+
 def complement_route_checks(model):
     """The literal regularity checks decided in the flat field spaces: each
     perp as a two-sided complement, compared with a basis of the image."""
@@ -909,14 +897,14 @@ def complement_route_checks(model):
         for g in model.ghosts for b in model.vert.kernel(g).basis])
     checks = {
         "ker_q_perp_is_im_q_vert":
-            two_sided_complement(p, model.ker_q) == model.msymp.flat_image(),
-        "ker_q_vert_perp_is_im_q": two_sided_complement(p, ker_qv) == model.im_q,
+            two_sided_complement(p, kernel_basis(t.Q)) == flat_im_q_vert(model),
+        "ker_q_vert_perp_is_im_q": two_sided_complement(p, ker_qv) == image_basis(t.Q),
         "bdry_ker_perp_is_im": True,
     }
     if t.bdry.total:
         pb = PairingForm(t.bdry.total, t.bdry.total, t.omega_bdry)
         checks["bdry_ker_perp_is_im"] = \
-            two_sided_complement(pb, model.bdry.flat_kernel()) == model.bdry.flat_image()
+            two_sided_complement(pb, kernel_basis(t.Q_bdry)) == image_basis(t.Q_bdry)
     return checks
 
 
@@ -1001,7 +989,7 @@ def test_regularity_witness_gap_is_the_complement_gap(theory, name):
     model = ReducedModel(build_pair(theory, name))
     t = model.t
     p = PairingForm(t.bulk.total, t.bulk.total, t.omega)
-    gap = two_sided_complement(p, model.ker_q).dim - model.msymp.flat_image().dim
+    gap = two_sided_complement(p, kernel_basis(t.Q)).dim - flat_im_q_vert(model).dim
     assert gap > 0
     assert regularity(model)["witness"] == {"identity": "ker_q_perp_is_im_q_vert", "gap": gap}
 
@@ -1009,8 +997,9 @@ def test_regularity_witness_gap_is_the_complement_gap(theory, name):
 @pytest.mark.parametrize("theory,name", [
     ("scalar", "disk"), ("ed", "solid_torus"), ("ed", "torus")])
 def test_regularity_eliminates_nothing_after_the_report(theory, name, monkeypatch):
-    # once moduli_report has built the pieces, regularity reads every
-    # dimension off them and decides each inclusion by one product
+    # once moduli_report has built the pieces, regularity and the symplectic
+    # agreement of q_reduce read every dimension off them and decide each
+    # inclusion by one product
     import sys
 
     from bvbfv import linalg
@@ -1018,19 +1007,44 @@ def test_regularity_eliminates_nothing_after_the_report(theory, name, monkeypatc
     model = ReducedModel(build_pair(theory, name))
     moduli_report(model)
     calls = []
+
+    def recorded(name, orig):
+        def recording(*args):
+            calls.append(name)
+            return orig(*args)
+        return recording
+
     for fname in ("kernel_basis", "image_basis", "quotient", "_left_inverse",
-                  "two_sided_complement"):
+                  "two_sided_complement", "orthogonal_complement"):
         orig = getattr(linalg, fname)
-
-        def recording(*args, _orig=orig, _name=fname):
-            calls.append(_name)
-            return _orig(*args)
-
         for mod in list(sys.modules.values()):
             if mod.__name__.startswith("bvbfv") and getattr(mod, fname, None) is orig:
-                monkeypatch.setattr(mod, fname, recording)
+                monkeypatch.setattr(mod, fname, recorded(fname, orig))
+    monkeypatch.setattr(linalg.Subspace, "intersect",
+                        recorded("intersect", linalg.Subspace.intersect))
     regularity(model)
+    q_reduce(model)
     assert calls == []
+
+
+@pytest.mark.parametrize("theory,name", [("scalar", "torus"), ("ed", "torus")])
+def test_moduli_report_ranks_the_bulk_omega_once(theory, name, monkeypatch):
+    # q_reduce and regularity both need omega nondegenerate; the model
+    # decides it once for both
+    from bvbfv import linalg
+
+    t = build_pair(theory, name)
+    ranked = []
+    rank = linalg.RatMatrix.rank
+
+    def recording(self):
+        ranked.append(self is t.omega)
+        return rank(self)
+
+    monkeypatch.setattr(linalg.RatMatrix, "rank", recording)
+    rep = moduli_report(ReducedModel(t))
+    assert rep["symp_reduction_agrees"] is not None and rep["regularity"]["regular"]
+    assert ranked.count(True) == 1
 
 
 @pytest.mark.parametrize("theory,name,form,change", [
@@ -1049,3 +1063,63 @@ def test_regularity_refuses_a_pairing_it_cannot_count_against(theory, name, form
     t = with_changed_pair(build_pair(theory, name), form, change)
     with pytest.raises(ModuliError):
         regularity(ReducedModel(t))
+
+
+# --- the symplectic reduction of EL against the flat route ---------------------
+
+
+def flat_symp_reduction_agrees(t):
+    """q_reduce's verdict decided in the flat bulk space: EL cap EL^perp,
+    from kernel_basis(Q) and its left complement, against image_basis(Q);
+    None where q_reduce makes no check."""
+    from bvbfv.linalg import PairingForm, orthogonal_complement
+
+    if not (t.cx.is_closed() and t.omega is not None):
+        return None
+    p = PairingForm(t.bulk.total, t.bulk.total, t.omega)
+    if not p.nondegenerate():
+        return None
+    el = kernel_basis(t.Q)
+    return el.intersect(orthogonal_complement(p, "left", el)) == image_basis(t.Q)
+
+
+def symp_reduction_cases():
+    """Every corpus pair and stratum, the broken-Q torus, the massive scalar,
+    bf, scalar and ed on the torus and the sphere with one omega pair or one
+    omega entry negated, and every closed corpus pair subdivided."""
+    out = {f"{theory}-{name}": lambda th=theory, n=name: build_any(th, n)
+           for theory, name in corpus_pairs() + stratum_pairs()}
+    out["ed-torus-broken-q"] = broken_q_torus
+    for name in ("circle", "disk"):
+        out[f"scalar-{name}-mass-3/2"] = \
+            lambda n=name: build_scalar(corpus.BUILDERS[n](), Fraction(3, 2))
+    changes = {"first-omega-pair-negated": (negate_pair, min),
+               "last-omega-pair-negated": (negate_pair, max),
+               "omega-entry-negated": (negate_one_entry, min)}
+    for theory in ("bf", "scalar", "ed"):
+        for name in ("torus", "sphere"):
+            for which, (change, pick) in changes.items():
+                out[f"{theory}-{name}-{which}"] = \
+                    lambda th=theory, n=name, c=change, p=pick: \
+                    with_changed_pair(build_pair(th, n), "omega", c, p)
+    for theory, name in corpus_pairs():
+        if corpus.BUILDERS[name]().is_closed():
+            out[f"{theory}-{name}-subdivided"] = lambda th=theory, n=name: build_cx(
+                th, corpus.subdivide(corpus.BUILDERS[n]()))
+    return out
+
+
+SYMP_REDUCTION_CASES = symp_reduction_cases()
+
+
+@pytest.mark.parametrize("case", SYMP_REDUCTION_CASES)
+def test_symp_reduction_agrees_matches_the_flat_route(case):
+    t = SYMP_REDUCTION_CASES[case]()
+    assert q_reduce(ReducedModel(t)).get("symp_reduction_agrees") == \
+        flat_symp_reduction_agrees(t)
+
+
+def test_symp_reduction_cases_reach_every_verdict():
+    verdicts = {q_reduce(ReducedModel(build())).get("symp_reduction_agrees")
+                for build in SYMP_REDUCTION_CASES.values()}
+    assert verdicts == {True, False, None}
