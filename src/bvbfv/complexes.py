@@ -134,15 +134,13 @@ class CochainComplex:
     """Finite cochain complex: components k -> dimension, differentials
     d_k : C^k -> C^{k+1}.  d.d = 0 is checked exactly on construction."""
 
-    def __init__(self, components, differentials, labels=None, check=True):
+    def __init__(self, components, differentials):
         self.components = {k: int(d) for k, d in components.items() if d}
         self.differentials = {}
         for k, m in differentials.items():
             if m is not None and not (m.rows == 0 and m.cols == 0):
                 self.differentials[k] = m
-        self.labels = labels or {}
-        if check:
-            self._validate()
+        self._validate()
         self.piece = _GradedPiece.of_differential(
             "cochain", self.components, self.differentials, 1)
 

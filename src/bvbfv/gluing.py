@@ -5,10 +5,10 @@ Mayer-Vietoris long exact sequences.
 
 One `Gluing` per glue op holds the spec and the ReducedModels of the glued
 theory and of its two pieces, built once by the caller, and builds on first
-use what the gluing phases share: the interface fields, the interface
-restrictions and their sections, and the restrictions to the pieces.  Each
-phase takes the `Gluing`; the models' pieces map each ghost block to flat
-coordinates.
+use what the gluing phases share: the interface fields and their relative
+rows, the interface restrictions and their sections, and the restrictions
+to the pieces.  Each phase takes the `Gluing`; the models' pieces map each
+ghost block to flat coordinates.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .linalg import (
     kernel_basis,
     quotient,
 )
-from .moduli import ReducedModel, _cocycles, _ghost_piece
+from .moduli import ReducedModel, _cocycles, _ghost_piece, _unread
 from .simplicial import IncoherentOrientation, OrientedComplex, _perm_sign
 from .theories import FieldSpace, LinearTheory, set_block
 
@@ -200,6 +200,21 @@ class Gluing:
         return fs
 
     @cached_property
+    def _relative_rows(self):
+        """Per ghost, the rows of `fields` on the interior faces of the
+        interface: the relative cochains C(Sigma, dSigma).  A face on dSigma
+        stays on the outer boundary of the glued complex: it is not gauge."""
+        iface = self.spec.interface
+        interior = {k: set(iface.interior_faces(k)) for k in range(iface.dimension + 1)}
+        out = {}
+        for slot in self.fields.slots:
+            k = slot["degree"]
+            off = self.fields.offset(slot["sector"], k)
+            out.setdefault(slot["ghost"], []).extend(
+                off + i for i, f in enumerate(iface.faces(k)) if f in interior[k])
+        return out
+
+    @cached_property
     def rho(self):
         """The (left, right) restrictions of the pieces' bulk fields to the
         interface: onto `fields` for cup models, onto the interface rows
@@ -216,14 +231,10 @@ class Gluing:
     def sections(self):
         """rho^T for each side, a section of rho: each interface coordinate
         extended by zero into the bulk.  Holds when every row of rho is a
-        single +-1 entry on its own column, checked as rho rho^T = I."""
-        out = []
+        single +-1 entry on its own column (see `_unread`)."""
         for rho in self.rho:
-            sec = rho.transpose()
-            if rho * sec != RatMatrix.identity(rho.rows):
-                raise GluingError("interface restriction row is not a single face")
-            out.append(sec)
-        return tuple(out)
+            _unread(rho, GluingError("interface restriction row is not a single face"))
+        return tuple(rho.transpose() for rho in self.rho)
 
     @cached_property
     def res(self):
@@ -288,8 +299,9 @@ def glue_moduli(gl: Gluing):
 
       (i)  the fiber product of the pieces' symplectic moduli over the
            interface Euler-Lagrange fields,
-      (ii) the quotient by the distribution generated by interface boundary
-           fields through the beta maps,
+      (ii) the quotient by the distribution generated by the interface
+           fields that vanish on the boundary of the interface, the
+           relative cochains C(Sigma, dSigma), through the beta maps,
 
     compared with the direct computation on the glued complex through an
     explicit isomorphism that also intertwines the bulk pairings with the
@@ -317,7 +329,7 @@ def glue_moduli(gl: Gluing):
         mt, na = target
         if mt.dim == 0:
             continue
-        for row in gl.fields.ghost_indices(g):
+        for row in gl._relative_rows.get(g, []):
             vec = _stack(_beta_value(model_left, sec_l, row, g),
                          _beta_value(model_right, sec_r, row, g), na)
             if vec:
@@ -483,14 +495,17 @@ def mayer_vietoris(gl: Gluing):
 
 def _outer_piece(model: ReducedModel, iface_verts):
     """ker Q / Q(V) of a piece, with V the bulk fields that vanish on the
-    outer (non-interface) part of its boundary."""
+    outer (non-interface) part of its boundary: per ghost, the unit vectors
+    of the bulk coordinates that the outer rows of pi do not read."""
     t = model.t
-    outer_rows = [row for row, _, verts in _boundary_faces(t)
-                  if not set(verts) <= iface_verts]
+    outer = {row for row, _, verts in _boundary_faces(t) if not set(verts) <= iface_verts}
     vert = {}
     for g, idx in model.bulk.index.items():
         if idx:
-            vert[g] = kernel_basis(t.pi.submatrix(outer_rows, idx)).matrix()
+            rows = [row for row in model.bdry.index[g] if row in outer]
+            cols = _unread(t.pi.submatrix(rows, idx),
+                           GluingError("outer restriction row is not a single face"))
+            vert[g] = RatMatrix.from_columns([{j: 1} for j in cols], len(idx))
     return model.modulo_q("partially reduced", vert)
 
 

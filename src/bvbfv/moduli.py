@@ -5,8 +5,14 @@ LinearTheory, as exact rational linear algebra.
 
 Every phase takes the theory's one ReducedModel: its bulk, boundary and
 vertical pieces are the BV-BFV data (Q, pi, Q_bdry) reduced once per ghost
-number, and each phase reads what it needs off them.  The bulk and boundary
-pieces own the layout of each ghost in the flat field spaces.
+number, and each phase reads what it needs off them.  Each piece owns the
+layout of its ghosts in a flat field space.
+
+pi restricts fields to boundary faces, so it is a coordinate projection:
+each row is a single +-1 on a bulk coordinate of its own (`_unread` checks
+this).  So the vertical piece ker pi is cut out of the flat bulk space by
+the coordinates that pi does not read, and pi^T lifts; no block of pi is
+eliminated.
 
 The evolution relation and the vacua are computed on classes, off the
 pieces and the tangent LES, with no elimination in the flat spaces.  The
@@ -28,18 +34,15 @@ omega(Im Q, ker Q) = 0.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
 
 from .complexes import ExactSequenceReport, _GradedPiece
 from .linalg import (
-    LinalgError,
     NotLagrangian,
     NotTransversal,
     PairingForm,
     RatMatrix,
     Subspace,
-    _left_inverse,
     _plus_minus_symmetric,
     column_span,
     image_basis,
@@ -65,6 +68,19 @@ def _ghost_piece(name, m, idx):
     piece = _GradedPiece.of_differential(name, dims, blocks, -1, ModuliError)
     piece.index = idx
     return piece
+
+
+def _unread(m, error):
+    """The columns that m does not read, in increasing order, when each row
+    of m is a single +-1 on a column of its own; raises error otherwise.
+    Such an m is a coordinate projection: m m^T = I, and ker m is spanned
+    by the unit vectors of the unread columns."""
+    read = set()
+    for row in m.sparse_rows():
+        if len(row) != 1 or row.keys() <= read or abs(next(iter(row.values()))) != 1:
+            raise error
+        read.update(row)
+    return [j for j in range(m.cols) if j not in read]
 
 
 def _pairing_block(form, left, right):
@@ -106,10 +122,10 @@ class ReducedModel:
     """Per-ghost reduction data for a LinearTheory: bulk, boundary and
     vertical complexes with representatives, the maps chi/psi/beta on
     cohomology, and the three Lefschetz pairings.  The vertical half is
-    built on first use, so a phase that reads only the bulk and boundary
-    pieces (the ghost-zero slice) does not pay for it; the tangent LES is
-    built once (see `tangent_les`) and the phases read its kernels and
-    images."""
+    read off pi's columns on first use, so a phase that reads only the
+    bulk and boundary pieces (the ghost-zero slice) does not pay for it;
+    the tangent LES is built once (see `tangent_les`) and the phases read
+    its kernels and images."""
 
     def __init__(self, t: LinearTheory):
         self.t = t
@@ -118,7 +134,6 @@ class ReducedModel:
         self.bulk = _ghost_piece("bulk", t.Q, {g: t.bulk.ghost_indices(g) for g in ghosts})
         self.bdry = _ghost_piece("boundary", t.Q_bdry,
                                  {g: t.bdry.ghost_indices(g) for g in ghosts})
-        self._lift = {}
         self._chi = {}
         self._psi = {}
         self._beta = {}
@@ -132,31 +147,29 @@ class ReducedModel:
         return {g: self.t.pi.submatrix(self.bdry.index[g], self.bulk.index[g])
                 for g in self.ghosts}
 
-    @cached_property
-    def _ker_pi(self):
-        return {g: kernel_basis(pi) for g, pi in self.pi_blocks.items()}
+    def _unread_cols(self, g):
+        """The bulk coordinates at ghost g that pi does not read."""
+        return _unread(self.pi_blocks[g],
+                       ModuliError("restriction map is not a coordinate projection"))
 
     @cached_property
     def K(self):
-        return {g: k.matrix() for g, k in self._ker_pi.items()}
+        """ker pi per ghost: the unit vectors of the bulk coordinates that pi
+        does not read, in increasing order."""
+        return {g: RatMatrix.from_columns([{j: 1} for j in self._unread_cols(g)],
+                                          self.bulk.dim(g))
+                for g in self.ghosts}
 
     @cached_property
     def vert(self):
-        """The vertical complex: per-ghost kernel of pi with Q expressed in it."""
-        vq = {}
-        for g, kg in self.K.items():
-            target = self.K.get(g - 1)
-            rows = target.cols if target is not None else 0
-            m = RatMatrix(rows, kg.cols)
-            if kg.cols and rows:
-                qk = self.bulk.q(g) * kg
-                cols = [self._ker_pi[g - 1].coords(c) for c in qk.transpose().sparse_rows()]
-                if None in cols:
-                    raise ModuliError("vertical complex is not Q-invariant")
-                m = RatMatrix.from_columns(cols, rows)
-            vq[g] = m
-        vert_dims = {g: k.cols for g, k in self.K.items()}
-        return _GradedPiece.of_differential("vertical", vert_dims, vq, -1, ModuliError)
+        """The vertical complex ker pi, cut out of the flat bulk space by the
+        coordinates that pi does not read; Q keeps it when pi q(g) K[g] = 0."""
+        for g, k in self.K.items():
+            if g - 1 in self.K and k.cols and \
+                    not (self.pi_blocks[g - 1] * self.bulk.q(g) * k).is_zero():
+                raise ModuliError("vertical complex is not Q-invariant")
+        return _ghost_piece("vertical", self.t.Q, {
+            g: [self.bulk.index[g][j] for j in self._unread_cols(g)] for g in self.ghosts})
 
     @cached_property
     def msymp(self):
@@ -169,21 +182,12 @@ class ReducedModel:
         return self.bulk.modulo(
             name, {g - 1: self.bulk.q(g) * k for g, k in K.items() if k.cols})
 
-    # --- factored once per ghost ------------------------------------------
-
     def lift(self, g):
-        """R with pi_blocks[g] R = I: column j lifts the j-th boundary unit
-        vector into the bulk."""
-        if g not in self._lift:
-            pi = self.pi_blocks[g]
-            try:
-                r = _left_inverse(pi.transpose()).matrix().transpose()
-            except LinalgError:
-                r = None
-            if r is None or pi * r != RatMatrix.identity(pi.rows):
-                raise ModuliError("restriction map is not surjective")
-            self._lift[g] = r
-        return self._lift[g]
+        """R = pi_blocks[g]^T, with pi_blocks[g] R = I: column j lifts the
+        j-th boundary unit vector into the bulk, onto the one bulk
+        coordinate that pi reads it off."""
+        self._unread_cols(g)
+        return self.pi_blocks[g].transpose()
 
     # --- induced maps on cohomology ---------------------------------------
 
@@ -204,30 +208,19 @@ class ReducedModel:
     def beta(self, g):
         """Connecting map H^g(boundary) -> H^{g-1}(vert) by zig-zag."""
         if g not in self._beta:
-            out = RatMatrix(self.vert.h_dim(g - 1), self.bdry.h_dim(g))
-            for j, y in enumerate(self.bdry.reps(g)):
-                qx = self.bulk.q(g).matvec(self.lift(g).matvec(y))
-                v = self._ker_pi[g - 1].coords(qx)
-                if v is None:
+            reps = self.bdry.reps(g)
+            lift = self.lift(g) if reps else None
+            vecs = []
+            for y in reps:
+                qx = self.t.Q.matvec(self.bulk.flat(g, lift.matvec(y)))
+                v = self.vert.local(g - 1, qx)
+                if len(v) != len(qx):
                     raise ModuliError("zig-zag image is not vertical")
-                for i, val in self.vert.class_coords(g - 1, v).items():
-                    out.entries[(i, j)] = val
-            self._beta[g] = out
+                vecs.append(v)
+            self._beta[g] = self.vert.class_matrix(g - 1, vecs)
         return self._beta[g]
 
     # --- pairings -----------------------------------------------------------
-
-    def _bulk_flat(self, g):
-        """The bulk representatives at ghost g as flat bulk vectors."""
-        return [self.bulk.flat(g, x) for x in self.bulk.reps(g)]
-
-    def _vert_flat(self, g):
-        """The vertical representatives at ghost g as flat bulk vectors."""
-        return [self.bulk.flat(g, self.K[g].matvec(u)) for u in self.vert.reps(g)]
-
-    def _bdry_flat(self, g):
-        """The boundary representatives at ghost g as flat boundary vectors."""
-        return [self.bdry.flat(g, y) for y in self.bdry.reps(g)]
 
     def pair_vert_bulk(self, g):
         """P1: H^g(vert) x H^{c-g}(bulk) via the bulk pairing, where c is
@@ -235,8 +228,8 @@ class ReducedModel:
         key = ("P1", g)
         if key not in self._pair:
             gp = self.pair_ghost() - g
-            self._pair[key] = _pairing_block(self.t.pair_bulk_mat, self._vert_flat(g),
-                                              self._bulk_flat(gp))
+            self._pair[key] = _pairing_block(self.t.pair_bulk_mat, _flat_reps(self.vert, g),
+                                              _flat_reps(self.bulk, gp))
         return self._pair[key]
 
     def pair_bulk_vert(self, g):
@@ -244,8 +237,8 @@ class ReducedModel:
         key = ("P2", g)
         if key not in self._pair:
             gp = self.pair_ghost() - g
-            self._pair[key] = _pairing_block(self.t.pair_bulk_mat, self._bulk_flat(g),
-                                              self._vert_flat(gp))
+            self._pair[key] = _pairing_block(self.t.pair_bulk_mat, _flat_reps(self.bulk, g),
+                                              _flat_reps(self.vert, gp))
         return self._pair[key]
 
     def pair_bdry_bdry(self, g):
@@ -254,8 +247,8 @@ class ReducedModel:
         key = ("Pd", g)
         if key not in self._pair:
             gp = self.pair_ghost() + 1 - g
-            self._pair[key] = _pairing_block(self.t.omega_bdry, self._bdry_flat(g),
-                                              self._bdry_flat(gp))
+            self._pair[key] = _pairing_block(self.t.omega_bdry, _flat_reps(self.bdry, g),
+                                              _flat_reps(self.bdry, gp))
         return self._pair[key]
 
     def pair_ghost(self):
@@ -313,16 +306,10 @@ def symp_moduli(model: ReducedModel):
     pi_star = {}
     for g in model.ghosts:
         el_b = model.bdry.kernel(g)
-        out = RatMatrix(el_b.dim, len(reps[g]))
-        for j, rep in enumerate(reps[g]):
-            img = model.pi_blocks[g].matvec(rep)
-            if img:
-                x = el_b.coords(img)
-                if x is None:
-                    raise ModuliError("pi_* image is not a boundary solution")
-                for i, v in x.items():
-                    out.entries[(i, j)] = v
-        pi_star[g] = out
+        cols = [el_b.coords(model.pi_blocks[g].matvec(rep)) for rep in reps[g]]
+        if None in cols:
+            raise ModuliError("pi_* image is not a boundary solution")
+        pi_star[g] = RatMatrix.from_columns(cols, el_b.dim)
     # beta: boundary fields (not classes) -> M_symp, eta -> [Q eta-lift]
     beta_blocks = {}
     beta_kills_exact = True
@@ -332,22 +319,16 @@ def symp_moduli(model: ReducedModel):
         rows = len(reps.get(g - 1, []))
         out = RatMatrix(rows, nb)
         if nb and g - 1 in reps:
-            lifts = model.lift(g).transpose().sparse_rows()
-            qb_cols = model.bdry.q(g).transpose().sparse_rows()
-            for j, lift in enumerate(lifts):
-                qlift = model.bulk.q(g).matvec(lift)
-                for i, v in msymp.class_coords(g - 1, qlift).items():
-                    out.entries[(i, j)] = v
-                # commuting square: pi_*(beta(eta)) = Q_bdry eta in EL_bdry
-                if rows and model.pi_blocks[g - 1].matvec(qlift) != qb_cols[j]:
-                    beta_square = False
+            qlift = model.bulk.q(g) * model.lift(g)
+            out = msymp.class_matrix(g - 1, qlift.transpose().sparse_rows())
+            # commuting square: pi_*(beta(eta)) = Q_bdry eta in EL_bdry
+            if rows and model.pi_blocks[g - 1] * qlift != model.bdry.q(g):
+                beta_square = False
         beta_blocks[g] = out
         # beta vanishes on Im Q_bdry
-        if nb:
-            img = model.bdry.q(g + 1)
-            prod = out * img if img.cols else None
-            if prod is not None and not prod.is_zero():
-                beta_kills_exact = False
+        img = model.bdry.q(g + 1)
+        if nb and img.cols and not (out * img).is_zero():
+            beta_kills_exact = False
     return {
         "dims": dims,
         "reps": reps,
@@ -397,15 +378,11 @@ def lefschetz(model: ReducedModel):
         "psi_beta_adjoint": True,
         "dual_square_commutes": True,
     }
-    blocks = {}
     for g in model.ghosts:
         gp = c - g
         p1 = model.pair_vert_bulk(g)
         p2 = model.pair_bulk_vert(g)
         pd = model.pair_bdry_bdry(g)
-        blocks[("vert x bulk", g)] = p1
-        blocks[("bulk x vert", g)] = p2
-        blocks[("bdry x bdry", g)] = pd
         if not (_perfect(p1) and _perfect(p2) and _perfect(pd)):
             verdicts["nondegenerate"] = False
         # chi self-adjointness: <chi u, w> = <u, chi w>
@@ -423,11 +400,11 @@ def lefschetz(model: ReducedModel):
         # remaining square: P2 . beta = sign * [pair_bdry(P_bdry pi x, y)]
         bb = model.beta(c + 1 - g)
         lhs = p2 * bb
-        pxs = [t.P_bdry.matvec(t.pi.matvec(xf)) for xf in model._bulk_flat(g)]
-        w = _pairing_block(t.omega_bdry, pxs, model._bdry_flat(c + 1 - g))
+        pxs = [t.P_bdry.matvec(t.pi.matvec(xf)) for xf in _flat_reps(model.bulk, g)]
+        w = _pairing_block(t.omega_bdry, pxs, _flat_reps(model.bdry, c + 1 - g))
         if lhs != w.scale(t.adj_psi_sign):
             verdicts["dual_square_commutes"] = False
-    return {"verdicts": verdicts, "blocks": blocks}
+    return {"verdicts": verdicts}
 
 
 def _bdry_sum(model: ReducedModel):
@@ -518,7 +495,6 @@ def vacua(model: ReducedModel):
         "im_chi_equals_ker_psi": im_eq_ker,
         "vert_form_kernel_is_ker_chi": ker_match,
         "pairing": pairing,
-        "nondegenerate": pairing.nondegenerate() if total else True,
         "vac_reps": vac_reps,
         "offsets": layout.offsets,
     }
@@ -612,8 +588,7 @@ def regularity(model: ReducedModel):
             and PairingForm(t.bdry.total, t.bdry.total, t.omega_bdry).nondegenerate()):
         raise ModuliError("literal regularity needs nondegenerate +-symmetric pairings")
     # Q^vert = Q on ker pi: its images q(g) K[g] are the ones M_symp divides out
-    ker_qv = [model.bulk.flat(g, model.K[g].matvec(b))
-              for g in model.ghosts for b in model.vert.kernel(g).basis]
+    ker_qv = _cocycles(model.vert, model.ghosts)
     ker_q = _cocycles(model.bulk, model.ghosts)
     ker_qb = _cocycles(model.bdry, model.ghosts)
     defects = {name: _perp_defect(model.ghosts, *args) for name, args in (
@@ -631,6 +606,11 @@ def _cocycles(piece, ghosts):
     return [piece.flat(g, b) for g in ghosts for b in piece.kernel(g).basis]
 
 
+def _flat_reps(piece, g):
+    """The representatives of a piece at ghost g, as flat vectors."""
+    return [piece.flat(g, x) for x in piece.reps(g)]
+
+
 def _perp_defect(ghosts, form, space, ker, im):
     """None when ker^perp (ker a flat basis, form on the field space `space`)
     is the image that the piece im divides out; otherwise the gap, or the
@@ -645,15 +625,6 @@ def _perp_defect(ghosts, form, space, ker, im):
         return None
     slot, local = space.slot_of(min(cols[min(i for i, _ in block.entries)]))
     return {"slot": (slot["sector"], slot["degree"], local)}
-
-
-def q_self_adjoint_defect(t: LinearTheory) -> RatMatrix:
-    """omega(Q xi, eta) - omega(xi, Q eta) - sign * pi^* omega_bdry, which
-    must vanish identically for cotangent models."""
-    sgn = Fraction((-1) ** t.D)
-    return (t.Q.transpose() * t.omega - t.omega * t.Q) - (
-        t.pi.transpose() * t.omega_bdry * t.pi
-    ).scale(sgn)
 
 
 def ed_formula_check(model: ReducedModel):

@@ -223,11 +223,7 @@ class OrientedComplex:
             return self._cache["cochain_complex"]
         comps = {k: self.n_faces(k) for k in range(self.dimension + 1)}
         diffs = {k: self.coboundary_matrix(k) for k in range(self.dimension)}
-        labels = {
-            k: [self.face_vertices(f) for f in self.faces(k)]
-            for k in range(self.dimension + 1)
-        }
-        out = CochainComplex(comps, diffs, labels)
+        out = CochainComplex(comps, diffs)
         self._cache["cochain_complex"] = out
         return out
 
@@ -334,7 +330,7 @@ class OrientedComplex:
         bc = self.boundary_complex()
         return bc.evaluate(a) if bc.n_faces(0) else Fraction(0)
 
-    def pairing_on_cohomology(self, k, relative_left=True, verify=True):
+    def pairing_on_cohomology(self, k, relative_left=True):
         """Lefschetz/Poincare pairing <[a],[b]> = <a cup b, [N]> in degree
         (k, n-k), with the left argument relative when the boundary is
         nonempty and relative_left is set; plain Poincare pairing on a
@@ -364,28 +360,23 @@ class OrientedComplex:
                 lift_left, lift_right = None, incl.block(n - k)
         def emb(m, v):
             return m.matvec(v) if m is not None else v
-        rows = len(left_reps)
-        cols = len(right_reps)
-        mat = RatMatrix(rows, cols)
-        for i, a in enumerate(left_reps):
-            av = emb(lift_left, a)
-            for j, b in enumerate(right_reps):
-                bv = emb(lift_right, b)
-                mat[i, j] = self.evaluate_cup(k, av, n - k, bv)
-        if verify:
-            mat2 = RatMatrix(rows, cols)
-            pert_l = self._exact_perturbation(left_cx, k)
-            pert_r = self._exact_perturbation(right_cx, n - k)
+
+        def pairing(pert_l, pert_r):
+            mat = RatMatrix(len(left_reps), len(right_reps))
             for i, a in enumerate(left_reps):
                 av = emb(lift_left, vec_add(a, pert_l))
                 for j, b in enumerate(right_reps):
                     bv = emb(lift_right, vec_add(b, pert_r))
-                    mat2[i, j] = self.evaluate_cup(k, av, n - k, bv)
-            if mat2 != mat:
-                raise SimplicialError(
-                    f"cohomology pairing in degree ({k},{n-k}) depends on representatives"
-                )
-        return PairingForm(rows, cols, mat)
+                    mat[i, j] = self.evaluate_cup(k, av, n - k, bv)
+            return mat
+
+        mat = pairing({}, {})
+        if pairing(self._exact_perturbation(left_cx, k),
+                   self._exact_perturbation(right_cx, n - k)) != mat:
+            raise SimplicialError(
+                f"cohomology pairing in degree ({k},{n-k}) depends on representatives"
+            )
+        return PairingForm(mat.rows, mat.cols, mat)
 
     def _exact_perturbation(self, cx, k):
         if cx.dim(k - 1) == 0 or cx.dim(k) == 0:

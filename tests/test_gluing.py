@@ -15,6 +15,7 @@ from bvbfv.gluing import (
 )
 from bvbfv.linalg import RatMatrix, kernel_basis
 from bvbfv.moduli import ReducedModel
+from bvbfv.simplicial import OrientedComplex
 from bvbfv.theories import (
     build_abelian_bf,
     build_abelian_cs,
@@ -385,6 +386,136 @@ def test_gluing_with_outer_boundary(make, build, carry):
     gm = glue_moduli(gl)
     assert gm["dims_match"] and gm["isomorphism"] and gm["pairings_intertwined"]
     assert mayer_vietoris(gl)["absolute"].exact
+
+
+def spec_square():
+    # two triangles glued along an edge: the interface has two corners
+    return GluingSpec(OrientedComplex(2, [0, 1, 2], [[0, 1, 2]], [1]),
+                      OrientedComplex(2, [0, 1, 2], [[0, 1, 2]], [-1]), [(0, 0), (1, 1)])
+
+
+def spec_fan_corner():
+    return GluingSpec(corpus.disk_fan(), corpus.with_reversed_orientation(corpus.disk_fan()),
+                      [(0, 0), (1, 1)])
+
+
+def spec_tetrahedra():
+    return GluingSpec(OrientedComplex(3, [0, 1, 2, 3], [[0, 1, 2, 3]], [1]),
+                      OrientedComplex(3, [0, 1, 2, 3], [[0, 1, 2, 3]], [-1]),
+                      [(0, 0), (1, 1), (2, 2)])
+
+
+@pytest.mark.parametrize("build", [build_abelian_bf, build_abelian_cs], ids=["bf", "cs"])
+@pytest.mark.parametrize("make", [spec_square, spec_fan_corner, spec_tetrahedra])
+def test_corner_gluing_moduli(make, build):
+    # the distribution divided out is beta-tilde of the relative interface
+    # cochains C(Sigma, dSigma): a corner stays on the outer boundary of the
+    # glued complex, so its fields are not gauge.  The partially reduced
+    # sequence is left out (see ROADMAP item 2).
+    gl = gluing(make(), build)
+    assert not gl.spec.interface.is_closed()
+    assert fiber_product_check(gl)["match"]
+    gm = glue_moduli(gl)
+    assert gm["intrinsic_dims"] == gm["direct_dims"]
+    assert gm["dims_match"] and gm["isomorphism"] and gm["pairings_intertwined"]
+    assert mayer_vietoris(gl)["absolute"].exact
+
+
+def test_relative_interface_rows_are_the_interior_faces():
+    # the square's interface is one edge whose two vertices are corners, so
+    # its relative cochains are the edge fields; a closed interface keeps all
+    gl = gluing(spec_square(), build_abelian_bf)
+    fields = gl.fields
+    slots = {g: [fields.slot_of(r)[0] for r in rows] for g, rows in gl._relative_rows.items()}
+    assert all(s["ghost"] == g for g, ss in slots.items() for s in ss)
+    assert [s["degree"] for ss in slots.values() for s in ss] == \
+        [1] * sum(s["dim"] for s in fields.slots if s["degree"] == 1)
+    closed = gluing(spec_torus(), build_abelian_bf)
+    assert sorted(r for rows in closed._relative_rows.values() for r in rows) == \
+        list(range(closed.fields.total))
+
+
+# the Heegaard splittings and the gluings with an outer boundary, as given
+# and subdivided, for bf and cs
+OUTER_CASES = [case for case in FIBER_PRODUCT_CASES
+               if case.split("-")[0] in ("bf", "cs") and case.split("-")[1] in (
+                   "spec_s3", "spec_s2xs1", "spec_intervals", "spec_cylinders", "spec_cap")]
+
+
+def outer_sides(gl):
+    """(model, interface vertices, flat rows of pi on the outer boundary)
+    of each piece."""
+    from bvbfv.gluing import _boundary_faces
+
+    for model, side in ((gl.left, "left"), (gl.right, "right")):
+        verts = gl.spec.iface_vertices[side]
+        yield model, verts, [row for row, _, v in _boundary_faces(model.t)
+                             if not set(v) <= verts]
+
+
+@pytest.mark.parametrize("case", OUTER_CASES)
+def test_outer_piece_matches_the_eliminated_route(case, monkeypatch):
+    # the bulk fields that vanish on the outer boundary are the unit vectors
+    # of the columns that the outer rows of pi do not read; the old route
+    # eliminated the outer rows of pi
+    from bvbfv.gluing import _outer_piece
+
+    gl = FIBER_PRODUCT_CASES[case]()
+    for model, verts, outer in outer_sides(gl):
+        taken = []
+        modulo_q = model.modulo_q
+        monkeypatch.setattr(model, "modulo_q",
+                            lambda name, K: taken.append(K) or modulo_q(name, K))
+        _outer_piece(model, verts)
+        (got,) = taken
+        want = {g: kernel_basis(model.t.pi.submatrix(outer, idx)).matrix()
+                for g, idx in model.bulk.index.items() if idx}
+        assert got == want
+
+
+@pytest.mark.parametrize("make,build", [(spec_cylinders, build_abelian_bf),
+                                        (lambda: spec_s3()[0], build_abelian_cs)],
+                         ids=["bf-cylinders", "cs-s3"])
+def test_vertical_pieces_eliminate_no_restriction(make, build, monkeypatch):
+    # ker pi, its lift, the vertical complex, beta and the outer pieces are
+    # read off the columns of pi: no kernel of a restriction block and no
+    # left inverse is eliminated
+    import sys
+
+    from bvbfv import linalg
+    from bvbfv.gluing import _outer_piece
+
+    gl = gluing(make(), build)
+    models = (gl.glued, gl.left, gl.right)
+    restrictions = [pi for m in models for pi in m.pi_blocks.values()]
+    for model, _, outer in outer_sides(gl):
+        restrictions += [model.t.pi.submatrix(rows, idx)
+                         for g, idx in model.bulk.index.items()
+                         for rows in (outer, [r for r in model.bdry.index[g] if r in outer])]
+    calls = []
+
+    def recorded(name, orig):
+        def recording(*args):
+            calls.append((name, args[0]))
+            return orig(*args)
+        return recording
+
+    for fname in ("kernel_basis", "_left_inverse"):
+        orig = getattr(linalg, fname)
+        for mod in list(sys.modules.values()):
+            if mod.__name__.startswith("bvbfv") and getattr(mod, fname, None) is orig:
+                monkeypatch.setattr(mod, fname, recorded(fname, orig))
+    for model in models:
+        model.K, model.vert
+        for g in model.ghosts:
+            model.lift(g)
+            model.beta(g)
+    for model, verts, _ in outer_sides(gl):
+        _outer_piece(model, verts)
+    assert not [name for name, _ in calls if name == "_left_inverse"]
+    # an empty block equals every 0-row matrix, so it is matched by identity
+    assert not [m.shape for name, m in calls if name == "kernel_basis" and
+                any(m is r or (r.rows and m == r) for r in restrictions)]
 
 
 def _glued_dims_and_verdicts(gl):

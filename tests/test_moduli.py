@@ -386,13 +386,12 @@ def test_vacua_pairing_couples_dual_ghosts(build):
 
 
 def test_q_kinda_self_adjoint_for_cotangent():
-    from bvbfv.moduli import q_self_adjoint_defect
-
+    # omega(Q xi, eta) - omega(xi, Q eta) - (-1)^D omega_bdry(pi xi, pi eta)
     for build in (lambda: build_scalar(corpus.interval(2)),
                   lambda: build_scalar(corpus.circle()),
                   lambda: build_electrodynamics(corpus.torus()),
                   lambda: build_electrodynamics(corpus.cylinder())):
-        assert q_self_adjoint_defect(build()).is_zero()
+        assert verify_cme(build()).residuals["q_self_adjoint"].is_zero()
 
 
 def test_evolution_relation_lagrangian_for_regular_theories():
@@ -1123,3 +1122,71 @@ def test_symp_reduction_cases_reach_every_verdict():
     verdicts = {q_reduce(ReducedModel(build())).get("symp_reduction_agrees")
                 for build in SYMP_REDUCTION_CASES.values()}
     assert verdicts == {True, False, None}
+
+
+# --- ker pi read off pi's columns ----------------------------------------------
+
+
+def eliminated_vertical(model):
+    """The vertical complex as it was built by elimination: a kernel basis
+    of each pi block, and Q on it through the coordinates of each image in
+    the kernel basis one ghost down."""
+    from bvbfv.complexes import _GradedPiece
+    from bvbfv.moduli import ModuliError
+
+    ker = {g: kernel_basis(pi) for g, pi in model.pi_blocks.items()}
+    vq = {}
+    for g, k in ker.items():
+        rows = ker[g - 1].dim if g - 1 in ker else 0
+        vq[g] = RatMatrix(rows, k.dim)
+        if k.dim and rows:
+            qk = model.bulk.q(g) * k.matrix()
+            cols = [ker[g - 1].coords(c) for c in qk.transpose().sparse_rows()]
+            assert None not in cols
+            vq[g] = RatMatrix.from_columns(cols, rows)
+    return ker, _GradedPiece.of_differential(
+        "vertical", {g: k.dim for g, k in ker.items()}, vq, -1, ModuliError)
+
+
+@pytest.mark.parametrize("theory,name", corpus_pairs() + stratum_pairs())
+def test_vertical_complex_matches_the_eliminated_route(theory, name):
+    # pi is a coordinate projection, so ker pi is the unit vectors of the
+    # columns it does not read and pi^T lifts; the old route eliminated both
+    from bvbfv.linalg import _left_inverse
+
+    model = ReducedModel(build_any(theory, name))
+    ker, vert = eliminated_vertical(model)
+    for g, pi in model.pi_blocks.items():
+        assert model.K[g] == ker[g].matrix()
+        assert model.lift(g) == _left_inverse(pi.transpose()).matrix().transpose()
+    for g in range(min(model.ghosts) - 1, max(model.ghosts) + 1):
+        assert model.vert.q(g) == vert.q(g)
+        assert model.vert.reps(g) == vert.reps(g)
+        assert model.vert.h_dim(g) == vert.h_dim(g)
+
+
+def _read_twice(row, other):
+    """A two-entry row: row's entry and one more, at another column."""
+    (j, v), = row.items()
+    return {j: v, other: v}
+
+
+@pytest.mark.parametrize("change", [
+    lambda rows, free: [_read_twice(rows[0], free)] + rows[1:],
+    lambda rows, free: [{j: 2 * v for j, v in rows[0].items()}] + rows[1:],
+    lambda rows, free: [rows[0], dict(rows[0])] + rows[2:],
+], ids=["two-entry-row", "entry-of-2", "two-rows-on-one-column"])
+def test_vertical_pieces_refuse_a_pi_that_is_not_a_coordinate_projection(change):
+    from bvbfv.moduli import ModuliError
+
+    model = ReducedModel(build_abelian_bf(corpus.disk()))
+    g = next(g for g in model.ghosts
+             if model.pi_blocks[g].rows >= 2 and model.K[g].cols)
+    pi = model.pi_blocks[g]
+    free = min(i for i, _ in model.K[g].entries)
+    model = ReducedModel(model.t)
+    model.pi_blocks = {**model.pi_blocks,
+                       g: RatMatrix.from_rows(change(pi.sparse_rows(), free), pi.cols)}
+    for build in (lambda: model.K, lambda: model.vert, lambda: model.lift(g)):
+        with pytest.raises(ModuliError, match="coordinate projection"):
+            build()
