@@ -8,6 +8,7 @@ from __future__ import annotations
 from .linalg import (
     RatMatrix,
     Subspace,
+    _kernel_quotient,
     image_basis,
     kernel_basis,
     quotient,
@@ -86,14 +87,17 @@ class _GradedPiece:
     def reps(self, g):
         """Representatives of the classes at g: a complement of the image
         in the kernel.  The quotient takes the columns of ins[g], which
-        span the image, so no image basis is eliminated here."""
+        span the image, so no image basis is eliminated here, and no column
+        is solved for: the one product q(g) ins[g] = 0 decides that the
+        image lies in the kernel (SubspaceNotContained otherwise), and each
+        column's kernel coordinates are its entries at the kernel's free
+        columns (see `linalg._kernel_quotient`)."""
         if g not in self._reps:
             if self.dim(g) == 0:
                 self._reps[g], self._coords[g] = [], RatMatrix(0, 0)
             else:
-                m = self.ins.get(g)
-                cols = [] if m is None else m.transpose().sparse_rows()
-                comp, self._coords[g] = quotient(self.kernel(g), cols)
+                comp, self._coords[g] = _kernel_quotient(
+                    self.q(g), self.kernel(g), self.ins.get(g))
                 self._reps[g] = comp.basis
         return self._reps[g]
 
@@ -102,8 +106,9 @@ class _GradedPiece:
 
     def class_coords(self, g, vec):
         """Coordinates of the class of the cocycle vec against reps(g).
-        span(reps + image) = ker q(g), so the cocycle check is the exact
-        membership check, and the coordinate map that the quotient
+        span(reps + image) = ker q(g), with the image inside the kernel by
+        the one product that reps checked, so the cocycle check is the
+        exact membership check, and the coordinate map that the quotient
         factored once per degree gives the coordinates."""
         if self.q(g).matvec(vec):
             raise self.error(f"vector is not a {self.name} cocycle class in degree {g}")

@@ -20,9 +20,9 @@ from .complexes import ExactSequenceReport
 from .linalg import (
     RatMatrix,
     Subspace,
+    _kernel_quotient,
     column_span,
     kernel_basis,
-    quotient,
 )
 from .moduli import ReducedModel, _cocycles, _ghost_piece, _unread
 from .simplicial import IncoherentOrientation, OrientedComplex, _perm_sign
@@ -342,7 +342,10 @@ def glue_moduli(gl: Gluing):
     for g in ghosts:
         mt, na = mt_basis[g]
         dist = column_span(beta_cols.get(g, []), mt.dim)
-        comp, coords = quotient(Subspace.full(mt.dim), dist) if mt.dim \
+        # Q^mt.dim is the kernel of the map to the zero space, so the
+        # quotient reads the distribution's coordinates with no solve
+        comp, coords = _kernel_quotient(RatMatrix.zero(0, mt.dim), Subspace.full(mt.dim),
+                                        dist.matrix()) if mt.dim \
             else (Subspace.zero(0), None)
         intrinsic_dims[g] = comp.dim
         quotients[g] = (mt, comp, coords, na)

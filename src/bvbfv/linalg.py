@@ -38,7 +38,11 @@ Each question about spans costs at most one elimination, in integers:
   ambient space, as rows, with the columns visited in reverse index order
   and no identity block; the class map is read off the reduced rows as a
   kernel is.  It accepts any spanning list of the sub, so a class space
-  ker/Im takes the columns of the map into it and no image basis.
+  ker q / Im i takes the columns of i and no image basis.  In general
+  each sub vector is solved against the ambient's left inverse; for a
+  kernel ambient there is no solve at all: Im i lies in ker q exactly
+  when the one product q i is zero, and the coordinates of i's columns
+  are their entries at the kernel's free columns, read in one scan.
 - The complement under a symmetric or antisymmetric pairing is one
   kernel, since its left and right complements coincide.
 """
@@ -783,11 +787,90 @@ def quotient(ambient: Subspace, sub):
     callers check membership first.  The projection that kills sub and
     fixes C pointwise is C.matrix() * coords.
 
-    Everything is solved in the coordinates of ambient's basis, with its
-    cached left inverse E (row k is nums[k] / dens[k]).  Each sub vector s
-    maps to its coordinates y = E s, computed and checked in integers by
-    `Subspace._solve`, which also decides that s lies in ambient.  One
-    elimination of the rows y (m = ambient.dim columns, cleared to
+    Each sub vector s maps to its coordinates y = E s in ambient's basis,
+    with ambient's cached left inverse E, computed and checked in integers
+    by `Subspace._solve`, which also decides that s lies in ambient.  The
+    rest is `_quotient_of_coords`.
+    """
+    vectors = sub
+    if isinstance(sub, Subspace):
+        if sub.ambient_dim != ambient.ambient_dim:
+            raise DimensionMismatch("ambient dimensions differ")
+        vectors = sub.basis
+    ys = []
+    for s in vectors:
+        if s:
+            y, _ = ambient._solve(s)
+            if y is None:
+                raise SubspaceNotContained("sub is not inside ambient")
+            ys.append(y)
+    return _quotient_of_coords(ambient, ys)
+
+
+def _kernel_quotient(q, ker, m):
+    """quotient(ker, columns of m) for ker = kernel_basis(q), with no solve.
+    A column lies in ker exactly when q kills it, so membership is the one
+    product q m = 0 (SubspaceNotContained otherwise), and the coordinates
+    are read off m at ker's free columns by `_read_coords`.  m None is the
+    map from the zero space."""
+    if m is None:
+        return _quotient_of_coords(ker, [])
+    if not (q * m).is_zero():
+        raise SubspaceNotContained("sub is not inside ambient")
+    return _quotient_of_coords(ker, [y for y, _ in _read_coords(ker, m).values()])
+
+
+def _coords_of_columns(space, m):
+    """The matrix whose column j is space.coords of column j of m, read by
+    `_read_coords` with no solve, so every column must lie in space."""
+    dens = space._left_inv().dens
+    out = RatMatrix(space.dim, m.cols)
+    for j, (y, d) in _read_coords(space, m).items():
+        for k in sorted(y):
+            out.entries[(k, j)] = Fraction(y[k], dens[k] * d)
+    return out
+
+
+def _read_coords(space, m):
+    """Per nonzero column j of m, in index order, j -> the pair (y, d)
+    that `space._solve` gives the column, read with no solve.  Row k of
+    space's left inverse must be a single entry e_k / dens[k] at a column
+    f_k, as a kernel's and `Subspace.full`'s are, and every column of m
+    must lie in space, which the caller has checked; then y[k] =
+    e_k * n[f_k], with the column cleared to n / d.  One scan of m's
+    integer view: its entries are nums / den, so d = den / c and
+    n = nums / c, with c the gcd of den and the column's nums."""
+    at = {}
+    for k, row in enumerate(space._left_inv().nums):
+        (f, e), = row.items()
+        at[f] = (k, e)
+    keys, nums, den, _ = m._int_view()
+    ys, content = {}, {}
+    for (i, j), x in zip(keys, nums):
+        y = ys.get(j)
+        if y is None:
+            ys[j] = y = {}
+            content[j] = den
+        if den > 1:
+            content[j] = gcd(content[j], x)
+        hit = at.get(i)
+        if hit is not None:
+            y[hit[0]] = hit[1] * x
+    out = {}
+    for j in sorted(ys):
+        c = content[j]
+        out[j] = (ys[j] if c == 1 else {k: v // c for k, v in ys[j].items()}, den // c)
+    return out
+
+
+def _quotient_of_coords(ambient, ys):
+    """The complement and coordinate map of `quotient`, from the sub
+    vectors' coordinates in ambient's basis, given as integer vectors y:
+    with ambient's cached left inverse E (row k is nums[k] / dens[k]), the
+    vector of the y[k] / dens[k] is a positive multiple of a sub vector's
+    coordinates, as `Subspace._solve` returns them.
+
+    One elimination of the rows y (m = ambient.dim columns, cleared to
     integers) visits the columns in reverse index order m-1, ..., 0.
     Column k is a pivot exactly when the rows projected onto coordinates
     >= k have larger rank than projected onto coordinates > k, that is when
@@ -797,21 +880,10 @@ def quotient(ambient: Subspace, sub):
     and fixes each free unit vector, so its row at free column f is the
     `_free_vectors` vector of f read off the reduced rows; times E, in
     integers, it is the coordinate map on Q^ambient_dim.  Both depend on
-    span(sub) only, not on the vectors that span it.
-    """
-    vectors = sub
-    if isinstance(sub, Subspace):
-        if sub.ambient_dim != ambient.ambient_dim:
-            raise DimensionMismatch("ambient dimensions differ")
-        vectors = sub.basis
+    span(sub) only, not on the vectors that span it."""
     inv = ambient._left_inv()
     rows = []
-    for s in vectors:
-        if not s:
-            continue
-        y, _ = ambient._solve(s)
-        if y is None:
-            raise SubspaceNotContained("sub is not inside ambient")
+    for y in ys:
         if y:
             scale = lcm(*(inv.dens[k] for k in y))
             rows.append({k: v * (scale // inv.dens[k]) for k, v in y.items()})

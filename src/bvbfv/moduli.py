@@ -25,8 +25,9 @@ splits by ghost and its core is counted one ghost at a time.
 Literal regularity needs no complement either.  Under a nondegenerate
 symmetric or antisymmetric form on Q^n, X^perp is one space of dimension
 n - dim X, so X^perp = Y exactly when dim Y = n - dim X and omega(Y, X) = 0.
-dim Im at ghost g is dim ker - dim H, the quotient having checked Im inside
-ker, and the columns of the map into ghost g span Y for the product.  So
+dim Im at ghost g is dim ker - dim H, the class space having checked Im
+inside ker by the one product q(g) i(g) = 0 with the map i(g) into ghost g,
+and the columns of i(g) span Y for the product.  So
 too for q_reduce: under a nondegenerate omega, dim EL^perp = n - dim ker Q
 = dim Im Q and Im Q lies in ker Q, so EL cap EL^perp = Im Q exactly when
 omega(Im Q, ker Q) = 0.
@@ -43,6 +44,7 @@ from .linalg import (
     PairingForm,
     RatMatrix,
     Subspace,
+    _coords_of_columns,
     _plus_minus_symmetric,
     column_span,
     image_basis,
@@ -301,15 +303,16 @@ def symp_moduli(model: ReducedModel):
     msymp = model.msymp
     reps = {g: msymp.reps(g) for g in model.ghosts}
     dims = {g: len(r) for g, r in reps.items() if model.bulk.dim(g)}
-    # pi_*: M_symp -> EL of the boundary, on representatives; the boundary
-    # kernel's preset left inverse gives the (unique) coordinates
+    # pi_*: M_symp -> EL of the boundary, on representatives: the one
+    # product Q_bdry pi R = 0 puts the images in the boundary kernel, and
+    # their (unique) coordinates are read at the kernel's free columns
     pi_star = {}
     for g in model.ghosts:
         el_b = model.bdry.kernel(g)
-        cols = [el_b.coords(model.pi_blocks[g].matvec(rep)) for rep in reps[g]]
-        if None in cols:
+        image = model.pi_blocks[g] * RatMatrix.from_columns(reps[g], model.bulk.dim(g))
+        if not (model.bdry.q(g) * image).is_zero():
             raise ModuliError("pi_* image is not a boundary solution")
-        pi_star[g] = RatMatrix.from_columns(cols, el_b.dim)
+        pi_star[g] = _coords_of_columns(el_b, image)
     # beta: boundary fields (not classes) -> M_symp, eta -> [Q eta-lift]
     beta_blocks = {}
     beta_kills_exact = True

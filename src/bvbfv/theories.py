@@ -640,34 +640,34 @@ def check_ghost_grading(theory: LinearTheory):
     both shifted up by the codimension for stratum extensions.  Raises
     GhostMismatch naming the offending blocks."""
     t = theory
-
-    def ghost_of(space, idx):
-        return space.slot_of(idx)[0]["ghost"]
+    # the ghost of each flat index, listed once per space
+    bulk_gh, bdry_gh = ([s["ghost"] for s in space.slots for _ in range(s["dim"])]
+                        for space in (t.bulk, t.bdry))
 
     def label(space, idx):
         s = space.slot_of(idx)[0]
         return f"({s['sector']},{s['degree']})"
 
     for (i, j) in t.Q.entries:
-        if ghost_of(t.bulk, i) != ghost_of(t.bulk, j) - 1:
+        if bulk_gh[i] != bulk_gh[j] - 1:
             raise GhostMismatch(f"Q block {label(t.bulk, j)} -> {label(t.bulk, i)} "
                                 "does not lower ghost by 1")
     for (i, j) in t.Q_bdry.entries:
-        if ghost_of(t.bdry, i) != ghost_of(t.bdry, j) - 1:
+        if bdry_gh[i] != bdry_gh[j] - 1:
             raise GhostMismatch("boundary Q block does not lower ghost by 1")
     for (i, j) in t.pi.entries:
-        if ghost_of(t.bdry, i) != ghost_of(t.bulk, j):
+        if bdry_gh[i] != bulk_gh[j]:
             raise GhostMismatch("pi does not preserve ghost")
     # pairing ghosts: -1 for the bulk theory, shifted up by the codimension
     gh_bulk = -1 + (t.n - t.D)
     gh_bdry = gh_bulk + 1
     for (i, j) in (t.omega.entries if t.omega is not None else ()):
-        g = ghost_of(t.bulk, i) + ghost_of(t.bulk, j)
+        g = bulk_gh[i] + bulk_gh[j]
         if g != gh_bulk:
             raise GhostMismatch(f"bulk pairing couples {label(t.bulk, i)} with "
                                 f"{label(t.bulk, j)}: ghost sum {g} != {gh_bulk}")
     for (i, j) in t.omega_bdry.entries:
-        g = ghost_of(t.bdry, i) + ghost_of(t.bdry, j)
+        g = bdry_gh[i] + bdry_gh[j]
         if g != gh_bdry:
             raise GhostMismatch(f"boundary pairing ghost sum {g} != {gh_bdry}")
     return {"bulk_pairing_ghost": gh_bulk, "boundary_pairing_ghost": gh_bdry}
@@ -680,9 +680,10 @@ def check_ghost_grading(theory: LinearTheory):
 def ghost_zero_slice(model):
     """The gh = 0 sector of a theory, read off its ReducedModel: field
     dimensions, Euler-Lagrange conditions, gauge distribution (images of
-    ghost-one fields) and its moduli.  The quotient behind h_dim has checked
-    that the gauge directions lie in the EL kernel, so their dimension is
-    the kernel's less the moduli's, with no image basis eliminated."""
+    ghost-one fields) and its moduli.  The class space behind h_dim has
+    checked, by one product, that the gauge directions lie in the EL
+    kernel, so their dimension is the kernel's less the moduli's, with no
+    image basis eliminated."""
     t = model.t
     fields = {(s["sector"], s["degree"]): s["dim"] for s in t.bulk.slots if s["ghost"] == 0}
     return {

@@ -285,6 +285,32 @@ def test_glue_moduli_s2xs1():
     assert out["direct_dims"] == {1: 1, 0: 1, -1: 1, -2: 1}
 
 
+@pytest.mark.parametrize("make", [spec_s3, spec_s2xs1])
+def test_gluing_class_spaces_match_the_solve_route(make):
+    # the pieces of the three models and of both Mayer-Vietoris sequences
+    from test_moduli import assert_reps_match_the_solve_route
+
+    gl = gluing(make()[0], build_abelian_cs)
+    mv = mayer_vietoris(gl)
+    models = (gl.glued, gl.left, gl.right)
+    ghosts = sorted({g for m in models for g in m.ghosts})
+    pieces = [p for m in models for p in (m.bulk, m.bdry, m.vert, m.msymp)]
+    pieces += [p for kind in ("absolute", "partially_reduced") for p in mv["pieces"][kind]]
+    assert_reps_match_the_solve_route(pieces, ghosts)
+
+
+@pytest.mark.parametrize("make", [spec_s3, spec_s2xs1])
+def test_glue_moduli_solves_no_column(make, monkeypatch):
+    # the class spaces and the quotient by the distribution read their
+    # coordinates off the columns: no solve from a quotient
+    from test_moduli import solve_calls_from_quotient
+
+    calls = solve_calls_from_quotient(monkeypatch)
+    out = glue_moduli(gluing(make()[0], build_abelian_cs))
+    assert out["dims_match"] and out["isomorphism"]
+    assert calls == []
+
+
 def test_glue_moduli_empty_interface_product():
     c1 = corpus.circle()
     spec = GluingSpec(c1, c1, [])

@@ -417,6 +417,39 @@ def test_solve_agrees_with_matvec(m, coeffs):
     assert m.matvec(got) == b
 
 
+@settings(max_examples=80, deadline=None)
+@given(rational_low_rank_matrix(), st.data())
+def test_kernel_quotient_reads_what_quotient_solves(q, data):
+    # the columns of m are rational combinations of ker q's basis, zero
+    # columns among them; read at the free columns, each gets the pair
+    # that _solve gives it, and the quotient is the one the solves give
+    from bvbfv.linalg import _coords_of_columns, _kernel_quotient, _read_coords
+
+    ker = kernel_basis(q)
+    cols = []
+    for _ in range(data.draw(st.integers(min_value=0, max_value=4))):
+        v = {}
+        for b in ker.basis:
+            v = vec_add(v, vec_scale(b, data.draw(rational_entries)))
+        cols.append(v)
+    m = RatMatrix.from_columns(cols, q.cols)
+    read = _read_coords(ker, m)
+    assert list(read) == [j for j, v in enumerate(cols) if v]
+    assert all(read[j] == ker._solve(cols[j]) for j in read)
+    assert _coords_of_columns(ker, m) == \
+        RatMatrix.from_columns([ker.coords(v) for v in cols], ker.dim)
+    comp, coords = quotient(ker, cols)
+    got, got_coords = _kernel_quotient(q, ker, m)
+    assert got.basis == comp.basis
+    assert list(got_coords.entries.items()) == list(coords.entries.items())
+    # a column that q does not kill is refused, as the solve refuses it
+    off = [j for j in range(q.cols) if q.matvec({j: Fraction(1)})]
+    if off:
+        m = RatMatrix.from_columns(cols + [{off[0]: Fraction(1, 2)}], q.cols)
+        with pytest.raises(SubspaceNotContained, match="sub is not inside ambient"):
+            _kernel_quotient(q, ker, m)
+
+
 def sparse_vector(entries):
     return {i: Fraction(x) for i, x in enumerate(entries) if x}
 

@@ -862,6 +862,92 @@ def test_class_spaces_eliminate_no_image_basis(theory, name, monkeypatch):
     assert calls == []
 
 
+def reps_by_the_solve_route(piece, g):
+    """reps(g) and the coordinate map's entries, in order, by quotient's
+    general route: each column of ins[g] solved against ker q(g)."""
+    from bvbfv.linalg import quotient
+
+    m = piece.ins.get(g)
+    cols = [] if m is None else m.transpose().sparse_rows()
+    comp, coords = quotient(kernel_basis(piece.q(g)), cols)
+    return comp.basis, list(coords.entries.items())
+
+
+def assert_reps_match_the_solve_route(pieces, ghosts):
+    for piece in pieces:
+        for g in ghosts:
+            if piece.dim(g):
+                got = (piece.reps(g), list(piece._coords[g].entries.items()))
+                assert got == reps_by_the_solve_route(piece, g), (piece.name, g)
+
+
+@pytest.mark.parametrize("theory,name", corpus_pairs() + stratum_pairs())
+def test_class_spaces_match_the_solve_route(theory, name):
+    # reps reads the kernel coordinates of ins[g]'s columns after one
+    # membership product; the reference solves each column
+    model = ReducedModel(build_any(theory, name))
+    assert_reps_match_the_solve_route(
+        (model.bulk, model.bdry, model.vert, model.msymp), model.ghosts)
+
+
+def q_squared_nonzero_torus():
+    """ed on the torus with the first entry of Q doubled, which breaks
+    Q^2 = 0 at ghost 0: the image of Q from ghost 1 leaves ker Q."""
+    t = build_electrodynamics(corpus.torus())
+    bad = t.Q.copy()
+    key = min(bad.entries)
+    bad[key] = 2 * bad[key]
+    t.Q = bad
+    return t
+
+
+def test_class_space_refuses_an_image_outside_the_kernel():
+    from bvbfv.linalg import SubspaceNotContained
+
+    t = q_squared_nonzero_torus()
+    assert not (t.Q * t.Q).is_zero()
+    model = ReducedModel(t)
+    raised = []
+    for g in model.ghosts:
+        try:
+            model.bulk.reps(g)
+        except SubspaceNotContained as e:
+            assert str(e) == "sub is not inside ambient"
+            raised.append(g)
+    assert raised == [0]
+
+
+def solve_calls_from_quotient(monkeypatch):
+    """The list that each Subspace._solve call made by linalg.quotient
+    appends to from now on."""
+    import sys
+
+    from bvbfv import linalg
+
+    calls = []
+    orig = linalg.Subspace._solve
+
+    def recording(self, v):
+        if sys._getframe(1).f_code is linalg.quotient.__code__:
+            calls.append(v)
+        return orig(self, v)
+
+    monkeypatch.setattr(linalg.Subspace, "_solve", recording)
+    return calls
+
+
+@pytest.mark.parametrize("theory,name", [("bf", "torus_times_interval"), ("cs", "solid_torus"),
+                                         ("ed", "solid_torus")])
+def test_class_spaces_solve_no_column(theory, name, monkeypatch):
+    # membership is one product per ghost and the coordinates are read off
+    # the columns, so the report makes no solve from a quotient
+    calls = solve_calls_from_quotient(monkeypatch)
+    model = ReducedModel(build_pair(theory, name))
+    rep = moduli_report(model)
+    assert any(rep["moduli_dims"].values())
+    assert calls == []
+
+
 @pytest.mark.parametrize("theory,name", corpus_pairs())
 def test_gh0_slice_matches_moduli_report(theory, name):
     from bvbfv.theories import ghost_zero_slice

@@ -117,6 +117,30 @@ def test_pairing_of_wrong_ghosts_raises_ghost_mismatch(form):
         check_ghost_grading(t)
 
 
+@pytest.mark.parametrize("form,spaces,row,col,message", [
+    ("Q", ("bulk", "bulk"), ("A", 0), ("B", 1),
+     "Q block (B,1) -> (A,0) does not lower ghost by 1"),
+    ("Q_bdry", ("bdry", "bdry"), ("A", 0), ("B", 1),
+     "boundary Q block does not lower ghost by 1"),
+    ("pi", ("bdry", "bulk"), ("A", 0), ("B", 1), "pi does not preserve ghost"),
+    ("omega", ("bulk", "bulk"), ("A", 0), ("B", 0),
+     "bulk pairing couples (A,0) with (B,0): ghost sum 2 != -1"),
+    ("omega_bdry", ("bdry", "bdry"), ("A", 0), ("B", 0),
+     "boundary pairing ghost sum 2 != 0"),
+])
+def test_ghost_mismatch_messages(form, spaces, row, col, message):
+    # one entry of bf on the solid torus moved onto slots of the wrong
+    # ghosts; the message names what the ghost lists caught
+    t = build_abelian_bf(corpus.solid_torus())
+    rows, cols = (getattr(t, name) for name in spaces)
+    bad = getattr(t, form).copy()
+    bad[rows.offset(*row), cols.offset(*col)] = 1
+    setattr(t, form, bad)
+    with pytest.raises(GhostMismatch) as err:
+        check_ghost_grading(t)
+    assert str(err.value) == message
+
+
 def test_strict_mode_names_offending_block():
     from bvbfv.theories import SignConventionMismatch
 
