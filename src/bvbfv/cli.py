@@ -11,6 +11,7 @@ is excluded from the structured format).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -33,6 +34,7 @@ from .moduli import ReducedModel, ed_formula_check, moduli_report
 from .simplicial import SimplicialError, load_complex
 from .symbolic import SymbolicError, target_from_dict
 from .theories import (
+    _KINDS,
     TheoryError,
     check_ghost_grading,
     ghost_zero_slice,
@@ -87,16 +89,22 @@ def _theory_config(args):
     spec = args.theory
     if spec is None:
         raise InputError("--theory is required")
-    if os.path.exists(spec) or (os.environ.get("BVBFV_CORPUS") and not spec.isalpha()):
+    kind = KIND_ALIASES.get(spec, spec)
+    if kind in _KINDS:
+        config = {"kind": kind}
+    else:
         try:
-            with open(_resolve(spec)) as fh:
+            path = _resolve(spec)
+        except InputError:
+            raise InputError(f"--theory {spec}: neither a theory kind nor a "
+                             f"config file") from None
+        try:
+            with open(path) as fh:
                 config = json.load(fh)
         except (json.JSONDecodeError, OSError) as e:
             raise InputError(f"theory config: {e}")
         if not isinstance(config, dict):
             raise InputError("theory config: not a JSON object")
-    else:
-        config = {"kind": KIND_ALIASES.get(spec, spec)}
     if args.mass is not None:
         config["mass"] = args.mass
     if args.codim is not None:
@@ -339,7 +347,10 @@ def cmd_slice_gh0(args):
     return rep
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on first use and then kept for the
+    process (not at import)."""
     p = argparse.ArgumentParser(
         prog="bvbfv",
         description="Exact verification lab for linear gauge theories on "
@@ -395,8 +406,8 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # cached: in-process callers run many ops, and each parse is a fresh namespace
+    args = build_parser().parse_args(argv)
     try:
         report = args.func(args).finish()
     except InputError as e:

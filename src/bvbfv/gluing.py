@@ -20,6 +20,7 @@ from .complexes import ExactSequenceReport
 from .linalg import (
     RatMatrix,
     Subspace,
+    _coords_of_columns,
     _kernel_quotient,
     column_span,
     kernel_basis,
@@ -253,11 +254,23 @@ def _stack(a, b, n):
 
 
 def _fiber_product(rho_l, left, rho_r, right):
-    """kernel_basis of [rho_l L | -rho_r R]: the pairs of combinations of
-    the vectors left and right that agree on the interface."""
+    """The system S = [rho_l L | -rho_r R] and its kernel_basis: the pairs
+    of combinations of the vectors left and right that agree on the
+    interface."""
     cols = [rho_l.matvec(v) for v in left] + \
         [{i: -x for i, x in rho_r.matvec(v).items()} for v in right]
-    return kernel_basis(RatMatrix.from_columns(cols, rho_l.rows))
+    system = RatMatrix.from_columns(cols, rho_l.rows)
+    return system, kernel_basis(system)
+
+
+def _fiber_coords(system, fp, vectors):
+    """The coordinates in fp = ker system of each vector, or None when one
+    of them leaves fp.  Membership is the one product system V = 0, and the
+    coordinates are read off V's columns with no solve."""
+    v = RatMatrix.from_columns(vectors, system.cols)
+    if not (system * v).is_zero():
+        return None
+    return _coords_of_columns(fp, v).transpose().sparse_rows()
 
 
 def fiber_product_check(gl: Gluing):
@@ -279,7 +292,7 @@ def fiber_product_check(gl: Gluing):
         raise GluingError("interface field spaces disagree")
     el_n = sum(gl.glued.bulk.kernel(g).dim for g in ghosts)
     fp_dim = sum(_fiber_product(rho_l, _cocycles(gl.left.bulk, [g]),
-                                rho_r, _cocycles(gl.right.bulk, [g])).dim for g in ghosts)
+                                rho_r, _cocycles(gl.right.bulk, [g]))[1].dim for g in ghosts)
     return {"el_glued_dim": el_n, "fiber_product_dim": fp_dim,
             "match": el_n == fp_dim}
 
@@ -312,12 +325,14 @@ def glue_moduli(gl: Gluing):
     msymp_l, msymp_r, msymp_n = model_left.msymp, model_right.msymp, model_glued.msymp
     rho_l, rho_r = gl.rho
     ghosts = sorted(set(model_left.ghosts) | set(model_right.ghosts))
-    mt_basis = {}      # ghost -> basis of M-tilde in (left reps + right reps) coords
+    # ghost -> (system, M-tilde = its kernel in (left reps + right reps)
+    # coords, number of left reps)
+    mt_basis = {}
     for g in ghosts:
         reps_l = msymp_l.reps(g)
-        mt = _fiber_product(rho_l, [msymp_l.flat(g, rep) for rep in reps_l],
-                            rho_r, [msymp_r.flat(g, rep) for rep in msymp_r.reps(g)])
-        mt_basis[g] = (mt, len(reps_l))
+        system, mt = _fiber_product(rho_l, [msymp_l.flat(g, rep) for rep in reps_l],
+                                    rho_r, [msymp_r.flat(g, rep) for rep in msymp_r.reps(g)])
+        mt_basis[g] = (system, mt, len(reps_l))
     # beta-tilde images of interface fields span the distribution to divide by
     sec_l, sec_r = gl.sections
     beta_cols = {g: [] for g in ghosts}
@@ -326,21 +341,20 @@ def glue_moduli(gl: Gluing):
         target = mt_basis.get(g - 1)
         if target is None:
             continue
-        mt, na = target
+        system, mt, na = target
         if mt.dim == 0:
             continue
-        for row in gl._relative_rows.get(g, []):
-            vec = _stack(_beta_value(model_left, sec_l, row, g),
-                         _beta_value(model_right, sec_r, row, g), na)
-            if vec:
-                x = mt.coords(vec)
-                if x is None:
-                    raise GluingError("beta-tilde image leaves the fiber product")
-                beta_cols[g - 1].append(x)
+        vecs = [_stack(_beta_value(model_left, sec_l, row, g),
+                       _beta_value(model_right, sec_r, row, g), na)
+                for row in gl._relative_rows.get(g, [])]
+        xs = _fiber_coords(system, mt, [vec for vec in vecs if vec])
+        if xs is None:
+            raise GluingError("beta-tilde image leaves the fiber product")
+        beta_cols[g - 1].extend(xs)
     intrinsic_dims = {}
     quotients = {}
     for g in ghosts:
-        mt, na = mt_basis[g]
+        _, mt, _ = mt_basis[g]
         dist = column_span(beta_cols.get(g, []), mt.dim)
         # Q^mt.dim is the kernel of the map to the zero space, so the
         # quotient reads the distribution's coordinates with no solve
@@ -348,7 +362,7 @@ def glue_moduli(gl: Gluing):
                                         dist.matrix()) if mt.dim \
             else (Subspace.zero(0), None)
         intrinsic_dims[g] = comp.dim
-        quotients[g] = (mt, comp, coords, na)
+        quotients[g] = (comp, coords)
     # direct computation on the glued complex
     direct_dims = {g: len(msymp_n.reps(g)) for g in model_glued.ghosts
                    if model_glued.bulk.dim(g)}
@@ -361,29 +375,25 @@ def glue_moduli(gl: Gluing):
     iso_ok = dims_match
     pair_ok = True
     for g in ghosts:
-        mt, comp, coords, na = quotients[g]
+        system, mt, na = mt_basis[g]
+        comp, coords = quotients[g]
         reps_n = msymp_n.reps(g)
         if len(reps_n) != comp.dim:
             iso_ok = False
             continue
-        cols = []
-        for rep in reps_n:
-            flat = msymp_n.flat(g, rep)
-            x = mt.coords(_stack(_piece_coords(msymp_l, g, res_l.matvec(flat)),
-                                 _piece_coords(msymp_r, g, res_r.matvec(flat)), na))
-            if x is None:
-                iso_ok = False
-                break
-            # quotient coordinates along the distribution
-            if comp.dim:
-                cols.append(coords.matvec(x))
-        if len(cols) == len(reps_n) and comp.dim:
-            if column_span(cols, comp.dim).dim != comp.dim:
-                iso_ok = False
+        flats = [msymp_n.flat(g, rep) for rep in reps_n]
+        xs = _fiber_coords(system, mt, [
+            _stack(_piece_coords(msymp_l, g, res_l.matvec(flat)),
+                   _piece_coords(msymp_r, g, res_r.matvec(flat)), na) for flat in flats])
+        if xs is None:
+            iso_ok = False
+        elif comp.dim and column_span([coords.matvec(x) for x in xs],
+                                      comp.dim).dim != comp.dim:
+            # their quotient coordinates along the distribution must span
+            iso_ok = False
         # pairing intertwined on representatives (cochain-level identity)
         gp = model_glued.pair_ghost() - g
-        for x in reps_n:
-            xf = msymp_n.flat(g, x)
+        for xf in flats:
             for y in msymp_n.reps(gp):
                 yf = msymp_n.flat(gp, y)
                 lhs = t_glued.pair_bulk(xf, yf)

@@ -764,7 +764,9 @@ _KINDS = {
 
 def theory_from_config(cx: OrientedComplex, config: dict) -> LinearTheory:
     """Build a theory from the config mapping: a string kind, an optional
-    rational mass, and optional integers `n` (ambient dimension) and codim."""
+    rational mass, and optional integers `n` (ambient dimension) and codim.
+    Only the scalar has a mass term; a nonzero mass on any other theory or
+    on a stratum is a TheoryError."""
     kind, ambient, codim = config.get("kind"), config.get("n"), config.get("codim")
     if not isinstance(kind, str):
         raise TheoryError("theory config needs a string 'kind'")
@@ -775,8 +777,12 @@ def theory_from_config(cx: OrientedComplex, config: dict) -> LinearTheory:
     except (TypeError, ValueError, ZeroDivisionError) as e:
         raise TheoryError(f"bad mass: {e}") from None
     if codim:
+        if mass:
+            raise TheoryError("a stratum theory has no mass term")
         n = ambient if ambient is not None else cx.dimension + codim
         return extend_to_stratum(kind, cx, n)
     if kind not in _KINDS:
         raise TheoryError(f"unknown theory kind {kind!r}")
+    if mass and kind != "scalar":
+        raise TheoryError(f"{kind} has no mass term; only the scalar takes a mass")
     return _KINDS[kind][0](cx, ambient, mass)

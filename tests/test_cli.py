@@ -225,6 +225,102 @@ def test_malformed_target_exits_one(tmp_path, data):
     _assert_one_error_line(run_cli("target", "check", str(p)))
 
 
+@pytest.mark.parametrize("kind, alias", [("abelian_bf", "bf"), ("abelian_cs", "cs"),
+                                         ("electrodynamics", "ed")])
+def test_canonical_theory_kind_matches_its_alias(kind, alias):
+    # run_cli sets BVBFV_CORPUS: a canonical kind still builds as a kind
+    argv = ("--format", "structured", "cme", "disk", "--theory")
+    out = run_cli(*argv, kind)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == run_cli(*argv, alias).stdout
+
+
+def test_missing_theory_config_exits_one():
+    _assert_one_error_line(run_cli("cme", "disk", "--theory", "no_such_theory.json"))
+
+
+@pytest.mark.parametrize("extra", [
+    ("--theory", "bf"),
+    ("--theory", "cs"),
+    ("--theory", "ed"),
+    ("--theory", "bf", "--codim", "1"),
+], ids=["bf", "cs", "ed", "bf_codim_1"])
+def test_mass_without_a_mass_term_exits_one(extra):
+    _assert_one_error_line(run_cli("cme", "disk", *extra, "--mass", "1"))
+
+
+def test_parser_built_once(monkeypatch, tmp_path):
+    import argparse
+
+    from bvbfv import cli
+
+    counts = [0]
+    orig = argparse.ArgumentParser.__init__
+
+    def counting(self, *a, **kw):
+        counts[0] += 1
+        orig(self, *a, **kw)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    monkeypatch.setenv("BVBFV_CORPUS", CORPUS)
+    out = str(tmp_path / "out.json")
+    built = []
+    for argv in (["complex", "check", "interval"],
+                 ["target", "check", os.path.join("targets", "cs_so3.json")],
+                 ["cme", "interval", "--theory", "bf"],
+                 ["moduli", "interval", "--theory", "scalar"],
+                 ["slice-gh0", "circle", "--theory", "cs"]):
+        before = counts[0]
+        assert cli.main([*argv, "--out", out]) in (0, 2)
+        built.append(counts[0] - before)
+    assert built[1:] == [0, 0, 0, 0], built
+
+
+def test_import_builds_no_parser():
+    # the parser is built by the first main call, so importing the CLI
+    # stays cheap
+    code = ("import bvbfv.cli\n"
+            "assert bvbfv.cli.build_parser.cache_info().currsize == 0")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         env={**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")})
+    assert out.returncode == 0, out.stderr
+
+
+def test_no_state_crosses_between_calls(monkeypatch, capsys):
+    # one process runs a mixed sequence; each op must give what a fresh
+    # process gives
+    from bvbfv import cli
+
+    monkeypatch.setenv("BVBFV_CORPUS", CORPUS)
+    # argparse wraps its usage line at the terminal width, which a
+    # subprocess writing to a pipe does not have
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(ROOT)
+    structured = ["--format", "structured"]
+    sequence = [
+        ["cme", "interval3", "--theory", "scalar", "--mass", "1/2", *structured],
+        ["cme", "interval3", "--theory", "scalar", *structured],
+        ["cme", "disk", "--theory", "bf", "--codim", "1", *structured],
+        ["cme", "disk", "--theory", "bf", *structured],
+        [*structured, "slice-gh0", "circle", "--theory", "cs"],
+        ["slice-gh0", "circle", "--theory", "cs", *structured],
+        ["cme", "disk", "--theory", "bf", "--codim", "x", *structured],
+        [*structured, "complex", "check", "disk"],
+    ]
+    codes = []
+    for argv in sequence:
+        try:
+            code = cli.main(argv)
+        except SystemExit as e:
+            code = e.code
+        captured = capsys.readouterr()
+        fresh = run_cli(*argv)
+        assert (code, captured.out.encode(), captured.err.encode()) == \
+            (fresh.returncode, fresh.stdout, fresh.stderr), argv
+        codes.append(code)
+    assert codes == [0, 0, 0, 0, 0, 0, 2, 0]
+
+
 def test_slice_gh0():
     out = run_cli("slice-gh0", "solid_torus", "--theory", "cs")
     assert out.returncode == 0

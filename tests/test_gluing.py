@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from bvbfv import corpus
@@ -7,13 +9,15 @@ from bvbfv.gluing import (
     GluingSpec,
     InterfaceMismatch,
     OrientationClash,
+    _fiber_coords,
+    _fiber_product,
     compose_morphisms,
     fiber_product_check,
     glue,
     glue_moduli,
     mayer_vietoris,
 )
-from bvbfv.linalg import RatMatrix, kernel_basis
+from bvbfv.linalg import RatMatrix, kernel_basis, vec_add, vec_scale
 from bvbfv.moduli import ReducedModel
 from bvbfv.simplicial import OrientedComplex
 from bvbfv.theories import (
@@ -301,14 +305,80 @@ def test_gluing_class_spaces_match_the_solve_route(make):
 
 @pytest.mark.parametrize("make", [spec_s3, spec_s2xs1])
 def test_glue_moduli_solves_no_column(make, monkeypatch):
-    # the class spaces and the quotient by the distribution read their
-    # coordinates off the columns: no solve from a quotient
-    from test_moduli import solve_calls_from_quotient
+    # the class spaces, the quotient by the distribution and the fiber
+    # product M-tilde read their coordinates off the columns: no solve at all
+    from bvbfv import linalg
 
-    calls = solve_calls_from_quotient(monkeypatch)
-    out = glue_moduli(gluing(make()[0], build_abelian_cs))
+    calls = []
+    orig = linalg.Subspace._solve
+
+    def recording(self, v):
+        calls.append(v)
+        return orig(self, v)
+
+    gl = gluing(make()[0], build_abelian_cs)
+    monkeypatch.setattr(linalg.Subspace, "_solve", recording)
+    out = glue_moduli(gl)
     assert out["dims_match"] and out["isomorphism"]
     assert calls == []
+
+
+@pytest.mark.parametrize("make", [spec_s3, spec_s2xs1])
+def test_fiber_coords_match_the_solve_route(make):
+    # per ghost: combinations of M-tilde's basis get the coordinates that
+    # Subspace.coords solves for, and each unit vector is refused exactly
+    # when it leaves M-tilde
+    gl = gluing(make()[0], build_abelian_cs)
+    ml, mr = gl.left.msymp, gl.right.msymp
+    rho_l, rho_r = gl.rho
+    for g in gl.left.ghosts:
+        system, mt = _fiber_product(rho_l, [ml.flat(g, r) for r in ml.reps(g)],
+                                    rho_r, [mr.flat(g, r) for r in mr.reps(g)])
+        inside = [{}, *mt.basis]
+        inside += [vec_add(vec_scale(b, k + 1), inside[k]) for k, b in enumerate(mt.basis)]
+        assert _fiber_coords(system, mt, inside) == [mt.coords(v) for v in inside]
+        for j in range(system.cols):
+            unit = {j: Fraction(1)}
+            got = _fiber_coords(system, mt, [unit])
+            assert got == (None if mt.coords(unit) is None else [mt.coords(unit)])
+
+
+@pytest.mark.parametrize("make", [spec_s3, spec_s2xs1])
+def test_beta_image_off_the_fiber_product_raises(make, monkeypatch):
+    from bvbfv import gluing as gluing_module
+
+    orig = gluing_module._beta_value
+    patched = []
+
+    def off(model, section, row, g):
+        # one entry moved along a left class that restricts to a nonzero
+        # interface field, so the pair no longer agrees on the interface
+        value = orig(model, section, row, g)
+        if not patched and model is gl.left:
+            msymp = model.msymp
+            seen = [k for k, rep in enumerate(msymp.reps(g - 1))
+                    if gl.rho[0].matvec(msymp.flat(g - 1, rep))]
+            if seen:
+                value = {**value, seen[0]: value.get(seen[0], 0) + 1}
+                patched.append(row)
+        return value
+
+    gl = gluing(make()[0], build_abelian_cs)
+    monkeypatch.setattr(gluing_module, "_beta_value", off)
+    with pytest.raises(GluingError, match="beta-tilde image leaves the fiber product"):
+        glue_moduli(gl)
+    assert patched
+
+
+@pytest.mark.parametrize("make", [spec_s3, spec_s2xs1])
+def test_glued_rep_off_the_fiber_product_is_no_isomorphism(make):
+    # doubling the left restriction moves the restricted glued
+    # representatives off M-tilde, which the isomorphism verdict must see
+    gl = gluing(make()[0], build_abelian_cs)
+    (res_l, eps_l), right = gl.res
+    gl.res = ((res_l.scale(2), eps_l), right)
+    out = glue_moduli(gl)
+    assert out["dims_match"] and not out["isomorphism"]
 
 
 def test_glue_moduli_empty_interface_product():

@@ -7,6 +7,7 @@ from bvbfv import corpus
 from bvbfv.complexes import GhostMismatch
 from bvbfv.moduli import ReducedModel
 from bvbfv.theories import (
+    TheoryError,
     WrongDimension,
     _reindex_like,
     build_abelian_bf,
@@ -248,6 +249,26 @@ def test_theory_from_config_variants():
     assert t.mass == Fraction(1, 2)
     t = theory_from_config(corpus.torus(), {"kind": "abelian_bf", "codim": 1, "n": 3})
     assert t.n == 3 and t.D == 2
+
+
+@pytest.mark.parametrize("config", [
+    {"kind": "abelian_bf", "mass": "1"},
+    {"kind": "abelian_cs", "mass": "1/2"},
+    {"kind": "electrodynamics", "mass": "2"},
+    {"kind": "abelian_bf", "codim": 1, "mass": "1"},
+    {"kind": "electrodynamics", "codim": 1, "mass": "1"},
+], ids=["bf", "cs", "ed", "bf_codim_1", "ed_codim_1"])
+def test_mass_without_a_mass_term_is_refused(config):
+    # only the scalar reads a mass; any other theory must not drop one
+    with pytest.raises(TheoryError, match="no mass term"):
+        theory_from_config(corpus.disk(), config)
+
+
+@pytest.mark.parametrize("kind", ["abelian_bf", "abelian_cs", "electrodynamics"])
+def test_zero_mass_is_accepted(kind):
+    cx = corpus.disk()
+    t = theory_from_config(cx, {"kind": kind, "mass": "0"})
+    assert t.Q == theory_from_config(cx, {"kind": kind}).Q
 
 
 # --- the cone-model builder, pinned ---------------------------------------------
