@@ -31,7 +31,7 @@ from .gluing import (
     mayer_vietoris,
 )
 from .moduli import ReducedModel, ed_formula_check, moduli_report
-from .simplicial import SimplicialError, load_complex
+from .simplicial import SimplicialError, is_vertex_id, load_complex
 from .symbolic import SymbolicError, target_from_dict
 from .theories import (
     _KINDS,
@@ -283,7 +283,7 @@ def cmd_glue(args):
     pairs = data["interface_map"]
     if not isinstance(pairs, list) or not all(
             isinstance(p, list) and len(p) == 2
-            and all(isinstance(v, (int, str)) for v in p) for p in pairs):
+            and all(map(is_vertex_id, p)) for p in pairs):
         raise InputError("gluing spec: interface_map must be a list of "
                          "[left, right] vertex pairs")
     left, lpath = _load_complex(lpath)

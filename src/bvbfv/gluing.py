@@ -22,10 +22,11 @@ from .linalg import (
     Subspace,
     _coords_of_columns,
     _kernel_quotient,
+    _unread,
     column_span,
     kernel_basis,
 )
-from .moduli import ReducedModel, _cocycles, _ghost_piece, _unread
+from .moduli import ReducedModel, _cocycles, _ghost_piece
 from .simplicial import IncoherentOrientation, OrientedComplex, _perm_sign
 from .theories import FieldSpace, LinearTheory, set_block
 
@@ -118,19 +119,6 @@ def glue(spec: GluingSpec):
     return cx
 
 
-def restriction_to_subcomplex(big: OrientedComplex, small: OrientedComplex, k, vmap):
-    """C^k(big) -> C^k(small) along the embedding small -> big given by vmap
-    (small vertex -> big vertex)."""
-    m = RatMatrix(small.n_faces(k), big.n_faces(k))
-    for f in small.faces(k):
-        verts = small.face_vertices(f)
-        imgs = [vmap[v] for v in verts]
-        pos = [big.vertex_position(v) for v in imgs]
-        sgn = _perm_sign(pos)
-        m[small.face_index(k, f), big.face_index(k, tuple(sorted(pos)))] = sgn
-    return m
-
-
 def _restriction(t: LinearTheory, fields: FieldSpace, small: OrientedComplex, vmap):
     """Flat restriction of the cup-model bulk fields of t to the cochains of
     small laid out by fields (vmap: small vertex -> vertex of t's complex)."""
@@ -138,8 +126,7 @@ def _restriction(t: LinearTheory, fields: FieldSpace, small: OrientedComplex, vm
     for slot in fields.slots:
         sk = (slot["sector"], slot["degree"])
         if t.bulk.has(*sk):
-            set_block(m, fields, sk, t.bulk, sk,
-                      restriction_to_subcomplex(t.cx, small, sk[1], vmap))
+            set_block(m, fields, sk, t.bulk, sk, t.cx.restriction(small, sk[1], vmap))
     return m
 
 

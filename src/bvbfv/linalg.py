@@ -863,6 +863,19 @@ def _read_coords(space, m):
     return out
 
 
+def _unread(m, error):
+    """The columns that m does not read, in increasing order, when each row
+    of m is a single +-1 on a column of its own; raises error otherwise.
+    Such an m is a coordinate projection: m m^T = I, and ker m is spanned
+    by the unit vectors of the unread columns."""
+    read = set()
+    for row in m.sparse_rows():
+        if len(row) != 1 or row.keys() <= read or abs(next(iter(row.values()))) != 1:
+            raise error
+        read.update(row)
+    return [j for j in range(m.cols) if j not in read]
+
+
 def _quotient_of_coords(ambient, ys):
     """The complement and coordinate map of `quotient`, from the sub
     vectors' coordinates in ambient's basis, given as integer vectors y:

@@ -46,6 +46,7 @@ from .linalg import (
     Subspace,
     _coords_of_columns,
     _plus_minus_symmetric,
+    _unread,
     column_span,
     image_basis,
     kernel_basis,
@@ -70,19 +71,6 @@ def _ghost_piece(name, m, idx):
     piece = _GradedPiece.of_differential(name, dims, blocks, -1, ModuliError)
     piece.index = idx
     return piece
-
-
-def _unread(m, error):
-    """The columns that m does not read, in increasing order, when each row
-    of m is a single +-1 on a column of its own; raises error otherwise.
-    Such an m is a coordinate projection: m m^T = I, and ker m is spanned
-    by the unit vectors of the unread columns."""
-    read = set()
-    for row in m.sparse_rows():
-        if len(row) != 1 or row.keys() <= read or abs(next(iter(row.values()))) != 1:
-            raise error
-        read.update(row)
-    return [j for j in range(m.cols) if j not in read]
 
 
 def _pairing_block(form, left, right):

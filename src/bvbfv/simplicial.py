@@ -4,6 +4,12 @@ Provides coboundary operators, relative complexes, the fundamental cycle,
 the Alexander-Whitney cup product, and evaluation against the fundamental
 cycle -- the discrete realizations of d, (N, dN), [N], wedge and integration.
 All identities (d^2 = 0, Stokes, cup-Leibniz) hold exactly.
+
+`OrientedComplex.restriction` is the one builder of restrictions of
+cochains to a subcomplex.  The restriction to the boundary is a coordinate
+projection, so the interior faces are the columns it does not read, and
+the relative complex C(N, dN) is cut out of C(N) by them; it is built
+only when asked for, never by a theory build, which reads the restriction.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .complexes import ChainMap, CochainComplex
-from .linalg import PairingForm, RatMatrix, vec_add
+from .linalg import PairingForm, RatMatrix, _unread, vec_add
 
 
 class SimplicialError(Exception):
@@ -192,9 +198,8 @@ class OrientedComplex:
         vids = [self.vertex_ids[i] for i in verts]
         tops = [tuple(self.vertex_ids[i] for i in f) for f in bdry]
         signs = [int(s) for s in bdry.values()]
-        if self.dimension == 0 or not tops:
-            return OrientedComplex(max(self.dimension - 1, 0), vids, tops, signs) \
-                if tops else _empty_complex(self.dimension - 1)
+        if not tops:
+            return _empty_complex(self.dimension - 1)
         return OrientedComplex(self.dimension - 1, vids, tops, signs)
 
     # -- coboundary ----------------------------------------------------------
@@ -227,17 +232,38 @@ class OrientedComplex:
         self._cache["cochain_complex"] = out
         return out
 
-    # -- relative complex -----------------------------------------------------
+    # -- restriction and relative complex ---------------------------------------
+
+    def restriction(self, small, k, vmap):
+        """C^k(self) -> C^k(small): the pullback along the embedding of the
+        subcomplex small given by vmap (small vertex -> vertex of self).
+        Each face of small reads the face of self it lands on, with the sign
+        of the permutation that sorts its image."""
+        m = RatMatrix(small.n_faces(k), self.n_faces(k))
+        for f in small.faces(k):
+            pos = [self._vpos[vmap[v]] for v in small.face_vertices(f)]
+            i, j = small.face_index(k, f), self.face_index(k, tuple(sorted(pos)))
+            m[i, j] = _perm_sign(pos)
+        return m
+
+    def restriction_matrix(self, k):
+        """C^k(N) -> C^k(dN), the pullback to the boundary subcomplex: a
+        coordinate projection, each boundary face reading its own face."""
+        if ("restriction", k) not in self._cache:
+            bc = self.boundary_complex()
+            self._cache[("restriction", k)] = self.restriction(
+                bc, k, {v: v for v in bc.vertex_ids})
+        return self._cache[("restriction", k)]
+
+    def _interior_cols(self, k):
+        return _unread(self.restriction_matrix(k),
+                       SimplicialError("boundary restriction is not a projection"))
 
     def interior_faces(self, k):
-        bfaces = set()
-        bc = self.boundary_complex()
-        if bc.n_faces(0) and k <= bc.dimension:
-            bfaces = {
-                tuple(self._vpos[v] for v in bc.face_vertices(f))
-                for f in bc.faces(k)
-            }
-        return [f for f in self.faces(k) if f not in bfaces]
+        """The k-faces off the boundary: those that restriction_matrix(k)
+        does not read."""
+        faces = self.faces(k)
+        return [faces[j] for j in self._interior_cols(k)]
 
     def relative_complex(self):
         """(relative complex, inclusion, restriction): per-degree short exact
@@ -249,45 +275,22 @@ class OrientedComplex:
         return out
 
     def _relative_complex(self):
+        """C(N, dN) is cut out of C(N) by the faces that the restriction
+        does not read: the inclusion is their unit columns and the
+        differential is d on those faces."""
         absc = self.cochain_complex()
         bc = self.boundary_complex()
         bcx = bc.cochain_complex() if bc.n_faces(0) else CochainComplex({}, {})
-        rel_faces = {k: self.interior_faces(k) for k in range(self.dimension + 1)}
-        comps = {k: len(v) for k, v in rel_faces.items()}
-        incl_blocks = {}
-        for k in range(self.dimension + 1):
-            m = RatMatrix(self.n_faces(k), comps.get(k, 0))
-            for j, f in enumerate(rel_faces[k]):
-                m.entries[(self.face_index(k, f), j)] = Fraction(1)
-            incl_blocks[k] = m
-        diffs = {}
-        for k in range(self.dimension):
-            d_cols = self.coboundary_matrix(k).transpose().sparse_rows()
-            m = RatMatrix(comps.get(k + 1, 0), comps.get(k, 0))
-            idx_next = {self.face_index(k + 1, f): i for i, f in enumerate(rel_faces[k + 1])}
-            for j, f in enumerate(rel_faces[k]):
-                for i, v in d_cols[self.face_index(k, f)].items():
-                    if i in idx_next:
-                        m.entries[(idx_next[i], j)] = v
-            diffs[k] = m
-        relc = CochainComplex(comps, diffs)
-        rest_blocks = {}
-        for k in range(self.dimension + 1):
-            rows = bcx.dim(k)
-            m = RatMatrix(rows, self.n_faces(k))
-            if rows:
-                for f in bc.faces(k):
-                    parent = tuple(self._vpos[v] for v in bc.face_vertices(f))
-                    m.entries[(bc.face_index(k, f), self.face_index(k, parent))] = Fraction(1)
-            rest_blocks[k] = m
+        inner = {k: self._interior_cols(k) for k in range(self.dimension + 1)}
+        incl_blocks = {k: RatMatrix.from_columns([{j: 1} for j in cols], self.n_faces(k))
+                       for k, cols in inner.items()}
+        diffs = {k: self.coboundary_matrix(k).submatrix(inner[k + 1], inner[k])
+                 for k in range(self.dimension)}
+        relc = CochainComplex({k: len(cols) for k, cols in inner.items()}, diffs)
+        rest_blocks = {k: self.restriction_matrix(k) for k in range(self.dimension + 1)}
         inclusion = ChainMap(relc, absc, incl_blocks)
         restriction = ChainMap(absc, bcx, rest_blocks)
         return relc, inclusion, restriction
-
-    def restriction_matrix(self, k):
-        """C^k(N) -> C^k(dN) pullback to the boundary subcomplex."""
-        _, _, restr = self.relative_complex()
-        return restr.block(k)
 
     # -- cup product and evaluation -------------------------------------------
 
@@ -408,6 +411,12 @@ def _empty_complex(dim):
     return OrientedComplex(max(dim, 0), [], [], [])
 
 
+def is_vertex_id(v):
+    """A vertex id in a complex or gluing file: an integer (not a boolean)
+    or a string."""
+    return type(v) is int or isinstance(v, str)
+
+
 def load_complex(source) -> OrientedComplex:
     """Load a complex from a dict, a JSON string, or a file path."""
     if isinstance(source, dict):
@@ -420,18 +429,19 @@ def load_complex(source) -> OrientedComplex:
     for key in ("dimension", "vertices", "top_simplices"):
         if key not in data:
             raise SimplicialError(f"missing field {key!r} in complex description")
-    if not isinstance(data["dimension"], int):
+    if type(data["dimension"]) is not int:
         raise SimplicialError("dimension must be an integer")
     if not isinstance(data["vertices"], list):
         raise SimplicialError("vertices must be a list")
-    if not all(isinstance(v, (int, str)) for v in data["vertices"]):
+    if not all(map(is_vertex_id, data["vertices"])):
         raise SimplicialError("vertex ids must be integers or strings")
     if not (isinstance(data["top_simplices"], list)
-            and all(isinstance(t, list) and all(isinstance(v, (int, str)) for v in t)
+            and all(isinstance(t, list) and all(map(is_vertex_id, t))
                     for t in data["top_simplices"])):
         raise SimplicialError("top_simplices must be a list of lists of vertex ids")
     signs = data.get("orientation_signs")
-    if signs is not None and not isinstance(signs, list):
-        raise SimplicialError("orientation_signs must be a list")
+    if signs is not None and not (isinstance(signs, list) and all(
+            type(s) is int and s in (1, -1) for s in signs)):
+        raise SimplicialError("orientation_signs must be a list of the integers 1 and -1")
     tops = [tuple(t) for t in data["top_simplices"]]
     return OrientedComplex(data["dimension"], list(data["vertices"]), tops, signs)

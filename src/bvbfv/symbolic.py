@@ -564,17 +564,22 @@ def cs_target(lie: LieData) -> TargetSpec:
     return TargetSpec(vars_, lie.metric, 2, theta)
 
 
-def bf_target(lie: LieData, n_dim) -> TargetSpec:
-    """Degree n-1 target on g[1] + g*[n-2] with theta = (1/2) f^a_bc p_a x^b x^c."""
-    n = lie.dim
-    vars_ = [GradedVar(f"x{a}", 1) for a in range(n)] + [
-        GradedVar(f"p{a}", n_dim - 2) for a in range(n)
+def _cotangent_pair(n, x_degree, p_degree):
+    """Variables x0..x{n-1} of degree x_degree and p0..p{n-1} of degree
+    p_degree, with the unit omega pairing x^a with p_a both ways."""
+    vars_ = [GradedVar(f"x{a}", x_degree) for a in range(n)] + [
+        GradedVar(f"p{a}", p_degree) for a in range(n)
     ]
     omega = [[Fraction(0)] * (2 * n) for _ in range(2 * n)]
-    sym = (-1) ** ((1 + 1) * (n_dim - 2 + 1))
     for a in range(n):
         omega[n + a][a] = Fraction(1)
-        omega[a][n + a] = Fraction(sym)
+        omega[a][n + a] = Fraction(1)
+    return vars_, omega
+
+
+def _bf_term(lie: LieData):
+    """(1/2) f^a_bc p_a x^b x^c on the variables of `_cotangent_pair`."""
+    n = lie.dim
     theta = {}
     for a in range(n):
         for b in range(n):
@@ -583,7 +588,13 @@ def bf_target(lie: LieData, n_dim) -> TargetSpec:
                 if v:
                     key = (n + a, b, c)
                     theta[key] = theta.get(key, Fraction(0)) + v / 2
-    return TargetSpec(vars_, omega, n_dim - 1, theta)
+    return theta
+
+
+def bf_target(lie: LieData, n_dim) -> TargetSpec:
+    """Degree n-1 target on g[1] + g*[n-2] with theta = (1/2) f^a_bc p_a x^b x^c."""
+    vars_, omega = _cotangent_pair(lie.dim, 1, n_dim - 2)
+    return TargetSpec(vars_, omega, n_dim - 1, _bf_term(lie))
 
 
 def psm_target(pi_entries, dim) -> TargetSpec:
@@ -592,20 +603,13 @@ def psm_target(pi_entries, dim) -> TargetSpec:
     pi_entries: dict (i, j) -> polynomial in the x-variables given as
     {x-monomial-tuple: coeff}; must be antisymmetric.
     """
-    vars_ = [GradedVar(f"x{i}", 0) for i in range(dim)] + [
-        GradedVar(f"p{i}", 1) for i in range(dim)
-    ]
-    omega = [[Fraction(0)] * (2 * dim) for _ in range(2 * dim)]
-    for i in range(dim):
-        omega[dim + i][i] = Fraction(1)
-        omega[i][dim + i] = Fraction(1)
-    spec_vars = vars_
+    vars_, omega = _cotangent_pair(dim, 0, 1)
     theta = {}
     for (i, j), poly in pi_entries.items():
         for mono, c in poly.items():
             key = tuple(sorted(mono)) + (dim + i, dim + j)
             theta[key] = theta.get(key, Fraction(0)) + Fraction(c) / 2
-    return TargetSpec(spec_vars, omega, 1, theta)
+    return TargetSpec(vars_, omega, 1, theta)
 
 
 def cs_cubic_target(lie: LieData, sign=1) -> TargetSpec:
@@ -614,21 +618,8 @@ def cs_cubic_target(lie: LieData, sign=1) -> TargetSpec:
     if lie.metric is None:
         raise NotInvariantMetric("cubic deformation needs an invariant metric")
     n = lie.dim
-    vars_ = [GradedVar(f"x{a}", 1) for a in range(n)] + [
-        GradedVar(f"p{a}", 1) for a in range(n)
-    ]
-    omega = [[Fraction(0)] * (2 * n) for _ in range(2 * n)]
-    for a in range(n):
-        omega[n + a][a] = Fraction(1)
-        omega[a][n + a] = Fraction(1)
-    theta = {}
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                v = lie.c(b, c, a)
-                if v:
-                    key = (n + a, b, c)
-                    theta[key] = theta.get(key, Fraction(0)) + v / 2
+    vars_, omega = _cotangent_pair(n, 1, 1)
+    theta = _bf_term(lie)
     raised = lie.raised()
     for a in range(n):
         for b in range(n):
@@ -646,21 +637,8 @@ def example5_target(lie: LieData) -> TargetSpec:
     if lie.metric is None:
         raise NotInvariantMetric("the quadratic deformation needs an invariant metric")
     n = lie.dim
-    vars_ = [GradedVar(f"x{a}", 1) for a in range(n)] + [
-        GradedVar(f"p{a}", 2) for a in range(n)
-    ]
-    omega = [[Fraction(0)] * (2 * n) for _ in range(2 * n)]
-    for a in range(n):
-        omega[n + a][a] = Fraction(1)
-        omega[a][n + a] = Fraction(1)
-    theta = {}
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                v = lie.c(b, c, a)
-                if v:
-                    key = (n + a, b, c)
-                    theta[key] = theta.get(key, Fraction(0)) + v / 2
+    vars_, omega = _cotangent_pair(n, 1, 2)
+    theta = _bf_term(lie)
     inv = _inverse(lie.metric)
     for b in range(n):
         for a in range(n):
@@ -671,30 +649,21 @@ def example5_target(lie: LieData) -> TargetSpec:
     return TargetSpec(vars_, omega, 3, theta)
 
 
-def builtin_target(name, **kw) -> TargetSpec:
-    if name == "cs_so3":
-        return cs_target(so3())
-    if name == "bf_gl2_n4":
-        return bf_target(gl2(), 4)
-    if name == "psm_so3":
-        return psm_target(kirillov_kostant(so3()), 3)
-    if name == "cs_cubic_plus":
-        return cs_cubic_target(so3(), 1)
-    if name == "cs_cubic_minus":
-        return cs_cubic_target(so3(), -1)
-    if name == "example5_so3":
-        return example5_target(so3())
-    raise SymbolicError(f"unknown builtin target {name!r}")
+# name -> builder of every builtin target, in the order the corpus lists them
+BUILTIN_TARGETS = {
+    "cs_so3": lambda: cs_target(so3()),
+    "bf_gl2_n4": lambda: bf_target(gl2(), 4),
+    "psm_so3": lambda: psm_target(kirillov_kostant(so3()), 3),
+    "cs_cubic_plus": lambda: cs_cubic_target(so3(), 1),
+    "cs_cubic_minus": lambda: cs_cubic_target(so3(), -1),
+    "example5_so3": lambda: example5_target(so3()),
+}
 
 
-BUILTIN_TARGETS = (
-    "cs_so3",
-    "bf_gl2_n4",
-    "psm_so3",
-    "cs_cubic_plus",
-    "cs_cubic_minus",
-    "example5_so3",
-)
+def builtin_target(name) -> TargetSpec:
+    if name not in BUILTIN_TARGETS:
+        raise SymbolicError(f"unknown builtin target {name!r}")
+    return BUILTIN_TARGETS[name]()
 
 
 def kirillov_kostant(lie: LieData):

@@ -130,18 +130,30 @@ def test_glue_cotangent_theory_exits_one(theory):
     assert b"Traceback" not in out.stderr
 
 
-def test_glue_malformed_interface_map_exits_one(tmp_path):
+def malformed_glue_spec(tmp_path, pair):
+    """The meridian-to-meridian gluing spec with its first pair replaced."""
     with open(os.path.join(CORPUS, "glue_solid_tori_meridian_to_meridian.json")) as fh:
         spec = json.load(fh)
     for side in ("left", "right"):
         spec[side] = os.path.join(CORPUS, spec[side])
-    spec["interface_map"][0].append(0)
+    assert spec["interface_map"][0] == [0, 0]
+    spec["interface_map"][0] = pair
     p = tmp_path / "bad_spec.json"
     p.write_text(json.dumps(spec))
-    out = run_cli("glue", str(p), "--theory", "cs")
+    return p
+
+
+def test_glue_malformed_interface_map_exits_one(tmp_path):
+    out = run_cli("glue", str(malformed_glue_spec(tmp_path, [0, 0, 0])), "--theory", "cs")
     assert out.returncode == 1
     assert out.stderr.decode().startswith("error:")
     assert b"Traceback" not in out.stderr
+
+
+def test_glue_boolean_interface_vertex_exits_one(tmp_path):
+    # false is not the vertex 0, though it compares and hashes equal to it
+    out = run_cli("glue", str(malformed_glue_spec(tmp_path, [False, 0])), "--theory", "cs")
+    _assert_one_error_line(out)
 
 
 @pytest.mark.parametrize("kind, field, value", [
@@ -151,10 +163,16 @@ def test_glue_malformed_interface_map_exits_one(tmp_path):
     ("complex", "top_simplices", [[[0], 1]]),
     ("complex", "top_simplices", [1]),
     ("complex", "orientation_signs", 3),
+    ("complex", "dimension", True),
+    ("complex", "vertices", [False, True]),
+    ("complex", "top_simplices", [[False, True]]),
+    ("complex", "orientation_signs", [1.0]),
+    ("complex", "orientation_signs", [True]),
     ("target", "theta", [{"coeff": "1/0", "monomial": ["x0", "x1", "x2"]}]),
 ], ids=["dimension_not_int", "vertex_id_list", "vertices_not_list",
         "top_simplex_vertex_list", "top_simplex_not_list", "orientation_signs_not_list",
-        "coeff_zero_denominator"])
+        "dimension_bool", "vertex_id_bool", "top_simplex_vertex_bool", "orientation_sign_float",
+        "orientation_sign_bool", "coeff_zero_denominator"])
 def test_malformed_input_exits_one(tmp_path, kind, field, value):
     source = {"complex": "interval.json", "target": "targets/cs_so3.json"}[kind]
     with open(os.path.join(CORPUS, source)) as fh:
@@ -162,11 +180,15 @@ def test_malformed_input_exits_one(tmp_path, kind, field, value):
     data[field] = value
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(data))
-    out = run_cli(kind, "check", str(p))
-    assert out.returncode == 1
-    lines = out.stderr.decode().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error:"), lines
-    assert b"Traceback" not in out.stderr
+    commands = [(kind, "check", str(p))]
+    if kind == "complex":
+        commands.append(("moduli", str(p), "--theory", "bf"))
+    for argv in commands:
+        out = run_cli(*argv)
+        assert out.returncode == 1, argv
+        lines = out.stderr.decode().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), lines
+        assert b"Traceback" not in out.stderr
 
 
 def _assert_one_error_line(out):

@@ -19,7 +19,7 @@ from bvbfv.gluing import (
 )
 from bvbfv.linalg import RatMatrix, kernel_basis, vec_add, vec_scale
 from bvbfv.moduli import ReducedModel
-from bvbfv.simplicial import OrientedComplex
+from bvbfv.simplicial import OrientedComplex, _perm_sign
 from bvbfv.theories import (
     build_abelian_bf,
     build_abelian_cs,
@@ -529,6 +529,24 @@ def test_relative_interface_rows_are_the_interior_faces():
     closed = gluing(spec_torus(), build_abelian_bf)
     assert sorted(r for rows in closed._relative_rows.values() for r in rows) == \
         list(range(closed.fields.total))
+
+
+@pytest.mark.parametrize("make", [spec_s3, spec_s2xs1], ids=["spec_s3", "spec_s2xs1"])
+def test_right_interface_restriction_carries_the_vertex_map_sign(make):
+    # each interface face reads the right piece's face it lands on, with
+    # the sign of the permutation sorting its image under the vertex map
+    spec = make()[0]
+    iface, right = spec.interface, spec.right
+    vmap = dict(spec.pairs)
+    for k in range(iface.dimension + 1):
+        want = {}
+        for f in iface.faces(k):
+            pos = [right.vertex_position(vmap[v]) for v in iface.face_vertices(f)]
+            want[(iface.face_index(k, f), right.face_index(k, tuple(sorted(pos))))] = \
+                Fraction(_perm_sign(pos))
+        m = right.restriction(iface, k, vmap)
+        assert m.shape == (iface.n_faces(k), right.n_faces(k))
+        assert m.entries == want
 
 
 # the Heegaard splittings and the gluings with an outer boundary, as given

@@ -1,3 +1,5 @@
+import json
+import os
 import random
 from fractions import Fraction
 
@@ -5,6 +7,7 @@ import pytest
 
 from bvbfv import corpus
 from bvbfv.complexes import les_of_pair, connecting_map
+from bvbfv.linalg import RatMatrix
 from bvbfv.simplicial import (
     DuplicateSimplex,
     IncoherentOrientation,
@@ -335,6 +338,77 @@ def test_les_exact_across_corpus(name):
     cx = build(name)
     relc, incl, restr = cx.relative_complex()
     assert les_of_pair(incl, restr).exact
+
+
+
+CORPUS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "corpus")
+
+
+def corpus_complexes():
+    """Every corpus complex, and the subdivision of those of dim <= 2."""
+    with open(os.path.join(CORPUS, "manifest.json")) as fh:
+        names = list(json.load(fh)["complexes"])
+    out = {n: load_complex(os.path.join(CORPUS, n + ".json")) for n in names}
+    out.update({f"{n}_subdivided": corpus.subdivide(cx)
+                for n, cx in list(out.items()) if cx.dimension <= 2})
+    return out
+
+
+def reference_relative(cx):
+    """The relative complex built face by face: the boundary faces found by
+    their vertex sets, each restriction entry set to 1 by hand.  Returns
+    the interior faces, the relative differentials and the inclusion and
+    restriction blocks per degree."""
+    bc = cx.boundary_complex()
+    n = cx.dimension
+    interior, incl, rest, diffs = {}, {}, {}, {}
+    for k in range(n + 1):
+        bfaces = set()
+        if bc.n_faces(0) and k <= bc.dimension:
+            bfaces = {tuple(cx.vertex_position(v) for v in bc.face_vertices(f))
+                      for f in bc.faces(k)}
+        interior[k] = [f for f in cx.faces(k) if f not in bfaces]
+        incl[k] = RatMatrix(cx.n_faces(k), len(interior[k]))
+        for j, f in enumerate(interior[k]):
+            incl[k].entries[(cx.face_index(k, f), j)] = Fraction(1)
+        rest[k] = RatMatrix(bc.n_faces(k) if bc.n_faces(0) else 0, cx.n_faces(k))
+        for f in (bc.faces(k) if bc.n_faces(0) else []):
+            parent = tuple(cx.vertex_position(v) for v in bc.face_vertices(f))
+            rest[k].entries[(bc.face_index(k, f), cx.face_index(k, parent))] = Fraction(1)
+    for k in range(n):
+        d_cols = cx.coboundary_matrix(k).transpose().sparse_rows()
+        idx_next = {cx.face_index(k + 1, f): i for i, f in enumerate(interior[k + 1])}
+        diffs[k] = RatMatrix(len(interior[k + 1]), len(interior[k]))
+        for j, f in enumerate(interior[k]):
+            for i, v in d_cols[cx.face_index(k, f)].items():
+                if i in idx_next:
+                    diffs[k].entries[(idx_next[i], j)] = v
+    return interior, diffs, incl, rest
+
+
+@pytest.mark.parametrize("name, cx", list(corpus_complexes().items()))
+def test_restriction_matches_the_per_face_construction(name, cx):
+    interior, diffs, incl, rest = reference_relative(cx)
+    relc, inclusion, restriction = cx.relative_complex()
+    for k in range(cx.dimension + 1):
+        r = cx.restriction_matrix(k)
+        assert r.shape == rest[k].shape
+        # the entries in their storage order, which the pins of pi hash
+        assert list(r.entries.items()) == list(rest[k].entries.items())
+        assert cx.interior_faces(k) == interior[k]
+        assert relc.dim(k) == len(interior[k])
+        assert inclusion.block(k) == incl[k]
+        assert restriction.block(k) is r
+    for k in range(cx.dimension):
+        assert relc.d(k) == diffs[k]
+
+
+def test_restriction_carries_the_sign_of_the_vertex_map():
+    # an edge of the interval read through the flip of its two vertices
+    i1 = corpus.interval(1)
+    flip = {0: 1, 1: 0}
+    assert i1.restriction(i1, 1, flip).entries == {(0, 0): Fraction(-1)}
+    assert i1.restriction(i1, 0, flip).entries == {(0, 1): Fraction(1), (1, 0): Fraction(1)}
 
 
 from hypothesis import given, settings, strategies as st

@@ -271,6 +271,27 @@ def test_zero_mass_is_accepted(kind):
     assert t.Q == theory_from_config(cx, {"kind": kind}).Q
 
 
+
+@pytest.mark.parametrize("config", [
+    {"kind": "abelian_bf"},
+    {"kind": "abelian_cs"},
+    {"kind": "scalar"},
+    {"kind": "electrodynamics"},
+    {"kind": "abelian_bf", "codim": 1},
+    {"kind": "abelian_cs", "codim": 1},
+    {"kind": "electrodynamics", "codim": 1},
+], ids=["bf", "cs", "scalar", "ed", "bf_codim_1", "cs_codim_1", "ed_codim_1"])
+def test_theory_build_reads_only_the_restriction(config):
+    # pi needs the restriction to the boundary only: a build constructs no
+    # relative complex and no cochain complex of the boundary
+    cx = corpus.solid_torus() if not config.get("codim") else corpus.disk_fan()
+    t = theory_from_config(cx, config)
+    assert not t.pi.is_zero()
+    assert "relative_complex" not in cx._cache
+    assert "cochain_complex" not in cx.boundary_complex()._cache
+    assert any(key[0] == "restriction" for key in cx._cache if isinstance(key, tuple))
+
+
 # --- the cone-model builder, pinned ---------------------------------------------
 
 # sha256 of every slot and every matrix, entries in storage order, of the
