@@ -7,8 +7,8 @@ The ops are `complex check` on every corpus complex, `target check` on
 every corpus target, `cme`, `moduli` and `slice-gh0` for every
 (theory, complex) pair that `corpus_report.pairs()` builds, `cme` and
 `moduli` with `--codim 1` for bf, cs and ed on every corpus complex where
-that stratum theory builds, and `glue` for all four theories on both
-gluing specs.  Each runs in this process through `bvbfv.cli.main` with
+that stratum theory builds, and `glue` for all four theories and with
+`--codim 1` for bf and ed (cup-model strata) on both gluing specs.  Each runs in this process through `bvbfv.cli.main` with
 `--format structured`.  With `--against`, the ops whose exit code or
 sha256 differ from OLD.json are listed and the script exits 2.  A refactor that must not change any output is checked by
 snapshotting the parent commit and the change and comparing the two.
@@ -60,6 +60,8 @@ def ops():
     for spec in sorted(n for n in names if n.startswith("glue_")):
         for theory in THEORIES:
             out.append(["glue", f"corpus/{spec}.json", "--theory", theory])
+        for theory in ("bf", "ed"):
+            out.append(["glue", f"corpus/{spec}.json", "--theory", theory, "--codim", "1"])
     return out
 
 

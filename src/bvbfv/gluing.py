@@ -9,6 +9,16 @@ use what the gluing phases share: the interface fields and their relative
 rows, the interface restrictions and their sections, and the restrictions
 to the pieces.  Each phase takes the `Gluing`; the models' pieces map each
 ghost block to flat coordinates.
+
+The interface Sigma (`spec.interface`) is the one source of interface
+coordinates: every map onto it is `OrientedComplex.restriction` to Sigma,
+slot by slot (`_restriction`).  A cup model's bulk restriction rho lands on
+`fields`, its bulk slots laid out on Sigma.  `to_interface` restricts each
+piece's boundary fields to Sigma; a cotangent model's rho is it after pi,
+and the outer boundary rows of a piece are the ones it does not read.  The
+relative interface rows are Sigma's interior columns, and the interface
+differential of Mayer-Vietoris is rho_l Q rho_l^T, read off the left
+piece's Q.
 """
 
 from __future__ import annotations
@@ -28,7 +38,7 @@ from .linalg import (
 )
 from .moduli import ReducedModel, _cocycles, _ghost_piece
 from .simplicial import IncoherentOrientation, OrientedComplex, _perm_sign
-from .theories import FieldSpace, LinearTheory, set_block
+from .theories import FieldSpace, set_block
 
 
 class GluingError(Exception):
@@ -48,8 +58,7 @@ class GluingSpec:
     boundary subcomplex with a right one, given as vertex pairs.
 
     `interface` is the identified subcomplex, named by its left vertices,
-    with the orientation induced from the left piece; `iface_vertices`
-    holds the identified vertices of each side."""
+    with the orientation induced from the left piece."""
 
     def __init__(self, left: OrientedComplex, right: OrientedComplex, interface_map):
         self.left = left
@@ -71,7 +80,6 @@ class GluingSpec:
             raise InterfaceMismatch("left interface vertices are not boundary vertices")
         if not rset <= set(rb.vertex_ids):
             raise InterfaceMismatch("right interface vertices are not boundary vertices")
-        self.iface_vertices = {"left": lset, "right": rset}
         # face vertices come in left vertex order, with the induced sign
         lfaces = {}
         for f, s in self.left.boundary_faces().items():
@@ -115,52 +123,21 @@ def glue(spec: GluingSpec):
         raise OrientationClash(
             f"interface identification does not reverse orientation: {e}"
         )
-    cx.meta = {"left_map": lmap, "right_map": rmap, "spec": spec}
+    cx.meta = {"left_map": lmap, "right_map": rmap}
     return cx
 
 
-def _restriction(t: LinearTheory, fields: FieldSpace, small: OrientedComplex, vmap):
-    """Flat restriction of the cup-model bulk fields of t to the cochains of
-    small laid out by fields (vmap: small vertex -> vertex of t's complex)."""
-    m = RatMatrix(fields.total, t.bulk.total)
-    for slot in fields.slots:
+def _restriction(rows: FieldSpace, cols: FieldSpace, cx: OrientedComplex,
+                 small: OrientedComplex, vmap):
+    """Flat restriction, slot by slot, of the fields laid out by cols on the
+    cochains of cx to those laid out by rows on the subcomplex small
+    (vmap: small vertex -> vertex of cx)."""
+    m = RatMatrix(rows.total, cols.total)
+    for slot in rows.slots:
         sk = (slot["sector"], slot["degree"])
-        if t.bulk.has(*sk):
-            set_block(m, fields, sk, t.bulk, sk, t.cx.restriction(small, sk[1], vmap))
+        if cols.has(*sk):
+            set_block(m, rows, sk, cols, sk, cx.restriction(small, sk[1], vmap))
     return m
-
-
-def _boundary_faces(t: LinearTheory):
-    """(flat boundary row, slot, vertex ids) of every boundary field
-    coordinate of t."""
-    bc = t.cx.boundary_complex()
-    for slot in t.bdry.slots:
-        off = t.bdry.offset(slot["sector"], slot["degree"])
-        for i, f in enumerate(bc.faces(slot["degree"])):
-            yield off + i, slot, bc.face_vertices(f)
-
-
-def _cotangent_interface(t: LinearTheory, spec: GluingSpec, side):
-    """Interface observables of a cotangent theory: boundary-field rows of
-    pi supported on interface faces, in a left-labelled canonical order.
-    Flux-type rows from the right piece carry the orientation-reversal sign."""
-    to_left = (lambda v: v) if side == "left" else spec.l_of_r.__getitem__
-    lkey = spec.left.vertex_position
-    flux = t.meta.get("bdry_flux_sectors", set())
-    rows = {}
-    for row, slot, verts in _boundary_faces(t):
-        if not set(verts) <= spec.iface_vertices[side]:
-            continue
-        pos = [lkey(to_left(v)) for v in verts]
-        sgn = _perm_sign(pos)
-        if side == "right" and slot["sector"] in flux:
-            sgn = -sgn
-        rows[(slot["sector"], slot["degree"], tuple(sorted(pos)))] = (row, sgn)
-    pi_rows = t.pi.sparse_rows()
-    return RatMatrix.from_rows(
-        [{j: sgn * v for j, v in pi_rows[row].items()}
-         for row, sgn in (rows[key] for key in sorted(rows, key=str))],
-        t.bulk.total)
 
 
 class Gluing:
@@ -176,16 +153,15 @@ class Gluing:
         self.right = right
 
     @cached_property
+    def vmaps(self):
+        """(left, right) maps of the interface vertices to the pieces'."""
+        return {l: l for l, _ in self.spec.pairs}, dict(self.spec.pairs)
+
+    @cached_property
     def fields(self):
-        """The interface cochains: one slot per bulk slot of the left piece
-        whose degree is at most the interface dimension, with its ghost."""
-        iface = self.spec.interface
-        fs = FieldSpace()
-        for slot in self.left.t.bulk.slots:
-            k = slot["degree"]
-            if k <= iface.dimension:
-                fs.add(slot["sector"], k, iface.n_faces(k), slot["ghost"])
-        return fs
+        """The interface cochains: the bulk slots of the left piece laid
+        out on the faces of the interface, each with its ghost."""
+        return self.left.t.bulk.on(self.spec.interface)
 
     @cached_property
     def _relative_rows(self):
@@ -193,27 +169,38 @@ class Gluing:
         interface: the relative cochains C(Sigma, dSigma).  A face on dSigma
         stays on the outer boundary of the glued complex: it is not gauge."""
         iface = self.spec.interface
-        interior = {k: set(iface.interior_faces(k)) for k in range(iface.dimension + 1)}
         out = {}
         for slot in self.fields.slots:
             k = slot["degree"]
             off = self.fields.offset(slot["sector"], k)
-            out.setdefault(slot["ghost"], []).extend(
-                off + i for i, f in enumerate(iface.faces(k)) if f in interior[k])
+            out.setdefault(slot["ghost"], []).extend(off + j for j in iface._interior_cols(k))
         return out
+
+    @cached_property
+    def to_interface(self):
+        """(left, right) restrictions of the pieces' boundary fields to the
+        interface, laid out on its faces.  The right piece induces the
+        opposite orientation there, so its flux rows are negated."""
+        iface = self.spec.interface
+        out = []
+        for model, vmap, flip in zip((self.left, self.right), self.vmaps, (1, -1)):
+            t = model.t
+            flux = t.meta.get("bdry_flux_sectors", ())
+            fields = t.bdry.on(iface)
+            sign = fields.diag_sign(lambda sec, k, g: flip if sec in flux else 1)
+            out.append(sign * _restriction(fields, t.bdry, t.cx.boundary_complex(), iface, vmap))
+        return tuple(out)
 
     @cached_property
     def rho(self):
         """The (left, right) restrictions of the pieces' bulk fields to the
-        interface: onto `fields` for cup models, onto the interface rows
-        of pi for cotangent models."""
-        spec, t_left, t_right = self.spec, self.left.t, self.right.t
-        if t_left.model == "cotangent":
-            return (_cotangent_interface(t_left, spec, "left"),
-                    _cotangent_interface(t_right, spec, "right"))
-        iface = spec.interface
-        return (_restriction(t_left, self.fields, iface, {l: l for l, _ in spec.pairs}),
-                _restriction(t_right, self.fields, iface, dict(spec.pairs)))
+        interface: onto `fields` for cup models, through the boundary
+        fields (`to_interface` after pi) for cotangent models."""
+        if self.left.t.model == "cotangent":
+            return tuple(r * m.t.pi for r, m in zip(self.to_interface, (self.left, self.right)))
+        iface = self.spec.interface
+        return tuple(_restriction(self.fields, m.t.bulk, m.t.cx, iface, vmap)
+                     for m, vmap in zip((self.left, self.right), self.vmaps))
 
     @cached_property
     def sections(self):
@@ -230,7 +217,7 @@ class Gluing:
         the left and to the right piece."""
         t = self.glued.t
         return tuple(
-            (_restriction(t, m.t.bulk, m.t.cx, t.cx.meta[key]),
+            (_restriction(m.t.bulk, t.bulk, t.cx, m.t.cx, t.cx.meta[key]),
              _orientation_factor(t, m.t, t.cx.meta[key]))
             for m, key in ((self.left, "left_map"), (self.right, "right_map")))
 
@@ -342,11 +329,12 @@ def glue_moduli(gl: Gluing):
     quotients = {}
     for g in ghosts:
         _, mt, _ = mt_basis[g]
-        dist = column_span(beta_cols.get(g, []), mt.dim)
         # Q^mt.dim is the kernel of the map to the zero space, so the
-        # quotient reads the distribution's coordinates with no solve
-        comp, coords = _kernel_quotient(RatMatrix.zero(0, mt.dim), Subspace.full(mt.dim),
-                                        dist.matrix()) if mt.dim \
+        # quotient reads the distribution's coordinates off the beta-tilde
+        # columns with no solve; it depends only on their span
+        comp, coords = _kernel_quotient(
+            RatMatrix.zero(0, mt.dim), Subspace.full(mt.dim),
+            RatMatrix.from_columns(beta_cols[g], mt.dim)) if mt.dim \
             else (Subspace.zero(0), None)
         intrinsic_dims[g] = comp.dim
         quotients[g] = (comp, coords)
@@ -432,19 +420,14 @@ def mayer_vietoris(gl: Gluing):
     rho_l, rho_r = gl.rho
     sec_l, _ = gl.sections
     emb_l = res_l.transpose()
-    fields, iface = gl.fields, gl.spec.interface
 
     ghosts = sorted(set(model_glued.t.bulk.ghosts()) | {0})
     gmax, gmin = max(ghosts), min(ghosts)
 
-    # interface differential on the interface fields
-    qw = RatMatrix(fields.total, fields.total)
-    for slot in fields.slots:
-        sec, k = slot["sector"], slot["degree"]
-        if fields.has(sec, k + 1):
-            set_block(qw, fields, (sec, k + 1), fields, (sec, k),
-                      iface.coboundary_matrix(k))
-    piece_w = _ghost_piece("iface", qw, {g: fields.ghost_indices(g) for g in ghosts})
+    # the interface differential: extend by zero into the left piece, take
+    # its Q and restrict back (restriction commutes with d, rho sec = 1)
+    qw = rho_l * model_left.t.Q * sec_l
+    piece_w = _ghost_piece("iface", qw, {g: gl.fields.ghost_indices(g) for g in ghosts})
 
     def build_sequence(piece_n, piece_l, piece_r):
         """Generic MV over the given quotient pieces of the three theories."""
@@ -485,20 +468,20 @@ def mayer_vietoris(gl: Gluing):
         # partially reduced: verticals vanish on the outer boundary only;
         # all of the glued boundary is outer, so its piece is the glued M_symp
         "partially_reduced": (model_glued.msymp,
-                              _outer_piece(model_left, gl.spec.iface_vertices["left"]),
-                              _outer_piece(model_right, gl.spec.iface_vertices["right"])),
+                              *map(_outer_piece, (model_left, model_right), gl.to_interface)),
     }
     out = {kind: build_sequence(*p) for kind, p in pieces.items()}
     out["pieces"] = pieces
     return out
 
 
-def _outer_piece(model: ReducedModel, iface_verts):
+def _outer_piece(model: ReducedModel, to_interface):
     """ker Q / Q(V) of a piece, with V the bulk fields that vanish on the
     outer (non-interface) part of its boundary: per ghost, the unit vectors
-    of the bulk coordinates that the outer rows of pi do not read."""
+    of the bulk coordinates that the outer rows of pi do not read.  The
+    outer rows are the boundary fields that to_interface does not read."""
     t = model.t
-    outer = {row for row, _, verts in _boundary_faces(t) if not set(verts) <= iface_verts}
+    outer = set(_unread(to_interface, GluingError("interface row is not a single face")))
     vert = {}
     for g, idx in model.bulk.index.items():
         if idx:

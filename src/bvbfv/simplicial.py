@@ -240,10 +240,11 @@ class OrientedComplex:
         Each face of small reads the face of self it lands on, with the sign
         of the permutation that sorts its image."""
         m = RatMatrix(small.n_faces(k), self.n_faces(k))
+        sign = {1: Fraction(1), -1: Fraction(-1)}
         for f in small.faces(k):
             pos = [self._vpos[vmap[v]] for v in small.face_vertices(f)]
-            i, j = small.face_index(k, f), self.face_index(k, tuple(sorted(pos)))
-            m[i, j] = _perm_sign(pos)
+            m.entries[small.face_index(k, f), self.face_index(k, tuple(sorted(pos)))] = \
+                sign[_perm_sign(pos)]
         return m
 
     def restriction_matrix(self, k):

@@ -69,6 +69,14 @@ class FieldSpace:
         )
         self.total += dim
 
+    def on(self, K):
+        """The same slots laid out on the faces of the complex K; a slot
+        with no face there is dropped."""
+        out = FieldSpace()
+        for s in self.slots:
+            out.add(s["sector"], s["degree"], K.n_faces(s["degree"]), s["ghost"])
+        return out
+
     def has(self, sector, degree):
         return (sector, degree) in self._offset
 

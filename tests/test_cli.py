@@ -130,6 +130,19 @@ def test_glue_cotangent_theory_exits_one(theory):
     assert b"Traceback" not in out.stderr
 
 
+@pytest.mark.parametrize("spec", ["glue_solid_tori_meridian_to_meridian.json",
+                                  "glue_solid_tori_meridian_to_longitude.json"])
+def test_glue_ed_stratum_passes(spec):
+    # the ed stratum is a cup model: it glues, and both Mayer-Vietoris
+    # sequences are exact with the interface differential d: c -> A
+    out = run_cli("--format", "structured", "glue", spec, "--theory", "ed", "--codim", "1")
+    assert out.returncode == 0, out.stderr
+    checks = json.loads(out.stdout)["checks"]
+    assert checks["mayer_vietoris_absolute_exact"]
+    assert checks["mayer_vietoris_partially_reduced_exact"]
+    assert all(checks.values())
+
+
 def malformed_glue_spec(tmp_path, pair):
     """The meridian-to-meridian gluing spec with its first pair replaced."""
     with open(os.path.join(CORPUS, "glue_solid_tori_meridian_to_meridian.json")) as fh:

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -17,14 +18,16 @@ from bvbfv.gluing import (
     glue_moduli,
     mayer_vietoris,
 )
-from bvbfv.linalg import RatMatrix, kernel_basis, vec_add, vec_scale
+from bvbfv.linalg import RatMatrix, _unread, kernel_basis, vec_add, vec_scale
 from bvbfv.moduli import ReducedModel
 from bvbfv.simplicial import OrientedComplex, _perm_sign
 from bvbfv.theories import (
     build_abelian_bf,
     build_abelian_cs,
+    build_ed_stratum,
     build_electrodynamics,
     build_scalar,
+    set_block,
 )
 
 
@@ -556,15 +559,29 @@ OUTER_CASES = [case for case in FIBER_PRODUCT_CASES
                    "spec_s3", "spec_s2xs1", "spec_intervals", "spec_cylinders", "spec_cap")]
 
 
-def outer_sides(gl):
-    """(model, interface vertices, flat rows of pi on the outer boundary)
-    of each piece."""
-    from bvbfv.gluing import _boundary_faces
+def boundary_faces(t):
+    """(flat boundary row, slot, vertex ids) of every boundary field
+    coordinate of t."""
+    bc = t.cx.boundary_complex()
+    for slot in t.bdry.slots:
+        off = t.bdry.offset(slot["sector"], slot["degree"])
+        for i, f in enumerate(bc.faces(slot["degree"])):
+            yield off + i, slot, bc.face_vertices(f)
 
-    for model, side in ((gl.left, "left"), (gl.right, "right")):
-        verts = gl.spec.iface_vertices[side]
-        yield model, verts, [row for row, _, v in _boundary_faces(model.t)
-                             if not set(v) <= verts]
+
+def interface_vertices(spec):
+    """The identified vertices of the left and of the right piece."""
+    return {l for l, _ in spec.pairs}, {r for _, r in spec.pairs}
+
+
+def outer_sides(gl):
+    """(model, restriction of its boundary fields to the interface, flat
+    rows of pi on the outer boundary) of each piece.  The outer rows are
+    found by vertex sets: a boundary face is outer when one of its vertices
+    is not identified."""
+    for model, verts, r in zip((gl.left, gl.right), interface_vertices(gl.spec),
+                               gl.to_interface):
+        yield model, r, [row for row, _, v in boundary_faces(model.t) if not set(v) <= verts]
 
 
 @pytest.mark.parametrize("case", OUTER_CASES)
@@ -575,12 +592,12 @@ def test_outer_piece_matches_the_eliminated_route(case, monkeypatch):
     from bvbfv.gluing import _outer_piece
 
     gl = FIBER_PRODUCT_CASES[case]()
-    for model, verts, outer in outer_sides(gl):
+    for model, r, outer in outer_sides(gl):
         taken = []
         modulo_q = model.modulo_q
         monkeypatch.setattr(model, "modulo_q",
                             lambda name, K: taken.append(K) or modulo_q(name, K))
-        _outer_piece(model, verts)
+        _outer_piece(model, r)
         (got,) = taken
         want = {g: kernel_basis(model.t.pi.submatrix(outer, idx)).matrix()
                 for g, idx in model.bulk.index.items() if idx}
@@ -624,12 +641,138 @@ def test_vertical_pieces_eliminate_no_restriction(make, build, monkeypatch):
         for g in model.ghosts:
             model.lift(g)
             model.beta(g)
-    for model, verts, _ in outer_sides(gl):
-        _outer_piece(model, verts)
+    for model, r, _ in outer_sides(gl):
+        _outer_piece(model, r)
     assert not [name for name, _ in calls if name == "_left_inverse"]
     # an empty block equals every 0-row matrix, so it is matched by identity
     assert not [m.shape for name, m in calls if name == "kernel_basis" and
                 any(m is r or (r.rows and m == r) for r in restrictions)]
+
+
+@pytest.mark.parametrize("case", FIBER_PRODUCT_CASES)
+def test_outer_rows_are_the_boundary_fields_off_the_interface(case):
+    # for every theory, the boundary rows that to_interface does not read
+    # are those on a face with a vertex that is not identified
+    gl = FIBER_PRODUCT_CASES[case]()
+    for _, r, outer in outer_sides(gl):
+        assert _unread(r, AssertionError("not a projection")) == outer
+
+
+def cotangent_interface(t, spec, side):
+    """The interface rows of pi of a cotangent theory found by vertex sets:
+    the boundary-field rows on faces whose vertices are all identified, in
+    the order of their faces' left labels, the right piece's flux rows
+    negated."""
+    verts = interface_vertices(spec)[side == "right"]
+    to_left = (lambda v: v) if side == "left" else spec.l_of_r.__getitem__
+    lkey = spec.left.vertex_position
+    flux = t.meta.get("bdry_flux_sectors", set())
+    rows = {}
+    for row, slot, vs in boundary_faces(t):
+        if not set(vs) <= verts:
+            continue
+        pos = [lkey(to_left(v)) for v in vs]
+        sgn = _perm_sign(pos)
+        if side == "right" and slot["sector"] in flux:
+            sgn = -sgn
+        rows[(slot["sector"], slot["degree"], tuple(sorted(pos)))] = (row, sgn)
+    pi_rows = t.pi.sparse_rows()
+    return RatMatrix.from_rows(
+        [{j: sgn * v for j, v in pi_rows[row].items()}
+         for row, sgn in (rows[key] for key in sorted(rows, key=str))],
+        t.bulk.total)
+
+
+def row_pairs(rho_l, rho_r):
+    """The multiset of (left row, right row) pairs of the two restrictions."""
+    def rows(m):
+        return [tuple(sorted(r.items())) for r in m.sparse_rows()]
+    return Counter(zip(rows(rho_l), rows(rho_r)))
+
+
+@pytest.mark.parametrize("case", [case for case in FIBER_PRODUCT_CASES
+                                  if case.split("-")[0] in ("scalar", "ed")])
+def test_cotangent_rho_matches_the_vertex_set_route(case):
+    # the same pairs of left and right interface rows, in another order
+    gl = FIBER_PRODUCT_CASES[case]()
+    rho_l, rho_r = gl.rho
+    want_l, want_r = (cotangent_interface(m.t, gl.spec, side)
+                      for m, side in ((gl.left, "left"), (gl.right, "right")))
+    assert rho_l.shape == want_l.shape and rho_r.shape == want_r.shape
+    assert row_pairs(rho_l, rho_r) == row_pairs(want_l, want_r)
+
+
+def interface_differential(gl, monkeypatch):
+    """The interface differential that mayer_vietoris takes the cohomology
+    of, and the sequences."""
+    from bvbfv import gluing as gluing_module
+
+    taken = []
+    orig = gluing_module._ghost_piece
+
+    def recording(name, m, idx):
+        if name == "iface":
+            taken.append(m)
+        return orig(name, m, idx)
+
+    monkeypatch.setattr(gluing_module, "_ghost_piece", recording)
+    mv = mayer_vietoris(gl)
+    (qw,) = taken
+    return qw, mv
+
+
+def sector_keyed_differential(gl):
+    """d of the interface from each slot of the interface fields to the
+    slot of the same sector one degree up."""
+    fields, iface = gl.fields, gl.spec.interface
+    qw = RatMatrix(fields.total, fields.total)
+    for slot in fields.slots:
+        sec, k = slot["sector"], slot["degree"]
+        if fields.has(sec, k + 1):
+            set_block(qw, fields, (sec, k + 1), fields, (sec, k), iface.coboundary_matrix(k))
+    return qw
+
+
+def every_spec():
+    """Every gluing spec above, and those of dimension at most 2
+    subdivided."""
+    out = {"spec_s3": lambda: spec_s3()[0], "spec_s2xs1": lambda: spec_s2xs1()[0],
+           "spec_tetrahedra": spec_tetrahedra}
+    for make in (spec_intervals, spec_cylinders, spec_cap, spec_circle, spec_torus,
+                 spec_empty_interface, spec_square, spec_fan_corner):
+        out[make.__name__] = make
+        out[f"{make.__name__}-subdivided"] = lambda m=make: subdivided(m())
+    return out
+
+
+EVERY_SPEC = every_spec()
+
+
+@pytest.mark.parametrize("build", [build_abelian_bf, build_abelian_cs], ids=["bf", "cs"])
+@pytest.mark.parametrize("spec", EVERY_SPEC)
+def test_interface_differential_matches_the_sector_keyed_one(spec, build, monkeypatch):
+    # rho_l Q rho_l^T is d of the interface within each sector of bf and
+    # cs, entry for entry in storage order
+    gl = gluing(EVERY_SPEC[spec](), build)
+    qw, _ = interface_differential(gl, monkeypatch)
+    want = sector_keyed_differential(gl)
+    assert qw.shape == want.shape
+    assert list(qw.entries.items()) == list(want.entries.items())
+
+
+@pytest.mark.parametrize("make", [spec_s3, spec_s2xs1])
+def test_ed_stratum_interface_differential_is_d_from_c_to_a(make, monkeypatch):
+    # no sector name of the ed stratum repeats across degrees: its
+    # interface differential d: c -> A is read off Q, and with it both
+    # Mayer-Vietoris sequences are exact
+    gl = gluing(make()[0], lambda cx: build_ed_stratum(cx, cx.dimension + 1))
+    fields, iface = gl.fields, gl.spec.interface
+    want = RatMatrix(fields.total, fields.total)
+    set_block(want, fields, ("A", 1), fields, ("c", 0), iface.coboundary_matrix(0))
+    qw, mv = interface_differential(gl, monkeypatch)
+    assert [(s["sector"], s["degree"]) for s in fields.slots] == [("c", 0), ("A", 1), ("B", 2)]
+    assert qw == want
+    assert mv["absolute"].exact and mv["partially_reduced"].exact
 
 
 def _glued_dims_and_verdicts(gl):

@@ -901,6 +901,24 @@ def _rational_vectors(n):
     return st.lists(small_fractions, min_size=n, max_size=n).map(sparse_vector)
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_full_space_kernel_quotient_depends_only_on_the_span(data):
+    # the quotient of Q^n by columns given as they come (repeated, dependent
+    # or zero) is the quotient by their column_span
+    from bvbfv.linalg import _kernel_quotient
+
+    n = data.draw(st.integers(min_value=1, max_value=5))
+    cols = data.draw(st.lists(_rational_vectors(n), max_size=4))
+    if cols:
+        cols += [vec_scale(cols[0], 2), vec_add(cols[0], cols[-1])]
+    full, zero = Subspace.full(n), RatMatrix.zero(0, n)
+    got, got_coords = _kernel_quotient(zero, full, RatMatrix.from_columns(cols, n))
+    want, want_coords = _kernel_quotient(zero, full, column_span(cols, n).matrix())
+    assert got.basis == want.basis
+    assert got_coords == want_coords
+
+
 @st.composite
 def ambient_and_sub(draw):
     """An ambient subspace of Q^n from `kernel_basis`, `column_span`,
