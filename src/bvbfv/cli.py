@@ -20,7 +20,7 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from .complexes import GhostMismatch
+from .complexes import GhostMismatch, shared_eliminations
 from .gluing import (
     Gluing,
     GluingError,
@@ -409,7 +409,9 @@ def main(argv=None):
     # cached: in-process callers run many ops, and each parse is a fresh namespace
     args = build_parser().parse_args(argv)
     try:
-        report = args.func(args).finish()
+        # one op: equal blocks are eliminated once, and nothing outlives it
+        with shared_eliminations():
+            report = args.func(args).finish()
     except InputError as e:
         sys.stderr.write(f"error: {e}\n")
         return 1

@@ -1,9 +1,25 @@
 """The graded quotient -- cocycles of one map modulo the image of another,
 with representatives and cached class coordinates -- and on it cochain
 complexes, chain maps, cohomology and long exact sequences of pairs.
+
+One op (a CLI command, a morphism composition) builds several pieces
+whose per-degree blocks are often equal: the glued complex's cochain
+differential and the glued theory's Q, the left and right pieces of a
+symmetric gluing, and the bulk, vertical and symplectic pieces of a closed
+complex, where pi reads nothing.  Inside `shared_eliminations()` the
+kernel of a block and the class space of a (block, image map) pair are
+computed once and handed to every piece that meets an equal block.  The
+key is the block's exact content (`_content`: shape, entries in storage
+order as integers over one denominator), never an identity or a hash
+alone, so a shared result is the one the piece would have computed.  The
+memo lives as long as the scope and is dropped when it closes, so no op
+reads another op's eliminations; with no scope open every piece
+eliminates its own blocks.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 from .linalg import (
     RatMatrix,
@@ -28,6 +44,48 @@ class GhostMismatch(ComplexError):
     pass
 
 
+# the memo of the open `shared_eliminations` scope, None when none is open
+_memo = None
+
+
+@contextmanager
+def shared_eliminations():
+    """A scope in which every piece shares its kernels and class spaces
+    with the pieces that meet an equal block (see the module docstring).
+    A scope opened inside another is the same scope."""
+    global _memo
+    if _memo is not None:
+        yield
+        return
+    _memo = {}
+    try:
+        yield
+    finally:
+        _memo = None
+
+
+def _shared(kind, blocks, make):
+    """make(), or inside `shared_eliminations()` what make gave for blocks
+    of equal content, kept under kind in the scope's memo."""
+    memo = _memo
+    if memo is None:
+        return make()
+    key = (kind, *map(_content, blocks))
+    if key not in memo:
+        memo[key] = make()
+    return memo[key]
+
+
+def _content(m):
+    """The exact content of a matrix (None for a missing map) as a key: its
+    shape, and the keys, integer numerators and denominator of its integer
+    view, which fix every entry and their storage order."""
+    if m is None:
+        return None
+    keys, nums, den, _ = m._int_view()
+    return m.rows, m.cols, tuple(keys), tuple(nums), den
+
+
 class _GradedPiece:
     """ker out(g) / Im in(g) per ghost or degree g, with representatives of
     the classes and a coordinate map factored once per degree.
@@ -43,7 +101,14 @@ class _GradedPiece:
     A piece cut out of one flat space by ghost number (the bulk, boundary
     and Mayer-Vietoris interface pieces, and the pieces taken modulo other
     images of them) holds `index`: index[g] lists the flat coordinates of
-    ghost g, in order.  Other pieces have no index."""
+    ghost g, in order.  Other pieces have no index.
+
+    kernel(g) and reps(g) are kept per piece.  A piece that misses one
+    inside `shared_eliminations()` first asks the scope's memo, keyed by
+    the content of q(g) for the kernel and of q(g) and ins[g] for the
+    class space, and leaves there what it computes; the memo is dropped
+    with the scope.  Shared kernels, representative lists and coordinate
+    maps are read, never changed, by every caller."""
 
     def __init__(self, name, dims, outs, ins, error=ComplexError):
         self.name = name
@@ -81,7 +146,8 @@ class _GradedPiece:
     def kernel(self, g):
         """ker q(g), the cocycles at g."""
         if g not in self._ker:
-            self._ker[g] = kernel_basis(self.q(g))
+            q = self.q(g)
+            self._ker[g] = _shared("ker", (q,), lambda: kernel_basis(q))
         return self._ker[g]
 
     def reps(self, g):
@@ -96,8 +162,9 @@ class _GradedPiece:
             if self.dim(g) == 0:
                 self._reps[g], self._coords[g] = [], RatMatrix(0, 0)
             else:
-                comp, self._coords[g] = _kernel_quotient(
-                    self.q(g), self.kernel(g), self.ins.get(g))
+                q, ins = self.q(g), self.ins.get(g)
+                comp, self._coords[g] = _shared(
+                    "cls", (q, ins), lambda: _kernel_quotient(q, self.kernel(g), ins))
                 self._reps[g] = comp.basis
         return self._reps[g]
 

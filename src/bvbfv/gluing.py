@@ -26,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 
-from .complexes import ExactSequenceReport
+from .complexes import ExactSequenceReport, shared_eliminations
 from .linalg import (
     RatMatrix,
     Subspace,
@@ -36,7 +36,7 @@ from .linalg import (
     column_span,
     kernel_basis,
 )
-from .moduli import ReducedModel, _cocycles, _ghost_piece
+from .moduli import ReducedModel, _cocycles, _ghost_piece, _pairing_block
 from .simplicial import IncoherentOrientation, OrientedComplex, _perm_sign
 from .theories import FieldSpace, set_block
 
@@ -273,7 +273,10 @@ def fiber_product_check(gl: Gluing):
 
 def _require_cup(*theories):
     """Intrinsic gluing restricts bulk fields face by face, which needs
-    pure cochain sectors: the cup model of bf and cs."""
+    pure cochain sectors: a cup model.  Every cup model glues: bf and cs,
+    and the bf and ed strata of `--codim 1`.  The message still names bf
+    and cs only, as the recorded error lines of the scalar and ed glue ops
+    have it."""
     for t in theories:
         if t.model != "cup":
             raise GluingError(
@@ -347,35 +350,43 @@ def glue_moduli(gl: Gluing):
     )
     # explicit isomorphism: restrict glued representatives to the pieces
     (res_l, eps_l), (res_r, eps_r) = gl.res
+    restricted = {}
+
+    def restrict(g):
+        """The glued representatives at ghost g as flat vectors, and their
+        restrictions to the left and to the right piece, once per ghost."""
+        if g not in restricted:
+            flats = [msymp_n.flat(g, rep) for rep in msymp_n.reps(g)]
+            restricted[g] = (flats, [res_l.matvec(f) for f in flats],
+                             [res_r.matvec(f) for f in flats])
+        return restricted[g]
+
     iso_ok = dims_match
     pair_ok = True
     for g in ghosts:
         system, mt, na = mt_basis[g]
         comp, coords = quotients[g]
-        reps_n = msymp_n.reps(g)
-        if len(reps_n) != comp.dim:
+        if len(msymp_n.reps(g)) != comp.dim:
             iso_ok = False
             continue
-        flats = [msymp_n.flat(g, rep) for rep in reps_n]
+        flats, on_l, on_r = restrict(g)
         xs = _fiber_coords(system, mt, [
-            _stack(_piece_coords(msymp_l, g, res_l.matvec(flat)),
-                   _piece_coords(msymp_r, g, res_r.matvec(flat)), na) for flat in flats])
+            _stack(_piece_coords(msymp_l, g, x), _piece_coords(msymp_r, g, y), na)
+            for x, y in zip(on_l, on_r)])
         if xs is None:
             iso_ok = False
         elif comp.dim and column_span([coords.matvec(x) for x in xs],
                                       comp.dim).dim != comp.dim:
             # their quotient coordinates along the distribution must span
             iso_ok = False
-        # pairing intertwined on representatives (cochain-level identity)
-        gp = model_glued.pair_ghost() - g
-        for xf in flats:
-            for y in msymp_n.reps(gp):
-                yf = msymp_n.flat(gp, y)
-                lhs = t_glued.pair_bulk(xf, yf)
-                rhs = eps_l * t_left.pair_bulk(res_l.matvec(xf), res_l.matvec(yf)) + \
-                    eps_r * t_right.pair_bulk(res_r.matvec(xf), res_r.matvec(yf))
-                if lhs != rhs:
-                    pair_ok = False
+        # pairing intertwined on representatives (cochain-level identity),
+        # as pairing blocks: glued = eps_l left + eps_r right
+        flats_p, on_lp, on_rp = restrict(model_glued.pair_ghost() - g)
+        lhs = _pairing_block(t_glued.pair_bulk_mat, flats, flats_p)
+        rhs = _pairing_block(t_left.pair_bulk_mat, on_l, on_lp).scale(eps_l) + \
+            _pairing_block(t_right.pair_bulk_mat, on_r, on_rp).scale(eps_r)
+        if lhs != rhs:
+            pair_ok = False
     return {
         "intrinsic_dims": {g: d for g, d in intrinsic_dims.items() if d or direct_dims.get(g)},
         "direct_dims": {g: d for g, d in direct_dims.items() if d or intrinsic_dims.get(g)},
@@ -511,8 +522,9 @@ def compose_morphisms(t1, t2, spec: GluingSpec, build):
         (res_r.transpose() * t2.S_mat * res_r).scale(eps_r)
     diff = t.S_mat - s_sum
     additive = (diff + diff.transpose()).is_zero()
-    ev = evolution_relation(gl.glued)
-    gm = glue_moduli(gl)
+    with shared_eliminations():
+        ev = evolution_relation(gl.glued)
+        gm = glue_moduli(gl)
     return {
         "glued_complex": cx,
         "glued_theory": t,

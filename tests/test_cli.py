@@ -356,6 +356,55 @@ def test_no_state_crosses_between_calls(monkeypatch, capsys):
     assert codes == [0, 0, 0, 0, 0, 0, 2, 0]
 
 
+def test_no_shared_elimination_scope_outlives_main(monkeypatch, tmp_path):
+    # each op opens the memo of shared eliminations and drops it on every
+    # exit path: passing verdicts, a failing verdict, an input error, a
+    # gluing error and an exception that main does not catch
+    from bvbfv import cli, complexes
+
+    monkeypatch.setenv("BVBFV_CORPUS", CORPUS)
+    out = str(tmp_path / "out.json")
+    spec = os.path.join(CORPUS, "glue_solid_tori_meridian_to_longitude.json")
+    for argv, code in [(["moduli", "torus", "--theory", "cs"], 0),
+                       (["moduli", "interval", "--theory", "scalar"], 2),
+                       (["moduli", "no_such_complex", "--theory", "cs"], 1),
+                       (["glue", spec, "--theory", "scalar"], 1)]:
+        assert cli.main([*argv, "--format", "structured", "--out", out]) == code, argv
+        assert complexes._memo is None, argv
+
+    def crash(t):
+        assert complexes._memo is not None
+        raise RuntimeError("crash inside the op")
+
+    monkeypatch.setattr(cli, "check_ghost_grading", crash)
+    with pytest.raises(RuntimeError):
+        cli.main(["moduli", "torus", "--theory", "cs", "--out", out])
+    assert complexes._memo is None
+
+
+def test_each_op_starts_with_an_empty_memo(monkeypatch, tmp_path):
+    # the same op twice in one process: the second run is served nothing
+    # from the first, so it eliminates every block the first did
+    from bvbfv import cli, complexes
+
+    calls = []
+    kernel_basis = complexes.kernel_basis
+
+    def recording(q):
+        calls[-1].append((complexes._memo, len(complexes._memo)))
+        return kernel_basis(q)
+
+    monkeypatch.setattr(complexes, "kernel_basis", recording)
+    argv = ["moduli", os.path.join(CORPUS, "torus.json"), "--theory", "cs",
+            "--format", "structured", "--out", str(tmp_path / "out.json")]
+    for _ in range(2):
+        calls.append([])
+        assert cli.main(argv) == 0
+    first, second = calls
+    assert first and len(second) == len(first)
+    assert second[0][1] == 0 and second[0][0] is not first[0][0]
+
+
 def test_slice_gh0():
     out = run_cli("slice-gh0", "solid_torus", "--theory", "cs")
     assert out.returncode == 0

@@ -878,3 +878,76 @@ def test_composed_cylinder_keeps_evolution_relation_dims():
     ev_single = evolution_relation(ReducedModel(t1))
     ev_comp = evolution_relation(ReducedModel(out["glued_theory"]))
     assert ev_comp["reduced_dims_total"] == ev_single["reduced_dims_total"]
+
+
+# --- eliminations shared within one glue op -----------------------------------
+
+
+@pytest.mark.parametrize("spec", ["glue_solid_tori_meridian_to_longitude.json",
+                                  "glue_solid_tori_meridian_to_meridian.json"])
+def test_glue_op_eliminates_each_piece_block_once(spec, monkeypatch, tmp_path):
+    # the glued complex's cochain differential and the glued Q, and the
+    # left and right pieces (solid_torus against itself or against
+    # solid_torus_reversed), meet equal blocks; one op eliminates each once
+    import os
+
+    from bvbfv import cli
+    from test_moduli import assert_each_block_eliminated_once, piece_eliminations
+
+    seen = piece_eliminations(monkeypatch)
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    code = cli.main(["glue", os.path.join(root, "corpus", spec), "--theory", "cs",
+                     "--format", "structured", "--out", str(tmp_path / "out.json")])
+    assert code == 0
+    assert_each_block_eliminated_once(seen)
+
+
+@pytest.mark.parametrize("make", [spec_s3, spec_s2xs1])
+def test_glue_phases_leave_shared_results_as_computed(make):
+    from bvbfv.complexes import shared_eliminations
+    from test_moduli import assert_memo_as_computed
+
+    with shared_eliminations():
+        gl = gluing(make()[0], build_abelian_cs)
+        fiber_product_check(gl)
+        glue_moduli(gl)
+        mayer_vietoris(gl)
+        assert_memo_as_computed()
+
+
+def pairings_by_pairs(gl):
+    """A test-side copy of the pairing check as one pairing per pair of
+    glued representatives, each restricted to the pieces on its own."""
+    (res_l, eps_l), (res_r, eps_r) = gl.res
+    msymp = gl.glued.msymp
+    t, tl, tr = gl.glued.t, gl.left.t, gl.right.t
+    for g in sorted(set(gl.left.ghosts) | set(gl.right.ghosts)):
+        gp = gl.glued.pair_ghost() - g
+        for x in msymp.reps(g):
+            xf = msymp.flat(g, x)
+            for y in msymp.reps(gp):
+                yf = msymp.flat(gp, y)
+                if t.pair_bulk(xf, yf) != \
+                        eps_l * tl.pair_bulk(res_l.matvec(xf), res_l.matvec(yf)) + \
+                        eps_r * tr.pair_bulk(res_r.matvec(xf), res_r.matvec(yf)):
+                    return False
+    return True
+
+
+@pytest.mark.parametrize("flip", [False, True], ids=["as-glued", "left-sign-flipped"])
+@pytest.mark.parametrize("spec,build", [
+    (lambda: spec_s3()[0], build_abelian_cs),
+    (lambda: spec_s2xs1()[0], build_abelian_cs),
+    (lambda: spec_s3()[0], lambda cx: build_ed_stratum(cx, cx.dimension + 1)),
+    (spec_cylinders, build_abelian_bf)], ids=["cs-s3", "cs-s2xs1", "ed-stratum-s3", "bf-cylinders"])
+def test_pairing_blocks_match_the_pairwise_check(spec, build, flip):
+    # glue_moduli compares the pairing blocks of the restricted
+    # representatives; the verdict is the per-pair one, and a wrong
+    # orientation factor on the left piece breaks both
+    gl = gluing(spec(), build)
+    if flip:
+        (res_l, eps_l), right = gl.res
+        gl.res = ((res_l, -eps_l), right)
+    expected = pairings_by_pairs(gl)
+    assert glue_moduli(gl)["pairings_intertwined"] == expected
+    assert expected is not flip

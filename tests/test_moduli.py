@@ -1276,3 +1276,136 @@ def test_vertical_pieces_refuse_a_pi_that_is_not_a_coordinate_projection(change)
     for build in (lambda: model.K, lambda: model.vert, lambda: model.lift(g)):
         with pytest.raises(ModuliError, match="coordinate projection"):
             build()
+
+
+# --- eliminations shared within one op ----------------------------------------
+
+
+def block_content(m):
+    """The exact content of a block, kept by the test itself: its shape
+    and its entries in storage order (None for a missing map)."""
+    return None if m is None else (m.rows, m.cols, tuple(m.entries.items()))
+
+
+def piece_eliminations(monkeypatch):
+    """The list, filled as pieces eliminate, of the content of every block
+    a `_GradedPiece` eliminates: ("ker", q) per kernel and ("cls", q, ins)
+    per class space.  Eliminations by other callers are not listed."""
+    import sys
+
+    from bvbfv import complexes
+
+    seen = []
+    kernel_basis, kernel_quotient = complexes.kernel_basis, complexes._kernel_quotient
+
+    piece_methods = {complexes._GradedPiece.kernel.__code__,
+                     complexes._GradedPiece.reps.__code__}
+
+    def by_piece():
+        # called, at any depth, from a piece's kernel or reps
+        frame = sys._getframe(2)
+        while frame is not None and frame.f_code not in piece_methods:
+            frame = frame.f_back
+        return frame is not None
+
+    def recording_kernel(q):
+        if by_piece():
+            seen.append(("ker", block_content(q)))
+        return kernel_basis(q)
+
+    def recording_quotient(q, ker, ins):
+        if by_piece():
+            seen.append(("cls", block_content(q), block_content(ins)))
+        return kernel_quotient(q, ker, ins)
+
+    monkeypatch.setattr(complexes, "kernel_basis", recording_kernel)
+    monkeypatch.setattr(complexes, "_kernel_quotient", recording_quotient)
+    return seen
+
+
+def assert_each_block_eliminated_once(seen):
+    from collections import Counter
+
+    repeats = [(key[0], n) for key, n in Counter(seen).items() if n > 1]
+    assert seen and not repeats, repeats
+
+
+def test_moduli_op_eliminates_each_piece_block_once(monkeypatch, tmp_path):
+    # on a closed complex pi reads nothing, so the vertical and symplectic
+    # pieces meet the bulk's blocks; one op eliminates each of them once
+    import os
+
+    from bvbfv import cli
+
+    seen = piece_eliminations(monkeypatch)
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    code = cli.main(["moduli", os.path.join(root, "corpus", "torus.json"),
+                     "--theory", "cs", "--format", "structured",
+                     "--out", str(tmp_path / "out.json")])
+    assert code == 0
+    assert_each_block_eliminated_once(seen)
+
+
+def assert_memo_as_computed():
+    """Every result in the open memo equals a fresh elimination of the
+    block its key names: no caller has changed a shared kernel,
+    representative list or coordinate map."""
+    from bvbfv import complexes
+    from bvbfv.linalg import _kernel_quotient
+
+    def block(content):
+        if content is None:
+            return None
+        rows, cols, keys, nums, den = content
+        m = RatMatrix(rows, cols)
+        m.entries = {k: Fraction(n, den) for k, n in zip(keys, nums)}
+        return m
+
+    assert complexes._memo
+    for key, value in complexes._memo.items():
+        q = block(key[1])
+        if key[0] == "ker":
+            assert value.basis == kernel_basis(q).basis
+        else:
+            comp, coords = _kernel_quotient(q, kernel_basis(q), block(key[2]))
+            assert (value[0].basis, value[1]) == (comp.basis, coords)
+
+
+def small_pairs():
+    return [(theory, name) for theory, name in corpus_pairs()
+            if corpus.BUILDERS[name]().dimension <= 2]
+
+
+def test_shared_eliminations_change_no_report():
+    # every (theory, complex) pair of the corpus sweep on dimension <= 2:
+    # the report and every piece's representatives are the same with the
+    # pieces sharing their eliminations as without
+    from bvbfv.complexes import shared_eliminations
+
+    def run(theory, name):
+        model = ReducedModel(build_pair(theory, name))
+        report = moduli_report(model)
+        pieces = (model.bulk, model.bdry, model.vert, model.msymp)
+        return report, [(p.reps(g), p._coords[g]) for p in pieces for g in model.ghosts]
+
+    for theory, name in small_pairs():
+        alone = run(theory, name)
+        with shared_eliminations():
+            shared = run(theory, name)
+            assert_memo_as_computed()
+        assert shared == alone, (theory, name)
+
+
+def test_shared_eliminations_scope_is_dropped_on_exit():
+    from bvbfv import complexes
+    from bvbfv.complexes import shared_eliminations
+
+    with pytest.raises(RuntimeError):
+        with shared_eliminations():
+            memo = complexes._memo
+            # a scope opened inside another is the same scope
+            with shared_eliminations():
+                assert complexes._memo is memo
+            assert complexes._memo is memo
+            raise RuntimeError
+    assert complexes._memo is None
