@@ -1,0 +1,156 @@
+#!/usr/bin/env python3
+"""Interleaved before/after timing of two bvbfv checkouts in one process.
+
+Usage:  python3 scripts/ab_compare.py A B WORKLOAD N [--seed S]
+
+A and B are roots of two bvbfv checkouts (say the parent commit and the
+change).  Both `bvbfv` packages are imported into this process, each from
+its own `src/`; before each op the modules of the side that runs it are
+put in `sys.modules`.  WORKLOAD names a workload of `perfbench/workloads.py`
+in this script's own checkout, and both sides read that checkout's corpus.
+Each of the N passes runs the workload's ops in an order shuffled by the
+seed, and runs every op on both sides back to back, A first in the first,
+third, ... pass and B first in the others, so that a drift of the host's
+speed falls on both sides alike.  Every run's exit code and
+structured-report sha256 are checked against `perfbench/reference.json`.
+
+Printed: per op, the minimum wall time of each side and their ratio B/A;
+then per side the median pass time (sum of its ops' wall times in one
+pass), the ratio of the medians, and the number of passes in which B took
+less time than A.  Exits 2 when any run differs from its reference.
+Needs the standard library only.
+"""
+
+import argparse
+import contextlib
+import hashlib
+import importlib
+import io
+import json
+import os
+import pkgutil
+import random
+import shutil
+import statistics
+import sys
+import tempfile
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+
+from workloads import WORKLOADS  # noqa: E402
+
+
+def _ours(name):
+    return name == "bvbfv" or name.startswith("bvbfv.")
+
+
+def _drop_modules():
+    for name in [n for n in sys.modules if _ours(n)]:
+        del sys.modules[name]
+
+
+def load(checkout):
+    """(cli, modules): bvbfv.cli and every bvbfv module, imported from the
+    checkout's src/."""
+    src = os.path.join(os.path.abspath(checkout), "src")
+    pkg = os.path.join(src, "bvbfv")
+    if not os.path.isfile(os.path.join(pkg, "cli.py")):
+        sys.exit(f"error: no bvbfv sources under {src}")
+    _drop_modules()
+    sys.path.insert(0, src)
+    try:
+        for info in pkgutil.iter_modules([pkg]):
+            importlib.import_module(f"bvbfv.{info.name}")
+    finally:
+        sys.path.remove(src)
+    modules = {n: m for n, m in sys.modules.items() if _ours(n)}
+    for name, mod in modules.items():
+        if not getattr(mod, "__file__", "").startswith(src):
+            sys.exit(f"error: {name} imported from {mod.__file__}, not {src}")
+    _drop_modules()
+    return modules["bvbfv.cli"], modules
+
+
+def run_op(side, argv, out):
+    """One CLI call on a side; returns (wall s, exit code or exception
+    name, sha256 of the structured report or None)."""
+    cli, modules = side
+    _drop_modules()
+    sys.modules.update(modules)
+    if os.path.exists(out):
+        os.remove(out)
+    sink = io.StringIO()
+    t0 = time.perf_counter()
+    try:
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            code = cli.main([*argv, "--format", "structured", "--out", out])
+    except SystemExit as e:
+        code = e.code
+    except Exception as e:  # a crash is the op's result, recorded by name
+        code = type(e).__name__
+    wall = time.perf_counter() - t0
+    digest = None
+    if os.path.exists(out):
+        with open(out, "rb") as fh:
+            digest = hashlib.sha256(fh.read()).hexdigest()
+    return wall, code, digest
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("a", help="root of the first (before) checkout")
+    ap.add_argument("b", help="root of the second (after) checkout")
+    ap.add_argument("workload", choices=sorted(WORKLOADS))
+    ap.add_argument("n", type=int, help="number of passes")
+    ap.add_argument("--seed", type=int, default=0, help="seed of the op order")
+    args = ap.parse_args(argv)
+    if args.n < 1:
+        ap.error("N must be at least 1")
+    with open(os.path.join(ROOT, "perfbench", "reference.json")) as fh:
+        ref = json.load(fh)
+    ops = WORKLOADS[args.workload][0]
+    sides = {"A": load(args.a), "B": load(args.b)}
+    # ops name corpus files relative to a checkout root
+    os.chdir(ROOT)
+    rng = random.Random(args.seed)
+    times = {s: {i: [] for i in range(len(ops))} for s in sides}
+    passes = {s: [] for s in sides}
+    mismatches = 0
+    tmp = tempfile.mkdtemp(prefix="ab_compare-")
+    out = os.path.join(tmp, "op.json")
+    try:
+        for k in range(args.n):
+            order = list(range(len(ops)))
+            rng.shuffle(order)
+            total = dict.fromkeys(sides, 0.0)
+            for i in order:
+                want = ref[" ".join(ops[i])]
+                for s in ("A", "B") if k % 2 == 0 else ("B", "A"):
+                    wall, code, digest = run_op(sides[s], ops[i], out)
+                    if code != want["exit"] or digest != want["sha256"]:
+                        mismatches += 1
+                        print(f"mismatch {s}: {' '.join(ops[i])}: exit {code}")
+                    times[s][i].append(wall)
+                    total[s] += wall
+            for s in sides:
+                passes[s].append(total[s])
+            print(f"pass {k + 1}/{args.n}: A {total['A']:.4f} s  B {total['B']:.4f} s",
+                  flush=True)
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+    print(f"{'A min s':>10} {'B min s':>10} {'B/A':>7}  op")
+    for i, op in enumerate(ops):
+        a, b = min(times["A"][i]), min(times["B"][i])
+        print(f"{a:10.4f} {b:10.4f} {b / a:7.3f}  {' '.join(op)}")
+    ma, mb = statistics.median(passes["A"]), statistics.median(passes["B"])
+    won = sum(b < a for a, b in zip(passes["A"], passes["B"]))
+    print(f"pass_s median: A {ma:.4f} s  B {mb:.4f} s  B/A {mb / ma:.3f}  "
+          f"B faster in {won} of {args.n} passes")
+    print(f"reference mismatches: {mismatches}")
+    return 2 if mismatches else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

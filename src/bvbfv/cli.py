@@ -253,7 +253,7 @@ def cmd_cme(args):
     r = verify_cme(t)
     for name, ok in sorted(r.checks.items()):
         rep.check(name, ok)
-        rep.table(f"residual_nonzeros_{name}", len(r.residuals[name].entries))
+        rep.table(f"residual_nonzeros_{name}", r.residuals[name].nnz)
     try:
         gg = check_ghost_grading(t)
         rep.check("ghost_grading", True)

@@ -78,12 +78,11 @@ def _shared(kind, blocks, make):
 
 def _content(m):
     """The exact content of a matrix (None for a missing map) as a key: its
-    shape, and the keys, integer numerators and denominator of its integer
-    view, which fix every entry and their storage order."""
+    shape, and the keys, integer numerators and denominator of its
+    storage, which fix every entry and their storage order."""
     if m is None:
         return None
-    keys, nums, den, _ = m._int_view()
-    return m.rows, m.cols, tuple(keys), tuple(nums), den
+    return m.rows, m.cols, tuple(m.ints), tuple(m.ints.values()), m.den
 
 
 class _GradedPiece:
@@ -195,11 +194,15 @@ class _GradedPiece:
         return {pos[i]: x for i, x in v.items() if i in pos}
 
     def class_matrix(self, g, vectors):
-        m = RatMatrix(self.h_dim(g), len(vectors))
-        for j, v in enumerate(vectors):
-            for i, val in self.class_coords(g, v).items():
-                m.entries[(i, j)] = val
-        return m
+        """The class_coords of each cocycle in vectors, as the columns of
+        one matrix: with the vectors as the columns of V, one product
+        q(g) V = 0 checks every cocycle, and the coordinate map times V
+        gives every coordinate."""
+        v = RatMatrix.from_columns(vectors, self.dim(g))
+        if not (self.q(g) * v).is_zero():
+            raise self.error(f"vector is not a {self.name} cocycle class in degree {g}")
+        self.reps(g)
+        return self._coords[g] * v
 
 
 class CochainComplex:

@@ -274,14 +274,13 @@ def fiber_product_check(gl: Gluing):
 def _require_cup(*theories):
     """Intrinsic gluing restricts bulk fields face by face, which needs
     pure cochain sectors: a cup model.  Every cup model glues: bf and cs,
-    and the bf and ed strata of `--codim 1`.  The message still names bf
-    and cs only, as the recorded error lines of the scalar and ed glue ops
-    have it."""
+    and the bf and ed strata of `--codim 1`.  The error names that
+    requirement and the kind and model of the theory it refuses."""
     for t in theories:
         if t.model != "cup":
             raise GluingError(
-                f"intrinsic gluing and Mayer-Vietoris need a cup-model theory "
-                f"(bf or cs); {t.kind} is a {t.model} model")
+                f"intrinsic gluing and Mayer-Vietoris need a cup model; "
+                f"{t.kind} is a {t.model} model")
 
 
 def glue_moduli(gl: Gluing):

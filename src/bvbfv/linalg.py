@@ -1,16 +1,23 @@
 """Exact rational sparse linear algebra.
 
 Everything downstream (cohomology, moduli spaces, pairings) reduces to the
-kernel/image/quotient/orthogonality operations in this module.  Matrices are
-sparse maps (row, col) -> Fraction.  Each matrix caches one integer view of
-itself (its entries in storage order as integers over one matrix-wide
-denominator, and a column index); matrix-vector products and matrix
-products run over those integers and build a Fraction only for each entry
-they return.  There is one elimination core,
-`_echelon`: fraction-free (integer row combinations after clearing
-denominators) Gauss-Jordan with a fixed pivot rule, so all bases are
-deterministic across runs.  Kernels, images, solutions, spanning subsets,
-quotients and left inverses all read its output.
+kernel/image/quotient/orthogonality operations in this module.
+
+A `RatMatrix` is stored in integers: a dict (row, col) -> nonzero integer
+numerator, in storage order, and one positive denominator for the whole
+matrix, the least common one, so equal matrices have equal storage.
+Products, sums, scaling, transposes, blocks, comparison and the rows that
+the eliminations read all run on that storage and build no Fraction; the
+builders of the other modules write integers too.  A matrix shows its
+entries as Fractions (`entries`, `[i, j]`, `sparse_rows`, `matvec`'s
+result) only to a caller that reads them.  Sparse vectors, and the bases
+of a `Subspace`, are dicts of Fractions.
+
+There is one elimination core, `_echelon`: fraction-free (integer row
+combinations after clearing denominators) Gauss-Jordan with a fixed pivot
+rule, so all bases are deterministic across runs.  Kernels, images,
+solutions, spanning subsets, quotients and left inverses all read its
+output.
 
 Kernels and images eliminate in a static sparse-first order (the columns
 of the system by ascending nonzero count, ties by index), which keeps
@@ -52,6 +59,7 @@ from __future__ import annotations
 from array import array
 from fractions import Fraction
 from math import gcd, lcm
+from types import MappingProxyType
 
 
 class LinalgError(Exception):
@@ -107,56 +115,156 @@ def vec_eq(u, v):
     return {i: x for i, x in u.items() if x} == {i: x for i, x in v.items() if x}
 
 
-class RatMatrix:
-    """Sparse rational matrix.  Entries with value zero are never stored.
+def _rational(v):
+    """v as an int or a Fraction."""
+    return v if type(v) is int or type(v) is Fraction else Fraction(v)
 
-    `matvec` and products read one integer view of the matrix (see
-    `_int_view`), built on first use and dropped when `__setitem__` or
-    `theories.set_block` changes an entry in place.  Every other write to
-    `entries`, here and in the other modules, fills a freshly built matrix
-    before anything has read it, so the view is never stale.
+
+def _to_ints(items):
+    """(ints, den) for pairs (key, rational value): the nonzero values as
+    integer numerators over their least common denominator, in the order
+    given."""
+    vals = {}
+    for k, v in items:
+        v = _rational(v)
+        if v:
+            vals[k] = v
+    den = lcm(*(v.denominator for v in vals.values()))
+    return {k: v.numerator * (den // v.denominator) for k, v in vals.items()}, den
+
+
+class RatMatrix:
+    """Sparse rational matrix, stored in integers: `ints` maps (row, col)
+    to a nonzero integer numerator, in storage order, and entry (i, j) is
+    ints[(i, j)] / den, with `den` the least common denominator of the
+    entries (1 for an integer or empty matrix).  Zero entries are never
+    stored.  Both are read-only outside this class; `of_ints` builds a
+    matrix from them, and `[i, j] = v` and `add_block` change one in place.
+
+    `entries` is the same map with Fraction values.  It is built when it
+    is read, kept until the next write, and is itself read-only.
     """
 
-    __slots__ = ("rows", "cols", "entries", "_view")
+    __slots__ = ("rows", "cols", "ints", "den", "_entries", "_by_col")
 
     def __init__(self, rows, cols, entries=None):
         self.rows = rows
         self.cols = cols
-        self.entries = {}
-        self._view = None
+        self.ints = {}
+        self.den = 1
+        self._entries = None
+        self._by_col = None
         if entries:
-            for (i, j), v in entries.items():
-                self[i, j] = v
+            for i, j in entries:
+                if not (0 <= i < rows and 0 <= j < cols):
+                    raise DimensionMismatch(f"index {(i, j)} out of shape {self.shape}")
+            self.ints, self.den = _to_ints(entries.items())
+
+    @classmethod
+    def of_ints(cls, rows, cols, ints, den=1):
+        """The matrix with entries ints[key] / den, for a dict of nonzero
+        integers and a positive integer den; den is reduced to the least
+        common one.  ints is kept, not copied."""
+        if den != 1:
+            g = gcd(den, *ints.values())
+            if g != 1:
+                den //= g
+                ints = {k: x // g for k, x in ints.items()}
+        m = cls.__new__(cls)
+        m.rows = rows
+        m.cols = cols
+        m.ints = ints
+        m.den = den
+        m._entries = None
+        m._by_col = None
+        return m
+
+    @property
+    def entries(self):
+        """(row, col) -> Fraction for the nonzero entries, in storage order:
+        a read-only view, built on first read after a write."""
+        if self._entries is None:
+            den = self.den
+            self._entries = {k: Fraction(x, den) for k, x in self.ints.items()}
+        return MappingProxyType(self._entries)
+
+    @property
+    def nnz(self):
+        """The number of nonzero entries."""
+        return len(self.ints)
 
     def __getitem__(self, ij):
-        return self.entries.get(ij, Fraction(0))
+        return Fraction(self.ints.get(ij, 0), self.den)
 
     def __setitem__(self, ij, v):
         i, j = ij
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise DimensionMismatch(f"index {ij} out of shape {self.shape}")
         v = Fraction(v)
-        self._view = None
-        if v:
-            self.entries[ij] = v
-        else:
-            self.entries.pop(ij, None)
+        self._entries = self._by_col = None
+        ints = self.ints
+        if not v:
+            if ints.pop(ij, None) is not None:
+                self._reduce()
+            return
+        q = v.denominator
+        if self.den % q:
+            den = lcm(self.den, q)
+            s = den // self.den
+            self.ints = ints = {k: x * s for k, x in ints.items()}
+            self.den = den
+        replaced = ij in ints
+        ints[ij] = v.numerator * (self.den // q)
+        if replaced:
+            self._reduce()
+
+    def _reduce(self):
+        """Bring den down to the least common denominator, in place, after
+        an entry was replaced or removed."""
+        if self.den != 1:
+            g = gcd(self.den, *self.ints.values())
+            if g != 1:
+                self.den //= g
+                self.ints = {k: x // g for k, x in self.ints.items()}
+
+    def add_block(self, r0, c0, block, scale=1):
+        """Add scale * block in place, block's (0, 0) entry at (r0, c0).
+        Existing keys keep their place and new ones follow in block's
+        storage order, as adding entry by entry would leave them."""
+        s = Fraction(scale)
+        if not s or not block.ints:
+            return
+        corner = (r0 + block.rows - 1, c0 + block.cols - 1)
+        if not (corner[0] < self.rows and corner[1] < self.cols):
+            raise DimensionMismatch(f"index {corner} out of shape {self.shape}")
+        self._entries = self._by_col = None
+        q = block.den * s.denominator
+        den = lcm(self.den, q)
+        ints = self.ints
+        if den != self.den:
+            sa = den // self.den
+            self.ints = ints = {k: x * sa for k, x in ints.items()}
+            self.den = den
+        sb = s.numerator * (den // q)
+        for (i, j), x in block.ints.items():
+            key = (r0 + i, c0 + j)
+            y = ints.get(key, 0) + sb * x
+            if y:
+                ints[key] = y
+            else:
+                del ints[key]
+        self._reduce()
 
     @property
     def shape(self):
         return (self.rows, self.cols)
 
     def copy(self):
-        m = RatMatrix(self.rows, self.cols)
-        m.entries = dict(self.entries)
-        return m
+        return RatMatrix.of_ints(self.rows, self.cols, dict(self.ints), self.den)
 
     @staticmethod
     def identity(n):
-        m = RatMatrix(n, n)
-        for i in range(n):
-            m.entries[(i, i)] = Fraction(1)
-        return m
+        return RatMatrix.of_ints(n, n, {(i, i): 1 for i in range(n)})
 
     @staticmethod
     def zero(rows, cols):
@@ -165,80 +273,70 @@ class RatMatrix:
     @staticmethod
     def from_rows(rows, ncols=None):
         """Build from a list of dense or sparse rows."""
-        mat_rows = []
+        rows = list(rows)
+        items = []
         width = ncols or 0
-        for r in rows:
+        for i, r in enumerate(rows):
             if isinstance(r, dict):
-                mat_rows.append({j: Fraction(v) for j, v in r.items() if v})
+                items.extend(((i, j), v) for j, v in r.items())
                 if r:
                     width = max(width, max(r) + 1)
             else:
-                mat_rows.append({j: Fraction(v) for j, v in enumerate(r) if v})
+                items.extend(((i, j), v) for j, v in enumerate(r))
                 width = max(width, len(r))
-        m = RatMatrix(len(mat_rows), width if ncols is None else ncols)
-        for i, r in enumerate(mat_rows):
-            for j, v in r.items():
-                m.entries[(i, j)] = v
-        return m
+        ints, den = _to_ints(items)
+        return RatMatrix.of_ints(len(rows), width if ncols is None else ncols, ints, den)
 
     @staticmethod
     def from_columns(cols, nrows):
-        m = RatMatrix(nrows, len(cols))
-        for j, c in enumerate(cols):
-            for i, v in c.items():
-                if v:
-                    m.entries[(i, j)] = Fraction(v)
-        return m
+        ints, den = _to_ints(((i, j), v) for j, c in enumerate(cols) for i, v in c.items())
+        return RatMatrix.of_ints(nrows, len(cols), ints, den)
 
     def sparse_rows(self):
+        """The rows as sparse vectors of Fractions."""
         rows = [dict() for _ in range(self.rows)]
-        for (i, j), v in self.entries.items():
-            rows[i][j] = v
+        den = self.den
+        for (i, j), x in self.ints.items():
+            rows[i][j] = Fraction(x, den)
+        return rows
+
+    def int_rows(self):
+        """The rows of den * self as sparse integer vectors, each in
+        storage order."""
+        rows = [dict() for _ in range(self.rows)]
+        for (i, j), x in self.ints.items():
+            rows[i][j] = x
         return rows
 
     def submatrix(self, rows, cols):
         """The block on the given row and column indices, in their order."""
         rpos = {r: i for i, r in enumerate(rows)}
         cpos = {c: j for j, c in enumerate(cols)}
-        m = RatMatrix(len(rows), len(cols))
-        m.entries = {(rpos[i], cpos[j]): v for (i, j), v in self.entries.items()
-                     if i in rpos and j in cpos}
-        return m
+        ints = {(rpos[i], cpos[j]): x for (i, j), x in self.ints.items()
+                if i in rpos and j in cpos}
+        return RatMatrix.of_ints(len(rows), len(cols), ints, self.den)
 
     def transpose(self):
-        m = RatMatrix(self.cols, self.rows)
-        m.entries = {(j, i): v for (i, j), v in self.entries.items()}
-        return m
-
-    def _int_view(self):
-        """The integer view of the matrix, built on first use: the keys in
-        storage order, the entries there as integers over one positive
-        denominator (entry p is nums[p] / den), and per column the
-        positions of its entries (a compact array per column)."""
-        if self._view is None:
-            keys = list(self.entries)
-            vals = self.entries.values()
-            den = lcm(*{v.denominator for v in vals})
-            if den == 1:
-                nums = [v.numerator for v in vals]
-            else:
-                nums = [v.numerator * (den // v.denominator) for v in vals]
-            by_col = {}
-            for p, (_, j) in enumerate(keys):
-                col = by_col.get(j)
-                if col is None:
-                    by_col[j] = col = array("l")
-                col.append(p)
-            self._view = (keys, nums, den, by_col)
-        return self._view
+        return RatMatrix.of_ints(self.cols, self.rows,
+                                 {(j, i): x for (i, j), x in self.ints.items()}, self.den)
 
     def matvec(self, v):
         """M v, visiting only the entries in the columns of v's support.
         They are visited in storage order, so the result, down to the
         order of its keys, is the one a scan of every entry gives.  The
         sums run in integers, with v cleared to n / d; each nonzero row
-        becomes one Fraction."""
-        keys, nums, den, by_col = self._int_view()
+        becomes one Fraction.  The positions of each column's entries are
+        indexed on first use."""
+        if self._by_col is None:
+            keys = list(self.ints)
+            by_col = {}
+            for p, (_, j) in enumerate(keys):
+                col = by_col.get(j)
+                if col is None:
+                    by_col[j] = col = array("l")
+                col.append(p)
+            self._by_col = (keys, list(self.ints.values()), by_col)
+        keys, nums, by_col = self._by_col
         touched = []
         for j, x in v.items():
             if x and j in by_col:
@@ -255,70 +353,80 @@ class RatMatrix:
                 out[i] = s
             else:
                 out.pop(i, None)
-        d *= den
+        d *= self.den
         return {i: Fraction(s, d) for i, s in out.items()}
 
     def __mul__(self, other):
         """The product, scanning self's entries in storage order against
-        the rows of other, as a Fraction scan would, so the result keeps
-        that key order.  The sums run in integers over the two views'
-        denominators; each nonzero entry becomes one Fraction."""
+        the rows of other, so the result's keys come in the order of their
+        first term.  It runs in integers, over the product of the two
+        denominators."""
         if isinstance(other, RatMatrix):
             if self.cols != other.rows:
                 raise DimensionMismatch(f"{self.shape} * {other.shape}")
-            keys, nums, den, _ = self._int_view()
-            okeys, onums, oden, _ = other._int_view()
             by_row = [[] for _ in range(other.rows)]
-            for (k, j), b in zip(okeys, onums):
+            for (k, j), b in other.ints.items():
                 by_row[k].append((j, b))
             acc = {}
-            for (i, k), a in zip(keys, nums):
+            get = acc.get
+            for (i, k), a in self.ints.items():
                 for j, b in by_row[k]:
                     key = (i, j)
-                    acc[key] = acc.get(key, 0) + a * b
-            den *= oden
-            m = RatMatrix(self.rows, other.cols)
-            m.entries = {key: Fraction(x, den) for key, x in acc.items() if x}
-            return m
+                    acc[key] = get(key, 0) + a * b
+            return RatMatrix.of_ints(self.rows, other.cols,
+                                     {key: x for key, x in acc.items() if x},
+                                     self.den * other.den)
         return NotImplemented
 
-    def __add__(self, other):
+    def _combine(self, other, sign):
+        """self + sign * other: self's keys first, in their order, then
+        other's new ones in its order."""
         if self.shape != other.shape:
-            raise DimensionMismatch(f"{self.shape} + {other.shape}")
-        m = self.copy()
-        for k, v in other.entries.items():
-            s = m.entries.get(k, 0) + v
-            if s:
-                m.entries[k] = s
+            op = "+" if sign > 0 else "-"
+            raise DimensionMismatch(f"{self.shape} {op} {other.shape}")
+        den = lcm(self.den, other.den)
+        sa = den // self.den
+        ints = dict(self.ints) if sa == 1 else {k: x * sa for k, x in self.ints.items()}
+        sb = sign * (den // other.den)
+        for k, x in other.ints.items():
+            y = ints.get(k, 0) + sb * x
+            if y:
+                ints[k] = y
             else:
-                m.entries.pop(k, None)
-        return m
+                del ints[k]
+        return RatMatrix.of_ints(self.rows, self.cols, ints, den)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        return self + other.scale(-1)
+        return self._combine(other, -1)
 
     def scale(self, c):
         c = Fraction(c)
-        m = RatMatrix(self.rows, self.cols)
-        if c:
-            m.entries = {k: c * v for k, v in self.entries.items()}
-        return m
+        if not c:
+            return RatMatrix(self.rows, self.cols)
+        n = c.numerator
+        return RatMatrix.of_ints(self.rows, self.cols,
+                                 {k: n * x for k, x in self.ints.items()},
+                                 self.den * c.denominator)
 
     def is_zero(self):
-        return not self.entries
+        return not self.ints
 
     def __eq__(self, other):
         return (
             isinstance(other, RatMatrix)
             and self.shape == other.shape
-            and self.entries == other.entries
+            and self.den == other.den
+            and self.ints == other.ints
         )
 
     def __repr__(self):
-        return f"RatMatrix({self.rows}x{self.cols}, {len(self.entries)} nonzero)"
+        return f"RatMatrix({self.rows}x{self.cols}, {self.nnz} nonzero)"
 
     def rank(self):
-        piv, _ = _echelon(_int_rows(self.sparse_rows()))
+        piv, _ = _echelon(_primitive_rows(self.int_rows()))
         return len(piv)
 
 
@@ -340,6 +448,18 @@ def _int_rows(rows):
             ints = {j: v // g for j, v in ints.items()}
         out.append(ints)
     return out
+
+
+def _primitive_rows(rows):
+    """Integer rows with their content divided out, in place: each row
+    becomes the primitive integer vector that is a positive multiple of
+    it, which is what `_int_rows` makes of the rational row."""
+    for i, r in enumerate(rows):
+        if r:
+            g = gcd(*r.values())
+            if g > 1:
+                rows[i] = {j: x // g for j, x in r.items()}
+    return rows
 
 
 def _echelon(rows, col_order=None):
@@ -540,11 +660,11 @@ class _LeftInverse:
 
     def matrix(self):
         """E as a rational matrix."""
-        m = RatMatrix(len(self.nums), self.ambient_dim)
-        m.entries = {(k, j): Fraction(e, d)
-                     for k, (row, d) in enumerate(zip(self.nums, self.dens))
-                     for j, e in row.items()}
-        return m
+        den = lcm(*self.dens)
+        return RatMatrix.of_ints(len(self.nums), self.ambient_dim,
+                                 {(k, j): e * (den // d)
+                                  for k, (row, d) in enumerate(zip(self.nums, self.dens))
+                                  for j, e in row.items()}, den)
 
     def reversed(self):
         """The left inverse of the basis in the opposite order."""
@@ -717,7 +837,7 @@ def column_span(columns, ambient_dim):
 def _counts(m: RatMatrix, axis):
     """The number of nonzeros in each row (axis 0) or column (axis 1)."""
     counts = [0] * m.shape[axis]
-    for ij in m.entries:
+    for ij in m.ints:
         counts[ij[axis]] += 1
     return counts
 
@@ -732,7 +852,7 @@ def kernel_basis(m: RatMatrix) -> Subspace:
     is the single entry 1 / basis[k][f_k] at f_k; it is set here, and
     `coords`, `contains`, `contains_subspace` and `==` on a kernel need no
     elimination."""
-    ker, free = _kernel_int(_int_rows(m.sparse_rows()), m.cols,
+    ker, free = _kernel_int(_primitive_rows(m.int_rows()), m.cols,
                             _sparse_first(_counts(m, 1)))
     s = Subspace._of(m.cols, ker)
     lead = [b[f].numerator for f, b in zip(free, s.basis)]
@@ -743,12 +863,17 @@ def kernel_basis(m: RatMatrix) -> Subspace:
 
 def image_basis(m: RatMatrix) -> Subspace:
     """Basis of the column space of m: the columns of m that are pivot rows
-    of one elimination of m's transpose.  That elimination visits the rows
-    of m sparse-first (see `_sparse_first`)."""
-    cols = m.transpose().sparse_rows()
-    piv, _ = _echelon(_int_rows(cols), _sparse_first(_counts(m, 0)))
-    keep = sorted(r for r, _ in piv)
-    return Subspace._of(m.rows, [_primitive(cols[j]) for j in keep])
+    of one elimination of m's transpose, each as a primitive integer
+    vector whose lowest entry is positive.  That elimination visits the
+    rows of m sparse-first (see `_sparse_first`)."""
+    cols = _primitive_rows(m.transpose().int_rows())
+    piv, _ = _echelon(cols, _sparse_first(_counts(m, 0)))
+    basis = []
+    for j in sorted(r for r, _ in piv):
+        c = cols[j]
+        sign = 1 if c[min(c)] > 0 else -1
+        basis.append({i: Fraction(sign * x) for i, x in c.items()})
+    return Subspace._of(m.rows, basis)
 
 
 def solve(m: RatMatrix, b):
@@ -759,13 +884,13 @@ def solve(m: RatMatrix, b):
     the one with free unknowns 0: the one b alone would get."""
     many = isinstance(b, list)
     bs = b if many else [b]
-    aug = []
-    for i, r in enumerate(m.sparse_rows()):
+    # the rows of [m | b...] times m's denominator
+    aug = m.int_rows()
+    for i, r in enumerate(aug):
         for t, v in enumerate(bs):
             x = Fraction(v.get(i, 0))
             if x:
-                r[m.cols + t] = x
-        aug.append(r)
+                r[m.cols + t] = x * m.den
     pivots, red = _echelon(_int_rows(aug), col_order=list(range(m.cols)))
     # Gauss-Jordan leaves no other pivot column in a pivot row, so each
     # pivot unknown is read off its own row
@@ -824,11 +949,11 @@ def _coords_of_columns(space, m):
     """The matrix whose column j is space.coords of column j of m, read by
     `_read_coords` with no solve, so every column must lie in space."""
     dens = space._left_inv().dens
-    out = RatMatrix(space.dim, m.cols)
-    for j, (y, d) in _read_coords(space, m).items():
-        for k in sorted(y):
-            out.entries[(k, j)] = Fraction(y[k], dens[k] * d)
-    return out
+    cols = _read_coords(space, m).items()
+    den = lcm(*(dens[k] * d for _, (y, d) in cols for k in y))
+    return RatMatrix.of_ints(space.dim, m.cols,
+                             {(k, j): y[k] * (den // (dens[k] * d))
+                              for j, (y, d) in cols for k in sorted(y)}, den)
 
 
 def _read_coords(space, m):
@@ -838,15 +963,15 @@ def _read_coords(space, m):
     f_k, as a kernel's and `Subspace.full`'s are, and every column of m
     must lie in space, which the caller has checked; then y[k] =
     e_k * n[f_k], with the column cleared to n / d.  One scan of m's
-    integer view: its entries are nums / den, so d = den / c and
-    n = nums / c, with c the gcd of den and the column's nums."""
+    integer storage: its entries are ints / den, so d = den / c and
+    n = ints / c, with c the gcd of den and the column's ints."""
     at = {}
     for k, row in enumerate(space._left_inv().nums):
         (f, e), = row.items()
         at[f] = (k, e)
-    keys, nums, den, _ = m._int_view()
+    den = m.den
     ys, content = {}, {}
-    for (i, j), x in zip(keys, nums):
+    for (i, j), x in m.ints.items():
         y = ys.get(j)
         if y is None:
             ys[j] = y = {}
@@ -869,8 +994,8 @@ def _unread(m, error):
     Such an m is a coordinate projection: m m^T = I, and ker m is spanned
     by the unit vectors of the unread columns."""
     read = set()
-    for row in m.sparse_rows():
-        if len(row) != 1 or row.keys() <= read or abs(next(iter(row.values()))) != 1:
+    for row in m.int_rows():
+        if len(row) != 1 or row.keys() <= read or abs(next(iter(row.values()))) != m.den:
             raise error
         read.update(row)
     return [j for j in range(m.cols) if j not in read]
@@ -903,28 +1028,30 @@ def _quotient_of_coords(ambient, ys):
     m = ambient.dim
     pivots, red = _echelon(rows, range(m - 1, -1, -1))
     free = _free_vectors(pivots, red, m)
-    coords = RatMatrix(len(free), ambient.ambient_dim)
-    for k, (f, ints) in enumerate(free):
+    # row k of the map is rows[k] / scales[k], all over their lcm
+    rows, scales = [], []
+    for f, ints in free:
         scale = lcm(*(inv.dens[c] for c in ints))
-        row = _int_combination((u * (scale // inv.dens[c]), inv.nums[c])
-                               for c, u in ints.items())
-        scale *= ints[f]
-        for i in sorted(row):
-            coords.entries[(k, i)] = Fraction(row[i], scale)
+        rows.append(_int_combination((u * (scale // inv.dens[c]), inv.nums[c])
+                                     for c, u in ints.items()))
+        scales.append(scale * ints[f])
+    den = lcm(*scales)
+    coords = RatMatrix.of_ints(len(free), ambient.ambient_dim,
+                               {(k, i): row[i] * (den // scale)
+                                for k, (row, scale) in enumerate(zip(rows, scales))
+                                for i in sorted(row)}, den)
     comp = Subspace._of(ambient.ambient_dim, [ambient.basis[f] for f, _ in free])
     return comp, coords
 
 
 def _left_inverse(m: RatMatrix) -> _LeftInverse:
     """E with E m = I for a full-column-rank m (deterministic), in
-    integer rows over positive denominators."""
-    rows = m.sparse_rows()
-    aug = []
-    for i, r in enumerate(rows):
-        rr = dict(r)
-        rr[m.cols + i] = Fraction(1)
-        aug.append(rr)
-    pivots, red = _echelon(_int_rows(aug), col_order=list(range(m.cols)))
+    integer rows over positive denominators.  It eliminates [m | I] times
+    m's denominator, in primitive integer rows."""
+    aug = m.int_rows()
+    for i, r in enumerate(aug):
+        r[m.cols + i] = m.den
+    pivots, red = _echelon(_primitive_rows(aug), col_order=list(range(m.cols)))
     if len(pivots) != m.cols:
         raise LinalgError("matrix does not have full column rank")
     # pivot columns are already exclusive after full elimination
@@ -983,8 +1110,8 @@ def orthogonal_complement(p: PairingForm, side: str, s: Subspace) -> Subspace:
 
 
 def _plus_minus_symmetric(m: RatMatrix) -> bool:
-    """m^T == m or m^T == -m."""
-    e = m.entries
+    """m^T == m or m^T == -m, compared on the integer storage."""
+    e = m.ints
     return (all(e.get((j, i)) == v for (i, j), v in e.items())
             or all(e.get((j, i)) == -v for (i, j), v in e.items()))
 
@@ -1032,10 +1159,8 @@ def presymplectic_reduce(p: PairingForm, sub: Subspace):
     kernel = two_sided_complement(p, Subspace.full(n))
     comp, coords = quotient(Subspace.full(n), kernel)
     k = comp.dim
-    red = RatMatrix(k, k)
-    for i in range(k):
-        for j in range(k):
-            red[i, j] = p.value(comp.basis[i], comp.basis[j])
+    red = RatMatrix(k, k, {(i, j): p.value(comp.basis[i], comp.basis[j])
+                           for i in range(k) for j in range(k)})
     red_pairing = PairingForm(k, k, red)
     imgs = [coords.matvec(b) for b in sub.basis] if k else []
     red_sub = column_span(imgs, k)

@@ -103,8 +103,7 @@ class _GhostSum:
         for g, r in self.offsets.items():
             c = self.offsets.get(partner(g))
             if c is not None:
-                for (i, j), v in block(g).entries.items():
-                    m.entries[(r + i, c + j)] = v
+                m.add_block(r, c, block(g))
         return m
 
 
@@ -614,7 +613,7 @@ def _perp_defect(ghosts, form, space, ker, im):
     block = _pairing_block(form, cols, ker)
     if block.is_zero():
         return None
-    slot, local = space.slot_of(min(cols[min(i for i, _ in block.entries)]))
+    slot, local = space.slot_of(min(cols[min(i for i, _ in block.ints)]))
     return {"slot": (slot["sector"], slot["degree"], local)}
 
 

@@ -215,13 +215,12 @@ class OrientedComplex:
     def _coboundary_matrix(self, k):
         rows = self.n_faces(k + 1)
         cols = self.n_faces(k)
-        m = RatMatrix(rows, cols)
-        sign = (Fraction(1), Fraction(-1))
+        ints = {}
         for t in self.faces(k + 1):
             i = self.face_index(k + 1, t)
             for a in range(len(t)):
-                m.entries[(i, self.face_index(k, t[:a] + t[a + 1:]))] = sign[a % 2]
-        return m
+                ints[(i, self.face_index(k, t[:a] + t[a + 1:]))] = -1 if a % 2 else 1
+        return RatMatrix.of_ints(rows, cols, ints)
 
     def cochain_complex(self):
         if "cochain_complex" in self._cache:
@@ -239,13 +238,13 @@ class OrientedComplex:
         subcomplex small given by vmap (small vertex -> vertex of self).
         Each face of small reads the face of self it lands on, with the sign
         of the permutation that sorts its image."""
-        m = RatMatrix(small.n_faces(k), self.n_faces(k))
-        sign = {1: Fraction(1), -1: Fraction(-1)}
+        ints = {}
+        sign = {1: 1, -1: -1}
         for f in small.faces(k):
             pos = [self._vpos[vmap[v]] for v in small.face_vertices(f)]
-            m.entries[small.face_index(k, f), self.face_index(k, tuple(sorted(pos)))] = \
+            ints[small.face_index(k, f), self.face_index(k, tuple(sorted(pos)))] = \
                 sign[_perm_sign(pos)]
-        return m
+        return RatMatrix.of_ints(small.n_faces(k), self.n_faces(k), ints)
 
     def restriction_matrix(self, k):
         """C^k(N) -> C^k(dN), the pullback to the boundary subcomplex: a

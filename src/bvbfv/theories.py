@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from .complexes import GhostMismatch
-from .linalg import DimensionMismatch, RatMatrix, vec_dot
+from .linalg import RatMatrix, vec_dot
 from .simplicial import OrientedComplex
 
 
@@ -114,52 +114,29 @@ class FieldSpace:
         m = RatMatrix(self.total, self.total)
         off = 0
         for s in self.slots:
-            val = Fraction(rule(s["sector"], s["degree"], s["ghost"]))
-            if val:
-                for i in range(off, off + s["dim"]):
-                    m.entries[(i, i)] = val
+            m.add_block(off, off, RatMatrix.identity(s["dim"]),
+                        rule(s["sector"], s["degree"], s["ghost"]))
             off += s["dim"]
         return m
 
 
 def set_block(m, row_space, row_slot, col_space, col_slot, block, scale=1):
     """Add block (scaled) into the flat matrix at the given slot positions,
-    in place in m.entries, so m's integer view is dropped."""
+    in place and in integers (`RatMatrix.add_block`)."""
     if block is None or not row_space.has(*row_slot) or not col_space.has(*col_slot):
         return
-    r0 = row_space.offset(*row_slot)
-    c0 = col_space.offset(*col_slot)
-    s = Fraction(scale)
-    if not s or not block.entries:
-        return
-    corner = (r0 + block.rows - 1, c0 + block.cols - 1)
-    if not (corner[0] < m.rows and corner[1] < m.cols):
-        raise DimensionMismatch(f"index {corner} out of shape {m.shape}")
-    ent = m.entries
-    m._view = None
-    unit = s == 1
-    for (i, j), v in block.entries.items():
-        key = (r0 + i, c0 + j)
-        if not unit:
-            v = s * v
-        old = ent.get(key)
-        x = v if old is None else old + v
-        if x:
-            ent[key] = x
-        else:
-            ent.pop(key, None)
+    m.add_block(row_space.offset(*row_slot), col_space.offset(*col_slot), block, scale)
 
 
 def cup_block(cx: OrientedComplex, k, l):
     """Matrix M with a^T M b = <a cup b, [N]> for a in C^k, b in C^l."""
     n = cx.dimension
-    m = RatMatrix(cx.n_faces(k), cx.n_faces(l))
     if k + l != n:
-        return m
+        return RatMatrix(cx.n_faces(k), cx.n_faces(l))
     # a (front, back) face pair determines its top simplex: one write each
-    for t, sgn in cx.top.items():
-        m.entries[cx.face_index(k, t[: k + 1]), cx.face_index(l, t[k:])] = Fraction(sgn)
-    return m
+    return RatMatrix.of_ints(cx.n_faces(k), cx.n_faces(l), {
+        (cx.face_index(k, t[: k + 1]), cx.face_index(l, t[k:])): int(sgn)
+        for t, sgn in cx.top.items()})
 
 
 def chain_boundary(cx: OrientedComplex, k):
@@ -656,25 +633,25 @@ def check_ghost_grading(theory: LinearTheory):
         s = space.slot_of(idx)[0]
         return f"({s['sector']},{s['degree']})"
 
-    for (i, j) in t.Q.entries:
+    for (i, j) in t.Q.ints:
         if bulk_gh[i] != bulk_gh[j] - 1:
             raise GhostMismatch(f"Q block {label(t.bulk, j)} -> {label(t.bulk, i)} "
                                 "does not lower ghost by 1")
-    for (i, j) in t.Q_bdry.entries:
+    for (i, j) in t.Q_bdry.ints:
         if bdry_gh[i] != bdry_gh[j] - 1:
             raise GhostMismatch("boundary Q block does not lower ghost by 1")
-    for (i, j) in t.pi.entries:
+    for (i, j) in t.pi.ints:
         if bdry_gh[i] != bulk_gh[j]:
             raise GhostMismatch("pi does not preserve ghost")
     # pairing ghosts: -1 for the bulk theory, shifted up by the codimension
     gh_bulk = -1 + (t.n - t.D)
     gh_bdry = gh_bulk + 1
-    for (i, j) in (t.omega.entries if t.omega is not None else ()):
+    for (i, j) in (t.omega.ints if t.omega is not None else ()):
         g = bulk_gh[i] + bulk_gh[j]
         if g != gh_bulk:
             raise GhostMismatch(f"bulk pairing couples {label(t.bulk, i)} with "
                                 f"{label(t.bulk, j)}: ghost sum {g} != {gh_bulk}")
-    for (i, j) in t.omega_bdry.entries:
+    for (i, j) in t.omega_bdry.ints:
         g = bdry_gh[i] + bdry_gh[j]
         if g != gh_bdry:
             raise GhostMismatch(f"boundary pairing ghost sum {g} != {gh_bdry}")

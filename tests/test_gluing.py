@@ -396,6 +396,20 @@ def test_glue_moduli_empty_interface_product():
     assert all(v == 2 for v in out["direct_dims"].values())
 
 
+@pytest.mark.parametrize("build", [build_scalar, build_electrodynamics])
+def test_refused_theory_names_the_cup_model_requirement(build):
+    # every cup model glues (the bf and ed strata too), so the error names
+    # the requirement and the refused theory, not a list of kinds
+    gl = gluing(spec_s3()[0], build)
+    with pytest.raises(GluingError) as err:
+        glue_moduli(gl)
+    t = gl.glued.t
+    msg = str(err.value)
+    assert "bf or cs" not in msg
+    assert "need a cup model" in msg
+    assert f"{t.kind} is a {t.model} model" in msg
+
+
 # --- Mayer-Vietoris ---------------------------------------------------------------
 
 

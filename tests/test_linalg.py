@@ -817,6 +817,140 @@ def test_product_matches_the_fraction_scan(data):
         assert all(type(x) is Fraction for x in got.entries.values())
 
 
+# --- the integer storage against plain Fraction dicts -------------------------
+
+
+wide_fractions = st.builds(Fraction, st.integers(min_value=-12, max_value=12),
+                           st.sampled_from([1, 1, 2, 3, 4, 6, 9, 10]))
+
+
+@st.composite
+def sparse_rational(draw, rows=None, cols=None):
+    """(m, ref): a sparse rational matrix and its entries as a plain dict of
+    Fractions, in the drawn storage order."""
+    rows = rows or draw(st.integers(min_value=1, max_value=5))
+    cols = cols or draw(st.integers(min_value=1, max_value=5))
+    keys = draw(st.permutations([(i, j) for i in range(rows) for j in range(cols)]))
+    ref = {}
+    for key in keys[:draw(st.integers(min_value=0, max_value=len(keys)))]:
+        v = draw(wide_fractions)
+        if v:
+            ref[key] = v
+    return RatMatrix(rows, cols, ref), ref
+
+
+def _sum_reference(a, b, sign):
+    out = dict(a)
+    for k, v in b.items():
+        s = out.get(k, 0) + sign * v
+        if s:
+            out[k] = s
+        else:
+            del out[k]
+    return out
+
+
+def _product_dict_reference(a, b):
+    acc = {}
+    for (i, k), x in a.items():
+        for (k2, j), y in b.items():
+            if k2 == k:
+                acc[(i, j)] = acc.get((i, j), 0) + x * y
+    return {key: x for key, x in acc.items() if x}
+
+
+def assert_stores(m, ref):
+    """m holds exactly ref, in ref's key order, over the least common
+    denominator, and shows its entries as Fractions."""
+    assert list(m.entries.items()) == list(ref.items())
+    assert all(type(x) is Fraction for x in m.entries.values())
+    assert m.den == lcm(*(v.denominator for v in ref.values()))
+    assert all(type(x) is int and x for x in m.ints.values())
+    assert m.is_zero() == (not ref)
+    assert m.nnz == len(ref)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_integer_storage_matches_fraction_dicts(data):
+    from bvbfv.complexes import _content
+
+    a, ra = data.draw(sparse_rational())
+    assert_stores(a, ra)
+    b, rb = data.draw(sparse_rational(a.rows, a.cols))
+    c, rc = data.draw(sparse_rational(rows=a.cols))
+    assert_stores(a + b, _sum_reference(ra, rb, 1))
+    assert_stores(a - b, _sum_reference(ra, rb, -1))
+    product = a * c
+    assert_stores(product, _product_dict_reference(ra, rc))
+    s = data.draw(wide_fractions)
+    assert_stores(a.scale(s), {k: s * v for k, v in ra.items()} if s else {})
+    assert_stores(a.transpose(), {(j, i): v for (i, j), v in ra.items()})
+    rows = data.draw(st.lists(st.integers(0, a.rows - 1), unique=True, min_size=1))
+    cols = data.draw(st.lists(st.integers(0, a.cols - 1), unique=True, min_size=1))
+    rpos = {r: i for i, r in enumerate(rows)}
+    cpos = {c: j for j, c in enumerate(cols)}
+    assert_stores(a.submatrix(rows, cols),
+                  {(rpos[i], cpos[j]): v for (i, j), v in ra.items()
+                   if i in rpos and j in cpos})
+    assert (a == b) == (ra == rb)
+    assert a == RatMatrix(a.rows, a.cols, dict(reversed(ra.items())))
+    assert a.rank() == dense_rank(dense(a))
+    # the content key is canonical: a product and the same entries built
+    # afresh, or written one by one, give one key
+    fresh = RatMatrix(product.rows, product.cols, dict(product.entries))
+    written = RatMatrix(product.rows, product.cols)
+    for key, v in product.entries.items():
+        written[key] = v
+    assert _content(product) == _content(fresh) == _content(written)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_rational(), st.data())
+def test_writes_keep_the_storage_canonical(mr, data):
+    m, ref = mr
+    for _ in range(4):
+        key = (data.draw(st.integers(0, m.rows - 1)), data.draw(st.integers(0, m.cols - 1)))
+        v = data.draw(st.one_of(st.just(Fraction(0)), wide_fractions))
+        m[key] = v
+        if v:
+            ref[key] = v
+        else:
+            ref.pop(key, None)
+        assert_stores(m, ref)
+    with pytest.raises(TypeError):
+        m.entries[(0, 0)] = Fraction(1)
+
+
+def test_integral_hot_path_builds_no_fraction_map(monkeypatch):
+    # products, sums, transposes, the zero test and a kernel run on the
+    # integer storage: no Fraction is built for them, and no matrix's
+    # Fraction map is built
+    rng = random.Random(7)
+
+    def integral(rows, cols):
+        m = RatMatrix(rows, cols)
+        for _ in range(rows * cols // 2):
+            m[rng.randrange(rows), rng.randrange(cols)] = rng.randint(-3, 3)
+        return m
+
+    a, b, d = integral(6, 5), integral(5, 7), integral(7, 6)
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(linalg, "Fraction", counting)
+    c = a * b + d.transpose()
+    c.is_zero()
+    assert built == []
+    ker = kernel_basis(c)
+    assert all(m._entries is None for m in (a, b, c, d))
+    monkeypatch.undo()
+    assert all(c.matvec(v) == {} for v in ker.basis)
+
+
 def test_set_block_overrun_raises():
     m = RatMatrix(3, 3)
     rows, cols = _block_spaces(m, 1, 1)
@@ -863,7 +997,7 @@ def _left_inverse_reference(m, keep):
         if c < keep:
             for j, v in red[r].items():
                 if j >= m.cols:
-                    e.entries[(c, j - m.cols)] = Fraction(v, red[r][c])
+                    e[c, j - m.cols] = Fraction(v, red[r][c])
     return e
 
 
@@ -994,7 +1128,7 @@ def _identity_block_quotient_reference(ambient, sub):
                                for c, u in unit.items())
         pv = red[r][ns + j]
         for i in sorted(row):
-            coords.entries[(k, i)] = Fraction(row[i], pv * scale)
+            coords[k, i] = Fraction(row[i], pv * scale)
     return Subspace(ambient.ambient_dim, [ambient.basis[j] for j, _ in comp_rows],
                     check=False), coords
 

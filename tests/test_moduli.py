@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -537,6 +538,37 @@ def test_class_coords_rejects_non_cocycle(reduced_model):
     pytest.fail("no ghost with a nonzero differential")
 
 
+def test_class_matrix_matches_class_coords_per_column():
+    # on every pair of the corpus sweep on dimension <= 2: the one-product
+    # class matrix of the cocycles at g (kernel basis, representatives and
+    # a combination of them) is class_coords column by column, and a list
+    # holding a non-cocycle raises class_coords' error
+    from bvbfv.moduli import ModuliError
+
+    for theory, name in small_pairs():
+        model = ReducedModel(build_pair(theory, name))
+        for piece in (model.bulk, model.bdry, model.vert, model.msymp):
+            for g in model.ghosts:
+                cocycles = piece.kernel(g).basis + piece.reps(g)
+                mixed = {}
+                for k, v in enumerate(cocycles):
+                    for i, x in v.items():
+                        mixed[i] = mixed.get(i, 0) + (k + 1) * x
+                vectors = cocycles + [{i: x for i, x in mixed.items() if x}]
+                want = RatMatrix.from_columns(
+                    [piece.class_coords(g, v) for v in vectors], piece.h_dim(g))
+                got = piece.class_matrix(g, vectors)
+                assert got.shape == (piece.h_dim(g), len(vectors))
+                assert got == want, (theory, name, piece.name, g)
+                q = piece.q(g)
+                if q.is_zero():
+                    continue
+                (_, j), = [next(iter(q.ints))]
+                msg = f"vector is not a {piece.name} cocycle class in degree {g}"
+                with pytest.raises(ModuliError, match=re.escape(msg)):
+                    piece.class_matrix(g, vectors + [{j: Fraction(1)}])
+
+
 def test_lift_is_a_right_inverse_of_pi(reduced_model):
     from bvbfv.linalg import RatMatrix
 
@@ -746,7 +778,7 @@ def pairing_case(draw):
                                                     st.integers(0, max(cols - 1, 0))),
                                           entries, max_size=rows * cols)).items():
         if v:
-            form.entries[(i, j)] = v
+            form[i, j] = v
     left = draw(st.lists(sparse(rows), max_size=4))
     right = draw(st.lists(sparse(cols), max_size=4))
     return form, left, right
@@ -1357,9 +1389,7 @@ def assert_memo_as_computed():
         if content is None:
             return None
         rows, cols, keys, nums, den = content
-        m = RatMatrix(rows, cols)
-        m.entries = {k: Fraction(n, den) for k, n in zip(keys, nums)}
-        return m
+        return RatMatrix.of_ints(rows, cols, dict(zip(keys, nums)), den)
 
     assert complexes._memo
     for key, value in complexes._memo.items():

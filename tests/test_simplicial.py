@@ -370,11 +370,11 @@ def reference_relative(cx):
         interior[k] = [f for f in cx.faces(k) if f not in bfaces]
         incl[k] = RatMatrix(cx.n_faces(k), len(interior[k]))
         for j, f in enumerate(interior[k]):
-            incl[k].entries[(cx.face_index(k, f), j)] = Fraction(1)
+            incl[k][cx.face_index(k, f), j] = Fraction(1)
         rest[k] = RatMatrix(bc.n_faces(k) if bc.n_faces(0) else 0, cx.n_faces(k))
         for f in (bc.faces(k) if bc.n_faces(0) else []):
             parent = tuple(cx.vertex_position(v) for v in bc.face_vertices(f))
-            rest[k].entries[(bc.face_index(k, f), cx.face_index(k, parent))] = Fraction(1)
+            rest[k][bc.face_index(k, f), cx.face_index(k, parent)] = Fraction(1)
     for k in range(n):
         d_cols = cx.coboundary_matrix(k).transpose().sparse_rows()
         idx_next = {cx.face_index(k + 1, f): i for i, f in enumerate(interior[k + 1])}
@@ -382,7 +382,7 @@ def reference_relative(cx):
         for j, f in enumerate(interior[k]):
             for i, v in d_cols[cx.face_index(k, f)].items():
                 if i in idx_next:
-                    diffs[k].entries[(idx_next[i], j)] = v
+                    diffs[k][idx_next[i], j] = v
     return interior, diffs, incl, rest
 
 
