@@ -16,8 +16,12 @@ of a `Subspace`, are dicts of Fractions.
 There is one elimination core, `_echelon`: fraction-free (integer row
 combinations after clearing denominators) Gauss-Jordan with a fixed pivot
 rule, so all bases are deterministic across runs.  Kernels, images,
-solutions, spanning subsets, quotients and left inverses all read its
-output.
+solutions, spanning subsets, quotients, left inverses and ranks all read
+its output.  It copies the caller's rows once and then updates each row
+in place: a row with entry rv under the pivot pv becomes (pv/g) row -
+(rv/g) pivot row, g = gcd(pv, rv), divided by its content, which is the
+primitive row, in the same key order, that pv row - rv pivot row gives.
+A column that only the pivot row holds needs no update.
 
 Kernels and images eliminate in a static sparse-first order (the columns
 of the system by ascending nonzero count, ties by index), which keeps
@@ -426,8 +430,15 @@ class RatMatrix:
         return f"RatMatrix({self.rows}x{self.cols}, {self.nnz} nonzero)"
 
     def rank(self):
-        piv, _ = _echelon(_primitive_rows(self.int_rows()))
-        return len(piv)
+        return stacked_rank(self)
+
+
+def stacked_rank(*blocks):
+    """The rank of the matrices (all with the same columns) stacked on top
+    of each other, from one elimination of their integer rows; each block
+    is scaled by its denominator, which keeps the rank."""
+    rows = [r for m in blocks for r in m.int_rows()]
+    return len(_echelon(_primitive_rows(rows))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +487,11 @@ def _echelon(rows, col_order=None):
 
     A column -> rows index, updated where a row update fills in or cancels
     an entry, lets the pivot search and the elimination visit only the
-    rows that hold the current column.
+    rows that hold the current column.  A row r with entry rv against the
+    pivot pv is updated in place to (pv/g) r - (rv/g) prow, g = gcd(pv,
+    rv), and then divided by its content: the same primitive row, with
+    the same key order, as pv r - rv prow gives, from smaller products.
+    The caller's rows are copied once and never changed.
     """
     rows = [dict(r) for r in rows]
     holders = {}
@@ -506,26 +521,32 @@ def _echelon(rows, col_order=None):
         p = best[2]
         used.add(p)
         pivots.append((p, col))
+        if len(at) == 1:
+            continue
         prow = rows[p]
         pv = prow[col]
         for i in [i for i in at if i != p]:
             r = rows[i]
             rv = r[col]
-            new = dict(r) if pv == 1 else {j: v * pv for j, v in r.items()}
+            g = gcd(pv, rv)
+            a, b = pv // g, rv // g
+            if a != 1:
+                for j in r:
+                    r[j] *= a
             for j, v in prow.items():
-                old = new.get(j)
-                s = (old or 0) - rv * v
+                old = r.get(j)
+                s = (old or 0) - b * v
                 if s:
                     if old is None:
                         holders.setdefault(j, set()).add(i)
-                    new[j] = s
+                    r[j] = s
                 else:
-                    new.pop(j, None)
+                    del r[j]
                     holders[j].discard(i)
-            g = gcd(*new.values())
+            g = gcd(*r.values())
             if g > 1:
-                new = {j: v // g for j, v in new.items()}
-            rows[i] = new
+                for j in r:
+                    r[j] //= g
     return pivots, rows
 
 

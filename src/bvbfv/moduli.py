@@ -22,6 +22,19 @@ vector is Q_bdry-exact, so the reduced L is the sum of the images of psi.
 The induced vacua form pairs ghost g only with ghost c - g, so its kernel
 splits by ghost and its core is counted one ghost at a time.
 
+So does the verdict on L: the boundary pairing pairs ghost g only with
+p(g) = c + 1 - g, in the block pd(g).  With S_g a basis of Im psi(g) and
+X_g = S_g^T pd(g) S_p(g), L is isotropic iff every X_g is zero, and it is
+coisotropic iff
+
+    dim L - sum_h rank [X_p(h); X_h^T]  =  n - sum_h rank C_h,
+    C_h = [S_p(h)^T pd(p(h)); S_p(h)^T pd(h)^T],
+
+the two sides being the dimensions of L cap L^perp and of L^perp, with n
+the dimension of the reduced boundary space.  When pd(h)^T = +-pd(p(h))
+and pd(p(h)) is perfect, rank C_h = dim S_p(h) and nothing is eliminated;
+each block's perfection is ranked once per model, for `lefschetz` too.
+
 Literal regularity needs no complement either.  Under a nondegenerate
 symmetric or antisymmetric form on Q^n, X^perp is one space of dimension
 n - dim X, so X^perp = Y exactly when dim Y = n - dim X and omega(Y, X) = 0.
@@ -52,6 +65,7 @@ from .linalg import (
     kernel_basis,
     quotient,
     solve,
+    stacked_rank,
     classify_subspace,
     vec_dot,
 )
@@ -127,6 +141,7 @@ class ReducedModel:
         self._psi = {}
         self._beta = {}
         self._pair = {}
+        self._perfect = {}
         self._les = None
 
     # --- the vertical half, built on first use ------------------------------
@@ -239,6 +254,15 @@ class ReducedModel:
             self._pair[key] = _pairing_block(self.t.omega_bdry, _flat_reps(self.bdry, g),
                                               _flat_reps(self.bdry, gp))
         return self._pair[key]
+
+    def perfect(self, pair, g):
+        """Whether the block pair(g) of one of the pairings above is perfect:
+        square and of full rank.  Each block is ranked once per model, for
+        `lefschetz` and `evolution_relation` alike."""
+        key = (pair.__name__, g)
+        if key not in self._perfect:
+            self._perfect[key] = _perfect(pair(g))
+        return self._perfect[key]
 
     def pair_ghost(self):
         # bulk pairing couples ghosts summing to -1 shifted by the codimension
@@ -372,8 +396,8 @@ def lefschetz(model: ReducedModel):
         gp = c - g
         p1 = model.pair_vert_bulk(g)
         p2 = model.pair_bulk_vert(g)
-        pd = model.pair_bdry_bdry(g)
-        if not (_perfect(p1) and _perfect(p2) and _perfect(pd)):
+        if not all(model.perfect(pair, g) for pair in (
+                model.pair_vert_bulk, model.pair_bulk_vert, model.pair_bdry_bdry)):
             verdicts["nondegenerate"] = False
         # chi self-adjointness: <chi u, w> = <u, chi w>
         x_g = model.chi(g)
@@ -411,19 +435,31 @@ def evolution_relation(model: ReducedModel):
     dim L = sum_g (dim ker q(g) - dim ker q_vert(g)).  pi of a Q-exact
     vector is Q_bdry-exact, so the class of pi x is psi of the class of x,
     and the reduced L is the sum over g of Im psi(g): the LES's image at
-    node bdry@gh{g}, placed at ghost g's offset in the reduced space."""
+    node bdry@gh{g}, placed at ghost g's offset in the reduced space.
+
+    The boundary pairing pairs ghost g only with p(g) = c + 1 - g, in the
+    block pd(g) = pair_bdry_bdry(g), so the verdict is decided by rank
+    counts on per-ghost blocks: with S_g a basis of Im psi(g) and
+    X_g = S_g^T pd(g) S_p(g), L is isotropic iff every X_g is zero, and
+    coisotropic iff dim L - sum_h rank [X_p(h); X_h^T] = n - sum_h rank C_h,
+    C_h = [S_p(h)^T pd(p(h)); S_p(h)^T pd(h)^T] (see `_relation_verdict`).
+    The perfect blocks are ranked once on the model."""
     les = tangent_les(model)
     layout = _bdry_sum(model)
     total = layout.total
     l_dim = sum(model.bulk.kernel(g).dim - model.vert.kernel(g).dim for g in model.ghosts)
+    spans = {g: les.image(les.index[f"bdry@gh{g}"]) for g in model.ghosts}
     reduced = Subspace._of(total, [
         {layout.offsets[g] + i: v for i, v in b.items()} for g in model.ghosts
-        for b in les.image(les.index[f"bdry@gh{g}"]).basis])
-    pmat = layout.pairing(model.pair_bdry_bdry, lambda g: model.pair_ghost() + 1 - g)
-    pairing = PairingForm(total, total, pmat)
-    verdict = classify_subspace(pairing, reduced) if total else {
-        "isotropic": True, "coisotropic": True, "lagrangian": True,
-    }
+        for b in spans[g].basis])
+    c = model.pair_ghost()
+
+    def partner(g):
+        return c + 1 - g
+
+    pairing = PairingForm(total, total, layout.pairing(model.pair_bdry_bdry, partner))
+    verdict = _relation_verdict(spans, model.pair_bdry_bdry, partner,
+                                lambda g: model.perfect(model.pair_bdry_bdry, g))
     return {
         "L_dim": l_dim,
         "reduced_L": reduced,
@@ -431,6 +467,54 @@ def evolution_relation(model: ReducedModel):
         "pairing": pairing,
         "offsets": layout.offsets,
         "verdict": verdict,
+    }
+
+
+def _relation_verdict(spans, block, partner, perfect):
+    """Isotropic / coisotropic / lagrangian verdicts for the sum L of the
+    subspaces spans[g], against the form on the sum of their ambient spaces
+    V_g that pairs V_g only with V_p(g), p = partner an involution, in the
+    block block(g) from V_p(g) to V_g; perfect(g) says whether block(g) is
+    square and of full rank.  It decides what `linalg.classify_subspace`
+    decides on the assembled form, from rank counts on per-ghost blocks.
+
+    With S_g a basis of spans[g] as columns, X_g = S_g^T block(g) S_p(g) is
+    the form on L from ghost p(g) to ghost g, so L is isotropic iff every
+    X_g is zero.  The two-sided complement of L is the sum over h of the
+    kernels of C_h = [S_p(h)^T block(p(h)); S_p(h)^T block(h)^T] on V_h,
+    and its meet with L at ghost h is the kernel of [X_p(h); X_h^T] on the
+    coordinates of S_h.  L is coisotropic iff it contains its complement,
+    that is iff the two have the same dimension:
+
+        dim L - sum_h rank [X_p(h); X_h^T]  =  n - sum_h rank C_h,
+
+    with n = sum_g dim V_g; a ghost whose partner is not in spans adds no
+    condition.  When block(h)^T = +-block(p(h)) and block(p(h)) is perfect,
+    rank C_h = dim S_p(h) with no elimination."""
+    n = sum(s.ambient_dim for s in spans.values())
+    l_dim = sum(s.dim for s in spans.values())
+    paired = [g for g in spans if partner(g) in spans]
+    mats = {g: spans[g].matrix() for g in spans}
+    x = {g: mats[g].transpose() * block(g) * mats[partner(g)] for g in paired}
+    isotropic = all(m.is_zero() for m in x.values())
+    met = 0 if isotropic else sum(
+        stacked_rank(x[partner(h)], x[h].transpose()) for h in paired)
+    cut = 0
+    for h in paired:
+        p = partner(h)
+        if not spans[p].dim:
+            continue
+        bt, bp = block(h).transpose(), block(p)
+        if perfect(p) and (bt == bp or bt == bp.scale(-1)):
+            cut += spans[p].dim
+        else:
+            st = mats[p].transpose()
+            cut += stacked_rank(st * bp, st * bt)
+    coisotropic = l_dim - met == n - cut
+    return {
+        "isotropic": isotropic,
+        "coisotropic": coisotropic,
+        "lagrangian": isotropic and coisotropic,
     }
 
 
@@ -475,9 +559,8 @@ def vacua(model: ReducedModel):
 
     blocks = {g: induced(g) for g in model.ghosts if c - g in vac_reps}
     pairing = PairingForm(total, total, layout.pairing(blocks.__getitem__, lambda g: c - g))
-    core_dims = {g: RatMatrix.from_rows(
-        blocks[g].transpose().sparse_rows() + blocks[c - g].sparse_rows(),
-        vac_reps[g].dim).rank() if g in blocks else 0 for g in model.ghosts}
+    core_dims = {g: stacked_rank(blocks[g].transpose(), blocks[c - g])
+                 if g in blocks else 0 for g in model.ghosts}
     dims = {g: vac_reps[g].dim for g in model.ghosts}
     return {
         "dims": {g: d for g, d in dims.items() if model.bulk.dim(g)},
@@ -642,12 +725,11 @@ def ed_formula_check(model: ReducedModel):
     b_idx = slot_indices({"B", "B1"})
     ap_idx = slot_indices({"A+", "A0+"})
     cp_idx = slot_indices({"c+"})
-    d2 = t.Q.submatrix(ap_idx, b_idx)
-    d1 = t.Q.submatrix(cp_idx, ap_idx)
-    h1_cone = kernel_basis(d1).dim
-    im2 = image_basis(d2).dim
-    a_dag_model = h1_cone - im2
-    c_dag_model = len(cp_idx) - image_basis(d1).dim
+    # d2: B -> A+ and d1: A+ -> c+; dim ker d1 = |A+| - rank d1
+    rank1 = t.Q.submatrix(cp_idx, ap_idx).rank()
+    rank2 = t.Q.submatrix(ap_idx, b_idx).rank()
+    a_dag_model = len(ap_idx) - rank1 - rank2
+    c_dag_model = len(cp_idx) - rank1
     c_model = model.bulk.h_dim(1)
     checks = {
         "c_sector": (c_model, betti.get(0, 0)),

@@ -604,6 +604,87 @@ def test_echelon_matches_dense_scan(case):
     assert _echelon(rows, order) == _echelon_reference(rows, order)
 
 
+def _echelon_copying(rows, col_order=None):
+    """`_echelon` with the update that builds a new row per update: each
+    row r holding the pivot column becomes pv r - rv prow, with no gcd of
+    the multipliers taken, in a new dict, divided by its content."""
+    rows = [dict(r) for r in rows]
+    holders = {}
+    for i, r in enumerate(rows):
+        for j in r:
+            holders.setdefault(j, set()).add(i)
+    if col_order is not None:
+        order = list(col_order)
+    else:
+        order = range(max(holders) + 1 if holders else 0)
+    used = set()
+    pivots = []
+    for col in order:
+        at = holders.get(col)
+        if not at:
+            continue
+        best = None
+        for i in at:
+            r = rows[i]
+            v = r[col]
+            if v and i not in used:
+                key = (abs(v), len(r), i)
+                if best is None or key < best:
+                    best = key
+        if best is None:
+            continue
+        p = best[2]
+        used.add(p)
+        pivots.append((p, col))
+        prow = rows[p]
+        pv = prow[col]
+        for i in [i for i in at if i != p]:
+            r = rows[i]
+            rv = r[col]
+            new = dict(r) if pv == 1 else {j: v * pv for j, v in r.items()}
+            for j, v in prow.items():
+                old = new.get(j)
+                s = (old or 0) - rv * v
+                if s:
+                    if old is None:
+                        holders.setdefault(j, set()).add(i)
+                    new[j] = s
+                else:
+                    new.pop(j, None)
+                    holders[j].discard(i)
+            g = gcd(*new.values())
+            if g > 1:
+                new = {j: v // g for j, v in new.items()}
+            rows[i] = new
+    return pivots, rows
+
+
+@st.composite
+def wide_int_rows(draw):
+    """`sparse_int_rows` with each row scaled by 1, 2, 6 or -4, so that
+    pivots and the entries under them share factors and rows start out
+    with a content."""
+    rows, order = draw(sparse_int_rows())
+    scales = draw(st.lists(st.sampled_from([1, 2, 6, -4]), min_size=len(rows),
+                           max_size=len(rows)))
+    return [{j: v * c for j, v in r.items()} for r, c in zip(rows, scales)], order
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(sparse_int_rows(), wide_int_rows()))
+def test_echelon_updates_rows_as_the_copying_elimination(case):
+    # the in-place update with reduced multipliers gives the same pivots
+    # and the same reduced rows, key for key, and leaves the input alone
+    rows, order = case
+    before = [list(r.items()) for r in rows]
+    pivots, red = _echelon(rows, order)
+    assert [list(r.items()) for r in rows] == before
+    want_pivots, want = _echelon_copying(rows, order)
+    assert pivots == want_pivots
+    assert [list(r.items()) for r in red] == [list(r.items()) for r in want]
+    assert all(r is not s for r in red for s in rows)
+
+
 @settings(max_examples=300, deadline=None)
 @given(sparse_int_rows())
 def test_row_rule_keeps_pivot_columns_and_visited_rows(case):

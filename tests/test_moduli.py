@@ -9,6 +9,7 @@ from bvbfv.complexes import les_of_pair
 from bvbfv.linalg import (
     NotLagrangian,
     NotTransversal,
+    PairingForm,
     RatMatrix,
     Subspace,
     column_span,
@@ -719,6 +720,119 @@ def test_evolution_relation_matches_the_flat_route(theory, name):
     want = classify_subspace(ev["pairing"], flat_reduced) if layout.total else {
         "isotropic": True, "coisotropic": True, "lagrangian": True}
     assert ev["verdict"] == want
+
+
+def _assembled_verdict(spans, block, partner):
+    """classify_subspace on the form assembled from the per-ghost blocks,
+    with L the sum of the spans placed at their ghosts' offsets."""
+    from bvbfv.linalg import classify_subspace
+    from bvbfv.moduli import _GhostSum
+
+    layout = _GhostSum({g: s.ambient_dim for g, s in spans.items()})
+    if not layout.total:
+        return {"isotropic": True, "coisotropic": True, "lagrangian": True}
+    form = PairingForm(layout.total, layout.total, layout.pairing(block, partner))
+    sub = column_span([{layout.offsets[g] + i: v for i, v in b.items()}
+                       for g, s in spans.items() for b in s.basis], layout.total)
+    return classify_subspace(form, sub)
+
+
+@pytest.mark.parametrize("theory,name", corpus_pairs() + stratum_pairs())
+def test_evolution_relation_verdict_matches_classify_subspace(theory, name):
+    # the per-ghost rank counts decide what classify_subspace decides on the
+    # assembled form, with and without the perfect-block shortcut
+    from bvbfv.moduli import _relation_verdict
+
+    model = ReducedModel(build_any(theory, name))
+    ev = evolution_relation(model)
+    les = tangent_les(model)
+    spans = {g: les.image(les.index[f"bdry@gh{g}"]) for g in model.ghosts}
+    c = model.pair_ghost()
+    want = _assembled_verdict(spans, model.pair_bdry_bdry, lambda g: c + 1 - g)
+    assert ev["verdict"] == want
+    assert _relation_verdict(spans, model.pair_bdry_bdry, lambda g: c + 1 - g,
+                             lambda g: False) == want
+
+
+# hand-built per-ghost forms on V_0 = V_1 = Q^2, pairing ghost 0 with 1:
+# (blocks, spans as basis vectors per ghost, expected verdict)
+HAND_BUILT = {
+    # an antisymmetric perfect form and an isotropic line: not coisotropic
+    "non_lagrangian": (
+        {0: [[1, 0], [0, 1]], 1: [[-1, 0], [0, -1]]},
+        {0: [{0: 1}], 1: []},
+        {"isotropic": True, "coisotropic": False, "lagrangian": False}),
+    # a degenerate block pair (each the other's negative transpose): L is
+    # isotropic, and the shortcut would overcount the conditions on V_0
+    "degenerate": (
+        {0: [[1, 0], [0, 0]], 1: [[-1, 0], [0, 0]]},
+        {0: [{0: 1}], 1: [{1: 1}]},
+        {"isotropic": True, "coisotropic": False, "lagrangian": False}),
+    # block(1)^T is neither block(0) nor its negative, both perfect: the
+    # two-sided complement of L is 0, which takes both halves of each C_h
+    # and no shortcut to see; L pairs with itself, so it is not isotropic
+    "not_plus_minus_symmetric": (
+        {0: [[1, 0], [1, 1]], 1: [[1, 0], [1, 1]]},
+        {0: [{1: 1}], 1: [{0: 1}]},
+        {"isotropic": False, "coisotropic": True, "lagrangian": False}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HAND_BUILT))
+def test_relation_verdict_on_hand_built_forms(case):
+    from bvbfv.moduli import _perfect, _relation_verdict
+
+    rows, vecs, want = HAND_BUILT[case]
+    blocks = {g: RatMatrix.from_rows(r, 2) for g, r in rows.items()}
+    spans = {g: Subspace(2, [{i: Fraction(x) for i, x in v.items()} for v in vs])
+             for g, vs in vecs.items()}
+    got = _relation_verdict(spans, blocks.__getitem__, lambda g: 1 - g,
+                            lambda g: _perfect(blocks[g]))
+    assert got == want
+    assert _assembled_verdict(spans, blocks.__getitem__, lambda g: 1 - g) == want
+
+
+@st.composite
+def per_ghost_form(draw):
+    """Ghosts 0..k-1, the involution g -> s - g (ghosts whose partner falls
+    outside have none), per-ghost dims 0..3, a block per paired ghost, each
+    pair either independent or +-transposes of each other, and a span per
+    ghost from up to three random vectors."""
+    k = draw(st.integers(min_value=1, max_value=3))
+    s = draw(st.integers(min_value=0, max_value=2 * k - 2))
+    dims = {g: draw(st.integers(min_value=0, max_value=3)) for g in range(k)}
+    entry = st.integers(min_value=-2, max_value=2)
+
+    def matrix(r, c):
+        return RatMatrix.from_rows(
+            [draw(st.lists(entry, min_size=c, max_size=c)) for _ in range(r)], c)
+
+    blocks = {}
+    for g in range(k):
+        p = s - g
+        if p not in dims or g in blocks:
+            continue
+        blocks[g] = matrix(dims[g], dims[p])
+        if p != g:
+            tie = draw(st.sampled_from([None, 1, -1]))
+            blocks[p] = matrix(dims[p], dims[g]) if tie is None \
+                else blocks[g].transpose().scale(tie)
+    spans = {g: column_span([{i: Fraction(x) for i, x in enumerate(v) if x}
+                             for v in draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                                                    max_size=3))], n)
+             for g, n in dims.items()}
+    return spans, blocks, lambda g: s - g
+
+
+@settings(max_examples=200, deadline=None)
+@given(per_ghost_form())
+def test_relation_verdict_matches_classify_subspace_on_random_forms(case):
+    from bvbfv.moduli import _perfect, _relation_verdict
+
+    spans, blocks, partner = case
+    got = _relation_verdict(spans, blocks.__getitem__, partner,
+                            lambda g: _perfect(blocks[g]))
+    assert got == _assembled_verdict(spans, blocks.__getitem__, partner)
 
 
 @pytest.mark.parametrize("theory,name", corpus_pairs())
