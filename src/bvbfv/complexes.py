@@ -97,10 +97,16 @@ class _GradedPiece:
     CochainComplex are all pieces of this kind.  `error` is the exception
     class_coords raises on a vector that is not a cocycle.
 
-    A piece cut out of one flat space by ghost number (the bulk, boundary
-    and Mayer-Vietoris interface pieces, and the pieces taken modulo other
-    images of them) holds `index`: index[g] lists the flat coordinates of
-    ghost g, in order.  Other pieces have no index.
+    reps(g) holds the representatives as the columns of one RatMatrix,
+    and every map of classes is one product with it: `class_matrix` takes
+    the cocycles as the columns of a matrix.
+
+    A piece cut out of one flat space of dimension `total` by ghost number
+    (the bulk, boundary and Mayer-Vietoris interface pieces, and the
+    pieces taken modulo other images of them) holds `index`: index[g]
+    lists the flat coordinates of ghost g, in order.  `flat` and `local`
+    move the columns of a matrix between the two.  Other pieces have no
+    index.
 
     kernel(g) and reps(g) are kept per piece.  A piece that misses one
     inside `shared_eliminations()` first asks the scope's memo, keyed by
@@ -116,6 +122,7 @@ class _GradedPiece:
         self.ins = ins
         self.error = error
         self.index = None
+        self.total = None
         self._pos = {}
         self._ker = {}
         self._reps = {}
@@ -131,7 +138,8 @@ class _GradedPiece:
         """The same cocycles modulo the images of other maps into them.
         The kernels are shared, so each is eliminated once for both."""
         piece = _GradedPiece(name, self.dims, self.outs, ins, self.error)
-        piece.index, piece._pos, piece._ker = self.index, self._pos, self._ker
+        piece.index, piece.total = self.index, self.total
+        piece._pos, piece._ker = self._pos, self._ker
         return piece
 
     def dim(self, g):
@@ -150,8 +158,8 @@ class _GradedPiece:
         return self._ker[g]
 
     def reps(self, g):
-        """Representatives of the classes at g: a complement of the image
-        in the kernel.  The quotient takes the columns of ins[g], which
+        """Representatives of the classes at g, a complement of the image
+        in the kernel, as the columns of one matrix.  The quotient takes the columns of ins[g], which
         span the image, so no image basis is eliminated here, and no column
         is solved for: the one product q(g) ins[g] = 0 decides that the
         image lies in the kernel (SubspaceNotContained otherwise), and each
@@ -159,50 +167,48 @@ class _GradedPiece:
         columns (see `linalg._kernel_quotient`)."""
         if g not in self._reps:
             if self.dim(g) == 0:
-                self._reps[g], self._coords[g] = [], RatMatrix(0, 0)
+                self._reps[g], self._coords[g] = RatMatrix(0, 0), RatMatrix(0, 0)
             else:
                 q, ins = self.q(g), self.ins.get(g)
                 comp, self._coords[g] = _shared(
                     "cls", (q, ins), lambda: _kernel_quotient(q, self.kernel(g), ins))
-                self._reps[g] = comp.basis
+                self._reps[g] = comp.matrix()
         return self._reps[g]
 
     def h_dim(self, g):
-        return len(self.reps(g))
+        return self.reps(g).cols
 
-    def class_coords(self, g, vec):
-        """Coordinates of the class of the cocycle vec against reps(g).
+    def class_matrix(self, g, v):
+        """The coordinates against reps(g) of the classes of the cocycles
+        that are the columns of the matrix v, as the columns of one matrix.
         span(reps + image) = ker q(g), with the image inside the kernel by
-        the one product that reps checked, so the cocycle check is the
-        exact membership check, and the coordinate map that the quotient
-        factored once per degree gives the coordinates."""
-        if self.q(g).matvec(vec):
-            raise self.error(f"vector is not a {self.name} cocycle class in degree {g}")
-        self.reps(g)
-        return self._coords[g].matvec(vec)
-
-    def flat(self, g, v):
-        """A vector at ghost g in the flat coordinates."""
-        idx = self.index[g]
-        return {idx[i]: x for i, x in v.items()}
-
-    def local(self, g, v):
-        """The ghost-g entries of a flat vector, in the coordinates at g."""
-        if g not in self._pos:
-            self._pos[g] = {f: i for i, f in enumerate(self.index.get(g, ()))}
-        pos = self._pos[g]
-        return {pos[i]: x for i, x in v.items() if i in pos}
-
-    def class_matrix(self, g, vectors):
-        """The class_coords of each cocycle in vectors, as the columns of
-        one matrix: with the vectors as the columns of V, one product
-        q(g) V = 0 checks every cocycle, and the coordinate map times V
-        gives every coordinate."""
-        v = RatMatrix.from_columns(vectors, self.dim(g))
+        the one product that reps checked, so the one product q(g) v = 0 is
+        the exact membership check of every column, and the coordinate map
+        that the quotient factored once per degree, times v, gives every
+        coordinate."""
         if not (self.q(g) * v).is_zero():
             raise self.error(f"vector is not a {self.name} cocycle class in degree {g}")
         self.reps(g)
         return self._coords[g] * v
+
+    def class_coords(self, g, vec):
+        """`class_matrix` of the one cocycle vec, a sparse vector."""
+        return self.class_matrix(g, RatMatrix.from_columns([vec], self.dim(g))).columns()[0]
+
+    def flat(self, g, m):
+        """The columns of m, vectors at ghost g, in the flat coordinates."""
+        idx = self.index.get(g, ())
+        return RatMatrix.of_ints(self.total, m.cols,
+                                 {(idx[i], j): x for (i, j), x in m.ints.items()}, m.den)
+
+    def local(self, g, m):
+        """The ghost-g rows of the flat columns of m, in the coordinates at
+        g: the block of m on index[g]."""
+        if g not in self._pos:
+            self._pos[g] = {f: i for i, f in enumerate(self.index.get(g, ()))}
+        pos = self._pos[g]
+        return RatMatrix.of_ints(len(pos), m.cols, {(pos[i], j): x for (i, j), x in m.ints.items()
+                                                    if i in pos}, m.den)
 
 
 class CochainComplex:
@@ -252,12 +258,14 @@ class CochainComplex:
         of induced maps.
         """
         reps = self.piece.reps(k)
-        if variant == "alt" and reps:
+        if variant == "alt" and reps.cols:
             ker = self.piece.kernel(k)
-            alt = Subspace._of(ker.ambient_dim, ker.basis[::-1])
-            alt._inv = ker._left_inv().reversed()
-            reps = quotient(alt, self.d(k - 1).transpose().sparse_rows())[0].basis
-        return len(reps), reps
+            flip = range(ker.dim - 1, -1, -1)
+            b, e = ker.matrix(), ker._left_inv()
+            alt = Subspace._of(b.submatrix(range(b.rows), flip))
+            alt._inv = e.submatrix(flip, range(e.cols))
+            reps = quotient(alt, self.d(k - 1))[0].matrix()
+        return reps.cols, reps
 
     def betti(self):
         return {k: self.cohomology(k)[0] for k in self.degrees()}
@@ -292,9 +300,6 @@ class ChainMap:
         if m is None:
             return RatMatrix.zero(self.target.dim(k), self.source.dim(k))
         return m
-
-    def apply(self, k, v):
-        return self.block(k).matvec(v)
 
 
 class ExactSequenceReport:
@@ -373,18 +378,14 @@ def _check_pair(rel_inclusion: ChainMap, restriction: ChainMap):
 
 def _connecting_block(rel, absc, rel_inclusion, restriction, k, bdry_reps):
     """Matrix of the zig-zag H^k(bdry) -> H^{k+1}(rel) against the given
-    boundary representatives."""
-    zs = []
-    for y in bdry_reps:
-        x = solve(restriction.block(k), y)
-        if x is None:
-            raise NotShortExact("restriction not surjective on a cocycle")
-        dx = absc.d(k).matvec(x)
-        z = solve(rel_inclusion.block(k + 1), dx)
-        if z is None:
-            raise ComplexError("zig-zag failed: dx is not a relative cochain")
-        zs.append(z)
-    return rel.piece.class_matrix(k + 1, zs)
+    boundary representatives, the columns of bdry_reps."""
+    x = solve(restriction.block(k), bdry_reps)
+    if x is None:
+        raise NotShortExact("restriction not surjective on a cocycle")
+    z = solve(rel_inclusion.block(k + 1), absc.d(k) * x)
+    if z is None:
+        raise ComplexError("zig-zag failed: dx is not a relative cochain")
+    return rel.piece.class_matrix(k + 1, z)
 
 
 def les_of_pair(rel_inclusion: ChainMap, restriction: ChainMap):
@@ -397,11 +398,9 @@ def les_of_pair(rel_inclusion: ChainMap, restriction: ChainMap):
     maps = []
     for k in range(kmin, kmax + 1):
         nodes.append((f"H^{k}(rel)", rel.cohomology(k)[0]))
-        maps.append(absc.piece.class_matrix(
-            k, [rel_inclusion.apply(k, r) for r in rel.cohomology(k)[1]]))
+        maps.append(absc.piece.class_matrix(k, rel_inclusion.block(k) * rel.cohomology(k)[1]))
         nodes.append((f"H^{k}(abs)", absc.cohomology(k)[0]))
-        maps.append(bdry.piece.class_matrix(
-            k, [restriction.apply(k, r) for r in absc.cohomology(k)[1]]))
+        maps.append(bdry.piece.class_matrix(k, restriction.block(k) * absc.cohomology(k)[1]))
         nodes.append((f"H^{k}(bdry)", bdry.cohomology(k)[0]))
         maps.append(_connecting_block(rel, absc, rel_inclusion, restriction, k,
                                       bdry.cohomology(k)[1]))

@@ -31,8 +31,11 @@ from .linalg import (
     RatMatrix,
     Subspace,
     _coords_of_columns,
+    _hstack,
     _kernel_quotient,
+    _unit_columns,
     _unread,
+    _vstack,
     column_span,
     kernel_basis,
 )
@@ -222,29 +225,22 @@ class Gluing:
             for m, key in ((self.left, "left_map"), (self.right, "right_map")))
 
 
-def _stack(a, b, n):
-    """The vector (a, b) with b shifted past the first n coordinates."""
-    return {**a, **{n + i: v for i, v in b.items()}}
-
-
 def _fiber_product(rho_l, left, rho_r, right):
     """The system S = [rho_l L | -rho_r R] and its kernel_basis: the pairs
-    of combinations of the vectors left and right that agree on the
-    interface."""
-    cols = [rho_l.matvec(v) for v in left] + \
-        [{i: -x for i, x in rho_r.matvec(v).items()} for v in right]
-    system = RatMatrix.from_columns(cols, rho_l.rows)
+    of combinations of the columns of the flat matrices L = left and
+    R = right that agree on the interface."""
+    system = _hstack(rho_l.rows, [rho_l * left, (rho_r * right).scale(-1)])
     return system, kernel_basis(system)
 
 
-def _fiber_coords(system, fp, vectors):
-    """The coordinates in fp = ker system of each vector, or None when one
-    of them leaves fp.  Membership is the one product system V = 0, and the
-    coordinates are read off V's columns with no solve."""
-    v = RatMatrix.from_columns(vectors, system.cols)
+def _fiber_coords(system, fp, v):
+    """The coordinates in fp = ker system of each column of v, as the
+    columns of one matrix, or None when one of them leaves fp.  Membership
+    is the one product system v = 0, and the coordinates are read off v's
+    rows at fp's free columns with no solve."""
     if not (system * v).is_zero():
         return None
-    return _coords_of_columns(fp, v).transpose().sparse_rows()
+    return _coords_of_columns(fp, v)
 
 
 def fiber_product_check(gl: Gluing):
@@ -302,46 +298,40 @@ def glue_moduli(gl: Gluing):
     rho_l, rho_r = gl.rho
     ghosts = sorted(set(model_left.ghosts) | set(model_right.ghosts))
     # ghost -> (system, M-tilde = its kernel in (left reps + right reps)
-    # coords, number of left reps)
-    mt_basis = {}
-    for g in ghosts:
-        reps_l = msymp_l.reps(g)
-        system, mt = _fiber_product(rho_l, [msymp_l.flat(g, rep) for rep in reps_l],
-                                    rho_r, [msymp_r.flat(g, rep) for rep in msymp_r.reps(g)])
-        mt_basis[g] = (system, mt, len(reps_l))
+    # coords)
+    mt_basis = {g: _fiber_product(rho_l, msymp_l.flat(g, msymp_l.reps(g)),
+                                  rho_r, msymp_r.flat(g, msymp_r.reps(g))) for g in ghosts}
     # beta-tilde images of interface fields span the distribution to divide by
     sec_l, sec_r = gl.sections
-    beta_cols = {g: [] for g in ghosts}
+    beta_cols = {}
     for g in ghosts:
         # interface fields of ghost g map into m-tilde at ghost g-1
         target = mt_basis.get(g - 1)
         if target is None:
             continue
-        system, mt, na = target
+        system, mt = target
         if mt.dim == 0:
             continue
-        vecs = [_stack(_beta_value(model_left, sec_l, row, g),
-                       _beta_value(model_right, sec_r, row, g), na)
-                for row in gl._relative_rows.get(g, [])]
-        xs = _fiber_coords(system, mt, [vec for vec in vecs if vec])
+        rows = gl._relative_rows.get(g, [])
+        xs = _fiber_coords(system, mt, _vstack(len(rows), [
+            _beta_block(model_left, sec_l, rows, g), _beta_block(model_right, sec_r, rows, g)]))
         if xs is None:
             raise GluingError("beta-tilde image leaves the fiber product")
-        beta_cols[g - 1].extend(xs)
+        beta_cols[g - 1] = xs
     intrinsic_dims = {}
     quotients = {}
     for g in ghosts:
-        _, mt, _ = mt_basis[g]
+        mt = mt_basis[g][1]
         # Q^mt.dim is the kernel of the map to the zero space, so the
         # quotient reads the distribution's coordinates off the beta-tilde
         # columns with no solve; it depends only on their span
         comp, coords = _kernel_quotient(
-            RatMatrix.zero(0, mt.dim), Subspace.full(mt.dim),
-            RatMatrix.from_columns(beta_cols[g], mt.dim)) if mt.dim \
+            RatMatrix.zero(0, mt.dim), Subspace.full(mt.dim), beta_cols.get(g)) if mt.dim \
             else (Subspace.zero(0), None)
         intrinsic_dims[g] = comp.dim
         quotients[g] = (comp, coords)
     # direct computation on the glued complex
-    direct_dims = {g: len(msymp_n.reps(g)) for g in model_glued.ghosts
+    direct_dims = {g: msymp_n.h_dim(g) for g in model_glued.ghosts
                    if model_glued.bulk.dim(g)}
     dims_match = all(
         intrinsic_dims.get(g, 0) == direct_dims.get(g, 0)
@@ -352,30 +342,27 @@ def glue_moduli(gl: Gluing):
     restricted = {}
 
     def restrict(g):
-        """The glued representatives at ghost g as flat vectors, and their
+        """The glued representatives at ghost g as flat columns, and their
         restrictions to the left and to the right piece, once per ghost."""
         if g not in restricted:
-            flats = [msymp_n.flat(g, rep) for rep in msymp_n.reps(g)]
-            restricted[g] = (flats, [res_l.matvec(f) for f in flats],
-                             [res_r.matvec(f) for f in flats])
+            flats = msymp_n.flat(g, msymp_n.reps(g))
+            restricted[g] = (flats, res_l * flats, res_r * flats)
         return restricted[g]
 
     iso_ok = dims_match
     pair_ok = True
     for g in ghosts:
-        system, mt, na = mt_basis[g]
+        system, mt = mt_basis[g]
         comp, coords = quotients[g]
-        if len(msymp_n.reps(g)) != comp.dim:
+        if msymp_n.h_dim(g) != comp.dim:
             iso_ok = False
             continue
         flats, on_l, on_r = restrict(g)
-        xs = _fiber_coords(system, mt, [
-            _stack(_piece_coords(msymp_l, g, x), _piece_coords(msymp_r, g, y), na)
-            for x, y in zip(on_l, on_r)])
+        xs = _fiber_coords(system, mt, _vstack(flats.cols, [
+            _piece_coords(msymp_l, g, on_l), _piece_coords(msymp_r, g, on_r)]))
         if xs is None:
             iso_ok = False
-        elif comp.dim and column_span([coords.matvec(x) for x in xs],
-                                      comp.dim).dim != comp.dim:
+        elif comp.dim and column_span(coords * xs).dim != comp.dim:
             # their quotient coordinates along the distribution must span
             iso_ok = False
         # pairing intertwined on representatives (cochain-level identity),
@@ -395,20 +382,21 @@ def glue_moduli(gl: Gluing):
     }
 
 
-def _beta_value(model, section, row, g):
-    """[Q eta-lift] in M^symp coordinates, where eta is the interface field
-    indicator of interface coordinate row (ghost g), lifted into the bulk
-    by section."""
-    qlift = model.t.Q.matvec(section.matvec({row: Fraction(1)}))
-    return _piece_coords(model.msymp, g - 1, qlift)
+def _beta_block(model, section, rows, g):
+    """[Q eta-lift] in M^symp coordinates at ghost g - 1, one column per
+    interface coordinate in rows (ghost g): eta is the indicator of that
+    coordinate, lifted into the bulk by section."""
+    lifts = section * _unit_columns(rows, section.cols)
+    return _piece_coords(model.msymp, g - 1, model.t.Q * lifts)
 
 
 def _piece_coords(piece, g, flat):
-    """Class coordinates in a piece of a closed flat vector of ghost g."""
+    """Class coordinates in a piece of the closed flat columns of ghost g
+    of the matrix flat."""
     local = piece.local(g, flat)
-    if len(local) != len(flat):
+    if local.nnz != flat.nnz:
         raise GluingError("vector is not ghost homogeneous")
-    return piece.class_coords(g, local)
+    return piece.class_matrix(g, local)
 
 
 # ---------------------------------------------------------------------------
@@ -447,28 +435,19 @@ def mayer_vietoris(gl: Gluing):
             nl, nr = piece_l.h_dim(g), piece_r.h_dim(g)
             nodes.append((f"glued@gh{g}", piece_n.h_dim(g)))
             # restriction map to the pieces
-            flats = [piece_n.flat(g, rep) for rep in piece_n.reps(g)]
-            maps.append(RatMatrix.from_columns(
-                [_stack(_piece_coords(piece_l, g, res_l.matvec(f)),
-                        _piece_coords(piece_r, g, res_r.matvec(f)), nl) for f in flats],
-                nl + nr))
+            flats = piece_n.flat(g, piece_n.reps(g))
+            maps.append(_vstack(flats.cols, [_piece_coords(piece_l, g, res_l * flats),
+                                             _piece_coords(piece_r, g, res_r * flats)]))
             nodes.append((f"pieces@gh{g}", nl + nr))
             # difference of interface restrictions
-            maps.append(RatMatrix.from_columns(
-                [_piece_coords(piece_w, g, rho_l.matvec(piece_l.flat(g, rep)))
-                 for rep in piece_l.reps(g)] +
-                [{i: -v for i, v in _piece_coords(
-                    piece_w, g, rho_r.matvec(piece_r.flat(g, rep))).items()}
-                 for rep in piece_r.reps(g)],
-                piece_w.h_dim(g)))
+            maps.append(_hstack(piece_w.h_dim(g), [
+                _piece_coords(piece_w, g, rho_l * piece_l.flat(g, piece_l.reps(g))),
+                _piece_coords(piece_w, g, rho_r * piece_r.flat(g, piece_r.reps(g))).scale(-1)]))
             nodes.append((f"iface@gh{g}", piece_w.h_dim(g)))
             # connecting map: one-sided section (extend into the left piece,
             # take its coboundary, embed into the glued complex)
-            maps.append(RatMatrix.from_columns(
-                [_piece_coords(piece_n, g - 1, emb_l.matvec(
-                    model_left.t.Q.matvec(sec_l.matvec(piece_w.flat(g, rep)))))
-                 for rep in piece_w.reps(g)],
-                piece_n.h_dim(g - 1)))
+            lifted = model_left.t.Q * (sec_l * piece_w.flat(g, piece_w.reps(g)))
+            maps.append(_piece_coords(piece_n, g - 1, emb_l * lifted))
         nodes.append((f"glued@gh{gmin-1}", piece_n.h_dim(gmin - 1)))
         return ExactSequenceReport(nodes, maps)
 
@@ -498,7 +477,7 @@ def _outer_piece(model: ReducedModel, to_interface):
             rows = [row for row in model.bdry.index[g] if row in outer]
             cols = _unread(t.pi.submatrix(rows, idx),
                            GluingError("outer restriction row is not a single face"))
-            vert[g] = RatMatrix.from_columns([{j: 1} for j in cols], len(idx))
+            vert[g] = _unit_columns(cols, len(idx))
     return model.modulo_q("partially reduced", vert)
 
 

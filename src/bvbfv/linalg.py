@@ -9,9 +9,16 @@ matrix, the least common one, so equal matrices have equal storage.
 Products, sums, scaling, transposes, blocks, comparison and the rows that
 the eliminations read all run on that storage and build no Fraction; the
 builders of the other modules write integers too.  A matrix shows its
-entries as Fractions (`entries`, `[i, j]`, `sparse_rows`, `matvec`'s
-result) only to a caller that reads them.  Sparse vectors, and the bases
-of a `Subspace`, are dicts of Fractions.
+entries as Fractions (`entries`, `[i, j]`, `sparse_rows`, `columns`,
+`matvec`'s result) only to a caller that reads them.
+
+A `Subspace` holds its basis the same way, as one `RatMatrix` of columns,
+and so does every list of vectors that the engine maps: a map applied to
+a basis is one product.  Kernels, images, spanning subsets and
+complements are primitive integer columns (denominator 1).  `basis` shows
+the columns as Fraction dicts, built when it is read.  Only single
+vectors handed in from outside (`coords`, `contains`, `matvec`, `solve`
+of one vector) are dicts of Fractions.
 
 There is one elimination core, `_echelon`: fraction-free (integer row
 combinations after clearing denominators) Gauss-Jordan with a fixed pivot
@@ -33,27 +40,28 @@ reduced row (up to scale, on the visited columns) do not depend on that
 choice, so kernels, solutions, spanning subsets, quotients and square
 inverses do not either; only the columns an image keeps and non-square
 left inverses may.  A kernel vector is read off the reduced rows as a
-primitive integer vector, and each of its entries becomes one Fraction.
+primitive integer vector.
 
 Each question about spans costs at most one elimination, in integers:
-- A `Subspace` caches one left inverse of its basis, kept as integer rows
-  over one denominator each.  A kernel sets it from its free columns and
+- A `Subspace` caches one left inverse E of its basis B (E B = I), a
+  `RatMatrix`.  A kernel sets it from its free columns and
   `Subspace.full` from the identity, so neither is ever eliminated.
   `coords` and `contains` apply it to the vector cleared to integers and
   check the candidate as an integer identity; only the coordinates that
   `coords` returns become Fractions.
-- Containment of a subspace in one without a left inverse is a rank
-  count: one `_pivot_columns` of both bases.  `==` asks the side that
-  already holds a left inverse.
+- Containment of a subspace S in one with a left inverse is the one
+  identity B (E S) = S; without one it is a rank count: one
+  `_pivot_columns` of both bases.  `==` asks the side that already holds
+  a left inverse.
 - A quotient is one elimination of the sub vectors' coordinates in its
   ambient space, as rows, with the columns visited in reverse index order
   and no identity block; the class map is read off the reduced rows as a
   kernel is.  It accepts any spanning list of the sub, so a class space
-  ker q / Im i takes the columns of i and no image basis.  In general
-  each sub vector is solved against the ambient's left inverse; for a
-  kernel ambient there is no solve at all: Im i lies in ker q exactly
-  when the one product q i is zero, and the coordinates of i's columns
-  are their entries at the kernel's free columns, read in one scan.
+  ker q / Im i takes the columns of i and no image basis.  The
+  coordinates of the sub vectors are the one product E S, checked by
+  B (E S) = S; for a kernel ambient there is no check to make: Im i lies
+  in ker q exactly when the one product q i is zero, and E i reads i's
+  rows at the kernel's free columns.
 - The complement under a symmetric or antisymmetric pairing is one
   kernel, since its left and right complements coincide.
 """
@@ -86,39 +94,6 @@ class NotLagrangian(LinalgError):
     pass
 
 
-# ---------------------------------------------------------------------------
-# sparse vectors: dict index -> Fraction (zero entries never stored)
-
-
-def vec_add(u, v):
-    out = dict(u)
-    for i, x in v.items():
-        s = out.get(i, 0) + x
-        if s:
-            out[i] = s
-        else:
-            out.pop(i, None)
-    return out
-
-
-def vec_scale(u, c):
-    c = Fraction(c)
-    if not c:
-        return {}
-    return {i: c * x for i, x in u.items()}
-
-
-def vec_dot(u, v):
-    if len(u) > len(v):
-        u, v = v, u
-    return sum((x * v[i] for i, x in u.items() if i in v), Fraction(0))
-
-
-def vec_eq(u, v):
-    """u == v as vectors; explicit zero entries count as absent."""
-    return {i: x for i, x in u.items() if x} == {i: x for i, x in v.items() if x}
-
-
 def _rational(v):
     """v as an int or a Fraction."""
     return v if type(v) is int or type(v) is Fraction else Fraction(v)
@@ -135,6 +110,13 @@ def _to_ints(items):
             vals[k] = v
     den = lcm(*(v.denominator for v in vals.values()))
     return {k: v.numerator * (den // v.denominator) for k, v in vals.items()}, den
+
+
+def _check_keys(keys, rows, cols):
+    """DimensionMismatch unless every (row, col) key lies in the shape."""
+    for i, j in keys:
+        if not (0 <= i < rows and 0 <= j < cols):
+            raise DimensionMismatch(f"index {(i, j)} out of shape {(rows, cols)}")
 
 
 class RatMatrix:
@@ -159,9 +141,7 @@ class RatMatrix:
         self._entries = None
         self._by_col = None
         if entries:
-            for i, j in entries:
-                if not (0 <= i < rows and 0 <= j < cols):
-                    raise DimensionMismatch(f"index {(i, j)} out of shape {self.shape}")
+            _check_keys(entries, rows, cols)
             self.ints, self.den = _to_ints(entries.items())
 
     @classmethod
@@ -235,7 +215,7 @@ class RatMatrix:
         """Add scale * block in place, block's (0, 0) entry at (r0, c0).
         Existing keys keep their place and new ones follow in block's
         storage order, as adding entry by entry would leave them."""
-        s = Fraction(scale)
+        s = _rational(scale)
         if not s or not block.ints:
             return
         corner = (r0 + block.rows - 1, c0 + block.cols - 1)
@@ -276,7 +256,8 @@ class RatMatrix:
 
     @staticmethod
     def from_rows(rows, ncols=None):
-        """Build from a list of dense or sparse rows."""
+        """Build from a list of dense or sparse rows; a nonzero entry off
+        the stated shape raises DimensionMismatch."""
         rows = list(rows)
         items = []
         width = ncols or 0
@@ -289,11 +270,16 @@ class RatMatrix:
                 items.extend(((i, j), v) for j, v in enumerate(r))
                 width = max(width, len(r))
         ints, den = _to_ints(items)
-        return RatMatrix.of_ints(len(rows), width if ncols is None else ncols, ints, den)
+        ncols = width if ncols is None else ncols
+        _check_keys(ints, len(rows), ncols)
+        return RatMatrix.of_ints(len(rows), ncols, ints, den)
 
     @staticmethod
     def from_columns(cols, nrows):
+        """Build from a list of sparse columns; a nonzero entry off the
+        stated shape raises DimensionMismatch."""
         ints, den = _to_ints(((i, j), v) for j, c in enumerate(cols) for i, v in c.items())
+        _check_keys(ints, nrows, len(cols))
         return RatMatrix.of_ints(nrows, len(cols), ints, den)
 
     def sparse_rows(self):
@@ -303,6 +289,15 @@ class RatMatrix:
         for (i, j), x in self.ints.items():
             rows[i][j] = Fraction(x, den)
         return rows
+
+    def columns(self):
+        """The columns as sparse vectors of Fractions, each in storage
+        order."""
+        cols = [dict() for _ in range(self.cols)]
+        den = self.den
+        for (i, j), x in self.ints.items():
+            cols[j][i] = Fraction(x, den)
+        return cols
 
     def int_rows(self):
         """The rows of den * self as sparse integer vectors, each in
@@ -325,12 +320,18 @@ class RatMatrix:
                                  {(j, i): x for (i, j), x in self.ints.items()}, self.den)
 
     def matvec(self, v):
-        """M v, visiting only the entries in the columns of v's support.
-        They are visited in storage order, so the result, down to the
-        order of its keys, is the one a scan of every entry gives.  The
-        sums run in integers, with v cleared to n / d; each nonzero row
-        becomes one Fraction.  The positions of each column's entries are
-        indexed on first use."""
+        """M v, with v cleared to n / d and summed by `_int_matvec`; each
+        nonzero row becomes one Fraction."""
+        n, d = _clear(v)
+        d *= self.den
+        return {i: Fraction(s, d) for i, s in self._int_matvec(n).items()}
+
+    def _int_matvec(self, n):
+        """The numerators of (den * M) n for an integer vector n with no
+        zero entry, zero rows dropped.  It visits only the entries in the
+        columns of n's support, in storage order, so the result, down to
+        the order of its keys, is the one a scan of every entry gives.  The
+        positions of each column's entries are indexed on first use."""
         if self._by_col is None:
             keys = list(self.ints)
             by_col = {}
@@ -342,13 +343,10 @@ class RatMatrix:
             self._by_col = (keys, list(self.ints.values()), by_col)
         keys, nums, by_col = self._by_col
         touched = []
-        for j, x in v.items():
-            if x and j in by_col:
+        for j in n:
+            if j in by_col:
                 touched.extend(by_col[j])
-        if not touched:
-            return {}
         touched.sort()
-        n, d = _clear(v)
         out = {}
         for p in touched:
             i, j = keys[p]
@@ -357,8 +355,7 @@ class RatMatrix:
                 out[i] = s
             else:
                 out.pop(i, None)
-        d *= self.den
-        return {i: Fraction(s, d) for i, s in out.items()}
+        return out
 
     def __mul__(self, other):
         """The product, scanning self's entries in storage order against
@@ -407,7 +404,7 @@ class RatMatrix:
         return self._combine(other, -1)
 
     def scale(self, c):
-        c = Fraction(c)
+        c = _rational(c)
         if not c:
             return RatMatrix(self.rows, self.cols)
         n = c.numerator
@@ -445,26 +442,10 @@ def stacked_rank(*blocks):
 # elimination core (integer, fraction-free)
 
 
-def _int_rows(rows):
-    """Clear denominators row-wise; content is divided out."""
-    out = []
-    for r in rows:
-        if not r:
-            out.append({})
-            continue
-        den = lcm(*(v.denominator for v in r.values()))
-        ints = {j: v.numerator * (den // v.denominator) for j, v in r.items()}
-        g = gcd(*ints.values())
-        if g > 1:
-            ints = {j: v // g for j, v in ints.items()}
-        out.append(ints)
-    return out
-
-
 def _primitive_rows(rows):
     """Integer rows with their content divided out, in place: each row
     becomes the primitive integer vector that is a positive multiple of
-    it, which is what `_int_rows` makes of the rational row."""
+    it."""
     for i, r in enumerate(rows):
         if r:
             g = gcd(*r.values())
@@ -579,22 +560,21 @@ def _free_vectors(pivots, red, ncols):
 
 
 def _kernel_int(rows, ncols, col_order=None):
-    """Kernel basis of the integer row system, one primitive vector per
-    free column (see `_primitive`), and those free columns (in increasing
-    order).  Each is the `_free_vectors` vector of its free column, so it
-    is the only one nonzero there; each entry becomes one Fraction after
-    the gcd and the sign of the lowest index are divided out."""
+    """Kernel basis of the integer row system, as the columns of an integer
+    matrix (ncols x number of free columns), and those free columns, in
+    increasing order.  Column k is the `_free_vectors` vector of free
+    column k, so it is the only one nonzero there, divided by its gcd and
+    by the sign of its lowest index: a primitive integer vector."""
     pivots, red = _echelon(rows, col_order)
-    basis, free = [], []
-    for f, ints in _free_vectors(pivots, red, ncols):
-        g = gcd(*ints.values())
-        if ints[min(ints)] < 0:
+    ints, free = {}, []
+    for f, v in _free_vectors(pivots, red, ncols):
+        g = gcd(*v.values())
+        if v[min(v)] < 0:
             g = -g
-        if g != 1:
-            ints = {j: x // g for j, x in ints.items()}
-        basis.append({j: Fraction(x) for j, x in ints.items()})
+        k = len(free)
+        ints.update(((j, k), x // g) for j, x in v.items())
         free.append(f)
-    return basis, free
+    return RatMatrix.of_ints(ncols, len(free), ints), free
 
 
 def _sparse_first(counts):
@@ -604,18 +584,48 @@ def _sparse_first(counts):
     return sorted(range(len(counts)), key=counts.__getitem__)
 
 
-def _pivot_columns(columns):
-    """Indices of the sparse columns that are independent of the columns
+def _pivot_columns(m):
+    """Indices of the columns of m that are independent of the columns
     before them: the pivot columns of one elimination in column order.
     This set does not depend on the row-pivot rule."""
-    rows = {}
-    for j, col in enumerate(columns):
-        for i, v in col.items():
-            if v:
-                rows.setdefault(i, {})[j] = v
-    pivots, _ = _echelon(_int_rows(rows.values()),
-                         col_order=list(range(len(columns))))
+    rows = _primitive_rows([r for r in m.int_rows() if r])
+    pivots, _ = _echelon(rows, col_order=range(m.cols))
     return sorted(c for _, c in pivots)
+
+
+def _primitive_columns(m, keep):
+    """The columns keep of m, in that order, each scaled to the primitive
+    integer vector whose lowest entry is positive, over denominator 1.
+    Every column in keep must be nonzero."""
+    pos = {j: k for k, j in enumerate(keep)}
+    by_col = {}
+    for (i, j), x in m.ints.items():
+        k = pos.get(j)
+        if k is not None:
+            by_col.setdefault(k, []).append((i, x))
+    ints = {}
+    for k, col in sorted(by_col.items()):
+        g = gcd(*(x for _, x in col))
+        if min(col)[1] < 0:
+            g = -g
+        ints.update(((i, k), x // g) for i, x in col)
+    return RatMatrix.of_ints(m.rows, len(keep), ints)
+
+
+def _hstack(rows, mats):
+    """The matrices, each with the given number of rows, side by side."""
+    out = RatMatrix(rows, sum(m.cols for m in mats))
+    c0 = 0
+    for m in mats:
+        out.add_block(0, c0, m)
+        c0 += m.cols
+    return out
+
+
+def _vstack(cols, mats):
+    """The matrices, each with the given number of columns, on top of each
+    other."""
+    return _hstack(cols, [m.transpose() for m in mats]).transpose()
 
 
 def _clear(v):
@@ -626,156 +636,82 @@ def _clear(v):
     return {j: x.numerator * (d // x.denominator) for j, x in v.items()}, d
 
 
-def _int_combination(terms):
-    """The sum of c * v over pairs (c, v) of an integer and a sparse integer
-    vector, zero entries dropped."""
-    acc = {}
-    for c, v in terms:
-        for j, x in v.items():
-            acc[j] = acc.get(j, 0) + c * x
-    return {j: x for j, x in acc.items() if x}
-
-
-def _primitive(v):
-    """Scale a rational vector to primitive integer form (first nonzero > 0)."""
-    if not v:
-        return {}
-    den = lcm(*(x.denominator for x in v.values()))
-    ints = {j: x.numerator * (den // x.denominator) for j, x in v.items()}
-    g = gcd(*ints.values())
-    if g > 1:
-        ints = {j: x // g for j, x in ints.items()}
-    lead = min(ints)
-    if ints[lead] < 0:
-        ints = {j: -x for j, x in ints.items()}
-    return {j: Fraction(x) for j, x in ints.items()}
-
-
-class _LeftInverse:
-    """A left inverse E of a basis matrix B (E B = I), kept in integers:
-    row k of E is nums[k] / dens[k], an integer sparse row over one
-    positive denominator.  `apply` reads a column view (column -> (row,
-    entry) pairs) built on first use."""
-
-    __slots__ = ("nums", "dens", "ambient_dim", "_by_col")
-
-    def __init__(self, nums, dens, ambient_dim):
-        self.nums = nums
-        self.dens = dens
-        self.ambient_dim = ambient_dim
-        self._by_col = None
-
-    def apply(self, n):
-        """The numerators of E n for an integer vector n: row k of E n is
-        apply(n)[k] / dens[k].  Zero rows are dropped."""
-        if self._by_col is None:
-            self._by_col = {}
-            for k, row in enumerate(self.nums):
-                for j, e in row.items():
-                    self._by_col.setdefault(j, []).append((k, e))
-        acc = {}
-        for j, x in n.items():
-            for k, e in self._by_col.get(j, ()):
-                acc[k] = acc.get(k, 0) + e * x
-        return {k: y for k, y in acc.items() if y}
-
-    def matrix(self):
-        """E as a rational matrix."""
-        den = lcm(*self.dens)
-        return RatMatrix.of_ints(len(self.nums), self.ambient_dim,
-                                 {(k, j): e * (den // d)
-                                  for k, (row, d) in enumerate(zip(self.nums, self.dens))
-                                  for j, e in row.items()}, den)
-
-    def reversed(self):
-        """The left inverse of the basis in the opposite order."""
-        return _LeftInverse(self.nums[::-1], self.dens[::-1], self.ambient_dim)
-
-
 class Subspace:
-    """A subspace of Q^ambient_dim given by an independent list of sparse
-    column vectors."""
+    """A subspace of Q^ambient_dim, spanned by the independent columns of
+    one RatMatrix (ambient_dim x dim): its basis.  `matrix()` is that
+    matrix, read-only like a matrix's storage, and `basis` shows its
+    columns as sparse dicts of Fractions, built on each read, so that
+    changing the list read changes nothing."""
 
-    __slots__ = ("ambient_dim", "basis", "_inv", "_ints")
+    __slots__ = ("ambient_dim", "_cols", "_inv")
 
     def __init__(self, ambient_dim, basis, check=True):
         self.ambient_dim = ambient_dim
-        self.basis = [{i: Fraction(x) for i, x in b.items() if x} for b in basis]
+        self._cols = RatMatrix.from_columns(basis, ambient_dim)
         self._inv = None
-        self._ints = None
-        if check and self.basis:
+        if check and self._cols.cols:
             try:
                 self._left_inv()
             except LinalgError:
                 raise LinalgError("basis vectors are linearly dependent") from None
 
     @classmethod
-    def _of(cls, ambient_dim, basis):
-        """The subspace on an independent basis of sparse vectors whose
-        entries are nonzero Fractions, kept as given: the internal
-        constructors' path, with neither the per-entry copy of `__init__`
-        nor its independence check."""
+    def _of(cls, cols):
+        """The subspace on the independent columns of the RatMatrix cols,
+        kept as given: the internal constructors' path, with no
+        independence check."""
         s = cls.__new__(cls)
-        s.ambient_dim = ambient_dim
-        s.basis = basis
+        s.ambient_dim = cols.rows
+        s._cols = cols
         s._inv = None
-        s._ints = None
         return s
 
     def _left_inv(self):
-        """The cached left inverse of the basis matrix (a `_LeftInverse`);
-        the one factorization behind the independence check, `coords`,
-        `contains` and `quotient`, and behind `contains_subspace` and `==`
-        once it exists.  `kernel_basis` and `full` set it without an
-        elimination."""
+        """The cached left inverse E of the basis matrix B, E B = I (a
+        RatMatrix); the one factorization behind the independence check,
+        `coords`, `contains` and `quotient`, and behind `contains_subspace`
+        and `==` once it exists.  `kernel_basis` and `full` set it without
+        an elimination."""
         if self._inv is None:
-            self._inv = _left_inverse(self.matrix())
+            self._inv = _left_inverse(self._cols)
         return self._inv
 
-    def _int_basis(self):
-        """The basis vectors as pairs (n, d) of an integer vector and a
-        positive integer, vector = n / d (cached)."""
-        if self._ints is None:
-            self._ints = [_clear(b) for b in self.basis]
-        return self._ints
-
     def _solve(self, v):
-        """(y, d) with y[k] / (dens[k] * d) the k-th coordinate of v, where
-        dens are the left inverse's row denominators; y is None when v is
-        off the span.
+        """(y, d) with y[k] / d the k-th coordinate of v; y is None when v
+        is off the span.
 
-        With v = n / d in integers, y = E n (in numerators) is the only
-        candidate, and it is kept when basis * x == v.  Basis vector k is
-        b_k / c_k, so that is the integer identity
-        sum_k b_k * y[k] * (s / (c_k dens[k])) == n * s,
-        with s the lcm of c_k dens[k] over the support of y."""
+        With v = n / d0 in integers, y = (den E) n is the only candidate,
+        over d = d0 * den(E), and it is kept when B y / d == v, that is
+        when (den B) y == n * den(B) * den(E), an integer identity."""
         n, d = _clear(v)
-        inv = self._left_inv()
-        y = inv.apply(n)
-        ints = self._int_basis()
-        s = lcm(*(ints[k][1] * inv.dens[k] for k in y))
-        back = _int_combination((yk * (s // (ints[k][1] * inv.dens[k])), ints[k][0])
-                                for k, yk in y.items())
-        return (y if back == {j: x * s for j, x in n.items()} else None), d
+        inv, b = self._left_inv(), self._cols
+        y = inv._int_matvec(n)
+        s = b.den * inv.den
+        back = b._int_matvec(y)
+        return (y if back == {j: x * s for j, x in n.items()} else None), d * inv.den
 
     @property
     def dim(self):
-        return len(self.basis)
+        return self._cols.cols
+
+    @property
+    def basis(self):
+        """The basis vectors as sparse dicts of Fractions, built on read."""
+        return self._cols.columns()
 
     @staticmethod
     def zero(ambient_dim):
-        return Subspace(ambient_dim, [])
+        return Subspace._of(RatMatrix(ambient_dim, 0))
 
     @staticmethod
     def full(ambient_dim):
         """Q^ambient_dim in its unit basis, which is its own left inverse."""
-        s = Subspace._of(ambient_dim, [{i: Fraction(1)} for i in range(ambient_dim)])
-        s._inv = _LeftInverse([{i: 1} for i in range(ambient_dim)], [1] * ambient_dim,
-                              ambient_dim)
+        s = Subspace._of(RatMatrix.identity(ambient_dim))
+        s._inv = s._cols
         return s
 
     def matrix(self):
-        return RatMatrix.from_columns(self.basis, self.ambient_dim)
+        return self._cols
 
     def coords(self, v):
         """Coordinates of v in the basis, or None when v is off the span.
@@ -784,55 +720,49 @@ class Subspace:
         y, d = self._solve(v)
         if y is None:
             return None
-        dens = self._inv.dens
-        return {k: Fraction(y[k], dens[k] * d) for k in sorted(y)}
+        return {k: Fraction(y[k], d) for k in sorted(y)}
 
     def contains(self, v):
         return self._solve(v)[0] is not None
 
+    def _coords_of(self, m):
+        """The coordinates of the columns of m in the basis B, as the
+        columns of one matrix, or None when one of them is off the span:
+        Y = E m with the left inverse E is the only candidate, and B Y = m
+        decides."""
+        y = self._left_inv() * m
+        return y if self._cols * y == m else None
+
     def contains_subspace(self, other):
-        """other inside self.  With a left inverse at hand, each basis
-        vector of other is checked against it; without one, by rank: other
-        lies in self exactly when no column of other is a pivot column of
-        [self.basis | other.basis], i.e. when there are self.dim pivots."""
+        """other inside self.  With a left inverse E at hand, it is the one
+        identity B (E S) = S on the bases B of self and S of other; without
+        one, a rank count: other lies in self exactly when no column of
+        other is a pivot column of [B | S], i.e. when there are self.dim
+        pivots."""
         if other.ambient_dim != self.ambient_dim:
             raise DimensionMismatch("ambient dimensions differ")
         if not other.dim:
             return True
         if self._inv is None:
-            return len(_pivot_columns(self.basis + other.basis)) == self.dim
-        return all(self.contains(b) for b in other.basis)
+            both = _hstack(self.ambient_dim, [self._cols, other._cols])
+            return len(_pivot_columns(both)) == self.dim
+        return self._coords_of(other._cols) is not None
 
     def sum(self, other):
         if other.ambient_dim != self.ambient_dim:
             raise DimensionMismatch("ambient dimensions differ")
-        return column_span(self.basis + other.basis, self.ambient_dim)
+        return column_span(_hstack(self.ambient_dim, [self._cols, other._cols]))
 
     def intersect(self, other):
-        # v = A x = B y: kernel of the column-glued system [A | -B].
+        # v = A x = B y: kernel of the column-glued system [A | -B]
         if other.ambient_dim != self.ambient_dim:
             raise DimensionMismatch("ambient dimensions differ")
         na, nb = self.dim, other.dim
         if na == 0 or nb == 0:
             return Subspace.zero(self.ambient_dim)
-        rows = [dict() for _ in range(self.ambient_dim)]
-        for j, b in enumerate(self.basis):
-            for i, v in b.items():
-                rows[i][j] = v
-        for j, b in enumerate(other.basis):
-            for i, v in b.items():
-                rows[i][na + j] = -v
-        ker, _ = _kernel_int(_int_rows(rows), na + nb)
-        out = []
-        for k in ker:
-            v = {}
-            for j in range(na):
-                c = k.get(j)
-                if c:
-                    v = vec_add(v, vec_scale(self.basis[j], c))
-            if v:
-                out.append(_primitive(v))
-        return column_span(out, self.ambient_dim)
+        system = _hstack(self.ambient_dim, [self._cols, other._cols.scale(-1)])
+        ker, _ = _kernel_int(_primitive_rows(system.int_rows()), na + nb)
+        return column_span(self._cols * ker.submatrix(range(na), range(ker.cols)))
 
     def __eq__(self, other):
         """Equal spans: equal dimensions and one containment, asked of the
@@ -848,11 +778,14 @@ class Subspace:
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
 
 
-def column_span(columns, ambient_dim):
-    """Deterministic independent subset spanning the given columns."""
-    keep = _pivot_columns(columns)
-    prims = (_primitive(columns[j]) for j in keep)
-    return Subspace._of(ambient_dim, [{i: x for i, x in p.items() if x} for p in prims])
+def column_span(columns, ambient_dim=None):
+    """Deterministic independent subset spanning the given columns, a
+    RatMatrix or a list of sparse vectors in Q^ambient_dim: the pivot
+    columns, each as a primitive integer vector whose lowest entry is
+    positive."""
+    if not isinstance(columns, RatMatrix):
+        columns = RatMatrix.from_columns(columns, ambient_dim)
+    return Subspace._of(_primitive_columns(columns, _pivot_columns(columns)))
 
 
 def _counts(m: RatMatrix, axis):
@@ -864,8 +797,8 @@ def _counts(m: RatMatrix, axis):
 
 
 def kernel_basis(m: RatMatrix) -> Subspace:
-    """Basis of {v : m v = 0}, one vector per free column in increasing
-    order, and its left inverse.
+    """Basis of {v : m v = 0}, one primitive integer vector per free column
+    in increasing order, and its left inverse.
 
     The elimination visits the columns of m sparse-first (see
     `_sparse_first`), which keeps fill-in down.  Each basis vector is the
@@ -875,10 +808,12 @@ def kernel_basis(m: RatMatrix) -> Subspace:
     elimination."""
     ker, free = _kernel_int(_primitive_rows(m.int_rows()), m.cols,
                             _sparse_first(_counts(m, 1)))
-    s = Subspace._of(m.cols, ker)
-    lead = [b[f].numerator for f, b in zip(free, s.basis)]
-    s._inv = _LeftInverse([{f: 1 if x > 0 else -1} for f, x in zip(free, lead)],
-                          [abs(x) for x in lead], m.cols)
+    s = Subspace._of(ker)
+    leads = [ker.ints[(f, k)] for k, f in enumerate(free)]
+    den = lcm(*leads)
+    s._inv = RatMatrix.of_ints(len(free), m.cols,
+                               {(k, f): den // x for k, (f, x) in enumerate(zip(free, leads))},
+                               den)
     return s
 
 
@@ -887,126 +822,86 @@ def image_basis(m: RatMatrix) -> Subspace:
     of one elimination of m's transpose, each as a primitive integer
     vector whose lowest entry is positive.  That elimination visits the
     rows of m sparse-first (see `_sparse_first`)."""
-    cols = _primitive_rows(m.transpose().int_rows())
-    piv, _ = _echelon(cols, _sparse_first(_counts(m, 0)))
-    basis = []
-    for j in sorted(r for r, _ in piv):
-        c = cols[j]
-        sign = 1 if c[min(c)] > 0 else -1
-        basis.append({i: Fraction(sign * x) for i, x in c.items()})
-    return Subspace._of(m.rows, basis)
+    piv, _ = _echelon(_primitive_rows(m.transpose().int_rows()),
+                      _sparse_first(_counts(m, 0)))
+    return Subspace._of(_primitive_columns(m, sorted(r for r, _ in piv)))
 
 
 def solve(m: RatMatrix, b):
-    """One solution of m x = b, or None.  b is a sparse vector, or a list
-    of them, answered by a list from one elimination of m augmented by all
-    of them.  The elimination visits m's columns in index order and never
-    an augmented one, so the pivot columns are m's, and each solution is
-    the one with free unknowns 0: the one b alone would get."""
-    many = isinstance(b, list)
-    bs = b if many else [b]
-    # the rows of [m | b...] times m's denominator
+    """One solution x of m x = b, or None.  b is a sparse vector, answered
+    by one, or a RatMatrix of columns, answered by the matrix X with
+    m X = b from one elimination of m augmented by all of them (None when
+    one column has no solution).  The elimination visits m's columns in
+    index order and never an augmented one, so the pivot columns are m's,
+    and each solution is the one with free unknowns 0: the one its column
+    alone would get."""
+    if not isinstance(b, RatMatrix):
+        x = solve(m, RatMatrix.from_columns([b], m.rows))
+        return None if x is None else x.columns()[0]
+    if b.rows != m.rows:
+        raise DimensionMismatch(f"{m.shape} x = {b.shape}")
+    # the rows of [m | b] times both denominators
     aug = m.int_rows()
-    for i, r in enumerate(aug):
-        for t, v in enumerate(bs):
-            x = Fraction(v.get(i, 0))
-            if x:
-                r[m.cols + t] = x * m.den
-    pivots, red = _echelon(_int_rows(aug), col_order=list(range(m.cols)))
+    if b.den != 1:
+        aug = [{j: x * b.den for j, x in r.items()} for r in aug]
+    for (i, t), x in b.ints.items():
+        aug[i][m.cols + t] = x * m.den
+    pivots, red = _echelon(_primitive_rows(aug), col_order=range(m.cols))
     # Gauss-Jordan leaves no other pivot column in a pivot row, so each
     # pivot unknown is read off its own row
-    xs = []
-    for t, v in enumerate(bs):
-        col = m.cols + t
-        x = {c: Fraction(red[r][col], red[r][c]) for r, c in pivots if red[r].get(col)}
-        xs.append(x if vec_eq(m.matvec(x), {i: Fraction(y) for i, y in v.items() if y})
-                  else None)
-    return xs if many else xs[0]
+    den = lcm(*(red[r][c] for r, c in pivots))
+    ints = {}
+    for r, c in pivots:
+        row = red[r]
+        s = den // row[c]
+        ints.update(((c, j - m.cols), x * s) for j, x in row.items() if j >= m.cols)
+    x = RatMatrix.of_ints(m.cols, b.cols, ints, den)
+    return x if m * x == b else None
 
 
 def quotient(ambient: Subspace, sub):
     """Complement C with span(sub) + C = ambient, plus its coordinate map:
     the C.dim x ambient_dim matrix sending each vector of ambient to the
     coordinates of its class modulo span(sub) in the basis of C.  sub is a
-    Subspace or a list of vectors spanning it; dependent and zero vectors
-    are allowed.  On vectors outside ambient the map means nothing, so
-    callers check membership first.  The projection that kills sub and
-    fixes C pointwise is C.matrix() * coords.
+    Subspace, or a RatMatrix or a list of vectors whose columns span it;
+    dependent and zero vectors are allowed.  On vectors outside ambient
+    the map means nothing, so callers check membership first.  The
+    projection that kills sub and fixes C pointwise is C.matrix() * coords.
 
-    Each sub vector s maps to its coordinates y = E s in ambient's basis,
-    with ambient's cached left inverse E, computed and checked in integers
-    by `Subspace._solve`, which also decides that s lies in ambient.  The
-    rest is `_quotient_of_coords`.
+    The coordinates of the sub vectors are `ambient._coords_of`, which
+    also decides that they lie in ambient.  The rest is
+    `_quotient_of_coords`.
     """
-    vectors = sub
     if isinstance(sub, Subspace):
-        if sub.ambient_dim != ambient.ambient_dim:
-            raise DimensionMismatch("ambient dimensions differ")
-        vectors = sub.basis
-    ys = []
-    for s in vectors:
-        if s:
-            y, _ = ambient._solve(s)
-            if y is None:
-                raise SubspaceNotContained("sub is not inside ambient")
-            ys.append(y)
+        sub = sub.matrix()
+    elif not isinstance(sub, RatMatrix):
+        sub = RatMatrix.from_columns(sub, ambient.ambient_dim)
+    if sub.rows != ambient.ambient_dim:
+        raise DimensionMismatch("ambient dimensions differ")
+    ys = ambient._coords_of(sub)
+    if ys is None:
+        raise SubspaceNotContained("sub is not inside ambient")
     return _quotient_of_coords(ambient, ys)
 
 
 def _kernel_quotient(q, ker, m):
-    """quotient(ker, columns of m) for ker = kernel_basis(q), with no solve.
-    A column lies in ker exactly when q kills it, so membership is the one
-    product q m = 0 (SubspaceNotContained otherwise), and the coordinates
-    are read off m at ker's free columns by `_read_coords`.  m None is the
-    map from the zero space."""
-    if m is None:
-        return _quotient_of_coords(ker, [])
-    if not (q * m).is_zero():
+    """quotient(ker, columns of m) for ker = kernel_basis(q), with no check
+    against the basis.  A column lies in ker exactly when q kills it, so
+    membership is the one product q m = 0 (SubspaceNotContained
+    otherwise), and the coordinates are `_coords_of_columns`.  m None is
+    the map from the zero space."""
+    if m is not None and not (q * m).is_zero():
         raise SubspaceNotContained("sub is not inside ambient")
-    return _quotient_of_coords(ker, [y for y, _ in _read_coords(ker, m).values()])
+    return _quotient_of_coords(ker, None if m is None else _coords_of_columns(ker, m))
 
 
 def _coords_of_columns(space, m):
-    """The matrix whose column j is space.coords of column j of m, read by
-    `_read_coords` with no solve, so every column must lie in space."""
-    dens = space._left_inv().dens
-    cols = _read_coords(space, m).items()
-    den = lcm(*(dens[k] * d for _, (y, d) in cols for k in y))
-    return RatMatrix.of_ints(space.dim, m.cols,
-                             {(k, j): y[k] * (den // (dens[k] * d))
-                              for j, (y, d) in cols for k in sorted(y)}, den)
-
-
-def _read_coords(space, m):
-    """Per nonzero column j of m, in index order, j -> the pair (y, d)
-    that `space._solve` gives the column, read with no solve.  Row k of
-    space's left inverse must be a single entry e_k / dens[k] at a column
-    f_k, as a kernel's and `Subspace.full`'s are, and every column of m
-    must lie in space, which the caller has checked; then y[k] =
-    e_k * n[f_k], with the column cleared to n / d.  One scan of m's
-    integer storage: its entries are ints / den, so d = den / c and
-    n = ints / c, with c the gcd of den and the column's ints."""
-    at = {}
-    for k, row in enumerate(space._left_inv().nums):
-        (f, e), = row.items()
-        at[f] = (k, e)
-    den = m.den
-    ys, content = {}, {}
-    for (i, j), x in m.ints.items():
-        y = ys.get(j)
-        if y is None:
-            ys[j] = y = {}
-            content[j] = den
-        if den > 1:
-            content[j] = gcd(content[j], x)
-        hit = at.get(i)
-        if hit is not None:
-            y[hit[0]] = hit[1] * x
-    out = {}
-    for j in sorted(ys):
-        c = content[j]
-        out[j] = (ys[j] if c == 1 else {k: v // c for k, v in ys[j].items()}, den // c)
-    return out
+    """The matrix whose column j is space.coords of column j of m: the one
+    product E m with space's left inverse E.  Every column must lie in
+    space, which the caller has checked.  On a kernel or `Subspace.full`
+    each row of E is a single entry, so E m reads m's rows at the free
+    columns."""
+    return space._left_inv() * m
 
 
 def _unread(m, error):
@@ -1022,66 +917,64 @@ def _unread(m, error):
     return [j for j in range(m.cols) if j not in read]
 
 
+def _unit_columns(rows, n):
+    """The n x len(rows) matrix whose column k is the unit vector at
+    rows[k]."""
+    return RatMatrix.of_ints(n, len(rows), {(j, k): 1 for k, j in enumerate(rows)})
+
+
 def _quotient_of_coords(ambient, ys):
     """The complement and coordinate map of `quotient`, from the sub
-    vectors' coordinates in ambient's basis, given as integer vectors y:
-    with ambient's cached left inverse E (row k is nums[k] / dens[k]), the
-    vector of the y[k] / dens[k] is a positive multiple of a sub vector's
-    coordinates, as `Subspace._solve` returns them.
+    vectors' coordinates in ambient's basis: the columns of the RatMatrix
+    ys (None for no sub vector), each one up to a positive scale.
 
-    One elimination of the rows y (m = ambient.dim columns, cleared to
-    integers) visits the columns in reverse index order m-1, ..., 0.
+    One elimination of the columns of ys as integer rows (m = ambient.dim
+    columns) visits the columns in reverse index order m-1, ..., 0.
     Column k is a pivot exactly when the rows projected onto coordinates
     >= k have larger rank than projected onto coordinates > k, that is when
     e_k lies in span(y) + span(e_0 .. e_k-1); so C, the ambient basis
     vectors at the other (free) columns, is the greedy extension of sub's
-    span by ambient's basis in index order.  The class map is 0 on span(y)
-    and fixes each free unit vector, so its row at free column f is the
-    `_free_vectors` vector of f read off the reduced rows; times E, in
-    integers, it is the coordinate map on Q^ambient_dim.  Both depend on
-    span(sub) only, not on the vectors that span it."""
-    inv = ambient._left_inv()
-    rows = []
-    for y in ys:
-        if y:
-            scale = lcm(*(inv.dens[k] for k in y))
-            rows.append({k: v * (scale // inv.dens[k]) for k, v in y.items()})
+    span by ambient's basis in index order.  The class map F is 0 on
+    span(y) and fixes each free unit vector, so its row at free column f is
+    the `_free_vectors` vector of f read off the reduced rows; times
+    ambient's left inverse E it is the coordinate map on Q^ambient_dim.
+    Both depend on span(sub) only, not on the vectors that span it."""
+    rows = [] if ys is None else [r for r in ys.transpose().int_rows() if r]
     m = ambient.dim
     pivots, red = _echelon(rows, range(m - 1, -1, -1))
     free = _free_vectors(pivots, red, m)
-    # row k of the map is rows[k] / scales[k], all over their lcm
-    rows, scales = [], []
-    for f, ints in free:
-        scale = lcm(*(inv.dens[c] for c in ints))
-        rows.append(_int_combination((u * (scale // inv.dens[c]), inv.nums[c])
-                                     for c, u in ints.items()))
-        scales.append(scale * ints[f])
-    den = lcm(*scales)
-    coords = RatMatrix.of_ints(len(free), ambient.ambient_dim,
-                               {(k, i): row[i] * (den // scale)
-                                for k, (row, scale) in enumerate(zip(rows, scales))
-                                for i in sorted(row)}, den)
-    comp = Subspace._of(ambient.ambient_dim, [ambient.basis[f] for f, _ in free])
-    return comp, coords
+    # row k of F is v / v[f] for the free vector (f, v), all over their lcm
+    den = lcm(*(v[f] for f, v in free))
+    fmap = RatMatrix.of_ints(len(free), m, {(k, c): u * (den // v[f])
+                                            for k, (f, v) in enumerate(free)
+                                            for c, u in v.items()}, den)
+    cols = ambient.matrix()
+    comp = Subspace._of(cols.submatrix(range(cols.rows), [f for f, _ in free]))
+    # stored row by row, each row in column order
+    coords = fmap * ambient._left_inv()
+    return comp, RatMatrix.of_ints(coords.rows, coords.cols, dict(sorted(coords.ints.items())),
+                                   coords.den)
 
 
-def _left_inverse(m: RatMatrix) -> _LeftInverse:
-    """E with E m = I for a full-column-rank m (deterministic), in
-    integer rows over positive denominators.  It eliminates [m | I] times
-    m's denominator, in primitive integer rows."""
+def _left_inverse(m: RatMatrix) -> RatMatrix:
+    """E with E m = I for a full-column-rank m (deterministic).  It
+    eliminates [m | I] times m's denominator, in primitive integer rows;
+    row c of E is the identity block of the pivot row of column c over its
+    pivot."""
     aug = m.int_rows()
     for i, r in enumerate(aug):
         r[m.cols + i] = m.den
-    pivots, red = _echelon(_primitive_rows(aug), col_order=list(range(m.cols)))
+    pivots, red = _echelon(_primitive_rows(aug), col_order=range(m.cols))
     if len(pivots) != m.cols:
         raise LinalgError("matrix does not have full column rank")
     # pivot columns are already exclusive after full elimination
-    nums, dens = [None] * m.cols, [None] * m.cols
-    for r, c in pivots:
-        sign = 1 if red[r][c] > 0 else -1
-        dens[c] = sign * red[r][c]
-        nums[c] = {j - m.cols: sign * v for j, v in red[r].items() if j >= m.cols}
-    return _LeftInverse(nums, dens, m.rows)
+    den = lcm(*(red[r][c] for r, c in pivots))
+    ints = {}
+    for r, c in sorted(pivots, key=lambda p: p[1]):
+        row = red[r]
+        s = den // row[c]
+        ints.update(((c, j - m.cols), x * s) for j, x in row.items() if j >= m.cols)
+    return RatMatrix.of_ints(m.cols, m.rows, ints, den)
 
 
 class PairingForm:
@@ -1097,7 +990,9 @@ class PairingForm:
         self.matrix = matrix
 
     def value(self, u, v):
-        return vec_dot(u, self.matrix.matvec(v))
+        """u^T M v for two sparse vectors."""
+        w = self.matrix.matvec(v)
+        return sum((x * w[i] for i, x in u.items() if i in w), Fraction(0))
 
     def is_square(self):
         return self.left_dim == self.right_dim
@@ -1180,11 +1075,9 @@ def presymplectic_reduce(p: PairingForm, sub: Subspace):
     kernel = two_sided_complement(p, Subspace.full(n))
     comp, coords = quotient(Subspace.full(n), kernel)
     k = comp.dim
-    red = RatMatrix(k, k, {(i, j): p.value(comp.basis[i], comp.basis[j])
-                           for i in range(k) for j in range(k)})
-    red_pairing = PairingForm(k, k, red)
-    imgs = [coords.matvec(b) for b in sub.basis] if k else []
-    red_sub = column_span(imgs, k)
+    c = comp.matrix()
+    red_pairing = PairingForm(k, k, c.transpose() * p.matrix * c)
+    red_sub = column_span(coords * sub.matrix())
     before = classify_subspace(p, sub)
     after = (
         classify_subspace(red_pairing, red_sub)

@@ -58,7 +58,9 @@ from .linalg import (
     RatMatrix,
     Subspace,
     _coords_of_columns,
+    _hstack,
     _plus_minus_symmetric,
+    _unit_columns,
     _unread,
     column_span,
     image_basis,
@@ -67,7 +69,6 @@ from .linalg import (
     solve,
     stacked_rank,
     classify_subspace,
-    vec_dot,
 )
 from .theories import LinearTheory
 
@@ -83,15 +84,22 @@ def _ghost_piece(name, m, idx):
     blocks = {g: m.submatrix(idx.get(g - 1, []), rows) for g, rows in idx.items()}
     dims = {g: len(rows) for g, rows in idx.items()}
     piece = _GradedPiece.of_differential(name, dims, blocks, -1, ModuliError)
-    piece.index = idx
+    piece.index, piece.total = idx, m.cols
     return piece
 
 
 def _pairing_block(form, left, right):
-    """[left_i . form right_j]: the product L^T form R, with the vectors of
-    left and right as the columns of L and R."""
-    return RatMatrix.from_rows(left, form.rows) * form \
-        * RatMatrix.from_columns(right, form.cols)
+    """[l_i . form r_j] over the columns l_i of left and r_j of right: the
+    product left^T form right."""
+    return left.transpose() * form * right
+
+
+def _piece_pairing(form, left, g, right, gp):
+    """`_pairing_block` of the flat form on the representatives of the
+    piece left at ghost g and of the piece right at ghost gp: the block of
+    the form on their flat coordinates, between the two."""
+    block = form.submatrix(left.index.get(g, []), right.index.get(gp, []))
+    return _pairing_block(block, left.reps(g), right.reps(gp))
 
 
 class _GhostSum:
@@ -104,12 +112,6 @@ class _GhostSum:
         for g, d in dims.items():
             self.offsets[g] = self.total
             self.total += d
-
-    def classes(self, piece, vec):
-        """The classes of the flat cocycle vec of a piece at each ghost, in a
-        sum of the piece's cohomologies."""
-        return {self.offsets[g] + i: v for g in self.offsets
-                for i, v in piece.class_coords(g, piece.local(g, vec)).items()}
 
     def pairing(self, block, partner):
         """The matrix with block(g) from ghost partner(g) to ghost g."""
@@ -160,9 +162,7 @@ class ReducedModel:
     def K(self):
         """ker pi per ghost: the unit vectors of the bulk coordinates that pi
         does not read, in increasing order."""
-        return {g: RatMatrix.from_columns([{j: 1} for j in self._unread_cols(g)],
-                                          self.bulk.dim(g))
-                for g in self.ghosts}
+        return {g: _unit_columns(self._unread_cols(g), self.bulk.dim(g)) for g in self.ghosts}
 
     @cached_property
     def vert(self):
@@ -198,14 +198,17 @@ class ReducedModel:
     def chi(self, g):
         """H^g(vert) -> H^g(bulk), induced by the inclusion."""
         if g not in self._chi:
-            vecs = [self.K[g].matvec(r) for r in self.vert.reps(g)]
+            reps = self.vert.reps(g)
+            # a ghost with no classes may be missing from the blocks
+            vecs = self.K[g] * reps if reps.cols else RatMatrix(self.bulk.dim(g), 0)
             self._chi[g] = self.bulk.class_matrix(g, vecs)
         return self._chi[g]
 
     def psi(self, g):
         """H^g(bulk) -> H^g(boundary), induced by the restriction."""
         if g not in self._psi:
-            vecs = [self.pi_blocks[g].matvec(r) for r in self.bulk.reps(g)]
+            reps = self.bulk.reps(g)
+            vecs = self.pi_blocks[g] * reps if reps.cols else RatMatrix(self.bdry.dim(g), 0)
             self._psi[g] = self.bdry.class_matrix(g, vecs)
         return self._psi[g]
 
@@ -213,15 +216,12 @@ class ReducedModel:
         """Connecting map H^g(boundary) -> H^{g-1}(vert) by zig-zag."""
         if g not in self._beta:
             reps = self.bdry.reps(g)
-            lift = self.lift(g) if reps else None
-            vecs = []
-            for y in reps:
-                qx = self.t.Q.matvec(self.bulk.flat(g, lift.matvec(y)))
-                v = self.vert.local(g - 1, qx)
-                if len(v) != len(qx):
-                    raise ModuliError("zig-zag image is not vertical")
-                vecs.append(v)
-            self._beta[g] = self.vert.class_matrix(g - 1, vecs)
+            x = self.lift(g) * reps if reps.cols else RatMatrix(self.bulk.dim(g), 0)
+            qx = self.t.Q * self.bulk.flat(g, x)
+            v = self.vert.local(g - 1, qx)
+            if v.nnz != qx.nnz:
+                raise ModuliError("zig-zag image is not vertical")
+            self._beta[g] = self.vert.class_matrix(g - 1, v)
         return self._beta[g]
 
     # --- pairings -----------------------------------------------------------
@@ -232,8 +232,7 @@ class ReducedModel:
         key = ("P1", g)
         if key not in self._pair:
             gp = self.pair_ghost() - g
-            self._pair[key] = _pairing_block(self.t.pair_bulk_mat, _flat_reps(self.vert, g),
-                                              _flat_reps(self.bulk, gp))
+            self._pair[key] = _piece_pairing(self.t.pair_bulk_mat, self.vert, g, self.bulk, gp)
         return self._pair[key]
 
     def pair_bulk_vert(self, g):
@@ -241,8 +240,7 @@ class ReducedModel:
         key = ("P2", g)
         if key not in self._pair:
             gp = self.pair_ghost() - g
-            self._pair[key] = _pairing_block(self.t.pair_bulk_mat, _flat_reps(self.bulk, g),
-                                              _flat_reps(self.vert, gp))
+            self._pair[key] = _piece_pairing(self.t.pair_bulk_mat, self.bulk, g, self.vert, gp)
         return self._pair[key]
 
     def pair_bdry_bdry(self, g):
@@ -251,8 +249,7 @@ class ReducedModel:
         key = ("Pd", g)
         if key not in self._pair:
             gp = self.pair_ghost() + 1 - g
-            self._pair[key] = _pairing_block(self.t.omega_bdry, _flat_reps(self.bdry, g),
-                                              _flat_reps(self.bdry, gp))
+            self._pair[key] = _piece_pairing(self.t.omega_bdry, self.bdry, g, self.bdry, gp)
         return self._pair[key]
 
     def perfect(self, pair, g):
@@ -313,14 +310,14 @@ def symp_moduli(model: ReducedModel):
     with Q_bdry."""
     msymp = model.msymp
     reps = {g: msymp.reps(g) for g in model.ghosts}
-    dims = {g: len(r) for g, r in reps.items() if model.bulk.dim(g)}
+    dims = {g: r.cols for g, r in reps.items() if model.bulk.dim(g)}
     # pi_*: M_symp -> EL of the boundary, on representatives: the one
     # product Q_bdry pi R = 0 puts the images in the boundary kernel, and
     # their (unique) coordinates are read at the kernel's free columns
     pi_star = {}
     for g in model.ghosts:
         el_b = model.bdry.kernel(g)
-        image = model.pi_blocks[g] * RatMatrix.from_columns(reps[g], model.bulk.dim(g))
+        image = model.pi_blocks[g] * reps[g]
         if not (model.bdry.q(g) * image).is_zero():
             raise ModuliError("pi_* image is not a boundary solution")
         pi_star[g] = _coords_of_columns(el_b, image)
@@ -330,11 +327,11 @@ def symp_moduli(model: ReducedModel):
     beta_square = True
     for g in model.ghosts:
         nb = model.bdry.dim(g)
-        rows = len(reps.get(g - 1, []))
+        rows = reps[g - 1].cols if g - 1 in reps else 0
         out = RatMatrix(rows, nb)
         if nb and g - 1 in reps:
             qlift = model.bulk.q(g) * model.lift(g)
-            out = msymp.class_matrix(g - 1, qlift.transpose().sparse_rows())
+            out = msymp.class_matrix(g - 1, qlift)
             # commuting square: pi_*(beta(eta)) = Q_bdry eta in EL_bdry
             if rows and model.pi_blocks[g - 1] * qlift != model.bdry.q(g):
                 beta_square = False
@@ -386,6 +383,8 @@ def lefschetz(model: ReducedModel):
     beta, and commutation of the chain-map square into the dual sequence."""
     t = model.t
     c = model.pair_ghost()
+    # (P_bdry pi)^T omega_bdry: the boundary pairing of P_bdry pi x with y
+    p_pi_omega = (t.P_bdry * t.pi).transpose() * t.omega_bdry
     verdicts = {
         "nondegenerate": True,
         "chi_self_adjoint": True,
@@ -414,8 +413,7 @@ def lefschetz(model: ReducedModel):
         # remaining square: P2 . beta = sign * [pair_bdry(P_bdry pi x, y)]
         bb = model.beta(c + 1 - g)
         lhs = p2 * bb
-        pxs = [t.P_bdry.matvec(t.pi.matvec(xf)) for xf in _flat_reps(model.bulk, g)]
-        w = _pairing_block(t.omega_bdry, pxs, _flat_reps(model.bdry, c + 1 - g))
+        w = _piece_pairing(p_pi_omega, model.bulk, g, model.bdry, c + 1 - g)
         if lhs != w.scale(t.adj_psi_sign):
             verdicts["dual_square_commutes"] = False
     return {"verdicts": verdicts}
@@ -449,9 +447,12 @@ def evolution_relation(model: ReducedModel):
     total = layout.total
     l_dim = sum(model.bulk.kernel(g).dim - model.vert.kernel(g).dim for g in model.ghosts)
     spans = {g: les.image(les.index[f"bdry@gh{g}"]) for g in model.ghosts}
-    reduced = Subspace._of(total, [
-        {layout.offsets[g] + i: v for i, v in b.items()} for g in model.ghosts
-        for b in spans[g].basis])
+    placed = RatMatrix(total, sum(s.dim for s in spans.values()))
+    col = 0
+    for g in model.ghosts:
+        placed.add_block(layout.offsets[g], col, spans[g].matrix())
+        col += spans[g].dim
+    reduced = Subspace._of(placed)
     c = model.pair_ghost()
 
     def partner(g):
@@ -552,10 +553,10 @@ def vacua(model: ReducedModel):
         if not (vac_reps[g].dim and vac_reps[gp].dim):
             return RatMatrix(vac_reps[g].dim, vac_reps[gp].dim)
         # the vertical preimages of all of Im chi(gp), from one elimination
-        pre = solve(model.chi(gp), vac_reps[gp].basis)
-        if None in pre:
+        pre = solve(model.chi(gp), vac_reps[gp].matrix())
+        if pre is None:
             raise ModuliError("vacua class has no vertical preimage")
-        return _pairing_block(model.pair_bulk_vert(g), vac_reps[g].basis, pre)
+        return _pairing_block(model.pair_bulk_vert(g), vac_reps[g].matrix(), pre)
 
     blocks = {g: induced(g) for g in model.ghosts if c - g in vac_reps}
     pairing = PairingForm(total, total, layout.pairing(blocks.__getitem__, lambda g: c - g))
@@ -592,14 +593,15 @@ def vacua_via_transversal(model: ReducedModel, lam: Subspace):
         raise NotLagrangian("lambda is not Lagrangian in the reduced boundary space")
     if lam.intersect(ev["reduced_L"]).dim != 0:
         raise NotTransversal("lambda meets the reduced evolution relation")
-    el = kernel_basis(t.Q)
+    el = kernel_basis(t.Q).matrix()
     comp_lam, lam_coords = quotient(Subspace.full(total), lam)
-    proj_off_lam = comp_lam.matrix() * lam_coords
-    cond = RatMatrix.from_columns(
-        [proj_off_lam.matvec(layout.classes(model.bdry, t.pi.matvec(b))) for b in el.basis],
-        total)
-    el_mat = el.matrix()
-    S = column_span([el_mat.matvec(k) for k in kernel_basis(cond).basis], t.bulk.total)
+    # the boundary class of pi b is psi of the class of b, ghost by ghost
+    classes = RatMatrix(total, el.cols)
+    for g in model.ghosts:
+        at_g = model.bulk.class_matrix(g, model.bulk.local(g, el))
+        classes.add_block(layout.offsets[g], 0, model.psi(g) * at_g)
+    cond = comp_lam.matrix() * lam_coords * classes
+    S = column_span(el * kernel_basis(cond).matrix())
     # the gauge directions inside S: image vectors have exact boundary
     # classes, hence lie in S whenever the class condition is lam-closed
     I = image_basis(t.Q)
@@ -613,25 +615,19 @@ def vacua_via_transversal(model: ReducedModel, lam: Subspace):
     # pairing agreement through the class map into Im chi
     agree_pairing = True
     if t.omega is not None and S.dim:
-        comp, _ = quotient(S, I)
-        imgs = []
-        for s in comp.basis:
-            col = {}
-            for g in model.ghosts:
-                coords = model.bulk.class_coords(g, model.bulk.local(g, s))
-                inv = vac["vac_reps"][g].coords(coords)
-                if inv is None:
-                    agree_pairing = False
-                    inv = {}
-                for i, v in inv.items():
-                    col[vac["offsets"][g] + i] = v
-            imgs.append(col)
-        for i, s1 in enumerate(comp.basis):
-            for j, s2 in enumerate(comp.basis):
-                lhs = vec_dot(s1, t.omega.matvec(s2))
-                rhs = vac["pairing"].value(imgs[i], imgs[j])
-                if lhs != rhs:
-                    agree_pairing = False
+        comp = quotient(S, I)[0].matrix()
+        # the classes of the complement, in the basis of Im chi at each ghost
+        imgs = RatMatrix(vac["pairing"].left_dim, comp.cols)
+        for g in model.ghosts:
+            inv = vac["vac_reps"][g]._coords_of(
+                model.bulk.class_matrix(g, model.bulk.local(g, comp)))
+            if inv is None:
+                agree_pairing = False
+            else:
+                imgs.add_block(vac["offsets"][g], 0, inv)
+        if _pairing_block(t.omega, comp, comp) != \
+                _pairing_block(vac["pairing"].matrix, imgs, imgs):
+            agree_pairing = False
     return {
         "S_dim": S.dim,
         "I_dim": I.dim,
@@ -675,28 +671,25 @@ def regularity(model: ReducedModel):
 
 
 def _cocycles(piece, ghosts):
-    """The kernel vectors of a piece at each ghost, as flat vectors."""
-    return [piece.flat(g, b) for g in ghosts for b in piece.kernel(g).basis]
-
-
-def _flat_reps(piece, g):
-    """The representatives of a piece at ghost g, as flat vectors."""
-    return [piece.flat(g, x) for x in piece.reps(g)]
+    """The kernel vectors of a piece at each ghost, as the flat columns of
+    one matrix."""
+    return _hstack(piece.total, [piece.flat(g, piece.kernel(g).matrix()) for g in ghosts])
 
 
 def _perp_defect(ghosts, form, space, ker, im):
-    """None when ker^perp (ker a flat basis, form on the field space `space`)
-    is the image that the piece im divides out; otherwise the gap, or the
-    slot of the first spanning column of that image not orthogonal to ker."""
-    gap = space.total - len(ker) - sum(im.kernel(g).dim - im.h_dim(g) for g in ghosts)
+    """None when ker^perp (ker a flat basis as the columns of a matrix, form
+    on the field space `space`) is the image that the piece im divides out;
+    otherwise the gap, or the slot of the first spanning column of that
+    image not orthogonal to ker."""
+    gap = space.total - ker.cols - sum(im.kernel(g).dim - im.h_dim(g) for g in ghosts)
     if gap:
         return {"gap": gap}
-    cols = [im.flat(g, c) for g in ghosts if g in im.ins
-            for c in im.ins[g].transpose().sparse_rows()]
+    cols = _hstack(space.total, [im.flat(g, im.ins[g]) for g in ghosts if g in im.ins])
     block = _pairing_block(form, cols, ker)
     if block.is_zero():
         return None
-    slot, local = space.slot_of(min(cols[min(i for i, _ in block.ints)]))
+    first = min(i for i, _ in block.ints)
+    slot, local = space.slot_of(min(i for i, j in cols.ints if j == first))
     return {"slot": (slot["sector"], slot["degree"], local)}
 
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .complexes import ChainMap, CochainComplex
-from .linalg import PairingForm, RatMatrix, _unread, vec_add
+from .linalg import PairingForm, RatMatrix, _unit_columns, _unread
 
 
 class SimplicialError(Exception):
@@ -282,8 +282,7 @@ class OrientedComplex:
         bc = self.boundary_complex()
         bcx = bc.cochain_complex() if bc.n_faces(0) else CochainComplex({}, {})
         inner = {k: self._interior_cols(k) for k in range(self.dimension + 1)}
-        incl_blocks = {k: RatMatrix.from_columns([{j: 1} for j in cols], self.n_faces(k))
-                       for k, cols in inner.items()}
+        incl_blocks = {k: _unit_columns(cols, self.n_faces(k)) for k, cols in inner.items()}
         diffs = {k: self.coboundary_matrix(k).submatrix(inner[k + 1], inner[k])
                  for k in range(self.dimension)}
         relc = CochainComplex({k: len(cols) for k, cols in inner.items()}, diffs)
@@ -361,31 +360,27 @@ class OrientedComplex:
                 left_reps = absc.cohomology(k)[1]
                 right_reps = relc.cohomology(n - k)[1]
                 lift_left, lift_right = None, incl.block(n - k)
-        def emb(m, v):
-            return m.matvec(v) if m is not None else v
-
-        def pairing(pert_l, pert_r):
-            mat = RatMatrix(len(left_reps), len(right_reps))
-            for i, a in enumerate(left_reps):
-                av = emb(lift_left, vec_add(a, pert_l))
-                for j, b in enumerate(right_reps):
-                    bv = emb(lift_right, vec_add(b, pert_r))
-                    mat[i, j] = self.evaluate_cup(k, av, n - k, bv)
+        def pairing(left, right):
+            left = left if lift_left is None else lift_left * left
+            right = right if lift_right is None else lift_right * right
+            mat = RatMatrix(left.cols, right.cols)
+            for i, a in enumerate(left.columns()):
+                for j, b in enumerate(right.columns()):
+                    mat[i, j] = self.evaluate_cup(k, a, n - k, b)
             return mat
 
-        mat = pairing({}, {})
-        if pairing(self._exact_perturbation(left_cx, k),
-                   self._exact_perturbation(right_cx, n - k)) != mat:
+        mat = pairing(left_reps, right_reps)
+        if pairing(left_reps + self._exact_perturbation(left_cx, k, left_reps.cols),
+                   right_reps + self._exact_perturbation(right_cx, n - k, right_reps.cols)) != mat:
             raise SimplicialError(
                 f"cohomology pairing in degree ({k},{n-k}) depends on representatives"
             )
         return PairingForm(mat.rows, mat.cols, mat)
 
-    def _exact_perturbation(self, cx, k):
-        if cx.dim(k - 1) == 0 or cx.dim(k) == 0:
-            return {}
-        u = {j: Fraction(1 + (j % 3)) for j in range(cx.dim(k - 1))}
-        return cx.d(k - 1).matvec(u)
+    def _exact_perturbation(self, cx, k, count):
+        """count copies, side by side, of one exact cochain of degree k."""
+        u = {(j, c): 1 + (j % 3) for j in range(cx.dim(k - 1)) for c in range(count)}
+        return cx.d(k - 1) * RatMatrix.of_ints(cx.dim(k - 1), count, u)
 
     # -- io --------------------------------------------------------------------
 

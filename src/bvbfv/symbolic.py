@@ -430,7 +430,7 @@ def _inverse(rows):
     n = len(rows)
     inv = [[Fraction(0)] * n for _ in range(n)]
     e = _left_inverse(RatMatrix.from_rows(rows, n))
-    for (a, b), v in e.matrix().entries.items():
+    for (a, b), v in e.entries.items():
         inv[a][b] = v
     return inv
 

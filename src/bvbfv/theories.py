@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from .complexes import GhostMismatch
-from .linalg import RatMatrix, vec_dot
+from .linalg import PairingForm, RatMatrix
 from .simplicial import OrientedComplex
 
 
@@ -186,7 +186,8 @@ class LinearTheory:
         return self.S_mat + self.S_mat.transpose()
 
     def pair_bulk(self, u, v):
-        return vec_dot(u, self.pair_bulk_mat.matvec(v))
+        n = self.bulk.total
+        return PairingForm(n, n, self.pair_bulk_mat).value(u, v)
 
     def __repr__(self):
         return (f"LinearTheory({self.name}, n={self.n}, D={self.D}, "

@@ -18,9 +18,10 @@ from bvbfv.gluing import (
     glue_moduli,
     mayer_vietoris,
 )
-from bvbfv.linalg import RatMatrix, _unread, kernel_basis, vec_add, vec_scale
+from bvbfv.linalg import RatMatrix, _unread, kernel_basis
 from bvbfv.moduli import ReducedModel
 from bvbfv.simplicial import OrientedComplex, _perm_sign
+from vectors import vec_add, vec_scale
 from bvbfv.theories import (
     build_abelian_bf,
     build_abelian_cs,
@@ -335,39 +336,41 @@ def test_fiber_coords_match_the_solve_route(make):
     ml, mr = gl.left.msymp, gl.right.msymp
     rho_l, rho_r = gl.rho
     for g in gl.left.ghosts:
-        system, mt = _fiber_product(rho_l, [ml.flat(g, r) for r in ml.reps(g)],
-                                    rho_r, [mr.flat(g, r) for r in mr.reps(g)])
+        system, mt = _fiber_product(rho_l, ml.flat(g, ml.reps(g)), rho_r, mr.flat(g, mr.reps(g)))
         inside = [{}, *mt.basis]
         inside += [vec_add(vec_scale(b, k + 1), inside[k]) for k, b in enumerate(mt.basis)]
-        assert _fiber_coords(system, mt, inside) == [mt.coords(v) for v in inside]
+        got = _fiber_coords(system, mt, RatMatrix.from_columns(inside, system.cols))
+        assert got.columns() == [mt.coords(v) for v in inside]
         for j in range(system.cols):
             unit = {j: Fraction(1)}
-            got = _fiber_coords(system, mt, [unit])
-            assert got == (None if mt.coords(unit) is None else [mt.coords(unit)])
+            got = _fiber_coords(system, mt, RatMatrix.from_columns([unit], system.cols))
+            assert (None if got is None else got.columns()) == \
+                (None if mt.coords(unit) is None else [mt.coords(unit)])
 
 
 @pytest.mark.parametrize("make", [spec_s3, spec_s2xs1])
 def test_beta_image_off_the_fiber_product_raises(make, monkeypatch):
     from bvbfv import gluing as gluing_module
 
-    orig = gluing_module._beta_value
+    orig = gluing_module._beta_block
     patched = []
 
-    def off(model, section, row, g):
-        # one entry moved along a left class that restricts to a nonzero
-        # interface field, so the pair no longer agrees on the interface
-        value = orig(model, section, row, g)
-        if not patched and model is gl.left:
+    def off(model, section, rows, g):
+        # one entry of the first interface field's image moved along a left
+        # class that restricts to a nonzero interface field, so the pair no
+        # longer agrees on the interface
+        value = orig(model, section, rows, g)
+        if not patched and model is gl.left and rows:
             msymp = model.msymp
-            seen = [k for k, rep in enumerate(msymp.reps(g - 1))
-                    if gl.rho[0].matvec(msymp.flat(g - 1, rep))]
+            on_iface = gl.rho[0] * msymp.flat(g - 1, msymp.reps(g - 1))
+            seen = sorted({k for _, k in on_iface.ints})
             if seen:
-                value = {**value, seen[0]: value.get(seen[0], 0) + 1}
-                patched.append(row)
+                value = value + RatMatrix.of_ints(value.rows, value.cols, {(seen[0], 0): 1})
+                patched.append(rows[0])
         return value
 
     gl = gluing(make()[0], build_abelian_cs)
-    monkeypatch.setattr(gluing_module, "_beta_value", off)
+    monkeypatch.setattr(gluing_module, "_beta_block", off)
     with pytest.raises(GluingError, match="beta-tilde image leaves the fiber product"):
         glue_moduli(gl)
     assert patched
@@ -438,7 +441,7 @@ def _flat_quotient(t, vert):
         pos = {f: i for i, f in enumerate(up)}
         cols = [q_up.matvec({pos[i]: v for i, v in b.items()})
                 for b in vert.basis if b and b.keys() <= pos.keys()]
-        reps[g] = quotient(kernel_basis(q), column_span(cols, len(idx)))[0].basis
+        reps[g] = quotient(kernel_basis(q), column_span(cols, len(idx)))[0].matrix()
     return reps
 
 
@@ -937,10 +940,8 @@ def pairings_by_pairs(gl):
     t, tl, tr = gl.glued.t, gl.left.t, gl.right.t
     for g in sorted(set(gl.left.ghosts) | set(gl.right.ghosts)):
         gp = gl.glued.pair_ghost() - g
-        for x in msymp.reps(g):
-            xf = msymp.flat(g, x)
-            for y in msymp.reps(gp):
-                yf = msymp.flat(gp, y)
+        for xf in msymp.flat(g, msymp.reps(g)).columns():
+            for yf in msymp.flat(gp, msymp.reps(gp)).columns():
                 if t.pair_bulk(xf, yf) != \
                         eps_l * tl.pair_bulk(res_l.matvec(xf), res_l.matvec(yf)) + \
                         eps_r * tr.pair_bulk(res_r.matvec(xf), res_r.matvec(yf)):

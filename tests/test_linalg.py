@@ -9,12 +9,9 @@ from hypothesis import assume, given, settings, strategies as st
 from bvbfv import linalg
 from bvbfv.linalg import (
     _echelon,
-    _int_combination,
-    _int_rows,
     _kernel_int,
     _left_inverse,
     _pivot_columns,
-    _primitive,
     _sparse_first,
     DimensionMismatch,
     LinalgError,
@@ -31,12 +28,9 @@ from bvbfv.linalg import (
     quotient,
     solve,
     two_sided_complement,
-    vec_add,
-    vec_dot,
-    vec_eq,
-    vec_scale,
 )
 from bvbfv.theories import FieldSpace, set_block
+from vectors import primitive as _primitive, vec_add, vec_eq, vec_scale
 
 
 # --- independent dense oracle (used only in tests) -------------------------
@@ -421,9 +415,10 @@ def test_solve_agrees_with_matvec(m, coeffs):
 @given(rational_low_rank_matrix(), st.data())
 def test_kernel_quotient_reads_what_quotient_solves(q, data):
     # the columns of m are rational combinations of ker q's basis, zero
-    # columns among them; read at the free columns, each gets the pair
-    # that _solve gives it, and the quotient is the one the solves give
-    from bvbfv.linalg import _coords_of_columns, _kernel_quotient, _read_coords
+    # columns among them; read at the free columns, each gets the
+    # coordinates that the solve gives it, and the quotient is the one the
+    # solves give
+    from bvbfv.linalg import _coords_of_columns, _kernel_quotient
 
     ker = kernel_basis(q)
     cols = []
@@ -433,9 +428,6 @@ def test_kernel_quotient_reads_what_quotient_solves(q, data):
             v = vec_add(v, vec_scale(b, data.draw(rational_entries)))
         cols.append(v)
     m = RatMatrix.from_columns(cols, q.cols)
-    read = _read_coords(ker, m)
-    assert list(read) == [j for j, v in enumerate(cols) if v]
-    assert all(read[j] == ker._solve(cols[j]) for j in read)
     assert _coords_of_columns(ker, m) == \
         RatMatrix.from_columns([ker.coords(v) for v in cols], ker.dim)
     comp, coords = quotient(ker, cols)
@@ -718,8 +710,9 @@ def test_row_rule_keeps_the_outputs_it_should(m, coeffs):
         sub = column_span(ker.basis[1:], m.cols)
         quotients = [quotient(Subspace.full(m.cols), ker), quotient(ker, sub)]
         x = solve(m, b)
-        return ([list(v.items()) for v in ker.basis], ker._inv.nums, ker._inv.dens,
-                x and list(x.items()), _pivot_columns(cols),
+        return ([list(v.items()) for v in ker.basis], list(ker._inv.ints.items()),
+                ker._inv.den, x and list(x.items()),
+                _pivot_columns(RatMatrix.from_columns(cols, m.rows)),
                 [([list(v.items()) for v in comp.basis], list(c.entries.items()))
                  for comp, c in quotients])
 
@@ -729,7 +722,7 @@ def test_row_rule_keeps_the_outputs_it_should(m, coeffs):
         assert outputs() == new
     # the lift may pick another left inverse, but it still is one
     basis = column_span(cols, m.rows).matrix()
-    assert _left_inverse(basis).matrix() * basis == RatMatrix.identity(basis.cols)
+    assert _left_inverse(basis) * basis == RatMatrix.identity(basis.cols)
 
 
 def _kernel_int_reference(rows, ncols, col_order=None):
@@ -754,9 +747,10 @@ def test_integer_kernel_read_off_matches_the_fraction_one(case):
     rows, order = case
     ncols = 1 + max([j for r in rows for j in r] + list(order or []), default=-1)
     got, free = _kernel_int(rows, ncols, order)
+    assert got.den == 1 and got.shape == (ncols, len(free))
+    got = got.columns()
     want = [_primitive(v) for v in _kernel_int_reference(rows, ncols, order)]
     assert [list(v.items()) for v in got] == [list(v.items()) for v in want]
-    assert all(type(x) is Fraction for v in got for x in v.values())
     assert len(free) == len(got) and all(f in v for f, v in zip(free, got))
 
 
@@ -772,17 +766,6 @@ def test_internal_subspaces_match_the_public_constructor(m):
         assert [list(v.items()) for v in s.basis] == \
             [list(v.items()) for v in public.basis]
         assert all(type(x) is Fraction and x for v in s.basis for x in v.values())
-
-
-fractions = st.builds(Fraction, st.integers(min_value=-6, max_value=6),
-                      st.integers(min_value=1, max_value=6))
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.dictionaries(st.integers(min_value=0, max_value=6),
-                                fractions.filter(bool), max_size=6), max_size=5))
-def test_int_rows_match_reference(rows):
-    assert _int_rows(rows) == _int_rows_reference(rows)
 
 
 def _matvec_reference(m, v):
@@ -1032,6 +1015,51 @@ def test_integral_hot_path_builds_no_fraction_map(monkeypatch):
     assert all(c.matvec(v) == {} for v in ker.basis)
 
 
+@pytest.mark.parametrize("name", ["torus", "solid_torus"])
+def test_class_map_path_builds_no_fraction(monkeypatch, name):
+    # kernels, representatives, chi, psi, beta and the three pairing
+    # blocks are integer columns and products of integer matrices: no
+    # Fraction is built for any of them
+    from bvbfv import complexes, corpus, moduli
+    from bvbfv.theories import build_abelian_cs
+
+    model = moduli.ReducedModel(build_abelian_cs(getattr(corpus, name)()))
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    for mod in (linalg, complexes, moduli):
+        monkeypatch.setattr(mod, "Fraction", counting, raising=False)
+    for g in model.ghosts:
+        for piece in (model.bulk, model.bdry, model.vert):
+            piece.kernel(g)
+            piece.reps(g)
+        model.chi(g), model.psi(g), model.beta(g)
+        model.pair_vert_bulk(g), model.pair_bulk_vert(g), model.pair_bdry_bdry(g)
+    assert built == []
+    assert any(model.bulk.h_dim(g) for g in model.ghosts)
+
+
+def test_builders_refuse_entries_off_the_shape():
+    # a nonzero entry outside the stated shape is refused when the matrix
+    # or the subspace is built, not by a later product
+    with pytest.raises(DimensionMismatch):
+        RatMatrix.from_columns([{5: 1}], 3)
+    with pytest.raises(DimensionMismatch):
+        RatMatrix.from_columns([{-1: 1}], 3)
+    with pytest.raises(DimensionMismatch):
+        RatMatrix.from_rows([{4: 1}], 3)
+    with pytest.raises(DimensionMismatch):
+        RatMatrix.from_rows([[0, 0, 0, 1]], 3)
+    for check in (True, False):
+        with pytest.raises(DimensionMismatch):
+            Subspace(3, [{4: 1}], check=check)
+    assert RatMatrix.from_columns([{2: 1}, {}], 3).shape == (3, 2)
+    assert RatMatrix.from_rows([[0, 1, 0, 0]], 2).entries == {(0, 1): 1}
+
+
 def test_set_block_overrun_raises():
     m = RatMatrix(3, 3)
     rows, cols = _block_spaces(m, 1, 1)
@@ -1071,7 +1099,7 @@ def _left_inverse_reference(m, keep):
         rr = dict(r)
         rr[m.cols + i] = Fraction(1)
         aug.append(rr)
-    pivots, red = _echelon(_int_rows(aug), col_order=list(range(m.cols)))
+    pivots, red = _echelon(_int_rows_reference(aug), col_order=list(range(m.cols)))
     assert len(pivots) == m.cols
     e = RatMatrix(keep, m.rows)
     for r, c in pivots:
@@ -1086,11 +1114,11 @@ def _quotient_reference(ambient, sub):
     """The two-elimination quotient: the pivot columns of [sub | ambient]
     decide containment and pick the complement, then the leading rows of a
     left inverse of [complement | sub] are the coordinate map."""
-    pivots = _pivot_columns(sub.basis + ambient.basis)
+    n = ambient.ambient_dim
+    pivots = _pivot_columns(RatMatrix.from_columns(sub.basis + ambient.basis, n))
     if len(pivots) != ambient.dim:
         raise SubspaceNotContained("sub is not inside ambient")
     complement = [ambient.basis[j - sub.dim] for j in pivots if j >= sub.dim]
-    n = ambient.ambient_dim
     coords = RatMatrix(0, n)
     if complement:
         bmat = RatMatrix.from_columns(complement + list(sub.basis), n)
@@ -1149,7 +1177,7 @@ def ambient_and_sub(draw):
         ambient = column_span(draw(st.lists(_vectors(n), max_size=5)), n)
     elif kind == "rational":
         vecs = draw(st.lists(_rational_vectors(n), max_size=4))
-        ambient = Subspace(n, [vecs[j] for j in _pivot_columns(vecs)])
+        ambient = Subspace(n, [vecs[j] for j in _pivot_columns(RatMatrix.from_columns(vecs, n))])
     else:
         ambient = Subspace.full(n)
     coeffs = st.lists(small_entries, min_size=ambient.dim, max_size=ambient.dim)
@@ -1179,37 +1207,37 @@ def test_quotient_matches_the_two_elimination_reference(case):
 
 
 def _identity_block_quotient_reference(ambient, sub):
-    """The one-elimination quotient with an identity block: with x = E s
-    for each basis vector s of the Subspace sub, eliminate the
-    m x (ns + m) system [x columns | I_m] (row k scaled by dens[k]), the x
-    columns sparse-first and then the unit columns in index order.  The
-    complement is the ambient basis at the unit pivot columns, and the unit
-    block of their rows, over their pivots and times E, is the coordinate
-    map."""
-    ys = []
+    """The one-elimination quotient with an identity block: with the
+    coordinates x = ambient.coords(s) of each basis vector s of the
+    Subspace sub, eliminate the m x (ns + m) system [x columns | I_m] (each
+    row cleared to integers), the x columns sparse-first and then the unit
+    columns in index order.  The complement is the ambient basis at the
+    unit pivot columns, and the unit block of their rows, over their
+    pivots and times the left inverse E, is the coordinate map."""
+    xs = []
     for s in sub.basis:
-        y, _ = ambient._solve(s)
-        if y is None:
+        x = ambient.coords(s)
+        if x is None:
             raise SubspaceNotContained("sub is not inside ambient")
-        ys.append(y)
-    inv = ambient._left_inv()
+        xs.append(x)
+    e_rows = ambient._left_inv().sparse_rows()
     m, ns = ambient.dim, sub.dim
-    rows = [{ns + k: d} for k, d in enumerate(inv.dens)]
-    for j, y in enumerate(ys):
-        for k, v in y.items():
+    rows = [{ns + k: Fraction(1)} for k in range(m)]
+    for j, x in enumerate(xs):
+        for k, v in x.items():
             rows[k][j] = v
-    order = _sparse_first([len(y) for y in ys]) + list(range(ns, ns + m))
-    pivots, red = _echelon(rows, order)
+    order = _sparse_first([len(x) for x in xs]) + list(range(ns, ns + m))
+    pivots, red = _echelon(_int_rows_reference(rows), order)
     comp_rows = sorted((c - ns, r) for r, c in pivots if c >= ns)
     coords = RatMatrix(len(comp_rows), ambient.ambient_dim)
     for k, (j, r) in enumerate(comp_rows):
-        unit = {c - ns: u for c, u in red[r].items() if c >= ns}
-        scale = lcm(*(inv.dens[c] for c in unit))
-        row = _int_combination((u * (scale // inv.dens[c]), inv.nums[c])
-                               for c, u in unit.items())
+        row = {}
+        for c, u in red[r].items():
+            if c >= ns:
+                row = vec_add(row, vec_scale(e_rows[c - ns], u))
         pv = red[r][ns + j]
         for i in sorted(row):
-            coords[k, i] = Fraction(row[i], pv * scale)
+            coords[k, i] = row[i] / pv
     return Subspace(ambient.ambient_dim, [ambient.basis[j] for j, _ in comp_rows],
                     check=False), coords
 
@@ -1256,15 +1284,20 @@ def test_quotient_rejects_a_spanning_list_with_one_outside_vector(case, data):
 @given(small_matrix(), st.data())
 def test_solve_of_a_list_matches_one_solve_per_vector(m, data):
     # free unknowns are 0 either way, so the solutions agree key for key;
-    # an inconsistent right-hand side gets None without spoiling the others
+    # the list is solved as the columns of one matrix, and an inconsistent
+    # right-hand side makes the whole answer None
     row = st.lists(small_entries, min_size=m.cols, max_size=m.cols)
     reachable = [m.matvec(sparse_vector(x)) for x in data.draw(st.lists(row, max_size=3))]
     free = st.lists(small_entries, min_size=m.rows, max_size=m.rows).map(sparse_vector)
     bs = data.draw(st.permutations(reachable + data.draw(st.lists(free, max_size=2))))
-    got = solve(m, bs)
+    got = solve(m, RatMatrix.from_columns(bs, m.rows))
     singles = [solve(m, b) for b in bs]
-    assert [x and list(x.items()) for x in got] == [x and list(x.items()) for x in singles]
-    for x, b in zip(got, bs):
+    if None in singles:
+        assert got is None
+    else:
+        assert got.shape == (m.cols, len(bs))
+        assert [list(x.items()) for x in got.columns()] == [list(x.items()) for x in singles]
+    for x, b in zip(singles, bs):
         if any(b is r for r in reachable):
             assert x is not None
         if x is not None:
@@ -1289,10 +1322,10 @@ def test_kernel_coords_match_a_fresh_left_inverse(m, data):
 @settings(max_examples=200, deadline=None)
 @given(small_matrix())
 def test_sparse_first_bases_span_the_index_order_ones(m):
-    ker, _ = _kernel_int(_int_rows(m.sparse_rows()), m.cols)
-    assert kernel_basis(m) == Subspace(m.cols, [_primitive(v) for v in ker])
+    ker, _ = _kernel_int(_int_rows_reference(m.sparse_rows()), m.cols)
+    assert kernel_basis(m) == Subspace(m.cols, ker.columns())
     cols = m.transpose().sparse_rows()
-    piv, _ = _echelon(_int_rows(cols))
+    piv, _ = _echelon(_int_rows_reference(cols))
     index_order = Subspace(m.rows, [cols[r] for r, _ in piv])
     assert image_basis(m) == index_order
     assert image_basis(m).dim == dense_rank(dense(m))

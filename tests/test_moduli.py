@@ -127,7 +127,7 @@ def test_pi_star_maps_reps_to_their_restrictions(build, cx):
     model = ReducedModel(build(getattr(corpus, cx)()))
     pi_star = symp_moduli(model)["pi_star"]
     for g in model.ghosts:
-        images = [model.pi_blocks[g].matvec(rep) for rep in model.msymp.reps(g)]
+        images = [model.pi_blocks[g].matvec(rep) for rep in model.msymp.reps(g).columns()]
         want = RatMatrix.from_columns(images, model.bdry.dim(g))
         assert model.bdry.kernel(g).matrix() * pi_star[g] == want
 
@@ -156,7 +156,9 @@ def test_cs_torus_times_interval_vacua_from_les():
     assert all(d == 0 for d in v["dims"].values())
 
 
-def test_cs_solid_torus_transversal_lambda_agreement():
+def test_cs_solid_torus_transversal_lambda_agreement(monkeypatch):
+    from bvbfv import complexes
+
     model = ReducedModel(cs_solid_torus())
     ev = evolution_relation(model)
     total = ev["pairing"].left_dim
@@ -179,10 +181,21 @@ def test_cs_solid_torus_transversal_lambda_agreement():
         if len(lam_basis) == total - lred.dim:
             break
     lam = Subspace(total, lam_basis)
+    # the class condition is one class_matrix per ghost times psi, with no
+    # class coordinates of single vectors
+    calls = []
+    coords = complexes._GradedPiece.class_coords
+
+    def recording(self, g, vec):
+        calls.append(g)
+        return coords(self, g, vec)
+
+    monkeypatch.setattr(complexes._GradedPiece, "class_coords", recording)
     out = vacua_via_transversal(model, lam)
     assert out["agrees_with_vacua_dim"]
     assert out["agrees_with_vacua_pairing"]
     assert out["reduced_dim"] == 0
+    assert calls == []
 
 
 def test_transversal_lambda_negative():
@@ -506,11 +519,12 @@ def graded_pieces(request):
 def test_class_coords_match_a_fresh_solve(graded_pieces):
     # the cached leading rows of one left inverse per degree against the
     # direct route: solve [reps | image] x = v and keep the rep coordinates
-    from bvbfv.linalg import RatMatrix, solve, vec_add, vec_scale
+    from bvbfv.linalg import RatMatrix, solve
+    from vectors import vec_add, vec_scale
 
     for piece, degrees in graded_pieces:
         for g in degrees:
-            reps = piece.reps(g)
+            reps = piece.reps(g).columns()
             m = piece.ins.get(g)
             im = image_basis(m).basis if m is not None and piece.dim(g) else []
             mat = RatMatrix.from_columns(list(reps) + list(im), piece.dim(g))
@@ -550,7 +564,7 @@ def test_class_matrix_matches_class_coords_per_column():
         model = ReducedModel(build_pair(theory, name))
         for piece in (model.bulk, model.bdry, model.vert, model.msymp):
             for g in model.ghosts:
-                cocycles = piece.kernel(g).basis + piece.reps(g)
+                cocycles = piece.kernel(g).basis + piece.reps(g).columns()
                 mixed = {}
                 for k, v in enumerate(cocycles):
                     for i, x in v.items():
@@ -558,7 +572,7 @@ def test_class_matrix_matches_class_coords_per_column():
                 vectors = cocycles + [{i: x for i, x in mixed.items() if x}]
                 want = RatMatrix.from_columns(
                     [piece.class_coords(g, v) for v in vectors], piece.h_dim(g))
-                got = piece.class_matrix(g, vectors)
+                got = piece.class_matrix(g, RatMatrix.from_columns(vectors, piece.dim(g)))
                 assert got.shape == (piece.h_dim(g), len(vectors))
                 assert got == want, (theory, name, piece.name, g)
                 q = piece.q(g)
@@ -567,7 +581,8 @@ def test_class_matrix_matches_class_coords_per_column():
                 (_, j), = [next(iter(q.ints))]
                 msg = f"vector is not a {piece.name} cocycle class in degree {g}"
                 with pytest.raises(ModuliError, match=re.escape(msg)):
-                    piece.class_matrix(g, vectors + [{j: Fraction(1)}])
+                    piece.class_matrix(g, RatMatrix.from_columns(vectors + [{j: Fraction(1)}],
+                                                                 piece.dim(g)))
 
 
 def test_lift_is_a_right_inverse_of_pi(reduced_model):
@@ -579,7 +594,8 @@ def test_lift_is_a_right_inverse_of_pi(reduced_model):
 
 
 def test_pairing_blocks_match_per_cell_evaluation(reduced_model):
-    from bvbfv.linalg import RatMatrix, vec_dot
+    from bvbfv.linalg import RatMatrix
+    from vectors import vec_dot
 
     m, t = reduced_model, reduced_model.t
     c = m.pair_ghost()
@@ -589,13 +605,13 @@ def test_pairing_blocks_match_per_cell_evaluation(reduced_model):
         return [{idx[i]: v for i, v in vec.items()} for vec in vecs]
 
     def vert(g):
-        return flat(t.bulk, g, [m.K[g].matvec(u) for u in m.vert.reps(g)])
+        return flat(t.bulk, g, [m.K[g].matvec(u) for u in m.vert.reps(g).columns()])
 
     def bulk(g):
-        return flat(t.bulk, g, m.bulk.reps(g))
+        return flat(t.bulk, g, m.bulk.reps(g).columns())
 
     def bdry(g):
-        return flat(t.bdry, g, m.bdry.reps(g))
+        return flat(t.bdry, g, m.bdry.reps(g).columns())
 
     def pair_bdry(u, v):
         return vec_dot(u, t.omega_bdry.matvec(v))
@@ -711,8 +727,14 @@ def test_evolution_relation_matches_the_flat_route(theory, name):
     t = model.t
     flat_l = column_span([t.pi.matvec(b) for b in kernel_basis(t.Q).basis], t.bdry.total)
     layout = _bdry_sum(model)
-    flat_reduced = column_span([layout.classes(model.bdry, b) for b in flat_l.basis],
-                               layout.total)
+
+    def classes(piece, vec):
+        # the classes of the flat cocycle vec at each ghost, one vector at a time
+        col = RatMatrix.from_columns([vec], piece.total)
+        return {layout.offsets[g] + i: v for g in layout.offsets
+                for i, v in piece.class_coords(g, piece.local(g, col).columns()[0]).items()}
+
+    flat_reduced = column_span([classes(model.bdry, b) for b in flat_l.basis], layout.total)
     ev = evolution_relation(model)
     assert ev["L_dim"] == flat_l.dim
     assert ev["reduced_L"] == flat_reduced
@@ -901,15 +923,16 @@ def pairing_case(draw):
 @settings(max_examples=150, deadline=None)
 @given(pairing_case())
 def test_pairing_block_matches_per_entry_evaluation(case):
-    from bvbfv.linalg import vec_dot
     from bvbfv.moduli import _pairing_block
+    from vectors import vec_dot
 
     form, left, right = case
     want = RatMatrix(len(left), len(right))
     for i, x in enumerate(left):
         for j, y in enumerate(right):
             want[i, j] = vec_dot(x, form.matvec(y))
-    got = _pairing_block(form, left, right)
+    got = _pairing_block(form, RatMatrix.from_columns(left, form.rows),
+                         RatMatrix.from_columns(right, form.cols))
     assert got == want
     assert all(type(v) is Fraction and v for v in got.entries.values())
 
@@ -1016,7 +1039,7 @@ def reps_by_the_solve_route(piece, g):
     m = piece.ins.get(g)
     cols = [] if m is None else m.transpose().sparse_rows()
     comp, coords = quotient(kernel_basis(piece.q(g)), cols)
-    return comp.basis, list(coords.entries.items())
+    return comp.matrix(), list(coords.entries.items())
 
 
 def assert_reps_match_the_solve_route(pieces, ghosts):
@@ -1112,8 +1135,8 @@ def flat_im_q_vert(model):
     """Im Q^vert in the flat bulk space: the column span of Q K, with the
     columns of each K[g] embedded at ghost g."""
     t = model.t
-    return column_span([t.Q.matvec(model.bulk.flat(g, k)) for g in model.ghosts
-                        for k in model.K[g].transpose().sparse_rows()], t.bulk.total)
+    return column_span([t.Q.matvec(k) for g in model.ghosts
+                        for k in model.bulk.flat(g, model.K[g]).columns()], t.bulk.total)
 
 
 def complement_route_checks(model):
@@ -1123,9 +1146,10 @@ def complement_route_checks(model):
 
     t = model.t
     p = PairingForm(t.bulk.total, t.bulk.total, t.omega)
-    ker_qv = Subspace._of(t.bulk.total, [
-        model.bulk.flat(g, model.K[g].matvec(b))
-        for g in model.ghosts for b in model.vert.kernel(g).basis])
+    ker_qv = Subspace(t.bulk.total, [
+        b for g in model.ghosts
+        for b in model.bulk.flat(g, model.K[g] * model.vert.kernel(g).matrix()).columns()],
+        check=False)
     checks = {
         "ker_q_perp_is_im_q_vert":
             two_sided_complement(p, kernel_basis(t.Q)) == flat_im_q_vert(model),
@@ -1390,7 +1414,7 @@ def test_vertical_complex_matches_the_eliminated_route(theory, name):
     ker, vert = eliminated_vertical(model)
     for g, pi in model.pi_blocks.items():
         assert model.K[g] == ker[g].matrix()
-        assert model.lift(g) == _left_inverse(pi.transpose()).matrix().transpose()
+        assert model.lift(g) == _left_inverse(pi.transpose()).transpose()
     for g in range(min(model.ghosts) - 1, max(model.ghosts) + 1):
         assert model.vert.q(g) == vert.q(g)
         assert model.vert.reps(g) == vert.reps(g)

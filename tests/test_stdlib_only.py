@@ -1,15 +1,24 @@
-"""The package imports nothing outside the standard library, and each
-module uses every name it imports."""
+"""The package and the scripts import nothing outside the standard
+library (the scripts may import the repository's own modules), and each
+file uses every name it imports.  Each script also runs, on a small
+input, in a subprocess."""
 
 import ast
 import os
+import subprocess
 import sys
 
 import pytest
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                   "src", "bvbfv")
-MODULES = sorted(f for f in os.listdir(SRC) if f.endswith(".py"))
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src", "bvbfv")
+SCRIPTS = os.path.join(ROOT, "scripts")
+# (path, the names outside the standard library that it may import)
+FILES = [(os.path.join(SRC, f), set()) for f in sorted(os.listdir(SRC)) if f.endswith(".py")]
+FILES += [(os.path.join(SCRIPTS, f), {"bvbfv", "workloads", "corpus_report"})
+          for f in sorted(os.listdir(SCRIPTS)) if f.endswith(".py")]
+# a module of the package by its file name, a script by its path
+IDS = [os.path.relpath(path, ROOT if own else SRC) for path, own in FILES]
 
 
 def absolute_imports(path):
@@ -22,11 +31,11 @@ def absolute_imports(path):
             yield node.module
 
 
-@pytest.mark.parametrize("module", MODULES)
-def test_imports_only_the_standard_library(module):
-    outside = [name for name in absolute_imports(os.path.join(SRC, module))
-               if name.split(".")[0] not in sys.stdlib_module_names]
-    assert not outside, f"{module} imports {outside}"
+@pytest.mark.parametrize("path,own", FILES, ids=IDS)
+def test_imports_only_the_standard_library(path, own):
+    outside = [name for name in absolute_imports(path)
+               if name.split(".")[0] not in sys.stdlib_module_names | own]
+    assert not outside, f"{path} imports {outside}"
 
 
 def unused_imports(path):
@@ -44,7 +53,25 @@ def unused_imports(path):
     return [name for name in bound if name not in read]
 
 
-@pytest.mark.parametrize("module", MODULES)
-def test_imports_no_name_it_never_uses(module):
-    unused = unused_imports(os.path.join(SRC, module))
-    assert not unused, f"{module} never uses {unused}"
+@pytest.mark.parametrize("path,own", FILES, ids=IDS)
+def test_imports_no_name_it_never_uses(path, own):
+    unused = unused_imports(path)
+    assert not unused, f"{path} never uses {unused}"
+
+
+def run_script(*argv):
+    return subprocess.run([sys.executable, os.path.join(SCRIPTS, argv[0]), *argv[1:]],
+                          cwd=ROOT, capture_output=True, text=True, timeout=300)
+
+
+def test_ladder_runs_the_smallest_rung():
+    out = run_script("ladder.py", "--theory", "bf", "--m", "3", "-k", "1")
+    assert out.returncode == 0, out.stderr
+    theory, m, _, _, digest = out.stdout.splitlines()[-1].split()
+    assert (theory, m) == ("bf", "3") and len(digest) == 64
+
+
+def test_ab_compare_runs_one_glue_pass_against_itself():
+    out = run_script("ab_compare.py", ROOT, ROOT, "glue", "1")
+    assert out.returncode == 0, out.stderr
+    assert "reference mismatches: 0" in out.stdout.splitlines()
