@@ -14,10 +14,12 @@ third, ... pass and B first in the others, so that a drift of the host's
 speed falls on both sides alike.  Every run's exit code and
 structured-report sha256 are checked against `perfbench/reference.json`.
 
-Printed: per op, the minimum wall time of each side and their ratio B/A;
-then per side the median pass time (sum of its ops' wall times in one
-pass), the ratio of the medians, and the number of passes in which B took
-less time than A.  Exits 2 when any run differs from its reference.
+Printed: per op, the minimum wall time of each side and their ratio B/A,
+and the same for CPU time (`time.process_time`), which a busy host moves
+less than wall time; then per side the median pass time (sum of its ops'
+wall times in one pass), the ratio of the medians, and the number of
+passes in which B took less time than A, and the same for CPU pass times.
+Exits 2 when any run differs from its reference.
 Needs the standard library only.
 """
 
@@ -40,6 +42,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 from workloads import WORKLOADS  # noqa: E402
+
+CLOCKS = ("wall", "cpu")
 
 
 def _ours(name):
@@ -74,15 +78,15 @@ def load(checkout):
 
 
 def run_op(side, argv, out):
-    """One CLI call on a side; returns (wall s, exit code or exception
-    name, sha256 of the structured report or None)."""
+    """One CLI call on a side; returns (wall s, CPU s, exit code or
+    exception name, sha256 of the structured report or None)."""
     cli, modules = side
     _drop_modules()
     sys.modules.update(modules)
     if os.path.exists(out):
         os.remove(out)
     sink = io.StringIO()
-    t0 = time.perf_counter()
+    t0, c0 = time.perf_counter(), time.process_time()
     try:
         with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
             code = cli.main([*argv, "--format", "structured", "--out", out])
@@ -90,12 +94,12 @@ def run_op(side, argv, out):
         code = e.code
     except Exception as e:  # a crash is the op's result, recorded by name
         code = type(e).__name__
-    wall = time.perf_counter() - t0
+    wall, cpu = time.perf_counter() - t0, time.process_time() - c0
     digest = None
     if os.path.exists(out):
         with open(out, "rb") as fh:
             digest = hashlib.sha256(fh.read()).hexdigest()
-    return wall, code, digest
+    return wall, cpu, code, digest
 
 
 def main(argv=None):
@@ -115,8 +119,9 @@ def main(argv=None):
     # ops name corpus files relative to a checkout root
     os.chdir(ROOT)
     rng = random.Random(args.seed)
-    times = {s: {i: [] for i in range(len(ops))} for s in sides}
-    passes = {s: [] for s in sides}
+    # per clock ("wall", "cpu"): per side, per op its times, and pass totals
+    times = {c: {s: {i: [] for i in range(len(ops))} for s in sides} for c in CLOCKS}
+    passes = {c: {s: [] for s in sides} for c in CLOCKS}
     mismatches = 0
     tmp = tempfile.mkdtemp(prefix="ab_compare-")
     out = os.path.join(tmp, "op.json")
@@ -124,30 +129,39 @@ def main(argv=None):
         for k in range(args.n):
             order = list(range(len(ops)))
             rng.shuffle(order)
-            total = dict.fromkeys(sides, 0.0)
+            total = {c: dict.fromkeys(sides, 0.0) for c in CLOCKS}
             for i in order:
                 want = ref[" ".join(ops[i])]
                 for s in ("A", "B") if k % 2 == 0 else ("B", "A"):
-                    wall, code, digest = run_op(sides[s], ops[i], out)
+                    *spent, code, digest = run_op(sides[s], ops[i], out)
                     if code != want["exit"] or digest != want["sha256"]:
                         mismatches += 1
                         print(f"mismatch {s}: {' '.join(ops[i])}: exit {code}")
-                    times[s][i].append(wall)
-                    total[s] += wall
-            for s in sides:
-                passes[s].append(total[s])
-            print(f"pass {k + 1}/{args.n}: A {total['A']:.4f} s  B {total['B']:.4f} s",
+                    for c, t in zip(CLOCKS, spent):
+                        times[c][s][i].append(t)
+                        total[c][s] += t
+            for c in CLOCKS:
+                for s in sides:
+                    passes[c][s].append(total[c][s])
+            wall = total["wall"]
+            print(f"pass {k + 1}/{args.n}: A {wall['A']:.4f} s  B {wall['B']:.4f} s",
                   flush=True)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
-    print(f"{'A min s':>10} {'B min s':>10} {'B/A':>7}  op")
+    print(f"{'A min s':>10} {'B min s':>10} {'B/A':>7} "
+          f"{'A cpu s':>10} {'B cpu s':>10} {'B/A':>7}  op")
     for i, op in enumerate(ops):
-        a, b = min(times["A"][i]), min(times["B"][i])
-        print(f"{a:10.4f} {b:10.4f} {b / a:7.3f}  {' '.join(op)}")
-    ma, mb = statistics.median(passes["A"]), statistics.median(passes["B"])
-    won = sum(b < a for a, b in zip(passes["A"], passes["B"]))
-    print(f"pass_s median: A {ma:.4f} s  B {mb:.4f} s  B/A {mb / ma:.3f}  "
-          f"B faster in {won} of {args.n} passes")
+        cols = []
+        for c in CLOCKS:
+            a, b = min(times[c]["A"][i]), min(times[c]["B"][i])
+            cols.append(f"{a:10.4f} {b:10.4f} {b / a if a else float('nan'):7.3f}")
+        print(f"{' '.join(cols)}  {' '.join(op)}")
+    for c, label in zip(CLOCKS, ("pass_s", "cpu pass_s")):
+        pa, pb = passes[c]["A"], passes[c]["B"]
+        ma, mb = statistics.median(pa), statistics.median(pb)
+        won = sum(b < a for a, b in zip(pa, pb))
+        print(f"{label} median: A {ma:.4f} s  B {mb:.4f} s  B/A {mb / ma:.3f}  "
+              f"B faster in {won} of {args.n} passes")
     print(f"reference mismatches: {mismatches}")
     return 2 if mismatches else 0
 

@@ -15,6 +15,10 @@ alone, so a shared result is the one the piece would have computed.  The
 memo lives as long as the scope and is dropped when it closes, so no op
 reads another op's eliminations; with no scope open every piece
 eliminates its own blocks.
+
+A piece also clears: its kernels and class spaces read only the rows or
+columns of a block that a neighbouring kernel it holds leaves independent
+(see `_GradedPiece`); memo keys stay the whole blocks' content.
 """
 
 from __future__ import annotations
@@ -24,7 +28,11 @@ from contextlib import contextmanager
 from .linalg import (
     RatMatrix,
     Subspace,
+    SubspaceNotContained,
+    _coords_of_columns,
+    _free_columns,
     _kernel_quotient,
+    _quotient_of_coords,
     image_basis,
     kernel_basis,
     quotient,
@@ -108,23 +116,42 @@ class _GradedPiece:
     move the columns of a matrix between the two.  Other pieces have no
     index.
 
+    Each piece is the cohomology of one differential (`of_differential`)
+    of step s: q(g) maps degree g to g + s, and ins[g] = q(g - s) unless
+    the piece is taken `modulo` other maps.  `_closed(g)` makes the
+    product q(g + s) q(g) once per degree.  When it is zero, a piece
+    clears with a neighbouring kernel that it already holds, never with
+    one eliminated for the purpose:
+    - kernel(g) eliminates only the rows of q(g) at the free columns of
+      kernel(g + s): the columns of q(g) lie in that kernel, so their
+      entries at its pivot columns are combinations of those at its free
+      columns;
+    - the class space at g takes only the columns of ins[g] at the pivot
+      columns of kernel(g - s), which span its image.
+    Neither changes a result: kernel_basis keeps the column order of the
+    whole block, and the quotient depends on span(ins[g]) alone.  A piece
+    taken modulo other maps shares the kernels, and so their clearing, but
+    divides out its own maps with all their columns.
+
     kernel(g) and reps(g) are kept per piece.  A piece that misses one
     inside `shared_eliminations()` first asks the scope's memo, keyed by
-    the content of q(g) for the kernel and of q(g) and ins[g] for the
-    class space, and leaves there what it computes; the memo is dropped
-    with the scope.  Shared kernels, representative lists and coordinate
-    maps are read, never changed, by every caller."""
+    the content of the whole q(g) for the kernel and of q(g) and ins[g]
+    for the class space, and leaves there what it computes; the memo is
+    dropped with the scope.  Shared kernels, representative lists and
+    coordinate maps are read, never changed, by every caller."""
 
-    def __init__(self, name, dims, outs, ins, error=ComplexError):
+    def __init__(self, name, dims, outs, ins, step, error=ComplexError):
         self.name = name
         self.dims = dims
         self.outs = outs
         self.ins = ins
         self.error = error
+        self.step = step
         self.index = None
         self.total = None
         self._pos = {}
         self._ker = {}
+        self._zero = {}
         self._reps = {}
         self._coords = {}
 
@@ -132,14 +159,14 @@ class _GradedPiece:
     def of_differential(cls, name, dims, diffs, step, error=ComplexError):
         """The cohomology of one differential: diffs[g] maps degree g to
         degree g + step."""
-        return cls(name, dims, diffs, {g + step: m for g, m in diffs.items()}, error)
+        return cls(name, dims, diffs, {g + step: m for g, m in diffs.items()}, step, error)
 
     def modulo(self, name, ins):
         """The same cocycles modulo the images of other maps into them.
         The kernels are shared, so each is eliminated once for both."""
-        piece = _GradedPiece(name, self.dims, self.outs, ins, self.error)
+        piece = _GradedPiece(name, self.dims, self.outs, ins, self.step, self.error)
         piece.index, piece.total = self.index, self.total
-        piece._pos, piece._ker = self._pos, self._ker
+        piece._pos, piece._ker, piece._zero = self._pos, self._ker, self._zero
         return piece
 
     def dim(self, g):
@@ -150,30 +177,56 @@ class _GradedPiece:
         m = self.outs.get(g)
         return RatMatrix.zero(0, self.dim(g)) if m is None else m
 
+    def _closed(self, g):
+        """Whether q(g + step) q(g) = 0: the one product, made once per
+        degree, that puts the image of q(g) in the cocycles at g + step."""
+        if g not in self._zero:
+            self._zero[g] = (self.q(g + self.step) * self.q(g)).is_zero()
+        return self._zero[g]
+
     def kernel(self, g):
-        """ker q(g), the cocycles at g."""
+        """ker q(g), the cocycles at g, cleared with kernel(g + step) when
+        the piece holds it (see the class docstring)."""
         if g not in self._ker:
             q = self.q(g)
-            self._ker[g] = _shared("ker", (q,), lambda: kernel_basis(q))
+
+            def make():
+                held = self._ker.get(g + self.step)
+                rows = _free_columns(held) if held is not None and self._closed(g) else None
+                return kernel_basis(q, rows)
+
+            self._ker[g] = _shared("ker", (q,), make)
         return self._ker[g]
 
     def reps(self, g):
         """Representatives of the classes at g, a complement of the image
-        in the kernel, as the columns of one matrix.  The quotient takes the columns of ins[g], which
-        span the image, so no image basis is eliminated here, and no column
-        is solved for: the one product q(g) ins[g] = 0 decides that the
-        image lies in the kernel (SubspaceNotContained otherwise), and each
-        column's kernel coordinates are its entries at the kernel's free
-        columns (see `linalg._kernel_quotient`)."""
+        in the kernel, as the columns of one matrix (see `_class_space`)."""
         if g not in self._reps:
             if self.dim(g) == 0:
                 self._reps[g], self._coords[g] = RatMatrix(0, 0), RatMatrix(0, 0)
             else:
-                q, ins = self.q(g), self.ins.get(g)
                 comp, self._coords[g] = _shared(
-                    "cls", (q, ins), lambda: _kernel_quotient(q, self.kernel(g), ins))
+                    "cls", (self.q(g), self.ins.get(g)), lambda: self._class_space(g))
                 self._reps[g] = comp.matrix()
         return self._reps[g]
+
+    def _class_space(self, g):
+        """The complement and coordinate map of ker q(g) / Im ins[g] from
+        the columns of ins[g], as `linalg._kernel_quotient` makes them.
+        For the piece's own differential, its product q(g) ins[g] = 0 is
+        `_closed(g - step)` and ins[g] is cleared (see the class
+        docstring)."""
+        q, ins, ker = self.q(g), self.ins.get(g), self.kernel(g)
+        # a piece taken modulo other maps has ins[g] of its own
+        if ins is None or ins is not self.outs.get(g - self.step):
+            return _kernel_quotient(q, ker, ins)
+        if not self._closed(g - self.step):
+            raise SubspaceNotContained("sub is not inside ambient")
+        held = self._ker.get(g - self.step)
+        if held is not None:
+            free = set(_free_columns(held))
+            ins = ins.submatrix(range(ins.rows), [j for j in range(ins.cols) if j not in free])
+        return _quotient_of_coords(ker, _coords_of_columns(ker, ins))
 
     def h_dim(self, g):
         return self.reps(g).cols
@@ -306,24 +359,18 @@ class ExactSequenceReport:
     """A finite sequence of spaces and maps that verifies its own exactness.
 
     nodes: list of (name, dim); maps[i]: nodes[i] -> nodes[i+1].  The
-    sequence is treated as starting and ending at zero.  kernel(i) (of the
-    map out of node i) and image(i) (of the map into node i) are each
-    eliminated once and kept, so a phase that reads them off the sequence
-    eliminates nothing again; index maps a node's name to its position."""
+    sequence is treated as starting and ending at zero.  image(i), of the
+    map into node i, is eliminated once and kept, so a phase that reads it
+    off the sequence eliminates nothing again; the verdicts read only the
+    images' dimensions (see `verify_exactness`), so no kernel is
+    eliminated.  index maps a node's name to its position."""
 
     def __init__(self, nodes, maps):
         self.nodes = nodes
         self.maps = maps
         self.index = {name: i for i, (name, _) in enumerate(nodes)}
-        self._ker = {}
         self._im = {}
         self.verdicts = verify_exactness(self)  # verdicts[i] is node i+1
-
-    def kernel(self, i):
-        if i not in self._ker:
-            self._ker[i] = kernel_basis(self.maps[i]) if i < len(self.maps) \
-                else Subspace.full(self.nodes[i][1])
-        return self._ker[i]
 
     def image(self, i):
         if i not in self._im:
@@ -351,8 +398,13 @@ class ExactSequenceReport:
 
 
 def verify_exactness(seq: ExactSequenceReport):
-    """Exactness (Im = ker) at every interior node of a sequence."""
-    return [seq.image(i) == seq.kernel(i) for i in range(1, len(seq.nodes) - 1)]
+    """Exactness (Im = ker) at every interior node i of a sequence, by
+    ranks: Im maps[i-1] lies in ker maps[i] exactly when the composite
+    maps[i] maps[i-1] is zero, and then the two are equal exactly when
+    dim Im maps[i-1] = dim node(i) - dim Im maps[i]."""
+    return [(seq.maps[i] * seq.maps[i - 1]).is_zero()
+            and seq.image(i).dim == seq.nodes[i][1] - seq.image(i + 1).dim
+            for i in range(1, len(seq.nodes) - 1)]
 
 
 def _check_pair(rel_inclusion: ChainMap, restriction: ChainMap):

@@ -24,11 +24,9 @@ There is one elimination core, `_echelon`: fraction-free (integer row
 combinations after clearing denominators) Gauss-Jordan with a fixed pivot
 rule, so all bases are deterministic across runs.  Kernels, images,
 solutions, spanning subsets, quotients, left inverses and ranks all read
-its output.  It copies the caller's rows once and then updates each row
-in place: a row with entry rv under the pivot pv becomes (pv/g) row -
-(rv/g) pivot row, g = gcd(pv, rv), divided by its content, which is the
-primitive row, in the same key order, that pv row - rv pivot row gives.
-A column that only the pivot row holds needs no update.
+its output.  It updates one copy of the rows in place, and a column ->
+rows index of the columns not yet visited finds each pivot and the rows
+it updates, so no work is done on a column once it is visited.
 
 Kernels and images eliminate in a static sparse-first order (the columns
 of the system by ascending nonzero count, ties by index), which keeps
@@ -64,6 +62,9 @@ Each question about spans costs at most one elimination, in integers:
   rows at the kernel's free columns.
 - The complement under a symmetric or antisymmetric pairing is one
   kernel, since its left and right complements coincide.
+- A kernel asked with rows that span the matrix's row space (the caller
+  knows which) eliminates only those rows, in the column order of the
+  whole matrix, so the basis is the whole matrix's.
 """
 
 from __future__ import annotations
@@ -466,19 +467,26 @@ def _echelon(rows, col_order=None):
     list of (row, col) in elimination order, and each pivot column is zero
     in every other row.
 
-    A column -> rows index, updated where a row update fills in or cancels
-    an entry, lets the pivot search and the elimination visit only the
-    rows that hold the current column.  A row r with entry rv against the
-    pivot pv is updated in place to (pv/g) r - (rv/g) prow, g = gcd(pv,
-    rv), and then divided by its content: the same primitive row, with
-    the same key order, as pv r - rv prow gives, from smaller products.
-    The caller's rows are copied once and never changed.
+    A column -> rows index of the columns not yet visited lets the pivot
+    search and the elimination visit only the rows that hold the current
+    column; a column's entry is taken out when it is visited, so fill-in
+    and cancellation on visited columns update nothing.  A single unused
+    holder is the pivot with no key built.  A row r with entry rv against
+    the pivot pv loses its entry in the pivot column and is updated in
+    place to (pv/g) r - (rv/g) prow on the other columns, g = gcd(pv, rv),
+    and then divided by its content: the same primitive row, with the same
+    key order, as pv r - rv prow gives, from smaller products.  The
+    caller's rows are copied once and never changed.
     """
     rows = [dict(r) for r in rows]
     holders = {}
     for i, r in enumerate(rows):
         for j in r:
-            holders.setdefault(j, set()).add(i)
+            at = holders.get(j)
+            if at is None:
+                holders[j] = {i}
+            else:
+                at.add(i)
     if col_order is not None:
         order = list(col_order)
     else:
@@ -486,44 +494,46 @@ def _echelon(rows, col_order=None):
     used = set()
     pivots = []
     for col in order:
-        at = holders.get(col)
+        at = holders.pop(col, None)
         if not at:
             continue
-        best = None
-        for i in at:
-            r = rows[i]
-            v = r[col]
-            if v and i not in used:
-                key = (abs(v), len(r), i)
-                if best is None or key < best:
-                    best = key
-        if best is None:
+        unused = [i for i in at if i not in used]
+        if not unused:
             continue
-        p = best[2]
+        if len(unused) == 1:
+            p = unused[0]
+        else:
+            p = min(unused, key=lambda i: (abs(rows[i][col]), len(rows[i]), i))
         used.add(p)
         pivots.append((p, col))
-        if len(at) == 1:
+        at.discard(p)
+        if not at:
             continue
         prow = rows[p]
         pv = prow[col]
-        for i in [i for i in at if i != p]:
+        rest = [(j, v) for j, v in prow.items() if j != col]
+        for i in at:
             r = rows[i]
-            rv = r[col]
+            rv = r.pop(col)
             g = gcd(pv, rv)
             a, b = pv // g, rv // g
             if a != 1:
                 for j in r:
                     r[j] *= a
-            for j, v in prow.items():
+            for j, v in rest:
                 old = r.get(j)
-                s = (old or 0) - b * v
+                if old is None:
+                    r[j] = -b * v
+                    if j in holders:
+                        holders[j].add(i)
+                    continue
+                s = old - b * v
                 if s:
-                    if old is None:
-                        holders.setdefault(j, set()).add(i)
                     r[j] = s
                 else:
                     del r[j]
-                    holders[j].discard(i)
+                    if j in holders:
+                        holders[j].discard(i)
             g = gcd(*r.values())
             if g > 1:
                 for j in r:
@@ -796,7 +806,7 @@ def _counts(m: RatMatrix, axis):
     return counts
 
 
-def kernel_basis(m: RatMatrix) -> Subspace:
+def kernel_basis(m: RatMatrix, rows=None) -> Subspace:
     """Basis of {v : m v = 0}, one primitive integer vector per free column
     in increasing order, and its left inverse.
 
@@ -805,9 +815,16 @@ def kernel_basis(m: RatMatrix) -> Subspace:
     only one nonzero at its free column f_k, so row k of the left inverse
     is the single entry 1 / basis[k][f_k] at f_k; it is set here, and
     `coords`, `contains`, `contains_subspace` and `==` on a kernel need no
-    elimination."""
-    ker, free = _kernel_int(_primitive_rows(m.int_rows()), m.cols,
-                            _sparse_first(_counts(m, 1)))
+    elimination.
+
+    rows, when given, lists rows of m that span m's row space: only they
+    are eliminated.  The column order stays that of all of m, and with it
+    fixed the reduced rows depend on the row space alone, so the free
+    columns and the basis are those of m."""
+    ints = m.int_rows()
+    if rows is not None:
+        ints = [ints[i] for i in rows]
+    ker, free = _kernel_int(_primitive_rows(ints), m.cols, _sparse_first(_counts(m, 1)))
     s = Subspace._of(ker)
     leads = [ker.ints[(f, k)] for k, f in enumerate(free)]
     den = lcm(*leads)
@@ -815,6 +832,12 @@ def kernel_basis(m: RatMatrix) -> Subspace:
                                {(k, f): den // x for k, (f, x) in enumerate(zip(free, leads))},
                                den)
     return s
+
+
+def _free_columns(ker):
+    """The free columns of a `kernel_basis` result, in increasing order:
+    row k of its left inverse is one entry, at the k-th of them."""
+    return [j for _, j in ker._inv.ints]
 
 
 def image_basis(m: RatMatrix) -> Subspace:

@@ -20,7 +20,9 @@ vectors of ker Q that pi kills are the vertical cocycles, so
 dim pi(ker Q) = sum_g (dim ker q(g) - dim ker q_vert(g)); pi of a Q-exact
 vector is Q_bdry-exact, so the reduced L is the sum of the images of psi.
 The induced vacua form pairs ghost g only with ghost c - g, so its kernel
-splits by ghost and its core is counted one ghost at a time.
+splits by ghost and its core is counted one ghost at a time.  ker chi lies
+in the vertical form's kernel ker(P chi), P = pair_vert_bulk, so the two
+are equal exactly when rank(P chi) = rank chi, an LES image's dimension.
 
 So does the verdict on L: the boundary pairing pairs ghost g only with
 p(g) = c + 1 - g, in the block pd(g).  With S_g a basis of Im psi(g) and
@@ -524,7 +526,7 @@ def vacua(model: ReducedModel):
     vertical presymplectic form is checked to equal ker chi, and the
     dimensions of the nondegenerate core of the induced form are counted
     per ghost (boundary-flux artifacts of the finite model land in the
-    form's kernel and are not counted).  Im chi, ker chi and the verdict
+    form's kernel and are not counted).  Im chi, rank chi and the verdict
     Im chi = ker psi are read off the tangent LES.
 
     The form pairs ghost g only with ghost c - g, in the block induced(g)
@@ -536,13 +538,13 @@ def vacua(model: ReducedModel):
     les = tangent_les(model)
     vac_reps = {g: les.image(les.index[f"bulk@gh{g}"]) for g in model.ghosts}
     im_eq_ker = all(les.exact_at(f"bulk@gh{g}") for g in model.ghosts)
-    # kernel of the vertical form equals kernel of chi (total check); a
-    # ghost c - g outside the sequence has no vertical classes
+    # ker(P chi) = ker chi by ranks; a ghost c - g outside the sequence
+    # has no vertical classes
     ker_match = True
     for g in model.ghosts:
-        node = les.index.get(f"vert@gh{c - g}")
+        node = les.index.get(f"bulk@gh{c - g}")
         if node is not None and \
-                kernel_basis(model.pair_vert_bulk(g) * model.chi(c - g)) != les.kernel(node):
+                (model.pair_vert_bulk(g) * model.chi(c - g)).rank() != les.image(node).dim:
             ker_match = False
     # induced pairing on Im chi
     layout = _GhostSum({g: vac_reps[g].dim for g in model.ghosts})

@@ -241,7 +241,6 @@ class TargetSpec:
             raise DegreeInconsistency("omega matrix shape mismatch")
         self.theta = self.algebra.poly(theta)
         self._validate()
-        self._winv = None
 
     def _validate(self):
         for a in range(self.n_base):
@@ -263,15 +262,17 @@ class TargetSpec:
             raise DegreeInconsistency(
                 f"theta has degree {th_deg}, expected {self.m + 1}"
             )
-        from .linalg import RatMatrix
+        from .linalg import LinalgError
 
-        if RatMatrix.from_rows(self.omega, self.n_base).rank() != self.n_base:
-            raise DegreeInconsistency("omega matrix is degenerate")
+        # omega is nondegenerate exactly when it has an inverse, which the
+        # bracket reads: one elimination decides and builds it
+        try:
+            self._winv = _inverse(self.omega)
+        except LinalgError:
+            raise DegreeInconsistency("omega matrix is degenerate") from None
 
     def bracket_matrix(self):
         """omega^{ab}: the inverse pairing used by the bracket."""
-        if self._winv is None:
-            self._winv = _inverse(self.omega)
         return self._winv
 
     # -- structural operations ----------------------------------------------
@@ -424,7 +425,8 @@ class TargetSpec:
 
 
 def _inverse(rows):
-    """The inverse of a nonsingular square matrix given as dense rows."""
+    """The inverse of a nonsingular square matrix given as dense rows;
+    LinalgError when the matrix is singular."""
     from .linalg import RatMatrix, _left_inverse
 
     n = len(rows)

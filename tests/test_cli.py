@@ -390,9 +390,9 @@ def test_each_op_starts_with_an_empty_memo(monkeypatch, tmp_path):
     calls = []
     kernel_basis = complexes.kernel_basis
 
-    def recording(q):
+    def recording(q, rows=None):
         calls[-1].append((complexes._memo, len(complexes._memo)))
-        return kernel_basis(q)
+        return kernel_basis(q, rows)
 
     monkeypatch.setattr(complexes, "kernel_basis", recording)
     argv = ["moduli", os.path.join(CORPUS, "torus.json"), "--theory", "cs",

@@ -5,10 +5,13 @@ from bvbfv.complexes import (
     ChainMap,
     CochainComplex,
     ComplexError,
+    ExactSequenceReport,
     NotShortExact,
+    _GradedPiece,
     les_of_pair,
 )
-from bvbfv.linalg import RatMatrix
+from bvbfv.linalg import RatMatrix, SubspaceNotContained, _kernel_quotient, kernel_basis
+from vectors import exactness_by_subspaces
 
 
 def test_point_complex_cohomology():
@@ -67,3 +70,51 @@ def test_alt_cohomology_matches_the_image_basis_route(name):
             want = quotient(alt, image_basis(cc.d(k - 1)))[0].matrix() \
                 if cc.piece.reps(k).cols else cc.piece.reps(k)
             assert cc.cohomology(k, "alt")[1] == want
+
+
+@pytest.mark.parametrize("b,verdicts", [
+    # Q^1 -a-> Q^2 -b-> Q^1 -> 0 with b a = 0 and rank a + rank b = 2
+    ([[0, 1]], [True, True]),
+    # b a != 0 although rank a = 2 - rank b: fails by the composite alone
+    ([[1, 0]], [False, True]),
+    # b a = 0 but rank a < 2 - rank b, and b is not onto: fails by ranks
+    ([[0, 0]], [False, False]),
+], ids=["exact", "nonzero-composite", "rank-deficit"])
+def test_exactness_by_ranks_matches_the_subspace_route(b, verdicts):
+    seq = ExactSequenceReport(
+        [("x", 1), ("y", 2), ("z", 1), ("w", 0)],
+        [RatMatrix.from_rows([[1], [0]], 1), RatMatrix.from_rows(b, 2), RatMatrix(0, 1)])
+    assert seq.verdicts == exactness_by_subspaces(seq) == verdicts
+
+
+@pytest.mark.parametrize("q1,closed", [([[0, 1]], True), ([[1, 0]], False)],
+                         ids=["closed", "not-closed"])
+def test_a_piece_clears_only_when_its_differential_squares_to_zero(q1, closed, monkeypatch):
+    # q0: Q^2 -> Q^2 and q1: Q^2 -> Q^1.  ker q1 is held when ker q0 is
+    # asked; clearing q0 to its rows at the free column of ker q1 keeps its
+    # row space only when q1 q0 = 0 (here it would lose row 0, and with it
+    # the kernel), so the piece must not clear otherwise
+    from bvbfv import complexes
+
+    asked = []
+    kernel = complexes.kernel_basis
+
+    def recording(q, rows=None):
+        asked.append(rows)
+        return kernel(q, rows)
+
+    monkeypatch.setattr(complexes, "kernel_basis", recording)
+    q0, q1 = RatMatrix.from_rows([[1, 0], [0, 0]], 2), RatMatrix.from_rows(q1, 2)
+    piece = _GradedPiece.of_differential("p", {0: 2, 1: 2, 2: 1}, {0: q0, 1: q1}, 1)
+    piece.kernel(1)
+    assert piece.kernel(0).matrix() == kernel_basis(q0).matrix()
+    assert asked == [None, [0] if closed else None]
+    if closed:
+        comp, coords = _kernel_quotient(q1, kernel_basis(q1), q0)
+        assert (piece.reps(1), piece._coords[1]) == (comp.matrix(), coords)
+    else:
+        with pytest.raises(SubspaceNotContained) as want:
+            _kernel_quotient(q1, kernel_basis(q1), q0)
+        with pytest.raises(SubspaceNotContained) as got:
+            piece.reps(1)
+        assert str(got.value) == str(want.value)

@@ -1460,13 +1460,15 @@ def block_content(m):
 def piece_eliminations(monkeypatch):
     """The list, filled as pieces eliminate, of the content of every block
     a `_GradedPiece` eliminates: ("ker", q) per kernel and ("cls", q, ins)
-    per class space.  Eliminations by other callers are not listed."""
+    per class space, each with the whole block, whichever of its rows or
+    columns clearing lets the elimination read.  Eliminations by other
+    callers are not listed."""
     import sys
 
     from bvbfv import complexes
 
     seen = []
-    kernel_basis, kernel_quotient = complexes.kernel_basis, complexes._kernel_quotient
+    kernel_basis, class_space = complexes.kernel_basis, complexes._GradedPiece._class_space
 
     piece_methods = {complexes._GradedPiece.kernel.__code__,
                      complexes._GradedPiece.reps.__code__}
@@ -1478,18 +1480,17 @@ def piece_eliminations(monkeypatch):
             frame = frame.f_back
         return frame is not None
 
-    def recording_kernel(q):
+    def recording_kernel(q, rows=None):
         if by_piece():
             seen.append(("ker", block_content(q)))
-        return kernel_basis(q)
+        return kernel_basis(q, rows)
 
-    def recording_quotient(q, ker, ins):
-        if by_piece():
-            seen.append(("cls", block_content(q), block_content(ins)))
-        return kernel_quotient(q, ker, ins)
+    def recording_class_space(piece, g):
+        seen.append(("cls", block_content(piece.q(g)), block_content(piece.ins.get(g))))
+        return class_space(piece, g)
 
     monkeypatch.setattr(complexes, "kernel_basis", recording_kernel)
-    monkeypatch.setattr(complexes, "_kernel_quotient", recording_quotient)
+    monkeypatch.setattr(complexes._GradedPiece, "_class_space", recording_class_space)
     return seen
 
 
@@ -1577,3 +1578,73 @@ def test_shared_eliminations_scope_is_dropped_on_exit():
             assert complexes._memo is memo
             raise RuntimeError
     assert complexes._memo is None
+
+
+# --- decided by ranks, cleared by neighbouring kernels ----------------------------
+
+
+@pytest.mark.parametrize("theory,name", corpus_pairs() + stratum_pairs())
+def test_rank_verdicts_match_the_subspace_route(theory, name):
+    # the tangent LES decides exactness, and vacua ker(P chi) = ker chi, by
+    # ranks; the routes they replaced compared eliminated subspaces
+    from vectors import exactness_by_subspaces, vert_form_kernel_is_ker_chi_by_kernels
+
+    model = ReducedModel(build_any(theory, name))
+    les = tangent_les(model)
+    assert les.verdicts == exactness_by_subspaces(les)
+    assert vacua(model)["vert_form_kernel_is_ker_chi"] == \
+        vert_form_kernel_is_ker_chi_by_kernels(model)
+
+
+@pytest.mark.parametrize("theory,name,holds", [("cs", "solid_torus", True),
+                                               ("scalar", "interval", False),
+                                               ("ed", "solid_torus", False)])
+def test_vert_form_kernel_verdict_both_ways(theory, name, holds):
+    assert vacua(ReducedModel(build_pair(theory, name)))["vert_form_kernel_is_ker_chi"] is holds
+
+
+def storage(m):
+    """A matrix's storage, key for key in storage order."""
+    return m.shape, m.den, list(m.ints.items())
+
+
+def test_cleared_pieces_equal_the_uncleared_eliminations(monkeypatch):
+    # on the dimension <= 2 corpus pairs and on solid_torus, every kernel,
+    # representative list and class map of the bulk, boundary, vertical and
+    # symplectic pieces and of the cochain complex equals kernel_basis of
+    # the whole block and the class space of its whole map in
+    from bvbfv import complexes
+    from bvbfv.linalg import _kernel_quotient
+
+    cleared = {"ker": 0, "any": 0}
+    kernel, free_columns = complexes.kernel_basis, complexes._free_columns
+
+    def recording_kernel(q, rows=None):
+        cleared["ker"] += rows is not None
+        return kernel(q, rows)
+
+    def recording_free_columns(ker):
+        cleared["any"] += 1
+        return free_columns(ker)
+
+    monkeypatch.setattr(complexes, "kernel_basis", recording_kernel)
+    monkeypatch.setattr(complexes, "_free_columns", recording_free_columns)
+    pairs = small_pairs() + [(theory, "solid_torus") for theory in ("bf", "cs", "scalar", "ed")]
+    for theory, name in pairs:
+        model = ReducedModel(build_pair(theory, name))
+        moduli_report(model)
+        cc = model.t.cx.cochain_complex()
+        cc.betti()
+        for piece in (model.bulk, model.bdry, model.vert, model.msymp, cc.piece):
+            for g in piece.dims:
+                q, ins = piece.q(g), piece.ins.get(g)
+                ker = kernel_basis(q)
+                assert storage(piece.kernel(g).matrix()) == storage(ker.matrix())
+                assert storage(piece.kernel(g)._left_inv()) == storage(ker._left_inv())
+                if piece.dim(g):
+                    comp, coords = _kernel_quotient(q, ker, ins)
+                    assert storage(piece.reps(g)) == storage(comp.matrix()), (theory, name, g)
+                    assert storage(piece._coords[g]) == storage(coords), (theory, name, g)
+    # both kinds of clearing ran: kernels with rows left out, and class
+    # spaces with columns left out (the other calls of _free_columns)
+    assert cleared["ker"] and cleared["any"] > cleared["ker"]

@@ -223,8 +223,33 @@ def test_theta_degree_checked():
 
 def test_degenerate_omega_rejected():
     vars_ = [GradedVar("x", 1), GradedVar("y", 1)]
-    with pytest.raises(DegreeInconsistency):
+    with pytest.raises(DegreeInconsistency, match="^omega matrix is degenerate$"):
         TargetSpec(vars_, [[1, 0], [0, 0]], 2, {})
+
+
+@pytest.mark.parametrize("name", BUILTIN_TARGETS)
+def test_omega_is_eliminated_once_for_validation_and_bracket(name, monkeypatch):
+    # the inverse that the bracket reads is the one elimination that finds
+    # omega nondegenerate; it is omega's unique inverse
+    import json
+    import os
+
+    from bvbfv import linalg
+    from bvbfv.symbolic import _inverse
+
+    here = os.path.join(os.path.dirname(__file__), "..", "corpus", "targets")
+    with open(os.path.join(here, f"{name}.json")) as fh:
+        data = json.load(fh)
+    calls = []
+    echelon = linalg._echelon
+    monkeypatch.setattr(linalg, "_echelon", lambda *a, **k: calls.append(1) or echelon(*a, **k))
+    t = target_from_dict(data)
+    w = t.bracket_matrix()
+    assert len(calls) == 1
+    n = t.n_base
+    omega = linalg.RatMatrix.from_rows(t.omega, n)
+    assert linalg.RatMatrix.from_rows(w, n) * omega == linalg.RatMatrix.identity(n)
+    assert w == _inverse(t.omega)
 
 
 def test_master_fails_for_nonjacobi_bivector():

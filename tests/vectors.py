@@ -1,6 +1,7 @@
 """Sparse vectors (dicts index -> Fraction, zero entries never stored) for
 the tests' per-vector reference routes; the package itself maps whole
-bases as matrices."""
+bases as matrices.  Also the eliminating reference routes of verdicts that
+the package now decides by ranks."""
 
 from fractions import Fraction
 from math import gcd, lcm
@@ -45,3 +46,32 @@ def primitive(v):
     if ints[min(ints)] < 0:
         g = -g
     return {j: Fraction(x // g) for j, x in ints.items()}
+
+
+def exactness_by_subspaces(seq):
+    """The verdicts of `complexes.verify_exactness` by elimination: at each
+    interior node i of the sequence, Im maps[i-1] == ker maps[i] as
+    `Subspace`s."""
+    from bvbfv.linalg import kernel_basis
+
+    return [seq.image(i) == kernel_basis(seq.maps[i]) for i in range(1, len(seq.nodes) - 1)]
+
+
+def vert_form_kernel_is_ker_chi_by_kernels(model):
+    """`moduli.vacua`'s vert_form_kernel_is_ker_chi by elimination: per
+    ghost g, the kernel of pair_vert_bulk(g) chi(c - g) against ker chi(c - g),
+    the kernel out of the LES's vertical node at c - g."""
+    from bvbfv.linalg import Subspace, kernel_basis
+    from bvbfv.moduli import tangent_les
+
+    c = model.pair_ghost()
+    les = tangent_les(model)
+    for g in model.ghosts:
+        node = les.index.get(f"vert@gh{c - g}")
+        if node is None:
+            continue
+        ker = kernel_basis(les.maps[node]) if node < len(les.maps) \
+            else Subspace.full(les.nodes[node][1])
+        if kernel_basis(model.pair_vert_bulk(g) * model.chi(c - g)) != ker:
+            return False
+    return True
