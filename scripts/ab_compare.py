@@ -19,11 +19,18 @@ and the same for CPU time (`time.process_time`), which a busy host moves
 less than wall time; then per side the median pass time (sum of its ops'
 wall times in one pass), the ratio of the medians, and the number of
 passes in which B took less time than A, and the same for CPU pass times.
+Last come deterministic work counts, from one more pass per side that is
+not timed, with that side's `linalg._echelon` and `RatMatrix.__mul__`
+wrapped: per side the eliminations, the nonzeros of their reduced rows,
+the matrix products and their integer multiply-adds.  These do not move
+with the host's speed, so they show a change of work where the times
+are too noisy to.
 Exits 2 when any run differs from its reference.
 Needs the standard library only.
 """
 
 import argparse
+import collections
 import contextlib
 import hashlib
 import importlib
@@ -44,6 +51,7 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 from workloads import WORKLOADS  # noqa: E402
 
 CLOCKS = ("wall", "cpu")
+WORK = ("eliminations", "reduced-row nonzeros", "products", "multiply-adds")
 
 
 def _ours(name):
@@ -102,6 +110,38 @@ def run_op(side, argv, out):
     return wall, cpu, code, digest
 
 
+def count_work(side, ops, out):
+    """(counts, results): the WORK counts of one pass of ops on a side,
+    with its `linalg._echelon` and `RatMatrix.__mul__` wrapped for the
+    pass, and each op's (exit code, sha256)."""
+    _, modules = side
+    linalg = modules["bvbfv.linalg"]
+    echelon, mul = linalg._echelon, linalg.RatMatrix.__mul__
+    n = dict.fromkeys(WORK, 0)
+
+    def counted_echelon(*args, **kwargs):
+        pivots, red = echelon(*args, **kwargs)
+        n["eliminations"] += 1
+        n["reduced-row nonzeros"] += sum(map(len, red))
+        return pivots, red
+
+    def counted_mul(a, b):
+        c = mul(a, b)
+        if c is not NotImplemented:
+            # a * b multiplies each entry (i, k) of a by the row k of b
+            per_row = collections.Counter(k for k, _ in b.ints)
+            n["products"] += 1
+            n["multiply-adds"] += sum(per_row[k] for _, k in a.ints)
+        return c
+
+    linalg._echelon, linalg.RatMatrix.__mul__ = counted_echelon, counted_mul
+    try:
+        results = [run_op(side, op, out)[2:] for op in ops]
+    finally:
+        linalg._echelon, linalg.RatMatrix.__mul__ = echelon, mul
+    return n, results
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("a", help="root of the first (before) checkout")
@@ -146,6 +186,14 @@ def main(argv=None):
             wall = total["wall"]
             print(f"pass {k + 1}/{args.n}: A {wall['A']:.4f} s  B {wall['B']:.4f} s",
                   flush=True)
+        work = {}
+        for s in sides:
+            work[s], results = count_work(sides[s], ops, out)
+            for op, (code, digest) in zip(ops, results):
+                want = ref[" ".join(op)]
+                if code != want["exit"] or digest != want["sha256"]:
+                    mismatches += 1
+                    print(f"mismatch {s} (counted pass): {' '.join(op)}: exit {code}")
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
     print(f"{'A min s':>10} {'B min s':>10} {'B/A':>7} "
@@ -162,6 +210,8 @@ def main(argv=None):
         won = sum(b < a for a, b in zip(pa, pb))
         print(f"{label} median: A {ma:.4f} s  B {mb:.4f} s  B/A {mb / ma:.3f}  "
               f"B faster in {won} of {args.n} passes")
+    for s in sides:
+        print(f"work {s} (one pass): " + "  ".join(f"{w} {work[s][w]}" for w in WORK))
     print(f"reference mismatches: {mismatches}")
     return 2 if mismatches else 0
 

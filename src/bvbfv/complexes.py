@@ -18,7 +18,9 @@ eliminates its own blocks.
 
 A piece also clears: its kernels and class spaces read only the rows or
 columns of a block that a neighbouring kernel it holds leaves independent
-(see `_GradedPiece`); memo keys stay the whole blocks' content.
+(see `_GradedPiece`); memo keys stay the whole blocks' content.  A class
+space picks its representatives in the fill order of its whole in-map
+(`linalg._fill_order`), which clearing does not change.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .linalg import (
     Subspace,
     SubspaceNotContained,
     _coords_of_columns,
+    _fill_order,
     _free_columns,
     _kernel_quotient,
     _quotient_of_coords,
@@ -129,9 +132,14 @@ class _GradedPiece:
     - the class space at g takes only the columns of ins[g] at the pivot
       columns of kernel(g - s), which span its image.
     Neither changes a result: kernel_basis keeps the column order of the
-    whole block, and the quotient depends on span(ins[g]) alone.  A piece
-    taken modulo other maps shares the kernels, and so their clearing, but
-    divides out its own maps with all their columns.
+    whole block, and the quotient depends on span(ins[g]) alone once its
+    order is fixed.  That order, `linalg._fill_order`, visits the kernel
+    basis sparse-first by the rows of the whole ins[g], read before
+    clearing, so cleared and uncleared pieces pick the same
+    representatives; it keeps the fill-in of the elimination, and with it
+    the class map, small.  A piece taken modulo other maps shares the
+    kernels, and so their clearing, but divides out its own maps with all
+    their columns, in the same order.
 
     kernel(g) and reps(g) are kept per piece.  A piece that misses one
     inside `shared_eliminations()` first asks the scope's memo, keyed by
@@ -212,21 +220,23 @@ class _GradedPiece:
 
     def _class_space(self, g):
         """The complement and coordinate map of ker q(g) / Im ins[g] from
-        the columns of ins[g], as `linalg._kernel_quotient` makes them.
-        For the piece's own differential, its product q(g) ins[g] = 0 is
-        `_closed(g - step)` and ins[g] is cleared (see the class
-        docstring)."""
+        the columns of ins[g], as `linalg._kernel_quotient` makes them
+        with the kernel basis visited in `linalg._fill_order` of the whole
+        ins[g].  For the piece's own differential, its product
+        q(g) ins[g] = 0 is `_closed(g - step)` and ins[g] is cleared (see
+        the class docstring)."""
         q, ins, ker = self.q(g), self.ins.get(g), self.kernel(g)
+        order = _fill_order(ker, ins)
         # a piece taken modulo other maps has ins[g] of its own
         if ins is None or ins is not self.outs.get(g - self.step):
-            return _kernel_quotient(q, ker, ins)
+            return _kernel_quotient(q, ker, ins, order)
         if not self._closed(g - self.step):
             raise SubspaceNotContained("sub is not inside ambient")
         held = self._ker.get(g - self.step)
         if held is not None:
             free = set(_free_columns(held))
             ins = ins.submatrix(range(ins.rows), [j for j in range(ins.cols) if j not in free])
-        return _quotient_of_coords(ker, _coords_of_columns(ker, ins))
+        return _quotient_of_coords(ker, _coords_of_columns(ker, ins), order)
 
     def h_dim(self, g):
         return self.reps(g).cols

@@ -31,8 +31,9 @@ it updates, so no work is done on a column once it is visited.
 Kernels and images eliminate in a static sparse-first order (the columns
 of the system by ascending nonzero count, ties by index), which keeps
 fill-in down; spanning subsets, solutions and left inverses keep index
-order, which defines what they return.  Within a column the pivot row is
-chosen by Markowitz's rule: smallest |pivot|, then the shortest row.
+order, which defines what they return, and quotients take their caller's
+order (below).  Within a column the pivot row is chosen by Markowitz's
+rule: smallest |pivot|, then the shortest row.
 With the column order fixed, the pivot columns and each pivot column's
 reduced row (up to scale, on the visited columns) do not depend on that
 choice, so kernels, solutions, spanning subsets, quotients and square
@@ -52,14 +53,19 @@ Each question about spans costs at most one elimination, in integers:
   `_pivot_columns` of both bases.  `==` asks the side that already holds
   a left inverse.
 - A quotient is one elimination of the sub vectors' coordinates in its
-  ambient space, as rows, with the columns visited in reverse index order
-  and no identity block; the class map is read off the reduced rows as a
-  kernel is.  It accepts any spanning list of the sub, so a class space
-  ker q / Im i takes the columns of i and no image basis.  The
-  coordinates of the sub vectors are the one product E S, checked by
-  B (E S) = S; for a kernel ambient there is no check to make: Im i lies
-  in ker q exactly when the one product q i is zero, and E i reads i's
-  rows at the kernel's free columns.
+  ambient space, as rows, with no identity block, visiting the ambient
+  basis in the caller's order, by default reverse index order; the
+  complement is the greedy extension of the sub's span in the reverse of
+  that order, and the class map is read off the reduced rows as a kernel
+  is.  The representatives are a free choice, so the order is the one
+  that keeps fill-in down where the caller knows it: a class space of a
+  `_GradedPiece` passes `_fill_order`, sparse-first by its in-map's rows.
+  It accepts any spanning list of the sub, so a class space ker q / Im i
+  takes the columns of i and no image basis.  The coordinates of the sub
+  vectors are the one product E S, checked by B (E S) = S; for a kernel
+  ambient there is no check to make: Im i lies in ker q exactly when the
+  one product q i is zero, and E i reads i's rows at the kernel's free
+  columns.
 - The complement under a symmetric or antisymmetric pairing is one
   kernel, since its left and right complements coincide.
 - A kernel asked with rows that span the matrix's row space (the caller
@@ -840,6 +846,20 @@ def _free_columns(ker):
     return [j for _, j in ker._inv.ints]
 
 
+def _fill_order(ker, m=None):
+    """The order in which a quotient of the `kernel_basis` result ker by
+    the columns of m visits ker's basis: k by ascending count of m's
+    nonzeros in row f_k, the k-th free column, ties by descending k.
+    Row k of ker's coordinates of m is m's row f_k, so this is the
+    sparse-first order of that elimination; the ties keep the default's
+    direction.  With no m it is the default, descending k."""
+    if m is None:
+        return range(ker.dim - 1, -1, -1)
+    counts = _counts(m, 0)
+    free = _free_columns(ker)
+    return sorted(range(ker.dim), key=lambda k: (counts[free[k]], -k))
+
+
 def image_basis(m: RatMatrix) -> Subspace:
     """Basis of the column space of m: the columns of m that are pivot rows
     of one elimination of m's transpose, each as a primitive integer
@@ -882,7 +902,7 @@ def solve(m: RatMatrix, b):
     return x if m * x == b else None
 
 
-def quotient(ambient: Subspace, sub):
+def quotient(ambient: Subspace, sub, order=None):
     """Complement C with span(sub) + C = ambient, plus its coordinate map:
     the C.dim x ambient_dim matrix sending each vector of ambient to the
     coordinates of its class modulo span(sub) in the basis of C.  sub is a
@@ -893,7 +913,8 @@ def quotient(ambient: Subspace, sub):
 
     The coordinates of the sub vectors are `ambient._coords_of`, which
     also decides that they lie in ambient.  The rest is
-    `_quotient_of_coords`.
+    `_quotient_of_coords`, which visits ambient's basis in the caller's
+    order (None: descending index).
     """
     if isinstance(sub, Subspace):
         sub = sub.matrix()
@@ -904,18 +925,18 @@ def quotient(ambient: Subspace, sub):
     ys = ambient._coords_of(sub)
     if ys is None:
         raise SubspaceNotContained("sub is not inside ambient")
-    return _quotient_of_coords(ambient, ys)
+    return _quotient_of_coords(ambient, ys, order)
 
 
-def _kernel_quotient(q, ker, m):
-    """quotient(ker, columns of m) for ker = kernel_basis(q), with no check
-    against the basis.  A column lies in ker exactly when q kills it, so
-    membership is the one product q m = 0 (SubspaceNotContained
+def _kernel_quotient(q, ker, m, order=None):
+    """quotient(ker, columns of m, order) for ker = kernel_basis(q), with
+    no check against the basis.  A column lies in ker exactly when q kills
+    it, so membership is the one product q m = 0 (SubspaceNotContained
     otherwise), and the coordinates are `_coords_of_columns`.  m None is
     the map from the zero space."""
     if m is not None and not (q * m).is_zero():
         raise SubspaceNotContained("sub is not inside ambient")
-    return _quotient_of_coords(ker, None if m is None else _coords_of_columns(ker, m))
+    return _quotient_of_coords(ker, None if m is None else _coords_of_columns(ker, m), order)
 
 
 def _coords_of_columns(space, m):
@@ -946,25 +967,27 @@ def _unit_columns(rows, n):
     return RatMatrix.of_ints(n, len(rows), {(j, k): 1 for k, j in enumerate(rows)})
 
 
-def _quotient_of_coords(ambient, ys):
+def _quotient_of_coords(ambient, ys, order=None):
     """The complement and coordinate map of `quotient`, from the sub
     vectors' coordinates in ambient's basis: the columns of the RatMatrix
     ys (None for no sub vector), each one up to a positive scale.
 
     One elimination of the columns of ys as integer rows (m = ambient.dim
-    columns) visits the columns in reverse index order m-1, ..., 0.
-    Column k is a pivot exactly when the rows projected onto coordinates
-    >= k have larger rank than projected onto coordinates > k, that is when
-    e_k lies in span(y) + span(e_0 .. e_k-1); so C, the ambient basis
-    vectors at the other (free) columns, is the greedy extension of sub's
-    span by ambient's basis in index order.  The class map F is 0 on
-    span(y) and fixes each free unit vector, so its row at free column f is
-    the `_free_vectors` vector of f read off the reduced rows; times
-    ambient's left inverse E it is the coordinate map on Q^ambient_dim.
-    Both depend on span(sub) only, not on the vectors that span it."""
+    columns) visits the columns in the caller's order o_1, ..., o_m of
+    all of 0 .. m-1, by default the reverse index order m-1, ..., 0.
+    Column o_i is a pivot exactly when the rows projected onto o_1, ...,
+    o_i have larger rank than projected onto o_1, ..., o_i-1, that is when
+    e_o_i lies in span(y) + span(e_o_i+1 .. e_o_m); so C, the ambient
+    basis vectors at the other (free) columns, is the greedy extension of
+    sub's span by ambient's basis in the reverse of the order (index order
+    by default).  The class map F is 0 on span(y) and fixes each free unit
+    vector, so its row at free column f is the `_free_vectors` vector of f
+    read off the reduced rows; times ambient's left inverse E it is the
+    coordinate map on Q^ambient_dim.  For a fixed order both depend on
+    span(sub) only, not on the vectors that span it."""
     rows = [] if ys is None else [r for r in ys.transpose().int_rows() if r]
     m = ambient.dim
-    pivots, red = _echelon(rows, range(m - 1, -1, -1))
+    pivots, red = _echelon(rows, range(m - 1, -1, -1) if order is None else order)
     free = _free_vectors(pivots, red, m)
     # row k of F is v / v[f] for the free vector (f, v), all over their lcm
     den = lcm(*(v[f] for f, v in free))

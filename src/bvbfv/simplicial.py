@@ -426,6 +426,8 @@ def load_complex(source) -> OrientedComplex:
             raise SimplicialError(f"missing field {key!r} in complex description")
     if type(data["dimension"]) is not int:
         raise SimplicialError("dimension must be an integer")
+    if data["dimension"] < 0:
+        raise SimplicialError("dimension must not be negative")
     if not isinstance(data["vertices"], list):
         raise SimplicialError("vertices must be a list")
     if not all(map(is_vertex_id, data["vertices"])):
@@ -434,6 +436,8 @@ def load_complex(source) -> OrientedComplex:
             and all(isinstance(t, list) and all(map(is_vertex_id, t))
                     for t in data["top_simplices"])):
         raise SimplicialError("top_simplices must be a list of lists of vertex ids")
+    if not data["top_simplices"]:
+        raise SimplicialError("top_simplices must not be empty")
     signs = data.get("orientation_signs")
     if signs is not None and not (isinstance(signs, list) and all(
             type(s) is int and s in (1, -1) for s in signs)):

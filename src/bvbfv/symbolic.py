@@ -15,6 +15,19 @@ class SymbolicError(Exception):
     pass
 
 
+_ZERO = Fraction(0)
+
+
+def _add_term(out, mono, c):
+    """out[mono] += c in place, as a Fraction; a coefficient that cancels
+    is dropped, so the polynomial stays in normal form."""
+    v = out.get(mono, _ZERO) + c
+    if v:
+        out[mono] = v
+    else:
+        out.pop(mono, None)
+
+
 class NotInvariantMetric(SymbolicError):
     pass
 
@@ -91,13 +104,8 @@ class GradedAlgebra:
             if not c:
                 continue
             sign, mono = self.normalize_monomial(seq)
-            if not sign:
-                continue
-            val = out.get(mono, Fraction(0)) + sign * c
-            if val:
-                out[mono] = val
-            else:
-                out.pop(mono, None)
+            if sign:
+                _add_term(out, mono, sign * c)
         return out
 
     def zero(self):
@@ -112,11 +120,7 @@ class GradedAlgebra:
     def add(self, p, q):
         out = dict(p)
         for m, c in q.items():
-            v = out.get(m, Fraction(0)) + c
-            if v:
-                out[m] = v
-            else:
-                out.pop(m, None)
+            _add_term(out, m, c)
         return out
 
     def scale(self, p, c):
@@ -130,13 +134,8 @@ class GradedAlgebra:
         for m1, c1 in p.items():
             for m2, c2 in q.items():
                 sign, mono = self.normalize_monomial(m1 + m2)
-                if not sign:
-                    continue
-                v = out.get(mono, Fraction(0)) + sign * c1 * c2
-                if v:
-                    out[mono] = v
-                else:
-                    out.pop(mono, None)
+                if sign:
+                    _add_term(out, mono, sign * c1 * c2)
         return out
 
     def is_homogeneous(self, p):
@@ -171,12 +170,7 @@ class GradedAlgebra:
                 if self.parity(i):
                     passed = mono[:pos] if left else mono[pos + 1:]
                     sign = (-1) ** sum(self.parity(u) for u in passed)
-                rest = mono[:pos] + mono[pos + 1:]
-                val = out.get(rest, Fraction(0)) + sign * c
-                if val:
-                    out[rest] = val
-                else:
-                    out.pop(rest, None)
+                _add_term(out, mono[:pos] + mono[pos + 1:], sign * c)
         return out
 
     def to_string(self, p):
@@ -201,6 +195,9 @@ class Derivation:
         self.degree = degree
 
     def apply(self, p):
+        """D(x_1 .. x_k) = sum over the positions of the Koszul-signed
+        x_1 .. D(x_i) .. x_k; each of its terms is one monomial normalized
+        once, which gives the sign and monomial of head * term * tail."""
         alg = self.algebra
         out = {}
         for mono, c in p.items():
@@ -208,11 +205,12 @@ class Derivation:
             for pos, v in enumerate(mono):
                 img = self.images.get(v)
                 if img:
-                    sign = (-1) ** (self.parity * pref_parity)
-                    head = {mono[:pos]: Fraction(1)}
-                    tail = {mono[pos + 1:]: Fraction(1)}
-                    term = alg.mul(alg.mul(head, img), tail)
-                    out = alg.add(out, alg.scale(term, sign * c))
+                    sc = (-1) ** (self.parity * pref_parity) * c
+                    head, tail = mono[:pos], mono[pos + 1:]
+                    for m2, c2 in img.items():
+                        sign, m = alg.normalize_monomial(head + m2 + tail)
+                        if sign:
+                            _add_term(out, m, sign * sc * c2)
                 pref_parity += alg.parity(v)
         return out
 
@@ -286,6 +284,8 @@ class TargetSpec:
         alg = self.algebra
         w = self.bracket_matrix()
         out = {}
+        # d_b g, taken once per b
+        gbs = {}
         for part in self._homogeneous_parts(f):
             deg = alg.degree(part)
             for a in range(self.n_base):
@@ -296,10 +296,13 @@ class TargetSpec:
                 for b in range(self.n_base):
                     if not w[a][b]:
                         continue
-                    gb = alg.left_derivative(g, b)
-                    if not gb:
+                    if b not in gbs:
+                        gbs[b] = alg.left_derivative(g, b)
+                    if not gbs[b]:
                         continue
-                    out = alg.add(out, alg.scale(alg.mul(fa, gb), sgn * w[a][b]))
+                    s = sgn * w[a][b]
+                    for m, c in alg.mul(fa, gbs[b]).items():
+                        _add_term(out, m, s * c)
         return out
 
     def _homogeneous_parts(self, f):
@@ -369,8 +372,9 @@ class TargetSpec:
             for b in range(self.n_base):
                 c = self.omega[a][b]
                 if c:
-                    mono = (self.n_base + a, self.n_base + b)
-                    out = alg.add(out, alg.poly({mono: c / 2}))
+                    sign, mono = alg.normalize_monomial((self.n_base + a, self.n_base + b))
+                    if sign:
+                        _add_term(out, mono, sign * c / 2)
         return out
 
     def euler_and_roytenberg(self):
@@ -704,7 +708,8 @@ def jacobi_check(pi_entries, dim):
                         term = algebra.mul(
                             entry(d, a), algebra.left_derivative(entry(b, c), d)
                         )
-                        acc = algebra.add(acc, term)
+                        for m, x in term.items():
+                            _add_term(acc, m, x)
                 if acc:
                     jacobiator_zero = False
                     residuals[(i, j, k)] = acc

@@ -182,20 +182,32 @@ def test_glue_boolean_interface_vertex_exits_one(tmp_path):
     ("complex", "orientation_signs", [1.0]),
     ("complex", "orientation_signs", [True]),
     ("target", "theta", [{"coeff": "1/0", "monomial": ["x0", "x1", "x2"]}]),
+    # a whole file (field None): complexes with no top simplex
+    ("complex", None, {"dimension": 2, "vertices": [], "top_simplices": []}),
+    ("complex", None, {"dimension": -1, "vertices": [], "top_simplices": [[]]}),
 ], ids=["dimension_not_int", "vertex_id_list", "vertices_not_list",
         "top_simplex_vertex_list", "top_simplex_not_list", "orientation_signs_not_list",
         "dimension_bool", "vertex_id_bool", "top_simplex_vertex_bool", "orientation_sign_float",
-        "orientation_sign_bool", "coeff_zero_denominator"])
+        "orientation_sign_bool", "coeff_zero_denominator", "no_top_simplex",
+        "dimension_negative"])
 def test_malformed_input_exits_one(tmp_path, kind, field, value):
     source = {"complex": "interval.json", "target": "targets/cs_so3.json"}[kind]
     with open(os.path.join(CORPUS, source)) as fh:
         data = json.load(fh)
-    data[field] = value
+    if field is None:
+        data = value
+    else:
+        data[field] = value
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(data))
     commands = [(kind, "check", str(p))]
     if kind == "complex":
         commands.append(("moduli", str(p), "--theory", "bf"))
+    if field is None:
+        # every subcommand that reads a complex, and every theory
+        commands += [("moduli", str(p), "--theory", theory) for theory in ("cs", "scalar")]
+        commands += [("moduli", str(p), "--theory", "ed", "--codim", "1"),
+                     ("cme", str(p), "--theory", "bf"), ("slice-gh0", str(p), "--theory", "bf")]
     for argv in commands:
         out = run_cli(*argv)
         assert out.returncode == 1, argv

@@ -118,3 +118,38 @@ def test_a_piece_clears_only_when_its_differential_squares_to_zero(q1, closed, m
         with pytest.raises(SubspaceNotContained) as got:
             piece.reps(1)
         assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("modulo", [False, True], ids=["own-differential", "modulo"])
+def test_a_piece_picks_its_representatives_in_fill_order(modulo):
+    # ker q1 has the basis k0 = e0 + e1, k1 = e2, k2 = e3 at the free columns
+    # 1, 2, 3.  The columns of q0, e0 + e1 + e2 and e2 + e3, have the kernel
+    # coordinates (1, 1, 0) and (0, 1, 1): q0's rows 1, 2, 3 hold 1, 2 and 1
+    # nonzeros, so the fill order is k = 2, 0, 1, and the greedy extension
+    # of Im q0 in its reverse keeps k1 where index order keeps k0
+    from bvbfv.linalg import _fill_order
+    from test_linalg import dense_rank
+
+    q0 = RatMatrix.from_rows([[1, 0], [1, 0], [1, 1], [0, 1]], 2)
+    q1 = RatMatrix.from_rows([[1, -1, 0, 0]], 4)
+    piece = _GradedPiece.of_differential("p", {0: 2, 1: 4, 2: 1}, {0: q0, 1: q1}, 1)
+    if modulo:
+        # a map of its own: the piece divides it out with all its columns
+        piece = piece.modulo("m", {1: q0.copy()})
+    ker = kernel_basis(q1)
+    order = _fill_order(ker, q0)
+    assert list(order) == [2, 0, 1]
+
+    def rank(vecs):
+        return dense_rank([[v.get(i, 0) for v in vecs] for i in range(4)])
+
+    basis, ext, kept = ker.basis, q0.columns(), []
+    for k in reversed(order):
+        if rank(ext + [basis[k]]) > rank(ext):
+            ext.append(basis[k])
+            kept.append(k)
+    reps, coords = piece.reps(1), piece._coords[1]
+    assert reps == ker.matrix().submatrix(range(4), sorted(kept))
+    assert reps != _kernel_quotient(q1, ker, q0)[0].matrix()
+    # the class map kills the image and reads the representatives as I
+    assert (coords * q0).is_zero() and coords * reps == RatMatrix.identity(reps.cols)

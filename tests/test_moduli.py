@@ -1033,12 +1033,14 @@ def test_class_spaces_eliminate_no_image_basis(theory, name, monkeypatch):
 
 def reps_by_the_solve_route(piece, g):
     """reps(g) and the coordinate map's entries, in order, by quotient's
-    general route: each column of ins[g] solved against ker q(g)."""
-    from bvbfv.linalg import quotient
+    general route: each column of ins[g] solved against ker q(g), the
+    kernel basis visited in the fill order of the whole ins[g]."""
+    from bvbfv.linalg import _fill_order, quotient
 
     m = piece.ins.get(g)
     cols = [] if m is None else m.transpose().sparse_rows()
-    comp, coords = quotient(kernel_basis(piece.q(g)), cols)
+    ker = kernel_basis(piece.q(g))
+    comp, coords = quotient(ker, cols, _fill_order(ker, m))
     return comp.matrix(), list(coords.entries.items())
 
 
@@ -1522,7 +1524,7 @@ def assert_memo_as_computed():
     block its key names: no caller has changed a shared kernel,
     representative list or coordinate map."""
     from bvbfv import complexes
-    from bvbfv.linalg import _kernel_quotient
+    from bvbfv.linalg import _fill_order, _kernel_quotient
 
     def block(content):
         if content is None:
@@ -1536,8 +1538,23 @@ def assert_memo_as_computed():
         if key[0] == "ker":
             assert value.basis == kernel_basis(q).basis
         else:
-            comp, coords = _kernel_quotient(q, kernel_basis(q), block(key[2]))
+            ker, ins = kernel_basis(q), block(key[2])
+            comp, coords = _kernel_quotient(q, ker, ins, _fill_order(ker, ins))
             assert (value[0].basis, value[1]) == (comp.basis, coords)
+
+
+def test_fill_ordered_class_maps_are_sparser_on_ed_solid_torus():
+    # the vertical and symplectic class spaces at ghost -1, the largest of
+    # the cotangent models, visit their kernels in fill order; index order
+    # on the same blocks gives denser class maps
+    from bvbfv.linalg import _kernel_quotient
+
+    model = ReducedModel(build_pair("ed", "solid_torus"))
+    for piece in (model.vert, model.msymp):
+        q, ins = piece.q(-1), piece.ins.get(-1)
+        piece.reps(-1)
+        _, by_index = _kernel_quotient(q, kernel_basis(q), ins)
+        assert piece._coords[-1].nnz < by_index.nnz, piece.name
 
 
 def small_pairs():
@@ -1612,9 +1629,10 @@ def test_cleared_pieces_equal_the_uncleared_eliminations(monkeypatch):
     # on the dimension <= 2 corpus pairs and on solid_torus, every kernel,
     # representative list and class map of the bulk, boundary, vertical and
     # symplectic pieces and of the cochain complex equals kernel_basis of
-    # the whole block and the class space of its whole map in
+    # the whole block and the class space of its whole map in, its kernel
+    # basis visited in the fill order of that whole map
     from bvbfv import complexes
-    from bvbfv.linalg import _kernel_quotient
+    from bvbfv.linalg import _fill_order, _kernel_quotient
 
     cleared = {"ker": 0, "any": 0}
     kernel, free_columns = complexes.kernel_basis, complexes._free_columns
@@ -1642,7 +1660,7 @@ def test_cleared_pieces_equal_the_uncleared_eliminations(monkeypatch):
                 assert storage(piece.kernel(g).matrix()) == storage(ker.matrix())
                 assert storage(piece.kernel(g)._left_inv()) == storage(ker._left_inv())
                 if piece.dim(g):
-                    comp, coords = _kernel_quotient(q, ker, ins)
+                    comp, coords = _kernel_quotient(q, ker, ins, _fill_order(ker, ins))
                     assert storage(piece.reps(g)) == storage(comp.matrix()), (theory, name, g)
                     assert storage(piece._coords[g]) == storage(coords), (theory, name, g)
     # both kinds of clearing ran: kernels with rows left out, and class

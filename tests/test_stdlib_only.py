@@ -4,6 +4,7 @@ file uses every name it imports.  Each script also runs, on a small
 input, in a subprocess."""
 
 import ast
+import functools
 import os
 import subprocess
 import sys
@@ -71,7 +72,26 @@ def test_ladder_runs_the_smallest_rung():
     assert (theory, m) == ("bf", "3") and len(digest) == 64
 
 
+@functools.cache
+def glue_self_comparison():
+    """One glue pass of this checkout against itself, run once."""
+    return run_script("ab_compare.py", ROOT, ROOT, "glue", "1")
+
+
 def test_ab_compare_runs_one_glue_pass_against_itself():
-    out = run_script("ab_compare.py", ROOT, ROOT, "glue", "1")
+    out = glue_self_comparison()
     assert out.returncode == 0, out.stderr
     assert "reference mismatches: 0" in out.stdout.splitlines()
+
+
+def test_ab_compare_counts_equal_work_on_both_sides_of_a_self_comparison():
+    out = glue_self_comparison()
+    assert out.returncode == 0, out.stderr
+    work = dict(line.split(": ", 1) for line in out.stdout.splitlines()
+                if line.startswith("work "))
+    assert set(work) == {"work A (one pass)", "work B (one pass)"}
+    counts = work["work A (one pass)"].split()
+    assert counts == work["work B (one pass)"].split()
+    # four counts, each a positive integer
+    nums = [int(x) for x in counts if x.isdigit()]
+    assert len(nums) == 4 and all(nums)
