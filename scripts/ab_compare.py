@@ -163,6 +163,16 @@ def main(argv=None):
     times = {c: {s: {i: [] for i in range(len(ops))} for s in sides} for c in CLOCKS}
     passes = {c: {s: [] for s in sides} for c in CLOCKS}
     mismatches = 0
+
+    def check(s, op, code, digest, tag=""):
+        """Counts and prints a run whose exit code or sha256 differs from
+        the op's reference."""
+        nonlocal mismatches
+        want = ref[" ".join(op)]
+        if code != want["exit"] or digest != want["sha256"]:
+            mismatches += 1
+            print(f"mismatch {s}{tag}: {' '.join(op)}: exit {code}")
+
     tmp = tempfile.mkdtemp(prefix="ab_compare-")
     out = os.path.join(tmp, "op.json")
     try:
@@ -171,12 +181,9 @@ def main(argv=None):
             rng.shuffle(order)
             total = {c: dict.fromkeys(sides, 0.0) for c in CLOCKS}
             for i in order:
-                want = ref[" ".join(ops[i])]
                 for s in ("A", "B") if k % 2 == 0 else ("B", "A"):
                     *spent, code, digest = run_op(sides[s], ops[i], out)
-                    if code != want["exit"] or digest != want["sha256"]:
-                        mismatches += 1
-                        print(f"mismatch {s}: {' '.join(ops[i])}: exit {code}")
+                    check(s, ops[i], code, digest)
                     for c, t in zip(CLOCKS, spent):
                         times[c][s][i].append(t)
                         total[c][s] += t
@@ -190,10 +197,7 @@ def main(argv=None):
         for s in sides:
             work[s], results = count_work(sides[s], ops, out)
             for op, (code, digest) in zip(ops, results):
-                want = ref[" ".join(op)]
-                if code != want["exit"] or digest != want["sha256"]:
-                    mismatches += 1
-                    print(f"mismatch {s} (counted pass): {' '.join(op)}: exit {code}")
+                check(s, op, code, digest, " (counted pass)")
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
     print(f"{'A min s':>10} {'B min s':>10} {'B/A':>7} "

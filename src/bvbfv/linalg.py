@@ -31,9 +31,9 @@ it updates, so no work is done on a column once it is visited.
 Kernels and images eliminate in a static sparse-first order (the columns
 of the system by ascending nonzero count, ties by index), which keeps
 fill-in down; spanning subsets, solutions and left inverses keep index
-order, which defines what they return, and quotients take their caller's
-order (below).  Within a column the pivot row is chosen by Markowitz's
-rule: smallest |pivot|, then the shortest row.
+order, which defines what they return, and class spaces take their
+caller's order (below).  Within a column the pivot row is chosen by
+Markowitz's rule: smallest |pivot|, then the shortest row.
 With the column order fixed, the pivot columns and each pivot column's
 reduced row (up to scale, on the visited columns) do not depend on that
 choice, so kernels, solutions, spanning subsets, quotients and square
@@ -54,11 +54,12 @@ Each question about spans costs at most one elimination, in integers:
   a left inverse.
 - A quotient is one elimination of the sub vectors' coordinates in its
   ambient space, as rows, with no identity block, visiting the ambient
-  basis in the caller's order, by default reverse index order; the
-  complement is the greedy extension of the sub's span in the reverse of
-  that order, and the class map is read off the reduced rows as a kernel
-  is.  The representatives are a free choice, so the order is the one
-  that keeps fill-in down where the caller knows it: a class space of a
+  basis in reverse index order unless the caller of `_kernel_quotient`
+  or `_quotient_of_coords` gives another; the complement is the greedy
+  extension of the sub's span in the reverse of that order, and the
+  class map is read off the reduced rows as a kernel is.  The
+  representatives are a free choice, so the order is the one that keeps
+  fill-in down where the caller knows it: a class space of a
   `_GradedPiece` passes `_fill_order`, sparse-first by its in-map's rows.
   It accepts any spanning list of the sub, so a class space ker q / Im i
   takes the columns of i and no image basis.  The coordinates of the sub
@@ -852,9 +853,9 @@ def _fill_order(ker, m=None):
     nonzeros in row f_k, the k-th free column, ties by descending k.
     Row k of ker's coordinates of m is m's row f_k, so this is the
     sparse-first order of that elimination; the ties keep the default's
-    direction.  With no m it is the default, descending k."""
+    direction.  With no m there is nothing to order by: None."""
     if m is None:
-        return range(ker.dim - 1, -1, -1)
+        return None
     counts = _counts(m, 0)
     free = _free_columns(ker)
     return sorted(range(ker.dim), key=lambda k: (counts[free[k]], -k))
@@ -902,7 +903,7 @@ def solve(m: RatMatrix, b):
     return x if m * x == b else None
 
 
-def quotient(ambient: Subspace, sub, order=None):
+def quotient(ambient: Subspace, sub):
     """Complement C with span(sub) + C = ambient, plus its coordinate map:
     the C.dim x ambient_dim matrix sending each vector of ambient to the
     coordinates of its class modulo span(sub) in the basis of C.  sub is a
@@ -913,8 +914,7 @@ def quotient(ambient: Subspace, sub, order=None):
 
     The coordinates of the sub vectors are `ambient._coords_of`, which
     also decides that they lie in ambient.  The rest is
-    `_quotient_of_coords`, which visits ambient's basis in the caller's
-    order (None: descending index).
+    `_quotient_of_coords`.
     """
     if isinstance(sub, Subspace):
         sub = sub.matrix()
@@ -925,15 +925,16 @@ def quotient(ambient: Subspace, sub, order=None):
     ys = ambient._coords_of(sub)
     if ys is None:
         raise SubspaceNotContained("sub is not inside ambient")
-    return _quotient_of_coords(ambient, ys, order)
+    return _quotient_of_coords(ambient, ys)
 
 
 def _kernel_quotient(q, ker, m, order=None):
-    """quotient(ker, columns of m, order) for ker = kernel_basis(q), with
-    no check against the basis.  A column lies in ker exactly when q kills
-    it, so membership is the one product q m = 0 (SubspaceNotContained
-    otherwise), and the coordinates are `_coords_of_columns`.  m None is
-    the map from the zero space."""
+    """quotient(ker, columns of m) for ker = kernel_basis(q), with no
+    check against the basis, visiting ker's basis in the `order` of
+    `_quotient_of_coords` (None: descending index).  A column lies in ker
+    exactly when q kills it, so membership is the one product q m = 0
+    (SubspaceNotContained otherwise), and the coordinates are
+    `_coords_of_columns`.  m None is the map from the zero space."""
     if m is not None and not (q * m).is_zero():
         raise SubspaceNotContained("sub is not inside ambient")
     return _quotient_of_coords(ker, None if m is None else _coords_of_columns(ker, m), order)

@@ -1035,12 +1035,13 @@ def reps_by_the_solve_route(piece, g):
     """reps(g) and the coordinate map's entries, in order, by quotient's
     general route: each column of ins[g] solved against ker q(g), the
     kernel basis visited in the fill order of the whole ins[g]."""
-    from bvbfv.linalg import _fill_order, quotient
+    from bvbfv.linalg import _fill_order, _quotient_of_coords
 
     m = piece.ins.get(g)
-    cols = [] if m is None else m.transpose().sparse_rows()
     ker = kernel_basis(piece.q(g))
-    comp, coords = quotient(ker, cols, _fill_order(ker, m))
+    ys = None if m is None else ker._coords_of(m)
+    assert m is None or ys is not None
+    comp, coords = _quotient_of_coords(ker, ys, _fill_order(ker, m))
     return comp.matrix(), list(coords.entries.items())
 
 
