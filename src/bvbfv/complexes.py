@@ -1,6 +1,7 @@
 """The graded quotient -- cocycles of one map modulo the image of another,
 with representatives and cached class coordinates -- and on it cochain
-complexes, chain maps, cohomology and long exact sequences of pairs.
+complexes, chain maps, cohomology and exact sequences that check their
+own exactness.
 
 One op (a CLI command, a morphism composition) builds several pieces
 whose per-degree blocks are often equal: the glued complex's cochain
@@ -38,16 +39,10 @@ from .linalg import (
     _quotient_of_coords,
     image_basis,
     kernel_basis,
-    quotient,
-    solve,
 )
 
 
 class ComplexError(Exception):
-    pass
-
-
-class NotShortExact(ComplexError):
     pass
 
 
@@ -106,7 +101,7 @@ class _GradedPiece:
     The bulk, boundary and vertical cohomology, the symplectic moduli
     ker Q / Q(ker pi), the Mayer-Vietoris pieces and the cohomology of a
     CochainComplex are all pieces of this kind.  `error` is the exception
-    class_coords raises on a vector that is not a cocycle.
+    class_matrix raises on a column that is not a cocycle.
 
     reps(g) holds the representatives as the columns of one RatMatrix,
     and every map of classes is one product with it: `class_matrix` takes
@@ -313,21 +308,9 @@ class CochainComplex:
     def euler_characteristic(self):
         return sum((-1) ** k * d for k, d in self.components.items())
 
-    def cohomology(self, k, variant="default"):
-        """(dimension, representative cocycles) of H^k, cached per degree.
-
-        `variant='alt'` sweeps the kernel basis in the opposite order when
-        picking representatives; used to certify representative-independence
-        of induced maps.
-        """
+    def cohomology(self, k):
+        """(dimension, representative cocycles) of H^k, cached per degree."""
         reps = self.piece.reps(k)
-        if variant == "alt" and reps.cols:
-            ker = self.piece.kernel(k)
-            flip = range(ker.dim - 1, -1, -1)
-            b, e = ker.matrix(), ker._left_inv()
-            alt = Subspace._of(b.submatrix(range(b.rows), flip))
-            alt._inv = e.submatrix(flip, range(e.cols))
-            reps = quotient(alt, self.d(k - 1))[0].matrix()
         return reps.cols, reps
 
     def betti(self):
@@ -416,72 +399,3 @@ def verify_exactness(seq: ExactSequenceReport):
             and seq.image(i).dim == seq.nodes[i][1] - seq.image(i + 1).dim
             for i in range(1, len(seq.nodes) - 1)]
 
-
-def _check_pair(rel_inclusion: ChainMap, restriction: ChainMap):
-    rel = rel_inclusion.source
-    absc = rel_inclusion.target
-    bdry = restriction.target
-    if restriction.source is not absc:
-        raise NotShortExact("restriction must start at the absolute complex")
-    degrees = sorted(set(absc.degrees()) | set(rel.degrees()) | set(bdry.degrees()))
-    for k in degrees:
-        inc = rel_inclusion.block(k)
-        res = restriction.block(k)
-        if not (res * inc).is_zero():
-            raise NotShortExact(f"restriction o inclusion nonzero in degree {k}")
-        if kernel_basis(inc).dim != 0:
-            raise NotShortExact(f"relative inclusion not injective in degree {k}")
-        if image_basis(res).dim != bdry.dim(k):
-            raise NotShortExact(f"restriction not surjective in degree {k}")
-        if image_basis(inc) != kernel_basis(res):
-            raise NotShortExact(f"sequence not exact in the middle in degree {k}")
-    return rel, absc, bdry, degrees
-
-
-def _connecting_block(rel, absc, rel_inclusion, restriction, k, bdry_reps):
-    """Matrix of the zig-zag H^k(bdry) -> H^{k+1}(rel) against the given
-    boundary representatives, the columns of bdry_reps."""
-    x = solve(restriction.block(k), bdry_reps)
-    if x is None:
-        raise NotShortExact("restriction not surjective on a cocycle")
-    z = solve(rel_inclusion.block(k + 1), absc.d(k) * x)
-    if z is None:
-        raise ComplexError("zig-zag failed: dx is not a relative cochain")
-    return rel.piece.class_matrix(k + 1, z)
-
-
-def les_of_pair(rel_inclusion: ChainMap, restriction: ChainMap):
-    """Long exact sequence of the pair from the per-degree short exact
-    sequence rel -> abs -> bdry, with the connecting map built by zig-zag.
-    Exactness is verified at every node."""
-    rel, absc, bdry, degrees = _check_pair(rel_inclusion, restriction)
-    kmin, kmax = degrees[0], degrees[-1]
-    nodes = []
-    maps = []
-    for k in range(kmin, kmax + 1):
-        nodes.append((f"H^{k}(rel)", rel.cohomology(k)[0]))
-        maps.append(absc.piece.class_matrix(k, rel_inclusion.block(k) * rel.cohomology(k)[1]))
-        nodes.append((f"H^{k}(abs)", absc.cohomology(k)[0]))
-        maps.append(bdry.piece.class_matrix(k, restriction.block(k) * absc.cohomology(k)[1]))
-        nodes.append((f"H^{k}(bdry)", bdry.cohomology(k)[0]))
-        maps.append(_connecting_block(rel, absc, rel_inclusion, restriction, k,
-                                      bdry.cohomology(k)[1]))
-    nodes.append((f"H^{kmax+1}(rel)", rel.cohomology(kmax + 1)[0]))
-    return ExactSequenceReport(nodes, maps)
-
-
-def connecting_map(rel_inclusion: ChainMap, restriction: ChainMap, k):
-    """Connecting homomorphism H^k(bdry) -> H^{k+1}(rel).
-
-    Recomputed with a second choice of representatives; the two matrices must
-    agree after change of basis, certifying independence of choices.
-    """
-    rel, absc, bdry, _ = _check_pair(rel_inclusion, restriction)
-    beta = _connecting_block(rel, absc, rel_inclusion, restriction, k,
-                             bdry.cohomology(k)[1])
-    b_alt = bdry.cohomology(k, "alt")[1]
-    beta_alt = _connecting_block(rel, absc, rel_inclusion, restriction, k, b_alt)
-    # express alt basis in the default basis and compare
-    if beta * bdry.piece.class_matrix(k, b_alt) != beta_alt:
-        raise ComplexError("connecting map depends on representative choice")
-    return beta

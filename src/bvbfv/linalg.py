@@ -1,7 +1,7 @@
 """Exact rational sparse linear algebra.
 
 Everything downstream (cohomology, moduli spaces, pairings) reduces to the
-kernel/image/quotient/orthogonality operations in this module.
+kernel/image/quotient/rank operations in this module.
 
 A `RatMatrix` is stored in integers: a dict (row, col) -> nonzero integer
 numerator, in storage order, and one positive denominator for the whole
@@ -9,16 +9,16 @@ matrix, the least common one, so equal matrices have equal storage.
 Products, sums, scaling, transposes, blocks, comparison and the rows that
 the eliminations read all run on that storage and build no Fraction; the
 builders of the other modules write integers too.  A matrix shows its
-entries as Fractions (`entries`, `[i, j]`, `sparse_rows`, `columns`,
-`matvec`'s result) only to a caller that reads them.
+entries as Fractions (`entries`, `[i, j]`, `columns`) only to a caller
+that reads them.
 
 A `Subspace` holds its basis the same way, as one `RatMatrix` of columns,
 and so does every list of vectors that the engine maps: a map applied to
-a basis is one product.  Kernels, images, spanning subsets and
-complements are primitive integer columns (denominator 1).  `basis` shows
-the columns as Fraction dicts, built when it is read.  Only single
-vectors handed in from outside (`coords`, `contains`, `matvec`, `solve`
-of one vector) are dicts of Fractions.
+a basis is one product, and a single vector is a one-column matrix.
+Kernels, images, spanning subsets and complements are primitive integer
+columns (denominator 1).  Sparse dicts of Fractions come in only through
+the builders (`RatMatrix.from_columns`, `from_rows`, the `Subspace`
+constructor) and go out only through `columns`.
 
 There is one elimination core, `_echelon`: fraction-free (integer row
 combinations after clearing denominators) Gauss-Jordan with a fixed pivot
@@ -45,9 +45,8 @@ Each question about spans costs at most one elimination, in integers:
 - A `Subspace` caches one left inverse E of its basis B (E B = I), a
   `RatMatrix`.  A kernel sets it from its free columns and
   `Subspace.full` from the identity, so neither is ever eliminated.
-  `coords` and `contains` apply it to the vector cleared to integers and
-  check the candidate as an integer identity; only the coordinates that
-  `coords` returns become Fractions.
+  The coordinates of the columns of a matrix M are the one product E M,
+  kept when B (E M) = M (`_coords_of`).
 - Containment of a subspace S in one with a left inverse is the one
   identity B (E S) = S; without one it is a rank count: one
   `_pivot_columns` of both bases.  `==` asks the side that already holds
@@ -67,8 +66,6 @@ Each question about spans costs at most one elimination, in integers:
   ambient there is no check to make: Im i lies in ker q exactly when the
   one product q i is zero, and E i reads i's rows at the kernel's free
   columns.
-- The complement under a symmetric or antisymmetric pairing is one
-  kernel, since its left and right complements coincide.
 - A kernel asked with rows that span the matrix's row space (the caller
   knows which) eliminates only those rows, in the column order of the
   whole matrix, so the basis is the whole matrix's.
@@ -76,7 +73,6 @@ Each question about spans costs at most one elimination, in integers:
 
 from __future__ import annotations
 
-from array import array
 from fractions import Fraction
 from math import gcd, lcm
 from types import MappingProxyType
@@ -91,14 +87,6 @@ class DimensionMismatch(LinalgError):
 
 
 class SubspaceNotContained(LinalgError):
-    pass
-
-
-class NotTransversal(LinalgError):
-    pass
-
-
-class NotLagrangian(LinalgError):
     pass
 
 
@@ -139,7 +127,7 @@ class RatMatrix:
     is read, kept until the next write, and is itself read-only.
     """
 
-    __slots__ = ("rows", "cols", "ints", "den", "_entries", "_by_col")
+    __slots__ = ("rows", "cols", "ints", "den", "_entries")
 
     def __init__(self, rows, cols, entries=None):
         self.rows = rows
@@ -147,7 +135,6 @@ class RatMatrix:
         self.ints = {}
         self.den = 1
         self._entries = None
-        self._by_col = None
         if entries:
             _check_keys(entries, rows, cols)
             self.ints, self.den = _to_ints(entries.items())
@@ -168,7 +155,6 @@ class RatMatrix:
         m.ints = ints
         m.den = den
         m._entries = None
-        m._by_col = None
         return m
 
     @property
@@ -193,7 +179,7 @@ class RatMatrix:
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise DimensionMismatch(f"index {ij} out of shape {self.shape}")
         v = Fraction(v)
-        self._entries = self._by_col = None
+        self._entries = None
         ints = self.ints
         if not v:
             if ints.pop(ij, None) is not None:
@@ -229,7 +215,7 @@ class RatMatrix:
         corner = (r0 + block.rows - 1, c0 + block.cols - 1)
         if not (corner[0] < self.rows and corner[1] < self.cols):
             raise DimensionMismatch(f"index {corner} out of shape {self.shape}")
-        self._entries = self._by_col = None
+        self._entries = None
         q = block.den * s.denominator
         den = lcm(self.den, q)
         ints = self.ints
@@ -290,14 +276,6 @@ class RatMatrix:
         _check_keys(ints, nrows, len(cols))
         return RatMatrix.of_ints(nrows, len(cols), ints, den)
 
-    def sparse_rows(self):
-        """The rows as sparse vectors of Fractions."""
-        rows = [dict() for _ in range(self.rows)]
-        den = self.den
-        for (i, j), x in self.ints.items():
-            rows[i][j] = Fraction(x, den)
-        return rows
-
     def columns(self):
         """The columns as sparse vectors of Fractions, each in storage
         order."""
@@ -326,44 +304,6 @@ class RatMatrix:
     def transpose(self):
         return RatMatrix.of_ints(self.cols, self.rows,
                                  {(j, i): x for (i, j), x in self.ints.items()}, self.den)
-
-    def matvec(self, v):
-        """M v, with v cleared to n / d and summed by `_int_matvec`; each
-        nonzero row becomes one Fraction."""
-        n, d = _clear(v)
-        d *= self.den
-        return {i: Fraction(s, d) for i, s in self._int_matvec(n).items()}
-
-    def _int_matvec(self, n):
-        """The numerators of (den * M) n for an integer vector n with no
-        zero entry, zero rows dropped.  It visits only the entries in the
-        columns of n's support, in storage order, so the result, down to
-        the order of its keys, is the one a scan of every entry gives.  The
-        positions of each column's entries are indexed on first use."""
-        if self._by_col is None:
-            keys = list(self.ints)
-            by_col = {}
-            for p, (_, j) in enumerate(keys):
-                col = by_col.get(j)
-                if col is None:
-                    by_col[j] = col = array("l")
-                col.append(p)
-            self._by_col = (keys, list(self.ints.values()), by_col)
-        keys, nums, by_col = self._by_col
-        touched = []
-        for j in n:
-            if j in by_col:
-                touched.extend(by_col[j])
-        touched.sort()
-        out = {}
-        for p in touched:
-            i, j = keys[p]
-            s = out.get(i, 0) + nums[p] * n[j]
-            if s:
-                out[i] = s
-            else:
-                out.pop(i, None)
-        return out
 
     def __mul__(self, other):
         """The product, scanning self's entries in storage order against
@@ -645,20 +585,10 @@ def _vstack(cols, mats):
     return _hstack(cols, [m.transpose() for m in mats]).transpose()
 
 
-def _clear(v):
-    """(n, d): an integer vector n and a positive integer d with v = n / d,
-    zero entries dropped."""
-    v = {j: x for j, x in v.items() if x}
-    d = lcm(*(x.denominator for x in v.values()))
-    return {j: x.numerator * (d // x.denominator) for j, x in v.items()}, d
-
-
 class Subspace:
     """A subspace of Q^ambient_dim, spanned by the independent columns of
     one RatMatrix (ambient_dim x dim): its basis.  `matrix()` is that
-    matrix, read-only like a matrix's storage, and `basis` shows its
-    columns as sparse dicts of Fractions, built on each read, so that
-    changing the list read changes nothing."""
+    matrix, read-only like a matrix's storage."""
 
     __slots__ = ("ambient_dim", "_cols", "_inv")
 
@@ -686,35 +616,16 @@ class Subspace:
     def _left_inv(self):
         """The cached left inverse E of the basis matrix B, E B = I (a
         RatMatrix); the one factorization behind the independence check,
-        `coords`, `contains` and `quotient`, and behind `contains_subspace`
-        and `==` once it exists.  `kernel_basis` and `full` set it without
+        `_coords_of` and `quotient`, and behind `contains_subspace` and
+        `==` once it exists.  `kernel_basis` and `full` set it without
         an elimination."""
         if self._inv is None:
             self._inv = _left_inverse(self._cols)
         return self._inv
 
-    def _solve(self, v):
-        """(y, d) with y[k] / d the k-th coordinate of v; y is None when v
-        is off the span.
-
-        With v = n / d0 in integers, y = (den E) n is the only candidate,
-        over d = d0 * den(E), and it is kept when B y / d == v, that is
-        when (den B) y == n * den(B) * den(E), an integer identity."""
-        n, d = _clear(v)
-        inv, b = self._left_inv(), self._cols
-        y = inv._int_matvec(n)
-        s = b.den * inv.den
-        back = b._int_matvec(y)
-        return (y if back == {j: x * s for j, x in n.items()} else None), d * inv.den
-
     @property
     def dim(self):
         return self._cols.cols
-
-    @property
-    def basis(self):
-        """The basis vectors as sparse dicts of Fractions, built on read."""
-        return self._cols.columns()
 
     @staticmethod
     def zero(ambient_dim):
@@ -729,18 +640,6 @@ class Subspace:
 
     def matrix(self):
         return self._cols
-
-    def coords(self, v):
-        """Coordinates of v in the basis, or None when v is off the span.
-        Exact: the integer check in `_solve` comes first, and only the
-        coordinates returned are built as Fractions."""
-        y, d = self._solve(v)
-        if y is None:
-            return None
-        return {k: Fraction(y[k], d) for k in sorted(y)}
-
-    def contains(self, v):
-        return self._solve(v)[0] is not None
 
     def _coords_of(self, m):
         """The coordinates of the columns of m in the basis B, as the
@@ -764,11 +663,6 @@ class Subspace:
             both = _hstack(self.ambient_dim, [self._cols, other._cols])
             return len(_pivot_columns(both)) == self.dim
         return self._coords_of(other._cols) is not None
-
-    def sum(self, other):
-        if other.ambient_dim != self.ambient_dim:
-            raise DimensionMismatch("ambient dimensions differ")
-        return column_span(_hstack(self.ambient_dim, [self._cols, other._cols]))
 
     def intersect(self, other):
         # v = A x = B y: kernel of the column-glued system [A | -B]
@@ -795,13 +689,10 @@ class Subspace:
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
 
 
-def column_span(columns, ambient_dim=None):
-    """Deterministic independent subset spanning the given columns, a
-    RatMatrix or a list of sparse vectors in Q^ambient_dim: the pivot
-    columns, each as a primitive integer vector whose lowest entry is
-    positive."""
-    if not isinstance(columns, RatMatrix):
-        columns = RatMatrix.from_columns(columns, ambient_dim)
+def column_span(columns: RatMatrix) -> Subspace:
+    """Deterministic independent subset spanning the columns of a
+    RatMatrix: the pivot columns, each as a primitive integer vector whose
+    lowest entry is positive."""
     return Subspace._of(_primitive_columns(columns, _pivot_columns(columns)))
 
 
@@ -821,7 +712,7 @@ def kernel_basis(m: RatMatrix, rows=None) -> Subspace:
     `_sparse_first`), which keeps fill-in down.  Each basis vector is the
     only one nonzero at its free column f_k, so row k of the left inverse
     is the single entry 1 / basis[k][f_k] at f_k; it is set here, and
-    `coords`, `contains`, `contains_subspace` and `==` on a kernel need no
+    `_coords_of`, `contains_subspace` and `==` on a kernel need no
     elimination.
 
     rows, when given, lists rows of m that span m's row space: only they
@@ -871,17 +762,12 @@ def image_basis(m: RatMatrix) -> Subspace:
     return Subspace._of(_primitive_columns(m, sorted(r for r, _ in piv)))
 
 
-def solve(m: RatMatrix, b):
-    """One solution x of m x = b, or None.  b is a sparse vector, answered
-    by one, or a RatMatrix of columns, answered by the matrix X with
-    m X = b from one elimination of m augmented by all of them (None when
-    one column has no solution).  The elimination visits m's columns in
-    index order and never an augmented one, so the pivot columns are m's,
-    and each solution is the one with free unknowns 0: the one its column
-    alone would get."""
-    if not isinstance(b, RatMatrix):
-        x = solve(m, RatMatrix.from_columns([b], m.rows))
-        return None if x is None else x.columns()[0]
+def solve(m: RatMatrix, b: RatMatrix):
+    """The matrix X with m X = b, or None when one column of b has no
+    solution, from one elimination of m augmented by all the columns of b.
+    The elimination visits m's columns in index order and never an
+    augmented one, so the pivot columns are m's, and each solution is the
+    one with free unknowns 0: the one its column alone would get."""
     if b.rows != m.rows:
         raise DimensionMismatch(f"{m.shape} x = {b.shape}")
     # the rows of [m | b] times both denominators
@@ -907,10 +793,10 @@ def quotient(ambient: Subspace, sub):
     """Complement C with span(sub) + C = ambient, plus its coordinate map:
     the C.dim x ambient_dim matrix sending each vector of ambient to the
     coordinates of its class modulo span(sub) in the basis of C.  sub is a
-    Subspace, or a RatMatrix or a list of vectors whose columns span it;
-    dependent and zero vectors are allowed.  On vectors outside ambient
-    the map means nothing, so callers check membership first.  The
-    projection that kills sub and fixes C pointwise is C.matrix() * coords.
+    Subspace, or a RatMatrix whose columns span it; dependent and zero
+    columns are allowed.  On vectors outside ambient the map means
+    nothing, so callers check membership first.  The projection that
+    kills sub and fixes C pointwise is C.matrix() * coords.
 
     The coordinates of the sub vectors are `ambient._coords_of`, which
     also decides that they lie in ambient.  The rest is
@@ -918,8 +804,6 @@ def quotient(ambient: Subspace, sub):
     """
     if isinstance(sub, Subspace):
         sub = sub.matrix()
-    elif not isinstance(sub, RatMatrix):
-        sub = RatMatrix.from_columns(sub, ambient.ambient_dim)
     if sub.rows != ambient.ambient_dim:
         raise DimensionMismatch("ambient dimensions differ")
     ys = ambient._coords_of(sub)
@@ -941,11 +825,11 @@ def _kernel_quotient(q, ker, m, order=None):
 
 
 def _coords_of_columns(space, m):
-    """The matrix whose column j is space.coords of column j of m: the one
-    product E m with space's left inverse E.  Every column must lie in
-    space, which the caller has checked.  On a kernel or `Subspace.full`
-    each row of E is a single entry, so E m reads m's rows at the free
-    columns."""
+    """The matrix whose column j holds the coordinates in space's basis of
+    column j of m: the one product E m with space's left inverse E.  Every
+    column must lie in space, which the caller has checked.  On a kernel
+    or `Subspace.full` each row of E is a single entry, so E m reads m's
+    rows at the free columns."""
     return space._left_inv() * m
 
 
@@ -1036,14 +920,6 @@ class PairingForm:
         self.right_dim = right_dim
         self.matrix = matrix
 
-    def value(self, u, v):
-        """u^T M v for two sparse vectors."""
-        w = self.matrix.matvec(v)
-        return sum((x * w[i] for i, x in u.items() if i in w), Fraction(0))
-
-    def is_square(self):
-        return self.left_dim == self.right_dim
-
     def nondegenerate(self):
         if self.left_dim != self.right_dim:
             return False
@@ -1053,98 +929,8 @@ class PairingForm:
         return f"PairingForm({self.left_dim}x{self.right_dim})"
 
 
-def orthogonal_complement(p: PairingForm, side: str, s: Subspace) -> Subspace:
-    """{v : p(v, s) = 0} for side='left', {v : p(s, v) = 0} for side='right'."""
-    if side not in ("left", "right"):
-        raise ValueError("side must be 'left' or 'right'")
-    dim = p.left_dim if side == "left" else p.right_dim
-    sdim = p.right_dim if side == "left" else p.left_dim
-    if s.ambient_dim != sdim:
-        raise DimensionMismatch("subspace does not live in the paired space")
-    if s.dim == 0:
-        return Subspace.full(dim)
-    # one condition row per basis vector b: (M b)^T for v . (M b) = 0 on
-    # the left, b^T M for (M^T b) . v = 0 on the right
-    if side == "left":
-        cond = (p.matrix * s.matrix()).transpose()
-    else:
-        cond = s.matrix().transpose() * p.matrix
-    return kernel_basis(cond)
-
-
 def _plus_minus_symmetric(m: RatMatrix) -> bool:
     """m^T == m or m^T == -m, compared on the integer storage."""
     e = m.ints
     return (all(e.get((j, i)) == v for (i, j), v in e.items())
             or all(e.get((j, i)) == -v for (i, j), v in e.items()))
-
-
-def two_sided_complement(p: PairingForm, s: Subspace) -> Subspace:
-    """{v : p(v,s)=0 and p(s,v)=0}, also meaningful without symmetry.  When
-    the matrix M of p is symmetric or antisymmetric, p(s, v) = +-p(v, s),
-    so the left and right complements are the same subspace and the left
-    one (one kernel) is returned; otherwise their intersection."""
-    if not p.is_square():
-        raise DimensionMismatch("two-sided complement needs a square pairing")
-    left = orthogonal_complement(p, "left", s)
-    if _plus_minus_symmetric(p.matrix):
-        return left
-    right = orthogonal_complement(p, "right", s)
-    return left.intersect(right)
-
-
-def classify_subspace(p: PairingForm, s: Subspace):
-    """Isotropic / coisotropic / lagrangian verdicts for s against a square
-    pairing (lagrangian = both; no dimension count)."""
-    if not p.is_square():
-        raise DimensionMismatch("classification needs a pairing of a space with itself")
-    if s.ambient_dim != p.left_dim:
-        raise DimensionMismatch("subspace does not live in the paired space")
-    perp = two_sided_complement(p, s)
-    isotropic = perp.contains_subspace(s)
-    coisotropic = s.contains_subspace(perp)
-    return {
-        "isotropic": isotropic,
-        "coisotropic": coisotropic,
-        "lagrangian": isotropic and coisotropic,
-    }
-
-
-def presymplectic_reduce(p: PairingForm, sub: Subspace):
-    """Quotient W' = W / ker(p) with the induced nondegenerate pairing and
-    the image of `sub`, re-verifying the isotropy/Lagrangianity transfer
-    facts (including the lifting clause when ker(p) is inside sub)."""
-    if not p.is_square():
-        raise DimensionMismatch("presymplectic reduction needs a square pairing")
-    n = p.left_dim
-    if sub.ambient_dim != n:
-        raise DimensionMismatch("subspace does not live in the paired space")
-    kernel = two_sided_complement(p, Subspace.full(n))
-    comp, coords = quotient(Subspace.full(n), kernel)
-    k = comp.dim
-    c = comp.matrix()
-    red_pairing = PairingForm(k, k, c.transpose() * p.matrix * c)
-    red_sub = column_span(coords * sub.matrix())
-    before = classify_subspace(p, sub)
-    after = (
-        classify_subspace(red_pairing, red_sub)
-        if k
-        else {"isotropic": True, "coisotropic": True, "lagrangian": True}
-    )
-    kernel_in_sub = sub.contains_subspace(kernel)
-    facts = {
-        "reduced_nondegenerate": red_pairing.nondegenerate() if k else True,
-        "isotropy_matches": before["isotropic"] == after["isotropic"],
-        "lagrangian_descends": (not before["lagrangian"]) or after["lagrangian"],
-        "lagrangian_lifts": (not (after["lagrangian"] and kernel_in_sub))
-        or before["lagrangian"],
-    }
-    return {
-        "kernel": kernel,
-        "reduced_dim": k,
-        "reduced_pairing": red_pairing,
-        "reduced_sub": red_sub,
-        "projection": comp.matrix() * coords,
-        "complement": comp,
-        "facts": facts,
-    }

@@ -54,8 +54,6 @@ from functools import cached_property
 
 from .complexes import ExactSequenceReport, _GradedPiece
 from .linalg import (
-    NotLagrangian,
-    NotTransversal,
     PairingForm,
     RatMatrix,
     Subspace,
@@ -64,13 +62,8 @@ from .linalg import (
     _plus_minus_symmetric,
     _unit_columns,
     _unread,
-    column_span,
-    image_basis,
-    kernel_basis,
-    quotient,
     solve,
     stacked_rank,
-    classify_subspace,
 )
 from .theories import LinearTheory
 
@@ -478,8 +471,8 @@ def _relation_verdict(spans, block, partner, perfect):
     subspaces spans[g], against the form on the sum of their ambient spaces
     V_g that pairs V_g only with V_p(g), p = partner an involution, in the
     block block(g) from V_p(g) to V_g; perfect(g) says whether block(g) is
-    square and of full rank.  It decides what `linalg.classify_subspace`
-    decides on the assembled form, from rank counts on per-ghost blocks.
+    square and of full rank.  It decides them for the assembled form from
+    rank counts on per-ghost blocks, with no complement built.
 
     With S_g a basis of spans[g] as columns, X_g = S_g^T block(g) S_p(g) is
     the form on L from ghost p(g) to ghost g, so L is isotropic iff every
@@ -573,69 +566,6 @@ def vacua(model: ReducedModel):
         "pairing": pairing,
         "vac_reps": vac_reps,
         "offsets": layout.offsets,
-    }
-
-
-def vacua_via_transversal(model: ReducedModel, lam: Subspace):
-    """Symplectic reduction of the fields with boundary class constrained to
-    a transversal Lagrangian lam in the reduced boundary space; verified to
-    agree with the vacua in dimension and pairing.  The independent flat
-    cross-check of `vacua`, from kernel_basis and image_basis of Q: it stays
-    off the classes, as its pairing check compares omega on flat complement
-    representatives, and with a boundary omega(Qy, s) need not vanish."""
-    t = model.t
-    ev = evolution_relation(model)
-    pairing = ev["pairing"]
-    layout = _bdry_sum(model)
-    total = layout.total
-    if lam.ambient_dim != total:
-        raise ModuliError("lambda must live in the total reduced boundary space")
-    cls = classify_subspace(pairing, lam)
-    if not cls["lagrangian"]:
-        raise NotLagrangian("lambda is not Lagrangian in the reduced boundary space")
-    if lam.intersect(ev["reduced_L"]).dim != 0:
-        raise NotTransversal("lambda meets the reduced evolution relation")
-    el = kernel_basis(t.Q).matrix()
-    comp_lam, lam_coords = quotient(Subspace.full(total), lam)
-    # the boundary class of pi b is psi of the class of b, ghost by ghost
-    classes = RatMatrix(total, el.cols)
-    for g in model.ghosts:
-        at_g = model.bulk.class_matrix(g, model.bulk.local(g, el))
-        classes.add_block(layout.offsets[g], 0, model.psi(g) * at_g)
-    cond = comp_lam.matrix() * lam_coords * classes
-    S = column_span(el * kernel_basis(cond).matrix())
-    # the gauge directions inside S: image vectors have exact boundary
-    # classes, hence lie in S whenever the class condition is lam-closed
-    I = image_basis(t.Q)
-    if not S.contains_subspace(I):
-        raise ModuliError("image of Q leaves the constrained space")
-    # dimension agreement with the vacua
-    vac = vacua(model)
-    dim_s_mod_i = S.dim - I.dim
-    vac_total = sum(vac["dims"].values())
-    agree_dim = dim_s_mod_i == vac_total
-    # pairing agreement through the class map into Im chi
-    agree_pairing = True
-    if t.omega is not None and S.dim:
-        comp = quotient(S, I)[0].matrix()
-        # the classes of the complement, in the basis of Im chi at each ghost
-        imgs = RatMatrix(vac["pairing"].left_dim, comp.cols)
-        for g in model.ghosts:
-            inv = vac["vac_reps"][g]._coords_of(
-                model.bulk.class_matrix(g, model.bulk.local(g, comp)))
-            if inv is None:
-                agree_pairing = False
-            else:
-                imgs.add_block(vac["offsets"][g], 0, inv)
-        if _pairing_block(t.omega, comp, comp) != \
-                _pairing_block(vac["pairing"].matrix, imgs, imgs):
-            agree_pairing = False
-    return {
-        "S_dim": S.dim,
-        "I_dim": I.dim,
-        "reduced_dim": dim_s_mod_i,
-        "agrees_with_vacua_dim": agree_dim,
-        "agrees_with_vacua_pairing": agree_pairing,
     }
 
 

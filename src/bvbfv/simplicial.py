@@ -1,9 +1,9 @@
 """Oriented simplicial pseudomanifolds with boundary.
 
-Provides coboundary operators, relative complexes, the fundamental cycle,
-the Alexander-Whitney cup product, and evaluation against the fundamental
-cycle -- the discrete realizations of d, (N, dN), [N], wedge and integration.
-All identities (d^2 = 0, Stokes, cup-Leibniz) hold exactly.
+Provides coboundary operators, the induced boundary orientation,
+restrictions and relative complexes -- the discrete realizations of d, dN
+and (N, dN).  d^2 = 0 holds exactly.  The cup product evaluated on the
+fundamental cycle is `theories.cup_block`, one matrix per pair of degrees.
 
 `OrientedComplex.restriction` is the one builder of restrictions of
 cochains to a subcomplex.  The restriction to the boundary is a coordinate
@@ -15,11 +15,10 @@ only when asked for, never by a theory build, which reads the restriction.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from itertools import combinations
 
 from .complexes import ChainMap, CochainComplex
-from .linalg import PairingForm, RatMatrix, _unit_columns, _unread
+from .linalg import RatMatrix, _unit_columns, _unread
 
 
 class SimplicialError(Exception):
@@ -167,11 +166,7 @@ class OrientedComplex:
                 bdry[f] = coeff
         self._boundary_data = dict(sorted(bdry.items()))
 
-    # -- fundamental cycle and boundary ---------------------------------------
-
-    def fundamental_cycle(self):
-        """Coefficients of [N] on top faces, indexed like faces(dimension)."""
-        return {self.face_index(self.dimension, t): Fraction(s) for t, s in self.top.items()}
+    # -- boundary ------------------------------------------------------------
 
     def boundary_faces(self):
         """Boundary (n-1)-faces with their induced orientation signs."""
@@ -291,97 +286,6 @@ class OrientedComplex:
         restriction = ChainMap(absc, bcx, rest_blocks)
         return relc, inclusion, restriction
 
-    # -- cup product and evaluation -------------------------------------------
-
-    def cup(self, k, a, l, b):
-        """Alexander-Whitney product of a k-cochain and an l-cochain.
-
-        Returns a (k+l)-cochain; silently the zero cochain beyond the top
-        degree (discrete counterpart of the wedge vanishing there).
-        """
-        deg = k + l
-        if deg > self.dimension:
-            return {}
-        out = {}
-        for t in self.faces(deg):
-            i = self.face_index(deg, t)
-            front = t[: k + 1]
-            back = t[k:]
-            av = a.get(self.face_index(k, front))
-            if not av:
-                continue
-            bv = b.get(self.face_index(l, back))
-            if not bv:
-                continue
-            out[i] = av * bv
-        return {i: v for i, v in out.items() if v}
-
-    def evaluate(self, a, fc=None):
-        """<a, [N]> for a top-degree cochain a (linear, exact)."""
-        if fc is None:
-            fc = self.fundamental_cycle()
-        return sum((v * a.get(i, Fraction(0)) for i, v in fc.items()), Fraction(0))
-
-    def evaluate_cup(self, k, a, l, b):
-        if k + l != self.dimension:
-            return Fraction(0)
-        return self.evaluate(self.cup(k, a, l, b))
-
-    def boundary_evaluate(self, a):
-        """<a, [dN]> for an (n-1)-cochain given on the boundary complex."""
-        bc = self.boundary_complex()
-        return bc.evaluate(a) if bc.n_faces(0) else Fraction(0)
-
-    def pairing_on_cohomology(self, k, relative_left=True):
-        """Lefschetz/Poincare pairing <[a],[b]> = <a cup b, [N]> in degree
-        (k, n-k), with the left argument relative when the boundary is
-        nonempty and relative_left is set; plain Poincare pairing on a
-        closed complex.
-
-        Well-definedness is certified by perturbing every representative
-        with an exact term and recomputing.
-        """
-        n = self.dimension
-        absc = self.cochain_complex()
-        if self.is_closed():
-            left_cx = right_cx = absc
-            left_reps = absc.cohomology(k)[1]
-            right_reps = absc.cohomology(n - k)[1]
-            lift_left = lift_right = None
-        else:
-            relc, incl, _ = self.relative_complex()
-            if relative_left:
-                left_cx, right_cx = relc, absc
-                left_reps = relc.cohomology(k)[1]
-                right_reps = absc.cohomology(n - k)[1]
-                lift_left, lift_right = incl.block(k), None
-            else:
-                left_cx, right_cx = absc, relc
-                left_reps = absc.cohomology(k)[1]
-                right_reps = relc.cohomology(n - k)[1]
-                lift_left, lift_right = None, incl.block(n - k)
-        def pairing(left, right):
-            left = left if lift_left is None else lift_left * left
-            right = right if lift_right is None else lift_right * right
-            mat = RatMatrix(left.cols, right.cols)
-            for i, a in enumerate(left.columns()):
-                for j, b in enumerate(right.columns()):
-                    mat[i, j] = self.evaluate_cup(k, a, n - k, b)
-            return mat
-
-        mat = pairing(left_reps, right_reps)
-        if pairing(left_reps + self._exact_perturbation(left_cx, k, left_reps.cols),
-                   right_reps + self._exact_perturbation(right_cx, n - k, right_reps.cols)) != mat:
-            raise SimplicialError(
-                f"cohomology pairing in degree ({k},{n-k}) depends on representatives"
-            )
-        return PairingForm(mat.rows, mat.cols, mat)
-
-    def _exact_perturbation(self, cx, k, count):
-        """count copies, side by side, of one exact cochain of degree k."""
-        u = {(j, c): 1 + (j % 3) for j in range(cx.dim(k - 1)) for c in range(count)}
-        return cx.d(k - 1) * RatMatrix.of_ints(cx.dim(k - 1), count, u)
-
     # -- io --------------------------------------------------------------------
 
     def to_dict(self):
@@ -412,6 +316,9 @@ def is_vertex_id(v):
     return type(v) is int or isinstance(v, str)
 
 
+_COMPLEX_KEYS = {"dimension", "vertices", "top_simplices", "orientation_signs"}
+
+
 def load_complex(source) -> OrientedComplex:
     """Load a complex from a dict, a JSON string, or a file path."""
     if isinstance(source, dict):
@@ -421,6 +328,11 @@ def load_complex(source) -> OrientedComplex:
     else:
         with open(source) as fh:
             data = json.load(fh)
+    if not isinstance(data, dict):
+        raise SimplicialError("a complex description must be a JSON object")
+    unknown = sorted(set(data) - _COMPLEX_KEYS)
+    if unknown:
+        raise SimplicialError(f"unknown key {unknown[0]!r} in complex description")
     for key in ("dimension", "vertices", "top_simplices"):
         if key not in data:
             raise SimplicialError(f"missing field {key!r} in complex description")

@@ -736,7 +736,8 @@ def _rational(x):
 
 def _check_target(data):
     """The schema of a target file: vars [{name: str, degree: int}], omega
-    [[entry]], omega_degree: int and theta [{coeff, monomial: [str]}]."""
+    [[entry]], omega_degree: int and theta [{coeff, monomial: [str]}], and
+    no other key."""
     def each(key, test):
         xs = data.get(key, [])
         return isinstance(xs, list) and all(test(x) for x in xs)
@@ -751,6 +752,9 @@ def _check_target(data):
                      and all(isinstance(n, str) for n in t["monomial"]))):
         raise SymbolicError("target file: expected vars [{name, degree}], omega [rows], "
                             "an integer omega_degree and theta [{coeff, monomial}]")
+    unknown = sorted(set(data) - {"vars", "omega", "omega_degree", "theta"})
+    if unknown:
+        raise SymbolicError(f"unknown key {unknown[0]!r}")
 
 
 def target_from_dict(data) -> TargetSpec:

@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from .complexes import GhostMismatch
-from .linalg import PairingForm, RatMatrix
+from .linalg import RatMatrix
 from .simplicial import OrientedComplex
 
 
@@ -184,10 +184,6 @@ class LinearTheory:
 
     def S_deriv(self):
         return self.S_mat + self.S_mat.transpose()
-
-    def pair_bulk(self, u, v):
-        n = self.bulk.total
-        return PairingForm(n, n, self.pair_bulk_mat).value(u, v)
 
     def __repr__(self):
         return (f"LinearTheory({self.name}, n={self.n}, D={self.D}, "
@@ -752,7 +748,10 @@ def theory_from_config(cx: OrientedComplex, config: dict) -> LinearTheory:
     """Build a theory from the config mapping: a string kind, an optional
     rational mass, and optional integers `n` (ambient dimension) and codim.
     Only the scalar has a mass term; a nonzero mass on any other theory or
-    on a stratum is a TheoryError."""
+    on a stratum is a TheoryError, and so is any other key."""
+    unknown = sorted(set(config) - {"kind", "mass", "n", "codim"})
+    if unknown:
+        raise TheoryError(f"unknown theory config key {unknown[0]!r}")
     kind, ambient, codim = config.get("kind"), config.get("n"), config.get("codim")
     if not isinstance(kind, str):
         raise TheoryError("theory config needs a string 'kind'")
@@ -760,7 +759,7 @@ def theory_from_config(cx: OrientedComplex, config: dict) -> LinearTheory:
         raise TheoryError("theory config: 'n' and 'codim' must be integers")
     try:
         mass = Fraction(config.get("mass", 0))
-    except (TypeError, ValueError, ZeroDivisionError) as e:
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as e:
         raise TheoryError(f"bad mass: {e}") from None
     if codim:
         if mass:

@@ -181,6 +181,7 @@ def test_glue_boolean_interface_vertex_exits_one(tmp_path):
     ("complex", "top_simplices", [[False, True]]),
     ("complex", "orientation_signs", [1.0]),
     ("complex", "orientation_signs", [True]),
+    ("complex", "orientation", [-1]),
     ("target", "theta", [{"coeff": "1/0", "monomial": ["x0", "x1", "x2"]}]),
     # a whole file (field None): complexes with no top simplex
     ("complex", None, {"dimension": 2, "vertices": [], "top_simplices": []}),
@@ -188,7 +189,7 @@ def test_glue_boolean_interface_vertex_exits_one(tmp_path):
 ], ids=["dimension_not_int", "vertex_id_list", "vertices_not_list",
         "top_simplex_vertex_list", "top_simplex_not_list", "orientation_signs_not_list",
         "dimension_bool", "vertex_id_bool", "top_simplex_vertex_bool", "orientation_sign_float",
-        "orientation_sign_bool", "coeff_zero_denominator", "no_top_simplex",
+        "orientation_sign_bool", "unknown_key", "coeff_zero_denominator", "no_top_simplex",
         "dimension_negative"])
 def test_malformed_input_exits_one(tmp_path, kind, field, value):
     source = {"complex": "interval.json", "target": "targets/cs_so3.json"}[kind]
@@ -230,8 +231,10 @@ def _assert_one_error_line(out):
     {"kind": "scalar", "mass": [1]},
     {"kind": "abelian_bf", "n": "3"},
     {"kind": "abelian_bf", "codim": "1"},
+    {"kind": "abelian_cs", "N": 5},
+    {"kind": "scalar", "mass": float("inf")},
 ], ids=["not_object", "no_kind", "kind_not_string", "mass_list", "n_not_int",
-        "codim_not_int"])
+        "codim_not_int", "unknown_key", "mass_infinite"])
 def test_malformed_theory_config_exits_one(tmp_path, config):
     p = tmp_path / "theory.json"
     p.write_text(json.dumps(config))
@@ -255,6 +258,12 @@ def _target_with(**fields):
     return data
 
 
+def _target_renamed(key, new_key):
+    data = _target_with()
+    data[new_key] = data.pop(key)
+    return data
+
+
 @pytest.mark.parametrize("data", [
     [1, 2],
     _target_with(vars=3),
@@ -264,12 +273,32 @@ def _target_with(**fields):
     _target_with(vars=[{"name": f"x{i}", "degree": "one"} for i in range(3)]),
     _target_with(omega_degree="2"),
     _target_with(theta=[{"coeff": "1", "monomial": 3}]),
+    _target_renamed("theta", "Theta"),
 ], ids=["not_object", "vars_not_list", "omega_not_list", "theta_not_list",
-        "var_not_object", "degree_not_int", "omega_degree_not_int", "monomial_not_list"])
+        "var_not_object", "degree_not_int", "omega_degree_not_int", "monomial_not_list",
+        "unknown_key"])
 def test_malformed_target_exits_one(tmp_path, data):
     p = tmp_path / "bad_target.json"
     p.write_text(json.dumps(data))
     _assert_one_error_line(run_cli("target", "check", str(p)))
+
+
+def test_unknown_keys_are_named(tmp_path):
+    # a misspelt key is refused by name, not read as an absent one: the
+    # orientation, theta and n would each fall back to a default
+    with open(os.path.join(CORPUS, "interval.json")) as fh:
+        cx = json.load(fh)
+    cx["orientation"] = [-1]
+    cases = [("orientation", cx, ("complex", "check")),
+             ("Theta", _target_renamed("theta", "Theta"), ("target", "check")),
+             ("N", {"kind": "abelian_cs", "N": 5}, None)]
+    for key, data, command in cases:
+        p = tmp_path / f"{key}.json"
+        p.write_text(json.dumps(data))
+        argv = (*command, str(p)) if command else ("moduli", "disk", "--theory", str(p))
+        out = run_cli(*argv)
+        _assert_one_error_line(out)
+        assert repr(key) in out.stderr.decode(), argv
 
 
 @pytest.mark.parametrize("kind, alias", [("abelian_bf", "bf"), ("abelian_cs", "cs"),

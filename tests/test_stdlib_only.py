@@ -1,6 +1,7 @@
-"""The package and the scripts import nothing outside the standard
-library (the scripts may import the repository's own modules), and each
-file uses every name it imports.  Each script also runs, on a small
+"""The package, the scripts and the tests' shared helper modules import
+nothing outside the standard library (the scripts and the helpers may
+import the repository's own modules), and each file uses every name it
+imports.  Each script also runs, on a small
 input, in a subprocess."""
 
 import ast
@@ -14,11 +15,14 @@ import pytest
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src", "bvbfv")
 SCRIPTS = os.path.join(ROOT, "scripts")
+TESTS = os.path.join(ROOT, "tests")
 # (path, the names outside the standard library that it may import)
 FILES = [(os.path.join(SRC, f), set()) for f in sorted(os.listdir(SRC)) if f.endswith(".py")]
 FILES += [(os.path.join(SCRIPTS, f), {"bvbfv", "workloads", "corpus_report"})
           for f in sorted(os.listdir(SCRIPTS)) if f.endswith(".py")]
-# a module of the package by its file name, a script by its path
+# the reference routes and vector helpers that the tests share
+FILES += [(os.path.join(TESTS, f), {"bvbfv"}) for f in ("reference.py", "vectors.py")]
+# a module of the package by its file name, a script or a helper by its path
 IDS = [os.path.relpath(path, ROOT if own else SRC) for path, own in FILES]
 
 

@@ -1,10 +1,13 @@
 """Sparse vectors (dicts index -> Fraction, zero entries never stored) for
-the tests' per-vector reference routes; the package itself maps whole
-bases as matrices.  Also the eliminating reference routes of verdicts that
-the package now decides by ranks."""
+the tests' per-vector checks.  The package maps and tests vectors only as
+one-column matrices; the helpers below that touch a matrix or a subspace
+go through that path (a product, `Subspace._coords_of`, `solve` of one
+column), so the tests carry no second matrix-vector product."""
 
 from fractions import Fraction
 from math import gcd, lcm
+
+from bvbfv.linalg import RatMatrix, column_span, solve
 
 
 def vec_add(u, v):
@@ -48,30 +51,48 @@ def primitive(v):
     return {j: Fraction(x // g) for j, x in ints.items()}
 
 
-def exactness_by_subspaces(seq):
-    """The verdicts of `complexes.verify_exactness` by elimination: at each
-    interior node i of the sequence, Im maps[i-1] == ker maps[i] as
-    `Subspace`s."""
-    from bvbfv.linalg import kernel_basis
-
-    return [seq.image(i) == kernel_basis(seq.maps[i]) for i in range(1, len(seq.nodes) - 1)]
+def column(v, n):
+    """The sparse vector v of Q^n as an n x 1 matrix."""
+    return RatMatrix.from_columns([v], n)
 
 
-def vert_form_kernel_is_ker_chi_by_kernels(model):
-    """`moduli.vacua`'s vert_form_kernel_is_ker_chi by elimination: per
-    ghost g, the kernel of pair_vert_bulk(g) chi(c - g) against ker chi(c - g),
-    the kernel out of the LES's vertical node at c - g."""
-    from bvbfv.linalg import Subspace, kernel_basis
-    from bvbfv.moduli import tangent_les
+def matvec(m, v):
+    """m v: the product of m with v as one column."""
+    return (m * column(v, m.cols)).columns()[0]
 
-    c = model.pair_ghost()
-    les = tangent_les(model)
-    for g in model.ghosts:
-        node = les.index.get(f"vert@gh{c - g}")
-        if node is None:
-            continue
-        ker = kernel_basis(les.maps[node]) if node < len(les.maps) \
-            else Subspace.full(les.nodes[node][1])
-        if kernel_basis(model.pair_vert_bulk(g) * model.chi(c - g)) != ker:
-            return False
-    return True
+
+def sparse_rows(m):
+    """The rows of m as sparse vectors of Fractions."""
+    return m.transpose().columns()
+
+
+def basis(s):
+    """The basis of the Subspace s as sparse vectors of Fractions."""
+    return s.matrix().columns()
+
+
+def coords_of(s, v):
+    """The coordinates of v in the basis of s, or None when v is off the
+    span."""
+    y = s._coords_of(column(v, s.ambient_dim))
+    return None if y is None else y.columns()[0]
+
+
+def contains(s, v):
+    return coords_of(s, v) is not None
+
+
+def solve_vector(m, b):
+    """One solution x of m x = b (free unknowns 0), or None."""
+    x = solve(m, column(b, m.rows))
+    return None if x is None else x.columns()[0]
+
+
+def pair_value(form, u, v):
+    """u^T form v for two sparse vectors."""
+    return vec_dot(u, matvec(form, v))
+
+
+def span_of(vecs, n):
+    """`column_span` of the sparse vectors vecs of Q^n."""
+    return column_span(RatMatrix.from_columns(vecs, n))
