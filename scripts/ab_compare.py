@@ -20,11 +20,13 @@ less than wall time; then per side the median pass time (sum of its ops'
 wall times in one pass), the ratio of the medians, and the number of
 passes in which B took less time than A, and the same for CPU pass times.
 Last come deterministic work counts, from one more pass per side that is
-not timed, with that side's `linalg._echelon` and `RatMatrix.__mul__`
-wrapped: per side the eliminations, the nonzeros of their reduced rows,
-the matrix products and their integer multiply-adds.  These do not move
-with the host's speed, so they show a change of work where the times
-are too noisy to.
+not timed, with that side's `linalg._echelon`, `RatMatrix.__mul__` and
+`RatMatrix.add_block` wrapped: per side the eliminations, the nonzeros
+of their reduced rows, the matrix products and their integer
+multiply-adds, and the block additions (`RatMatrix.add_block`, which
+assembles every theory matrix) and the entries they add.  These do not
+move with the host's speed, so they show a change of work where the
+times are too noisy to.
 Exits 2 when any run differs from its reference.
 Needs the standard library only.
 """
@@ -51,7 +53,8 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 from workloads import WORKLOADS  # noqa: E402
 
 CLOCKS = ("wall", "cpu")
-WORK = ("eliminations", "reduced-row nonzeros", "products", "multiply-adds")
+WORK = ("eliminations", "reduced-row nonzeros", "products", "multiply-adds",
+        "block additions", "entries added")
 
 
 def _ours(name):
@@ -112,11 +115,13 @@ def run_op(side, argv, out):
 
 def count_work(side, ops, out):
     """(counts, results): the WORK counts of one pass of ops on a side,
-    with its `linalg._echelon` and `RatMatrix.__mul__` wrapped for the
-    pass, and each op's (exit code, sha256)."""
+    with its `linalg._echelon`, `RatMatrix.__mul__` and
+    `RatMatrix.add_block` wrapped for the pass, and each op's (exit code,
+    sha256)."""
     _, modules = side
     linalg = modules["bvbfv.linalg"]
-    echelon, mul = linalg._echelon, linalg.RatMatrix.__mul__
+    echelon, mul, add_block = (linalg._echelon, linalg.RatMatrix.__mul__,
+                               linalg.RatMatrix.add_block)
     n = dict.fromkeys(WORK, 0)
 
     def counted_echelon(*args, **kwargs):
@@ -134,11 +139,19 @@ def count_work(side, ops, out):
             n["multiply-adds"] += sum(per_row[k] for _, k in a.ints)
         return c
 
+    def counted_add_block(m, r0, c0, block, scale=1):
+        n["block additions"] += 1
+        if scale:
+            n["entries added"] += len(block.ints)
+        return add_block(m, r0, c0, block, scale)
+
     linalg._echelon, linalg.RatMatrix.__mul__ = counted_echelon, counted_mul
+    linalg.RatMatrix.add_block = counted_add_block
     try:
         results = [run_op(side, op, out)[2:] for op in ops]
     finally:
         linalg._echelon, linalg.RatMatrix.__mul__ = echelon, mul
+        linalg.RatMatrix.add_block = add_block
     return n, results
 
 

@@ -89,13 +89,14 @@ class OrientedComplex:
         self.top = dict(sorted(tops.items()))
         self._faces = None
         self._findex = None
-        self._boundary_data = None
         # derived-operator caches; the complex is immutable after load and
         # the computations are idempotent, so concurrent readers at worst
         # recompute the same value
         self._cache = {}
-        self._check_pseudomanifold()
-        self._check_orientation()
+        # both checks read one walk of the ridges
+        ridges = self._ridge_incidence() if self.dimension else {}
+        self._check_pseudomanifold(ridges)
+        self._check_orientation(ridges)
 
     # -- derived face data --------------------------------------------------
 
@@ -113,9 +114,14 @@ class OrientedComplex:
             }
         return self._faces.get(k, [])
 
-    def face_index(self, k, face):
+    def face_positions(self, k):
+        """The position of each k-face in `faces(k)`, as one dict: the
+        builders look faces up in it directly."""
         self.faces(0)
-        return self._findex[k][tuple(face)]
+        return self._findex.get(k, {})
+
+    def face_index(self, k, face):
+        return self.face_positions(k)[tuple(face)]
 
     def n_faces(self, k):
         return len(self.faces(k))
@@ -136,21 +142,16 @@ class OrientedComplex:
                 inc.setdefault(f, []).append((t, (-1) ** i * sgn))
         return inc
 
-    def _check_pseudomanifold(self):
-        if self.dimension == 0:
-            return
-        for f, touching in self._ridge_incidence().items():
+    def _check_pseudomanifold(self, ridges):
+        for f, touching in ridges.items():
             if len(touching) > 2:
                 raise NonManifoldFace(
                     f"face {self.face_vertices(f)} lies in {len(touching)} top simplices"
                 )
 
-    def _check_orientation(self):
-        if self.dimension == 0:
-            self._boundary_data = {}
-            return
+    def _check_orientation(self, ridges):
         bdry = {}
-        for f, touching in self._ridge_incidence().items():
+        for f, touching in ridges.items():
             coeff = sum(c for _, c in touching)
             if len(touching) == 2:
                 if coeff != 0:
@@ -170,8 +171,6 @@ class OrientedComplex:
 
     def boundary_faces(self):
         """Boundary (n-1)-faces with their induced orientation signs."""
-        if self._boundary_data is None:
-            self._check_orientation()
         return dict(self._boundary_data)
 
     def is_closed(self):
@@ -211,10 +210,10 @@ class OrientedComplex:
         rows = self.n_faces(k + 1)
         cols = self.n_faces(k)
         ints = {}
-        for t in self.faces(k + 1):
-            i = self.face_index(k + 1, t)
+        pos = self.face_positions(k)
+        for i, t in enumerate(self.faces(k + 1)):
             for a in range(len(t)):
-                ints[(i, self.face_index(k, t[:a] + t[a + 1:]))] = -1 if a % 2 else 1
+                ints[(i, pos[t[:a] + t[a + 1:]])] = -1 if a % 2 else 1
         return RatMatrix.of_ints(rows, cols, ints)
 
     def cochain_complex(self):
@@ -235,10 +234,13 @@ class OrientedComplex:
         of the permutation that sorts its image."""
         ints = {}
         sign = {1: 1, -1: -1}
-        for f in small.faces(k):
-            pos = [self._vpos[vmap[v]] for v in small.face_vertices(f)]
-            ints[small.face_index(k, f), self.face_index(k, tuple(sorted(pos)))] = \
-                sign[_perm_sign(pos)]
+        at = self.face_positions(k)
+        # the position in self of each vertex position of small
+        to = {v: self._vpos[vmap[small.vertex_ids[v]]] for (v,) in small.faces(0)}
+        for i, f in enumerate(small.faces(k)):
+            pos = [to[v] for v in f]
+            image = sorted(pos)
+            ints[i, at[tuple(image)]] = 1 if image == pos else sign[_perm_sign(pos)]
         return RatMatrix.of_ints(small.n_faces(k), self.n_faces(k), ints)
 
     def restriction_matrix(self, k):

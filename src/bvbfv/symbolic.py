@@ -750,7 +750,7 @@ def _check_target(data):
             and each("theta", lambda t: isinstance(t, dict)
                      and isinstance(t.get("monomial"), list)
                      and all(isinstance(n, str) for n in t["monomial"]))):
-        raise SymbolicError("target file: expected vars [{name, degree}], omega [rows], "
+        raise SymbolicError("expected vars [{name, degree}], omega [rows], "
                             "an integer omega_degree and theta [{coeff, monomial}]")
     unknown = sorted(set(data) - {"vars", "omega", "omega_degree", "theta"})
     if unknown:

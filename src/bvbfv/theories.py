@@ -26,6 +26,7 @@ one-form.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property, partial
 from typing import Callable, NamedTuple
 
 from .complexes import GhostMismatch
@@ -128,15 +129,31 @@ def set_block(m, row_space, row_slot, col_space, col_slot, block, scale=1):
     m.add_block(row_space.offset(*row_slot), col_space.offset(*col_slot), block, scale)
 
 
+def _assemble(rows, cols, terms):
+    """The flat matrix over the slots of rows x cols that adds each term
+    (row slot, col slot, block[, scale]) in order, by `set_block`."""
+    m = RatMatrix(rows.total, cols.total)
+    for row_slot, col_slot, *block in terms:
+        set_block(m, rows, row_slot, cols, col_slot, *block)
+    return m
+
+
 def cup_block(cx: OrientedComplex, k, l):
-    """Matrix M with a^T M b = <a cup b, [N]> for a in C^k, b in C^l."""
+    """Matrix M with a^T M b = <a cup b, [N]> for a in C^k, b in C^l, kept
+    on the complex: the forms of a theory share it."""
+    if ("cup", k, l) not in cx._cache:
+        cx._cache[("cup", k, l)] = _cup_block(cx, k, l)
+    return cx._cache[("cup", k, l)]
+
+
+def _cup_block(cx, k, l):
     n = cx.dimension
     if k + l != n:
         return RatMatrix(cx.n_faces(k), cx.n_faces(l))
+    front, back = cx.face_positions(k), cx.face_positions(l)
     # a (front, back) face pair determines its top simplex: one write each
     return RatMatrix.of_ints(cx.n_faces(k), cx.n_faces(l), {
-        (cx.face_index(k, t[: k + 1]), cx.face_index(l, t[k:])): int(sgn)
-        for t, sgn in cx.top.items()})
+        (front[t[: k + 1]], back[t[k:]]): int(sgn) for t, sgn in cx.top.items()})
 
 
 def chain_boundary(cx: OrientedComplex, k):
@@ -147,13 +164,44 @@ def chain_boundary(cx: OrientedComplex, k):
 # ---------------------------------------------------------------------------
 
 
+def _on_first_read(name):
+    """The theory matrix `name`, built by its recipe on first read and then
+    kept on the instance, where an assignment replaces it."""
+    return cached_property(lambda t: t._build(name))
+
+
 class LinearTheory:
     """A linear BV-BFV theory in explicit matrix form.
 
     All structural data are flat rational matrices over the bulk/boundary
     field spaces; every verdict about this object is an exact matrix
     identity.
+
+    The field spaces are laid out, and every input checked, when the
+    builder runs; each matrix is built by the builder's recipe for it on
+    first read, and kept, so an op builds only what its phases read:
+      - the ghost-zero slice reads Q and Q_bdry;
+      - gluing reads Q, Q_bdry, pi and pair_bulk_mat;
+      - the moduli report reads Q, Q_bdry and pi for its pieces, and
+        omega, omega_bdry, P_bdry and pair_bulk_mat for the pairings,
+        the evolution relation and regularity;
+      - only the master-equation check (`verify_cme`) reads S_mat,
+        S_bdry_mat, alpha_bdry and P, and only where omega is not None.
+    pair_bulk_mat is omega, the same object, unless omega is None and the
+    pairing is declared at the reduced level (cs).  An assignment to a
+    matrix replaces it.
     """
+
+    Q = _on_first_read("Q")
+    Q_bdry = _on_first_read("Q_bdry")
+    pi = _on_first_read("pi")
+    omega = _on_first_read("omega")            # field-level pairing or None
+    omega_bdry = _on_first_read("omega_bdry")
+    alpha_bdry = _on_first_read("alpha_bdry")
+    S_mat = _on_first_read("S_mat")
+    S_bdry_mat = _on_first_read("S_bdry_mat")
+    P = _on_first_read("P")                    # second-slot rule for L_Q omega
+    P_bdry = _on_first_read("P_bdry")
 
     def __init__(self, **kw):
         self.name = kw["name"]
@@ -163,22 +211,21 @@ class LinearTheory:
         self.cx = kw["cx"]
         self.bulk: FieldSpace = kw["bulk"]
         self.bdry: FieldSpace = kw["bdry"]
-        self.Q = kw["Q"]
-        self.Q_bdry = kw["Q_bdry"]
-        self.pi = kw["pi"]
-        self.omega = kw.get("omega")          # field-level pairing or None
-        self.omega_bdry = kw["omega_bdry"]
-        self.alpha_bdry = kw["alpha_bdry"]
-        self.S_mat = kw["S_mat"]
-        self.S_bdry_mat = kw["S_bdry_mat"]
-        self.P = kw.get("P")                  # second-slot rule for L_Q omega
-        self.P_bdry = kw["P_bdry"]
-        self.pair_bulk_mat = kw["pair_bulk_mat"]
         self.adj_beta_sign = kw["adj_beta_sign"]
         self.adj_psi_sign = kw["adj_psi_sign"]
         self.model = kw["model"]              # 'cup' | 'cotangent'
         self.mass = kw.get("mass", Fraction(0))
         self.meta = kw.get("meta", {})
+        self._recipes = kw["recipes"]         # matrix name -> () -> matrix
+
+    def _build(self, name):
+        return self._recipes[name]()
+
+    @cached_property
+    def pair_bulk_mat(self):
+        if "pair_bulk_mat" in self._recipes:
+            return self._build("pair_bulk_mat")
+        return self.omega
 
     # mechanical helpers --------------------------------------------------
 
@@ -280,11 +327,12 @@ _ED_STRATUM = _CupTable(
 )
 
 
-def _cup_half(K, table, n, D, degrees, forms, P):
+def _cup_half(K, table, n, D, degrees):
     """Lay out one half of a cup model on the complex K: the slots of each
-    family in `degrees` (family -> degrees), Q as d within each family, the
-    matrix of each form in `forms` (name -> cup terms, d on the back field
-    of an action) and the diagonal P (per-family rules, or None)."""
+    family in `degrees` (family -> degrees).  Returns the space and the
+    recipes of its matrices: Q() is d within each family, form(terms,
+    d_back) the matrix of cup terms (d on the back field of an action) and
+    P(rules) the diagonal of per-family rules (None for no rules)."""
     names = {f: spec[1](D) for f, spec in table.families.items()}
     space = FieldSpace()
     family_of = {}
@@ -292,16 +340,14 @@ def _cup_half(K, table, n, D, degrees, forms, P):
         for k in degrees[f]:
             space.add(names[f][k], k, K.n_faces(k), shift(n) - k)
             family_of[names[f][k]] = i
-    Q = RatMatrix(space.total, space.total)
-    for f in table.families:
-        for k in degrees[f]:
-            if k + 1 in degrees[f]:
-                set_block(Q, space, (names[f][k + 1], k + 1), space, (names[f][k], k),
-                          K.coboundary_matrix(k))
-    cups = {}
-    out = {}
-    for form, (terms, d_back) in forms.items():
-        m = out[form] = RatMatrix(space.total, space.total)
+
+    def Q():
+        return _assemble(space, space, (
+            ((names[f][k + 1], k + 1), (names[f][k], k), K.coboundary_matrix(k))
+            for f in table.families for k in degrees[f] if k + 1 in degrees[f]))
+
+    def form(terms, d_back):
+        m = RatMatrix(space.total, space.total)
         for front, back, sign in terms:
             for k in degrees[front]:
                 l = K.dimension - k
@@ -309,17 +355,20 @@ def _cup_half(K, table, n, D, degrees, forms, P):
                 signs = sign(D, k, l)
                 if kb not in degrees[back] or not any(signs):
                     continue
-                if (k, l) not in cups:
-                    cups[k, l] = cup_block(K, k, l)
-                block = cups[k, l]
+                block = cup_block(K, k, l)
                 if kb != l:
                     block = block * K.coboundary_matrix(kb)
                 x, y = (names[front][k], k), (names[back][kb], kb)
                 set_block(m, space, x, space, y, block, signs[0])
                 set_block(m, space, y, space, x, block.transpose(), signs[1])
-    if P is not None:
-        P = space.diag_sign(lambda sec, k, g: P[family_of[sec]](D, k))
-    return space, Q, out, P
+        return m
+
+    def P(rules):
+        if rules is None:
+            return None
+        return space.diag_sign(lambda sec, k, g: rules[family_of[sec]](D, k))
+
+    return space, Q, form, P
 
 
 def _cup_theory(cx: OrientedComplex, table: _CupTable, n) -> LinearTheory:
@@ -331,22 +380,30 @@ def _cup_theory(cx: OrientedComplex, table: _CupTable, n) -> LinearTheory:
     bulk_deg = {f: tuple(spec[1](D)) for f, spec in table.families.items()}
     bdry_deg = {f: tuple(spec[2](D)) if bc.n_faces(0) else ()
                 for f, spec in table.families.items()}
-    bulk, Q, forms, P = _cup_half(cx, table, n, D, bulk_deg, {
-        "pair": (table.omega or table.pair, False), "S": (table.S, True)}, table.P)
-    bdry, Qb, bforms, Pb = _cup_half(bc, table, n, D, bdry_deg, {
-        "omega": (table.omega_bdry, False), "alpha": (table.alpha, False),
-        "S": (table.S_bdry, True)}, table.P_bdry)
-    pi = RatMatrix(bdry.total, bulk.total)
-    for s in bdry.slots:
-        slot = (s["sector"], s["degree"])
-        set_block(pi, bdry, slot, bulk, slot, cx.restriction_matrix(s["degree"]))
+    bulk, Q, form, P = _cup_half(cx, table, n, D, bulk_deg)
+    bdry, Qb, bform, Pb = _cup_half(bc, table, n, D, bdry_deg)
+
+    def pi():
+        slots = [(s["sector"], s["degree"]) for s in bdry.slots]
+        return _assemble(bdry, bulk, ((slot, slot, cx.restriction_matrix(slot[1]))
+                                      for slot in slots))
+
+    recipes = {"Q": Q, "Q_bdry": Qb, "pi": pi,
+               "omega_bdry": partial(bform, table.omega_bdry, False),
+               "alpha_bdry": partial(bform, table.alpha, False),
+               "S_mat": partial(form, table.S, True),
+               "S_bdry_mat": partial(bform, table.S_bdry, True),
+               "P": partial(P, table.P),
+               "P_bdry": partial(Pb, table.P_bdry)}
+    if table.omega is None:
+        recipes["omega"] = lambda: None
+        recipes["pair_bulk_mat"] = partial(form, table.pair, False)
+    else:
+        recipes["omega"] = partial(form, table.omega, False)
     beta, psi = table.adj(D)
     return LinearTheory(
         name=table.name.format(n=n), kind=table.kind, n=n, D=D, cx=cx, model="cup",
-        bulk=bulk, bdry=bdry, Q=Q, Q_bdry=Qb, pi=pi, P=P, P_bdry=Pb,
-        omega=None if table.omega is None else forms["pair"],
-        pair_bulk_mat=forms["pair"], omega_bdry=bforms["omega"],
-        alpha_bdry=bforms["alpha"], S_mat=forms["S"], S_bdry_mat=bforms["S"],
+        bulk=bulk, bdry=bdry, recipes=recipes,
         adj_beta_sign=Fraction(beta), adj_psi_sign=Fraction(psi))
 
 
@@ -445,50 +502,49 @@ def _cone_theory(cx: OrientedComplex, p, mass, *, name, kind) -> LinearTheory:
     bdry.add(*xpb, bc.n_faces(p - 1), -1)
     mass2 = mass * mass
 
-    Q = RatMatrix(bulk.total, bulk.total)
-    set_block(Q, bulk, x, bulk, gh, cob(cx, p - 1), c)
-    set_block(Q, bulk, xp, bulk, m, bdy(cx, p + 1), c)
-    set_block(Q, bulk, xp, bulk, f, incl(p), -c)
-    set_block(Q, bulk, yp, bulk, f, bdy(bc, p), -c)
-    set_block(Q, bulk, fp, bulk, y, cob(bc, p - 1), -c)
-    set_block(Q, bulk, ghp, bulk, yp, incl(p - 1), -c)
-    set_block(Q, bulk, xp, bulk, x, eye(bulk, x), -c * mass2)
-    set_block(Q, bulk, mp, bulk, x, cob(cx, p), c)
-    set_block(Q, bulk, mp, bulk, m, eye(bulk, m), c)
-    set_block(Q, bulk, ghp, bulk, xp, bdy(cx, p), c)
-
-    Qb = RatMatrix(bdry.total, bdry.total)
-    set_block(Qb, bdry, x, bdry, gh, cob(bc, p - 1), c)
-    set_block(Qb, bdry, xpb, bdry, mb, bdy(bc, p), -c)
-
-    pi = RatMatrix(bdry.total, bulk.total)
-    set_block(pi, bdry, gh, bulk, gh, cx.restriction_matrix(p - 1) if p else None)
-    set_block(pi, bdry, x, bulk, x, cx.restriction_matrix(p))
-    set_block(pi, bdry, mb, bulk, f, eye(bulk, f))
-    set_block(pi, bdry, xpb, bulk, yp, eye(bulk, yp))
-
-    omega = RatMatrix(bulk.total, bulk.total)
-    for slot in (gh, x, m, y, f):
-        set_block(omega, bulk, slot, bulk, plus(slot), eye(bulk, slot))
-        set_block(omega, bulk, plus(slot), bulk, slot, eye(bulk, slot))
-
-    omega_bdry = RatMatrix(bdry.total, bdry.total)
-    set_block(omega_bdry, bdry, x, bdry, mb, eye(bdry, mb))
-    set_block(omega_bdry, bdry, mb, bdry, x, eye(bdry, mb), -1)
-    set_block(omega_bdry, bdry, gh, bdry, xpb, eye(bdry, xpb))
-    set_block(omega_bdry, bdry, xpb, bdry, gh, eye(bdry, xpb), -1)
-    alpha = RatMatrix(bdry.total, bdry.total)
-    set_block(alpha, bdry, mb, bdry, x, eye(bdry, mb), -c)
-    set_block(alpha, bdry, xpb, bdry, gh, eye(bdry, xpb), -c)
-
-    S_mat = RatMatrix(bulk.total, bulk.total)
-    set_block(S_mat, bulk, m, bulk, x, cob(cx, p))
-    set_block(S_mat, bulk, m, bulk, m, eye(bulk, m), Fraction(1, 2))
-    set_block(S_mat, bulk, xp, bulk, gh, cob(cx, p - 1))
-    set_block(S_mat, bulk, f, bulk, y, cob(bc, p - 1), -1)
-    set_block(S_mat, bulk, x, bulk, x, eye(bulk, x), -mass2 / 2)
-    S_bdry = RatMatrix(bdry.total, bdry.total)
-    set_block(S_bdry, bdry, mb, bdry, gh, cob(bc, p - 1), -1)
+    # one recipe per matrix; the blocks are made when the recipe runs
+    recipes = {
+        "Q": lambda: _assemble(bulk, bulk, (
+            (x, gh, cob(cx, p - 1), c),
+            (xp, m, bdy(cx, p + 1), c),
+            (xp, f, incl(p), -c),
+            (yp, f, bdy(bc, p), -c),
+            (fp, y, cob(bc, p - 1), -c),
+            (ghp, yp, incl(p - 1), -c),
+            (xp, x, eye(bulk, x), -c * mass2),
+            (mp, x, cob(cx, p), c),
+            (mp, m, eye(bulk, m), c),
+            (ghp, xp, bdy(cx, p), c))),
+        "Q_bdry": lambda: _assemble(bdry, bdry, (
+            (x, gh, cob(bc, p - 1), c),
+            (xpb, mb, bdy(bc, p), -c))),
+        "pi": lambda: _assemble(bdry, bulk, (
+            (gh, gh, cx.restriction_matrix(p - 1) if p else None),
+            (x, x, cx.restriction_matrix(p)),
+            (mb, f, eye(bulk, f)),
+            (xpb, yp, eye(bulk, yp)))),
+        "omega": lambda: _assemble(bulk, bulk, (
+            term for slot in (gh, x, m, y, f)
+            for term in ((slot, plus(slot), eye(bulk, slot)),
+                         (plus(slot), slot, eye(bulk, slot))))),
+        "omega_bdry": lambda: _assemble(bdry, bdry, (
+            (x, mb, eye(bdry, mb)),
+            (mb, x, eye(bdry, mb), -1),
+            (gh, xpb, eye(bdry, xpb)),
+            (xpb, gh, eye(bdry, xpb), -1))),
+        "alpha_bdry": lambda: _assemble(bdry, bdry, (
+            (mb, x, eye(bdry, mb), -c),
+            (xpb, gh, eye(bdry, xpb), -c))),
+        "S_mat": lambda: _assemble(bulk, bulk, (
+            (m, x, cob(cx, p)),
+            (m, m, eye(bulk, m), Fraction(1, 2)),
+            (xp, gh, cob(cx, p - 1)),
+            (f, y, cob(bc, p - 1), -1),
+            (x, x, eye(bulk, x), -mass2 / 2))),
+        "S_bdry_mat": lambda: _assemble(bdry, bdry, ((mb, gh, cob(bc, p - 1), -1),)),
+        "P": lambda: bulk.diag_sign(lambda sec, k, g: -1),
+        "P_bdry": lambda: bdry.diag_sign(lambda sec, k, g: 1),
+    }
 
     return LinearTheory(
         name=name,
@@ -498,17 +554,7 @@ def _cone_theory(cx: OrientedComplex, p, mass, *, name, kind) -> LinearTheory:
         cx=cx,
         bulk=bulk,
         bdry=bdry,
-        Q=Q,
-        Q_bdry=Qb,
-        pi=pi,
-        omega=omega,
-        omega_bdry=omega_bdry,
-        alpha_bdry=alpha,
-        S_mat=S_mat,
-        S_bdry_mat=S_bdry,
-        P=bulk.diag_sign(lambda sec, k, g: -1),
-        P_bdry=bdry.diag_sign(lambda sec, k, g: 1),
-        pair_bulk_mat=omega,
+        recipes=recipes,
         adj_beta_sign=c,
         adj_psi_sign=-c,
         model="cotangent",
@@ -757,6 +803,8 @@ def theory_from_config(cx: OrientedComplex, config: dict) -> LinearTheory:
         raise TheoryError("theory config needs a string 'kind'")
     if not all(x is None or type(x) is int for x in (ambient, codim)):
         raise TheoryError("theory config: 'n' and 'codim' must be integers")
+    if isinstance(config.get("mass"), bool):
+        raise TheoryError("theory config: 'mass' must be a number, not a boolean")
     try:
         mass = Fraction(config.get("mass", 0))
     except (TypeError, ValueError, ZeroDivisionError, OverflowError) as e:

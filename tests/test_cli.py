@@ -233,8 +233,9 @@ def _assert_one_error_line(out):
     {"kind": "abelian_bf", "codim": "1"},
     {"kind": "abelian_cs", "N": 5},
     {"kind": "scalar", "mass": float("inf")},
+    {"kind": "scalar", "mass": True},
 ], ids=["not_object", "no_kind", "kind_not_string", "mass_list", "n_not_int",
-        "codim_not_int", "unknown_key", "mass_infinite"])
+        "codim_not_int", "unknown_key", "mass_infinite", "mass_bool"])
 def test_malformed_theory_config_exits_one(tmp_path, config):
     p = tmp_path / "theory.json"
     p.write_text(json.dumps(config))
@@ -281,6 +282,16 @@ def test_malformed_target_exits_one(tmp_path, data):
     p = tmp_path / "bad_target.json"
     p.write_text(json.dumps(data))
     _assert_one_error_line(run_cli("target", "check", str(p)))
+
+
+def test_malformed_target_names_the_file_once(tmp_path):
+    p = tmp_path / "bad_target.json"
+    p.write_text(json.dumps(_target_with(vars=3)))
+    out = run_cli("target", "check", str(p))
+    _assert_one_error_line(out)
+    assert out.stderr.decode() == (
+        "error: target file: expected vars [{name, degree}], omega [rows], "
+        "an integer omega_degree and theta [{coeff, monomial}]\n")
 
 
 def test_unknown_keys_are_named(tmp_path):
@@ -444,6 +455,53 @@ def test_each_op_starts_with_an_empty_memo(monkeypatch, tmp_path):
     first, second = calls
     assert first and len(second) == len(first)
     assert second[0][1] == 0 and second[0][0] is not first[0][0]
+
+
+# the matrices that only the master-equation check reads
+CME_ONLY = ("S_mat", "S_bdry_mat", "alpha_bdry", "P")
+
+
+def _matrix_builds(monkeypatch, argv):
+    """Runs one op in-process and counts the theory matrices it builds, per
+    theory and name."""
+    from collections import Counter
+
+    from bvbfv import cli
+    from bvbfv.theories import LinearTheory
+
+    builds = Counter()
+    build = LinearTheory._build
+
+    def counting(t, name):
+        builds[id(t), name] += 1
+        return build(t, name)
+
+    monkeypatch.setattr(LinearTheory, "_build", counting)
+    assert cli.main([*argv, "--format", "structured", "--out", os.devnull]) in (0, 2)
+    return builds
+
+
+@pytest.mark.parametrize("argv", [
+    ["moduli", "solid_torus", "--theory", "bf"],
+    ["moduli", "disk", "--theory", "ed"],
+    ["moduli", "interval", "--theory", "scalar", "--mass", "1/2"],
+    ["slice-gh0", "solid_torus", "--theory", "cs"],
+    ["slice-gh0", "disk", "--theory", "scalar"],
+    ["glue", "glue_solid_tori_meridian_to_longitude.json", "--theory", "cs"],
+], ids=lambda argv: "-".join(argv[:4:3]))
+def test_only_the_cme_builds_the_action(monkeypatch, argv):
+    monkeypatch.setenv("BVBFV_CORPUS", CORPUS)
+    builds = _matrix_builds(monkeypatch, argv)
+    assert builds and max(builds.values()) == 1
+    assert not {name for _, name in builds} & set(CME_ONLY), builds
+
+
+@pytest.mark.parametrize("theory", ["bf", "ed", "scalar"])
+def test_cme_builds_each_matrix_once(monkeypatch, theory):
+    monkeypatch.setenv("BVBFV_CORPUS", CORPUS)
+    builds = _matrix_builds(monkeypatch, ["cme", "disk", "--theory", theory])
+    assert {name for _, name in builds} >= set(CME_ONLY)
+    assert set(builds.values()) == {1}, builds
 
 
 def test_slice_gh0():

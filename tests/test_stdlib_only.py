@@ -96,6 +96,8 @@ def test_ab_compare_counts_equal_work_on_both_sides_of_a_self_comparison():
     assert set(work) == {"work A (one pass)", "work B (one pass)"}
     counts = work["work A (one pass)"].split()
     assert counts == work["work B (one pass)"].split()
-    # four counts, each a positive integer
+    # six counts (eliminations and their reduced-row nonzeros, products and
+    # their multiply-adds, block additions and their entries), each a
+    # positive integer
     nums = [int(x) for x in counts if x.isdigit()]
-    assert len(nums) == 4 and all(nums)
+    assert len(nums) == 6 and all(nums)
